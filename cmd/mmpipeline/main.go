@@ -193,7 +193,9 @@ func run(o options) error {
 	fmt.Printf("  order requests          %8d\n", res.Orders)
 	fmt.Printf("  book flat at close      %8v\n", res.BookFlat)
 	fmt.Printf("  realised cash P&L       %8.2f\n", res.CashPnL)
-	fmt.Println("\n  node                      received     emitted")
+	// Messages, not quotes: the quote edges carry batches whose sizes
+	// follow the backlog, so those three rows vary from run to run.
+	fmt.Println("\n  node (messages)           received     emitted")
 	for _, s := range res.NodeStats {
 		fmt.Printf("  %-24s %10d %11d\n", s.Name, s.Received, s.Emitted)
 	}

@@ -40,13 +40,13 @@ type partition struct {
 
 // partitionLog is the append-only, offset-addressed signal log of one
 // partition. Offsets start at 1 and are contiguous; signals are never
-// mutated after append, so readers hold zero-copy subslices. latest
-// maps pair id → index of its newest signal (the compaction source for
-// snapshot-on-subscribe).
+// mutated or moved after append (the store is chunked), so readers hold
+// zero-copy subslices. latest maps pair id → index of its newest signal
+// (the compaction source for snapshot-on-subscribe).
 type partitionLog struct {
 	mu     sync.Mutex
-	sigs   []feed.Signal
-	stamps []int64 // append nanos per signal (nil unless collecting)
+	sigs   chunkLog[feed.Signal]
+	stamps chunkLog[int64] // append nanos per signal (empty unless collecting)
 	latest map[uint32]int
 	lastS  int // grid interval of the newest appended batch
 	sealed bool
@@ -68,11 +68,11 @@ func (l *partitionLog) appendBatch(s int, sigs []feed.Signal) {
 		now = time.Now().UnixNano()
 	}
 	for i := range sigs {
-		sigs[i].Offset = uint64(len(l.sigs) + 1)
-		l.latest[sigs[i].Pair] = len(l.sigs)
-		l.sigs = append(l.sigs, sigs[i])
+		sigs[i].Offset = uint64(l.sigs.len() + 1)
+		l.latest[sigs[i].Pair] = l.sigs.len()
+		l.sigs.append(sigs[i])
 		if l.stamp {
-			l.stamps = append(l.stamps, now)
+			l.stamps.append(now)
 		}
 	}
 	if s > l.lastS {
@@ -84,7 +84,7 @@ func (l *partitionLog) appendBatch(s int, sigs []feed.Signal) {
 func (l *partitionLog) end() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return uint64(len(l.sigs))
+	return uint64(l.sigs.len())
 }
 
 // lastLoggedS returns the grid interval of the newest batch (-1 when
@@ -104,24 +104,20 @@ func (l *partitionLog) read(next uint64, max int) (sigs []feed.Signal, drained b
 		next = 1
 	}
 	lo := int(next - 1)
-	if lo >= len(l.sigs) {
+	if lo >= l.sigs.len() {
 		return nil, l.sealed
 	}
-	hi := lo + max
-	if hi > len(l.sigs) {
-		hi = len(l.sigs)
-	}
-	return l.sigs[lo:hi], false
+	return l.sigs.slice(lo, min(lo+max, l.sigs.len())), false
 }
 
 // stampAt returns the append timestamp of an offset (bench only).
 func (l *partitionLog) stampAt(off uint64) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.stamp || off < 1 || int(off) > len(l.stamps) {
+	if !l.stamp || off < 1 || int(off) > l.stamps.len() {
 		return 0
 	}
-	return l.stamps[off-1]
+	return l.stamps.at(int(off - 1))
 }
 
 // snapshotLatest returns the compacted state: the newest signal per
@@ -131,10 +127,10 @@ func (l *partitionLog) snapshotLatest() (end uint64, latest []feed.Signal) {
 	defer l.mu.Unlock()
 	latest = make([]feed.Signal, 0, len(l.latest))
 	for _, idx := range l.latest {
-		latest = append(latest, l.sigs[idx])
+		latest = append(latest, l.sigs.at(idx))
 	}
 	sort.Slice(latest, func(i, j int) bool { return latest[i].Pair < latest[j].Pair })
-	return uint64(len(l.sigs)), latest
+	return uint64(l.sigs.len()), latest
 }
 
 func (l *partitionLog) seal() {

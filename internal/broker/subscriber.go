@@ -61,7 +61,7 @@ type Subscriber struct {
 	next     map[int]uint64 // next expected offset per partition
 	acked    map[int]uint64
 	sinceAck map[int]int
-	signals  map[int][]feed.Signal // delivered signals per partition
+	signals  map[int]*chunkLog[feed.Signal] // delivered signals per partition
 	stats    SubscriberStats
 	ended    bool
 }
@@ -91,7 +91,7 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 		next:     make(map[int]uint64),
 		acked:    make(map[int]uint64),
 		sinceAck: make(map[int]int),
-		signals:  make(map[int][]feed.Signal),
+		signals:  make(map[int]*chunkLog[feed.Signal]),
 	}, nil
 }
 
@@ -201,7 +201,10 @@ func (s *Subscriber) applySnapshot(f *feed.SnapshotFrame) {
 		return // stale snapshot after progress; ignore
 	}
 	s.next[p] = f.EndOffset + 1
-	s.signals[p] = append(s.signals[p], f.Latest...)
+	kept := s.retained(p)
+	for _, sig := range f.Latest {
+		kept.append(sig)
+	}
 	s.stats.Snapshots++
 	s.stats.Delivered += len(f.Latest)
 	s.mu.Unlock()
@@ -217,11 +220,14 @@ func (s *Subscriber) applySnapshot(f *feed.SnapshotFrame) {
 func (s *Subscriber) applyDelta(enc *feed.Encoder, f *feed.DeltaFrame) error {
 	p := int(f.Partition)
 	var ackAt uint64
-	var fresh []feed.Signal
+	// The frame came off the decoder for this call alone, so the
+	// signals that are new are compacted to its front in place.
+	fresh := f.Signals[:0]
 	s.mu.Lock()
 	if s.next[p] == 0 {
 		s.next[p] = 1
 	}
+	var kept *chunkLog[feed.Signal]
 	for _, sig := range f.Signals {
 		if sig.Offset < s.next[p] {
 			s.stats.Duplicates++
@@ -237,7 +243,12 @@ func (s *Subscriber) applyDelta(enc *feed.Encoder, f *feed.DeltaFrame) error {
 			s.stats.Jumps++
 		}
 		s.next[p] = sig.Offset + 1
-		s.signals[p] = append(s.signals[p], sig)
+		if kept == nil {
+			// Only now: Partitions lists what has a store, and a frame
+			// of redeliveries delivers nothing.
+			kept = s.retained(p)
+		}
+		kept.append(sig)
 		s.stats.Delivered++
 		fresh = append(fresh, sig)
 		s.sinceAck[p]++
@@ -306,7 +317,22 @@ func (s *Subscriber) Stats() SubscriberStats {
 func (s *Subscriber) Signals(part int) []feed.Signal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]feed.Signal(nil), s.signals[part]...)
+	kept := s.signals[part]
+	if kept == nil {
+		return nil
+	}
+	return kept.appendTo(make([]feed.Signal, 0, kept.len()), 0, kept.len())
+}
+
+// retained returns partition p's delivered-signal store, creating it
+// on first use. Caller holds s.mu.
+func (s *Subscriber) retained(p int) *chunkLog[feed.Signal] {
+	kept := s.signals[p]
+	if kept == nil {
+		kept = &chunkLog[feed.Signal]{}
+		s.signals[p] = kept
+	}
+	return kept
 }
 
 // Partitions returns the partitions this subscriber has received

@@ -140,6 +140,15 @@ type PipelineResult struct {
 // seam where the paper's interchangeable "Live Collector" / "File
 // Collector" adapters plug in: an in-memory slice, a CSV replay, or a
 // networked feed.Collector all look identical to the DAG.
+//
+// The collector node gathers emitted quotes into batches (see
+// quoteBatch) and forwards a batch when it is full, when the source
+// returns, and when the source is about to wait for input. Of the
+// sources here only ChannelSource waits for input, and it says so
+// through ctx: a source that wraps another must hand on the ctx it was
+// given, and a live adapter that blocks between quotes should deliver
+// them through a channel and ChannelSource, or its last few quotes
+// wait in a partial batch until the next ones arrive.
 type QuoteSource func(ctx context.Context, emit func(taq.Quote) bool) error
 
 // SliceSource adapts an in-memory day of quotes to a QuoteSource.
@@ -155,20 +164,30 @@ func SliceSource(quotes []taq.Quote) QuoteSource {
 }
 
 // ChannelSource adapts a quote channel (e.g. feed.Collector.Quotes) to
-// a QuoteSource; the stream ends when the channel closes.
+// a QuoteSource; the stream ends when the channel closes. It takes
+// every quote already in the channel and, the moment the channel is
+// empty, has the collector node forward what it holds before waiting —
+// so a quote never sits in a partial batch while the feed is idle.
 func ChannelSource(ch <-chan taq.Quote) QuoteSource {
 	return func(ctx context.Context, emit func(taq.Quote) bool) error {
+		flush := idleFlush(ctx)
 		for {
+			var q taq.Quote
+			var ok bool
 			select {
-			case q, ok := <-ch:
-				if !ok {
+			case q, ok = <-ch:
+			default:
+				if !flush() {
 					return nil
 				}
-				if !emit(q) {
-					return nil
+				select {
+				case q, ok = <-ch:
+				case <-ctx.Done():
+					return ctx.Err()
 				}
-			case <-ctx.Done():
-				return ctx.Err()
+			}
+			if !ok || !emit(q) {
+				return nil
 			}
 		}
 	}
@@ -185,6 +204,12 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig, quotes []taq.Quote, da
 // source — the networked deployment path, where the collector node is
 // backed by a feed.Collector instead of an in-memory day.
 func RunPipelineSource(ctx context.Context, cfg PipelineConfig, source QuoteSource, day int) (*PipelineResult, error) {
+	return runPipeline(ctx, cfg, source, day, quoteBatchCap)
+}
+
+// runPipeline is RunPipelineSource with the quote-batch capacity as a
+// parameter, which tests vary to show results do not depend on it.
+func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, day, batchCap int) (*PipelineResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -243,27 +268,19 @@ func RunPipelineSource(ctx context.Context, cfg PipelineConfig, source QuoteSour
 	g := engine.NewGraph()
 
 	// Source: the data adapter ("Live Collector" / "File Collector").
-	src := g.Source("collector", func(ctx context.Context, emit engine.Emit) error {
-		return source(ctx, func(q taq.Quote) bool {
-			res.QuotesIn++
-			return emit(q)
-		})
-	})
+	// Quotes leave it in batches; see quoteBatch for the contract.
+	pool := &batchPool{cap: batchCap}
+	src := g.Source("collector", collectorSource(source, pool, &res.QuotesIn))
 
 	// Cleaning stage (the TCP-like filter of §III).
 	filter := clean.NewFilter(cfg.Clean)
-	cleaner := g.Node("cleaner", 1, sup.wrap("cleaner", quoteKey, func(ctx context.Context, m engine.Message, emit engine.Emit) error {
-		q := m.(taq.Quote)
-		if filter.Accept(q) == clean.OK {
-			res.QuotesClean++
-			emit(q)
-		}
-		return nil
-	}))
+	cleaner := g.Node("cleaner", 1, cleanerProc(sup.wrapQuote("cleaner", func(q taq.Quote) bool {
+		return filter.Accept(q) == clean.OK
+	}), pool, &res.QuotesClean))
 
 	// OHLC bar accumulator: folds quotes into the shared grid and
 	// emits one tick per completed interval.
-	bars := newBarNode(grid, cfg.Universe, pg)
+	bars := newBarNode(grid, cfg.Universe, pg, pool)
 	barNode := g.Node("ohlc-bars", 1, bars.process)
 	g.OnDrain(barNode, bars.drain)
 
@@ -407,9 +424,10 @@ type barNode struct {
 	cur  int
 	seen bool
 	bars []*series.BarAccumulator
+	pool *batchPool
 }
 
-func newBarNode(grid series.Grid, uni *taq.Universe, pg *series.PriceGrid) *barNode {
+func newBarNode(grid series.Grid, uni *taq.Universe, pg *series.PriceGrid, pool *batchPool) *barNode {
 	last := make([]float64, uni.Len())
 	for i := range last {
 		last[i] = math.NaN()
@@ -418,18 +436,28 @@ func newBarNode(grid series.Grid, uni *taq.Universe, pg *series.PriceGrid) *barN
 	for i := range bars {
 		bars[i] = series.NewBarAccumulator(grid, uni.Symbol(i), 0)
 	}
-	return &barNode{grid: grid, uni: uni, pg: pg, last: last, bars: bars}
+	return &barNode{grid: grid, uni: uni, pg: pg, last: last, bars: bars, pool: pool}
 }
 
+// process folds one batch of cleaned quotes, in order, and returns the
+// batch to the pool: the bar node is the last stage to see it.
 func (b *barNode) process(ctx context.Context, m engine.Message, emit engine.Emit) error {
-	q := m.(taq.Quote)
+	batch := m.(*quoteBatch)
+	for _, q := range batch.quotes {
+		b.add(q, emit)
+	}
+	b.pool.put(batch)
+	return nil
+}
+
+func (b *barNode) add(q taq.Quote, emit engine.Emit) {
 	s, ok := b.grid.Index(q.SeqTime)
 	if !ok {
-		return nil
+		return
 	}
 	i, ok := b.uni.Index(q.Symbol)
 	if !ok {
-		return nil
+		return
 	}
 	if !b.seen {
 		b.cur = s
@@ -440,7 +468,6 @@ func (b *barNode) process(ctx context.Context, m engine.Message, emit engine.Emi
 	}
 	b.last[i] = q.Mid()
 	b.bars[i].Add(q)
-	return nil
 }
 
 // flush completes intervals cur..s-1 into the grid and emits ticks.

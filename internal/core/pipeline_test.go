@@ -24,7 +24,7 @@ func pipelineParams() strategy.Params {
 	return p
 }
 
-func testUniverse(t *testing.T) *taq.Universe {
+func testUniverse(t testing.TB) *taq.Universe {
 	t.Helper()
 	u, err := taq.NewUniverse([]string{"A1", "A2", "B1", "B2"})
 	if err != nil {
@@ -33,7 +33,7 @@ func testUniverse(t *testing.T) *taq.Universe {
 	return u
 }
 
-func genQuotes(t *testing.T, u *taq.Universe) []taq.Quote {
+func genQuotes(t testing.TB, u *taq.Universe) []taq.Quote {
 	t.Helper()
 	gen, err := market.NewGenerator(market.Config{
 		Universe:         u,

@@ -136,6 +136,30 @@ func (s *supervisor) wrap(name string, key supervise.KeyFunc, proc engine.ProcFu
 	return st.Wrap(proc)
 }
 
+// wrapQuote supervises the cleaner's per-quote decision. Batches are
+// unpacked through it one quote at a time, so a supervised stage still
+// sees, keys, counts and quarantines single quotes: a poison quote in
+// the middle of a batch costs exactly that quote.
+func (s *supervisor) wrapQuote(name string, keep func(taq.Quote) bool) func(context.Context, taq.Quote) (bool, error) {
+	if s == nil {
+		return func(_ context.Context, q taq.Quote) (bool, error) { return keep(q), nil }
+	}
+	stage := s.wrap(name, quoteKey, func(_ context.Context, m engine.Message, emit engine.Emit) error {
+		if keep(m.(taq.Quote)) {
+			emit(m)
+		}
+		return nil
+	})
+	return func(ctx context.Context, q taq.Quote) (bool, error) {
+		kept := false
+		err := stage(ctx, q, func(engine.Message) bool {
+			kept = true
+			return true
+		})
+		return kept, err
+	}
+}
+
 // restore loads the engine snapshot, if any. Invalid snapshots are
 // logged and discarded: a wrong warm state must never beat a cold one.
 func (s *supervisor) restore(online *corr.OnlineEngine, fingerprint string) {
@@ -203,14 +227,24 @@ func (s *supervisor) boundSource(source QuoteSource) QuoteSource {
 	return func(ctx context.Context, emit func(taq.Quote) bool) error {
 		q := supervise.NewQueue[taq.Quote](s.opts.SourceBuffer, supervise.Block)
 		errCh := make(chan error, 1)
+		// The queue is where this source waits for input, so the
+		// flush-on-idle duty is taken over here; the producer runs on its
+		// own goroutine and must not reach the collector's batch.
+		flush := idleFlush(ctx)
+		producerCtx := withIdleFlush(ctx, nil)
 		go func() {
-			errCh <- source(ctx, func(qt taq.Quote) bool { return q.Push(ctx, qt) })
+			errCh <- source(producerCtx, func(qt taq.Quote) bool { return q.Push(ctx, qt) })
 			q.Close()
 		}()
 		for {
-			qt, ok := q.Pop(ctx)
+			qt, ok := q.TryPop()
 			if !ok {
-				break
+				if !flush() {
+					break
+				}
+				if qt, ok = q.Pop(ctx); !ok {
+					break
+				}
 			}
 			if !emit(qt) {
 				break

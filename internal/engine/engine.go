@@ -19,6 +19,15 @@
 // Run wires the channels, spawns every node, and propagates shutdown:
 // when a source returns, its edges close; a node exits after all its
 // inputs close; the first error cancels the whole graph.
+//
+// A hop costs one buffered channel operation: the producer's emit sends
+// on the edge and the consumer's worker receives from that same
+// channel, each in a select that also watches the graph context. There
+// is no goroutine between them; only a node with several inputs has one
+// forwarder per in-edge, to merge them. What a message is belongs to
+// the nodes: a producer that wants fewer hops sends bigger messages
+// (core sends quotes in batches), and Stats counts messages, whatever
+// they carry.
 package engine
 
 import (
@@ -308,7 +317,7 @@ func (g *Graph) Run(ctx context.Context) error {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
-			report(g.runNode(ctx, n))
+			report(g.runNode(ctx, n, &wg))
 		}(n)
 	}
 	wg.Wait()
@@ -319,18 +328,22 @@ func (g *Graph) Run(ctx context.Context) error {
 }
 
 // runNode executes one node until its input closes (processors) or its
-// source function returns, then closes its outgoing edges.
-func (g *Graph) runNode(ctx context.Context, n *node) error {
+// source function returns, then closes its outgoing edges. Goroutines
+// it starts beyond its workers are added to wg, which Run waits on.
+// A worker watches ctx.Done() in the select it receives in, so
+// cancellation stops it between messages however full the edge is.
+func (g *Graph) runNode(ctx context.Context, n *node, wg *sync.WaitGroup) error {
 	defer func() {
 		for _, out := range n.outs {
 			close(out)
 		}
 	}()
+	done := ctx.Done()
 	emit := func(m Message) bool {
 		for _, out := range n.outs {
 			select {
 			case out <- m:
-			case <-ctx.Done():
+			case <-done:
 				return false
 			}
 		}
@@ -342,14 +355,23 @@ func (g *Graph) runNode(ctx context.Context, n *node) error {
 		return safeCall(n.name, func() error { return n.src(ctx, emit) })
 	}
 
-	merged := mergeInputs(ctx, n)
+	in := mergeInputs(ctx, n, wg)
 	var workers sync.WaitGroup
 	errCh := make(chan error, n.parallel)
 	for w := 0; w < n.parallel; w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for m := range merged {
+			for {
+				var m Message
+				var ok bool
+				select {
+				case m, ok = <-in:
+				case <-done:
+				}
+				if !ok {
+					return
+				}
 				n.inCnt.Add(1)
 				if err := safeCall(n.name, func() error { return n.proc(ctx, m, emit) }); err != nil {
 					errCh <- err
@@ -399,18 +421,20 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: node %q panicked: %v\n%s", e.Node, e.Value, e.Stack)
 }
 
-// mergeInputs funnels all in-edges of n into one channel, closing it
-// when every input has closed or the context is cancelled.
-func mergeInputs(ctx context.Context, n *node) <-chan Message {
+// mergeInputs returns the channel n's workers receive from: the edge
+// itself when n has one input, otherwise an unbuffered channel that one
+// forwarder per in-edge (joined through wg) copies into, closed when
+// every input has closed or the context is cancelled.
+func mergeInputs(ctx context.Context, n *node, wg *sync.WaitGroup) <-chan Message {
 	if len(n.ins) == 1 {
-		return wrapCancel(ctx, n.ins[0])
+		return n.ins[0]
 	}
 	merged := make(chan Message)
-	var wg sync.WaitGroup
+	var fwd sync.WaitGroup
 	for _, in := range n.ins {
-		wg.Add(1)
+		fwd.Add(1)
 		go func(in <-chan Message) {
-			defer wg.Done()
+			defer fwd.Done()
 			for {
 				select {
 				case m, ok := <-in:
@@ -428,33 +452,11 @@ func mergeInputs(ctx context.Context, n *node) <-chan Message {
 			}
 		}(in)
 	}
+	wg.Add(1)
 	go func() {
-		wg.Wait()
+		defer wg.Done()
+		fwd.Wait()
 		close(merged)
 	}()
 	return merged
-}
-
-// wrapCancel adapts a single input channel to honour cancellation.
-func wrapCancel(ctx context.Context, in <-chan Message) <-chan Message {
-	out := make(chan Message)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case m, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case out <- m:
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
 }

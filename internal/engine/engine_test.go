@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -521,4 +522,94 @@ func TestFlushPanicBecomesError(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError from flush", err)
 	}
+}
+
+// Workers receive straight from their edges and watch the context in
+// the same select. Cancelling while every edge is full — sources
+// blocked in emit, a fan-in's forwarders blocked on the merged channel,
+// the worker inside a proc — must end Run promptly, and Run must have
+// joined every goroutine it started.
+func TestCancelWithFullEdgesStopsPromptlyAndLeaksNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	g := NewGraph()
+	forever := func(ctx context.Context, emit Emit) error {
+		for emit(0) {
+		}
+		return nil
+	}
+	a := g.Source("a", forever)
+	b := g.Source("b", forever)
+	entered := make(chan struct{})
+	var once sync.Once
+	join := g.Node("join", 1, func(ctx context.Context, m Message, emit Emit) error {
+		once.Do(func() { close(entered) })
+		<-ctx.Done() // holds the worker so everything upstream backs up
+		return nil
+	})
+	snk := g.Node("sink", 1, func(context.Context, Message, Emit) error { return nil })
+	g.Connect(a, join, 64)
+	g.Connect(b, join, 64)
+	g.Connect(join, snk, 64)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- g.Run(ctx) }()
+	<-entered
+	deadline := time.Now().Add(5 * time.Second)
+	for _, src := range []NodeID{a, b} {
+		edge := g.nodes[src].outs[0]
+		for len(edge) < cap(edge) {
+			if time.Now().After(deadline) {
+				t.Fatal("edges never filled")
+			}
+			runtime.Gosched()
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("graph with full edges did not stop after cancellation")
+	}
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before Run, %d after it returned", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched() // the goroutine that called Run is still unwinding
+	}
+}
+
+// BenchmarkGraphHop is the cost of moving one message across one edge:
+// a source and three pass-through nodes, b.N messages, three hops each.
+func BenchmarkGraphHop(b *testing.B) {
+	g := NewGraph()
+	pass := func(ctx context.Context, m Message, emit Emit) error { emit(m); return nil }
+	src := g.Source("src", func(ctx context.Context, emit Emit) error {
+		var m Message = 1 // boxed once: the hop is measured, not the boxing
+		for i := 0; i < b.N; i++ {
+			if !emit(m) {
+				return nil
+			}
+		}
+		return nil
+	})
+	n1 := g.Node("a", 1, pass)
+	n2 := g.Node("b", 1, pass)
+	n3 := g.Node("c", 1, func(context.Context, Message, Emit) error { return nil })
+	g.Connect(src, n1, 256)
+	g.Connect(n1, n2, 256)
+	g.Connect(n2, n3, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := g.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns/hop")
 }

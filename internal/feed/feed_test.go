@@ -648,3 +648,56 @@ func TestCollectorRejectsUniverseChange(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUniverseChanged", err)
 	}
 }
+
+// PublishBatch seals exactly the batches that publishing quote by quote
+// does — full ones, the one cut short by a day change, the one Flush
+// cuts — and sealing neither regrows the pending buffer nor leaves
+// slack in the retained log.
+func TestPublishBatchSealsAsPublishDoes(t *testing.T) {
+	u := testUniverse(t)
+	quotes := append(testQuotes(u, 150, 0), testQuotes(u, 100, 1)...)
+	cfg := ServerConfig{Universe: u, BatchSize: 64}
+	one, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range quotes {
+		one.Publish(q)
+		if i == 200 {
+			one.Flush()
+		}
+	}
+	all.PublishBatch(quotes[:201])
+	all.Flush()
+	all.PublishBatch(quotes[201:])
+	one.Finish()
+	all.Finish()
+
+	if len(all.log) != len(one.log) {
+		t.Fatalf("PublishBatch sealed %d batches, Publish %d", len(all.log), len(one.log))
+	}
+	sizes := make([]int, len(all.log))
+	for i, b := range all.log {
+		if !reflect.DeepEqual(b, one.log[i]) {
+			t.Errorf("batch %d: seq %d day %d with %d quotes, want seq %d day %d with %d", i,
+				b.Seq, b.Day, len(b.Quotes), one.log[i].Seq, one.log[i].Day, len(one.log[i].Quotes))
+		}
+		sizes[i] = len(b.Quotes)
+		if len(b.Quotes) < cfg.BatchSize && cap(b.Quotes) >= cfg.BatchSize {
+			t.Errorf("batch %d retains capacity %d for %d quotes", i, cap(b.Quotes), len(b.Quotes))
+		}
+	}
+	if want := []int{64, 64, 22, 51, 49}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("batch sizes %v, want %v", sizes, want)
+	}
+	if cap(all.pending) != cfg.BatchSize {
+		t.Errorf("pending capacity %d after sealing, want BatchSize %d", cap(all.pending), cfg.BatchSize)
+	}
+	if st := all.Stats(); st.Quotes != len(quotes) || st.LastSeq != 5 {
+		t.Errorf("stats %+v, want %d quotes through seq 5", st, len(quotes))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -116,8 +117,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Universe == nil || cfg.Universe.Len() == 0 {
 		return nil, errors.New("feed: server requires a universe")
 	}
+	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
+		pending:   make([]taq.Quote, 0, cfg.BatchSize),
 		clients:   make(map[*client]struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}, nil
@@ -130,6 +133,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Publish(q taq.Quote) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.publishLocked(q)
+}
+
+// PublishBatch publishes a slice of quotes as Publish would one by
+// one, under a single acquisition of the server lock.
+func (s *Server) PublishBatch(quotes []taq.Quote) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, q := range quotes {
+		s.publishLocked(q)
+	}
+}
+
+func (s *Server) publishLocked(q taq.Quote) {
 	if s.finished || s.closed {
 		return
 	}
@@ -146,13 +163,6 @@ func (s *Server) Publish(q taq.Quote) {
 	}
 }
 
-// PublishBatch publishes a slice of quotes (convenience for replay).
-func (s *Server) PublishBatch(quotes []taq.Quote) {
-	for _, q := range quotes {
-		s.Publish(q)
-	}
-}
-
 // Flush seals any pending partial batch so it becomes visible to
 // subscribers immediately.
 func (s *Server) Flush() {
@@ -165,13 +175,18 @@ func (s *Server) Flush() {
 // (and evicts any that have fallen too far behind). Caller holds s.mu.
 func (s *Server) sealLocked() {
 	if len(s.pending) > 0 {
-		b := &Batch{
-			Seq:    uint64(len(s.log) + 1),
-			Day:    s.pendingDay,
-			Quotes: s.pending,
+		// pending always has BatchSize capacity, so filling it never
+		// regrows: a full batch hands its array to the log and a fresh
+		// one is armed; a partial batch (Flush, day change) is sealed as
+		// an exact copy, so the retained log holds no slack.
+		quotes := s.pending
+		if len(quotes) < cap(quotes) {
+			quotes = slices.Clone(quotes)
+			s.pending = s.pending[:0]
+		} else {
+			s.pending = make([]taq.Quote, 0, s.cfg.BatchSize)
 		}
-		s.pending = nil
-		s.log = append(s.log, b)
+		s.log = append(s.log, &Batch{Seq: uint64(len(s.log) + 1), Day: s.pendingDay, Quotes: quotes})
 	}
 	for c := range s.clients {
 		if depth := len(s.log) - c.pos; depth > s.cfg.QueueLen {

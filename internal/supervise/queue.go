@@ -127,6 +127,19 @@ func (q *Queue[T]) Pop(ctx context.Context) (v T, ok bool) {
 	}
 }
 
+// TryPop takes the next message if one is queued; ok=false means none
+// is (the queue is empty, or closed and drained) and Pop tells which.
+func (q *Queue[T]) TryPop() (v T, ok bool) {
+	select {
+	case v, ok = <-q.ch:
+		if ok {
+			q.popped.Add(1)
+		}
+	default:
+	}
+	return v, ok
+}
+
 // Close marks the end of the stream. Producer-side only, after the
 // final Push.
 func (q *Queue[T]) Close() { close(q.ch) }

@@ -128,6 +128,34 @@ func TestQueuePopCancel(t *testing.T) {
 // counters with many producers racing each other and a concurrent
 // consumer: whatever interleaving the scheduler picks, every offered
 // message must be accounted for exactly once.
+// TryPop never waits: it reports an empty queue, and a closed and
+// drained one, as "nothing now" and counts only what it took.
+func TestQueueTryPop(t *testing.T) {
+	q := NewQueue[int](4, Block)
+	ctx := context.Background()
+	if v, ok := q.TryPop(); ok {
+		t.Fatalf("TryPop on an empty queue returned %d", v)
+	}
+	q.Push(ctx, 7)
+	q.Push(ctx, 8)
+	if v, ok := q.TryPop(); !ok || v != 7 {
+		t.Fatalf("TryPop = %d, %v, want 7, true", v, ok)
+	}
+	q.Close()
+	if v, ok := q.TryPop(); !ok || v != 8 {
+		t.Fatalf("TryPop after Close = %d, %v, want the queued 8", v, ok)
+	}
+	if v, ok := q.TryPop(); ok {
+		t.Fatalf("TryPop on a drained closed queue returned %d", v)
+	}
+	if _, ok := q.Pop(ctx); ok {
+		t.Fatal("Pop on a drained closed queue reported a message")
+	}
+	if st := q.Stats(); st.Pushed != 2 || st.Popped != 2 {
+		t.Errorf("stats %+v, want 2 pushed and 2 popped", st)
+	}
+}
+
 func TestQueueDropAccountingConcurrentProducers(t *testing.T) {
 	const (
 		producers = 8

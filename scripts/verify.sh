@@ -44,6 +44,9 @@ go test -tags noasm -run 'TestSIMD|TestBatchDegenerateLanesMatchReference|FuzzSI
 echo "== go test -race ./internal/feed ./internal/supervise ./internal/chaos (robustness focus)"
 go test -race ./internal/feed ./internal/supervise ./internal/chaos
 
+echo "== go test -race ./internal/engine ./internal/core (message-passing focus)"
+go test -race ./internal/engine ./internal/core
+
 echo "== go test -race ./internal/broker (signal broker focus)"
 go test -race ./internal/broker
 
@@ -63,6 +66,9 @@ sh scripts/sweep_smoke.sh
 sh scripts/chaos_smoke.sh
 sh scripts/broker_smoke.sh
 sh scripts/farm_smoke.sh
+
+echo "== mmbench smoke: online_saturate, 2 s, untraced, no failed operation"
+bash cmd/mmbench/run.sh --workload online_saturate --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 echo "== bench gate: fresh kernel ratios + scaling efficiency vs committed baselines"
 bench_tmp=$(mktemp /tmp/mm_bench_gate.XXXXXX.json)
