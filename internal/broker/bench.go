@@ -83,9 +83,9 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 	b.Start()
 
 	var deliveries atomic.Int64
-	// Every follower samples one latency per read batch (the newest
-	// signal in the batch) — bounded memory at any scale while still
-	// populating the tail of the distribution.
+	// Every follower samples one latency per read (at most one logged
+	// interval) — bounded memory at any scale while still populating
+	// the tail of the distribution.
 	samples := make([][]int64, cfg.Subscribers)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Subscribers; i++ {
@@ -95,15 +95,14 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 			defer wg.Done()
 			var next uint64 = 1
 			for {
-				sigs, drained := part.log.read(next, 4096)
-				if len(sigs) > 0 {
+				iv, drained := part.log.read(next, 4096)
+				if iv.Len() > 0 {
 					now := time.Now().UnixNano()
-					last := sigs[len(sigs)-1]
-					if st := part.log.stampAt(last.Offset); st > 0 {
+					if st := part.log.stampAt(iv.End()); st > 0 {
 						samples[i] = append(samples[i], now-st)
 					}
-					deliveries.Add(int64(len(sigs)))
-					next += uint64(len(sigs))
+					deliveries.Add(int64(iv.Len()))
+					next = iv.End() + 1
 					continue
 				}
 				if drained {

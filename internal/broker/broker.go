@@ -21,12 +21,12 @@ package broker
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"marketminer/internal/corr"
+	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 	"marketminer/internal/supervise"
 	"marketminer/internal/taq"
@@ -90,7 +90,7 @@ type Config struct {
 	// Policy supervises each partition processor (restart backoff and
 	// circuit breaker); the zero value is the supervise default.
 	Policy supervise.Policy
-	// CollectStamps records an append timestamp per signal for
+	// CollectStamps records an append timestamp per logged interval for
 	// delivery-latency benchmarks.
 	CollectStamps bool
 	// Logf receives diagnostics; nil discards them.
@@ -101,8 +101,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.N < 2 {
-		return c, errors.New("broker: need at least 2 stocks")
+	if c.N < 2 || c.N > feed.MaxStocks {
+		return c, fmt.Errorf("broker: %d stocks outside 2…%d (the Assign frame's universe bound)", c.N, feed.MaxStocks)
 	}
 	if c.M < 2 {
 		return c, fmt.Errorf("broker: window M=%d too small", c.M)
@@ -114,7 +114,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Partitions > nPairs {
 		c.Partitions = nPairs
 	}
-	if c.Partitions > 1<<16 {
+	if c.Partitions >= 1<<16 {
 		return c, fmt.Errorf("broker: %d partitions exceed uint16 wire range", c.Partitions)
 	}
 	if c.W <= 0 {
@@ -237,12 +237,7 @@ func New(cfg Config) (*Broker, error) {
 	if err != nil {
 		return nil, err
 	}
-	nPairs := cfg.N * (cfg.N - 1) / 2
-	byPart := make([][]int, cfg.Partitions)
-	for id := 0; id < nPairs; id++ {
-		p := PartitionOf(id, cfg.Partitions)
-		byPart[p] = append(byPart[p], id)
-	}
+	byPart := partitionPairs(cfg.N, cfg.Partitions)
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &Broker{
 		cfg:       cfg,
@@ -262,7 +257,7 @@ func New(cfg Config) (*Broker, error) {
 		b.parts = append(b.parts, &partition{
 			id:    i,
 			pairs: byPart[i],
-			log:   newPartitionLog(cfg.CollectStamps),
+			log:   newPartitionLog(len(byPart[i]), cfg.CollectStamps),
 		})
 	}
 	return b, nil

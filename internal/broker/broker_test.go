@@ -60,10 +60,23 @@ func drainLogs(t *testing.T, b *Broker) [][]feed.Signal {
 	}
 	logs := make([][]feed.Signal, b.NumPartitions())
 	for p := range logs {
-		sigs, _ := b.parts[p].log.read(1, 1<<30)
-		logs[p] = append([]feed.Signal(nil), sigs...)
+		logs[p] = logSignals(b.parts[p], 1<<30)
 	}
 	return logs
+}
+
+// logSignals materialises a partition log read max signals at a time.
+func logSignals(p *partition, max int) []feed.Signal {
+	var out []feed.Signal
+	for {
+		iv, _ := p.log.read(uint64(len(out)+1), max)
+		if iv.Len() == 0 {
+			return out
+		}
+		for i := 0; i < iv.Len(); i++ {
+			out = append(out, signalAt(&iv, p.pairs, i))
+		}
+	}
 }
 
 // referenceLogs runs an unfaulted broker over rets and returns its
@@ -311,7 +324,11 @@ func TestCommitMonotonicAndClamped(t *testing.T) {
 	}
 	defer b.Close()
 	g, _ := b.joinGroup("g", "m")
-	b.parts[1].log.appendBatch(0, make([]feed.Signal, 12)) // offsets 1..12
+	np := len(b.parts[1].pairs)
+	for s := 0; s*np < 12; s++ { // offsets 1..12, in whole intervals
+		b.parts[1].log.appendInterval(s, make([]float64, np), make([]float64, np), make([]uint8, np))
+	}
+	end := b.parts[1].log.end()
 	commitAt := func(p int) uint64 {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -326,8 +343,8 @@ func TestCommitMonotonicAndClamped(t *testing.T) {
 	// An ack past the log end must not push the commit beyond data that
 	// exists, or a member resuming from commit+1 would skip the range.
 	b.commit(g, 1, 999)
-	if got := commitAt(1); got != 12 {
-		t.Fatalf("overshooting ack committed %d, want clamp to log end 12", got)
+	if got := commitAt(1); got != end {
+		t.Fatalf("overshooting ack committed %d, want clamp to log end %d", got, end)
 	}
 	b.commit(g, 0, 5) // empty partition log: clamps to zero
 	if got := commitAt(0); got != 0 {
@@ -505,6 +522,9 @@ func TestOfferReturnsValidation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{N: 1, M: 4}); err == nil {
 		t.Fatal("N=1 accepted")
+	}
+	if _, err := New(Config{N: feed.MaxStocks + 1, M: 4}); err == nil {
+		t.Fatal("a universe no Assign can announce was accepted")
 	}
 	if _, err := New(Config{N: 8, M: 1}); err == nil {
 		t.Fatal("M=1 accepted")

@@ -308,9 +308,64 @@ func TestEmptyAssignmentGetsEnd(t *testing.T) {
 	}
 }
 
+// TestPairlessPartitionLogsNothingAndSeals: the hash leaves some
+// partitions of a small universe without pairs (N=4 in 4 partitions).
+// Such a partition must log nothing — no offsets without signals behind
+// them — so its member gets the sealed Delta and End in one session
+// instead of waiting on, or being evicted for, a lag it can never drain.
+func TestPairlessPartitionLogsNothingAndSeals(t *testing.T) {
+	cfg := testConfig()
+	cfg.N, cfg.Partitions = 4, 4
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	feedAll(t, b, testReturns(cfg.N, 40))
+	full := drainLogs(t, b)
+	pairless := 0
+	for p := range full {
+		if len(b.PartitionPairs(p)) == 0 {
+			pairless++
+			if end := b.parts[p].log.end(); end != 0 {
+				t.Fatalf("pair-less partition %d logged up to offset %d", p, end)
+			}
+		}
+	}
+	if pairless == 0 {
+		t.Fatal("fixture lost its pair-less partition; pick another N/Partitions")
+	}
+	addr, err := b.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewSubscriber(SubscriberConfig{
+		Group: "g", Member: "m", FromStart: true,
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr.String())
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := sub.Run(ctx); err != nil {
+		t.Fatalf("subscriber did not reach End: %v", err)
+	}
+	if st := sub.Stats(); st.Connects != 1 || st.Delivered != totalLen(full) {
+		t.Fatalf("connects %d delivered %d, want 1 and %d", st.Connects, st.Delivered, totalLen(full))
+	}
+	for p := range full {
+		sameSignals(t, "pair-less universe", sub.Signals(p), full[p])
+	}
+}
+
 // TestSnapshotOnSubscribe: a member joining after the day is done gets
-// the compacted latest-signal-per-pair snapshot plus End, not the full
-// log.
+// the compacted snapshot — the log's last interval, which is the
+// latest signal of every pair — plus End, not the full log.
 func TestSnapshotOnSubscribe(t *testing.T) {
 	cfg := testConfig()
 	rets := testReturns(8, 40)
@@ -351,9 +406,15 @@ func TestSnapshotOnSubscribe(t *testing.T) {
 	}
 	totalPairs := 0
 	for p := range full {
-		_, latest := b.parts[p].log.snapshotLatest()
+		np := len(b.PartitionPairs(p))
+		latest := full[p][len(full[p])-np:]
+		for i, sg := range latest {
+			if int(sg.Pair) != b.PartitionPairs(p)[i] || sg.S != latest[0].S {
+				t.Fatalf("partition %d: last interval is not one signal per pair, ascending: %+v", p, latest)
+			}
+		}
 		sameSignals(t, "snapshot", sub.Signals(p), latest)
-		totalPairs += len(latest)
+		totalPairs += np
 	}
 	if st.Delivered != totalPairs {
 		t.Fatalf("delivered %d, want compacted %d (full log is %d)", st.Delivered, totalPairs, totalLen(full))

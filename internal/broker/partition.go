@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,6 +23,19 @@ func PartitionOf(pairID, partitions int) int {
 	return int(h % uint64(partitions))
 }
 
+// partitionPairs deals the canonical pair ids of an n-stock universe to
+// their partitions, ascending within each. Broker and subscriber both
+// derive the column order of an interval from it, which is why pair
+// ids never travel.
+func partitionPairs(n, partitions int) [][]int {
+	byPart := make([][]int, partitions)
+	for id := 0; id < n*(n-1)/2; id++ {
+		p := PartitionOf(id, partitions)
+		byPart[p] = append(byPart[p], id)
+	}
+	return byPart
+}
+
 // partition is one topic partition: its pair subset, its signal log,
 // and the lease state of its current processor generation.
 type partition struct {
@@ -39,44 +51,43 @@ type partition struct {
 }
 
 // partitionLog is the append-only, offset-addressed signal log of one
-// partition. Offsets start at 1 and are contiguous; signals are never
-// mutated or moved after append (the store is chunked), so readers hold
-// zero-copy subslices. latest maps pair id → index of its newest signal
-// (the compaction source for snapshot-on-subscribe).
+// partition, stored as one columnar record per logged interval. Every
+// interval holds np signals (one per owned pair, ascending), so record
+// i covers offsets i·np+1 … (i+1)·np: offsets start at 1, are dense
+// and per signal, and are never stored. Records are never mutated
+// after append, so readers hold zero-copy views of their columns.
 type partitionLog struct {
 	mu     sync.Mutex
-	sigs   chunkLog[feed.Signal]
-	stamps chunkLog[int64] // append nanos per signal (empty unless collecting)
-	latest map[uint32]int
-	lastS  int // grid interval of the newest appended batch
+	np     int
+	recs   []feed.Interval
+	stamps []int64 // append nanos per interval (empty unless collecting)
 	sealed bool
 	stamp  bool
 }
 
-func newPartitionLog(collectStamps bool) *partitionLog {
-	return &partitionLog{latest: make(map[uint32]int), lastS: -1, stamp: collectStamps}
+func newPartitionLog(pairs int, collectStamps bool) *partitionLog {
+	// The hash can leave a partition without pairs (N=4 in 4 partitions
+	// does); appendInterval keeps its log empty, so np only has to keep
+	// the offset arithmetic defined.
+	return &partitionLog{np: max(pairs, 1), stamp: collectStamps}
 }
 
-// appendBatch assigns contiguous offsets to one interval's signals and
-// appends them atomically. The caller (the owning processor, under
-// generation fencing) guarantees single-writer semantics.
-func (l *partitionLog) appendBatch(s int, sigs []feed.Signal) {
+// appendInterval logs interval s, taking ownership of its np-long
+// columns. An interval without signals occupies no offsets and is not
+// logged. The caller (the owning processor, under generation fencing)
+// guarantees single-writer semantics.
+func (l *partitionLog) appendInterval(s int, c, cbar []float64, kind []uint8) {
+	if len(c) == 0 {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var now int64
+	l.recs = append(l.recs, feed.Interval{
+		S: uint32(s), Base: uint64(len(l.recs) * l.np), Pairs: uint32(l.np),
+		C: c, Cbar: cbar, Kind: kind,
+	})
 	if l.stamp {
-		now = time.Now().UnixNano()
-	}
-	for i := range sigs {
-		sigs[i].Offset = uint64(l.sigs.len() + 1)
-		l.latest[sigs[i].Pair] = l.sigs.len()
-		l.sigs.append(sigs[i])
-		if l.stamp {
-			l.stamps.append(now)
-		}
-	}
-	if s > l.lastS {
-		l.lastS = s
+		l.stamps = append(l.stamps, time.Now().UnixNano())
 	}
 }
 
@@ -84,53 +95,58 @@ func (l *partitionLog) appendBatch(s int, sigs []feed.Signal) {
 func (l *partitionLog) end() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return uint64(l.sigs.len())
+	return uint64(len(l.recs) * l.np)
 }
 
-// lastLoggedS returns the grid interval of the newest batch (-1 when
+// lastLoggedS returns the grid interval of the newest record (-1 when
 // empty) — the replay-deduplication watermark.
 func (l *partitionLog) lastLoggedS() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lastS
+	if len(l.recs) == 0 {
+		return -1
+	}
+	return int(l.recs[len(l.recs)-1].S)
 }
 
-// read returns signals with offsets in [next, next+max) and whether
-// the log is sealed with nothing at or after next.
-func (l *partitionLog) read(next uint64, max int) (sigs []feed.Signal, drained bool) {
+// read returns the signals at offsets [next, next+max) that lie in
+// next's interval, and whether the log is sealed with nothing at or
+// after next.
+func (l *partitionLog) read(next uint64, max int) (iv feed.Interval, drained bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if next < 1 {
 		next = 1
 	}
-	lo := int(next - 1)
-	if lo >= l.sigs.len() {
-		return nil, l.sealed
+	i, first := int(next-1)/l.np, int(next-1)%l.np
+	if i >= len(l.recs) {
+		return feed.Interval{}, l.sealed
 	}
-	return l.sigs.slice(lo, min(lo+max, l.sigs.len())), false
+	iv = l.recs[i].From(first)
+	if n := min(iv.Len(), max); n < iv.Len() {
+		iv.C, iv.Cbar, iv.Kind = iv.C[:n], iv.Cbar[:n], iv.Kind[:n]
+	}
+	return iv, false
+}
+
+// tail returns the last ≤ w records at or before offset end: the
+// compaction source for snapshot-on-subscribe (w = 1) and the ring
+// source for a restored processor (w = W).
+func (l *partitionLog) tail(end uint64, w int) []feed.Interval {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := min(int(end)/l.np, len(l.recs))
+	return l.recs[max(0, n-w):n:n]
 }
 
 // stampAt returns the append timestamp of an offset (bench only).
 func (l *partitionLog) stampAt(off uint64) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.stamp || off < 1 || int(off) > l.stamps.len() {
-		return 0
+	if i := int(off-1) / l.np; off >= 1 && i < len(l.stamps) {
+		return l.stamps[i]
 	}
-	return l.stamps.at(int(off - 1))
-}
-
-// snapshotLatest returns the compacted state: the newest signal per
-// pair (ascending pair id) and the log end offset it is current as of.
-func (l *partitionLog) snapshotLatest() (end uint64, latest []feed.Signal) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	latest = make([]feed.Signal, 0, len(l.latest))
-	for _, idx := range l.latest {
-		latest = append(latest, l.sigs.at(idx))
-	}
-	sort.Slice(latest, func(i, j int) bool { return latest[i].Pair < latest[j].Pair })
-	return uint64(l.sigs.len()), latest
+	return 0
 }
 
 func (l *partitionLog) seal() {
@@ -156,30 +172,32 @@ type stateStore interface {
 }
 
 type memStore struct {
-	mu    sync.Mutex
-	blobs map[int][]byte
-	fps   map[int]string
+	mu     sync.Mutex
+	states map[int]procState
+	fps    map[int]string
 }
 
+// save keeps the value itself: an engine snapshot shares no memory
+// with its engine, and Restore copies out of it.
 func (s *memStore) save(part int, fp string, payload any) error {
-	b, err := marshalState(payload)
-	if err != nil {
-		return err
+	st, ok := payload.(procState)
+	if !ok {
+		return fmt.Errorf("broker: memory store cannot hold %T", payload)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.blobs == nil {
-		s.blobs = make(map[int][]byte)
+	if s.states == nil {
+		s.states = make(map[int]procState)
 		s.fps = make(map[int]string)
 	}
-	s.blobs[part] = b
+	s.states[part] = st
 	s.fps[part] = fp
 	return nil
 }
 
 func (s *memStore) load(part int, fp string, payload any) error {
 	s.mu.Lock()
-	b, ok := s.blobs[part]
+	st, ok := s.states[part]
 	have := s.fps[part]
 	s.mu.Unlock()
 	if !ok {
@@ -188,7 +206,12 @@ func (s *memStore) load(part int, fp string, payload any) error {
 	if have != fp {
 		return fmt.Errorf("broker: state fingerprint mismatch for partition %d", part)
 	}
-	return unmarshalState(b, payload)
+	dst, ok := payload.(*procState)
+	if !ok {
+		return fmt.Errorf("broker: memory store cannot load into %T", payload)
+	}
+	*dst = st
+	return nil
 }
 
 type fileStore struct{ dir string }

@@ -2,17 +2,12 @@ package broker
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
 
 	"marketminer/internal/corr"
-	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 )
-
-func marshalState(v any) ([]byte, error)   { return json.Marshal(v) }
-func unmarshalState(b []byte, v any) error { return json.Unmarshal(b, v) }
 
 // procState is a partition processor's complete resumable state: the
 // input cursor, the log end offset the cursor corresponds to, and the
@@ -25,90 +20,91 @@ type procState struct {
 	Engine    *corr.EngineSnapshot `json:"engine"`
 }
 
-// pairRings holds the per-pair trailing-W correlation windows a
-// processor derives C̄ and divergence crossings from. Every value in a
-// ring is also in the partition log, which is what makes rings
-// rebuildable from the log after a crash.
+// pairRings holds the trailing-W correlation windows of a partition's
+// pairs, from which a processor derives C̄ and divergence crossings.
+// The windows are one slot-major ring — vals[slot·np+idx], slot head
+// the oldest once full — so a push overwrites one row and C̄ is W row
+// additions across all pairs. Every value in the ring is also in the
+// partition log, which is what makes it rebuildable from the log after
+// a crash; diverged (whether each pair's newest C sits below its band)
+// is a function of the newest logged record, so it is too.
 type pairRings struct {
-	pairs []int
-	w     int
-	rings [][]float64 // chronological, ≤ w values each
+	pairs    []int
+	w        int
+	vals     []float64
+	head, n  int // oldest slot, filled slots
+	diverged []bool
 }
 
 func newPairRings(pairs []int, w int) *pairRings {
-	return &pairRings{pairs: pairs, w: w, rings: make([][]float64, len(pairs))}
+	return &pairRings{pairs: pairs, w: w, vals: make([]float64, w*len(pairs)), diverged: make([]bool, len(pairs))}
 }
 
-// avg is the C̄ summation. It always folds in chronological order over
-// the ring snapshot, so the value is path-independent: a processor
-// that lived through the stream and one that rebuilt its ring from the
-// log compute bit-identical C̄ — the keystone of the no-loss/no-dup
-// delivery proof.
-func avg(ring []float64) float64 {
-	var sum float64
-	for _, v := range ring {
-		sum += v
+// push stores one interval's coefficients in the slot after the
+// newest, dropping the oldest once W are held.
+func (r *pairRings) push(c []float64) {
+	slot := (r.head + r.n) % r.w
+	if r.n == r.w {
+		r.head = (r.head + 1) % r.w
+	} else {
+		r.n++
 	}
-	return sum / float64(len(ring))
+	copy(r.vals[slot*len(c):], c)
 }
 
 // step ingests one matrix interval and produces this partition's
-// signal batch: one signal per owned pair, with the divergence
-// crossing kind derived statelessly from the ring (previous divergence
-// is recomputed from the pre-push ring, not carried as mutable state,
-// so a rebuilt processor emits identical kinds).
-func (r *pairRings) step(s int, m *corr.Matrix, d float64) []feed.Signal {
-	out := make([]feed.Signal, 0, len(r.pairs))
+// signal columns, one index per owned pair. C̄ always folds from zero
+// in chronological slot order, so the value is path-independent: a
+// processor that lived through the stream and one that rebuilt its
+// ring from the log compute bit-identical C̄ — the keystone of the
+// no-loss/no-dup delivery proof. The crossing kind compares this
+// interval's divergence with the one carried from the previous
+// interval.
+func (r *pairRings) step(m *corr.Matrix, d float64) (c, cbar []float64, kind []uint8) {
+	np := len(r.pairs)
+	cols := make([]float64, 2*np)
+	c, cbar, kind = cols[:np:np], cols[np:], make([]uint8, np)
 	for idx, k := range r.pairs {
-		c := m.AtPair(k)
-		ring := r.rings[idx]
-		prevDiverged := false
-		if len(ring) > 0 {
-			prevC := ring[len(ring)-1]
-			prevDiverged = prevC < avg(ring)*(1-d)
-		}
-		if len(ring) == r.w {
-			copy(ring, ring[1:])
-			ring = ring[:r.w-1]
-		}
-		ring = append(ring, c)
-		r.rings[idx] = ring
-		cbar := avg(ring)
-		diverged := c < cbar*(1-d)
-		kind := KindUpdate
-		switch {
-		case diverged && !prevDiverged:
-			kind = KindDiverge
-		case !diverged && prevDiverged:
-			kind = KindRevert
-		}
-		out = append(out, feed.Signal{
-			Pair: uint32(k), S: uint32(s), Kind: kind, C: c, Cbar: cbar,
-		})
+		c[idx] = m.AtPair(k)
 	}
-	return out
+	r.push(c)
+	for i := 0; i < r.n; i++ { // oldest row first
+		slot := (r.head + i) % r.w
+		for idx, v := range r.vals[slot*np:][:len(cbar)] {
+			cbar[idx] += v
+		}
+	}
+	n := float64(r.n)
+	for idx := range cbar {
+		cbar[idx] /= n
+		diverged := c[idx] < cbar[idx]*(1-d)
+		switch {
+		case diverged && !r.diverged[idx]:
+			kind[idx] = KindDiverge
+		case !diverged && r.diverged[idx]:
+			kind[idx] = KindRevert
+		}
+		r.diverged[idx] = diverged
+	}
+	return c, cbar, kind
 }
 
-// rebuild reconstructs the rings from the partition log as of
-// endOffset: for each pair, its last ≤ W logged C values in
-// chronological order — exactly the ring a processor that never died
-// would hold after appending offset endOffset.
-func (r *pairRings) rebuild(log *partitionLog, endOffset uint64) {
-	sigs, _ := log.read(1, int(endOffset))
-	if uint64(len(sigs)) > endOffset {
-		sigs = sigs[:endOffset]
+// rebuild reconstructs the ring from the partition log as of
+// endOffset: the C columns of its last ≤ W records, and the divergence
+// of the newest — exactly what a processor that never died would hold
+// after appending offset endOffset.
+func (r *pairRings) rebuild(log *partitionLog, endOffset uint64, d float64) {
+	r.head, r.n = 0, 0
+	clear(r.diverged)
+	recs := log.tail(endOffset, r.w)
+	for i := range recs {
+		r.push(recs[i].C)
 	}
-	byPair := make(map[uint32][]float64, len(r.pairs))
-	for i := range sigs {
-		p := sigs[i].Pair
-		ring := append(byPair[p], sigs[i].C)
-		if len(ring) > r.w {
-			ring = ring[1:]
+	if len(recs) > 0 {
+		last := &recs[len(recs)-1]
+		for idx := range r.diverged {
+			r.diverged[idx] = last.C[idx] < last.Cbar[idx]*(1-d)
 		}
-		byPair[p] = ring
-	}
-	for idx, k := range r.pairs {
-		r.rings[idx] = append([]float64(nil), byPair[uint32(k)]...)
 	}
 }
 
@@ -137,13 +133,14 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		return err
 	}
 	rings := newPairRings(p.pairs, b.cfg.W)
+	m := corr.NewMatrix(b.cfg.N) // every push overwrites the owned pairs' slots
 	fp := b.stateFingerprint(eng)
 	cursor := 0
 	var st procState
 	if err := b.store.load(p.id, fp, &st); err == nil && st.Engine != nil {
 		if err := eng.Restore(st.Engine); err == nil {
 			cursor = st.Cursor
-			rings.rebuild(p.log, st.EndOffset)
+			rings.rebuild(p.log, st.EndOffset, b.cfg.D)
 			metrics.Counter("broker.processor_restores").Inc()
 			b.cfg.Logf("broker: partition %d gen %d restored at cursor %d offset %d", p.id, gen, cursor, st.EndOffset)
 		} else {
@@ -177,20 +174,18 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		// is appended, lastLoggedS catches up to entry.s and the
 		// distinction is gone.
 		replaying := entry.s <= p.log.lastLoggedS()
-		m, err := eng.Push(entry.rets)
+		ready, err := eng.PushInto(entry.rets, m)
 		if err != nil {
 			return err // supervised: restart replays from the snapshot
 		}
 		cursor++
-		if m != nil {
-			sigs := rings.step(entry.s, m, b.cfg.D)
-			// Replay deduplication: batches already in the log (we are
+		if ready {
+			c, cbar, kind := rings.step(m, b.cfg.D)
+			// Replay deduplication: intervals already in the log (we are
 			// re-deriving them after a crash) are regenerated to warm
 			// the rings but never re-appended.
-			if !replaying {
-				if !b.publish(p, gen, entry.s, sigs) {
-					return nil // superseded mid-publish
-				}
+			if !replaying && !b.publish(p, gen, entry.s, c, cbar, kind) {
+				return nil // superseded mid-publish
 			}
 		}
 		progress()
@@ -212,17 +207,17 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 	}
 }
 
-// publish appends one interval's batch under generation fencing and
-// wakes subscribers. false means this processor has been superseded.
-func (b *Broker) publish(p *partition, gen int, s int, sigs []feed.Signal) bool {
+// publish appends one interval under generation fencing and wakes
+// subscribers. false means this processor has been superseded.
+func (b *Broker) publish(p *partition, gen int, s int, c, cbar []float64, kind []uint8) bool {
 	p.mu.Lock()
 	if p.gen != gen || p.killed {
 		p.mu.Unlock()
 		return false
 	}
-	p.log.appendBatch(s, sigs)
+	p.log.appendInterval(s, c, cbar, kind)
 	p.mu.Unlock()
-	metrics.Counter("broker.signals_published").Add(int64(len(sigs)))
+	metrics.Counter("broker.signals_published").Add(int64(len(c)))
 	b.wake()
 	return true
 }

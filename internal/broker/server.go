@@ -58,9 +58,9 @@ type subCursor struct {
 //
 // Delivery per partition resumes from max(member-supplied offset,
 // in-session delivery watermark, group commit). A member with no
-// progress at all gets the compacted snapshot (latest signal per
-// pair) instead of the full log — unless the GroupSub asked
-// FromStart, which forces a full replay from offset 1.
+// progress at all gets the compacted snapshot (the newest interval:
+// the latest signal per pair) instead of the full log — unless the
+// GroupSub asked FromStart, which forces a full replay from offset 1.
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
 	dec := feed.NewDecoder(conn)
@@ -125,9 +125,22 @@ func (b *Broker) handleConn(conn net.Conn) {
 			v := b.viewFor(g, gs.Member)
 			curEpoch = v.epoch
 			parts := make([]uint16, len(v.partitions))
-			assigned := make(map[int]bool, len(v.partitions))
 			for i, p := range v.partitions {
 				parts[i] = uint16(p)
+			}
+			// The assignment leads: its topology is what the snapshots
+			// and deltas that follow are read against.
+			if err := enc.WriteAssign(&feed.Assign{
+				Epoch:         curEpoch,
+				Stocks:        uint32(b.cfg.N),
+				NumPartitions: uint16(len(b.parts)),
+				Partitions:    parts,
+			}); err != nil {
+				return
+			}
+			wrote = true
+			assigned := make(map[int]bool, len(v.partitions))
+			for i, p := range v.partitions {
 				assigned[p] = true
 				if cursors[p] == nil {
 					cursors[p] = b.openCursor(enc, g, p, resume[p], v.commits[i], gs.FromStart)
@@ -146,14 +159,6 @@ func (b *Broker) handleConn(conn net.Conn) {
 					delete(cursors, p)
 				}
 			}
-			if err := enc.WriteAssign(&feed.Assign{
-				Epoch:         curEpoch,
-				NumPartitions: uint16(len(b.parts)),
-				Partitions:    parts,
-			}); err != nil {
-				return
-			}
-			wrote = true
 		}
 
 		allSealed := true
@@ -164,12 +169,12 @@ func (b *Broker) handleConn(conn net.Conn) {
 				b.cfg.Logf("broker: evicting member %q (partition %d lag %d)", gs.Member, p, end-(cur.next-1))
 				return
 			}
-			sigs, drained := log.read(cur.next, b.cfg.MaxDelta)
-			if len(sigs) > 0 {
-				if err := enc.WriteDelta(&feed.DeltaFrame{Partition: uint16(p), Signals: sigs}); err != nil {
+			iv, drained := log.read(cur.next, b.cfg.MaxDelta)
+			if iv.Len() > 0 {
+				if err := enc.WriteDelta(&feed.DeltaFrame{Partition: uint16(p), Interval: iv}); err != nil {
 					return
 				}
-				cur.next += uint64(len(sigs))
+				cur.next = iv.End() + 1
 				wrote = true
 			} else if drained && !cur.sealedSent {
 				if err := enc.WriteDelta(&feed.DeltaFrame{Partition: uint16(p), Sealed: true}); err != nil {
@@ -219,24 +224,20 @@ func (b *Broker) handleConn(conn net.Conn) {
 }
 
 // openCursor decides where delivery starts for a newly assigned
-// partition and sends the snapshot when compaction applies. Returns
+// partition and sends the snapshot when compaction applies (an empty
+// log has nothing to compact: delivery starts at offset 1). Returns
 // nil when the connection died mid-snapshot.
 func (b *Broker) openCursor(enc *feed.Encoder, g *group, p int, resumeOff, commitOff uint64, fromStart bool) *subCursor {
-	start := resumeOff
-	if commitOff > start {
-		start = commitOff
-	}
+	start := max(resumeOff, commitOff)
 	if start == 0 && !fromStart {
-		end, latest := b.parts[p].log.snapshotLatest()
-		if err := enc.WriteSnapshot(&feed.SnapshotFrame{
-			Partition: uint16(p),
-			EndOffset: end,
-			Latest:    latest,
-		}); err != nil {
-			return nil
+		log := b.parts[p].log
+		if last := log.tail(log.end(), 1); len(last) == 1 {
+			if enc.WriteSnapshot(&feed.SnapshotFrame{Partition: uint16(p), Interval: last[0]}) != nil {
+				return nil
+			}
+			metrics.Counter("broker.snapshot_sends").Inc()
+			start = last[0].End()
 		}
-		metrics.Counter("broker.snapshot_sends").Inc()
-		return &subCursor{next: end + 1}
 	}
 	return &subCursor{next: start + 1}
 }

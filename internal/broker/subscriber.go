@@ -61,7 +61,9 @@ type Subscriber struct {
 	next     map[int]uint64 // next expected offset per partition
 	acked    map[int]uint64
 	sinceAck map[int]int
-	signals  map[int]*chunkLog[feed.Signal] // delivered signals per partition
+	signals  map[int][]feed.Interval // delivered runs per partition, delivery order
+	stocks   int                     // topology of the last Assign …
+	pairs    [][]int                 // … and the partitions' pair ids it implies
 	stats    SubscriberStats
 	ended    bool
 }
@@ -91,7 +93,7 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 		next:     make(map[int]uint64),
 		acked:    make(map[int]uint64),
 		sinceAck: make(map[int]int),
-		signals:  make(map[int]*chunkLog[feed.Signal]),
+		signals:  make(map[int][]feed.Interval),
 	}, nil
 }
 
@@ -168,11 +170,16 @@ func (s *Subscriber) session(ctx context.Context) (done bool, err error) {
 		case *feed.Assign:
 			s.mu.Lock()
 			s.stats.Assigns++
+			if int(f.Stocks) != s.stocks || int(f.NumPartitions) != len(s.pairs) {
+				s.stocks, s.pairs = int(f.Stocks), partitionPairs(int(f.Stocks), int(f.NumPartitions))
+			}
 			s.mu.Unlock()
 		case *feed.SnapshotFrame:
-			s.applySnapshot(f)
+			if err := s.deliver(enc, int(f.Partition), f.Interval, true, false); err != nil {
+				return false, err
+			}
 		case *feed.DeltaFrame:
-			if err := s.applyDelta(enc, f); err != nil {
+			if err := s.deliver(enc, int(f.Partition), f.Interval, false, f.Sealed); err != nil {
 				return false, err
 			}
 		case *feed.Heartbeat:
@@ -189,82 +196,78 @@ func (s *Subscriber) session(ctx context.Context) (done bool, err error) {
 	}
 }
 
-// applySnapshot installs a compacted partition state: the latest
-// signal per pair, current as of EndOffset. Snapshots only arrive when
-// this member has no progress on the partition, so the watermark jump
-// cannot skip anything it was owed.
-func (s *Subscriber) applySnapshot(f *feed.SnapshotFrame) {
-	p := int(f.Partition)
-	s.mu.Lock()
-	if s.next[p] != 0 {
-		s.mu.Unlock()
-		return // stale snapshot after progress; ignore
-	}
-	s.next[p] = f.EndOffset + 1
-	kept := s.retained(p)
-	for _, sig := range f.Latest {
-		kept.append(sig)
-	}
-	s.stats.Snapshots++
-	s.stats.Delivered += len(f.Latest)
-	s.mu.Unlock()
-	if s.cfg.OnSignal != nil {
-		for _, sig := range f.Latest {
-			s.cfg.OnSignal(p, sig)
-		}
-	}
-}
-
-// applyDelta delivers new signals, suppresses redeliveries below the
-// watermark, and acks every AckEvery deliveries.
-func (s *Subscriber) applyDelta(enc *feed.Encoder, f *feed.DeltaFrame) error {
-	p := int(f.Partition)
+// deliver applies one Snapshot or Delta: it suppresses redeliveries
+// below the watermark, retains and announces the rest, and acks every
+// AckEvery deliveries.
+//
+// A snapshot is the partition's newest interval, the latest signal per
+// pair. Snapshots only arrive when this member has no progress on the
+// partition, so the watermark jump cannot skip anything it was owed; a
+// stale one after progress is ignored.
+func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapshot, sealed bool) error {
 	var ackAt uint64
-	// The frame came off the decoder for this call alone, so the
-	// signals that are new are compacted to its front in place.
-	fresh := f.Signals[:0]
 	s.mu.Lock()
-	if s.next[p] == 0 {
+	if p >= len(s.pairs) || iv.Len() > 0 && int(iv.Pairs) != len(s.pairs[p]) {
+		s.mu.Unlock()
+		return fmt.Errorf("broker: partition %d interval of %d pairs does not fit the assigned topology", p, iv.Pairs)
+	}
+	pairs := s.pairs[p]
+	start := iv.Base + uint64(iv.First) + 1 // offset of column index 0
+	switch {
+	case snapshot && s.next[p] != 0:
+		s.mu.Unlock()
+		return nil // stale snapshot after progress; ignore
+	case snapshot:
+		s.stats.Snapshots++
+		s.next[p] = start
+	case s.next[p] == 0:
 		s.next[p] = 1
 	}
-	var kept *chunkLog[feed.Signal]
-	for _, sig := range f.Signals {
-		if sig.Offset < s.next[p] {
-			s.stats.Duplicates++
-			continue
-		}
+	if n := iv.Len(); n > 0 && start < s.next[p] {
+		dup := int(min(s.next[p]-start, uint64(n)))
+		s.stats.Duplicates += dup
+		iv = iv.From(dup)
+		start += uint64(dup)
+	}
+	if n := iv.Len(); n > 0 {
 		// Offsets are contiguous within one tenure of a partition, but
 		// the group commit can advance while the partition was assigned
 		// elsewhere: another member delivered and acked the range in
 		// between, so resuming past it is group-level consumption, not
 		// loss. Count the jump (fixed-membership tests assert zero) and
 		// move the watermark forward.
-		if sig.Offset > s.next[p] {
+		if start > s.next[p] {
 			s.stats.Jumps++
 		}
-		s.next[p] = sig.Offset + 1
-		if kept == nil {
-			// Only now: Partitions lists what has a store, and a frame
-			// of redeliveries delivers nothing.
-			kept = s.retained(p)
+		s.next[p] = iv.End() + 1
+		s.stats.Delivered += n
+		// A range continuing the newest retained run extends it; anything
+		// else (a new interval, a jump) starts a run. Partitions lists
+		// what has a run, and a frame of redeliveries delivers nothing.
+		runs := s.signals[p]
+		if last := len(runs) - 1; last >= 0 && runs[last].Base == iv.Base && runs[last].End()+1 == start {
+			r := &runs[last]
+			r.C, r.Cbar, r.Kind = append(r.C, iv.C...), append(r.Cbar, iv.Cbar...), append(r.Kind, iv.Kind...)
+		} else {
+			s.signals[p] = append(runs, iv)
 		}
-		kept.append(sig)
-		s.stats.Delivered++
-		fresh = append(fresh, sig)
-		s.sinceAck[p]++
-		if s.sinceAck[p] >= s.cfg.AckEvery {
-			s.sinceAck[p] = 0
-			ackAt = sig.Offset
+		if !snapshot {
+			if s.sinceAck[p] += n; s.sinceAck[p] >= s.cfg.AckEvery {
+				// The ack lands on the signal that filled the count, as
+				// if the range had been counted one signal at a time.
+				over := s.sinceAck[p] % s.cfg.AckEvery
+				ackAt, s.sinceAck[p] = iv.End()-uint64(over), over
+			}
 		}
 	}
-	if f.Sealed && s.next[p] > 1 {
+	if sealed && s.next[p] > 1 {
 		ackAt = s.next[p] - 1 // seal flushes the partition's tail ack
 		s.sinceAck[p] = 0
 	}
 	s.mu.Unlock()
 	if s.cfg.OnSignal != nil {
-		for _, sig := range fresh {
-			s.cfg.OnSignal(p, sig)
+		for i := 0; i < iv.Len(); i++ {
+			s.cfg.OnSignal(p, signalAt(&iv, pairs, i))
 		}
 	}
 	if ackAt > 0 {
@@ -277,6 +280,16 @@ func (s *Subscriber) applyDelta(enc *feed.Encoder, f *feed.DeltaFrame) error {
 		s.mu.Unlock()
 	}
 	return nil
+}
+
+// signalAt materialises column index i of a run; pairs is its
+// partition's pair table.
+func signalAt(iv *feed.Interval, pairs []int, i int) feed.Signal {
+	at := int(iv.First) + i
+	return feed.Signal{
+		Offset: iv.Base + uint64(at) + 1, Pair: uint32(pairs[at]), S: iv.S,
+		Kind: iv.Kind[i], C: iv.C[i], Cbar: iv.Cbar[i],
+	}
 }
 
 // flushAcks commits every partition's final watermark (End path).
@@ -313,26 +326,25 @@ func (s *Subscriber) Stats() SubscriberStats {
 }
 
 // Signals returns the delivered stream of one partition in delivery
-// order (a copy).
+// order, materialised from the retained columns.
 func (s *Subscriber) Signals(part int) []feed.Signal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.signals[part]
-	if kept == nil {
+	runs := s.signals[part]
+	if runs == nil {
 		return nil
 	}
-	return kept.appendTo(make([]feed.Signal, 0, kept.len()), 0, kept.len())
-}
-
-// retained returns partition p's delivered-signal store, creating it
-// on first use. Caller holds s.mu.
-func (s *Subscriber) retained(p int) *chunkLog[feed.Signal] {
-	kept := s.signals[p]
-	if kept == nil {
-		kept = &chunkLog[feed.Signal]{}
-		s.signals[p] = kept
+	n := 0
+	for i := range runs {
+		n += runs[i].Len()
 	}
-	return kept
+	out := make([]feed.Signal, 0, n)
+	for i := range runs {
+		for j := 0; j < runs[i].Len(); j++ {
+			out = append(out, signalAt(&runs[i], s.pairs[part], j))
+		}
+	}
+	return out
 }
 
 // Partitions returns the partitions this subscriber has received

@@ -623,12 +623,28 @@ func (e *OnlineEngine) Ready() bool { return e.count >= e.cfg.M }
 // the correlation matrix of the trailing M-interval window, or nil
 // while the window is still warming up.
 func (e *OnlineEngine) Push(rets []float64) (*Matrix, error) {
+	m := NewMatrix(e.n)
+	if ready, err := e.PushInto(rets, m); err != nil || !ready {
+		return nil, err
+	}
+	return m, nil
+}
+
+// PushInto is Push writing the matrix into dst (order n), for a caller
+// that consumes each matrix before the next push and so can reuse one.
+// It reports whether the window is full; until then dst is untouched.
+// Only the engine's selected pairs are written, so the unselected
+// slots of a subset engine's dst keep whatever they held.
+func (e *OnlineEngine) PushInto(rets []float64, dst *Matrix) (ready bool, err error) {
 	if len(rets) != e.n {
-		return nil, fmt.Errorf("corr: vector length %d, want %d", len(rets), e.n)
+		return false, fmt.Errorf("corr: vector length %d, want %d", len(rets), e.n)
+	}
+	if dst.n != e.n {
+		return false, fmt.Errorf("corr: destination matrix of order %d, want %d", dst.n, e.n)
 	}
 	for i, x := range rets {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("corr: non-finite return for stock %d", i)
+			return false, fmt.Errorf("corr: non-finite return for stock %d", i)
 		}
 		e.windows[i][e.head] = x
 	}
@@ -637,7 +653,7 @@ func (e *OnlineEngine) Push(rets []float64) (*Matrix, error) {
 		e.count++
 	}
 	if !e.Ready() {
-		return nil, nil
+		return false, nil
 	}
 	// Unroll the rings into contiguous scratch, oldest first.
 	for i := range e.windows {
@@ -646,11 +662,13 @@ func (e *OnlineEngine) Push(rets []float64) (*Matrix, error) {
 		k := copy(s, w[e.head:])
 		copy(s[k:], w[:e.head])
 	}
-	m := e.matrix()
+	e.matrix(dst)
 	if e.cfg.RepairPSD {
-		m, _, _ = EnsurePSD(m, 1e-10)
+		if repaired, _, _ := EnsurePSD(dst, 1e-10); repaired != dst {
+			copy(dst.vals, repaired.vals)
+		}
 	}
-	return m, nil
+	return true, nil
 }
 
 // matrix computes all pairwise coefficients of the current scratch
@@ -659,9 +677,9 @@ func (e *OnlineEngine) Push(rets []float64) (*Matrix, error) {
 // cache tiles of pairs scheduled across workers by work stealing.
 // Every pair owns its matrix slot and warm-fit entry and worker
 // batch kernels are exchanged only through the steal pool's
-// happens-before, so any schedule yields the same matrix.
-func (e *OnlineEngine) matrix() *Matrix {
-	m := NewMatrix(e.n)
+// happens-before, so any schedule yields the same matrix. Every
+// selected pair's slot of m is written.
+func (e *OnlineEngine) matrix(m *Matrix) {
 	pairs := e.pairs
 	workers := len(e.pool)
 	if workers > len(e.tiles) {
@@ -743,5 +761,4 @@ func (e *OnlineEngine) matrix() *Matrix {
 			}
 		})
 	}
-	return m
 }

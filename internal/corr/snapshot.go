@@ -29,7 +29,9 @@ type FitState struct {
 
 // EngineSnapshot is the complete warm state of an OnlineEngine at an
 // interval boundary: the ring windows (as stored, head-aligned), the
-// ring cursor, and the per-pair warm fits of the robust types. Shared
+// ring cursor, and the warm fits of the robust types — one per selected
+// pair, in ascending pair-id order (the whole triangle unless the
+// engine computes a subset). Shared
 // per-push state (window sums, cold initialisers, scratch copies) is
 // deliberately absent — it is recomputed from the windows on the next
 // Push, so a restored engine produces bit-identical matrices to one
@@ -80,9 +82,10 @@ func (e *OnlineEngine) Snapshot() *EngineSnapshot {
 		s.Windows[i] = append([]float64(nil), w...)
 	}
 	if e.fits != nil {
-		s.Fits = make([]FitState, len(e.fits))
-		for k, f := range e.fits {
-			s.Fits[k] = FitState{
+		s.Fits = make([]FitState, len(e.sel))
+		for i, k := range e.sel {
+			f := e.fits[k]
+			s.Fits[i] = FitState{
 				T1: f.T1, T2: f.T2,
 				V11: f.V11, V22: f.V22, V12: f.V12,
 				Rho: f.Rho, Iters: f.Iters,
@@ -107,9 +110,8 @@ func (e *OnlineEngine) Restore(s *EngineSnapshot) error {
 	}
 	e.head = s.Head
 	e.count = s.Count
-	for k := range e.fits {
-		f := s.Fits[k]
-		e.fits[k] = Fit{
+	for i, f := range s.Fits {
+		e.fits[e.sel[i]] = Fit{
 			T1: f.T1, T2: f.T2,
 			V11: f.V11, V22: f.V22, V12: f.V12,
 			Rho: f.Rho, Iters: f.Iters,
@@ -154,7 +156,7 @@ func (e *OnlineEngine) validateSnapshot(s *EngineSnapshot) error {
 	}
 	wantFits := 0
 	if e.fits != nil {
-		wantFits = len(e.fits)
+		wantFits = len(e.sel)
 	}
 	if len(s.Fits) != wantFits {
 		return fmt.Errorf("%d warm fits, engine needs %d", len(s.Fits), wantFits)

@@ -701,3 +701,104 @@ func TestPublishBatchSealsAsPublishDoes(t *testing.T) {
 		t.Errorf("stats %+v, want %d quotes through seq 5", st, len(quotes))
 	}
 }
+
+// pipeClient subscribes through an in-memory pipe, whose writes block
+// until the client reads: a client that does not read pins its handler
+// at pos 0, which a socket's kernel buffers would not.
+func pipeClient(t *testing.T, s *Server) net.Conn {
+	t.Helper()
+	before := s.Stats().Served
+	srvEnd, cliEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() { defer close(done); s.handle(srvEnd) }()
+	t.Cleanup(func() { cliEnd.Close(); <-done })
+	if err := NewEncoder(cliEnd, nil).WriteSubscribe(&Subscribe{From: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for s.Stats().Served == before {
+		time.Sleep(time.Millisecond)
+	}
+	return cliEnd
+}
+
+// readThrough reads frames until the batch with sequence number seq
+// (or, for seq 0, the End frame) and returns how many batches it saw.
+func readThrough(t *testing.T, dec *Decoder, seq uint64) int {
+	t.Helper()
+	batches := 0
+	for {
+		f, err := dec.Read()
+		if err != nil {
+			t.Fatalf("after %d batches: %v", batches, err)
+		}
+		switch fr := f.(type) {
+		case *Batch:
+			if batches++; fr.Seq == seq {
+				return batches
+			}
+		case *End:
+			if seq == 0 {
+				return batches
+			}
+			t.Fatalf("End before batch %d", seq)
+		}
+	}
+}
+
+// TestPublishBatchJudgesLagAtEntry: handing over a whole day in one
+// PublishBatch seals far more than QueueLen batches while no subscriber
+// can take one, so it must evict nobody; a client that was already
+// more than QueueLen behind when a call began still is evicted, and a
+// healthy client next to it is not.
+func TestPublishBatchJudgesLagAtEntry(t *testing.T) {
+	u := testUniverse(t)
+	s, addr := startServer(t, ServerConfig{Universe: u, BatchSize: 1, QueueLen: 4})
+	healthy, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	if err := NewEncoder(healthy, nil).WriteSubscribe(&Subscribe{From: 0}); err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(healthy)
+	if _, err := dec.Read(); err != nil { // Hello: the handler is registered
+		t.Fatal(err)
+	}
+	pipeClient(t, s) // subscribed, never reads
+
+	day := testQuotes(u, 100, 0)
+	s.PublishBatch(day)
+	if st := s.Stats(); st.Evicted != 0 || st.Clients != 2 || st.Batches != len(day) {
+		t.Fatalf("after a whole-day PublishBatch: %+v, want %d batches and both clients", st, len(day))
+	}
+	readThrough(t, dec, uint64(len(day))) // the healthy handler is at the head now
+	s.PublishBatch(testQuotes(u, 1, 0))
+	if st := s.Stats(); st.Evicted != 1 {
+		t.Fatalf("stalled client %d batches behind at entry: %+v, want exactly it evicted", len(day), st)
+	}
+	readThrough(t, dec, uint64(len(day)+1))
+	s.Finish()
+	if got := readThrough(t, dec, 0); got != 0 {
+		t.Fatalf("%d batches after the last", got)
+	}
+}
+
+// TestFinishAfterWholeDayEvictsNobody is mmfeed's sequence: the day in
+// one PublishBatch, Finish straight after. The subscriber that has not
+// been scheduled yet is a replay reader of a finished log — as one
+// connecting a moment later would be — and receives all of it.
+func TestFinishAfterWholeDayEvictsNobody(t *testing.T) {
+	u := testUniverse(t)
+	s, _ := startServer(t, ServerConfig{Universe: u, BatchSize: 1, QueueLen: 4})
+	conn := pipeClient(t, s)
+	day := testQuotes(u, 100, 0)
+	s.PublishBatch(day)
+	s.Finish()
+	if st := s.Stats(); st.Evicted != 0 || st.Clients != 1 {
+		t.Fatalf("after PublishBatch + Finish: %+v, want the client kept", st)
+	}
+	if got := readThrough(t, NewDecoder(conn), 0); got != len(day) {
+		t.Fatalf("client received %d batches before End, want %d", got, len(day))
+	}
+}

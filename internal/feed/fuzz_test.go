@@ -31,7 +31,7 @@ func FuzzDecoder(f *testing.F) {
 	}
 
 	quotes := testQuotesForFuzz(u, 16)
-	sigs := testSignals(8, 1)
+	whole, part := testInterval(8, 0, 8, 16), testInterval(915, 512, 403, 915*3)
 	frames := [][]byte{
 		seed(func() error { return enc.WriteHello(&Hello{Version: ProtocolVersion, Symbols: u.Symbols()}) }),
 		seed(func() error { return enc.WriteBatch(&Batch{Seq: 1, Day: 2, Quotes: quotes}) }),
@@ -42,9 +42,15 @@ func FuzzDecoder(f *testing.F) {
 			return enc.WriteGroupSub(&GroupSub{Group: "g", Member: "m-0", FromStart: true,
 				Offsets: []PartitionOffset{{Partition: 1, Offset: 7}}})
 		}),
-		seed(func() error { return enc.WriteAssign(&Assign{Epoch: 2, NumPartitions: 4, Partitions: []uint16{0, 2}}) }),
-		seed(func() error { return enc.WriteSnapshot(&SnapshotFrame{Partition: 1, EndOffset: 8, Latest: sigs}) }),
-		seed(func() error { return enc.WriteDelta(&DeltaFrame{Partition: 1, Sealed: true, Signals: sigs}) }),
+		seed(func() error {
+			return enc.WriteAssign(&Assign{Epoch: 2, Stocks: 61, NumPartitions: 4, Partitions: []uint16{0, 2}})
+		}),
+		seed(func() error { return enc.WriteAssign(&Assign{Epoch: 3, Stocks: MaxStocks, NumPartitions: 1}) }),
+		seed(func() error { return enc.WriteSnapshot(&SnapshotFrame{Partition: 1, Interval: whole}) }),
+		seed(func() error { return enc.WriteDelta(&DeltaFrame{Partition: 1, Interval: whole}) }),
+		seed(func() error { return enc.WriteDelta(&DeltaFrame{Partition: 1, Interval: part}) }),
+		seed(func() error { return enc.WriteDelta(&DeltaFrame{Partition: 1, Sealed: true, Interval: whole.From(7)}) }),
+		seed(func() error { return enc.WriteDelta(&DeltaFrame{Partition: 1, Sealed: true}) }),
 		seed(func() error { return enc.WriteAck(&AckFrame{Partition: 1, Offset: 8}) }),
 		// Sweep-farm extension frames, including the rejoin fields and
 		// the Refuse/ResultAck types the coordinator-recovery path adds.
@@ -99,6 +105,10 @@ func FuzzDecoder(f *testing.F) {
 			}
 			if fr == nil {
 				t.Fatal("nil frame with nil error")
+			}
+			// A subscriber sizes its pair table from this one field.
+			if a, ok := fr.(*Assign); ok && (a.Stocks < 2 || a.Stocks > MaxStocks) {
+				t.Fatalf("decoded an Assign of %d stocks", a.Stocks)
 			}
 		}
 	})

@@ -131,18 +131,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Flush to seal a partial batch immediately. Publishing after Finish
 // or Close is a no-op.
 func (s *Server) Publish(q taq.Quote) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.publishLocked(q)
+	s.PublishBatch([]taq.Quote{q})
 }
 
 // PublishBatch publishes a slice of quotes as Publish would one by
-// one, under a single acquisition of the server lock.
+// one, under a single acquisition of the server lock. No subscriber
+// can take a batch while the call holds the lock, so what it seals
+// beyond the first batch is backlog nobody had a chance to drain:
+// slow-consumer lag is judged against the log as it stood at entry
+// plus that first batch, which is exactly Publish's rule.
 func (s *Server) PublishBatch(quotes []taq.Quote) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	entry := len(s.log)
 	for _, q := range quotes {
 		s.publishLocked(q)
+	}
+	if len(s.log) > entry {
+		s.notifyLocked(entry + 1)
 	}
 }
 
@@ -169,27 +175,34 @@ func (s *Server) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sealLocked()
+	s.notifyLocked(len(s.log))
 }
 
-// sealLocked moves pending quotes into the log and wakes subscribers
-// (and evicts any that have fallen too far behind). Caller holds s.mu.
+// sealLocked moves pending quotes into the log. Caller holds s.mu and
+// tells the subscribers.
 func (s *Server) sealLocked() {
-	if len(s.pending) > 0 {
-		// pending always has BatchSize capacity, so filling it never
-		// regrows: a full batch hands its array to the log and a fresh
-		// one is armed; a partial batch (Flush, day change) is sealed as
-		// an exact copy, so the retained log holds no slack.
-		quotes := s.pending
-		if len(quotes) < cap(quotes) {
-			quotes = slices.Clone(quotes)
-			s.pending = s.pending[:0]
-		} else {
-			s.pending = make([]taq.Quote, 0, s.cfg.BatchSize)
-		}
-		s.log = append(s.log, &Batch{Seq: uint64(len(s.log) + 1), Day: s.pendingDay, Quotes: quotes})
+	if len(s.pending) == 0 {
+		return
 	}
+	// pending always has BatchSize capacity, so filling it never
+	// regrows: a full batch hands its array to the log and a fresh
+	// one is armed; a partial batch (Flush, day change) is sealed as
+	// an exact copy, so the retained log holds no slack.
+	quotes := s.pending
+	if len(quotes) < cap(quotes) {
+		quotes = slices.Clone(quotes)
+		s.pending = s.pending[:0]
+	} else {
+		s.pending = make([]taq.Quote, 0, s.cfg.BatchSize)
+	}
+	s.log = append(s.log, &Batch{Seq: uint64(len(s.log) + 1), Day: s.pendingDay, Quotes: quotes})
+}
+
+// notifyLocked wakes subscribers, evicting any that are more than
+// QueueLen batches behind head. Caller holds s.mu.
+func (s *Server) notifyLocked(head int) {
 	for c := range s.clients {
-		if depth := len(s.log) - c.pos; depth > s.cfg.QueueLen {
+		if depth := head - c.pos; depth > s.cfg.QueueLen {
 			// Slow consumer: drop the connection. The client's resume
 			// protocol recovers everything from the retained log.
 			s.evicted++
@@ -214,6 +227,8 @@ func (s *Server) Finish() {
 	if s.finished {
 		return
 	}
+	// Nothing is evicted here: from now on every subscriber, like one
+	// that connects later, is replaying a finished log.
 	s.sealLocked()
 	s.finished = true
 	for c := range s.clients {

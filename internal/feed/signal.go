@@ -3,6 +3,7 @@ package feed
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // Broker extension frames. The signal broker speaks the same
@@ -10,10 +11,11 @@ import (
 // frame types: GroupSub (client → broker: join a consumer group with
 // per-partition resume offsets), Assign (broker → client: the epoch-
 // stamped partition assignment, re-sent on every rebalance), Snapshot
-// (broker → client: compacted latest-signal-per-pair state of one
-// partition at a known end offset), Delta (broker → client: new
-// signals in offset order) and Ack (client → broker: commit offset for
-// one partition). Heartbeat and End are shared with the quote feed.
+// (broker → client: the newest logged interval of one partition — its
+// latest signal per pair), Delta (broker → client: the next interval,
+// or the next range of one, in offset order) and Ack (client → broker:
+// commit offset for one partition). Heartbeat and End are shared with
+// the quote feed.
 const (
 	FrameGroupSub FrameType = 6
 	FrameAssign   FrameType = 7
@@ -22,11 +24,12 @@ const (
 	FrameAck      FrameType = 10
 )
 
-// Signal is one published pair signal on the wire. Offset is the
-// per-partition log position (starting at 1, contiguous); Pair is the
-// canonical pair id; S the grid interval; Kind a broker-defined
-// discriminant (update / diverge / revert); C and Cbar the correlation
-// and its W-average at S.
+// Signal is one published pair signal. Offset is the per-partition log
+// position (starting at 1, contiguous); Pair is the canonical pair id;
+// S the grid interval; Kind a broker-defined discriminant (update /
+// diverge / revert); C and Cbar the correlation and its W-average at S.
+// Signals travel and are stored as Interval columns; a Signal is what
+// one column index materialises to.
 type Signal struct {
 	Offset uint64
 	Pair   uint32
@@ -36,11 +39,53 @@ type Signal struct {
 	Cbar   float64
 }
 
-const signalWireSize = 8 + 4 + 4 + 1 + 8 + 8
+// Interval is the unit of the signal path: one partition's signals at
+// grid interval S as three columns in the partition's ascending pair
+// order, or a contiguous range of them when a resume point or the
+// frame bound cuts inside the interval. Every interval of a partition
+// holds Pairs signals; column index i is the partition's pair number
+// First+i and has log offset Base+First+i+1, so offsets stay dense and
+// per signal while neither they nor the pair ids are stored.
+type Interval struct {
+	S     uint32
+	Base  uint64 // log offset preceding the interval's first signal
+	Pairs uint32 // signals in the whole interval
+	First uint32 // partition pair number of column index 0
+	C     []float64
+	Cbar  []float64
+	Kind  []uint8
+}
+
+// Len is the number of signals carried.
+func (iv Interval) Len() int { return len(iv.C) }
+
+// End is the log offset of the last signal carried.
+func (iv Interval) End() uint64 { return iv.Base + uint64(iv.First) + uint64(len(iv.C)) }
+
+// From returns the range of iv starting i signals in. The columns are
+// shared, not copied.
+func (iv Interval) From(i int) Interval {
+	iv.First += uint32(i)
+	iv.C, iv.Cbar, iv.Kind = iv.C[i:], iv.Cbar[i:], iv.Kind[i:]
+	return iv
+}
+
+const (
+	intervalHeaderSize = 4 + 8 + 4 + 4 + 4 // S, base, pairs, first, count
+	signalWireSize     = 8 + 8 + 1         // C, C̄, kind
+)
 
 // MaxSignalRecs bounds the signals carried by one Snapshot or Delta
 // frame.
-const MaxSignalRecs = (MaxFrameSize - 16) / signalWireSize
+const MaxSignalRecs = (MaxFrameSize - 3 - intervalHeaderSize) / signalWireSize
+
+// MaxStocks bounds the universe an Assign may declare. A subscriber
+// builds its table of Stocks·(Stocks−1)/2 pair ids from that one field,
+// so the decoder — not the first interval — has to cap it: 4096 stocks
+// are 8.4 M pairs, a 67 MB table, several times any universe this
+// repository runs and small enough that a hostile frame cannot hang or
+// exhaust the client.
+const MaxStocks = 4096
 
 // PartitionOffset is a (partition, offset) resume point inside a
 // GroupSub frame.
@@ -64,29 +109,33 @@ type GroupSub struct {
 
 // Assign tells a member its current partition set. Epoch increments on
 // every group membership or processor-lease change, so a client can
-// count rebalances and detect stale assignments.
+// count rebalances and detect stale assignments. Stocks and
+// NumPartitions are the topology interval columns are read against: a
+// partition's pairs are the canonical pair ids of a Stocks-order
+// universe that hash to it, ascending.
 type Assign struct {
 	Epoch         uint64
+	Stocks        uint32
 	NumPartitions uint16
 	Partitions    []uint16
 }
 
-// SnapshotFrame carries the compacted state of one partition: the
-// latest signal per pair (ascending pair id) as of EndOffset. Deltas
-// for the partition then continue from EndOffset+1.
+// SnapshotFrame carries the compacted state of one partition: its
+// newest logged interval, which holds the latest signal of every pair.
+// Deltas for the partition then continue from End()+1.
 type SnapshotFrame struct {
 	Partition uint16
-	EndOffset uint64
-	Latest    []Signal
+	Interval
 }
 
-// DeltaFrame carries new signals for one partition in strictly
-// ascending contiguous offset order. Sealed marks the end of the
-// partition's stream (no further signals will ever follow).
+// DeltaFrame carries the next signals of one partition: one interval,
+// or the range of one that a resume point or the broker's frame bound
+// leaves. Sealed marks the end of the partition's stream (no further
+// signals will ever follow); only a sealed delta may be empty.
 type DeltaFrame struct {
 	Partition uint16
 	Sealed    bool
-	Signals   []Signal
+	Interval
 }
 
 // AckFrame commits a member's delivered offset for one partition.
@@ -129,11 +178,12 @@ func (e *Encoder) WriteGroupSub(g *GroupSub) error {
 
 // WriteAssign emits a partition assignment.
 func (e *Encoder) WriteAssign(a *Assign) error {
-	if len(a.Partitions) > math.MaxUint16 {
-		return protoErrf("assign carries %d partitions", len(a.Partitions))
+	if len(a.Partitions) > math.MaxUint16 || a.Stocks > MaxStocks {
+		return protoErrf("assign carries %d partitions of %d stocks", len(a.Partitions), a.Stocks)
 	}
 	e.begin(FrameAssign)
 	e.putU64(a.Epoch)
+	e.putU32(a.Stocks)
 	e.putU16(a.NumPartitions)
 	e.putU16(uint16(len(a.Partitions)))
 	for _, p := range a.Partitions {
@@ -142,34 +192,48 @@ func (e *Encoder) WriteAssign(a *Assign) error {
 	return e.finish()
 }
 
-func (e *Encoder) putSignal(s *Signal) {
-	e.putU64(s.Offset)
-	e.putU32(s.Pair)
-	e.putU32(s.S)
-	e.buf = append(e.buf, s.Kind)
-	e.putF64(s.C)
-	e.putF64(s.Cbar)
+// putInterval appends the interval header and its three columns.
+func (e *Encoder) putInterval(iv *Interval) error {
+	n := len(iv.C)
+	if len(iv.Cbar) != n || len(iv.Kind) != n {
+		return protoErrf("interval columns of %d, %d and %d signals", n, len(iv.Cbar), len(iv.Kind))
+	}
+	if n > MaxSignalRecs || uint64(iv.First)+uint64(n) > uint64(iv.Pairs) {
+		return protoErrf("interval range %d+%d outside %d pairs (frame limit %d)", iv.First, n, iv.Pairs, MaxSignalRecs)
+	}
+	e.putU32(iv.S)
+	e.putU64(iv.Base)
+	e.putU32(iv.Pairs)
+	e.putU32(iv.First)
+	e.putU32(uint32(n))
+	for _, col := range [...][]float64{iv.C, iv.Cbar} {
+		off := len(e.buf)
+		e.buf = slices.Grow(e.buf, 8*n)[:off+8*n]
+		for i, v := range col {
+			binary.LittleEndian.PutUint64(e.buf[off+8*i:], math.Float64bits(v))
+		}
+	}
+	e.buf = append(e.buf, iv.Kind...)
+	return nil
 }
 
 // WriteSnapshot emits a partition's compacted state.
 func (e *Encoder) WriteSnapshot(s *SnapshotFrame) error {
-	if len(s.Latest) > MaxSignalRecs {
-		return protoErrf("snapshot of %d signals exceeds limit %d", len(s.Latest), MaxSignalRecs)
+	if len(s.C) == 0 {
+		return protoErrf("empty snapshot")
 	}
 	e.begin(FrameSnapshot)
 	e.putU16(s.Partition)
-	e.putU64(s.EndOffset)
-	e.putU32(uint32(len(s.Latest)))
-	for i := range s.Latest {
-		e.putSignal(&s.Latest[i])
+	if err := e.putInterval(&s.Interval); err != nil {
+		return err
 	}
 	return e.finish()
 }
 
-// WriteDelta emits new signals for one partition.
+// WriteDelta emits the next signals of one partition.
 func (e *Encoder) WriteDelta(d *DeltaFrame) error {
-	if len(d.Signals) > MaxSignalRecs {
-		return protoErrf("delta of %d signals exceeds limit %d", len(d.Signals), MaxSignalRecs)
+	if len(d.C) == 0 && !d.Sealed {
+		return protoErrf("empty delta")
 	}
 	e.begin(FrameDelta)
 	e.putU16(d.Partition)
@@ -178,9 +242,8 @@ func (e *Encoder) WriteDelta(d *DeltaFrame) error {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-	e.putU32(uint32(len(d.Signals)))
-	for i := range d.Signals {
-		e.putSignal(&d.Signals[i])
+	if err := e.putInterval(&d.Interval); err != nil {
+		return err
 	}
 	return e.finish()
 }
@@ -193,15 +256,33 @@ func (e *Encoder) WriteAck(a *AckFrame) error {
 	return e.finish()
 }
 
-func getSignal(p []byte) Signal {
-	return Signal{
-		Offset: binary.LittleEndian.Uint64(p),
-		Pair:   binary.LittleEndian.Uint32(p[8:]),
-		S:      binary.LittleEndian.Uint32(p[12:]),
-		Kind:   p[16],
-		C:      math.Float64frombits(binary.LittleEndian.Uint64(p[17:])),
-		Cbar:   math.Float64frombits(binary.LittleEndian.Uint64(p[25:])),
+// decodeInterval reads an interval header and columns that fill p
+// exactly.
+func decodeInterval(p []byte, what string) (Interval, error) {
+	if len(p) < intervalHeaderSize {
+		return Interval{}, protoErrf("%s payload too short (%d bytes)", what, len(p))
 	}
+	iv := Interval{
+		S:     binary.LittleEndian.Uint32(p),
+		Base:  binary.LittleEndian.Uint64(p[4:]),
+		Pairs: binary.LittleEndian.Uint32(p[12:]),
+		First: binary.LittleEndian.Uint32(p[16:]),
+	}
+	n := int(binary.LittleEndian.Uint32(p[20:]))
+	p = p[intervalHeaderSize:]
+	if n > MaxSignalRecs || len(p) != n*signalWireSize {
+		return Interval{}, protoErrf("%s declares %d signals but carries %d bytes", what, n, len(p))
+	}
+	if uint64(iv.First)+uint64(n) > uint64(iv.Pairs) {
+		return Interval{}, protoErrf("%s range %d+%d outside %d pairs", what, iv.First, n, iv.Pairs)
+	}
+	vals := make([]float64, 2*n)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	iv.C, iv.Cbar = vals[:n:n], vals[n:]
+	iv.Kind = append([]uint8(nil), p[16*n:]...)
+	return iv, nil
 }
 
 func decodeGroupSub(p []byte) (*GroupSub, error) {
@@ -253,15 +334,19 @@ func decodeGroupSub(p []byte) (*GroupSub, error) {
 }
 
 func decodeAssign(p []byte) (*Assign, error) {
-	if len(p) < 12 {
+	if len(p) < 16 {
 		return nil, protoErrf("assign payload too short (%d bytes)", len(p))
 	}
 	a := &Assign{
 		Epoch:         binary.LittleEndian.Uint64(p),
-		NumPartitions: binary.LittleEndian.Uint16(p[8:]),
+		Stocks:        binary.LittleEndian.Uint32(p[8:]),
+		NumPartitions: binary.LittleEndian.Uint16(p[12:]),
 	}
-	count := int(binary.LittleEndian.Uint16(p[10:]))
-	p = p[12:]
+	if a.Stocks < 2 || a.Stocks > MaxStocks || a.NumPartitions == 0 {
+		return nil, protoErrf("assign declares %d stocks in %d partitions", a.Stocks, a.NumPartitions)
+	}
+	count := int(binary.LittleEndian.Uint16(p[14:]))
+	p = p[16:]
 	if len(p) != count*2 {
 		return nil, protoErrf("assign declares %d partitions but carries %d bytes", count, len(p))
 	}
@@ -273,27 +358,21 @@ func decodeAssign(p []byte) (*Assign, error) {
 }
 
 func decodeSnapshot(p []byte) (*SnapshotFrame, error) {
-	if len(p) < 14 {
+	if len(p) < 2 {
 		return nil, protoErrf("snapshot payload too short (%d bytes)", len(p))
 	}
-	s := &SnapshotFrame{
-		Partition: binary.LittleEndian.Uint16(p),
-		EndOffset: binary.LittleEndian.Uint64(p[2:]),
+	iv, err := decodeInterval(p[2:], "snapshot")
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(p[10:]))
-	p = p[14:]
-	if count > MaxSignalRecs || len(p) != count*signalWireSize {
-		return nil, protoErrf("snapshot declares %d signals but carries %d bytes", count, len(p))
+	if len(iv.C) == 0 {
+		return nil, protoErrf("empty snapshot")
 	}
-	s.Latest = make([]Signal, count)
-	for i := range s.Latest {
-		s.Latest[i] = getSignal(p[i*signalWireSize:])
-	}
-	return s, nil
+	return &SnapshotFrame{Partition: binary.LittleEndian.Uint16(p), Interval: iv}, nil
 }
 
 func decodeDelta(p []byte) (*DeltaFrame, error) {
-	if len(p) < 7 {
+	if len(p) < 3 {
 		return nil, protoErrf("delta payload too short (%d bytes)", len(p))
 	}
 	d := &DeltaFrame{Partition: binary.LittleEndian.Uint16(p)}
@@ -304,14 +383,12 @@ func decodeDelta(p []byte) (*DeltaFrame, error) {
 	default:
 		return nil, protoErrf("delta sealed flag %d", p[2])
 	}
-	count := int(binary.LittleEndian.Uint32(p[3:]))
-	p = p[7:]
-	if count > MaxSignalRecs || len(p) != count*signalWireSize {
-		return nil, protoErrf("delta declares %d signals but carries %d bytes", count, len(p))
+	var err error
+	if d.Interval, err = decodeInterval(p[3:], "delta"); err != nil {
+		return nil, err
 	}
-	d.Signals = make([]Signal, count)
-	for i := range d.Signals {
-		d.Signals[i] = getSignal(p[i*signalWireSize:])
+	if len(d.C) == 0 && !d.Sealed {
+		return nil, protoErrf("empty delta")
 	}
 	return d, nil
 }

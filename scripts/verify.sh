@@ -44,6 +44,9 @@ go test -tags noasm -run 'TestSIMD|TestBatchDegenerateLanesMatchReference|FuzzSI
 echo "== go test -race ./internal/feed ./internal/supervise ./internal/chaos (robustness focus)"
 go test -race ./internal/feed ./internal/supervise ./internal/chaos
 
+echo "== decoder fuzz, 10 s: every frame type incl. interval snapshots/deltas, must error, never panic"
+go test -run '^$' -fuzz FuzzDecoder -fuzztime 10s ./internal/feed
+
 echo "== go test -race ./internal/engine ./internal/core (message-passing focus)"
 go test -race ./internal/engine ./internal/core
 
