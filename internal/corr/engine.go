@@ -308,6 +308,11 @@ func prepareSeriesRequest(cfg EngineConfig, types []Type, returns [][]float64) (
 	}
 
 	pairs = cfg.Pairs
+	for _, id := range pairs {
+		if id < 0 || id >= n*(n-1)/2 {
+			return nil, nil, fmt.Errorf("corr: pair id %d outside [0,%d)", id, n*(n-1)/2)
+		}
+	}
 	if pairs == nil {
 		pairs = make([]int, n*(n-1)/2)
 		for i := range pairs {
@@ -591,7 +596,7 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		}
 	}
 	e.sel = pairIdx
-	e.tiles = buildTiles(pairIdx, e.pairs, cfg.tileSize())
+	e.tiles = buildTiles(pairsOf(pairIdx, n), cfg.tileSize())
 	// buildTiles returns positions into pairIdx; remap them to canonical
 	// pair ids so matrix() indexes e.pairs/e.fits/Matrix slots uniformly
 	// whether or not a subset is selected.

@@ -46,16 +46,37 @@ func tileDim(tileSize int) int {
 	return d
 }
 
-// buildTiles groups the requested pairs by their (⌊i/dim⌋, ⌊j/dim⌋)
-// stock-block coordinates, preserving request order within a tile.
-// Tile identity never affects values, only locality, so any grouping
-// is correct; this one maximises stock-row reuse.
-func buildTiles(pairs []int, allPairs []taq.Pair, tileSize int) [][]int {
+// pairsOf resolves canonical pair ids to their stock pairs in an
+// n-stock universe, in request order. It walks the pair triangle row
+// by row, so an ascending request (every caller's) costs O(n + len(ids))
+// instead of building the whole n(n−1)/2 table; a step backwards
+// restarts the walk.
+func pairsOf(ids []int, n int) []taq.Pair {
+	out := make([]taq.Pair, len(ids))
+	i, rowStart := 0, 0 // row i holds ids [rowStart, rowStart+n-1-i)
+	for k, id := range ids {
+		if id < rowStart {
+			i, rowStart = 0, 0
+		}
+		for id >= rowStart+n-1-i {
+			rowStart += n - 1 - i
+			i++
+		}
+		out[k] = taq.Pair{I: i, J: i + 1 + id - rowStart}
+	}
+	return out
+}
+
+// buildTiles groups the requested pairs (req[k] is request k's stock
+// pair) by their (⌊i/dim⌋, ⌊j/dim⌋) stock-block coordinates, preserving
+// request order within a tile. Tile identity never affects values,
+// only locality, so any grouping is correct; this one maximises
+// stock-row reuse.
+func buildTiles(req []taq.Pair, tileSize int) [][]int {
 	dim := tileDim(tileSize)
 	index := make(map[[2]int]int)
 	var tiles [][]int
-	for k, pid := range pairs {
-		p := allPairs[pid]
+	for k, p := range req {
 		key := [2]int{p.I / dim, p.J / dim}
 		ti, ok := index[key]
 		if !ok {
@@ -144,11 +165,12 @@ type tileRun struct {
 	initX, initY     []*ColdInit     // shared t=0 robust initialisers
 }
 
-// newTileRun binds tile (a set of indices into pairs) to its inputs,
-// outputs and shared per-stock state. batch is the calling worker's
-// reusable kernel; nil allocates a fresh one. returns32, non-nil only
-// on the float32 lane, holds the per-stock float32 mirrors of returns.
-func newTileRun(cfg *EngineConfig, tile []int, pairs []int, allPairs []taq.Pair,
+// newTileRun binds tile (a set of request indices into req) to its
+// inputs, outputs and shared per-stock state. batch is the calling
+// worker's reusable kernel; nil allocates a fresh one. returns32,
+// non-nil only on the float32 lane, holds the per-stock float32
+// mirrors of returns.
+func newTileRun(cfg *EngineConfig, tile []int, req []taq.Pair,
 	returns [][]float64, returns32 [][]float32, outP, outM, outC [][]float64,
 	moments []stockMoments, inits []ColdInit,
 	est *MaronnaEstimator, batch *pairBatch, st *RobustStats) *tileRun {
@@ -184,7 +206,7 @@ func newTileRun(cfg *EngineConfig, tile []int, pairs []int, allPairs []taq.Pair,
 		}
 	}
 	for l, k := range tile {
-		p := allPairs[pairs[k]]
+		p := req[k]
 		tr.xs[l] = returns[p.I]
 		tr.ys[l] = returns[p.J]
 		if outP != nil {
@@ -322,7 +344,7 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 		return nil, err
 	}
 	n := len(returns)
-	allPairs := taq.AllPairs(n)
+	req := pairsOf(pairs, n)
 
 	var outP, outM, outC [][]float64
 	for oi, ty := range types {
@@ -340,8 +362,7 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 	// Mark the stocks the request actually touches; pair-block subsets
 	// (the sweep orchestrator's unit of work) only pay for theirs.
 	used := make([]bool, n)
-	for _, pid := range pairs {
-		p := allPairs[pid]
+	for _, p := range req {
 		used[p.I] = true
 		used[p.J] = true
 	}
@@ -386,7 +407,7 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 		}
 	}
 
-	tiles := buildTiles(pairs, allPairs, cfg.tileSize())
+	tiles := buildTiles(req, cfg.tileSize())
 	workers := cfg.workers()
 	if workers > len(tiles) {
 		workers = len(tiles)
@@ -411,7 +432,7 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 		if robust {
 			st = &workerStats[w]
 		}
-		tr := newTileRun(&cfg, tiles[ti], pairs, allPairs, returns, returns32,
+		tr := newTileRun(&cfg, tiles[ti], req, returns, returns32,
 			outP, outM, outC, moments, inits, est, workerBatch[w], st)
 		tr.run()
 		workerBatch[w] = tr.batch

@@ -107,13 +107,9 @@ func TestMatrixEnginePairSubset(t *testing.T) {
 func TestBuildTiles(t *testing.T) {
 	const n = 13
 	allPairs := taq.AllPairs(n)
-	pairs := make([]int, len(allPairs))
-	for i := range pairs {
-		pairs[i] = i
-	}
 	for _, tile := range []int{1, 7, 64, 1 << 30} {
-		tiles := buildTiles(pairs, allPairs, tile)
-		seen := make([]bool, len(pairs))
+		tiles := buildTiles(allPairs, tile)
+		seen := make([]bool, len(allPairs))
 		dim := tileDim(tile)
 		for _, tl := range tiles {
 			if len(tl) == 0 {
@@ -133,6 +129,37 @@ func TestBuildTiles(t *testing.T) {
 			if !s {
 				t.Fatalf("tile=%d: pair index %d missing", tile, k)
 			}
+		}
+	}
+}
+
+// TestPairsOfMatchesAllPairs checks the row walk against the canonical
+// table for ascending, sparse, repeated and backwards requests.
+func TestPairsOfMatchesAllPairs(t *testing.T) {
+	for _, n := range []int{2, 3, 13, 61} {
+		all := taq.AllPairs(n)
+		ids := make([]int, len(all))
+		for i := range ids {
+			ids[i] = i
+		}
+		last := len(all) - 1
+		for _, req := range [][]int{ids, {0, last}, {last, 0, last / 2, last / 2}, {}} {
+			for k, p := range pairsOf(req, n) {
+				if p != all[req[k]] {
+					t.Fatalf("n=%d: pairsOf(%v)[%d] = %v, want %v", n, req, k, p, all[req[k]])
+				}
+			}
+		}
+	}
+}
+
+// TestMatrixSeriesRejectsOutOfRangePairs: a pair id outside the
+// triangle is an error, not a walk off its end.
+func TestMatrixSeriesRejectsOutOfRangePairs(t *testing.T) {
+	rets := marketReturns(t, 4, 3) // 6 pairs
+	for _, bad := range [][]int{{-1}, {0, 6}} {
+		if _, err := ComputeMatrixSeries(EngineConfig{M: 50, Pairs: bad}, []Type{Pearson}, rets); err == nil {
+			t.Fatalf("pairs %v accepted", bad)
 		}
 	}
 }
@@ -226,7 +253,7 @@ func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(rets)
-	allPairs := taq.AllPairs(n)
+	req := pairsOf(pairs, n)
 	moments := make([]stockMoments, n)
 	inits := make([]ColdInit, n)
 	buf := make([]float64, m)
@@ -234,10 +261,10 @@ func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 		computeStockMoments(rets[i], m, &moments[i])
 		inits[i] = ColdInitOf(buf, rets[i][:m])
 	}
-	tiles := buildTiles(pairs, allPairs, cfg.TileSize)
+	tiles := buildTiles(req, cfg.TileSize)
 	est := NewMaronnaEstimator(cfg.maronna())
 	st := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
-	tr := newTileRun(&cfg, tiles[0], pairs, allPairs, rets, nil,
+	tr := newTileRun(&cfg, tiles[0], req, rets, nil,
 		outs[0].Corr, outs[1].Corr, outs[2].Corr, moments, inits, est, nil, st)
 
 	tr.run() // size the scratch

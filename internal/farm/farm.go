@@ -1,8 +1,9 @@
 // Package farm is the distributed sweep layer: a coordinator that
 // deals the sweep orchestrator's (day × pair-block × param-set) work
 // units to remote worker processes over the internal/feed binary
-// codec, journals remotely-completed units into the same CRC32 JSONL
-// checkpoint journal a single-host shard writes, and survives worker
+// codec, journals remotely-completed units into the same checkpoint
+// journal a single-host shard writes — whose records are the very
+// Result frames the workers send — and survives worker
 // SIGKILL and network partition by lease-TTL expiry, generation
 // fencing and reassignment. It closes the loop the paper opens — the
 // 854-hour brute-force sweep cut to cluster time — without weakening

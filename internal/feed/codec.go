@@ -279,6 +279,7 @@ type Decoder struct {
 	r       *bufio.Reader
 	symbols []string
 	buf     []byte
+	off     int64 // bytes of the frames decoded so far
 }
 
 // NewDecoder wraps r.
@@ -289,6 +290,11 @@ func NewDecoder(r io.Reader) *Decoder {
 // Symbols returns the symbol table from the Hello frame, nil before one
 // has been decoded.
 func (d *Decoder) Symbols() []string { return d.symbols }
+
+// Offset returns the byte length of every frame Read has returned so
+// far: the end of the last intact frame, where a reader that heals a
+// damaged stream truncates it.
+func (d *Decoder) Offset() int64 { return d.off }
 
 // Read decodes the next frame. It returns io.EOF at a clean stream end
 // between frames, io.ErrUnexpectedEOF when a frame is torn, and errors
@@ -325,6 +331,15 @@ func (d *Decoder) Read() (Frame, error) {
 	if crc != wantCRC {
 		return nil, protoErrf("%s frame checksum mismatch (got %08x, want %08x)", t, crc, wantCRC)
 	}
+	f, err := d.decode(t)
+	if err == nil {
+		d.off += frameHeaderSize + int64(n)
+	}
+	return f, err
+}
+
+// decode parses the checksummed payload in d.buf as a frame of type t.
+func (d *Decoder) decode(t FrameType) (Frame, error) {
 	switch t {
 	case FrameHello:
 		return d.decodeHello(d.buf)
@@ -381,7 +396,7 @@ func (d *Decoder) Read() (Frame, error) {
 		}
 		return &ResultAck{Unit: unit}, nil
 	default:
-		return nil, protoErrf("unknown frame type %d", hdr[0])
+		return nil, protoErrf("unknown frame type %d", byte(t))
 	}
 }
 

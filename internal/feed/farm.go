@@ -376,13 +376,16 @@ func decodeResult(p []byte) (*Result, error) {
 	}
 	rows := int(binary.LittleEndian.Uint32(p[33:]))
 	p = p[resultHeaderSize:]
-	if rows > MaxResultFloats {
-		return nil, protoErrf("result declares %d rows", rows)
+	// Every row carries at least its 4-byte length, so the payload bounds
+	// the row table before it is allocated.
+	if rows > len(p)/4 {
+		return nil, protoErrf("result declares %d rows in %d bytes", rows, len(p))
 	}
 	// Rows are always non-nil, zero trades included: the coordinator
-	// journals these slices verbatim, and backtest.TradeReturns (the
-	// single-host path) never produces a nil row — nil would marshal
-	// as JSON null instead of [] and break merge byte-identity.
+	// journals these slices verbatim, the sweep journal reads its
+	// records back through here, and backtest.TradeReturns (the
+	// single-host path) never produces a nil row — nil would save as
+	// JSON null instead of [] and break merge byte-identity.
 	r.Rets = make([][]float64, rows)
 	for i := range r.Rets {
 		if len(p) < 4 {

@@ -20,7 +20,8 @@ type QuarantineRecord struct {
 }
 
 // quarLine is the on-disk envelope: the CRC32 (IEEE) of the record's
-// JSON encoding guards every line, the same idiom as the sweep journal.
+// JSON encoding guards every line, as it guarded every line of the v1
+// sweep journal.
 type quarLine struct {
 	CRC uint32          `json:"crc"`
 	R   json.RawMessage `json:"r"`

@@ -90,7 +90,7 @@ func TestSweepSIGKILLResumesLostUnitsOnly(t *testing.T) {
 		t.Logf("healed torn tail: %v", st.Recovered)
 	}
 	// Every unit the dead process completed must be restored from the
-	// journal (the torn final line, if any, may cost one).
+	// journal (the torn final record, if any, may cost one).
 	if st.UnitsSkipped < killAfter-1 {
 		t.Errorf("resumed run restored %d units, want ≥ %d (checkpoints lost)", st.UnitsSkipped, killAfter-1)
 	}

@@ -6,19 +6,32 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 
+	"marketminer/internal/feed"
 	"marketminer/internal/strategy"
 )
 
-// JournalSchema versions the on-disk journal format.
-const JournalSchema = "marketminer/sweep-journal/v1"
+// JournalSchema versions the on-disk journal format. A v2 journal is
+// one JSON header line followed by one feed Result frame per completed
+// unit — the exact bytes the farm sends over the wire for that unit.
+const JournalSchema = "marketminer/sweep-journal/v2"
+
+// journalSchemaV1 is the previous format: the header line followed by
+// one JSON line per unit. It is still read; OpenJournal migrates such a
+// journal to v2 before appending to it.
+const journalSchemaV1 = "marketminer/sweep-journal/v1"
 
 // syncEvery bounds how many appended units may be buffered in the OS
 // page cache before an fsync; a hard power loss can cost at most this
 // many units of re-execution (a clean kill costs none).
 const syncEvery = 64
+
+// maxHeaderLine bounds the JSON header line; it holds the symbol list
+// and the parameter grid, far below this.
+const maxHeaderLine = 1 << 20
 
 // Header is the first line of a journal file. It binds the file to one
 // sweep configuration (Fingerprint) and one shard assignment, and
@@ -40,30 +53,21 @@ type Header struct {
 
 // Entry is one completed unit: the unit id and, for every pair of the
 // unit's block (ascending canonical id), that pair's per-trade returns
-// for the unit's (day, parameter set).
+// for the unit's (day, parameter set). On disk it is the feed.Result
+// frame {Unit: U, Rets: Rets}.
 type Entry struct {
-	U    int         `json:"u"`
-	Rets [][]float64 `json:"rets"`
-}
-
-// journalLine is the envelope around each entry: the CRC32 (IEEE) of
-// the raw entry JSON. A line that is truncated mid-write fails to
-// parse; a line whose bytes were damaged fails the checksum; both are
-// reported as a Corruption and healed by truncating back to the last
-// intact entry.
-type journalLine struct {
-	CRC uint32          `json:"crc"`
-	E   json.RawMessage `json:"e"`
+	U    int
+	Rets [][]float64
 }
 
 // Corruption describes a damaged journal tail: where the first bad
-// line starts and why it was rejected. Everything before Offset is
+// record starts and why it was rejected. Everything before Offset is
 // intact and trusted; everything from Offset on is discarded, and the
 // units it held are simply re-run.
 type Corruption struct {
 	Path   string
-	Offset int64 // byte offset of the first damaged line
-	Line   int   // 1-based line number of the first damaged line
+	Offset int64 // byte offset of the first damaged record
+	Record int   // 1-based index of the first damaged record after the header
 	Units  int   // intact units kept before the damage
 	Reason string
 }
@@ -71,88 +75,150 @@ type Corruption struct {
 // String renders the corruption for logs: where the damage was found
 // and how many completed units it cost.
 func (c *Corruption) String() string {
-	return fmt.Sprintf("%s: corrupt entry at line %d (byte %d): %s; %d intact units kept",
-		c.Path, c.Line, c.Offset, c.Reason, c.Units)
+	return fmt.Sprintf("%s: corrupt record %d (byte %d): %s; %d intact units kept",
+		c.Path, c.Record, c.Offset, c.Reason, c.Units)
 }
 
-// journalData is a fully-read journal file.
-type journalData struct {
-	Header  Header
-	Entries []Entry
-	// Corrupt is non-nil when the tail was damaged; Entries then holds
-	// only the intact prefix and CleanSize is its byte length.
-	Corrupt   *Corruption
-	CleanSize int64
+// JournalReader streams the intact prefix of a journal file, v1 or v2,
+// one entry at a time. It never modifies the file.
+type JournalReader struct {
+	Header Header
+
+	path  string
+	f     *os.File
+	dec   *feed.Decoder  // v2
+	sc    *bufio.Scanner // v1
+	base  int64          // byte length of the header line
+	clean int64          // end of the last intact record
+	units int
+	bad   *Corruption
 }
 
-// maxJournalLine bounds one journal line: a paper-scale unit is one
-// block of ≤ blockSize pairs' trade returns, far below this.
-const maxJournalLine = 64 << 20
-
-// readJournal parses a journal file, verifying every entry checksum.
-// It returns an error only for damage that cannot be healed by
-// truncation (unreadable file, bad header); entry-level damage comes
-// back as journalData.Corrupt.
-func readJournal(path string) (*journalData, error) {
+// OpenJournalReader opens the journal at path and parses its header.
+// Damage the header cannot survive (unreadable file, bad header,
+// unknown schema) is an error; damage to the records after it is
+// reported by Corrupt once Next returns io.EOF.
+func OpenJournalReader(path string) (*JournalReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	r := &JournalReader{path: path, f: f}
+	// The buffer holds the whole header line or the header is corrupt.
+	br := bufio.NewReaderSize(f, maxHeaderLine)
+	line, err := br.ReadSlice('\n')
+	switch {
+	case err == io.EOF && len(line) == 0:
+		err = fmt.Errorf("sweep: %s: journal is empty (no header)", path)
+	case err == io.EOF || err == bufio.ErrBufferFull:
+		err = fmt.Errorf("sweep: %s: corrupt journal header: no complete header line (delete the file to restart this shard)", path)
+	case err != nil:
+		err = fmt.Errorf("sweep: %s: read header: %w", path, err)
+	default:
+		if jerr := json.Unmarshal(line, &r.Header); jerr != nil {
+			err = fmt.Errorf("sweep: %s: corrupt journal header: %w (delete the file to restart this shard)", path, jerr)
+		} else if s := r.Header.Schema; s != JournalSchema && s != journalSchemaV1 {
+			err = fmt.Errorf("sweep: %s: journal schema %q, want %q", path, s, JournalSchema)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r.base = int64(len(line))
+	r.clean = r.base
+	if r.Header.Schema == journalSchemaV1 {
+		r.sc = bufio.NewScanner(br)
+		r.sc.Buffer(make([]byte, 1<<20), maxJournalLine)
+	} else {
+		r.dec = feed.NewDecoder(br)
+	}
+	return r, nil
+}
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), maxJournalLine)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("sweep: %s: read header: %w", path, err)
-		}
-		return nil, fmt.Errorf("sweep: %s: journal is empty (no header)", path)
+// Next returns the next intact entry. It returns io.EOF at the end of
+// the intact prefix — Corrupt then says whether the file ended cleanly
+// — and any other error only for an I/O failure.
+func (r *JournalReader) Next() (Entry, error) {
+	if r.bad != nil {
+		return Entry{}, io.EOF
 	}
-	var h Header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return nil, fmt.Errorf("sweep: %s: corrupt journal header: %w (delete the file to restart this shard)", path, err)
+	if r.sc != nil {
+		return r.nextV1()
 	}
-	if h.Schema != JournalSchema {
-		return nil, fmt.Errorf("sweep: %s: journal schema %q, want %q", path, h.Schema, JournalSchema)
+	fr, err := r.dec.Read()
+	switch {
+	case err == io.EOF:
+		return Entry{}, io.EOF
+	case err == io.ErrUnexpectedEOF:
+		return Entry{}, r.corrupt("torn record (truncated write?)")
+	case errors.Is(err, feed.ErrProtocol):
+		return Entry{}, r.corrupt(err.Error())
+	case err != nil:
+		return Entry{}, fmt.Errorf("sweep: %s: read: %w", r.path, err)
 	}
-	d := &journalData{Header: h, CleanSize: int64(len(sc.Bytes())) + 1}
+	res, ok := fr.(*feed.Result)
+	if !ok {
+		return Entry{}, r.corrupt(fmt.Sprintf("unexpected %T record", fr))
+	}
+	if res.Unit >= uint64(r.Header.UnitsTotal) {
+		return Entry{}, r.corrupt(fmt.Sprintf("unit id %d outside [0, %d)", res.Unit, r.Header.UnitsTotal))
+	}
+	r.clean = r.base + r.dec.Offset()
+	r.units++
+	return Entry{U: int(res.Unit), Rets: res.Rets}, nil
+}
 
-	line := 1
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		corrupt := func(reason string) {
-			d.Corrupt = &Corruption{Path: path, Offset: d.CleanSize, Line: line, Units: len(d.Entries), Reason: reason}
+// corrupt records damage at the end of the intact prefix and ends the
+// stream.
+func (r *JournalReader) corrupt(reason string) error {
+	r.bad = &Corruption{Path: r.path, Offset: r.clean, Record: r.units + 1, Units: r.units, Reason: reason}
+	return io.EOF
+}
+
+// Corrupt reports the damaged tail found by Next, nil while the file
+// has read cleanly.
+func (r *JournalReader) Corrupt() *Corruption { return r.bad }
+
+// Close closes the file.
+func (r *JournalReader) Close() error { return r.f.Close() }
+
+// maxJournalLine bounds one v1 journal line: a paper-scale unit is one
+// block of ≤ blockSize pairs' trade returns, far below this.
+const maxJournalLine = 64 << 20
+
+// nextV1 parses one v1 line: {"crc": CRC32 of e, "e": {"u":…, "rets":…}}.
+func (r *JournalReader) nextV1() (Entry, error) {
+	if !r.sc.Scan() {
+		if err := r.sc.Err(); err != nil {
+			if errors.Is(err, bufio.ErrTooLong) {
+				return Entry{}, r.corrupt("oversized line")
+			}
+			return Entry{}, fmt.Errorf("sweep: %s: read: %w", r.path, err)
 		}
-		var jl journalLine
-		if err := json.Unmarshal(raw, &jl); err != nil || jl.E == nil {
-			corrupt("unparseable line (truncated write?)")
-			return d, nil
-		}
-		if got := crc32.ChecksumIEEE(jl.E); got != jl.CRC {
-			corrupt(fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", jl.CRC, got))
-			return d, nil
-		}
-		var e Entry
-		if err := json.Unmarshal(jl.E, &e); err != nil {
-			corrupt("unparseable entry payload")
-			return d, nil
-		}
-		if e.U < 0 || e.U >= h.UnitsTotal {
-			corrupt(fmt.Sprintf("unit id %d outside [0, %d)", e.U, h.UnitsTotal))
-			return d, nil
-		}
-		d.Entries = append(d.Entries, e)
-		d.CleanSize += int64(len(raw)) + 1
+		return Entry{}, io.EOF
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			d.Corrupt = &Corruption{Path: path, Offset: d.CleanSize, Line: line + 1, Units: len(d.Entries), Reason: "oversized line"}
-			return d, nil
-		}
-		return nil, fmt.Errorf("sweep: %s: read: %w", path, err)
+	raw := r.sc.Bytes()
+	var jl struct {
+		CRC uint32          `json:"crc"`
+		E   json.RawMessage `json:"e"`
 	}
-	return d, nil
+	if err := json.Unmarshal(raw, &jl); err != nil || jl.E == nil {
+		return Entry{}, r.corrupt("unparseable line (truncated write?)")
+	}
+	if got := crc32.ChecksumIEEE(jl.E); got != jl.CRC {
+		return Entry{}, r.corrupt(fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", jl.CRC, got))
+	}
+	var e Entry // {"u":…, "rets":…}: json matches field names case-insensitively
+	if err := json.Unmarshal(jl.E, &e); err != nil {
+		return Entry{}, r.corrupt("unparseable entry payload")
+	}
+	if e.U < 0 || e.U >= r.Header.UnitsTotal {
+		return Entry{}, r.corrupt(fmt.Sprintf("unit id %d outside [0, %d)", e.U, r.Header.UnitsTotal))
+	}
+	r.clean += int64(len(raw)) + 1
+	r.units++
+	return e, nil
 }
 
 // Journal is an append-only checkpoint log opened for writing by one
@@ -160,97 +226,141 @@ func readJournal(path string) (*journalData, error) {
 // workers.
 type Journal struct {
 	mu        sync.Mutex
-	path      string
 	f         *os.File
-	w         *bufio.Writer
+	enc       *feed.Encoder
 	sinceSync int
 }
 
 // OpenJournal opens (or creates) the journal at path for the sweep and
 // shard described by h. For an existing file it verifies the header
 // matches (same fingerprint, same shard), heals a damaged tail by
-// truncating to the last intact entry, and returns the per-unit trade
-// counts of every intact entry so the runner can skip completed work.
-// The returned Corruption (nil when the file was clean) reports what
-// was healed.
+// truncating to the last intact record, migrates a v1 journal to v2,
+// and returns the per-unit trade counts of every intact entry so the
+// runner can skip completed work. The returned Corruption (nil when
+// the file was clean) reports what was healed.
 func OpenJournal(path string, h Header) (*Journal, map[int]int, *Corruption, error) {
-	done := map[int]int{}
-	var corrupt *Corruption
-
-	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-		d, err := readJournal(path)
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		j, err := createJournal(path, h)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if d.Header.Fingerprint != h.Fingerprint {
-			return nil, nil, nil, fmt.Errorf("sweep: %s: journal fingerprint %s does not match this configuration (%s) — it records a different sweep",
-				path, d.Header.Fingerprint, h.Fingerprint)
-		}
-		if d.Header.ShardIndex != h.ShardIndex || d.Header.ShardCount != h.ShardCount {
-			return nil, nil, nil, fmt.Errorf("sweep: %s: journal belongs to shard %d/%d, not %d/%d",
-				path, d.Header.ShardIndex, d.Header.ShardCount, h.ShardIndex, h.ShardCount)
-		}
-		for _, e := range d.Entries {
-			var n int
-			for _, r := range e.Rets {
-				n += len(r)
-			}
-			done[e.U] = n
-		}
-		corrupt = d.Corrupt
-		if corrupt != nil {
-			// Recovery: drop the damaged tail so the re-run of its
-			// units appends to an intact file.
-			if err := os.Truncate(path, d.CleanSize); err != nil {
-				return nil, nil, nil, fmt.Errorf("sweep: heal %s: %w", path, err)
-			}
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &Journal{path: path, f: f, w: bufio.NewWriter(f)}, done, corrupt, nil
+		return j, map[int]int{}, nil, nil
 	}
 
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	r, err := OpenJournalReader(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	j := &Journal{path: path, f: f, w: bufio.NewWriter(f)}
-	hb, err := json.Marshal(h)
+	defer r.Close()
+	if r.Header.Fingerprint != h.Fingerprint {
+		return nil, nil, nil, fmt.Errorf("sweep: %s: journal fingerprint %s does not match this configuration (%s) — it records a different sweep",
+			path, r.Header.Fingerprint, h.Fingerprint)
+	}
+	if r.Header.ShardIndex != h.ShardIndex || r.Header.ShardCount != h.ShardCount {
+		return nil, nil, nil, fmt.Errorf("sweep: %s: journal belongs to shard %d/%d, not %d/%d",
+			path, r.Header.ShardIndex, r.Header.ShardCount, h.ShardIndex, h.ShardCount)
+	}
+	if r.Header.Schema == journalSchemaV1 {
+		return migrateV1(path, h, r)
+	}
+	done, err := readDone(r, nil)
 	if err != nil {
-		f.Close()
 		return nil, nil, nil, err
 	}
-	if _, err := j.w.Write(append(hb, '\n')); err != nil {
-		f.Close()
+	corrupt := r.Corrupt()
+	if corrupt != nil {
+		// Recovery: drop the damaged tail so the re-run of its units
+		// appends to an intact file.
+		if err := os.Truncate(path, corrupt.Offset); err != nil {
+			return nil, nil, nil, fmt.Errorf("sweep: heal %s: %w", path, err)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := j.w.Flush(); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	return j, done, nil, nil
+	return &Journal{f: f, enc: feed.NewEncoder(f, nil)}, done, corrupt, nil
 }
 
-// Append writes one completed unit and flushes it to the OS; every
+// createJournal starts a new journal at path holding only header h,
+// stamped with the current schema.
+func createJournal(path string, h Header) (*Journal, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	h.Schema = JournalSchema
+	hb, err := json.Marshal(h)
+	if err == nil {
+		_, err = f.Write(append(hb, '\n'))
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Journal{f: f, enc: feed.NewEncoder(f, nil)}, nil
+}
+
+// migrateV1 rewrites the v1 journal r is reading as v2 under header h:
+// every intact entry goes to <path>.tmp, which is fsynced and renamed
+// over the original, so no file ever mixes the two formats. A damaged
+// v1 tail is dropped by the rewrite and reported as healed.
+func migrateV1(path string, h Header, r *JournalReader) (*Journal, map[int]int, *Corruption, error) {
+	tmp := path + ".tmp"
+	j, err := createJournal(tmp, h)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	done, err := readDone(r, j.Append)
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		j.f.Close()
+		os.Remove(tmp)
+		return nil, nil, nil, fmt.Errorf("sweep: migrate %s to %s: %w", path, JournalSchema, err)
+	}
+	// j's file, positioned at its end, now is the file at path.
+	return j, done, r.Corrupt(), nil
+}
+
+// readDone reads r's intact entries into the per-unit trade counts
+// OpenJournal returns, passing each entry on to also when it is
+// non-nil.
+func readDone(r *JournalReader, also func(Entry) error) (map[int]int, error) {
+	done := map[int]int{}
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			return done, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		n := 0
+		for _, row := range e.Rets {
+			n += len(row)
+		}
+		done[e.U] = n
+		if also != nil {
+			if err := also(e); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// Append writes one completed unit as a single feed Result frame; every
 // syncEvery appends it also fsyncs, bounding what a power loss can
-// undo.
+// undo. A unit over feed.MaxResultFloats returns is refused, exactly
+// as the farm wire refuses it.
 func (j *Journal) Append(e Entry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(journalLine{CRC: crc32.ChecksumIEEE(payload), E: payload})
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
+	if err := j.enc.WriteResult(&feed.Result{Unit: uint64(e.U), Rets: e.Rets}); err != nil {
 		return err
 	}
 	j.sinceSync++
@@ -261,14 +371,10 @@ func (j *Journal) Append(e Entry) error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the journal.
+// Close fsyncs and closes the journal.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
 	if err := j.f.Sync(); err != nil {
 		j.f.Close()
 		return err

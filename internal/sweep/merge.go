@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"marketminer/internal/backtest"
@@ -44,34 +45,62 @@ func MergeFiles(paths []string) (*backtest.Result, *MergeReport, error) {
 		return nil, nil, fmt.Errorf("sweep: no journals to merge")
 	}
 	rep := &MergeReport{Files: len(paths)}
-	var ref *journalData
-	datas := make([]*journalData, 0, len(paths))
+	var (
+		ref  Header
+		plan *Plan
+		res  *backtest.Result
+		seen []bool
+	)
 	for _, p := range paths {
-		d, err := readJournal(p)
+		r, err := OpenJournalReader(p)
 		if err != nil {
 			return nil, nil, err
 		}
-		if d.Corrupt != nil {
-			rep.Corrupt = append(rep.Corrupt, d.Corrupt)
+		h := r.Header
+		switch {
+		case plan == nil:
+			ref = h
+			plan, res, err = newMergeTarget(h)
+			rep.ShardCount = h.ShardCount
+			rep.UnitsTotal = h.UnitsTotal
+			seen = make([]bool, h.UnitsTotal)
+		case h.Fingerprint != ref.Fingerprint || h.UnitsTotal != ref.UnitsTotal:
+			err = fmt.Errorf("sweep: %s records a different sweep (fingerprint %s) than %s (%s)",
+				p, h.Fingerprint, paths[0], ref.Fingerprint)
+		case h.ShardCount != ref.ShardCount:
+			err = fmt.Errorf("sweep: %s is shard %d/%d but %s is %d/%d — mixed shard widths cannot merge",
+				p, h.ShardIndex, h.ShardCount, paths[0], ref.ShardIndex, ref.ShardCount)
 		}
-		if ref == nil {
-			ref = d
-		} else {
-			if d.Header.Fingerprint != ref.Header.Fingerprint {
-				return nil, nil, fmt.Errorf("sweep: %s records a different sweep (fingerprint %s) than %s (%s)",
-					p, d.Header.Fingerprint, paths[0], ref.Header.Fingerprint)
-			}
-			if d.Header.ShardCount != ref.Header.ShardCount {
-				return nil, nil, fmt.Errorf("sweep: %s is shard %d/%d but %s is %d/%d — mixed shard widths cannot merge",
-					p, d.Header.ShardIndex, d.Header.ShardCount, paths[0], ref.Header.ShardIndex, ref.Header.ShardCount)
-			}
+		if err == nil {
+			err = mergeEntries(r, plan, res, seen, rep)
 		}
-		datas = append(datas, d)
+		r.Close()
+		if err != nil {
+			return nil, nil, err
+		}
+		if c := r.Corrupt(); c != nil {
+			rep.Corrupt = append(rep.Corrupt, c)
+		}
 	}
-	h := ref.Header
-	rep.ShardCount = h.ShardCount
-	rep.UnitsTotal = h.UnitsTotal
+	if rep.Units != rep.UnitsTotal {
+		missing := missingShards(plan, seen, rep.ShardCount)
+		return nil, rep, fmt.Errorf("sweep: merge incomplete: %d/%d units present; shards with missing work: %v",
+			rep.Units, rep.UnitsTotal, missing)
+	}
 
+	for p := range res.Series {
+		for k := range res.Series[p] {
+			for _, day := range res.Series[p][k].Daily {
+				res.TradeCount += int64(len(day))
+			}
+		}
+	}
+	return res, rep, nil
+}
+
+// newMergeTarget rebuilds the sweep's plan from a journal header and
+// allocates the empty Result its units are merged into.
+func newMergeTarget(h Header) (*Plan, *backtest.Result, error) {
 	uni, err := taq.NewUniverse(h.Symbols)
 	if err != nil {
 		return nil, nil, err
@@ -94,7 +123,6 @@ func MergeFiles(paths []string) (*backtest.Result, *MergeReport, error) {
 	if plan.NumUnits() != h.UnitsTotal {
 		return nil, nil, fmt.Errorf("sweep: journal header inconsistent: %d units declared, %d derived", h.UnitsTotal, plan.NumUnits())
 	}
-
 	res := &backtest.Result{Universe: uni, Levels: h.Levels, Types: types, Days: h.Days}
 	res.Series = make([][]metrics.PairParamSeries, plan.NumPairs)
 	for p := range res.Series {
@@ -103,44 +131,40 @@ func MergeFiles(paths []string) (*backtest.Result, *MergeReport, error) {
 			res.Series[p][k].Daily = make([][]float64, plan.Days)
 		}
 	}
+	return plan, res, nil
+}
 
-	seen := make(map[int]bool, h.UnitsTotal)
-	for _, d := range datas {
-		for _, e := range d.Entries {
-			u := plan.UnitFromID(e.U)
-			lo, hi := plan.BlockRange(u.Block)
-			if len(e.Rets) != hi-lo {
-				return nil, nil, fmt.Errorf("sweep: unit %d has %d pair rows, want %d", e.U, len(e.Rets), hi-lo)
-			}
-			if seen[e.U] {
-				rep.Duplicates++
-			}
+// mergeEntries streams r's intact entries into res, one decoded record
+// at a time; the last occurrence of a unit wins.
+func mergeEntries(r *JournalReader, plan *Plan, res *backtest.Result, seen []bool, rep *MergeReport) error {
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		u := plan.UnitFromID(e.U)
+		lo, hi := plan.BlockRange(u.Block)
+		if len(e.Rets) != hi-lo {
+			return fmt.Errorf("sweep: unit %d has %d pair rows, want %d", e.U, len(e.Rets), hi-lo)
+		}
+		if seen[e.U] {
+			rep.Duplicates++
+		} else {
 			seen[e.U] = true
-			for i, rets := range e.Rets {
-				res.Series[lo+i][u.Param].Daily[u.Day] = rets
-			}
+			rep.Units++
+		}
+		for i, rets := range e.Rets {
+			res.Series[lo+i][u.Param].Daily[u.Day] = rets
 		}
 	}
-	rep.Units = len(seen)
-	if rep.Units != h.UnitsTotal {
-		missing := missingShards(plan, seen, h.ShardCount)
-		return nil, rep, fmt.Errorf("sweep: merge incomplete: %d/%d units present; shards with missing work: %v",
-			rep.Units, h.UnitsTotal, missing)
-	}
-
-	for p := range res.Series {
-		for k := range res.Series[p] {
-			for _, day := range res.Series[p][k].Daily {
-				res.TradeCount += int64(len(day))
-			}
-		}
-	}
-	return res, rep, nil
 }
 
 // missingShards lists which shard indexes own at least one missing
 // unit — the actionable part of an incomplete-merge error.
-func missingShards(plan *Plan, seen map[int]bool, n int) []int {
+func missingShards(plan *Plan, seen []bool, n int) []int {
 	set := map[int]bool{}
 	for id := 0; id < plan.NumUnits(); id++ {
 		if !seen[id] {

@@ -74,22 +74,23 @@ echo "== farm smoke: coordinator SIGKILLed mid-sweep, restarted on the same jour
 SWEEP2="-scale tiny -levels 8 -block 4"
 "$tmp/mmbacktest" $SWEEP2 -json "$tmp/single2.json" >/dev/null
 
+# serve1 runs without -quiet: its "N/M units journaled" progress lines
+# (every 50 units) are what the kill below waits for.
 "$tmp/mmfarm" serve -listen $ADDR -journal "$tmp/restart.journal" $SWEEP2 \
-    -ttl 2s -quiet > "$tmp/serve1.log" 2>&1 &
+    -ttl 2s > "$tmp/serve1.log" 2>&1 &
 serve1_pid=$!
 sleep 0.3
 "$tmp/mmfarm" work -connect $ADDR $SWEEP2 -name restart-rider -quiet > "$tmp/rider.log" 2>&1 &
 rider_pid=$!
 
-# Kill the moment a couple dozen units are journaled — polling the
-# journal instead of sleeping keeps the kill mid-sweep on any machine.
+# Kill the moment the first progress line reports units journaled —
+# polling instead of sleeping keeps the kill mid-sweep on any machine.
 polls=0
 while :; do
-    lines=$(wc -l < "$tmp/restart.journal" 2>/dev/null || echo 0)
-    [ "$lines" -ge 24 ] && break
+    grep -q ' units journaled' "$tmp/serve1.log" && break
     polls=$((polls + 1))
     [ "$polls" -ge 400 ] && {
-        echo "farm smoke: sweep never reached 24 journaled units; cannot test the restart" >&2
+        echo "farm smoke: sweep never reported journaled units; cannot test the restart" >&2
         cat "$tmp/serve1.log" "$tmp/rider.log" >&2
         exit 1
     }

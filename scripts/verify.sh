@@ -47,6 +47,9 @@ go test -race ./internal/feed ./internal/supervise ./internal/chaos
 echo "== decoder fuzz, 10 s: every frame type incl. interval snapshots/deltas, must error, never panic"
 go test -run '^$' -fuzz FuzzDecoder -fuzztime 10s ./internal/feed
 
+echo "== sweep journal fuzz, 10 s: intact records then arbitrary bytes, must heal to a clean reopen"
+go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/sweep
+
 echo "== go test -race ./internal/engine ./internal/core (message-passing focus)"
 go test -race ./internal/engine ./internal/core
 
@@ -72,6 +75,9 @@ sh scripts/farm_smoke.sh
 
 echo "== mmbench smoke: online_saturate, 2 s, untraced, no failed operation"
 bash cmd/mmbench/run.sh --workload online_saturate --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
+
+echo "== mmbench smoke: sweep_robust, 2 s, untraced: journal -> merge -> golden hash -> 32-pair oracle"
+bash cmd/mmbench/run.sh --workload sweep_robust --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 echo "== bench gate: fresh kernel ratios + scaling efficiency vs committed baselines"
 bench_tmp=$(mktemp /tmp/mm_bench_gate.XXXXXX.json)
