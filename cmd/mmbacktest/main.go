@@ -61,8 +61,6 @@ type options struct {
 	screenSSD    float64 // SSD pre-screening: absolute SSD cap (0 = off)
 	screenMin    int     // SSD pre-screening: minimum surviving pairs
 	screenStride int     // SSD pre-screening: path subsample stride
-	float32Lane  bool    // approximate float32 robust iteration lane
-	simdMode     string  // robust-kernel SIMD dispatch: auto | off
 }
 
 func main() {
@@ -84,8 +82,6 @@ func main() {
 	flag.Float64Var(&o.screenSSD, "screen-ssd", 0, "pre-screen pairs: drop pairs whose path SSD exceeds this absolute cap (0 = off)")
 	flag.IntVar(&o.screenMin, "screen-min", 0, "pre-screen pairs: never prune below this many surviving pairs")
 	flag.IntVar(&o.screenStride, "screen-stride", 1, "pre-screen pairs: subsample the price path at this stride")
-	flag.BoolVar(&o.float32Lane, "f32", false, "use the approximate float32 robust iteration lane (float64 polish; see DESIGN.md §8)")
-	flag.StringVar(&o.simdMode, "simd", "auto", "robust-kernel SIMD dispatch: auto | off (f64 results are bit-identical either way)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "mmbacktest:", err)
@@ -102,12 +98,6 @@ func run(o options) error {
 		return nil
 	}
 
-	if o.simdMode != "" {
-		if err := corr.SetSIMDMode(o.simdMode); err != nil {
-			return err
-		}
-	}
-
 	var sc marketminer.Scale
 	switch o.scale {
 	case "tiny":
@@ -122,7 +112,6 @@ func run(o options) error {
 	cfg := marketminer.SweepConfig(sc, o.seed)
 	cfg.Workers = o.workers
 	cfg.Screen = screen.Config{TopFrac: o.screenFrac, MaxSSD: o.screenSSD, MinKeep: o.screenMin, Stride: o.screenStride}
-	cfg.Float32 = o.float32Lane
 	if o.levels > 0 {
 		all := marketminer.ParamLevels()
 		if o.levels > len(all) {
@@ -145,7 +134,7 @@ func run(o options) error {
 	}
 	fmt.Printf("sweep: %d stocks (%d pairs) x %d days x %d levels x 3 types\n",
 		cfg.Market.Universe.Len(), cfg.Market.Universe.NumPairs(), cfg.Market.Days, nLevels)
-	fmt.Printf("robust kernel SIMD: %s (host supports %s)\n", corr.SIMDTier(), corr.SIMDSupported())
+	fmt.Printf("robust kernel SIMD: %s\n", corr.SIMDTier())
 
 	stopProf, err := prof.Start(o.cpuProfile, o.memProfile)
 	if err != nil {

@@ -15,9 +15,12 @@
 // nothing and must not pass silently.
 //
 // v5 schemas add a simd section (the lane-major AVX2 kernel's speedup
-// over the scalar batched kernel, the f32 8-wide lane, and the pack
-// overhead share); those checks skip when the fresh run dispatched the
-// scalar tier, so non-AVX2 hosts still gate everything else.
+// over the scalar batched kernel and the pack overhead share); those
+// checks skip when the fresh run dispatched the scalar tier, so
+// non-AVX2 hosts still gate everything else. The engine ratios skip
+// when the fresh and committed runs used different engine worker
+// counts: the per-pair reference and the matrix engine scale
+// differently, so their ratio is only comparable at equal workers.
 //
 // Usage:
 //
@@ -43,20 +46,17 @@ type gateReport struct {
 		WarmHitFrac float64 `json:"warm_hit_fraction"`
 	} `json:"robust"`
 	Engine struct {
+		Workers        int     `json:"workers"`
 		PearsonSpeedup float64 `json:"pearson_speedup"`
 		FusedSpeedup   float64 `json:"fused_speedup"`
 	} `json:"engine"`
 	Batch struct {
 		RobustBatchedSpeedup float64 `json:"robust_batched_speedup"`
-		Float32Speedup       float64 `json:"float32_speedup"`
-		F32MaxAbsRhoDelta    float64 `json:"f32_max_abs_rho_delta"`
 	} `json:"batch"`
 	SIMD struct {
-		DispatchTier          string  `json:"dispatch_tier"`
-		RobustSIMDSpeedup     float64 `json:"robust_simd_speedup"`
-		F32SIMDSpeedup        float64 `json:"f32_simd_speedup"`
-		F32SIMDMaxAbsRhoDelta float64 `json:"f32_simd_max_abs_rho_delta"`
-		PackOverheadFrac      float64 `json:"pack_overhead_frac"`
+		DispatchTier      string  `json:"dispatch_tier"`
+		RobustSIMDSpeedup float64 `json:"robust_simd_speedup"`
+		PackOverheadFrac  float64 `json:"pack_overhead_frac"`
 	} `json:"simd"`
 	Screen struct {
 		PruneRatio      float64 `json:"screen_prune_ratio"`
@@ -85,19 +85,13 @@ type gateConfig struct {
 	// warmTol is the absolute tolerance on the warm-start hit fraction,
 	// which is a near-deterministic property of the data and estimator.
 	warmTol float64
-	// f32Tol is the absolute ceiling on the float32 lane's measured
-	// max |Δρ| versus the exact path. Unlike the ratio checks this is a
-	// hard accuracy bound, not a host-relative one: the lane's contract
-	// is "approximate but bounded", and a delta past this ceiling means
-	// the polish or fallback logic broke.
-	f32Tol float64
 }
 
 type check struct {
 	name     string
 	fresh    float64
 	floor    float64
-	ceiling  bool // floor is actually an upper bound (accuracy checks)
+	ceiling  bool // floor is actually an upper bound (cost fractions)
 	ok       bool
 	skipNote string
 }
@@ -106,35 +100,14 @@ type check struct {
 // overall pass/fail.
 func gate(fresh, committed *gateReport, cfg gateConfig) ([]check, bool) {
 	var checks []check
-	ratio := func(name string, f, c float64) {
-		ck := check{name: name, fresh: f, floor: cfg.minFrac * c}
-		if c == 0 {
-			ck.ok = true
-			ck.skipNote = "not in committed baseline"
-		} else {
-			ck.ok = f >= ck.floor
-		}
-		checks = append(checks, ck)
-	}
-	ratio("fusion_speedup", fresh.FusionSpeedup, committed.FusionSpeedup)
-	ratio("engine.pearson_speedup", fresh.Engine.PearsonSpeedup, committed.Engine.PearsonSpeedup)
-	ratio("engine.fused_speedup", fresh.Engine.FusedSpeedup, committed.Engine.FusedSpeedup)
-	ratio("batch.robust_batched_speedup", fresh.Batch.RobustBatchedSpeedup, committed.Batch.RobustBatchedSpeedup)
-	ratio("batch.float32_speedup", fresh.Batch.Float32Speedup, committed.Batch.Float32Speedup)
-	ratio("screen.screen_prune_ratio", fresh.Screen.PruneRatio, committed.Screen.PruneRatio)
-	ratio("screen.pipeline_speedup", fresh.Screen.PipelineSpeedup, committed.Screen.PipelineSpeedup)
-
-	// The SIMD kernel speedups compare the vector tier against the
-	// scalar batched kernel inside the fresh run. A host (or build)
-	// that dispatched scalar measures ≈1.0 by construction — that is
-	// the fallback working, not a regression — so those ratios are
-	// gated only when the fresh run actually ran the vector tier.
-	simdRatio := func(name string, f, c float64) {
+	// ratio gates f against minFrac of c unless skip names a reason the
+	// two are not comparable.
+	ratio := func(name string, f, c float64, skip string) {
 		ck := check{name: name, fresh: f, floor: cfg.minFrac * c}
 		switch {
-		case fresh.SIMD.DispatchTier != "" && fresh.SIMD.DispatchTier != "avx2":
+		case skip != "":
 			ck.ok = true
-			ck.skipNote = "fresh run dispatched " + fresh.SIMD.DispatchTier
+			ck.skipNote = skip
 		case c == 0:
 			ck.ok = true
 			ck.skipNote = "not in committed baseline"
@@ -143,8 +116,32 @@ func gate(fresh, committed *gateReport, cfg gateConfig) ([]check, bool) {
 		}
 		checks = append(checks, ck)
 	}
-	simdRatio("simd.robust_simd_speedup", fresh.SIMD.RobustSIMDSpeedup, committed.SIMD.RobustSIMDSpeedup)
-	simdRatio("simd.f32_simd_speedup", fresh.SIMD.F32SIMDSpeedup, committed.SIMD.F32SIMDSpeedup)
+
+	// The engine ratios compare the matrix engine with the per-pair
+	// reference at the run's worker count, and the two scale
+	// differently, so a baseline measured at another worker count says
+	// nothing about this one.
+	var engineSkip string
+	if fresh.Engine.Workers != committed.Engine.Workers {
+		engineSkip = fmt.Sprintf("engine.workers %d, committed %d", fresh.Engine.Workers, committed.Engine.Workers)
+	}
+	// The SIMD kernel speedup compares the vector tier against the
+	// scalar batched kernel inside the fresh run. A host that
+	// dispatched scalar measures ≈1.0 by construction — that is the
+	// fallback working, not a regression — so the simd section is gated
+	// only when the fresh run actually ran the vector tier.
+	var simdSkip string
+	if fresh.SIMD.DispatchTier != "" && fresh.SIMD.DispatchTier != "avx2" {
+		simdSkip = "fresh run dispatched " + fresh.SIMD.DispatchTier
+	}
+
+	ratio("fusion_speedup", fresh.FusionSpeedup, committed.FusionSpeedup, "")
+	ratio("engine.pearson_speedup", fresh.Engine.PearsonSpeedup, committed.Engine.PearsonSpeedup, engineSkip)
+	ratio("engine.fused_speedup", fresh.Engine.FusedSpeedup, committed.Engine.FusedSpeedup, engineSkip)
+	ratio("batch.robust_batched_speedup", fresh.Batch.RobustBatchedSpeedup, committed.Batch.RobustBatchedSpeedup, "")
+	ratio("screen.screen_prune_ratio", fresh.Screen.PruneRatio, committed.Screen.PruneRatio, "")
+	ratio("screen.pipeline_speedup", fresh.Screen.PipelineSpeedup, committed.Screen.PipelineSpeedup, "")
+	ratio("simd.robust_simd_speedup", fresh.SIMD.RobustSIMDSpeedup, committed.SIMD.RobustSIMDSpeedup, simdSkip)
 
 	// Pack overhead is a cost fraction, so it gates as a ceiling: the
 	// transpose share of vector batch time must not balloon past the
@@ -156,9 +153,9 @@ func gate(fresh, committed *gateReport, cfg gateConfig) ([]check, bool) {
 		ceiling: true,
 	}
 	switch {
-	case fresh.SIMD.DispatchTier != "" && fresh.SIMD.DispatchTier != "avx2":
+	case simdSkip != "":
 		pack.ok = true
-		pack.skipNote = "fresh run dispatched " + fresh.SIMD.DispatchTier
+		pack.skipNote = simdSkip
 	case committed.SIMD.PackOverheadFrac == 0:
 		pack.ok = true
 		pack.skipNote = "not in committed baseline"
@@ -166,39 +163,6 @@ func gate(fresh, committed *gateReport, cfg gateConfig) ([]check, bool) {
 		pack.ok = pack.fresh <= pack.floor
 	}
 	checks = append(checks, pack)
-
-	// The f32-on-SIMD accuracy delta is an absolute ceiling like the
-	// scalar-lane one: the 8-wide kernel must hold the same contract.
-	f32simd := check{
-		name:    "simd.f32_simd_max_abs_rho_delta",
-		fresh:   fresh.SIMD.F32SIMDMaxAbsRhoDelta,
-		floor:   cfg.f32Tol,
-		ceiling: true,
-	}
-	if fresh.SIMD.F32SIMDSpeedup == 0 {
-		f32simd.ok = true
-		f32simd.skipNote = "not in fresh measurement"
-	} else {
-		f32simd.ok = f32simd.fresh <= f32simd.floor
-	}
-	checks = append(checks, f32simd)
-
-	// The float32 accuracy delta is gated as an absolute ceiling — but
-	// only when the fresh run measured the lane at all (a zero delta
-	// with a zero float32 speedup means the section is absent).
-	f32 := check{
-		name:    "batch.f32_max_abs_rho_delta",
-		fresh:   fresh.Batch.F32MaxAbsRhoDelta,
-		floor:   cfg.f32Tol,
-		ceiling: true,
-	}
-	if fresh.Batch.Float32Speedup == 0 {
-		f32.ok = true
-		f32.skipNote = "not in fresh measurement"
-	} else {
-		f32.ok = f32.fresh <= f32.floor
-	}
-	checks = append(checks, f32)
 
 	wh := check{
 		name:  "robust.warm_hit_fraction",
@@ -315,7 +279,6 @@ func main() {
 		committedScaling = flag.String("committed-scaling", "BENCH_scaling.json", "committed baseline scaling JSON")
 		minFrac          = flag.Float64("min-frac", 0.6, "fraction of each committed speedup/efficiency the fresh run must retain")
 		warmTol          = flag.Float64("warm-tol", 0.02, "absolute tolerance on the warm-start hit fraction")
-		f32Tol           = flag.Float64("f32-tol", 1e-4, "absolute ceiling on the float32 lane's max |Δρ| vs the exact path")
 	)
 	flag.Parse()
 	if *freshPath == "" {
@@ -333,7 +296,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := gateConfig{minFrac: *minFrac, warmTol: *warmTol, f32Tol: *f32Tol}
+	cfg := gateConfig{minFrac: *minFrac, warmTol: *warmTol}
 	checks, pass := gate(fresh, committed, cfg)
 	fmt.Printf("bench gate: fresh %s (%s) vs committed %s (%s)\n",
 		*freshPath, fresh.Schema, *committedPath, committed.Schema)

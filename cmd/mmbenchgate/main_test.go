@@ -12,17 +12,15 @@ func report(fusion, warm, pearson, fused float64) *gateReport {
 }
 
 // fullReport extends report with the v4 batch and screen sections.
-func fullReport(fusion, warm, pearson, fused, batched, f32, f32Delta, prune, pipeline float64) *gateReport {
+func fullReport(fusion, warm, pearson, fused, batched, prune, pipeline float64) *gateReport {
 	r := report(fusion, warm, pearson, fused)
 	r.Batch.RobustBatchedSpeedup = batched
-	r.Batch.Float32Speedup = f32
-	r.Batch.F32MaxAbsRhoDelta = f32Delta
 	r.Screen.PruneRatio = prune
 	r.Screen.PipelineSpeedup = pipeline
 	return r
 }
 
-var cfg = gateConfig{minFrac: 0.6, warmTol: 0.02, f32Tol: 1e-4}
+var cfg = gateConfig{minFrac: 0.6, warmTol: 0.02}
 
 func TestGatePassesWithinTolerance(t *testing.T) {
 	committed := report(2.9, 0.998, 1.8, 1.1)
@@ -80,66 +78,79 @@ func TestGateSkipsFieldsAbsentFromBaseline(t *testing.T) {
 			skips++
 		}
 	}
-	// engine pearson+fused, batch batched+f32 speedups, screen
-	// prune+pipeline, the f32 accuracy delta (lane not measured), and
-	// the four simd checks (section absent from both reports).
-	if skips != 11 {
-		t.Fatalf("%d checks skipped, want 11: %+v", skips, checks)
+	// engine pearson+fused, batch batched, screen prune+pipeline, and
+	// the two simd checks (section absent from both reports).
+	if skips != 7 {
+		t.Fatalf("%d checks skipped, want 7: %+v", skips, checks)
 	}
 }
 
 func TestGateFailsOnBatchedSpeedupCollapse(t *testing.T) {
-	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.5, 2.2)
-	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 0.5, 1.2, 4e-6, 0.5, 2.2)
+	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 0.5, 2.2)
+	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 0.5, 0.5, 2.2)
 	if _, pass := gate(fresh, committed, cfg); pass {
 		t.Fatal("gate passed a robust_batched_speedup collapse")
 	}
 }
 
 func TestGateFailsOnPruneRatioCollapse(t *testing.T) {
-	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.5, 2.2)
-	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.1, 2.2)
+	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 0.5, 2.2)
+	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 0.1, 2.2)
 	if _, pass := gate(fresh, committed, cfg); pass {
 		t.Fatal("gate passed a screen_prune_ratio collapse")
 	}
 }
 
 func TestGateFailsOnPipelineSpeedupCollapse(t *testing.T) {
-	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.5, 2.2)
-	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.5, 1.0)
+	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 0.5, 2.2)
+	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 0.5, 1.0)
 	if _, pass := gate(fresh, committed, cfg); pass {
 		t.Fatal("gate passed a pipeline_speedup collapse")
 	}
 }
 
-func TestGateFailsOnF32AccuracyBreach(t *testing.T) {
-	committed := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.5, 2.2)
-	fresh := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 5e-4, 0.5, 2.2)
+// TestGateSkipsEngineOnWorkerMismatch: the engine ratios are measured
+// at the run's worker count, so a fresh run at a different count than
+// the baseline must skip them — neither pass nor fail — while every
+// other check still gates.
+func TestGateSkipsEngineOnWorkerMismatch(t *testing.T) {
+	committed := report(2.9, 0.998, 1.8, 1.1)
+	committed.Engine.Workers = 1
+	fresh := report(2.9, 0.998, 0.7, 0.5) // would fail at equal workers
+	fresh.Engine.Workers = 2
 	checks, pass := gate(fresh, committed, cfg)
-	if pass {
-		t.Fatal("gate passed an f32 accuracy breach")
+	if !pass {
+		t.Fatalf("gate failed on engine ratios measured at different worker counts: %+v", checks)
 	}
 	for _, c := range checks {
-		if c.name == "batch.f32_max_abs_rho_delta" && c.ok {
-			t.Fatal("f32 accuracy check did not fail")
+		if (c.name == "engine.pearson_speedup" || c.name == "engine.fused_speedup") && c.skipNote == "" {
+			t.Fatalf("%s was gated across a worker-count mismatch: %+v", c.name, c)
 		}
+	}
+
+	fresh.Engine.Workers = 1
+	if _, pass := gate(fresh, committed, cfg); pass {
+		t.Fatal("gate passed an engine regression at equal worker counts")
+	}
+	fresh.FusionSpeedup = 1.0
+	fresh.Engine.Workers = 2
+	if _, pass := gate(fresh, committed, cfg); pass {
+		t.Fatal("worker-count skip also suppressed the fusion_speedup check")
 	}
 }
 
 // simdReportFix extends fullReport with a v5 simd section.
-func simdReportFix(tier string, robust, f32, f32Delta, packFrac float64) *gateReport {
-	r := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 1.2, 4e-6, 0.5, 2.2)
+func simdReportFix(tier string, robust, packFrac float64) *gateReport {
+	r := fullReport(2.9, 0.998, 1.8, 1.1, 1.1, 0.5, 2.2)
 	r.SIMD.DispatchTier = tier
 	r.SIMD.RobustSIMDSpeedup = robust
-	r.SIMD.F32SIMDSpeedup = f32
-	r.SIMD.F32SIMDMaxAbsRhoDelta = f32Delta
 	r.SIMD.PackOverheadFrac = packFrac
 	return r
 }
 
 func TestGateFailsOnSIMDSpeedupCollapse(t *testing.T) {
-	committed := simdReportFix("avx2", 1.9, 1.8, 5e-6, 0.01)
-	fresh := simdReportFix("avx2", 1.0, 1.8, 5e-6, 0.01) // vector win gone
+	committed := simdReportFix("avx2", 1.9, 0.01)
+	fresh := simdReportFix("avx2", 1.0, 0.01) // vector win gone
 	checks, pass := gate(fresh, committed, cfg)
 	if pass {
 		t.Fatal("gate passed a robust_simd_speedup collapse")
@@ -155,8 +166,8 @@ func TestGateSkipsSIMDOnScalarDispatch(t *testing.T) {
 	// A host without AVX2 measures speedups ≈1.0 against an avx2
 	// baseline: that is the fallback working, and the gate must skip
 	// the simd ratios rather than fail them.
-	committed := simdReportFix("avx2", 1.9, 1.8, 5e-6, 0.01)
-	fresh := simdReportFix("scalar", 1.0, 1.0, 5e-6, 0)
+	committed := simdReportFix("avx2", 1.9, 0.01)
+	fresh := simdReportFix("scalar", 1.0, 0)
 	checks, pass := gate(fresh, committed, cfg)
 	if !pass {
 		t.Fatalf("gate failed a scalar-dispatch fresh run: %+v", checks)
@@ -169,8 +180,8 @@ func TestGateSkipsSIMDOnScalarDispatch(t *testing.T) {
 }
 
 func TestGateFailsOnPackOverheadBlowup(t *testing.T) {
-	committed := simdReportFix("avx2", 1.9, 1.8, 5e-6, 0.02)
-	fresh := simdReportFix("avx2", 1.9, 1.8, 5e-6, 0.30) // transpose cost ballooned
+	committed := simdReportFix("avx2", 1.9, 0.02)
+	fresh := simdReportFix("avx2", 1.9, 0.30) // transpose cost ballooned
 	checks, pass := gate(fresh, committed, cfg)
 	if pass {
 		t.Fatal("gate passed a pack-overhead blowup")

@@ -8,7 +8,7 @@
 // byte-identical to a single-host run.
 //
 // Every cooperating process must be started with the same sweep flags
-// (-scale, -seed, -levels, -block, -screen-*, -f32): the configuration
+// (-scale, -seed, -levels, -block, -screen-*): the configuration
 // fingerprint is checked at join and mismatched workers are refused.
 //
 // The coordinator itself is crash-tolerant: its durable state (epoch,
@@ -62,7 +62,6 @@ type sweepOpts struct {
 	screenSSD    float64
 	screenMin    int
 	screenStride int
-	float32Lane  bool
 	quiet        bool
 }
 
@@ -76,7 +75,6 @@ func (o *sweepOpts) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.screenSSD, "screen-ssd", 0, "pre-screen pairs: absolute SSD cap (0 = off)")
 	fs.IntVar(&o.screenMin, "screen-min", 0, "pre-screen pairs: minimum surviving pairs")
 	fs.IntVar(&o.screenStride, "screen-stride", 1, "pre-screen pairs: path subsample stride")
-	fs.BoolVar(&o.float32Lane, "f32", false, "approximate float32 robust iteration lane")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-event log lines")
 }
 
@@ -95,7 +93,6 @@ func (o *sweepOpts) config() (marketminer.BacktestConfig, error) {
 	cfg := marketminer.SweepConfig(sc, o.seed)
 	cfg.Workers = o.workers
 	cfg.Screen = screen.Config{TopFrac: o.screenFrac, MaxSSD: o.screenSSD, MinKeep: o.screenMin, Stride: o.screenStride}
-	cfg.Float32 = o.float32Lane
 	if o.levels > 0 {
 		all := marketminer.ParamLevels()
 		if o.levels > len(all) {

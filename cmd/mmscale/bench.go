@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -60,8 +59,7 @@ type engineReport struct {
 
 // batchReport isolates the batched SoA robust kernel: the whole-day
 // fused robust pass at one worker, batched versus the frozen per-pair
-// reference, plus the float32 iteration lane and its measured accuracy
-// delta. The batch numbers are deliberately single-threaded so the
+// reference. The batch numbers are deliberately single-threaded so the
 // structural win is not conflated with parallel speedup. The passes
 // are µop-throughput-bound scalar loops (see DESIGN.md §8), so the
 // honest batch win is modest; the ≥2× day-level headline comes from
@@ -71,10 +69,6 @@ type batchReport struct {
 	FusedDayNs           int64   `json:"fused_day_ns"`
 	FusedDayRefNs        int64   `json:"fused_day_reference_ns"`
 	RobustBatchedSpeedup float64 `json:"robust_batched_speedup"`
-	// The same pass with the float32 iteration lane.
-	Float32DayNs      int64   `json:"float32_day_ns"`
-	Float32Speedup    float64 `json:"float32_speedup"`
-	F32MaxAbsRhoDelta float64 `json:"f32_max_abs_rho_delta"`
 	// Batch occupancy telemetry from one exact-path day.
 	BatchSweeps     int     `json:"batch_sweeps"`
 	MeanActiveLanes float64 `json:"mean_active_lanes"`
@@ -88,27 +82,21 @@ type batchReport struct {
 // wall-clock spent transposing windows into the lane-major tiles,
 // from the SetSIMDProfiling telemetry.
 type simdReport struct {
-	// DispatchTier is the tier actually used for these numbers;
-	// SupportedTier is what the host could do (they differ only when
-	// something force-disabled SIMD, which would make RobustSIMDSpeedup
-	// meaninglessly 1.0 — the gate skips when scalar).
-	DispatchTier  string `json:"dispatch_tier"`
-	SupportedTier string `json:"supported_tier"`
+	// DispatchTier is the tier actually used for these numbers. On a
+	// host without AVX2 it is scalar, RobustSIMDSpeedup is ≈1.0 by
+	// construction, and the gate skips it.
+	DispatchTier string `json:"dispatch_tier"`
 	// Whole-day fused Maronna+Combined pass, 1 worker, vector kernels.
 	RobustSIMDDayNs   int64   `json:"robust_simd_day_ns"`
 	RobustSIMDSpeedup float64 `json:"robust_simd_speedup"`
-	// The float32 iteration lane on the 8-wide kernels.
-	F32SIMDDayNs          int64   `json:"f32_simd_day_ns"`
-	F32SIMDSpeedup        float64 `json:"f32_simd_speedup"`
-	F32SIMDMaxAbsRhoDelta float64 `json:"f32_simd_max_abs_rho_delta"`
 	// Transpose cost share of the vector batch runs.
 	PackOverheadFrac float64 `json:"pack_overhead_frac"`
 }
 
 // screenReport measures the SSD pre-screening stage and the full
-// screened pipeline: screen the triangle, then run the batched float32
-// fused pass over the survivors (vector kernels included — the
-// pipeline is the best-available configuration). PipelineSpeedup
+// screened pipeline: screen the triangle, then run the batched fused
+// pass over the survivors (vector kernels included — the pipeline is
+// the best-available configuration). PipelineSpeedup
 // versus the unscreened per-pair reference is the day-level headline.
 type screenReport struct {
 	TopFrac         float64 `json:"top_frac"`
@@ -193,9 +181,8 @@ func dayBenchMin(n int, f func() error) int64 {
 }
 
 // measureBatchAndScreen fills the batch and screen sections: the
-// single-threaded batched/float32 fused-day numbers against the frozen
-// per-pair reference, the float32 accuracy delta, and the screened
-// pipeline headline.
+// single-threaded batched fused-day numbers against the frozen
+// per-pair reference, and the screened pipeline headline.
 func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 	fusedTypes := []corr.Type{corr.Maronna, corr.Combined}
 	// The batch section is pinned to the scalar tier so its ratios keep
@@ -203,8 +190,6 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 	// versions and hosts; the vector kernels are isolated separately in
 	// the simd section.
 	ec1 := corr.EngineConfig{M: benchWindowM, Workers: 1, DisableSIMD: true}
-	ecF32 := ec1
-	ecF32.Float32 = true
 	const reps = 3
 
 	rep.Batch.FusedDayRefNs = dayBenchMin(reps, func() error {
@@ -215,43 +200,22 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 		_, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
 		return err
 	})
-	rep.Batch.Float32DayNs = dayBenchMin(reps, func() error {
-		_, err := corr.ComputeMatrixSeries(ecF32, fusedTypes, dd.Returns)
-		return err
-	})
 	if rep.Batch.FusedDayNs > 0 {
 		rep.Batch.RobustBatchedSpeedup = float64(rep.Batch.FusedDayRefNs) / float64(rep.Batch.FusedDayNs)
 	}
-	if rep.Batch.Float32DayNs > 0 {
-		rep.Batch.Float32Speedup = float64(rep.Batch.FusedDayRefNs) / float64(rep.Batch.Float32DayNs)
-	}
 
-	// Accuracy delta and batch telemetry from one run of each path.
+	// Batch telemetry from one run.
 	exact, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
 	if err != nil {
 		return err
-	}
-	appx, err := corr.ComputeMatrixSeries(ecF32, fusedTypes, dd.Returns)
-	if err != nil {
-		return err
-	}
-	for oi := range exact {
-		for k := range exact[oi].Corr {
-			for w := range exact[oi].Corr[k] {
-				d := math.Abs(exact[oi].Corr[k][w] - appx[oi].Corr[k][w])
-				if d > rep.Batch.F32MaxAbsRhoDelta {
-					rep.Batch.F32MaxAbsRhoDelta = d
-				}
-			}
-		}
 	}
 	if st := exact[0].Robust; st != nil {
 		rep.Batch.BatchSweeps = st.BatchSweeps
 		rep.Batch.MeanActiveLanes = st.MeanActiveLanes()
 	}
 
-	// Screened pipeline: prune the triangle, then run the batched
-	// float32 fused pass over the survivors. The speedup is measured
+	// Screened pipeline: prune the triangle, then run the batched fused
+	// pass over the survivors. The speedup is measured
 	// against the unscreened per-pair reference — the day-level cost an
 	// operator actually avoids.
 	scfg := screen.Config{TopFrac: benchScreenTopFrac, MinKeep: 1}
@@ -267,7 +231,7 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 		_, _, err := screen.Select(scfg, dd.Returns)
 		return err
 	})
-	ecPipe := ecF32
+	ecPipe := ec1
 	ecPipe.DisableSIMD = false // pipeline runs the best available tier
 	ecPipe.Pairs = keep
 	rep.Screen.PipelineDayNs = dayBenchMin(reps, func() error {
@@ -285,67 +249,35 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 
 // measureSIMD fills the simd section: the batched fused day with the
 // vector kernels on, against the scalar-tier batch numbers measured
-// above, plus the 8-wide float32 lane, its accuracy delta against the
-// exact engine, and the transpose (pack) share of vector batch time.
-// On hosts without AVX2 both tiers run scalar: speedups come out ≈1.0
-// and the gate skips them by the dispatch_tier field.
+// above, and the transpose (pack) share of vector batch time. On hosts
+// without AVX2 both tiers run scalar: the speedup comes out ≈1.0 and
+// the gate skips it by the dispatch_tier field.
 func measureSIMD(rep *benchReport, dd *backtest.DayData) error {
 	rep.SIMD.DispatchTier = corr.SIMDTier()
-	rep.SIMD.SupportedTier = corr.SIMDSupported()
 
 	fusedTypes := []corr.Type{corr.Maronna, corr.Combined}
 	ec1 := corr.EngineConfig{M: benchWindowM, Workers: 1}
-	ecF32 := ec1
-	ecF32.Float32 = true
 	const reps = 3
 
 	rep.SIMD.RobustSIMDDayNs = dayBenchMin(reps, func() error {
 		_, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
 		return err
 	})
-	rep.SIMD.F32SIMDDayNs = dayBenchMin(reps, func() error {
-		_, err := corr.ComputeMatrixSeries(ecF32, fusedTypes, dd.Returns)
-		return err
-	})
 	if rep.SIMD.RobustSIMDDayNs > 0 {
 		rep.SIMD.RobustSIMDSpeedup = float64(rep.Batch.FusedDayNs) / float64(rep.SIMD.RobustSIMDDayNs)
 	}
-	if rep.SIMD.F32SIMDDayNs > 0 {
-		rep.SIMD.F32SIMDSpeedup = float64(rep.Batch.Float32DayNs) / float64(rep.SIMD.F32SIMDDayNs)
-	}
 
-	// f32-on-SIMD accuracy against the exact engine (whose output is
-	// tier-independent by the bit-identity contract), and the pack
-	// overhead from one profiled run of each path.
+	// Pack overhead from one profiled run.
 	corr.SetSIMDProfiling(true)
 	defer corr.SetSIMDProfiling(false)
-	exact, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
+	css, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
 	if err != nil {
 		return err
 	}
-	appx, err := corr.ComputeMatrixSeries(ecF32, fusedTypes, dd.Returns)
-	if err != nil {
-		return err
-	}
-	for oi := range exact {
-		for k := range exact[oi].Corr {
-			for w := range exact[oi].Corr[k] {
-				d := math.Abs(exact[oi].Corr[k][w] - appx[oi].Corr[k][w])
-				if d > rep.SIMD.F32SIMDMaxAbsRhoDelta {
-					rep.SIMD.F32SIMDMaxAbsRhoDelta = d
-				}
-			}
+	if st := css[0].Robust; st != nil {
+		if total := st.SIMDPackNs + st.SIMDRunNs; total > 0 {
+			rep.SIMD.PackOverheadFrac = float64(st.SIMDPackNs) / float64(total)
 		}
-	}
-	var packNs, runNs int64
-	for _, series := range [][]*corr.Series{exact, appx} {
-		if st := series[0].Robust; st != nil {
-			packNs += st.SIMDPackNs
-			runNs += st.SIMDRunNs
-		}
-	}
-	if total := packNs + runNs; total > 0 {
-		rep.SIMD.PackOverheadFrac = float64(packNs) / float64(total)
 	}
 	return nil
 }
@@ -372,7 +304,7 @@ func writeBenchJSON(path string, dd *backtest.DayData, workers int, sweep sweepR
 	steps := len(x) - benchWindowM
 
 	rep := benchReport{
-		Schema:            "marketminer/bench_corr/v5",
+		Schema:            "marketminer/bench_corr/v6",
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		CPUModel:          cpuModel(),
 		GitRevision:       gitRevision(),

@@ -44,13 +44,8 @@ func main() {
 		scalingJSON = flag.String("scaling-json", "", "measure the matrix engine's 1..NumCPU worker scaling curve and write it to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the approach comparison to this file")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file")
-		simdMode    = flag.String("simd", "auto", "robust-kernel SIMD dispatch: auto | off (f64 results are bit-identical either way)")
 	)
 	flag.Parse()
-	if err := corr.SetSIMDMode(*simdMode); err != nil {
-		fmt.Fprintln(os.Stderr, "mmscale:", err)
-		os.Exit(1)
-	}
 	if err := run(*stocks, *days, *levels, *seed, *workers, *sameM, *benchJSON, *scalingJSON, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "mmscale:", err)
 		os.Exit(1)
@@ -92,7 +87,7 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 	}
 	fmt.Printf("workload: %d stocks (%d pairs) x %d days x %d levels x 3 types on %d core(s)\n",
 		stocks, uni.NumPairs(), days, levels, runtime.GOMAXPROCS(0))
-	fmt.Printf("robust kernel SIMD: %s (host supports %s)\n\n", corr.SIMDTier(), corr.SIMDSupported())
+	fmt.Printf("robust kernel SIMD: %s\n\n", corr.SIMDTier())
 
 	// --- Unit cost per correlation treatment (Section IV) ---------
 	gen, err := market.NewGenerator(mc)

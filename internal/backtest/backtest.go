@@ -56,9 +56,6 @@ type Config struct {
 	// full-triangle sweep); when enabled the contract is the ≥95%
 	// trade-PnL recall gate, not bit-identity.
 	Screen screen.Config
-	// Float32 opts the robust correlation engine into the approximate
-	// single-precision iteration lane (see corr.EngineConfig.Float32).
-	Float32 bool
 	// Workers bounds parallelism; ≤ 0 means GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, receives a line per completed day.
@@ -304,7 +301,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			// One engine pass per (M): the robust treatments share a
 			// single warm-started Maronna fit per (pair, window), so
 			// Maronna + Combined cost one M-estimation, not two.
-			ec := corr.EngineConfig{M: m, Workers: cfg.workers(), Float32: cfg.Float32}
+			ec := corr.EngineConfig{M: m, Workers: cfg.workers()}
 			if cfg.Screen.Enabled() {
 				ec.Pairs = runIDs
 			}

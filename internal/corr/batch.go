@@ -76,8 +76,6 @@ type pairBatch struct {
 
 	sbuf []float64 // median/MAD selection scratch for inline cold inits
 
-	f32lane *pairBatch32 // lazily-built float32 iteration lane
-
 	// SIMD lane-major state. When simd is set (AVX2 available and not
 	// disabled for this batch) run() executes sweeps in phases: the
 	// scalar bookkeeping of step() per lane, then one vector kernel
@@ -114,15 +112,14 @@ const simdMinLanes = 4
 // newPairBatch builds a batch kernel for the given (validated)
 // estimator configuration. The batch grows its lane capacity on
 // demand and is reused across tiles and windows by one worker. simd
-// requests the vector backend; it takes effect only when the
-// process-wide dispatch (CPUID, noasm, MM_NOSIMD, SetSIMDMode) allows
-// it, so callers just pass !cfg.DisableSIMD.
+// requests the vector backend; it takes effect only when the host
+// supports it (CPUID on amd64), so callers just pass !cfg.DisableSIMD.
 func newPairBatch(cfg MaronnaConfig, simd bool) *pairBatch {
 	e := NewMaronnaEstimator(cfg) // reuse the validation defaults
 	c := e.Config()
 	return &pairBatch{
 		k: c.K, k2: c.K * c.K, tol: c.Tol, maxIter: c.MaxIter,
-		simd: simd && simdActive(),
+		simd: simd && simdSupported,
 	}
 }
 

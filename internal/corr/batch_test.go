@@ -174,94 +174,3 @@ func TestBatchDegenerateLanesMatchReference(t *testing.T) {
 		}
 	}
 }
-
-// float32LaneMaxDelta runs the same request through the exact engine
-// and the float32 lane and returns the largest |Δρ| across every pair,
-// window and series, requiring bit-identical NaN placement.
-// disableSIMD selects the float32 lane's dispatch tier so the 8-wide
-// vector kernel and the scalar iteration are held to the same ceiling
-// (the exact baseline is tier-independent by the bit-identity
-// contract).
-func float32LaneMaxDelta(t *testing.T, types []Type, rets [][]float64, m int, disableSIMD bool) float64 {
-	t.Helper()
-	exact, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 1}, types, rets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appx, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 2, TileSize: 8, Float32: true, DisableSIMD: disableSIMD}, types, rets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxd float64
-	for oi := range exact {
-		for k := range exact[oi].Corr {
-			for w := range exact[oi].Corr[k] {
-				e, a := exact[oi].Corr[k][w], appx[oi].Corr[k][w]
-				if math.IsNaN(e) != math.IsNaN(a) {
-					t.Fatalf("series %v pair %d window %d: exact %v float32 %v (NaN placement differs)",
-						exact[oi].Type, k, w, e, a)
-				}
-				if d := math.Abs(e - a); d > maxd {
-					maxd = d
-				}
-			}
-		}
-	}
-	return maxd
-}
-
-// float32AccuracyBound is the property-test ceiling on |Δρ| between
-// the float32 iteration lane and the exact double-precision kernel.
-// Measured deltas sit near 3e-6 (the lane converges at 1e-5 in single
-// precision, then two full f64 polish iterations contract the error
-// well below the f32 ulp); the bound leaves an order of magnitude of
-// headroom while still catching any real precision regression.
-const float32AccuracyBound = 5e-5
-
-// TestFloat32LaneAccuracy is the accuracy gate for the opt-in float32
-// lane: across the market-calibrated universe and a synthetic universe
-// salted with degenerate stocks, the approximate path must stay within
-// float32AccuracyBound of the exact kernel for both robust types.
-func TestFloat32LaneAccuracy(t *testing.T) {
-	mkt := marketReturns(t, 8, 20080305)
-	for _, disableSIMD := range []bool{false, true} {
-		if d := float32LaneMaxDelta(t, []Type{Maronna, Combined}, mkt, 80, disableSIMD); d > float32AccuracyBound {
-			t.Fatalf("market universe (disableSIMD=%v): max |Δρ| = %g, bound %g", disableSIMD, d, float32AccuracyBound)
-		}
-	}
-
-	// Synthetic universe: heavy tails, a constant stock (degenerate
-	// cold inits in every window), a near-collinear pair, and a stock
-	// with a huge level shift mid-stream (stresses the f32 dynamic
-	// range and the warm-chain strict failures).
-	rng := rand.New(rand.NewSource(7))
-	const n, T, m = 7, 300, 60
-	rets := make([][]float64, n)
-	for s := range rets {
-		rets[s] = make([]float64, T)
-		for i := range rets[s] {
-			v := 1e-3 * rng.NormFloat64()
-			if rng.Intn(37) == 0 {
-				v *= 40 // fat tail
-			}
-			rets[s][i] = v
-		}
-	}
-	for i := range rets[2] {
-		rets[2][i] = 0 // constant stock: every window degenerate
-	}
-	for i := range rets[3] {
-		rets[3][i] = rets[4][i] + 1e-9*rng.NormFloat64() // near-collinear
-	}
-	for i := T / 2; i < T; i++ {
-		rets[5][i] *= 1e4 // level shift
-	}
-	// Near-collinear pairs (ρ within float32 noise of 1) legitimately
-	// cost a few extra ULPs, so the adversarial bound is looser; the
-	// measured worst case sits near 6e-5.
-	for _, disableSIMD := range []bool{false, true} {
-		if d := float32LaneMaxDelta(t, []Type{Maronna, Combined}, rets, m, disableSIMD); d > 10*float32AccuracyBound {
-			t.Fatalf("synthetic universe (disableSIMD=%v): max |Δρ| = %g, bound %g", disableSIMD, d, 10*float32AccuracyBound)
-		}
-	}
-}

@@ -1,5 +1,3 @@
-//go:build !noasm
-
 #include "textflag.h"
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

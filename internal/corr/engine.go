@@ -40,23 +40,12 @@ type EngineConfig struct {
 	// out in its Matlab Approach 2); repair costs O(n³) per matrix
 	// and only affects OnlineEngine output.
 	RepairPSD bool
-	// Float32 opts the batch engines' robust fixed point into the
-	// single-precision iteration lane: converge in float32 at a
-	// float32-achievable tolerance, then polish the fixed point with
-	// full float64 iterations (falling back to the exact float64 path
-	// whenever single precision degenerates). Coefficients differ from
-	// the exact path by at most the polished residual — the accuracy
-	// gate TestFloat32LaneAccuracy and the f32_max_abs_rho_delta bench
-	// field bound it. Off (the default) keeps the engine bit-identical
-	// to ComputeSeriesMultiReference. The OnlineEngine rejects it: its
-	// snapshots are contractually bit-exact.
-	Float32 bool
-	// DisableSIMD forces this request's batched Maronna kernels onto
-	// the pure-Go scalar path even when the process-wide dispatch
-	// (CPUID + MM_NOSIMD + SetSIMDMode) would use the vector backend.
-	// The f64 tiers are bit-identical, so the flag changes speed only;
-	// the bench harness uses it to A/B the tiers in one process. It is
-	// deliberately not part of any sweep fingerprint.
+	// DisableSIMD forces this request's batched Maronna kernel onto
+	// the pure-Go scalar path even when CPUID dispatch would use the
+	// vector backend. The tiers are bit-identical, so the flag changes
+	// speed only; the tests and the bench harness use it to A/B the
+	// tiers in one process. It is deliberately not part of any sweep
+	// fingerprint.
 	DisableSIMD bool
 }
 
@@ -526,11 +515,11 @@ type OnlineEngine struct {
 	windows [][]float64 // ring buffers, one per stock
 	head    int
 	count   int
-	scratch [][]float64 // contiguous window copies, one per stock
+	scratch [][]float64  // contiguous window copies, one per stock
 	pool    []*pairBatch // per-worker batched robust kernels
-	pairs   []taq.Pair  // cached pair table
-	sel     []int       // selected canonical pair ids (identity when cfg.Pairs is nil)
-	fits    []Fit       // per-pair warm-start state (robust types only)
+	pairs   []taq.Pair   // cached pair table
+	sel     []int        // selected canonical pair ids (identity when cfg.Pairs is nil)
+	fits    []Fit        // per-pair warm-start state (robust types only)
 
 	// Matrix-level shared state, refreshed per push: tiles over the
 	// pair triangle, per-stock window sums (Pearson) and per-stock
@@ -553,11 +542,6 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 	}
 	if cfg.M < 2 {
 		return nil, fmt.Errorf("corr: window M=%d too small", cfg.M)
-	}
-	if cfg.Float32 {
-		// Online snapshots (the broker's state store) are contractually
-		// bit-exact; the approximate lane is an offline accelerator.
-		return nil, errors.New("corr: Float32 lane is not supported by the online engine")
 	}
 	e := &OnlineEngine{cfg: cfg, n: n}
 	e.windows = make([][]float64, n)

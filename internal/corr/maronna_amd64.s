@@ -1,12 +1,10 @@
-//go:build !noasm
-
 #include "textflag.h"
 
 // Lane-major AVX2 kernels for the batched Maronna weight passes.
 //
-// Each kernel advances 4 (f64) or 8 (f32) lanes in lockstep over a
-// quad/oct-packed obs-major tile: element i of vector slot s lives at
-// offset i*W+s of the tile (W = 4 or 8). A lane's accumulators are
+// Each kernel advances 4 f64 lanes in lockstep over a quad-packed
+// obs-major tile: element i of vector slot s lives at offset i*4+s of
+// the tile. A lane's accumulators are
 // pinned to its vector slot, so per lane the instruction stream is
 // exactly the scalar reference's expression order:
 //
@@ -17,7 +15,7 @@
 //	                        w = k2/d2          (scatter)
 //
 // with 2*dx computed as dx+dx (bit-identical for every input, NaN
-// included). VCMPPD/VCMPPS use predicate 30 (GT_OQ), matching Go's
+// included). VCMPPD uses predicate 30 (GT_OQ), matching Go's
 // `d2 > k2` NaN-is-false semantics. The d2 <= k2 fast path (taken for
 // ~86% of observations on market data) skips the sqrt/div entirely and
 // accumulates sw += 1, sx += x, sy += y — bit-identical to the scalar
@@ -32,9 +30,6 @@
 
 DATA one64<>+0(SB)/8, $0x3FF0000000000000 // float64(1.0)
 GLOBL one64<>(SB), RODATA|NOPTR, $8
-
-DATA one32<>+0(SB)/4, $0x3F800000 // float32(1.0)
-GLOBL one32<>(SB), RODATA|NOPTR, $4
 
 // func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k, k2 float64, sw, sx, sy *float64)
 //
@@ -208,170 +203,5 @@ scadone:
 	VMOVUPD Y9, (AX)
 	MOVQ n12+96(FP), AX
 	VMOVUPD Y10, (AX)
-	VZEROUPPER
-	RET
-
-// func maronnaLocation8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k, k2 float32, sw, sx, sy *float32)
-//
-// 8-wide single-precision variant of maronnaLocation4, mirroring
-// maronnaLocation32 (the f32 lane has an accuracy contract, not a
-// bit-identity one, but the operation order still matches). VSQRTPS is
-// the correctly-rounded single-precision root, the same operation the
-// scalar float32(math.Sqrt(float64(d2))) idiom compiles to.
-TEXT ·maronnaLocation8f(SB), NOSPLIT, $0-96
-	MOVQ xt+0(FP), SI
-	MOVQ yt+8(FP), DI
-	MOVQ m+16(FP), CX
-	MOVQ t1+24(FP), AX
-	VMOVUPS (AX), Y0
-	MOVQ t2+32(FP), AX
-	VMOVUPS (AX), Y1
-	MOVQ i11+40(FP), AX
-	VMOVUPS (AX), Y2
-	MOVQ i22+48(FP), AX
-	VMOVUPS (AX), Y3
-	MOVQ i12+56(FP), AX
-	VMOVUPS (AX), Y4
-	VBROADCASTSS k+64(FP), Y5
-	VBROADCASTSS k2+68(FP), Y6
-	VBROADCASTSS one32<>(SB), Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	TESTQ CX, CX
-	JZ   loc8done
-
-loc8loop:
-	VMOVUPS (SI), Y11
-	VMOVUPS (DI), Y12
-	VSUBPS  Y0, Y11, Y11       // dx
-	VSUBPS  Y1, Y12, Y12       // dy
-	VMULPS  Y11, Y11, Y13
-	VMULPS  Y2, Y13, Y13       // (dx*dx)*i11
-	VADDPS  Y11, Y11, Y14      // 2*dx
-	VMULPS  Y12, Y14, Y14
-	VMULPS  Y4, Y14, Y14       // ((2*dx)*dy)*i12
-	VADDPS  Y14, Y13, Y13
-	VMULPS  Y12, Y12, Y14
-	VMULPS  Y3, Y14, Y14       // (dy*dy)*i22
-	VADDPS  Y14, Y13, Y13      // d2
-	VCMPPS  $30, Y6, Y13, Y14  // mask = d2 > k2
-	VMOVMSKPS Y14, AX
-	TESTL   AX, AX
-	JNE     loc8slow
-	VADDPS  Y7, Y8, Y8         // sw += 1
-	VMOVUPS (SI), Y11
-	VADDPS  Y11, Y9, Y9        // sx += x
-	VMOVUPS (DI), Y12
-	VADDPS  Y12, Y10, Y10      // sy += y
-	JMP     loc8next
-
-loc8slow:
-	VSQRTPS Y13, Y15
-	VDIVPS  Y15, Y5, Y15       // k/sqrt(d2)
-	VBLENDVPS Y14, Y15, Y7, Y15
-	VADDPS  Y15, Y8, Y8
-	VMOVUPS (SI), Y11
-	VMULPS  Y11, Y15, Y11
-	VADDPS  Y11, Y9, Y9
-	VMOVUPS (DI), Y12
-	VMULPS  Y12, Y15, Y12
-	VADDPS  Y12, Y10, Y10
-
-loc8next:
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  loc8loop
-
-loc8done:
-	MOVQ sw+72(FP), AX
-	VMOVUPS Y8, (AX)
-	MOVQ sx+80(FP), AX
-	VMOVUPS Y9, (AX)
-	MOVQ sy+88(FP), AX
-	VMOVUPS Y10, (AX)
-	VZEROUPPER
-	RET
-
-// func maronnaScatter8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k2 float32, n11, n22, n12 *float32)
-//
-// 8-wide single-precision scatter. Like the scalar maronnaScatter32 it
-// records no per-observation weights: the weights consumers see come
-// from the float64 polish.
-TEXT ·maronnaScatter8f(SB), NOSPLIT, $0-96
-	MOVQ xt+0(FP), SI
-	MOVQ yt+8(FP), DI
-	MOVQ m+16(FP), CX
-	MOVQ t1+24(FP), AX
-	VMOVUPS (AX), Y0
-	MOVQ t2+32(FP), AX
-	VMOVUPS (AX), Y1
-	MOVQ i11+40(FP), AX
-	VMOVUPS (AX), Y2
-	MOVQ i22+48(FP), AX
-	VMOVUPS (AX), Y3
-	MOVQ i12+56(FP), AX
-	VMOVUPS (AX), Y4
-	VBROADCASTSS k2+64(FP), Y6
-	VBROADCASTSS one32<>(SB), Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	TESTQ CX, CX
-	JZ   sca8done
-
-sca8loop:
-	VMOVUPS (SI), Y11
-	VMOVUPS (DI), Y12
-	VSUBPS  Y0, Y11, Y11       // dx
-	VSUBPS  Y1, Y12, Y12       // dy
-	VMULPS  Y11, Y11, Y13
-	VMULPS  Y2, Y13, Y13
-	VADDPS  Y11, Y11, Y14
-	VMULPS  Y12, Y14, Y14
-	VMULPS  Y4, Y14, Y14
-	VADDPS  Y14, Y13, Y13
-	VMULPS  Y12, Y12, Y14
-	VMULPS  Y3, Y14, Y14
-	VADDPS  Y14, Y13, Y13      // d2
-	VCMPPS  $30, Y6, Y13, Y14
-	VMOVMSKPS Y14, AX
-	TESTL   AX, AX
-	JNE     sca8slow
-	VMULPS  Y11, Y11, Y15      // dx*dx
-	VADDPS  Y15, Y8, Y8
-	VMULPS  Y12, Y12, Y15      // dy*dy
-	VADDPS  Y15, Y9, Y9
-	VMULPS  Y12, Y11, Y15      // dx*dy
-	VADDPS  Y15, Y10, Y10
-	JMP     sca8next
-
-sca8slow:
-	VDIVPS  Y13, Y6, Y15       // k2/d2
-	VBLENDVPS Y14, Y15, Y7, Y15
-	VMULPS  Y11, Y15, Y14      // w*dx
-	VMULPS  Y11, Y14, Y14      // (w*dx)*dx
-	VADDPS  Y14, Y8, Y8
-	VMULPS  Y12, Y15, Y14      // w*dy
-	VMULPS  Y12, Y14, Y14
-	VADDPS  Y14, Y9, Y9
-	VMULPS  Y11, Y15, Y14      // w*dx
-	VMULPS  Y12, Y14, Y14      // (w*dx)*dy
-	VADDPS  Y14, Y10, Y10
-
-sca8next:
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  sca8loop
-
-sca8done:
-	MOVQ n11+72(FP), AX
-	VMOVUPS Y8, (AX)
-	MOVQ n22+80(FP), AX
-	VMOVUPS Y9, (AX)
-	MOVQ n12+88(FP), AX
-	VMOVUPS Y10, (AX)
 	VZEROUPPER
 	RET

@@ -154,12 +154,10 @@ type tileRun struct {
 	steps int
 	est   *MaronnaEstimator // nil when no robust treatment is requested
 	batch *pairBatch        // worker-owned batched kernel (robust only)
-	f32   *pairBatch32      // float32 iteration lane, nil on the exact path
 	st    *RobustStats
 	warm  []Fit // per-lane warm-chain state across windows
 
 	xs, ys           [][]float64     // member-stock return rows
-	xs32, ys32       [][]float32     // float32 mirrors (float32 lane only)
 	outP, outM, outC [][]float64     // output rows (nil treatment-wise)
 	momX, momY       []*stockMoments // shared univariate moments
 	initX, initY     []*ColdInit     // shared t=0 robust initialisers
@@ -167,11 +165,9 @@ type tileRun struct {
 
 // newTileRun binds tile (a set of request indices into req) to its
 // inputs, outputs and shared per-stock state. batch is the calling
-// worker's reusable kernel; nil allocates a fresh one. returns32,
-// non-nil only on the float32 lane, holds the per-stock float32
-// mirrors of returns.
+// worker's reusable kernel; nil allocates a fresh one.
 func newTileRun(cfg *EngineConfig, tile []int, req []taq.Pair,
-	returns [][]float64, returns32 [][]float32, outP, outM, outC [][]float64,
+	returns [][]float64, outP, outM, outC [][]float64,
 	moments []stockMoments, inits []ColdInit,
 	est *MaronnaEstimator, batch *pairBatch, st *RobustStats) *tileRun {
 
@@ -199,11 +195,6 @@ func newTileRun(cfg *EngineConfig, tile []int, req []taq.Pair,
 		if outC != nil {
 			tr.outC = make([][]float64, np)
 		}
-		if returns32 != nil {
-			tr.f32 = batch.lane32(est.Config())
-			tr.xs32 = make([][]float32, np)
-			tr.ys32 = make([][]float32, np)
-		}
 	}
 	for l, k := range tile {
 		p := req[k]
@@ -223,10 +214,6 @@ func newTileRun(cfg *EngineConfig, tile []int, req []taq.Pair,
 			}
 			tr.initX[l] = &inits[p.I]
 			tr.initY[l] = &inits[p.J]
-			if returns32 != nil {
-				tr.xs32[l] = returns32[p.I]
-				tr.ys32[l] = returns32[p.J]
-			}
 		}
 	}
 	return tr
@@ -277,29 +264,16 @@ func rollingPearsonShared(x, y []float64, m int, dst []float64, mx, my *stockMom
 func (tr *tileRun) runRobust() {
 	b := tr.batch
 	m := tr.m
-	if tr.f32 != nil {
-		tr.f32.begin(m, len(tr.xs))
-	} else {
-		b.begin(m, len(tr.xs))
-	}
+	b.begin(m, len(tr.xs))
 	for t := 0; t < tr.steps; t++ {
 		for l := range tr.xs {
 			var ix, iy *ColdInit
 			if t == 0 {
 				ix, iy = tr.initX[l], tr.initY[l]
 			}
-			if tr.f32 != nil {
-				tr.f32.add(tr.xs32[l][t:t+m], tr.ys32[l][t:t+m],
-					tr.xs[l][t:t+m], tr.ys[l][t:t+m], &tr.warm[l], ix, iy, l)
-			} else {
-				b.add(tr.xs[l][t:t+m], tr.ys[l][t:t+m], &tr.warm[l], ix, iy, l, tr.st)
-			}
+			b.add(tr.xs[l][t:t+m], tr.ys[l][t:t+m], &tr.warm[l], ix, iy, l, tr.st)
 		}
-		if tr.f32 != nil {
-			tr.f32.run(tr.st)
-		} else {
-			b.run(tr.st)
-		}
+		b.run(tr.st)
 		for l := range tr.xs {
 			f := b.fits[l]
 			tr.warm[l] = f
@@ -381,28 +355,12 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 		}
 	}
 	var inits []ColdInit
-	var returns32 [][]float32
 	if robust {
 		inits = make([]ColdInit, n)
 		buf := make([]float64, cfg.M)
 		for i, u := range used {
 			if u {
 				inits[i] = ColdInitOf(buf, returns[i][:cfg.M])
-			}
-		}
-		if cfg.Float32 {
-			// The float32 lane iterates on single-precision mirrors of
-			// the return rows, converted once per stock per day.
-			returns32 = make([][]float32, n)
-			for i, u := range used {
-				if u {
-					row := returns[i]
-					r32 := make([]float32, len(row))
-					for t, v := range row {
-						r32[t] = float32(v)
-					}
-					returns32[i] = r32
-				}
 			}
 		}
 	}
@@ -432,7 +390,7 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 		if robust {
 			st = &workerStats[w]
 		}
-		tr := newTileRun(&cfg, tiles[ti], req, returns, returns32,
+		tr := newTileRun(&cfg, tiles[ti], req, returns,
 			outP, outM, outC, moments, inits, est, workerBatch[w], st)
 		tr.run()
 		workerBatch[w] = tr.batch

@@ -1,6 +1,7 @@
 package corr
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -12,7 +13,9 @@ import (
 // tiled, shared-moment, work-stealing matrix engine must produce
 // byte-identical output to the per-pair reference engine for every
 // correlation type, worker count and tile size — including the robust
-// warm-start statistics, which the sweep orchestrator surfaces.
+// warm-start statistics, which the sweep orchestrator surfaces — under
+// both dispatch tiers. The scalar tier is what every host without AVX2
+// runs, so forcing it here checks that whole grid on every host.
 func TestMatrixEngineMatchesReference(t *testing.T) {
 	rets := marketReturns(t, 7, 20080311)
 	const m = 60
@@ -30,37 +33,38 @@ func TestMatrixEngineMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range workerCounts {
-			for _, tile := range tileSizes {
-				got, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: workers, TileSize: tile}, types, rets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for oi := range ref {
-					for k := range ref[oi].Corr {
-						for w := range ref[oi].Corr[k] {
-							if got[oi].Corr[k][w] != ref[oi].Corr[k][w] {
-								t.Fatalf("types=%v workers=%d tile=%d: series %v pair %d window %d: matrix %v reference %v",
-									types, workers, tile, ref[oi].Type, k, w, got[oi].Corr[k][w], ref[oi].Corr[k][w])
+		for _, noSIMD := range []bool{false, true} {
+			for _, workers := range workerCounts {
+				for _, tile := range tileSizes {
+					label := fmt.Sprintf("types=%v disableSIMD=%v workers=%d tile=%d", types, noSIMD, workers, tile)
+					got, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: workers, TileSize: tile, DisableSIMD: noSIMD}, types, rets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for oi := range ref {
+						for k := range ref[oi].Corr {
+							for w := range ref[oi].Corr[k] {
+								if got[oi].Corr[k][w] != ref[oi].Corr[k][w] {
+									t.Fatalf("%s: series %v pair %d window %d: matrix %v reference %v",
+										label, ref[oi].Type, k, w, got[oi].Corr[k][w], ref[oi].Corr[k][w])
+								}
 							}
 						}
-					}
-					rs, gs := ref[oi].Robust, got[oi].Robust
-					if (rs == nil) != (gs == nil) {
-						t.Fatalf("types=%v workers=%d tile=%d: robust stats presence differs", types, workers, tile)
-					}
-					if rs == nil {
-						continue
-					}
-					if gs.Windows != rs.Windows || gs.WarmHits != rs.WarmHits ||
-						gs.ColdStarts != rs.ColdStarts || gs.Fallbacks != rs.Fallbacks {
-						t.Fatalf("types=%v workers=%d tile=%d: robust stats differ: matrix %+v reference %+v",
-							types, workers, tile, *gs, *rs)
-					}
-					for i := range rs.IterHist {
-						if gs.IterHist[i] != rs.IterHist[i] {
-							t.Fatalf("types=%v workers=%d tile=%d: IterHist[%d] = %d, reference %d",
-								types, workers, tile, i, gs.IterHist[i], rs.IterHist[i])
+						rs, gs := ref[oi].Robust, got[oi].Robust
+						if (rs == nil) != (gs == nil) {
+							t.Fatalf("%s: robust stats presence differs", label)
+						}
+						if rs == nil {
+							continue
+						}
+						if gs.Windows != rs.Windows || gs.WarmHits != rs.WarmHits ||
+							gs.ColdStarts != rs.ColdStarts || gs.Fallbacks != rs.Fallbacks {
+							t.Fatalf("%s: robust stats differ: matrix %+v reference %+v", label, *gs, *rs)
+						}
+						for i := range rs.IterHist {
+							if gs.IterHist[i] != rs.IterHist[i] {
+								t.Fatalf("%s: IterHist[%d] = %d, reference %d", label, i, gs.IterHist[i], rs.IterHist[i])
+							}
 						}
 					}
 				}
@@ -264,7 +268,7 @@ func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 	tiles := buildTiles(req, cfg.TileSize)
 	est := NewMaronnaEstimator(cfg.maronna())
 	st := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
-	tr := newTileRun(&cfg, tiles[0], req, rets, nil,
+	tr := newTileRun(&cfg, tiles[0], req, rets,
 		outs[0].Corr, outs[1].Corr, outs[2].Corr, moments, inits, est, nil, st)
 
 	tr.run() // size the scratch

@@ -1,12 +1,12 @@
-//go:build amd64 && !noasm
+//go:build amd64
 
 package corr
 
 // Arch-specific half of the SIMD dispatch: CPUID feature detection and
 // the Go declarations of the hand-written AVX2 kernels in
-// maronna_amd64.s. The build tag pair (`amd64 && !noasm` here,
-// `!amd64 || noasm` in simd_fallback.go) guarantees exactly one
-// definition of each symbol in every build configuration.
+// maronna_amd64.s. The build tag pair (`amd64` here, `!amd64` in
+// simd_fallback.go) guarantees exactly one definition of each symbol
+// in every build configuration.
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -59,19 +59,3 @@ func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k,
 //
 //go:noescape
 func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64)
-
-// maronnaLocation8f is the 8-wide f32 location pass for the
-// approximate iteration lane (oct-packed tiles, element (i, s) at
-// offset i*8+s). The f32 lane has an accuracy contract rather than a
-// bit-identity one, but the kernel still mirrors maronnaLocation32's
-// operation order exactly.
-//
-//go:noescape
-func maronnaLocation8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k, k2 float32, sw, sx, sy *float32)
-
-// maronnaScatter8f is the 8-wide f32 scatter pass. Like the scalar
-// maronnaScatter32 it records no weights (the weights that matter are
-// produced by the f64 polish).
-//
-//go:noescape
-func maronnaScatter8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k2 float32, n11, n22, n12 *float32)

@@ -1,13 +1,12 @@
-//go:build !amd64 || noasm
+//go:build !amd64
 
 package corr
 
-// Pure-Go half of the SIMD dispatch: on non-amd64 builds and under
-// the `noasm` tag there is no vector backend, simdDetect reports
-// false, and the batch kernels run the scalar path. The kernel stubs
-// exist only so batch.go/batch32.go compile everywhere; dispatch
-// guarantees they are never called (pairBatch.simd / pairBatch32
-// parent dispatch is false when simdDetect is).
+// Pure-Go half of the SIMD dispatch: on non-amd64 builds there is no
+// vector backend, simdDetect reports false, and the batch kernel runs
+// the scalar path. The kernel stubs exist only so batch.go compiles
+// everywhere; dispatch guarantees they are never called (pairBatch.simd
+// is false when simdDetect is).
 
 func simdDetect() bool { return false }
 
@@ -17,12 +16,4 @@ func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k,
 
 func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64) {
 	panic("corr: maronnaScatter4 called without SIMD support")
-}
-
-func maronnaLocation8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k, k2 float32, sw, sx, sy *float32) {
-	panic("corr: maronnaLocation8f called without SIMD support")
-}
-
-func maronnaScatter8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k2 float32, n11, n22, n12 *float32) {
-	panic("corr: maronnaScatter8f called without SIMD support")
 }

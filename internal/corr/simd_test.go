@@ -250,36 +250,3 @@ func FuzzSIMDMatchesScalar(f *testing.F) {
 		}
 	})
 }
-
-// TestSIMDEnvKillOutranksMode pins the dispatch precedence: MM_NOSIMD
-// (resolved at init into simdEnvOff) must keep the scalar tier even
-// when SetSIMDMode("auto") — every CLI's flag default — runs after it.
-func TestSIMDEnvKillOutranksMode(t *testing.T) {
-	if !simdSupported {
-		t.Skip("host has no vector tier; precedence is unobservable")
-	}
-	defer func(env bool) {
-		simdEnvOff = env
-		if err := SetSIMDMode("auto"); err != nil {
-			t.Fatal(err)
-		}
-	}(simdEnvOff)
-
-	simdEnvOff = true
-	if err := SetSIMDMode("auto"); err != nil {
-		t.Fatal(err)
-	}
-	if got := SIMDTier(); got != SIMDTierScalar {
-		t.Fatalf("SIMDTier() = %q with env kill set and mode auto, want %q", got, SIMDTierScalar)
-	}
-	if got := SIMDSupported(); got != SIMDTierAVX2 {
-		t.Fatalf("SIMDSupported() = %q, want %q (env kill must not hide capability)", got, SIMDTierAVX2)
-	}
-	simdEnvOff = false
-	if err := SetSIMDMode("off"); err != nil {
-		t.Fatal(err)
-	}
-	if got := SIMDTier(); got != SIMDTierScalar {
-		t.Fatalf("SIMDTier() = %q after SetSIMDMode(off), want %q", got, SIMDTierScalar)
-	}
-}

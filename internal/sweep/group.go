@@ -207,7 +207,7 @@ func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engin
 		}
 		var css []*corr.Series
 		if len(engPairs) > 0 {
-			css, err = corr.ComputeSeriesMulti(corr.EngineConfig{M: m, Workers: engineWorkers, Pairs: engPairs, Float32: r.cfg.Float32}, types, dd.Returns)
+			css, err = corr.ComputeSeriesMulti(corr.EngineConfig{M: m, Workers: engineWorkers, Pairs: engPairs}, types, dd.Returns)
 			if err != nil {
 				return err
 			}

@@ -61,7 +61,7 @@ func TestScreenedSweepRecall(t *testing.T) {
 }
 
 // TestScreenedShardedMergeEqualsSingleShot extends the sweep's
-// bit-determinism property to the screened and float32 paths: the
+// bit-determinism property to the screened path: the
 // orchestrator's per-day screening and block intersection must
 // reproduce the integrated runner's screening decision exactly, for
 // any shard count and block size.
@@ -71,7 +71,6 @@ func TestScreenedShardedMergeEqualsSingleShot(t *testing.T) {
 	}
 	cfg := testConfig(t, 6, 2, 2, 42)
 	cfg.Screen = screen.Config{TopFrac: 0.4, MinKeep: 1}
-	cfg.Float32 = true
 	want, err := backtest.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,17 +93,16 @@ func TestScreenedShardedMergeEqualsSingleShot(t *testing.T) {
 	}
 }
 
-// TestFingerprintScreenFields pins the fingerprint contract for the
-// new knobs: inactive screening and float64 hash exactly as before
-// (old journals stay resumable), while any active screening or
-// float32 setting forks the fingerprint.
+// TestFingerprintScreenFields pins the fingerprint contract for
+// screening: inactive screening hashes exactly as before (old journals
+// stay resumable), while any active screening setting forks the
+// fingerprint.
 func TestFingerprintScreenFields(t *testing.T) {
 	cfg := testConfig(t, 6, 2, 2, 1)
 	base := Fingerprint(cfg, 0)
 
 	zero := cfg
 	zero.Screen = screen.Config{}
-	zero.Float32 = false
 	if Fingerprint(zero, 0) != base {
 		t.Fatal("zero screening changed the fingerprint")
 	}
@@ -116,7 +114,6 @@ func TestFingerprintScreenFields(t *testing.T) {
 		"maxssd":   func(c *backtest.Config) { c.Screen.MaxSSD = 1e-3 },
 		"minkeep":  func(c *backtest.Config) { c.Screen.TopFrac = 0.5; c.Screen.MinKeep = 3 },
 		"stride":   func(c *backtest.Config) { c.Screen.TopFrac = 0.5; c.Screen.Stride = 4 },
-		"f32":      func(c *backtest.Config) { c.Float32 = true },
 	} {
 		m := cfg
 		mut(&m)
@@ -127,5 +124,29 @@ func TestFingerprintScreenFields(t *testing.T) {
 			}
 		}
 		seen[name] = fp
+	}
+}
+
+// TestFingerprintPinned pins fingerprints to the values journals
+// already carry on disk, unscreened and screened. A journal whose
+// header fingerprint no longer matches is refused on resume and merge,
+// so any change to the hash input — including the "f32:false" literal
+// screened configurations hash — strands every journal written before
+// it.
+func TestFingerprintPinned(t *testing.T) {
+	cfg := testConfig(t, 6, 2, 2, 1)
+	screened := cfg
+	screened.Screen = screen.Config{TopFrac: 0.5}
+	for _, tc := range []struct {
+		name string
+		cfg  backtest.Config
+		want string
+	}{
+		{"unscreened", cfg, "5db09990e109bd3d"},
+		{"screened", screened, "ba900b2d42bfac3b"},
+	} {
+		if got := Fingerprint(tc.cfg, 0); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -185,12 +185,14 @@ func Fingerprint(cfg backtest.Config, blockSize int) string {
 	}
 	mc.Universe = nil // pointer identity must not leak into the hash
 	fmt.Fprintf(h, "v1|%q|%+v|%+v|%+v|%d|", symbols, mc, cfg.Clean, cfg.Costs, blockSize)
-	// Screening and the float32 lane change unit values, so they are
-	// fingerprinted — but only when active, which keeps every journal
-	// written before these knobs existed resumable under its original
-	// fingerprint (the zero values reproduce the classic sweep).
-	if cfg.Screen.Enabled() || cfg.Float32 {
-		fmt.Fprintf(h, "screen:%+v|f32:%v|", cfg.Screen, cfg.Float32)
+	// Screening changes unit values, so it is fingerprinted — but only
+	// when active, which keeps every journal written before the knob
+	// existed resumable under its original fingerprint (the zero value
+	// reproduces the classic sweep). The literal "f32:false" is what
+	// screened journals hashed while the sweep still had a float32
+	// option; it stays so those journals keep their fingerprints.
+	if cfg.Screen.Enabled() {
+		fmt.Fprintf(h, "screen:%+v|f32:false|", cfg.Screen)
 	}
 	for _, l := range cfg.ResolvedLevels() {
 		fmt.Fprintf(h, "%+v|", l)

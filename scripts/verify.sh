@@ -23,7 +23,6 @@ go build ./...
 echo "== cross-arch builds: the SIMD dispatch must degrade, not break"
 GOARCH=arm64 go build ./...
 GOARCH=386 go build ./...
-go build -tags noasm ./...
 
 echo "== go test -race ./internal/sweep ./internal/sched (orchestrator focus)"
 go test -race ./internal/sweep ./internal/sched
@@ -35,11 +34,10 @@ echo "== go test -race ./internal/screen ./internal/corr (screening + batched ke
 go test -race ./internal/screen ./internal/corr
 
 echo "== batched-vs-reference bit-identity smoke"
-go test -race -run 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestFloat32LaneAccuracy' ./internal/corr
+go test -race -run 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference' ./internal/corr
 
-echo "== SIMD bit-identity: vector tier vs reference, plus scalar-tier (noasm) run"
+echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
 go test -race -run 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
-go test -tags noasm -run 'TestSIMD|TestBatchDegenerateLanesMatchReference|FuzzSIMDMatchesScalar' ./internal/corr
 
 echo "== go test -race ./internal/feed ./internal/supervise ./internal/chaos (robustness focus)"
 go test -race ./internal/feed ./internal/supervise ./internal/chaos
@@ -83,7 +81,7 @@ echo "== bench gate: fresh kernel ratios + scaling efficiency vs committed basel
 bench_tmp=$(mktemp /tmp/mm_bench_gate.XXXXXX.json)
 scaling_tmp=$(mktemp /tmp/mm_scaling_gate.XXXXXX.json)
 trap 'rm -f "$bench_tmp" "$scaling_tmp"' EXIT
-go run ./cmd/mmscale -stocks 8 -days 1 -levels 2 -bench-json "$bench_tmp" -scaling-json "$scaling_tmp" >/dev/null
+go run ./cmd/mmscale -stocks 8 -days 1 -levels 2 -workers 1 -bench-json "$bench_tmp" -scaling-json "$scaling_tmp" >/dev/null
 go run ./cmd/mmbenchgate -fresh "$bench_tmp" -committed BENCH_corr.json \
     -fresh-scaling "$scaling_tmp" -committed-scaling BENCH_scaling.json
 
