@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"net"
 	"os"
 	"os/signal"
 	"runtime"
@@ -35,6 +34,7 @@ import (
 	"marketminer/internal/broker"
 	"marketminer/internal/chaos"
 	"marketminer/internal/corr"
+	"marketminer/internal/feed"
 )
 
 func main() {
@@ -169,10 +169,7 @@ func serve(ctx context.Context, cfg broker.Config, listen string, intervals int,
 }
 
 func subscribe(ctx context.Context, connect, group, member string, fromStart bool, chaosSpec string, quiet bool) error {
-	dial := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", connect)
-	}
+	dial := feed.Dialer(connect)
 	var ch *chaos.Chaos
 	if chaosSpec != "" {
 		spec, err := chaos.ParseSpec(chaosSpec)

@@ -44,6 +44,7 @@ import (
 	"marketminer"
 	"marketminer/internal/backtest"
 	"marketminer/internal/farm"
+	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 	"marketminer/internal/screen"
 	"marketminer/internal/sweep"
@@ -268,7 +269,7 @@ func runWork(args []string) error {
 		Config:         cfg,
 		BlockSize:      o.block,
 		Name:           *name,
-		Addrs:          addrs,
+		Dial:           feed.Dialer(addrs...),
 		HeartbeatEvery: *heartbeat,
 		Logf:           o.logf(),
 	}
@@ -277,16 +278,7 @@ func runWork(args []string) error {
 		if err != nil {
 			return err
 		}
-		// The chaos wrapper replaces WorkerConfig.Addrs, so rotate
-		// through the candidate coordinators here.
-		var dialN int
-		dial := func(ctx context.Context) (net.Conn, error) {
-			addr := addrs[dialN%len(addrs)]
-			dialN++
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-		wc.Dial = marketminer.NewChaos(spec).Dialer(dial)
+		wc.Dial = marketminer.NewChaos(spec).Dialer(wc.Dial)
 	}
 
 	ctx, cancel := signalContext()

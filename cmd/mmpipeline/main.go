@@ -29,12 +29,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"time"
 
 	"marketminer"
 	"marketminer/internal/corr"
+	"marketminer/internal/feed"
 	"marketminer/internal/market"
 	"marketminer/internal/taq"
 )
@@ -111,11 +111,7 @@ func run(o options) error {
 		if ch != nil {
 			// Chaos on the networked path wraps the dialer: faults hit
 			// the wire, and the protocol must recover them losslessly.
-			tcp := &net.Dialer{}
-			addr := o.connect
-			ccfg.Dial = ch.Dialer(func(ctx context.Context) (net.Conn, error) {
-				return tcp.DialContext(ctx, "tcp", addr)
-			})
+			ccfg.Dial = ch.Dialer(feed.Dialer(o.connect))
 			fmt.Printf("chaos: injecting faults on the dial path: %s\n", ch.Spec())
 		}
 		collector = marketminer.NewFeedCollector(ccfg)

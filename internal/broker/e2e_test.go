@@ -2,7 +2,10 @@ package broker
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -467,5 +470,113 @@ func TestEvictionOfLaggingSubscriber(t *testing.T) {
 	}
 	if got := metrics.Counter("broker.evictions").Value(); got <= evBefore {
 		t.Fatal("eviction counter did not move")
+	}
+}
+
+// TestSubscriberRedialsSilentBroker: a broker that answers the
+// handshake and then falls silent — no frames, not even heartbeats — is
+// presumed dead once the idle deadline passes, and the subscriber
+// redials instead of waiting on the dead link forever.
+func TestSubscriberRedialsSilentBroker(t *testing.T) {
+	defer func(d time.Duration) { subscriberIdle = d }(subscriberIdle)
+	subscriberIdle = 100 * time.Millisecond
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := feed.NewDecoder(conn).Read(); err != nil { // GroupSub
+					return
+				}
+				if feed.NewEncoder(conn, nil).WriteAssign(&feed.Assign{Epoch: 1, Stocks: 8, NumPartitions: 1, Partitions: []uint16{0}}) != nil {
+					return
+				}
+				io.Copy(io.Discard, conn) // silent until the subscriber hangs up
+			}()
+		}
+	}()
+
+	sub, err := NewSubscriber(SubscriberConfig{Group: "g", Member: "m", Backoff: time.Millisecond,
+		Dial: feed.Dialer(l.Addr().String())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- sub.Run(ctx) }()
+	waitFor(t, func() bool { return sub.Stats().Connects >= 2 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestSubscriberMaxAttemptsCountsConsecutiveFailures: MaxAttempts
+// bounds failed sessions in a row that delivered nothing new, not
+// failures over the subscriber's life. Every session here is cut after
+// it has delivered signals, so a cap of 2 never trips, and the stream
+// still reaches End equal to the logs.
+func TestSubscriberMaxAttemptsCountsConsecutiveFailures(t *testing.T) {
+	b, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	feedAll(t, b, testReturns(8, 40))
+	want := drainLogs(t, b)
+	addr, err := b.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const perSession = 50 // signals a session delivers before its cut
+	var (
+		mu   sync.Mutex
+		cur  net.Conn
+		seen int
+	)
+	tcp := feed.Dialer(addr.String())
+	sub, err := NewSubscriber(SubscriberConfig{
+		Group: "g", Member: "m", FromStart: true, MaxAttempts: 2, Backoff: time.Millisecond,
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			conn, err := tcp(ctx)
+			mu.Lock()
+			cur, seen = conn, 0
+			mu.Unlock()
+			return conn, err
+		},
+		OnSignal: func(int, feed.Signal) {
+			mu.Lock()
+			defer mu.Unlock()
+			if seen++; seen == perSession {
+				cur.Close()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sub.Run(ctx); err != nil {
+		t.Fatalf("subscriber gave up: %v", err)
+	}
+	for p := range want {
+		sameSignals(t, "cut sessions", sub.Signals(p), want[p])
+	}
+	// More cut sessions than the cap: only a per-failure reset gets here.
+	if st := sub.Stats(); st.Reconnects < 3 || st.Jumps != 0 {
+		t.Fatalf("stats %+v: want ≥ 3 reconnects and no jumps", st)
 	}
 }

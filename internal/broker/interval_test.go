@@ -241,7 +241,7 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 		}
 		// Off the wire a frame owns its columns; copy, as the decoder does.
 		iv.C, iv.Cbar, iv.Kind = append([]float64(nil), iv.C...), append([]float64(nil), iv.Cbar...), append([]uint8(nil), iv.Kind...)
-		if err := sub.deliver(enc, 3, iv, false, false); err != nil {
+		if _, err := sub.deliver(enc, 3, iv, false, false); err != nil {
 			t.Fatal(err)
 		}
 		lo = max(lo, int(iv.End()))
@@ -263,12 +263,12 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	if got := sub.acked[3]; got != uint64(n/100*100) {
 		t.Errorf("last ack at %d, want the last multiple of 100 (%d)", got, n/100*100)
 	}
-	if err := sub.deliver(enc, 4, ivs[0], false, false); err == nil {
+	if _, err := sub.deliver(enc, 4, ivs[0], false, false); err == nil {
 		t.Error("a delta for a partition outside the announced topology was accepted")
 	}
 	short := ivs[0]
 	short.Pairs--
-	if err := sub.deliver(enc, 3, short, false, false); err == nil {
+	if _, err := sub.deliver(enc, 3, short, false, false); err == nil {
 		t.Error("an interval narrower than the partition was accepted")
 	}
 }
@@ -356,7 +356,7 @@ func TestE2EResumeInsideInterval(t *testing.T) {
 			return d.DialContext(ctx, "tcp", addr.String())
 		})
 	sub, err = NewSubscriber(SubscriberConfig{Group: "g", Member: "m", FromStart: true, AckEvery: 3,
-		Dial: dial, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+		Dial: dial, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
 	"marketminer/internal/feed"
+	"marketminer/internal/supervise"
 )
+
+// subscriberIdle is the per-frame read deadline: a session silent for
+// longer (no frame, not even the broker's Config.Heartbeat keep-alive)
+// is presumed dead and redialed. A variable only so tests can shorten
+// it.
+var subscriberIdle = 15 * time.Second
 
 // SubscriberConfig tunes a Subscriber.
 type SubscriberConfig struct {
@@ -22,14 +28,15 @@ type SubscriberConfig struct {
 	// AckEvery commits after this many delivered signals per partition
 	// (default 64); a final ack always flushes on End.
 	AckEvery int
-	// Dial opens a connection to the broker (required). Wrap with
-	// chaos.Dialer to fault-inject the wire.
-	Dial func(ctx context.Context) (net.Conn, error)
-	// Backoff and MaxBackoff bound the reconnect delay (defaults
-	// 20ms, 500ms).
-	Backoff, MaxBackoff time.Duration
-	// MaxAttempts caps consecutive failed sessions (0 = retry until ctx
-	// death or End).
+	// Dial opens a connection to the broker (required); feed.Dialer
+	// dials TCP. Wrap with chaos.Dialer to fault-inject the wire.
+	Dial feed.DialFunc
+	// Backoff is the reconnect delay after the first failed session
+	// (default 20ms); consecutive failures double it up to 32×Backoff,
+	// each delay jittered in [d/2, d] (supervise.Redial).
+	Backoff time.Duration
+	// MaxAttempts caps consecutive sessions that fail without
+	// delivering a new signal (0 = retry until ctx death or End).
 	MaxAttempts int
 	// OnSignal, when set, observes every newly delivered signal in
 	// delivery order (called from the subscriber goroutine).
@@ -65,7 +72,6 @@ type Subscriber struct {
 	stocks   int                     // topology of the last Assign …
 	pairs    [][]int                 // … and the partitions' pair ids it implies
 	stats    SubscriberStats
-	ended    bool
 }
 
 // NewSubscriber validates cfg and builds a Subscriber.
@@ -82,9 +88,6 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 20 * time.Millisecond
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -98,44 +101,33 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 }
 
 // Run consumes until the broker sends End (returns nil), the context
-// dies, or MaxAttempts consecutive sessions fail. Wire faults trigger
-// resubscription from the last delivered offsets.
+// dies, or MaxAttempts consecutive sessions fail without delivering a
+// new signal. Wire faults and silent links trigger resubscription from
+// the last delivered offsets.
 func (s *Subscriber) Run(ctx context.Context) error {
-	backoff := s.cfg.Backoff
-	attempts := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+	err := supervise.Retry(ctx, supervise.Redial(s.cfg.Backoff, s.cfg.MaxAttempts), func(ctx context.Context, progress func()) error {
+		err := s.session(ctx, progress)
+		if err != nil && ctx.Err() == nil {
+			s.cfg.Logf("broker: subscriber %q session failed: %v", s.cfg.Member, err)
 		}
-		done, err := s.session(ctx)
-		if done {
-			return nil
-		}
-		attempts++
-		if s.cfg.MaxAttempts > 0 && attempts >= s.cfg.MaxAttempts {
-			return fmt.Errorf("broker: subscriber %q gave up after %d sessions: %w", s.cfg.Member, attempts, err)
-		}
-		s.cfg.Logf("broker: subscriber %q session failed (%v); retrying in %v", s.cfg.Member, err, backoff)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > s.cfg.MaxBackoff {
-			backoff = s.cfg.MaxBackoff
-		}
+		return err
+	})
+	var ce *supervise.CircuitError
+	if errors.As(err, &ce) {
+		return fmt.Errorf("broker: subscriber %q gave up after %d sessions: %w", s.cfg.Member, ce.Failures, ce.Last)
 	}
+	return err
 }
 
-// session runs one connection. done=true means End was received.
-func (s *Subscriber) session(ctx context.Context) (done bool, err error) {
+// session runs one connection until End (nil) or a failure; every
+// frame that delivers a new signal reports progress.
+func (s *Subscriber) session(ctx context.Context, progress func()) error {
 	conn, err := s.cfg.Dial(ctx)
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 
 	s.mu.Lock()
 	offsets := make([]feed.PartitionOffset, 0, len(s.next))
@@ -158,14 +150,16 @@ func (s *Subscriber) session(ctx context.Context) (done bool, err error) {
 		FromStart: s.cfg.FromStart,
 		Offsets:   offsets,
 	}); err != nil {
-		return false, err
+		return err
 	}
 	dec := feed.NewDecoder(conn)
 	for {
+		conn.SetReadDeadline(time.Now().Add(subscriberIdle))
 		fr, err := dec.Read()
 		if err != nil {
-			return false, err
+			return err
 		}
+		delivered := 0
 		switch f := fr.(type) {
 		case *feed.Assign:
 			s.mu.Lock()
@@ -175,48 +169,47 @@ func (s *Subscriber) session(ctx context.Context) (done bool, err error) {
 			}
 			s.mu.Unlock()
 		case *feed.SnapshotFrame:
-			if err := s.deliver(enc, int(f.Partition), f.Interval, true, false); err != nil {
-				return false, err
-			}
+			delivered, err = s.deliver(enc, int(f.Partition), f.Interval, true, false)
 		case *feed.DeltaFrame:
-			if err := s.deliver(enc, int(f.Partition), f.Interval, false, f.Sealed); err != nil {
-				return false, err
-			}
+			delivered, err = s.deliver(enc, int(f.Partition), f.Interval, false, f.Sealed)
 		case *feed.Heartbeat:
 			// liveness only
 		case *feed.End:
 			s.flushAcks(enc)
-			s.mu.Lock()
-			s.ended = true
-			s.mu.Unlock()
-			return true, nil
+			return nil
 		default:
-			return false, fmt.Errorf("broker: unexpected frame %T", fr)
+			return fmt.Errorf("broker: unexpected frame %T", fr)
+		}
+		if delivered > 0 {
+			progress() // even if the ack after it failed
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
 // deliver applies one Snapshot or Delta: it suppresses redeliveries
 // below the watermark, retains and announces the rest, and acks every
-// AckEvery deliveries.
+// AckEvery deliveries. It returns how many signals were new.
 //
 // A snapshot is the partition's newest interval, the latest signal per
 // pair. Snapshots only arrive when this member has no progress on the
 // partition, so the watermark jump cannot skip anything it was owed; a
 // stale one after progress is ignored.
-func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapshot, sealed bool) error {
+func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapshot, sealed bool) (int, error) {
 	var ackAt uint64
 	s.mu.Lock()
 	if p >= len(s.pairs) || iv.Len() > 0 && int(iv.Pairs) != len(s.pairs[p]) {
 		s.mu.Unlock()
-		return fmt.Errorf("broker: partition %d interval of %d pairs does not fit the assigned topology", p, iv.Pairs)
+		return 0, fmt.Errorf("broker: partition %d interval of %d pairs does not fit the assigned topology", p, iv.Pairs)
 	}
 	pairs := s.pairs[p]
 	start := iv.Base + uint64(iv.First) + 1 // offset of column index 0
 	switch {
 	case snapshot && s.next[p] != 0:
 		s.mu.Unlock()
-		return nil // stale snapshot after progress; ignore
+		return 0, nil // stale snapshot after progress; ignore
 	case snapshot:
 		s.stats.Snapshots++
 		s.next[p] = start
@@ -272,14 +265,14 @@ func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapsho
 	}
 	if ackAt > 0 {
 		if err := enc.WriteAck(&feed.AckFrame{Partition: uint16(p), Offset: ackAt}); err != nil {
-			return err
+			return iv.Len(), err
 		}
 		s.mu.Lock()
 		s.acked[p] = ackAt
 		s.stats.Acked++
 		s.mu.Unlock()
 	}
-	return nil
+	return iv.Len(), nil
 }
 
 // signalAt materialises column index i of a run; pairs is its

@@ -74,13 +74,9 @@ func TestE2E_ChaoticNetworkBitIdenticalToInProcess(t *testing.T) {
 		srv.Finish()
 	}()
 
-	tcp := &net.Dialer{}
 	col := feed.NewCollector(feed.CollectorConfig{
-		Dial: clientChaos.Dialer(func(ctx context.Context) (net.Conn, error) {
-			return tcp.DialContext(ctx, "tcp", l.Addr().String())
-		}),
-		InitialBackoff:   2 * time.Millisecond,
-		MaxBackoff:       20 * time.Millisecond,
+		Dial:             clientChaos.Dialer(feed.Dialer(l.Addr().String())),
+		Backoff:          2 * time.Millisecond,
 		HeartbeatTimeout: 5 * time.Second,
 	})
 	go col.Run(ctx)

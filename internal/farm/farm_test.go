@@ -357,14 +357,14 @@ func TestFarmSIGKILLChaosByteIdentical(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		_, err := RunWorker(context.Background(), WorkerConfig{
-			Config:          cfg,
-			BlockSize:       farmBlockSize,
-			Name:            "survivor",
-			Dial:            ch.Dialer(baseDial),
-			HeartbeatEvery:  100 * time.Millisecond,
-			ReconnectWait:   20 * time.Millisecond,
-			MaxJoinFailures: 100,
-			Logf:            t.Logf,
+			Config:         cfg,
+			BlockSize:      farmBlockSize,
+			Name:           "survivor",
+			Dial:           ch.Dialer(baseDial),
+			HeartbeatEvery: 100 * time.Millisecond,
+			Backoff:        20 * time.Millisecond,
+			MaxAttempts:    100,
+			Logf:           t.Logf,
 		})
 		workerDone <- err
 	}()
@@ -436,7 +436,7 @@ func TestFarmLimitResumeExecutesOnlyLostUnits(t *testing.T) {
 			Name:           "resumer",
 			Addr:           l.Addr().String(),
 			HeartbeatEvery: 100 * time.Millisecond,
-			ReconnectWait:  20 * time.Millisecond,
+			Backoff:        20 * time.Millisecond,
 		})
 		st, err := c.Serve(context.Background(), l)
 		if err != nil {
@@ -499,12 +499,12 @@ func TestFarmFingerprintMismatchRefused(t *testing.T) {
 	badCfg := cfg
 	badCfg.Market.Seed = 999 // different sweep, different fingerprint
 	stats, err := RunWorker(context.Background(), WorkerConfig{
-		Config:          badCfg,
-		BlockSize:       farmBlockSize,
-		Name:            "imposter",
-		Addr:            l.Addr().String(),
-		ReconnectWait:   5 * time.Millisecond,
-		MaxJoinFailures: 3,
+		Config:      badCfg,
+		BlockSize:   farmBlockSize,
+		Name:        "imposter",
+		Addr:        l.Addr().String(),
+		Backoff:     5 * time.Millisecond,
+		MaxAttempts: 3,
 	})
 	var refused *RefusedError
 	if !errors.As(err, &refused) {
@@ -526,7 +526,7 @@ func TestFarmFingerprintMismatchRefused(t *testing.T) {
 
 // TestFarmUnreachableCoordinatorRetriesThenFails pins the other half of
 // the refused/unreachable split: a coordinator that cannot be reached
-// at all is retried exactly MaxJoinFailures times under backoff before
+// at all is retried exactly MaxAttempts times under backoff before
 // the worker gives up.
 func TestFarmUnreachableCoordinatorRetriesThenFails(t *testing.T) {
 	// Bind-then-close gives an address that refuses connections.
@@ -538,12 +538,12 @@ func TestFarmUnreachableCoordinatorRetriesThenFails(t *testing.T) {
 	l.Close()
 
 	stats, err := RunWorker(context.Background(), WorkerConfig{
-		Config:          mustFarmConfig(),
-		BlockSize:       farmBlockSize,
-		Name:            "stranded",
-		Addr:            addr,
-		ReconnectWait:   time.Millisecond,
-		MaxJoinFailures: 4,
+		Config:      mustFarmConfig(),
+		BlockSize:   farmBlockSize,
+		Name:        "stranded",
+		Addr:        addr,
+		Backoff:     time.Millisecond,
+		MaxAttempts: 4,
 	})
 	if err == nil || !strings.Contains(err.Error(), "failed join attempts") {
 		t.Fatalf("stranded worker returned %v, want join-failure error", err)
@@ -553,6 +553,6 @@ func TestFarmUnreachableCoordinatorRetriesThenFails(t *testing.T) {
 		t.Fatal("unreachable coordinator surfaced as a refusal; must stay a retryable failure")
 	}
 	if stats.Redials != 3 {
-		t.Fatalf("stranded worker redialed %d times, want MaxJoinFailures-1 = 3", stats.Redials)
+		t.Fatalf("stranded worker redialed %d times, want MaxAttempts-1 = 3", stats.Redials)
 	}
 }

@@ -222,14 +222,14 @@ func TestFarmCoordinatorSIGKILLRestartByteIdentical(t *testing.T) {
 	survivorCh := make(chan workerOut, 1)
 	go func() {
 		st, err := RunWorker(context.Background(), WorkerConfig{
-			Config:          cfg,
-			BlockSize:       farmBlockSize,
-			Name:            "survivor",
-			Dial:            ch.Dialer(baseDial),
-			HeartbeatEvery:  100 * time.Millisecond,
-			ReconnectWait:   20 * time.Millisecond,
-			MaxJoinFailures: 1000,
-			Logf:            t.Logf,
+			Config:         cfg,
+			BlockSize:      farmBlockSize,
+			Name:           "survivor",
+			Dial:           ch.Dialer(baseDial),
+			HeartbeatEvery: 100 * time.Millisecond,
+			Backoff:        20 * time.Millisecond,
+			MaxAttempts:    1000,
+			Logf:           t.Logf,
 		})
 		survivorCh <- workerOut{st, err}
 	}()
@@ -341,14 +341,14 @@ func TestFarmStandbyTakeoverByteIdentical(t *testing.T) {
 	workerCh := make(chan workerOut, 1)
 	go func() {
 		st, err := RunWorker(context.Background(), WorkerConfig{
-			Config:          cfg,
-			BlockSize:       farmBlockSize,
-			Name:            "failover-worker",
-			Addrs:           []string{addr1, addr2},
-			HeartbeatEvery:  100 * time.Millisecond,
-			ReconnectWait:   50 * time.Millisecond,
-			MaxJoinFailures: 1000,
-			Logf:            t.Logf,
+			Config:         cfg,
+			BlockSize:      farmBlockSize,
+			Name:           "failover-worker",
+			Dial:           feed.Dialer(addr1, addr2),
+			HeartbeatEvery: 100 * time.Millisecond,
+			Backoff:        50 * time.Millisecond,
+			MaxAttempts:    1000,
+			Logf:           t.Logf,
 		})
 		workerCh <- workerOut{st, err}
 	}()
@@ -557,7 +557,7 @@ func TestFarmEpochFencingLadder(t *testing.T) {
 			Name:           "ladder-finisher",
 			Addr:           l2.Addr().String(),
 			HeartbeatEvery: 100 * time.Millisecond,
-			ReconnectWait:  20 * time.Millisecond,
+			Backoff:        20 * time.Millisecond,
 		})
 		st, err := c2.Serve(context.Background(), l2)
 		if err != nil {
@@ -597,14 +597,14 @@ func TestFarmJournalTornTailHealedOnRestart(t *testing.T) {
 	go func() {
 		defer close(workerDone)
 		RunWorker(wctx, WorkerConfig{
-			Config:          cfg,
-			BlockSize:       farmBlockSize,
-			Name:            "feeder",
-			Addr:            addr,
-			HeartbeatEvery:  100 * time.Millisecond,
-			ReconnectWait:   50 * time.Millisecond,
-			MaxJoinFailures: 1000,
-			Logf:            t.Logf,
+			Config:         cfg,
+			BlockSize:      farmBlockSize,
+			Name:           "feeder",
+			Addr:           addr,
+			HeartbeatEvery: 100 * time.Millisecond,
+			Backoff:        50 * time.Millisecond,
+			MaxAttempts:    1000,
+			Logf:           t.Logf,
 		})
 	}()
 	expectSIGKILLed(t, "doomed coordinator", coord, coordOut)
@@ -649,7 +649,7 @@ func TestFarmJournalTornTailHealedOnRestart(t *testing.T) {
 		Name:           "healer",
 		Addr:           addr,
 		HeartbeatEvery: 100 * time.Millisecond,
-		ReconnectWait:  20 * time.Millisecond,
+		Backoff:        20 * time.Millisecond,
 	})
 	st, err := c2.Serve(context.Background(), l)
 	if err != nil {

@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"net"
 	"sync"
 	"time"
 
 	"marketminer/internal/backtest"
 	"marketminer/internal/feed"
+	"marketminer/internal/supervise"
 	"marketminer/internal/sweep"
 )
 
@@ -23,17 +22,14 @@ type WorkerConfig struct {
 	BlockSize int
 	// Name identifies this worker in coordinator logs.
 	Name string
-	// Addr is the coordinator's address; ignored when Dial or Addrs is
-	// set.
+	// Addr is the coordinator's address; ignored when Dial is set.
 	Addr string
-	// Addrs, when non-empty, lists candidate coordinator addresses —
-	// the primary first, then warm standbys. Redials rotate through
-	// the list, so a worker finds whichever address is serving after a
-	// takeover without operator intervention. Ignored when Dial is set.
-	Addrs []string
-	// Dial, when non-nil, replaces the default TCP dial — the chaos
-	// dialer hook (chaos.Chaos.Dialer wraps exactly this signature).
-	Dial func(ctx context.Context) (net.Conn, error)
+	// Dial, when non-nil, replaces feed.Dialer(Addr). Pass
+	// feed.Dialer(primary, standby, ...) to rotate through candidate
+	// coordinators on each redial, so a worker finds whichever address
+	// is serving after a takeover; chaos.Chaos.Dialer wraps it to
+	// fault-inject the link.
+	Dial feed.DialFunc
 	// EngineWorkers sets intra-group matrix-engine parallelism; ≤ 0
 	// means Config.ResolvedWorkers(). Any value produces identical
 	// bytes (the engine is worker-count-invariant).
@@ -46,30 +42,18 @@ type WorkerConfig struct {
 	// coordinator heartbeats parked workers every TTL/4, so a healthy
 	// link never trips this.
 	IdleTimeout time.Duration
-	// ReconnectWait is the base redial backoff (doubled per failure up
-	// to 32×, then jittered uniformly in [d/2, d] so a farm of workers
-	// orphaned by the same coordinator death does not redial in
-	// lockstep); ≤ 0 means 100ms.
-	ReconnectWait time.Duration
-	// MaxJoinFailures gives up after that many consecutive attempts
-	// that never reached a Grant; ≤ 0 means 10. Mid-sweep disconnects
-	// reset the count — only a coordinator that cannot be *reached* is
-	// retried to this cap, while an explicit Refuse (version or
-	// fingerprint mismatch) is fatal on the first attempt: retrying a
-	// misconfiguration can never succeed.
-	MaxJoinFailures int
-	// JitterSeed seeds the backoff jitter rng (0 = deterministic
-	// default seed; tests rely on reproducible schedules).
-	JitterSeed int64
-	// Jitter, when non-nil, replaces the JitterSeed-derived rng. The
-	// worker owns it privately (single goroutine), so an injected
-	// seeded rng pins a test's exact backoff sequence.
-	Jitter *rand.Rand
-	// Sleep, when non-nil, replaces the real backoff wait. It must
-	// return false iff ctx was cancelled before the delay elapsed.
-	// Tests inject a recording fake so reconnect schedules can be
-	// asserted without wall-clock time.
-	Sleep func(ctx context.Context, d time.Duration) bool
+	// Backoff is the first redial delay (≤ 0 means 100ms); consecutive
+	// failures double it up to 32×Backoff, each delay jittered in
+	// [d/2, d] (supervise.Redial) so a farm of workers orphaned by the
+	// same coordinator death does not redial in lockstep.
+	Backoff time.Duration
+	// MaxAttempts gives up after that many consecutive sessions that
+	// never reached a Grant; ≤ 0 means 10. A Grant resets the count —
+	// only a coordinator that cannot be *reached* is retried to this
+	// cap — while an explicit Refuse (version or fingerprint mismatch)
+	// or a compute error is fatal on the first attempt: retrying either
+	// can never succeed.
+	MaxAttempts int
 	// MaxUnacked caps the completed-but-unacknowledged Results buffered
 	// for redelivery across a coordinator restart; ≤ 0 means 1024.
 	// Overflow evicts arbitrarily — an evicted unit is merely
@@ -94,15 +78,9 @@ type WorkerStats struct {
 	// restart or takeover); Recovered counts buffered Results
 	// redelivered instead of recomputed after such a resume.
 	Rejoins, Recovered int
-	// Backoffs records each jittered redial delay, in order (tests pin
-	// the schedule; operators see reconnect pressure).
-	Backoffs []time.Duration
 	// Warm summarises the robust kernel's warm-start behaviour.
 	Warm sweep.RobustSummary
 }
-
-// errSweepDone signals a clean End from the coordinator.
-var errSweepDone = errors.New("farm: sweep complete")
 
 // RefusedError is an explicit coordinator rejection of the Join
 // handshake — a protocol-version or sweep-fingerprint mismatch. It is
@@ -124,24 +102,16 @@ func (e *RefusedError) Error() string {
 	return fmt.Sprintf("farm: %s by coordinator: %s", kind, e.Reason)
 }
 
-// wireError marks a network failure inside a compute loop: retryable
-// by reconnecting, unlike a compute error (wrong config, engine bug)
-// which is terminal.
-type wireError struct{ err error }
-
-func (e wireError) Error() string { return e.err.Error() }
-func (e wireError) Unwrap() error { return e.err }
-
 // RunWorker joins the coordinator, steals and computes groups through
 // the same sweep.GroupRunner the single-host orchestrator uses, and
 // streams each unit's Result back, until the coordinator sends End.
-// It reconnects with jittered exponential backoff across coordinator
-// restarts, standby takeovers (rotating through Addrs), chaos cuts and
-// idle timeouts, resuming its prior session so in-flight groups and
-// unacknowledged Results survive the handoff; it returns an error only
-// when no coordinator is reachable for MaxJoinFailures straight
-// attempts, the coordinator explicitly refuses the Join, the
-// configuration is rejected locally, or ctx is cancelled.
+// It redials through supervise.Retry across coordinator restarts,
+// standby takeovers, chaos cuts and idle timeouts, resuming its prior
+// session so in-flight groups and unacknowledged Results survive the
+// handoff; it returns an error only when no coordinator grants a Join
+// for MaxAttempts straight attempts, the coordinator explicitly
+// refuses the Join, a group fails to compute, the configuration is
+// rejected locally, or ctx is cancelled.
 func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 	if wc.HeartbeatEvery <= 0 {
 		wc.HeartbeatEvery = time.Second
@@ -149,46 +119,20 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 	if wc.IdleTimeout <= 0 {
 		wc.IdleTimeout = 30 * time.Second
 	}
-	if wc.ReconnectWait <= 0 {
-		wc.ReconnectWait = 100 * time.Millisecond
+	if wc.Backoff <= 0 {
+		wc.Backoff = 100 * time.Millisecond
 	}
-	if wc.MaxJoinFailures <= 0 {
-		wc.MaxJoinFailures = 10
+	if wc.MaxAttempts <= 0 {
+		wc.MaxAttempts = 10
 	}
 	if wc.MaxUnacked <= 0 {
 		wc.MaxUnacked = 1024
 	}
-	if wc.Jitter == nil {
-		wc.Jitter = rand.New(rand.NewSource(wc.JitterSeed))
-	}
-	if wc.Sleep == nil {
-		wc.Sleep = func(ctx context.Context, d time.Duration) bool {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return true
-			case <-ctx.Done():
-				return false
-			}
+	if wc.Dial == nil {
+		if wc.Addr == "" {
+			return nil, fmt.Errorf("farm: WorkerConfig.Addr or Dial is required")
 		}
-	}
-	addrs := wc.Addrs
-	if len(addrs) == 0 && wc.Addr != "" {
-		addrs = []string{wc.Addr}
-	}
-	if wc.Dial == nil && len(addrs) == 0 {
-		return nil, fmt.Errorf("farm: WorkerConfig.Addr, Addrs or Dial is required")
-	}
-	dialN := 0
-	dial := func(ctx context.Context) (net.Conn, error) {
-		if wc.Dial != nil {
-			return wc.Dial(ctx)
-		}
-		addr := addrs[dialN%len(addrs)]
-		dialN++
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
+		wc.Dial = feed.Dialer(wc.Addr)
 	}
 	runner, err := sweep.NewGroupRunner(wc.Config, wc.BlockSize)
 	if err != nil {
@@ -201,54 +145,25 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 		held:    map[int]uint64{},
 		unacked: map[int]*feed.Result{},
 	}
-	stats := &w.stats
-	backoff := wc.ReconnectWait
-	joinFailures := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
+	attempts := 0
+	err = supervise.Retry(ctx, supervise.Redial(wc.Backoff, wc.MaxAttempts), func(ctx context.Context, progress func()) error {
+		if attempts++; attempts > 1 {
+			w.stats.Redials++
 		}
-		conn, err := dial(ctx)
-		joined := false
-		if err == nil {
-			joined, err = w.session(ctx, conn)
-			conn.Close()
+		err := w.session(ctx, progress)
+		if err != nil && ctx.Err() == nil {
+			w.logf("farm worker: session ended: %v", err)
 		}
-		if err == nil || errors.Is(err, errSweepDone) {
-			stats.Warm = runner.WarmStats()
-			return stats, nil
-		}
-		if ctx.Err() != nil {
-			return stats, ctx.Err()
-		}
-		var refused *RefusedError
-		if errors.As(err, &refused) {
-			w.logf("farm worker: FATAL: %v", refused)
-			return stats, refused
-		}
-		var we wireError
-		if joined || errors.As(err, &we) {
-			joinFailures = 0
-			backoff = wc.ReconnectWait
-		} else {
-			joinFailures++
-			if joinFailures >= wc.MaxJoinFailures {
-				return stats, fmt.Errorf("farm: giving up after %d failed join attempts: %w", joinFailures, err)
-			}
-		}
-		stats.Redials++
-		// Jitter uniformly in [backoff/2, backoff] (the Collector's
-		// reconnect idiom) so orphaned workers spread their redials.
-		d := backoff/2 + time.Duration(wc.Jitter.Int63n(int64(backoff/2)+1))
-		stats.Backoffs = append(stats.Backoffs, d)
-		w.logf("farm worker: connection lost (%v); redialing in %v", err, d)
-		if !wc.Sleep(ctx, d) {
-			return stats, ctx.Err()
-		}
-		if backoff *= 2; backoff > 32*wc.ReconnectWait {
-			backoff = 32 * wc.ReconnectWait
-		}
+		return err
+	})
+	var ce *supervise.CircuitError
+	if errors.As(err, &ce) {
+		err = fmt.Errorf("farm: giving up after %d failed join attempts: %w", ce.Failures, ce.Last)
 	}
+	if err == nil {
+		w.stats.Warm = runner.WarmStats()
+	}
+	return &w.stats, err
 }
 
 type worker struct {
@@ -323,10 +238,17 @@ func (w *worker) buffer(r *feed.Result) {
 	w.unacked[int(r.Unit)] = r
 }
 
-// session runs one connection: Join → Grant (or Refuse), then
-// steal/compute/result until End or failure. joined reports whether a
-// Grant was received (resets the fatal join-failure counter).
-func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err error) {
+// session runs one connection: dial, Join → Grant (or Refuse), then
+// steal/compute/result until End (nil) or failure. The Grant reports
+// progress.
+func (w *worker) session(ctx context.Context, progress func()) error {
+	conn, err := w.wc.Dial(ctx)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+
 	// Writes come from this goroutine (Join, Steal, Results) and the
 	// heartbeat goroutine; writeMu serializes them on the shared
 	// encoder.
@@ -355,11 +277,11 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 		join.HeldLeases = w.heldLeaseIDs()
 	}
 	if err := send(func(e *feed.Encoder) error { return e.WriteJoin(join) }); err != nil {
-		return false, err
+		return err
 	}
 	f, err := read()
 	if err != nil {
-		return false, err
+		return err
 	}
 	var session uint64
 	switch f := f.(type) {
@@ -370,6 +292,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 		// groups arrive as fresh Lease frames and repopulate held.
 		w.held = map[int]uint64{}
 		w.stats.Sessions++
+		progress()
 		if rejoin {
 			w.stats.Rejoins++
 			w.logf("farm worker: rejoined as session %d under epoch %d (was session %d; %d unit(s) buffered for redelivery)",
@@ -379,16 +302,15 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 				f.Session, f.Epoch, f.UnitsDone, f.UnitsTotal)
 		}
 	case *feed.Refuse:
-		return false, &RefusedError{Code: f.Code, Reason: f.Reason}
+		return supervise.Permanent(&RefusedError{Code: f.Code, Reason: f.Reason})
 	case *feed.End:
-		return true, errSweepDone
+		return nil
 	default:
-		return false, fmt.Errorf("farm: handshake got %T, want Grant", f)
+		return fmt.Errorf("farm: handshake got %T, want Grant", f)
 	}
 
 	// Heartbeats renew leases while this goroutine is deep in a
-	// compute; the same goroutine closes the conn on ctx cancel so
-	// blocked reads and computes unwind promptly.
+	// compute.
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -398,9 +320,6 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 			select {
 			case <-stop:
 				return
-			case <-ctx.Done():
-				conn.Close()
-				return
 			case <-t.C:
 				send(func(e *feed.Encoder) error { return e.WriteHeartbeat(&feed.Heartbeat{Seq: session}) })
 			}
@@ -409,7 +328,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 
 	for {
 		if err := send(func(e *feed.Encoder) error { return e.WriteSteal(&feed.Steal{Done: uint64(w.stats.Units)}) }); err != nil {
-			return true, err
+			return err
 		}
 		// Read until work arrives; coordinator heartbeats punctuate
 		// long parks and reset the idle timer, result acks retire the
@@ -418,7 +337,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 		for {
 			f, err := read()
 			if err != nil {
-				return true, err
+				return err
 			}
 			switch f := f.(type) {
 			case *feed.Heartbeat:
@@ -426,14 +345,14 @@ func (w *worker) session(ctx context.Context, conn net.Conn) (joined bool, err e
 			case *feed.ResultAck:
 				w.ack(int(f.Unit))
 			case *feed.End:
-				return true, errSweepDone
+				return nil
 			case *feed.Lease:
 				if err := w.compute(ctx, f, send); err != nil {
-					return true, err
+					return err
 				}
 				break wait
 			default:
-				return true, fmt.Errorf("farm: unexpected %T while awaiting lease", f)
+				return fmt.Errorf("farm: unexpected %T while awaiting lease", f)
 			}
 		}
 	}
@@ -450,7 +369,7 @@ func (w *worker) compute(ctx context.Context, l *feed.Lease, send func(func(*fee
 	plan := w.runner.Plan()
 	day, block := int(l.Day), int(l.Block)
 	if day >= plan.Days || block >= plan.NumBlocks() {
-		return fmt.Errorf("farm: lease for group (%d,%d) outside plan", day, block)
+		return supervise.Permanent(fmt.Errorf("farm: lease for group (%d,%d) outside plan", day, block))
 	}
 	gid := plan.GroupID(day, block)
 	w.held[gid] = l.ID
@@ -460,7 +379,7 @@ func (w *worker) compute(ctx context.Context, l *feed.Lease, send func(func(*fee
 	recovered := 0
 	for _, p := range l.Params {
 		if int(p) >= plan.NumParams() {
-			return fmt.Errorf("farm: lease param %d outside plan", p)
+			return supervise.Permanent(fmt.Errorf("farm: lease param %d outside plan", p))
 		}
 		u := sweep.Unit{Day: day, Block: block, Param: int(p)}
 		id := plan.UnitID(u)
@@ -472,7 +391,7 @@ func (w *worker) compute(ctx context.Context, l *feed.Lease, send func(func(*fee
 			r.Lease, r.Gen, r.Epoch = l.ID, l.Gen, w.epoch
 			r.Flags |= feed.ResultRecovered
 			if err := send(func(e *feed.Encoder) error { return e.WriteResult(r) }); err != nil {
-				return wireError{err}
+				return err
 			}
 			recovered++
 			continue
@@ -498,11 +417,13 @@ func (w *worker) compute(ctx context.Context, l *feed.Lease, send func(func(*fee
 	if engineWorkers <= 0 {
 		engineWorkers = w.runner.Config().ResolvedWorkers()
 	}
+	// A send failure is the link's fault and worth a redial; any other
+	// RunGroup error recurs on every attempt.
+	var wireErr error
 	err := w.runner.RunGroup(ctx, gid, units, engineWorkers, func(e sweep.Entry, trades int64) error {
 		r := &feed.Result{Lease: l.ID, Gen: l.Gen, Epoch: w.epoch, Unit: uint64(e.U), Rets: e.Rets}
-		err := send(func(enc *feed.Encoder) error { return enc.WriteResult(r) })
-		if err != nil {
-			return wireError{err}
+		if wireErr = send(func(enc *feed.Encoder) error { return enc.WriteResult(r) }); wireErr != nil {
+			return wireErr
 		}
 		w.buffer(r)
 		w.stats.Units++
@@ -511,8 +432,12 @@ func (w *worker) compute(ctx context.Context, l *feed.Lease, send func(func(*fee
 		}
 		return nil
 	})
-	if err == nil {
-		w.stats.Groups++
+	switch {
+	case wireErr != nil:
+		return wireErr
+	case err != nil:
+		return supervise.Permanent(err)
 	}
-	return err
+	w.stats.Groups++
+	return nil
 }

@@ -2,11 +2,12 @@ package farm
 
 import (
 	"context"
-	"math/rand"
 	"net"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"marketminer/internal/feed"
 )
 
 // deadAddr binds and immediately closes a listener, yielding an
@@ -22,68 +23,98 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// recordBackoffs runs a worker against a dead coordinator with a
-// recording Sleep fake and a seeded jitter rng, returning the exact
-// redial schedule it chose.
-func recordBackoffs(t *testing.T, addr string, seed int64, attempts int) []time.Duration {
+// fakeCoordinator serves worker connections one at a time on a
+// loopback listener: it reads each Join, then hands the link to script
+// with the 1-based session number, and hangs up when script returns.
+func fakeCoordinator(t *testing.T, script func(session int, dec *feed.Decoder, enc *feed.Encoder)) string {
 	t.Helper()
-	var waits []time.Duration
-	st, err := RunWorker(context.Background(), WorkerConfig{
-		Config:          mustFarmConfig(),
-		BlockSize:       farmBlockSize,
-		Name:            "jitter-probe",
-		Addr:            addr,
-		ReconnectWait:   80 * time.Millisecond,
-		MaxJoinFailures: attempts,
-		Jitter:          rand.New(rand.NewSource(seed)),
-		Sleep: func(ctx context.Context, d time.Duration) bool {
-			waits = append(waits, d)
-			return true
-		},
-	})
-	if err == nil {
-		t.Fatal("worker against a dead coordinator returned nil error")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st.Backoffs, waits) {
-		t.Fatalf("WorkerStats.Backoffs %v disagree with the slept schedule %v", st.Backoffs, waits)
-	}
-	return waits
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for session := 1; ; session++ {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			dec, enc := feed.NewDecoder(conn), feed.NewEncoder(conn, nil)
+			if _, err := dec.Read(); err == nil { // Join
+				script(session, dec, enc)
+			}
+			conn.Close()
+		}
+	}()
+	return l.Addr().String()
 }
 
-// TestFarmWorkerBackoffJitterDeterministic pins the reconnect schedule:
-// jitter is drawn from an injectable seeded rng (same seed, same exact
-// schedule; different seed, different schedule), every delay lands in
-// [base/2, base], and the base doubles per failure up to the 32× cap —
-// the same contract feed.Collector's reconnect path keeps, so a farm of
-// workers orphaned together spreads its redials instead of thundering.
-func TestFarmWorkerBackoffJitterDeterministic(t *testing.T) {
-	addr := deadAddr(t)
-	const attempts = 9
-	a := recordBackoffs(t, addr, 7, attempts)
-	b := recordBackoffs(t, addr, 7, attempts)
-	c := recordBackoffs(t, addr, 8, attempts)
-
-	if len(a) != attempts-1 {
-		t.Fatalf("recorded %d backoffs, want one per retry = %d", len(a), attempts-1)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different schedules:\n%v\n%v", a, b)
-	}
-	if reflect.DeepEqual(a, c) {
-		t.Fatalf("different seeds produced the identical schedule %v", a)
-	}
-
-	base := 80 * time.Millisecond
-	for i, d := range a {
-		if d < base/2 || d > base {
-			t.Errorf("backoff %d = %v outside the jitter window [%v, %v]", i, d, base/2, base)
+// TestFarmWorkerComputeErrorIsTerminal: a lease the worker cannot
+// compute (a group outside its plan) fails the same way on every
+// attempt, so RunWorker returns the error after one session instead of
+// redialing forever.
+func TestFarmWorkerComputeErrorIsTerminal(t *testing.T) {
+	addr := fakeCoordinator(t, func(session int, dec *feed.Decoder, enc *feed.Encoder) {
+		if enc.WriteGrant(&feed.Grant{Session: uint64(session), Epoch: 1}) != nil {
+			return
 		}
-		if base *= 2; base > 32*80*time.Millisecond {
-			base = 32 * 80 * time.Millisecond
+		if _, err := dec.Read(); err != nil { // Steal
+			return
 		}
+		if enc.WriteLease(&feed.Lease{ID: 1, Gen: 1, Day: 999, Block: 0, Params: []uint16{0}}) != nil {
+			return
+		}
+		dec.Read() // until the worker hangs up
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	st, err := RunWorker(ctx, WorkerConfig{
+		Config:      mustFarmConfig(),
+		BlockSize:   farmBlockSize,
+		Name:        "misled",
+		Addr:        addr,
+		Backoff:     time.Millisecond,
+		MaxAttempts: 3,
+	})
+	if err == nil || !strings.Contains(err.Error(), "outside plan") {
+		t.Fatalf("RunWorker returned %v, want the outside-plan compute error", err)
 	}
-	// The cap must actually have been reached within the budget.
-	if last := a[len(a)-1]; last > 32*80*time.Millisecond {
-		t.Errorf("final backoff %v exceeds the 32× cap", last)
+	if st.Sessions != 1 || st.Redials != 0 {
+		t.Fatalf("%d sessions, %d redials: a compute error must end the worker after one session", st.Sessions, st.Redials)
+	}
+}
+
+// TestFarmWorkerGrantResetsAttempts: MaxAttempts bounds sessions in a
+// row that never reach a Grant. A coordinator that grants and then
+// drops the link, more times than the cap, is still followed to End.
+func TestFarmWorkerGrantResetsAttempts(t *testing.T) {
+	const drops = 4
+	addr := fakeCoordinator(t, func(session int, dec *feed.Decoder, enc *feed.Encoder) {
+		if enc.WriteGrant(&feed.Grant{Session: uint64(session), Epoch: 1}) != nil {
+			return
+		}
+		if _, err := dec.Read(); err != nil { // Steal
+			return
+		}
+		if session > drops {
+			enc.WriteEnd(&feed.End{})
+			dec.Read() // until the worker hangs up
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := RunWorker(ctx, WorkerConfig{
+		Config:      mustFarmConfig(),
+		BlockSize:   farmBlockSize,
+		Name:        "dropped",
+		Addr:        addr,
+		Backoff:     time.Millisecond,
+		MaxAttempts: 2,
+	})
+	if err != nil {
+		t.Fatalf("worker gave up: %v", err)
+	}
+	if st.Sessions != drops+1 || st.Rejoins != drops || st.Redials != drops {
+		t.Fatalf("stats %+v: want %d sessions, each drop rejoined and redialed", st, drops+1)
 	}
 }

@@ -4,99 +4,69 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"sync"
-
 	"marketminer/internal/metrics"
+	"marketminer/internal/supervise"
 	"marketminer/internal/taq"
 )
 
-// DialFunc establishes one connection to the feed server. Tests inject
-// flaky implementations; the default dials CollectorConfig.Addr.
+// DialFunc establishes one connection to a server. Tests inject flaky
+// implementations; chaos.Chaos.Dialer wraps one to fault-inject the
+// wire.
 type DialFunc func(ctx context.Context) (net.Conn, error)
+
+// Dialer returns a TCP DialFunc that moves to the next of addrs on
+// each call, so a client redialing after a failure tries the next
+// candidate (a primary, then its standbys). addrs must not be empty.
+func Dialer(addrs ...string) DialFunc {
+	var d net.Dialer
+	var calls atomic.Uint64
+	return func(ctx context.Context) (net.Conn, error) {
+		addr := addrs[(calls.Add(1)-1)%uint64(len(addrs))]
+		return d.DialContext(ctx, "tcp", addr)
+	}
+}
 
 // CollectorConfig tunes a Collector. Zero fields take the documented
 // defaults.
 type CollectorConfig struct {
 	// Addr is the feed server address (used by the default dialer).
 	Addr string
-	// Dial overrides the transport; when nil a TCP dialer to Addr is
-	// used.
+	// Dial overrides the transport; when nil, Dialer(Addr) is used.
 	Dial DialFunc
 	// Buffer is the depth of the outgoing quote channel (default 1024).
 	Buffer int
-	// InitialBackoff is the reconnect delay after the first failure
-	// (default 50ms); consecutive failures grow it by BackoffFactor
-	// (default 2) up to MaxBackoff (default 5s). The applied delay is
-	// jittered uniformly in [d/2, d] to decorrelate thundering-herd
-	// reconnects across collectors.
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
-	BackoffFactor  float64
-	// JitterSeed seeds the backoff jitter rng (0 = deterministic
-	// default seed; tests rely on reproducible schedules).
-	JitterSeed int64
-	// Jitter, when non-nil, replaces the JitterSeed-derived rng.
-	// Collectors never share rng state (each owns a private instance,
-	// guarded by the collector mutex), so reconnect schedules stay
-	// deterministic and race-free; inject a seeded rng here to pin a
-	// test's exact backoff sequence.
-	Jitter *rand.Rand
-	// Sleep, when non-nil, replaces the real backoff wait. It must
-	// return false iff ctx was cancelled before the delay elapsed.
-	// Tests inject a recording fake so reconnect schedules can be
-	// asserted without wall-clock time.
-	Sleep func(ctx context.Context, d time.Duration) bool
+	// Backoff is the reconnect delay after the first failure (default
+	// 50ms); consecutive failures double it up to 32×Backoff, each
+	// delay jittered in [d/2, d] (supervise.Redial).
+	Backoff time.Duration
 	// HeartbeatTimeout is the read deadline per frame: a connection
 	// silent for longer (no batches, no heartbeats) is presumed dead
 	// and redialed (default 15s). Must exceed the server's Heartbeat
 	// interval.
 	HeartbeatTimeout time.Duration
-	// MaxAttempts bounds consecutive connection attempts that fail
-	// before Run gives up (0 = retry forever, until ctx cancels).
+	// MaxAttempts bounds consecutive attempts that fail without
+	// delivering a new batch before Run gives up (0 = retry forever,
+	// until ctx cancels).
 	MaxAttempts int
 }
 
 func (c CollectorConfig) withDefaults() CollectorConfig {
 	if c.Dial == nil {
-		addr := c.Addr
-		d := &net.Dialer{}
-		c.Dial = func(ctx context.Context) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
+		c.Dial = Dialer(c.Addr)
 	}
 	if c.Buffer <= 0 {
 		c.Buffer = 1024
 	}
-	if c.InitialBackoff <= 0 {
-		c.InitialBackoff = 50 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
+	if c.Backoff <= 0 {
+		c.Backoff = 50 * time.Millisecond
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.Jitter == nil {
-		c.Jitter = rand.New(rand.NewSource(c.JitterSeed))
-	}
-	if c.Sleep == nil {
-		c.Sleep = func(ctx context.Context, d time.Duration) bool {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
 	}
 	return c
 }
@@ -116,11 +86,7 @@ type CollectorStats struct {
 	Gaps            int // sequence holes observed (forces a resume)
 	OrderViolations int // quotes breaking (Day, SeqTime) monotonicity
 	LastSeq         uint64
-	Backoffs        []time.Duration // applied reconnect delays, in order
 }
-
-// errEndOfFeed signals the server's clean End frame.
-var errEndOfFeed = errors.New("feed: end of stream")
 
 // ErrUniverseChanged is returned when a reconnected session advertises
 // a different symbol table than the first; resuming a sequence-
@@ -128,10 +94,10 @@ var errEndOfFeed = errors.New("feed: end of stream")
 var ErrUniverseChanged = errors.New("feed: server universe changed across reconnect")
 
 // Collector is the resilient client side of the feed: it maintains a
-// subscription to a feed server, transparently reconnecting with
-// exponential backoff and resuming from the last delivered sequence
-// number, and exposes the stream as a quote channel — the same
-// contract the in-process pipeline source consumes.
+// subscription to a feed server, transparently reconnecting through
+// supervise.Retry's jittered backoff and resuming from the last
+// delivered sequence number, and exposes the stream as a quote
+// channel — the same contract the in-process pipeline source consumes.
 //
 // Resilience properties, each covered by tests:
 //   - reconnect with exponential backoff + jitter on dial failure or
@@ -143,7 +109,6 @@ var ErrUniverseChanged = errors.New("feed: server universe changed across reconn
 type Collector struct {
 	cfg    CollectorConfig
 	quotes chan taq.Quote
-	rng    *rand.Rand
 
 	uniReady chan struct{}
 	uni      *taq.Universe
@@ -162,7 +127,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	return &Collector{
 		cfg:      cfg,
 		quotes:   make(chan taq.Quote, cfg.Buffer),
-		rng:      cfg.Jitter,
 		uniReady: make(chan struct{}),
 	}
 }
@@ -190,93 +154,42 @@ func (c *Collector) Stats() CollectorStats {
 	st := c.st
 	st.LastSeq = c.lastSeq
 	st.OrderViolations = c.order.Violations()
-	st.Backoffs = append([]time.Duration(nil), c.st.Backoffs...)
 	return st
 }
 
 // Run drives the collector until the stream ends cleanly (returns
-// nil), the context is cancelled (returns ctx.Err()), or MaxAttempts
-// consecutive connection attempts fail (returns the last error). The
-// quote channel is closed in every case. Run must be called once.
+// nil), the context is cancelled (returns ctx.Err()), the server's
+// universe changes (ErrUniverseChanged), or MaxAttempts consecutive
+// attempts fail without progress (returns the last error). The quote
+// channel is closed in every case. Run must be called once.
 func (c *Collector) Run(ctx context.Context) error {
 	defer c.closeOnce.Do(func() { close(c.quotes) })
-	attempt := 0 // consecutive failures without progress
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		conn, err := c.cfg.Dial(ctx)
-		if err != nil {
-			c.mu.Lock()
-			c.st.DialFailures++
-			c.mu.Unlock()
-			attempt++
-			if c.cfg.MaxAttempts > 0 && attempt >= c.cfg.MaxAttempts {
-				return fmt.Errorf("feed: giving up after %d attempts: %w", attempt, err)
-			}
-			if !c.sleep(ctx, attempt) {
-				return ctx.Err()
-			}
-			continue
-		}
-		progressed, err := c.session(ctx, conn)
-		if errors.Is(err, errEndOfFeed) {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if errors.Is(err, ErrUniverseChanged) {
-			return err
-		}
+	err := supervise.Retry(ctx, supervise.Redial(c.cfg.Backoff, c.cfg.MaxAttempts), c.session)
+	var ce *supervise.CircuitError
+	if errors.As(err, &ce) {
+		return fmt.Errorf("feed: giving up after %d attempts: %w", ce.Failures, ce.Last)
+	}
+	return err
+}
+
+// session runs one connection: dial, subscribe at the resume point,
+// validate the Hello, then deliver batches until the End frame (nil)
+// or a failure. Every new batch reports progress.
+func (c *Collector) session(ctx context.Context, progress func()) (err error) {
+	conn, err := c.cfg.Dial(ctx)
+	if err != nil {
 		c.mu.Lock()
-		c.st.Disconnects++
+		c.st.DialFailures++
 		c.mu.Unlock()
-		if progressed {
-			attempt = 0 // the stream moved; start backoff over
-		}
-		attempt++
-		if c.cfg.MaxAttempts > 0 && attempt >= c.cfg.MaxAttempts {
-			return fmt.Errorf("feed: giving up after %d attempts: %w", attempt, err)
-		}
-		if !c.sleep(ctx, attempt) {
-			return ctx.Err()
-		}
+		return err
 	}
-}
-
-// sleep applies the jittered exponential backoff for the given
-// consecutive-failure count; false means the context was cancelled.
-func (c *Collector) sleep(ctx context.Context, attempt int) bool {
-	d := c.cfg.InitialBackoff
-	for i := 1; i < attempt; i++ {
-		d = time.Duration(float64(d) * c.cfg.BackoffFactor)
-		if d >= c.cfg.MaxBackoff {
-			d = c.cfg.MaxBackoff
-			break
-		}
-	}
-	c.mu.Lock()
-	// Jitter uniformly in [d/2, d].
-	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.st.Backoffs = append(c.st.Backoffs, d)
-	c.mu.Unlock()
-	return c.cfg.Sleep(ctx, d)
-}
-
-// session runs one connection: subscribe at the resume point, validate
-// the Hello, then deliver batches until the stream ends or breaks.
-// progressed reports whether at least one new batch arrived.
-func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool, err error) {
 	defer conn.Close()
-	// Unblock conn reads when the context dies.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	defer func() {
+		if err != nil && ctx.Err() == nil {
+			c.mu.Lock()
+			c.st.Disconnects++
+			c.mu.Unlock()
 		}
 	}()
 
@@ -286,7 +199,7 @@ func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool
 	from := c.lastSeq
 	c.mu.Unlock()
 	if err := enc.WriteSubscribe(&Subscribe{From: from}); err != nil {
-		return false, fmt.Errorf("feed: subscribe: %w", err)
+		return fmt.Errorf("feed: subscribe: %w", err)
 	}
 	conn.SetWriteDeadline(time.Time{})
 
@@ -298,17 +211,17 @@ func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool
 
 	f, err := readFrame()
 	if err != nil {
-		return false, fmt.Errorf("feed: hello: %w", err)
+		return fmt.Errorf("feed: hello: %w", err)
 	}
 	hello, ok := f.(*Hello)
 	if !ok {
-		return false, protoErrf("expected hello, got %s", f.frameType())
+		return protoErrf("expected hello, got %s", f.frameType())
 	}
 	if hello.Version != ProtocolVersion {
-		return false, protoErrf("server speaks version %d, want %d", hello.Version, ProtocolVersion)
+		return protoErrf("server speaks version %d, want %d", hello.Version, ProtocolVersion)
 	}
 	if err := c.acceptUniverse(hello.Symbols); err != nil {
-		return false, err
+		return err
 	}
 	c.mu.Lock()
 	c.st.Connects++
@@ -321,7 +234,7 @@ func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool
 	for {
 		f, err := readFrame()
 		if err != nil {
-			return progressed, err
+			return err
 		}
 		switch fr := f.(type) {
 		case *Batch:
@@ -338,7 +251,7 @@ func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool
 				c.mu.Unlock()
 				// Force a reconnect; the fresh Subscribe re-requests
 				// the hole, so the gap costs latency, not data.
-				return progressed, protoErrf("sequence gap: got %d after %d", fr.Seq, c.lastSeq)
+				return protoErrf("sequence gap: got %d after %d", fr.Seq, c.lastSeq)
 			}
 			for _, q := range fr.Quotes {
 				c.order.Check(q)
@@ -351,10 +264,10 @@ func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool
 				select {
 				case c.quotes <- q:
 				case <-ctx.Done():
-					return progressed, ctx.Err()
+					return ctx.Err()
 				}
 			}
-			progressed = true
+			progress()
 		case *Heartbeat:
 			// Liveness only; the read deadline was already refreshed.
 		case *End:
@@ -365,17 +278,17 @@ func (c *Collector) session(ctx context.Context, conn net.Conn) (progressed bool
 				// End arrived but we hold an incomplete prefix (can
 				// happen if the server trimmed our resume point);
 				// reconnect to fetch the remainder.
-				return progressed, protoErrf("end at seq %d but only %d delivered", fr.Seq, c.lastSeq)
+				return protoErrf("end at seq %d but only %d delivered", fr.Seq, c.lastSeq)
 			}
-			return progressed, errEndOfFeed
+			return nil
 		default:
-			return progressed, protoErrf("unexpected frame %s", f.frameType())
+			return protoErrf("unexpected frame %s", f.frameType())
 		}
 	}
 }
 
 // acceptUniverse installs the symbol table on first contact and
-// verifies it is unchanged on reconnects.
+// verifies it is unchanged on reconnects; a change is permanent.
 func (c *Collector) acceptUniverse(symbols []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -389,11 +302,11 @@ func (c *Collector) acceptUniverse(symbols []string) error {
 		return nil
 	}
 	if len(symbols) != c.uni.Len() {
-		return ErrUniverseChanged
+		return supervise.Permanent(ErrUniverseChanged)
 	}
 	for i, s := range symbols {
 		if c.uni.Symbol(i) != s {
-			return ErrUniverseChanged
+			return supervise.Permanent(ErrUniverseChanged)
 		}
 	}
 	return nil

@@ -99,10 +99,8 @@ func TestCollectorGapResumeAndReconnectMetrics(t *testing.T) {
 
 	c := NewCollector(CollectorConfig{
 		Addr:             l.Addr().String(),
-		InitialBackoff:   time.Millisecond,
-		MaxBackoff:       5 * time.Millisecond,
+		Backoff:          time.Millisecond,
 		HeartbeatTimeout: 5 * time.Second,
-		JitterSeed:       1,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

@@ -58,7 +58,7 @@ type Stage struct {
 // key may be nil (no message is quarantinable).
 func NewStage(name string, p Policy, quar *Quarantine, key KeyFunc) *Stage {
 	p = p.withDefaults()
-	return &Stage{name: name, pol: p, bo: newBackoff(p), quar: quar, key: key}
+	return &Stage{name: name, pol: p, bo: &backoff{pol: p}, quar: quar, key: key}
 }
 
 // Report snapshots the stage counters.

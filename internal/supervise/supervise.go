@@ -1,9 +1,12 @@
 // Package supervise is the fault-tolerance runtime around the stream
-// engine: restart policies with jittered exponential backoff and a
-// max-restart circuit breaker, per-message panic isolation for DAG
-// stages with poison-message quarantine, bounded queues with explicit
-// backpressure and drop accounting, deadline-bounded graceful drain,
-// and CRC-guarded atomic-rename snapshots for warm state.
+// engine and its network clients: restart policies with jittered
+// exponential backoff and a max-restart circuit breaker (Retry, the one
+// redial loop of the feed collector, broker subscriber and farm
+// worker; Run, the same loop with panic isolation), per-message panic
+// isolation for DAG stages with poison-message quarantine, bounded
+// queues with explicit backpressure and drop accounting,
+// deadline-bounded graceful drain, and CRC-guarded atomic-rename
+// snapshots for warm state.
 //
 // The paper's MarketMiner is a long-running platform fed by live TAQ
 // data; its MPI ranks were supervised by the cluster scheduler. In the
@@ -17,7 +20,9 @@ package supervise
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sync"
@@ -31,13 +36,12 @@ import (
 // default, so Policy{} is a usable production policy.
 type Policy struct {
 	// InitialBackoff is the delay before the first restart (default
-	// 10ms); consecutive failures grow it by BackoffFactor (default 2)
-	// up to MaxBackoff (default 2s). Each applied delay is jittered
-	// uniformly in [d/2, d], the same decorrelation scheme as the feed
-	// collector's reconnect loop.
+	// 10ms); each consecutive failure doubles it, up to MaxBackoff
+	// (default 2s). Each applied delay is jittered uniformly in
+	// [d/2, d], so clients that lost the same server do not redial in
+	// lockstep.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	BackoffFactor  float64
 	// MaxFailures is the circuit breaker: this many consecutive
 	// failures (restarts without progress, or poisoned messages
 	// without a clean one in between) abort with a CircuitError
@@ -49,9 +53,10 @@ type Policy struct {
 	// not should set Retries < 0, which disables retrying (a first
 	// panic quarantines immediately).
 	Retries int
-	// Jitter, when non-nil, replaces the backoff jitter rng. The
-	// default is a private deterministically-seeded rng per backoff
-	// instance; inject a seeded one to pin a test's exact schedule.
+	// Jitter, when non-nil, replaces the backoff jitter rng; inject a
+	// seeded one to pin a test's exact schedule. The default draws
+	// from math/rand's process-wide source, which is seeded afresh in
+	// every process, so two processes never share a schedule.
 	Jitter *rand.Rand
 	// Sleep, when non-nil, replaces the real backoff wait; it must
 	// return false iff ctx was cancelled before the delay elapsed.
@@ -64,9 +69,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 2 * time.Second
-	}
-	if p.BackoffFactor < 1 {
-		p.BackoffFactor = 2
 	}
 	if p.MaxFailures <= 0 {
 		p.MaxFailures = 8
@@ -91,20 +93,22 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
+// Redial is the policy of a network client that reconnects to a
+// server: the first delay is backoff, doubling to a cap of 32×backoff,
+// and maxAttempts consecutive failures without progress give up
+// (0 = retry until the task ends or ctx dies).
+func Redial(backoff time.Duration, maxAttempts int) Policy {
+	if maxAttempts <= 0 {
+		maxAttempts = math.MaxInt
+	}
+	return Policy{InitialBackoff: backoff, MaxBackoff: 32 * backoff, MaxFailures: maxAttempts}
+}
+
 // backoff computes jittered exponential delays. Safe for concurrent
 // use (stage workers may back off in parallel).
 type backoff struct {
 	pol Policy
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newBackoff(p Policy) *backoff {
-	rng := p.Jitter
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	return &backoff{pol: p, rng: rng}
+	mu  sync.Mutex // guards an injected pol.Jitter
 }
 
 // delay returns the jittered backoff for the given consecutive-failure
@@ -112,19 +116,39 @@ func newBackoff(p Policy) *backoff {
 func (b *backoff) delay(failure int) time.Duration {
 	d := b.pol.InitialBackoff
 	for i := 1; i < failure; i++ {
-		d = time.Duration(float64(d) * b.pol.BackoffFactor)
-		if d >= b.pol.MaxBackoff {
+		if d *= 2; d >= b.pol.MaxBackoff {
 			d = b.pol.MaxBackoff
 			break
 		}
 	}
+	n := int64(d/2) + 1
+	if b.pol.Jitter == nil {
+		return d/2 + time.Duration(rand.Int63n(n))
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return d/2 + time.Duration(b.rng.Int63n(int64(d/2)+1))
+	return d/2 + time.Duration(b.pol.Jitter.Int63n(n))
+}
+
+// permanentError marks a task failure that retrying cannot fix.
+type permanentError struct{ err error }
+
+func (e *permanentError) Error() string { return e.err.Error() }
+func (e *permanentError) Unwrap() error { return e.err }
+
+// Permanent wraps err so that Retry (and Run) return err at once
+// instead of retrying: a refused handshake or a deterministic compute
+// error fails the same way on every attempt. Permanent(nil) is nil.
+func Permanent(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &permanentError{err}
 }
 
 // CircuitError reports an opened circuit breaker: the supervised unit
-// failed MaxFailures consecutive times without progress.
+// failed MaxFailures consecutive times without progress. Name is empty
+// when Retry, rather than Run, gave up.
 type CircuitError struct {
 	Name     string
 	Failures int
@@ -165,53 +189,79 @@ type TaskReport struct {
 	LastErr  error // most recent failure (nil after a clean finish)
 }
 
-// Run executes task under restart supervision until it returns nil
-// (clean finish), the context is cancelled, or the circuit opens.
+// Retry runs task until it returns nil, returns an error wrapped by
+// Permanent (Retry then returns the unwrapped error), ctx dies
+// (ctx.Err()), or Policy.MaxFailures consecutive attempts fail without
+// progress (a *CircuitError whose Last is the final failure). Between
+// failures it waits the policy's jittered backoff.
 //
-// task receives a progress callback; calling it marks the current
-// incarnation as having made progress, which resets the consecutive-
-// failure count — so a task that crashes at a *different* point each
-// time keeps being restarted (it is getting somewhere, e.g. resuming
-// further from each snapshot), while one that dies instantly every
-// time trips the breaker after Policy.MaxFailures attempts. Both
-// panics and returned errors count as failures; backoff applies
-// between restarts.
-func Run(ctx context.Context, name string, p Policy, task func(ctx context.Context, progress func()) error) (TaskReport, error) {
+// task receives a progress callback, to be called from task's own
+// goroutine; calling it marks the current attempt as having made
+// progress, which resets the consecutive-failure count — so a task
+// that fails at a *different* point each time keeps being retried (it
+// is getting somewhere, e.g. resuming further from each snapshot),
+// while one that fails instantly every time gives up after
+// MaxFailures attempts.
+//
+// Retry does not recover panics: a panicking task crashes the caller.
+// Run adds that isolation.
+func Retry(ctx context.Context, p Policy, task func(ctx context.Context, progress func()) error) error {
 	p = p.withDefaults()
-	bo := newBackoff(p)
-	var rep TaskReport
+	bo := &backoff{pol: p}
 	failures := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return rep, err
+			return err
 		}
 		progressed := false
-		err := runRecovered(name, func() error { return task(ctx, func() { progressed = true }) })
+		err := task(ctx, func() { progressed = true })
 		if err == nil {
-			rep.LastErr = nil
-			return rep, nil
+			return nil
 		}
 		if ctx.Err() != nil {
-			return rep, ctx.Err()
+			return ctx.Err()
 		}
-		if _, ok := err.(*PanicError); ok {
-			rep.Panics++
+		var perm *permanentError
+		if errors.As(err, &perm) {
+			return perm.err
 		}
-		rep.LastErr = err
 		if progressed {
 			failures = 0
 		}
 		failures++
 		if failures >= p.MaxFailures {
-			metrics.Counter("supervise.circuit_open").Inc()
-			return rep, &CircuitError{Name: name, Failures: failures, Last: err}
+			return &CircuitError{Failures: failures, Last: err}
 		}
-		rep.Restarts++
-		metrics.Counter("supervise.restarts").Inc()
 		if !p.Sleep(ctx, bo.delay(failures)) {
-			return rep, ctx.Err()
+			return ctx.Err()
 		}
 	}
+}
+
+// Run is Retry for an in-process task: a panic counts as a failure
+// (a *PanicError) instead of crashing the process, the circuit error
+// carries name, and restarts, panics and opened circuits are counted
+// in the report and the supervise.* metrics.
+func Run(ctx context.Context, name string, p Policy, task func(ctx context.Context, progress func()) error) (TaskReport, error) {
+	var rep TaskReport
+	err := Retry(ctx, p, func(ctx context.Context, progress func()) error {
+		if rep.LastErr != nil {
+			rep.Restarts++
+			metrics.Counter("supervise.restarts").Inc()
+		}
+		err := runRecovered(name, func() error { return task(ctx, progress) })
+		if _, ok := err.(*PanicError); ok {
+			rep.Panics++
+		}
+		rep.LastErr = err
+		return err
+	})
+	var ce *CircuitError
+	if errors.As(err, &ce) {
+		ce.Name = name
+		metrics.Counter("supervise.circuit_open").Inc()
+	}
+	return rep, err
 }
 
 // GracefulDrain coordinates a deadline-bounded stop: it waits for done

@@ -22,7 +22,6 @@ func testPolicy(clk *fakeClock, seed int64) Policy {
 	return Policy{
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     80 * time.Millisecond,
-		BackoffFactor:  2,
 		Jitter:         rand.New(rand.NewSource(seed)),
 		Sleep:          clk.sleep,
 	}
@@ -144,6 +143,99 @@ func TestRunStopsOnContextCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRetryDefaultJitterDiffersAcrossPolicies: with no injected
+// Jitter, two policies draw from the process-wide source, so two
+// clients that lost the same server do not share a redial schedule;
+// every delay still lands in its [d/2, d] window.
+func TestRetryDefaultJitterDiffersAcrossPolicies(t *testing.T) {
+	schedule := func() []time.Duration {
+		clk := &fakeClock{}
+		err := Retry(context.Background(), Policy{MaxFailures: 9, Sleep: clk.sleep}, func(ctx context.Context, progress func()) error {
+			return errors.New("down")
+		})
+		var ce *CircuitError
+		if !errors.As(err, &ce) || ce.Failures != 9 {
+			t.Fatalf("err = %v, want a CircuitError after 9 failures", err)
+		}
+		return clk.slept
+	}
+	a, b := schedule(), schedule()
+	if len(a) != 8 || len(b) != 8 {
+		t.Fatalf("slept %d and %d times, want 8", len(a), len(b))
+	}
+	same := true
+	for i := range a {
+		d := (10 * time.Millisecond) << i // the default 10ms, doubling under the 2s cap
+		for _, got := range []time.Duration{a[i], b[i]} {
+			if got < d/2 || got > d {
+				t.Errorf("delay %d = %v outside [%v, %v]", i, got, d/2, d)
+			}
+		}
+		same = same && a[i] == b[i]
+	}
+	if same {
+		t.Fatalf("two default policies drew the same schedule %v", a)
+	}
+}
+
+// TestRetryPermanentReturnsAtOnce: a Permanent failure is returned
+// unwrapped on the first attempt, without a backoff.
+func TestRetryPermanentReturnsAtOnce(t *testing.T) {
+	clk := &fakeClock{}
+	refused := errors.New("refused")
+	runs := 0
+	err := Retry(context.Background(), testPolicy(clk, 1), func(ctx context.Context, progress func()) error {
+		runs++
+		return Permanent(refused)
+	})
+	if err != refused || runs != 1 || len(clk.slept) != 0 {
+		t.Fatalf("err=%v runs=%d sleeps=%d, want the bare error after one run and no sleep", err, runs, len(clk.slept))
+	}
+	if Permanent(nil) != nil {
+		t.Fatal("Permanent(nil) != nil")
+	}
+}
+
+// TestRetryDoesNotRecoverPanics: only Run isolates panics; under Retry
+// a panicking task unwinds through the caller.
+func TestRetryDoesNotRecoverPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the task's panic", r)
+		}
+	}()
+	Retry(context.Background(), testPolicy(&fakeClock{}, 1), func(ctx context.Context, progress func()) error {
+		panic("boom")
+	})
+	t.Fatal("Retry returned after a panic")
+}
+
+// TestRedialRetriesForeverUnderTheCap: Redial(b, 0) keeps redialing
+// past the default circuit breaker, with delays capped at 32×b.
+func TestRedialRetriesForeverUnderTheCap(t *testing.T) {
+	clk := &fakeClock{}
+	p := Redial(10*time.Millisecond, 0)
+	p.Sleep = clk.sleep
+	runs := 0
+	err := Retry(context.Background(), p, func(ctx context.Context, progress func()) error {
+		if runs++; runs <= 20 {
+			return errors.New("down")
+		}
+		return nil
+	})
+	if err != nil || len(clk.slept) != 20 {
+		t.Fatalf("err=%v after %d sleeps, want nil after 20", err, len(clk.slept))
+	}
+	for i, d := range clk.slept {
+		if d > 320*time.Millisecond {
+			t.Errorf("delay %d = %v above the 32× cap", i, d)
+		}
+	}
+	if last := clk.slept[len(clk.slept)-1]; last < 160*time.Millisecond {
+		t.Errorf("final delay %v never reached the cap window", last)
 	}
 }
 

@@ -5,6 +5,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# focus REGEX PKG...: run the tests REGEX names under -race, after
+# checking that every name in REGEX still starts some test in PKG...,
+# so a renamed test cannot silently drop out of a gate.
+focus() {
+    regex=$1
+    shift
+    listed=$(go test -list . "$@")
+    for name in $(echo "$regex" | tr '|' ' '); do
+        if ! echo "$listed" | grep -Eq "^$name"; then
+            echo "focus gate names $name, which matches no test in $*" >&2
+            exit 1
+        fi
+    done
+    go test -race -run "$regex" "$@"
+}
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -34,13 +50,17 @@ echo "== go test -race ./internal/screen ./internal/corr (screening + batched ke
 go test -race ./internal/screen ./internal/corr
 
 echo "== batched-vs-reference bit-identity smoke"
-go test -race -run 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference' ./internal/corr
+focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference' ./internal/corr
 
 echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
-go test -race -run 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
+focus 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
 
 echo "== go test -race ./internal/feed ./internal/supervise ./internal/chaos (robustness focus)"
 go test -race ./internal/feed ./internal/supervise ./internal/chaos
+
+echo "== redial focus: supervise.Retry's schedule, jitter and Permanent; collector, subscriber and worker reconnects"
+focus 'TestRetry|TestRedial|TestRun|TestCollectorDialerMovesToNextAddress|TestCollectorFlakyTransportZeroLoss|TestCollectorHeartbeatTimeout|TestCollectorGivesUpAfterMaxAttempts|TestSubscriberRedialsSilentBroker|TestSubscriberMaxAttemptsCountsConsecutiveFailures|TestEvictionOfLaggingSubscriber' \
+    ./internal/supervise ./internal/feed ./internal/broker
 
 echo "== decoder fuzz, 10 s: every frame type incl. interval snapshots/deltas, must error, never panic"
 go test -run '^$' -fuzz FuzzDecoder -fuzztime 10s ./internal/feed
@@ -57,8 +77,8 @@ go test -race ./internal/broker
 echo "== go test -race ./internal/farm ./internal/feed (distributed sweep farm focus)"
 go test -race ./internal/farm ./internal/feed
 
-echo "== coordinator crash-recovery gate: SIGKILL restart, standby takeover, fencing, torn tail"
-go test -race -run 'TestFarmCoordinatorSIGKILL|TestFarmStandbyTakeover|TestFarmEpochFencing|TestFarmJournalTornTail|TestFarmCoordinatorMetrics|TestFarmWorkerBackoff' ./internal/farm
+echo "== coordinator crash-recovery gate: SIGKILL restart, standby takeover, fencing, torn tail, worker give-up rules"
+focus 'TestFarmCoordinatorSIGKILL|TestFarmStandbyTakeover|TestFarmEpochFencing|TestFarmJournalTornTail|TestFarmCoordinatorMetrics|TestFarmWorkerComputeErrorIsTerminal|TestFarmWorkerGrantResetsAttempts|TestFarmUnreachableCoordinatorRetriesThenFails' ./internal/farm
 
 echo "== go test -race ./..."
 go test -race ./...
