@@ -12,11 +12,11 @@
 // fingerprint is checked at join and mismatched workers are refused.
 //
 // The coordinator itself is crash-tolerant: its durable state (epoch,
-// lease table, pending order) lives in a CRC-guarded manifest next to
+// lease table, pending order) lives in a CRC-sealed manifest next to
 // the journal, so a SIGKILLed coordinator restarted with the same
 // -journal re-serves only unfinished units, and `-standby` runs a warm
-// standby that tails the primary's heartbeat file and takes over under
-// a higher, fencing epoch when the primary goes silent. Workers given a
+// standby that tails that manifest and takes over under a higher,
+// fencing epoch when the primary stops rewriting it. Workers given a
 // comma-separated -connect list rotate through it on redial and resume
 // their prior session, redelivering completed-but-unacknowledged
 // results instead of recomputing them.
@@ -148,8 +148,8 @@ func runServe(args []string) error {
 	ttl := fs.Duration("ttl", farm.DefaultLeaseTTL, "lease TTL: silence budget before a worker's groups are reassigned")
 	limit := fs.Int("limit", 0, "accept at most N units this invocation, then pause (0 = run to completion)")
 	mergeOut := fs.String("merge-out", "", "on completion, merge the journal and write raw results JSON here")
-	standby := fs.Bool("standby", false, "run as a warm standby: tail the primary's heartbeat file and take over on silence")
-	takeoverAfter := fs.Duration("takeover-after", 0, "standby only: heartbeat silence before taking over (0 = the lease TTL)")
+	standby := fs.Bool("standby", false, "run as a warm standby: tail the primary's manifest and take over on silence")
+	takeoverAfter := fs.Duration("takeover-after", 0, "standby only: manifest silence before taking over (0 = the lease TTL)")
 	fs.Parse(args)
 	if *journal == "" {
 		return fmt.Errorf("-journal is required")

@@ -18,7 +18,7 @@
 //	    dial through injected cuts and refused connections (the CRC
 //	    wire protocol plus resume-from-sequence must keep the results
 //	    identical to a clean run);
-//	mmpipeline -supervise -snapshot engine.snap -quarantine poison.jsonl
+//	mmpipeline -supervise -snapshot engine.snap -quarantine poison.quar
 //	    run the DAG under the supervision runtime: panic isolation,
 //	    poison-message quarantine, and crash-safe correlation-engine
 //	    snapshots (a restart resumes from the last snapshot).
@@ -73,7 +73,7 @@ func main() {
 	flag.StringVar(&o.chaos, "chaos", "", "deterministic fault-injection spec: applied to the dial path with -connect, to the quote stream otherwise")
 	flag.BoolVar(&o.supervise, "supervise", false, "run the DAG under the supervision runtime")
 	flag.StringVar(&o.snapshot, "snapshot", "", "crash-safe correlation-engine snapshot file (implies -supervise)")
-	flag.StringVar(&o.quarantine, "quarantine", "", "poison-message journal file (implies -supervise)")
+	flag.StringVar(&o.quarantine, "quarantine", "", "poison-message quarantine file (implies -supervise)")
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", 25, "matrices between engine snapshots")
 	flag.DurationVar(&o.drain, "drain", 0, "graceful-drain timeout on interrupt (0 = abort immediately)")
 	flag.Parse()

@@ -24,9 +24,9 @@ type SuperviseOptions struct {
 	// Policy tunes restart backoff, retry counts, and the circuit
 	// breaker for every wrapped stage (zero value = defaults).
 	Policy supervise.Policy
-	// QuarantinePath persists the poison-message journal ("" keeps it
-	// in memory: quarantine still works, but does not survive
-	// restarts).
+	// QuarantinePath persists the poison-message set as a snapshot
+	// ("" keeps it in memory: quarantine still works, but does not
+	// survive restarts).
 	QuarantinePath string
 	// SnapshotPath, when set, persists the online correlation engine's
 	// warm state (CRC-guarded, atomically replaced). On start-up an
@@ -69,9 +69,9 @@ type SupervisionReport struct {
 	// Drained reports that a cancelled run finished its graceful drain
 	// within DrainTimeout (true too for runs that ended naturally).
 	Drained bool
-	// QuarantineHealed reports that the quarantine journal had a torn
-	// tail from a previous crash and was truncated to its last intact
-	// record.
+	// QuarantineHealed reports that the quarantine file was damaged
+	// and only its intact records were kept; the next quarantined
+	// message rewrites it whole.
 	QuarantineHealed bool
 }
 
@@ -106,7 +106,7 @@ func newSupervisor(opts *SuperviseOptions) (*supervisor, error) {
 	s.quar = quar
 	if quar.Healed() {
 		s.report.QuarantineHealed = true
-		s.logf("core: quarantine journal had a torn tail; healed to %d records", quar.Len())
+		s.logf("core: quarantine file was damaged; kept %d intact records", quar.Len())
 	}
 	return s, nil
 }
@@ -299,7 +299,7 @@ func matrixKey(m engine.Message) (string, bool) {
 	return fmt.Sprintf("matrix|%d", cm.S), true
 }
 
-// finish closes the quarantine and attaches the report to the result.
+// finish attaches the report to the result.
 func (s *supervisor) finish(res *PipelineResult) {
 	if s == nil {
 		return
@@ -307,7 +307,6 @@ func (s *supervisor) finish(res *PipelineResult) {
 	for _, st := range s.stages {
 		s.report.Stages = append(s.report.Stages, st.Report())
 	}
-	s.quar.Close()
 	res.Supervision = &s.report
 	rep := s.report
 	if rep.Snapshots > 0 || rep.Resumed || len(rep.Stages) > 0 {

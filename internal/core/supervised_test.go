@@ -174,9 +174,9 @@ func TestSupervisedQuarantinedKeySkippedOnReplay(t *testing.T) {
 	u := testUniverse(t)
 	quotes := genQuotes(t, u)
 	base := runBaseline(t, u, quotes)
-	path := filepath.Join(t.TempDir(), "quarantine.jsonl")
+	path := filepath.Join(t.TempDir(), "quarantine.snap")
 
-	// Pre-seed the journal as if a prior run had quarantined a band of
+	// Pre-seed the quarantine as if a prior run had quarantined a band of
 	// return intervals after repeated panics.
 	quar, err := supervise.OpenQuarantine(path)
 	if err != nil {
@@ -187,7 +187,6 @@ func TestSupervisedQuarantinedKeySkippedOnReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	quar.Close()
 
 	res, err := RunPipeline(context.Background(), supervisedConfig(u, &SuperviseOptions{
 		QuarantinePath: path,

@@ -460,6 +460,18 @@ func TestFarmLimitResumeExecutesOnlyLostUnits(t *testing.T) {
 	if st3.UnitsExecuted != 0 || st3.UnitsRestored != st3.UnitsTotal {
 		t.Fatalf("re-serving a complete journal executed %d units, want 0: %+v", st3.UnitsExecuted, st3)
 	}
+	// A finished farm leaves its journal and manifest, nothing else.
+	entries, err := os.ReadDir(filepath.Dir(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"farm.journal", "farm.journal.coord"}) {
+		t.Fatalf("finished farm directory holds %v, want the journal and its manifest", names)
+	}
 
 	got, _, err := sweep.MergeFiles([]string{journal})
 	if err != nil {

@@ -2,6 +2,7 @@ package supervise
 
 import (
 	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -110,5 +111,26 @@ func TestSnapshotOverwriteIsAtomicReplacement(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("directory has %d entries, want 1: %v", len(entries), entries)
+	}
+}
+
+// TestSnapshotBytesPinned pins SaveSnapshot's exact output for a fixed
+// payload and fingerprint. The engine, broker and chaos snapshots all
+// go through it, so a format change would orphan every snapshot on
+// disk; this digest was taken from the format's original writer.
+func TestSnapshotBytesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pin.snap")
+	in := fakeState{Cursor: 7, Values: []float64{1.5, -2.25, 1e-300}, Comment: "pinned"}
+	if err := SaveSnapshot(path, "cfg-pin", in); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(raw)
+	if got := h.Sum64(); got != 0xb15204e0617ab81e {
+		t.Fatalf("snapshot bytes changed: FNV-64a %016x, want b15204e0617ab81e:\n%s", got, raw)
 	}
 }

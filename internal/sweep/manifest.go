@@ -2,9 +2,8 @@ package sweep
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
+
+	"marketminer/internal/supervise"
 )
 
 // ManifestSchema versions the progress manifest format.
@@ -58,42 +57,13 @@ func manifestFrom(h Header, info ProgressInfo, warm RobustSummary, done bool) Ma
 	}
 }
 
-// writeManifest replaces the manifest atomically (write to a temp file
-// in the same directory, then rename) so a poller never observes a
-// half-written snapshot.
+// writeManifest replaces the manifest atomically, so a poller never
+// observes a half-written one. It stays plain indented JSON rather than
+// a CRC-sealed snapshot: schedulers read it with any JSON tool.
 func writeManifest(path string, m Manifest) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// ReadManifest loads a shard progress manifest.
-func ReadManifest(path string) (*Manifest, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("sweep: manifest %s: %w", path, err)
-	}
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("sweep: manifest %s: schema %q, want %q", path, m.Schema, ManifestSchema)
-	}
-	return &m, nil
+	return supervise.WriteFileAtomic(path, append(b, '\n'))
 }

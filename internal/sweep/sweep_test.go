@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -235,9 +237,16 @@ func TestManifestTracksCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadManifest(path + ".manifest")
+	raw, err := os.ReadFile(path + ".manifest")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Schema != ManifestSchema {
+		t.Fatalf("manifest schema %q, want %q", m.Schema, ManifestSchema)
 	}
 	if !m.Done || m.UnitsDone != m.UnitsTotal || m.UnitsTotal != st.UnitsTotal {
 		t.Fatalf("final manifest %+v, want done with %d units", m, st.UnitsTotal)
@@ -247,6 +256,10 @@ func TestManifestTracksCompletion(t *testing.T) {
 	}
 	if m.Warm.Windows == 0 || m.Warm.WarmHitFraction <= 0 {
 		t.Fatalf("manifest warm-start telemetry missing: %+v", m.Warm)
+	}
+	// Every progress write replaced the manifest whole: no temp files.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("sweep directory holds %v (%v), want the journal and its manifest", entries, err)
 	}
 }
 
