@@ -244,14 +244,18 @@ func BenchmarkCorrelationWindow(b *testing.B) {
 	dd, _ := benchDay(b, 4)
 	x := dd.Returns[0][:100]
 	y := dd.Returns[1][:100]
-	for _, ct := range corr.Types() {
-		est, err := corr.NewEstimator(ct)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(ct.String(), func(b *testing.B) {
+	mc := corr.DefaultMaronnaConfig()
+	for _, est := range []struct {
+		ct   corr.Type
+		corr func(x, y []float64) float64
+	}{
+		{corr.Pearson, corr.PearsonCorr},
+		{corr.Maronna, corr.NewMaronnaEstimator(mc).Corr},
+		{corr.Combined, corr.NewCombinedEstimator(mc).Corr},
+	} {
+		b.Run(est.ct.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := est.Corr(x, y)
+				c := est.corr(x, y)
 				if c < -1 || c > 1 {
 					b.Fatal("out of range")
 				}

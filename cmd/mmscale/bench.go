@@ -197,7 +197,7 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 		return err
 	})
 	rep.Batch.FusedDayNs = dayBenchMin(reps, func() error {
-		_, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
+		_, err := corr.ComputeSeriesMulti(ec1, fusedTypes, dd.Returns)
 		return err
 	})
 	if rep.Batch.FusedDayNs > 0 {
@@ -205,7 +205,7 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 	}
 
 	// Batch telemetry from one run.
-	exact, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
+	exact, err := corr.ComputeSeriesMulti(ec1, fusedTypes, dd.Returns)
 	if err != nil {
 		return err
 	}
@@ -238,7 +238,7 @@ func measureBatchAndScreen(rep *benchReport, dd *backtest.DayData) error {
 		if _, _, err := screen.Select(scfg, dd.Returns); err != nil {
 			return err
 		}
-		_, err := corr.ComputeMatrixSeries(ecPipe, fusedTypes, dd.Returns)
+		_, err := corr.ComputeSeriesMulti(ecPipe, fusedTypes, dd.Returns)
 		return err
 	})
 	if rep.Screen.PipelineDayNs > 0 {
@@ -260,7 +260,7 @@ func measureSIMD(rep *benchReport, dd *backtest.DayData) error {
 	const reps = 3
 
 	rep.SIMD.RobustSIMDDayNs = dayBenchMin(reps, func() error {
-		_, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
+		_, err := corr.ComputeSeriesMulti(ec1, fusedTypes, dd.Returns)
 		return err
 	})
 	if rep.SIMD.RobustSIMDDayNs > 0 {
@@ -270,7 +270,7 @@ func measureSIMD(rep *benchReport, dd *backtest.DayData) error {
 	// Pack overhead from one profiled run.
 	corr.SetSIMDProfiling(true)
 	defer corr.SetSIMDProfiling(false)
-	css, err := corr.ComputeMatrixSeries(ec1, fusedTypes, dd.Returns)
+	css, err := corr.ComputeSeriesMulti(ec1, fusedTypes, dd.Returns)
 	if err != nil {
 		return err
 	}
@@ -449,7 +449,7 @@ func writeBenchJSON(path string, dd *backtest.DayData, workers int, sweep sweepR
 	}
 	pearsonTypes := []corr.Type{corr.Pearson}
 	rep.Engine.PearsonDayNs = dayBench(func() error {
-		_, err := corr.ComputeMatrixSeries(ecfg, pearsonTypes, dd.Returns)
+		_, err := corr.ComputeSeriesMulti(ecfg, pearsonTypes, dd.Returns)
 		return err
 	})
 	rep.Engine.PearsonDayRefNs = dayBench(func() error {
@@ -457,7 +457,7 @@ func writeBenchJSON(path string, dd *backtest.DayData, workers int, sweep sweepR
 		return err
 	})
 	rep.Engine.FusedDayNs = dayBench(func() error {
-		_, err := corr.ComputeMatrixSeries(ecfg, fusedTypes, dd.Returns)
+		_, err := corr.ComputeSeriesMulti(ecfg, fusedTypes, dd.Returns)
 		return err
 	})
 	rep.Engine.FusedDayRefNs = dayBench(func() error {

@@ -98,7 +98,7 @@ func writeScalingJSON(path string, dd *backtest.DayData) error {
 		NumCPU:      numCPU,
 		CPUModel:    cpuModel(),
 		GitRevision: gitRevision(),
-		Workload: fmt.Sprintf("ComputeMatrixSeries, %d stocks, %d returns, all three treatments",
+		Workload: fmt.Sprintf("ComputeSeriesMulti, %d stocks, %d returns, all three treatments",
 			len(dd.Returns), len(dd.Returns[0])),
 		WindowM: benchWindowM,
 	}
@@ -108,7 +108,7 @@ func writeScalingJSON(path string, dd *backtest.DayData) error {
 		cfg := corr.EngineConfig{M: benchWindowM, Workers: w}
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := corr.ComputeMatrixSeries(cfg, types, dd.Returns); err != nil {
+				if _, err := corr.ComputeSeriesMulti(cfg, types, dd.Returns); err != nil {
 					b.Fatal(err)
 				}
 			}

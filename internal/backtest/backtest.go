@@ -219,6 +219,10 @@ func TradeReturns(cfg Config, trades []strategy.Trade) []float64 {
 	return rets
 }
 
+// pairsPerJob is how many pairs one Run scheduler job backtests with
+// one DayGrid.
+const pairsPerJob = 64
+
 // Run executes the integrated (Approach 3) sweep: for each day the
 // correlation series is computed once per (Ctype, M) across all pairs
 // by the parallel engine, then every (pair, parameter set) strategy is
@@ -296,6 +300,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}
 		}
+		day, err := corr.NewDay(dd.Returns)
+		if err != nil {
+			return nil, err
+		}
 		var dayTrades int64
 		for m, levelIdxs := range byM {
 			// One engine pass per (M): the robust treatments share a
@@ -305,23 +313,34 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if cfg.Screen.Enabled() {
 				ec.Pairs = runIDs
 			}
-			css, err := corr.ComputeSeriesMulti(ec, types, dd.Returns)
+			css, err := day.Series(ec, types)
 			if err != nil {
 				return nil, err
 			}
 			for ti, ct := range types {
 				cs := css[ti]
 				ti, levelIdxs := ti, levelIdxs
-				err = pool.Map(ctx, len(runIDs), func(ctx context.Context, i int) error {
-					pid := runIDs[i]
-					pr := pairs[pid]
-					for _, li := range levelIdxs {
-						p := levels[li].WithType(ct)
-						trades, err := strategy.RunDay(p, cs.Corr[i], cs.FirstS, dd.PG, pr.I, pr.J, d)
-						if err != nil {
+				gridLevels := make([]strategy.Params, len(levelIdxs))
+				for k, li := range levelIdxs {
+					gridLevels[k] = levels[li].WithType(ct)
+				}
+				// One DayGrid pass per pair serves every level of this
+				// series; each job reuses one grid over a run of pairs.
+				jobs := (len(runIDs) + pairsPerJob - 1) / pairsPerJob
+				err = pool.Map(ctx, jobs, func(ctx context.Context, j int) error {
+					grid, err := strategy.NewDayGrid(gridLevels)
+					if err != nil {
+						return err
+					}
+					for i := j * pairsPerJob; i < min((j+1)*pairsPerJob, len(runIDs)); i++ {
+						pid := runIDs[i]
+						pr := pairs[pid]
+						if err := grid.Run(cs.Corr[i], cs.FirstS, dd.PG, pr.I, pr.J, d); err != nil {
 							return err
 						}
-						res.Series[pid][ti*len(levels)+li].Daily[d] = TradeReturns(cfg, trades)
+						for k, li := range levelIdxs {
+							res.Series[pid][ti*len(levels)+li].Daily[d] = TradeReturns(cfg, grid.Trades(k))
+						}
 					}
 					return nil
 				})

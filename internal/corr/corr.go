@@ -142,24 +142,3 @@ type Estimator interface {
 	// Type reports which measure the estimator implements.
 	Type() Type
 }
-
-// pearsonEstimator is the stateless Pearson Estimator.
-type pearsonEstimator struct{}
-
-func (pearsonEstimator) Corr(x, y []float64) float64 { return PearsonCorr(x, y) }
-func (pearsonEstimator) Type() Type                  { return Pearson }
-
-// NewEstimator returns the canonical estimator for a measure, using
-// DefaultMaronnaConfig for the robust measures.
-func NewEstimator(t Type) (Estimator, error) {
-	switch t {
-	case Pearson:
-		return pearsonEstimator{}, nil
-	case Maronna:
-		return NewMaronnaEstimator(DefaultMaronnaConfig()), nil
-	case Combined:
-		return NewCombinedEstimator(DefaultMaronnaConfig()), nil
-	default:
-		return nil, fmt.Errorf("corr: unknown type %v", t)
-	}
-}

@@ -229,27 +229,35 @@ func TestCombinedRobust(t *testing.T) {
 	}
 }
 
-func TestNewEstimatorDispatch(t *testing.T) {
-	for _, ty := range Types() {
-		est, err := NewEstimator(ty)
-		if err != nil {
-			t.Fatalf("%v: %v", ty, err)
-		}
-		if est.Type() != ty {
-			t.Errorf("estimator type mismatch: %v vs %v", est.Type(), ty)
+// pearsonEstimator adapts PearsonCorr to the Estimator interface.
+type pearsonEstimator struct{}
+
+func (pearsonEstimator) Corr(x, y []float64) float64 { return PearsonCorr(x, y) }
+func (pearsonEstimator) Type() Type                  { return Pearson }
+
+// estimators returns one Estimator per treatment, in Types() order.
+func estimators() []Estimator {
+	return []Estimator{
+		pearsonEstimator{},
+		NewMaronnaEstimator(DefaultMaronnaConfig()),
+		NewCombinedEstimator(DefaultMaronnaConfig()),
+	}
+}
+
+func TestEstimatorTypes(t *testing.T) {
+	ests := estimators()
+	for i, ty := range Types() {
+		if ests[i].Type() != ty {
+			t.Errorf("estimator type mismatch: %v vs %v", ests[i].Type(), ty)
 		}
 	}
-	if _, err := NewEstimator(Type(9)); err == nil {
-		t.Error("unknown type should error")
+	if (SpearmanEstimator{}).Type() != SpearmanType {
+		t.Error("Spearman estimator reports the wrong type")
 	}
 }
 
 func TestEstimatorsBoundedProperty(t *testing.T) {
-	ests := []Estimator{}
-	for _, ty := range Types() {
-		e, _ := NewEstimator(ty)
-		ests = append(ests, e)
-	}
+	ests := estimators()
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%60) + 4
 		rng := rand.New(rand.NewSource(seed))
@@ -276,8 +284,7 @@ func TestEstimatorsSymmetricProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x, y := bivariate(rng, 80, rng.Float64()*1.8-0.9)
-		for _, ty := range Types() {
-			e, _ := NewEstimator(ty)
+		for _, e := range estimators() {
 			if math.Abs(e.Corr(x, y)-e.Corr(y, x)) > 1e-9 {
 				return false
 			}

@@ -243,45 +243,59 @@ func ComputeSeries(cfg EngineConfig, returns [][]float64) (*Series, error) {
 // Series covers grid intervals M .. T (inclusive), i.e. T−M+1 values
 // per pair.
 //
-// Since the matrix-level engine landed this is a thin wrapper over
-// ComputeMatrixSeries — per-stock sliding statistics are hoisted out of
-// the per-pair loop, the pair triangle is tiled into cache-sized
-// blocks, and tiles are scheduled by work stealing. Results are
-// bit-deterministic and identical to ComputeSeriesMultiReference for
-// every worker count and tile size.
+// It is NewDay followed by one Day.Series call: per-stock sliding
+// statistics are hoisted out of the per-pair loop, the pair triangle
+// is tiled into cache-sized blocks, and tiles are scheduled by work
+// stealing. Callers that request several pair blocks or windows of one
+// day should keep the Day and call Series per request, so the day is
+// validated once and each stock's moments are computed once per M.
+// Results are bit-deterministic and identical to
+// ComputeSeriesMultiReference for every worker count and tile size.
 func ComputeSeriesMulti(cfg EngineConfig, types []Type, returns [][]float64) ([]*Series, error) {
-	return ComputeMatrixSeries(cfg, types, returns)
+	d, err := NewDay(returns)
+	if err != nil {
+		return nil, err
+	}
+	return d.Series(cfg, types)
 }
 
-// prepareSeriesRequest validates an engine request and allocates the
-// output series, shared by the matrix engine and the per-pair
-// reference.
-func prepareSeriesRequest(cfg EngineConfig, types []Type, returns [][]float64) (pairs []int, outs []*Series, err error) {
-	if len(types) == 0 {
-		return nil, nil, errors.New("corr: no correlation types requested")
-	}
+// NewDay validates one day of log-returns for the engine: at least two
+// stocks, rows of equal length, every value finite. The Day keeps a
+// reference to returns, which must not change while it is in use.
+func NewDay(returns [][]float64) (*Day, error) {
 	n := len(returns)
 	if n < 2 {
-		return nil, nil, errors.New("corr: need at least 2 stocks")
+		return nil, errors.New("corr: need at least 2 stocks")
 	}
 	T := len(returns[0])
 	for i, row := range returns {
 		if len(row) != T {
-			return nil, nil, fmt.Errorf("corr: stock %d has %d returns, want %d", i, len(row), T)
+			return nil, fmt.Errorf("corr: stock %d has %d returns, want %d", i, len(row), T)
 		}
 	}
+	for i, row := range returns {
+		for u, x := range row {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("corr: stock %d has non-finite return at %d", i, u)
+			}
+		}
+	}
+	return &Day{returns: returns, byM: map[int]*dayMoments{}}, nil
+}
+
+// request validates an engine request against the day and allocates
+// the output series, shared by the matrix engine and the per-pair
+// reference.
+func (d *Day) request(cfg EngineConfig, types []Type) (pairs []int, outs []*Series, err error) {
+	if len(types) == 0 {
+		return nil, nil, errors.New("corr: no correlation types requested")
+	}
+	n, T := len(d.returns), len(d.returns[0])
 	if cfg.M < 2 {
 		return nil, nil, fmt.Errorf("corr: window M=%d too small", cfg.M)
 	}
 	if T < cfg.M {
 		return nil, nil, fmt.Errorf("corr: %d returns < window M=%d", T, cfg.M)
-	}
-	for i, row := range returns {
-		for u, x := range row {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, nil, fmt.Errorf("corr: stock %d has non-finite return at %d", i, u)
-			}
-		}
 	}
 	seen := map[Type]bool{}
 	for _, ty := range types {
@@ -328,7 +342,11 @@ func prepareSeriesRequest(cfg EngineConfig, types []Type, returns [][]float64) (
 // the sharing+tiling speedup reported in BENCH_corr.json. New code
 // should call ComputeSeriesMulti.
 func ComputeSeriesMultiReference(cfg EngineConfig, types []Type, returns [][]float64) ([]*Series, error) {
-	pairs, outs, err := prepareSeriesRequest(cfg, types, returns)
+	d, err := NewDay(returns)
+	if err != nil {
+		return nil, err
+	}
+	pairs, outs, err := d.request(cfg, types)
 	if err != nil {
 		return nil, err
 	}

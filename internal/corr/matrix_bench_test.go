@@ -14,7 +14,7 @@ func benchEngines(b *testing.B, types []Type) {
 		name string
 		run  func() ([]*Series, error)
 	}{
-		{"matrix", func() ([]*Series, error) { return ComputeMatrixSeries(cfg, types, rets) }},
+		{"matrix", func() ([]*Series, error) { return ComputeSeriesMulti(cfg, types, rets) }},
 		{"reference", func() ([]*Series, error) { return ComputeSeriesMultiReference(cfg, types, rets) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -48,7 +48,7 @@ func BenchmarkMatrixEngineTileSize(b *testing.B) {
 		b.Run(fmt.Sprintf("tile%d", tile), func(b *testing.B) {
 			cfg := EngineConfig{M: 100, Workers: 1, TileSize: tile}
 			for i := 0; i < b.N; i++ {
-				if _, err := ComputeMatrixSeries(cfg, []Type{Pearson}, rets); err != nil {
+				if _, err := ComputeSeriesMulti(cfg, []Type{Pearson}, rets); err != nil {
 					b.Fatal(err)
 				}
 			}

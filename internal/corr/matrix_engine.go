@@ -2,6 +2,7 @@ package corr
 
 import (
 	"math"
+	"sync"
 
 	"marketminer/internal/sched"
 	"marketminer/internal/taq"
@@ -89,14 +90,14 @@ func buildTiles(req []taq.Pair, tileSize int) [][]int {
 	return tiles
 }
 
-// stockMoments holds one stock's sliding-window running sums for every
-// window step. They are computed with the exact re-anchored recurrence
-// the per-pair reference uses (rollingPearson), so every downstream
+// stockMoments holds one stock's sliding-window statistics for every
+// window step: the running sum and the normaliser rollingPearsonShared
+// reads. They are computed with the exact re-anchored recurrence the
+// per-pair reference uses (rollingPearson), so every downstream
 // expression sees bit-identical inputs.
 type stockMoments struct {
-	sum   []float64 // Σx over window t
-	sumSq []float64 // Σx² over window t
-	inv   []float64 // 1/√(Σx² − (Σx)²/m) over window t; 0 when degenerate
+	sum []float64 // Σx over window t
+	inv []float64 // 1/√(Σx² − (Σx)²/m) over window t; 0 when degenerate
 }
 
 // pearsonInvStd is the shared univariate normaliser 1/√(sxx − sx²/m),
@@ -118,7 +119,6 @@ func computeStockMoments(x []float64, m int, mom *stockMoments) {
 	steps := len(x) - m + 1
 	fm := float64(m)
 	mom.sum = make([]float64, steps)
-	mom.sumSq = make([]float64, steps)
 	mom.inv = make([]float64, steps)
 	var sx, sxx float64
 	for base := 0; base < steps; base += pearsonReanchorEvery {
@@ -127,7 +127,7 @@ func computeStockMoments(x []float64, m int, mom *stockMoments) {
 			sx += x[i]
 			sxx += x[i] * x[i]
 		}
-		mom.sum[base], mom.sumSq[base] = sx, sxx
+		mom.sum[base] = sx
 		mom.inv[base] = pearsonInvStd(sxx, sx, fm)
 		end := base + pearsonReanchorEvery
 		if end > steps {
@@ -137,10 +137,56 @@ func computeStockMoments(x []float64, m int, mom *stockMoments) {
 			ox, nx := x[t-1], x[t+m-1]
 			sx += nx - ox
 			sxx += nx*nx - ox*ox
-			mom.sum[t], mom.sumSq[t] = sx, sxx
+			mom.sum[t] = sx
 			mom.inv[t] = pearsonInvStd(sxx, sx, fm)
 		}
 	}
+}
+
+// Day is one trading day of log-returns prepared for the matrix
+// engine: validated once by NewDay, it serves any number of Series
+// requests — the pair blocks and windows of a sweep day — and computes
+// each stock's sliding moments at most once per window length M, the
+// first time a request touches the stock. A stock's moments are the
+// same in every pair containing it, so a block of p pairs over about p
+// stocks no longer pays as much moment work as pair work. Memory is
+// 2 × steps × 8 bytes per (stock, M) filled: about 13 MB for a
+// 400-stock, 780-interval day at three windows.
+//
+// A Day is safe for concurrent use: each M's table fills under its own
+// lock, and a filled entry never changes again.
+type Day struct {
+	returns [][]float64
+
+	mu  sync.Mutex
+	byM map[int]*dayMoments
+}
+
+// dayMoments is one window length's per-stock moment table.
+type dayMoments struct {
+	mu    sync.Mutex
+	stock []stockMoments // by stock; sum == nil until filled
+}
+
+// moments returns the window-m moment table with every stock marked
+// in used filled.
+func (d *Day) moments(m int, used []bool) []stockMoments {
+	d.mu.Lock()
+	dm := d.byM[m]
+	if dm == nil {
+		dm = &dayMoments{stock: make([]stockMoments, len(d.returns))}
+		d.byM[m] = dm
+	}
+	d.mu.Unlock()
+
+	dm.mu.Lock()
+	defer dm.mu.Unlock()
+	for i, u := range used {
+		if u && dm.stock[i].sum == nil {
+			computeStockMoments(d.returns[i], m, &dm.stock[i])
+		}
+	}
+	return dm.stock
 }
 
 // tileRun is the execution state of one tile: per-pair views of the
@@ -302,21 +348,21 @@ func (tr *tileRun) run() {
 	}
 }
 
-// ComputeMatrixSeries computes the correlation series of every
-// requested pair for every requested treatment in one matrix-level
-// pass: per-stock sliding statistics hoisted out of the per-pair loop,
-// the pair triangle tiled into cache-sized blocks, and tiles scheduled
-// across workers by work stealing. See the package comment at the top
-// of this file for the sharing/tiling/determinism design.
+// Series computes the correlation series of every requested pair for
+// every requested treatment in one matrix-level pass: per-stock
+// sliding statistics read from the day's shared table, the pair
+// triangle tiled into cache-sized blocks, and tiles scheduled across
+// workers by work stealing. See the comment at the top of this file
+// for the sharing/tiling/determinism design.
 //
-// It is the computation behind ComputeSeriesMulti; output is
-// bit-identical to ComputeSeriesMultiReference for every worker count
-// and tile size.
-func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([]*Series, error) {
-	pairs, outs, err := prepareSeriesRequest(cfg, types, returns)
+// Output is bit-identical to ComputeSeriesMultiReference for every
+// worker count, tile size and request order.
+func (d *Day) Series(cfg EngineConfig, types []Type) ([]*Series, error) {
+	pairs, outs, err := d.request(cfg, types)
 	if err != nil {
 		return nil, err
 	}
+	returns := d.returns
 	n := len(returns)
 	req := pairsOf(pairs, n)
 
@@ -341,18 +387,13 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 		used[p.J] = true
 	}
 
-	// Shared per-stock state, computed once per stock (per window where
-	// windowed). O(n·steps) work against the per-pair phase's
-	// O(n²·steps); serial is already negligible and keeps it trivially
-	// deterministic.
+	// Shared per-stock state: the day's moment table, filled for the
+	// stocks this request is the first to touch, and the robust cold
+	// initialisers. O(n·steps) work against the per-pair phase's
+	// O(n²·steps); serial keeps it trivially deterministic.
 	var moments []stockMoments
 	if outP != nil {
-		moments = make([]stockMoments, n)
-		for i, u := range used {
-			if u {
-				computeStockMoments(returns[i], cfg.M, &moments[i])
-			}
-		}
+		moments = d.moments(cfg.M, used)
 	}
 	var inits []ColdInit
 	if robust {

@@ -37,7 +37,7 @@ func TestMatrixEngineMatchesReference(t *testing.T) {
 			for _, workers := range workerCounts {
 				for _, tile := range tileSizes {
 					label := fmt.Sprintf("types=%v disableSIMD=%v workers=%d tile=%d", types, noSIMD, workers, tile)
-					got, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: workers, TileSize: tile, DisableSIMD: noSIMD}, types, rets)
+					got, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: workers, TileSize: tile, DisableSIMD: noSIMD}, types, rets)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,7 +84,7 @@ func TestMatrixEnginePairSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 2, TileSize: 4, Pairs: subset}, []Type{Pearson, Maronna, Combined}, rets)
+	got, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 2, TileSize: 4, Pairs: subset}, []Type{Pearson, Maronna, Combined}, rets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestPairsOfMatchesAllPairs(t *testing.T) {
 func TestMatrixSeriesRejectsOutOfRangePairs(t *testing.T) {
 	rets := marketReturns(t, 4, 3) // 6 pairs
 	for _, bad := range [][]int{{-1}, {0, 6}} {
-		if _, err := ComputeMatrixSeries(EngineConfig{M: 50, Pairs: bad}, []Type{Pearson}, rets); err == nil {
+		if _, err := ComputeSeriesMulti(EngineConfig{M: 50, Pairs: bad}, []Type{Pearson}, rets); err == nil {
 			t.Fatalf("pairs %v accepted", bad)
 		}
 	}
@@ -191,8 +191,8 @@ func TestStockMomentsMatchReferenceRolling(t *testing.T) {
 			sx += x[i]
 			sxx += x[i] * x[i]
 		}
-		if mom.sum[base] != sx || mom.sumSq[base] != sxx {
-			t.Fatalf("anchor %d: moments (%v,%v) want (%v,%v)", base, mom.sum[base], mom.sumSq[base], sx, sxx)
+		if mom.sum[base] != sx || mom.inv[base] != pearsonInvStd(sxx, sx, m) {
+			t.Fatalf("anchor %d: moments (%v,%v) want (%v,%v)", base, mom.sum[base], mom.inv[base], sx, pearsonInvStd(sxx, sx, m))
 		}
 		end := base + pearsonReanchorEvery
 		if end > steps {
@@ -202,8 +202,8 @@ func TestStockMomentsMatchReferenceRolling(t *testing.T) {
 			ox, nx := x[tt-1], x[tt+m-1]
 			sx += nx - ox
 			sxx += nx*nx - ox*ox
-			if mom.sum[tt] != sx || mom.sumSq[tt] != sxx {
-				t.Fatalf("step %d: moments (%v,%v) want (%v,%v)", tt, mom.sum[tt], mom.sumSq[tt], sx, sxx)
+			if mom.sum[tt] != sx || mom.inv[tt] != pearsonInvStd(sxx, sx, m) {
+				t.Fatalf("step %d: moments (%v,%v) want (%v,%v)", tt, mom.sum[tt], mom.inv[tt], sx, pearsonInvStd(sxx, sx, m))
 			}
 		}
 	}
@@ -252,7 +252,11 @@ func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 	rets := marketReturns(t, 5, 12)
 	const m = 100
 	cfg := EngineConfig{M: m, TileSize: 16}
-	pairs, outs, err := prepareSeriesRequest(cfg, []Type{Pearson, Maronna, Combined}, rets)
+	d, err := NewDay(rets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, outs, err := d.request(cfg, []Type{Pearson, Maronna, Combined})
 	if err != nil {
 		t.Fatal(err)
 	}

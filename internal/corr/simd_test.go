@@ -81,12 +81,12 @@ func TestSIMDBitIdentityRaggedLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lanes := 1; lanes <= 17; lanes++ {
-		simd, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 1, TileSize: lanes}, types, rets)
+		simd, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 1, TileSize: lanes}, types, rets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seriesBitEqual(t, "simd vs reference", simd, ref)
-		scal, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 1, TileSize: lanes, DisableSIMD: true}, types, rets)
+		scal, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 1, TileSize: lanes, DisableSIMD: true}, types, rets)
 		if err != nil {
 			t.Fatal(err)
 		}

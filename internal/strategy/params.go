@@ -4,12 +4,13 @@
 // sizing, retracement/holding-period/end-of-day exits, and the Table I
 // parameter grid.
 //
-// RunDay is a pure function of (params, correlation series, price
-// grid): it allocates its own Tracker, reads nothing global, and emits
-// the same trade list bit for bit on every call. This is the
-// determinism the whole reproduction leans on — sweep resume, journal
-// merges, and the distributed farm's duplicate-completion tolerance
-// all assume that re-running a unit reproduces its bytes exactly.
+// RunDay and DayGrid.Run are pure functions of (params, correlation
+// series, price grid): they read nothing global, a grid's state is
+// reset per pair, and each level emits the same trade list bit for bit
+// on every call, alone or in any grid. This is the determinism the
+// whole reproduction leans on — sweep resume, journal merges, and the
+// distributed farm's duplicate-completion tolerance all assume that
+// re-running a unit reproduces its bytes exactly.
 package strategy
 
 import (

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -148,15 +149,33 @@ func runDayDigest(t *testing.T, cases []pinCase) (string, int) {
 	return hexSum(h), total
 }
 
-func hexSum(h hash.Hash64) string {
-	const digits = "0123456789abcdef"
-	v := h.Sum64()
-	out := make([]byte, 16)
-	for i := 15; i >= 0; i-- {
-		out[i] = digits[v&15]
-		v >>= 4
+func hexSum(h hash.Hash64) string { return fmt.Sprintf("%016x", h.Sum64()) }
+
+// gridDigest runs each case's levels together through one DayGrid.
+// The grid first runs the case's series against the previous case's
+// prices, so every digested run starts from trade buffers, C̄ buffers
+// and spread memo entries another pair left behind, as a sweep
+// worker's grid does.
+func gridDigest(t *testing.T, cases []pinCase) string {
+	h := fnv.New64a()
+	for ci, c := range cases {
+		g, err := NewDayGrid(c.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ci > 0 {
+			_ = g.Run(c.corr, c.firstS, cases[ci-1].pg, c.pairI, c.pairJ, c.day) // warm-up only: not digested
+		}
+		err = g.Run(c.corr, c.firstS, c.pg, c.pairI, c.pairJ, c.day)
+		for li := range c.levels {
+			var trades []Trade
+			if err == nil {
+				trades = g.Trades(li)
+			}
+			digestLevel(h, ci, li, trades, err)
+		}
 	}
-	return string(out)
+	return hexSum(h)
 }
 
 func TestDayGridMatchesParentRunDay(t *testing.T) {
@@ -165,5 +184,42 @@ func TestDayGridMatchesParentRunDay(t *testing.T) {
 	t.Logf("RunDay digest %s over %d trades", got, trades)
 	if got != pinnedRunDayDigest {
 		t.Errorf("RunDay digest = %s, want %s", got, pinnedRunDayDigest)
+	}
+	if got := gridDigest(t, cases); got != pinnedRunDayDigest {
+		t.Errorf("DayGrid digest = %s, want %s", got, pinnedRunDayDigest)
+	}
+}
+
+func TestDayGridSteadyStateAllocs(t *testing.T) {
+	c := pinCases(t)[0]
+	for _, row := range c.pg.Prices { // forward-fill the holes: a clean pair
+		for s := range row {
+			if math.IsNaN(row[s]) {
+				row[s] = 50
+				if s > 0 {
+					row[s] = row[s-1]
+				}
+			}
+		}
+	}
+	g, err := NewDayGrid(c.levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if err := g.Run(c.corr, c.firstS, c.pg, c.pairI, c.pairJ, c.day); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the warm pair sizes every buffer
+	trades := 0
+	for li := range c.levels {
+		trades += len(g.Trades(li))
+	}
+	if trades == 0 {
+		t.Fatal("the pair does not trade")
+	}
+	if a := testing.AllocsPerRun(20, run); a != 0 {
+		t.Errorf("DayGrid.Run allocates %v per pair after warm-up, want 0", a)
 	}
 }

@@ -1,9 +1,10 @@
 package strategy
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"marketminer/internal/portfolio"
 	"marketminer/internal/series"
@@ -62,17 +63,19 @@ type Trade struct {
 // is fed one interval at a time — by the backtester sweeping a stored
 // day, or by the live Figure-1 pipeline as matrices stream out of the
 // correlation engine. The caller supplies C(s) and C̄(s); the tracker
-// owns divergence freshness, position state and exit logic.
+// owns divergence freshness, position state and exit logic. It holds
+// its position by value, so a tracker reused across pair-days (the
+// level grid's) allocates nothing per entry.
 type Tracker struct {
-	p          Params
-	pairI      int
-	pairJ      int
-	day        int
-	pos        *portfolio.PairPosition
-	armed      bool // above the divergence band since the last entry
-	belowAge   int  // intervals since the divergence band was crossed
-	trades     []Trade
-	lastEntryS int
+	p        Params
+	pairI    int
+	pairJ    int
+	day      int
+	pos      portfolio.PairPosition // the open position, valid while open
+	open     bool
+	armed    bool // above the divergence band since the last entry
+	belowAge int  // intervals since the divergence band was crossed
+	trades   []Trade
 }
 
 // NewTracker builds a tracker for one pair. pairI < pairJ is required.
@@ -80,14 +83,39 @@ func NewTracker(p Params, pairI, pairJ, day int) (*Tracker, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if pairI >= pairJ {
-		return nil, fmt.Errorf("strategy: pair (%d,%d) not in canonical order", pairI, pairJ)
+	if err := checkPair(pairI, pairJ); err != nil {
+		return nil, err
 	}
-	return &Tracker{p: p, pairI: pairI, pairJ: pairJ, day: day, armed: true, lastEntryS: -1}, nil
+	tr := &Tracker{p: p}
+	tr.reset(pairI, pairJ, day)
+	return tr, nil
 }
 
-// Position returns the open position, or nil when flat.
-func (tr *Tracker) Position() *portfolio.PairPosition { return tr.pos }
+func checkPair(pairI, pairJ int) error {
+	if pairI >= pairJ {
+		return fmt.Errorf("strategy: pair (%d,%d) not in canonical order", pairI, pairJ)
+	}
+	return nil
+}
+
+// reset starts the tracker flat on a new pair-day, keeping its
+// parameters and its trade buffer's capacity.
+func (tr *Tracker) reset(pairI, pairJ, day int) {
+	tr.pairI, tr.pairJ, tr.day = pairI, pairJ, day
+	tr.open = false
+	tr.armed = true
+	tr.belowAge = 0
+	tr.trades = tr.trades[:0]
+}
+
+// Position returns the open position, or nil when flat. The pointer
+// aliases the tracker's state and is valid until its next Step.
+func (tr *Tracker) Position() *portfolio.PairPosition {
+	if !tr.open {
+		return nil
+	}
+	return &tr.pos
+}
 
 // Trades returns all completed trades so far.
 func (tr *Tracker) Trades() []Trade { return tr.trades }
@@ -97,8 +125,37 @@ func (tr *Tracker) Trades() []Trade { return tr.trades }
 // grid. It returns a completed trade (nil if none) and any orders
 // generated this interval (entry or exit legs).
 func (tr *Tracker) Step(s int, c, cbar float64, pg *series.PriceGrid) (*Trade, []portfolio.Order) {
-	lastS := pg.Grid.SMax - 1
+	switch tr.advance(s, c, cbar, pg, nil) {
+	case entered:
+		pos := &tr.pos
+		return nil, []portfolio.Order{
+			{Day: tr.day, Interval: s, Stock: pos.LongStock, Side: portfolio.Buy, Shares: pos.LongSh, Price: pos.LongPx},
+			{Day: tr.day, Interval: s, Stock: pos.ShortStock, Side: portfolio.Sell, Shares: pos.ShortSh, Price: pos.ShortPx},
+		}
+	case exited:
+		t := &tr.trades[len(tr.trades)-1]
+		return t, []portfolio.Order{
+			{Day: tr.day, Interval: s, Stock: t.LongStock, Side: portfolio.Sell, Shares: t.LongSh, Price: t.LongExit},
+			{Day: tr.day, Interval: s, Stock: t.ShortStock, Side: portfolio.Buy, Shares: t.ShortSh, Price: t.ShortExit},
+		}
+	}
+	return nil, nil
+}
 
+// event is what one interval did to a tracker's position.
+type event uint8
+
+const (
+	held    event = iota // no position change
+	entered              // a position was opened
+	exited               // the open position was reversed into a Trade
+)
+
+// advance is the strategy's one state transition: Step and the level
+// grid both drive every interval through it. spreads shares the
+// entry's RT-window spread statistics between the levels of a grid;
+// nil computes them directly.
+func (tr *Tracker) advance(s int, c, cbar float64, pg *series.PriceGrid, spreads *spreadMemo) event {
 	// Divergence bookkeeping (§III step 2): the coefficient has
 	// "diverged more than d% from C̄(s)" when C < C̄·(1−d). The
 	// divergence must be fresh — it must have begun within the last Y
@@ -112,46 +169,50 @@ func (tr *Tracker) Step(s int, c, cbar float64, pg *series.PriceGrid) (*Trade, [
 		tr.belowAge = 0
 		tr.armed = true
 	}
-
-	if tr.pos != nil {
-		if reason, ok := tr.exitReason(s, c, cbar, band, lastS, pg); ok {
-			return tr.closePosition(s, reason, pg)
+	if tr.open {
+		if reason, ok := tr.exitReason(s, c, cbar, band, pg.Grid.SMax-1, pg); ok && tr.closePosition(s, reason, pg) {
+			return exited
 		}
-		return nil, nil
+		return held
 	}
-
-	// Entry (§III steps 2–5).
 	if !below || !tr.armed || tr.belowAge > tr.p.Y {
-		return nil, nil
+		return held
 	}
+	return tr.enter(s, cbar, pg, spreads)
+}
+
+// enter opens a position at s on a fresh divergence when the rest of
+// §III steps 3–5 allow it.
+func (tr *Tracker) enter(s int, cbar float64, pg *series.PriceGrid, spreads *spreadMemo) event {
+	lastS := pg.Grid.SMax - 1
 	if cbar <= tr.p.A {
-		return nil, nil // step 3: C̄ must exceed the trading threshold
+		return held // step 3: C̄ must exceed the trading threshold
 	}
 	if s > lastS-tr.p.ST {
-		return nil, nil // too close to the close to open
+		return held // too close to the close to open
 	}
 	if s-tr.p.W < 0 || s-tr.p.RT+1 < 0 {
-		return nil, nil // lookbacks not yet available
+		return held // lookbacks not yet available
 	}
 	pi, pj := pg.Price(tr.pairI, s), pg.Price(tr.pairJ, s)
 	if !(pi > 0) || !(pj > 0) || math.IsNaN(pi) || math.IsNaN(pj) {
-		return nil, nil
+		return held
 	}
 	retI := series.PeriodReturn(pg, tr.pairI, s, tr.p.W)
 	retJ := series.PeriodReturn(pg, tr.pairJ, s, tr.p.W)
 	if math.IsNaN(retI) || math.IsNaN(retJ) || retI == retJ {
-		return nil, nil
+		return held
 	}
-	spread, err := series.SpreadWindow(pg, tr.pairI, tr.pairJ, s, tr.p.RT)
+	spread, err := spreads.window(pg, tr.pairI, tr.pairJ, s, tr.p.RT)
 	if err != nil {
-		return nil, nil
+		return held
 	}
 
 	// Step 3: long the under-performer, short the over-performer.
 	longI := retI < retJ
 	ni, nj := portfolio.ShareRatio(pi, pj, longI)
 
-	pos := &portfolio.PairPosition{Day: tr.day, EntryS: s}
+	pos := portfolio.PairPosition{Day: tr.day, EntryS: s}
 	if longI {
 		pos.LongStock, pos.ShortStock = tr.pairI, tr.pairJ
 		pos.LongSh, pos.ShortSh = ni, nj
@@ -173,20 +234,16 @@ func (tr *Tracker) Step(s int, c, cbar float64, pg *series.PriceGrid) (*Trade, [
 		pos.RetraceUp = false
 	}
 	tr.pos = pos
+	tr.open = true
 	tr.armed = false // consume this divergence episode
-	tr.lastEntryS = s
-
-	return nil, []portfolio.Order{
-		{Day: tr.day, Interval: s, Stock: pos.LongStock, Side: portfolio.Buy, Shares: pos.LongSh, Price: pos.LongPx},
-		{Day: tr.day, Interval: s, Stock: pos.ShortStock, Side: portfolio.Sell, Shares: pos.ShortSh, Price: pos.ShortPx},
-	}
+	return entered
 }
 
 // exitReason evaluates §III step-5 reversal triggers in priority
 // order: stop-loss, correlation reversion, retracement, holding
 // period, end of day.
 func (tr *Tracker) exitReason(s int, c, cbar, band float64, lastS int, pg *series.PriceGrid) (ExitReason, bool) {
-	pos := tr.pos
+	pos := &tr.pos
 	if tr.p.StopLoss > 0 {
 		le := pg.Price(pos.LongStock, s)
 		se := pg.Price(pos.ShortStock, s)
@@ -215,17 +272,18 @@ func (tr *Tracker) exitReason(s int, c, cbar, band float64, lastS int, pg *serie
 	return 0, false
 }
 
-// closePosition reverses the open position at interval s.
-func (tr *Tracker) closePosition(s int, reason ExitReason, pg *series.PriceGrid) (*Trade, []portfolio.Order) {
-	pos := tr.pos
+// closePosition reverses the open position at interval s into a Trade
+// and reports whether it could.
+func (tr *Tracker) closePosition(s int, reason ExitReason, pg *series.PriceGrid) bool {
+	pos := &tr.pos
 	le := pg.Price(pos.LongStock, s)
 	se := pg.Price(pos.ShortStock, s)
 	if math.IsNaN(le) || math.IsNaN(se) || le <= 0 || se <= 0 {
 		// Cannot price the exit this interval; hold until we can
 		// (forward-filled grids make this transient at worst).
-		return nil, nil
+		return false
 	}
-	t := Trade{
+	tr.trades = append(tr.trades, Trade{
 		Day:        tr.day,
 		PairI:      tr.pairI,
 		PairJ:      tr.pairJ,
@@ -242,53 +300,36 @@ func (tr *Tracker) closePosition(s int, reason ExitReason, pg *series.PriceGrid)
 		PnL:        pos.PnL(le, se),
 		Return:     pos.Return(le, se),
 		Reason:     reason,
-	}
-	tr.trades = append(tr.trades, t)
-	tr.pos = nil
-	orders := []portfolio.Order{
-		{Day: tr.day, Interval: s, Stock: pos.LongStock, Side: portfolio.Sell, Shares: pos.LongSh, Price: le},
-		{Day: tr.day, Interval: s, Stock: pos.ShortStock, Side: portfolio.Buy, Shares: pos.ShortSh, Price: se},
-	}
-	return &tr.trades[len(tr.trades)-1], orders
+	})
+	tr.open = false
+	return true
 }
 
-// RunDay backtests one pair for one day. corrSeries[t] is C(firstS+t)
-// computed with window M; the tracker starts once the W-average is
-// defined and finishes at the last interval, closing any open position
-// (§III: "we should reverse all positions at the end of the trading
-// day"). It returns the completed trades.
+// RunDay backtests one pair for one day with one parameter set: it is
+// the one-level DayGrid. corrSeries[t] is C(firstS+t) computed with
+// window M; the tracker starts once the W-average is defined and
+// finishes at the last interval, closing any open position (§III: "we
+// should reverse all positions at the end of the trading day"). The
+// returned trades belong to the caller.
 func RunDay(p Params, corrSeries []float64, firstS int, pg *series.PriceGrid, pairI, pairJ, day int) ([]Trade, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if len(corrSeries) < p.W {
-		return nil, errors.New("strategy: correlation series shorter than W")
+	g, _ := loneGrids.Get().(*DayGrid)
+	if g == nil {
+		g, _ = NewDayGrid([]Params{p}) // p is valid
 	}
-	tr, err := NewTracker(p, pairI, pairJ, day)
-	if err != nil {
+	defer loneGrids.Put(g)
+	g.trackers[0].p, g.ws[0] = p, p.W
+	if err := g.Run(corrSeries, firstS, pg, pairI, pairJ, day); err != nil {
 		return nil, err
 	}
-	lastS := pg.Grid.SMax - 1
-
-	// Rolling W-average of the correlation (§III step 1).
-	var sum float64
-	for t := 0; t < p.W-1; t++ {
-		sum += corrSeries[t]
+	if trades := g.Trades(0); len(trades) > 0 {
+		return slices.Clone(trades), nil
 	}
-	for t := p.W - 1; t < len(corrSeries); t++ {
-		sum += corrSeries[t]
-		cbar := sum / float64(p.W)
-		s := firstS + t
-		if s > lastS {
-			break
-		}
-		tr.Step(s, corrSeries[t], cbar, pg)
-		sum -= corrSeries[t-p.W+1]
-	}
-	// Force end-of-day close if the series ended with an open position
-	// (can happen when the correlation series stops before lastS).
-	if tr.pos != nil {
-		tr.closePosition(lastS, ExitEndOfDay, pg)
-	}
-	return tr.trades, nil
+	return nil, nil
 }
+
+// loneGrids holds one-level grids for RunDay, so a call allocates only
+// the trades it returns.
+var loneGrids sync.Pool

@@ -39,12 +39,15 @@ type GroupRunner struct {
 	warm   corr.RobustStats
 }
 
-// dayOnce caches one prepared day: the generated/cleaned/sampled data
-// and, when screening is enabled, the day's kept-pair set — identical
-// for every block of the day by construction.
+// dayOnce caches one prepared day: the generated/cleaned/sampled data,
+// the correlation engine's view of it (validated once, with the
+// per-stock moment table every block of the day shares) and, when
+// screening is enabled, the day's kept-pair set — identical for every
+// block of the day by construction.
 type dayOnce struct {
 	once sync.Once
 	dd   *backtest.DayData
+	corr *corr.Day
 	kept []bool // by pair id; nil when screening is disabled
 	err  error
 }
@@ -121,7 +124,10 @@ func (r *GroupRunner) prepareDay(d int) (*dayOnce, error) {
 	c := &r.days[d]
 	c.once.Do(func() {
 		c.dd, c.err = backtest.PrepareDay(r.cfg, r.gen, d)
-		if c.err != nil || !r.cfg.Screen.Enabled() {
+		if c.err != nil {
+			return
+		}
+		if c.corr, c.err = corr.NewDay(c.dd.Returns); c.err != nil || !r.cfg.Screen.Enabled() {
 			return
 		}
 		keep, _, err := screen.Select(r.cfg.Screen, c.dd.Returns)
@@ -139,12 +145,12 @@ func (r *GroupRunner) prepareDay(d int) (*dayOnce, error) {
 
 // RunGroup executes the given units of one (day, block) group —
 // computing each needed correlation series once per window length and
-// serving every parameter unit from it, exactly like the integrated
-// backtest — and calls emit once per completed unit with its journal
-// Entry and trade count. Units must belong to the group identified by
-// gid. engineWorkers sets the matrix engine's intra-group parallelism;
-// the engine is worker-count-invariant, so any value produces
-// identical bytes.
+// serving every parameter unit that reads it from one strategy.DayGrid
+// pass per pair, exactly like the integrated backtest — and calls emit
+// once per completed unit with its journal Entry and trade count.
+// Units must belong to the group identified by gid. engineWorkers sets
+// the matrix engine's intra-group parallelism; the engine is
+// worker-count-invariant, so any value produces identical bytes.
 func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engineWorkers int, emit func(e Entry, trades int64) error) error {
 	plan := r.plan
 	day, block := gid/plan.NumBlocks(), gid%plan.NumBlocks()
@@ -152,7 +158,6 @@ func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engin
 	if err != nil {
 		return err
 	}
-	dd := dc.dd
 	lo, hi := plan.BlockRange(block)
 	blockPairs := make([]int, hi-lo)
 	for i := range blockPairs {
@@ -207,7 +212,7 @@ func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engin
 		}
 		var css []*corr.Series
 		if len(engPairs) > 0 {
-			css, err = corr.ComputeSeriesMulti(corr.EngineConfig{M: m, Workers: engineWorkers, Pairs: engPairs}, types, dd.Returns)
+			css, err = dc.corr.Series(corr.EngineConfig{M: m, Workers: engineWorkers, Pairs: engPairs}, types)
 			if err != nil {
 				return err
 			}
@@ -223,32 +228,58 @@ func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engin
 			}
 		}
 		for ti, t := range types {
-			for _, u := range needed[t] {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				p := plan.Param(u.Param)
-				e := Entry{U: plan.UnitID(u), Rets: make([][]float64, hi-lo)}
-				var unitTrades int64
-				for i, pid := range blockPairs {
-					row := rowOf(i)
-					if row < 0 {
-						e.Rets[i] = backtest.TradeReturns(r.cfg, nil)
-						continue
-					}
-					cs := css[ti]
-					pr := r.pairs[pid]
-					tr, err := strategy.RunDay(p, cs.Corr[row], cs.FirstS, dd.PG, pr.I, pr.J, u.Day)
-					if err != nil {
-						return err
-					}
-					e.Rets[i] = backtest.TradeReturns(r.cfg, tr)
-					unitTrades += int64(len(e.Rets[i]))
-				}
-				if err := emit(e, unitTrades); err != nil {
-					return err
-				}
+			var cs *corr.Series // nil when the whole block was pruned
+			if css != nil {
+				cs = css[ti]
 			}
+			if err := r.runLevels(ctx, day, needed[t], cs, dc.dd, blockPairs, rowOf, emit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runLevels backtests the units that read one (type, M) series: one
+// DayGrid pass per pair of the block serves all of them. Each unit's
+// Entry is emitted, in units order, once the block is done.
+func (r *GroupRunner) runLevels(ctx context.Context, day int, units []Unit, cs *corr.Series,
+	dd *backtest.DayData, blockPairs []int, rowOf func(int) int, emit func(e Entry, trades int64) error) error {
+	plan := r.plan
+	levels := make([]strategy.Params, len(units))
+	entries := make([]Entry, len(units))
+	trades := make([]int64, len(units))
+	for k, u := range units {
+		levels[k] = plan.Param(u.Param)
+		entries[k] = Entry{U: plan.UnitID(u), Rets: make([][]float64, len(blockPairs))}
+	}
+	grid, err := strategy.NewDayGrid(levels)
+	if err != nil {
+		return err
+	}
+	for i, pid := range blockPairs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		row := rowOf(i)
+		if row < 0 {
+			for k := range entries {
+				entries[k].Rets[i] = backtest.TradeReturns(r.cfg, nil)
+			}
+			continue
+		}
+		pr := r.pairs[pid]
+		if err := grid.Run(cs.Corr[row], cs.FirstS, dd.PG, pr.I, pr.J, day); err != nil {
+			return err
+		}
+		for k := range entries {
+			entries[k].Rets[i] = backtest.TradeReturns(r.cfg, grid.Trades(k))
+			trades[k] += int64(len(entries[k].Rets[i]))
+		}
+	}
+	for k, e := range entries {
+		if err := emit(e, trades[k]); err != nil {
+			return err
 		}
 	}
 	return nil

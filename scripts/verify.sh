@@ -49,8 +49,11 @@ go test -race ./internal/corr ./internal/sched
 echo "== go test -race ./internal/screen ./internal/corr (screening + batched kernel focus)"
 go test -race ./internal/screen ./internal/corr
 
-echo "== batched-vs-reference bit-identity smoke"
-focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference' ./internal/corr
+echo "== batched-vs-reference bit-identity smoke, and one corr.Day shared by concurrent blocks"
+focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestDaySharesMoments|TestDayConcurrentBlocks' ./internal/corr
+
+echo "== strategy level grid: pinned RunDay digest, grid = lone levels, zero steady-state allocation"
+focus 'TestDayGridMatchesParentRunDay|TestDayGridSteadyStateAllocs' ./internal/strategy
 
 echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
 focus 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
@@ -105,6 +108,9 @@ bash cmd/mmbench/run.sh --workload online_saturate --seconds 2 --trace 0 | tail 
 
 echo "== mmbench smoke: sweep_robust, 2 s, untraced: journal -> merge -> golden hash -> 32-pair oracle"
 bash cmd/mmbench/run.sh --workload sweep_robust --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
+
+echo "== mmbench smoke: sweep_wide_pearson, 2 s, untraced: level grid + per-day moment table -> golden hash -> 32-pair oracle"
+bash cmd/mmbench/run.sh --workload sweep_wide_pearson --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
 
 echo "== bench gate: fresh kernel ratios + scaling efficiency vs committed baselines"
 bench_tmp=$(mktemp /tmp/mm_bench_gate.XXXXXX.json)
