@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"marketminer/internal/clean"
 	"marketminer/internal/corr"
@@ -134,31 +135,83 @@ type DayData struct {
 
 // PrepareDay generates, cleans and samples one trading day into the
 // price/return grids all strategies consume (generate → clean →
-// sample → backfill → log-returns). Exposed for the example programs
-// and benches.
+// sample → backfill → log-returns). It works stock by stock: while the
+// generator draws the next stock's quotes, up to cfg.ResolvedWorkers()
+// goroutines each take a drawn stock through its own clean.Filter and
+// series.RowSampler into its grid rows, so no day-wide quote slice is
+// built, sorted or copied. The grids are bit-identical to cleaning and
+// sampling GenerateDay's sorted stream: the filter keeps its state per
+// symbol, a row depends on its own stock's quotes alone, and each
+// stock's quotes are drawn in ascending time. Exposed for the example
+// programs and benches.
 func PrepareDay(cfg Config, gen *market.Generator, day int) (*DayData, error) {
-	md, err := gen.GenerateDay(day)
-	if err != nil {
-		return nil, err
-	}
-	return prepareQuotes(cfg, gen.Config().Universe, md.Quotes)
-}
-
-func prepareQuotes(cfg Config, uni *taq.Universe, quotes []taq.Quote) (*DayData, error) {
-	cleaned, _ := clean.Clean(cfg.Clean, quotes)
 	grid, err := series.NewGrid(deltaSOf(cfg))
 	if err != nil {
 		return nil, err
 	}
-	sm := series.NewSampler(grid, uni)
-	for _, q := range cleaned {
-		sm.Add(q)
+	n := gen.Config().Universe.Len()
+	dd := &DayData{
+		PG:      &series.PriceGrid{Grid: grid, Prices: make([][]float64, n)},
+		Returns: make([][]float64, n),
 	}
-	pg := sm.Finish()
-	if err := series.Backfill(pg); err != nil {
+	type stockRun struct {
+		i      int
+		quotes []taq.Quote
+	}
+	// One buffer per worker plus the one the generator fills: drawn
+	// quotes are recycled, never accumulated.
+	workers := min(cfg.workers(), n)
+	runs := make(chan stockRun)
+	free := make(chan []taq.Quote, workers+1)
+	for k := 0; k <= workers; k++ {
+		free <- make([]taq.Quote, 0, gen.StockQuoteCapacity())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range runs {
+				dd.PG.Prices[r.i], dd.Returns[r.i] = prepareStock(cfg.Clean, grid, r.quotes)
+				free <- r.quotes[:0]
+			}
+		}()
+	}
+	next := func() []taq.Quote { return <-free }
+	_, err = gen.GenerateByStock(day, next, func(i int, quotes []taq.Quote) []taq.Quote {
+		runs <- stockRun{i, quotes}
+		return next()
+	})
+	close(runs)
+	wg.Wait()
+	if err != nil {
 		return nil, err
 	}
-	return &DayData{PG: pg, Returns: series.ReturnGrid(pg)}, nil
+	// Every row with a price is backfilled already; this names the
+	// lowest stock without one, whichever worker sampled it.
+	if err := series.Backfill(dd.PG); err != nil {
+		return nil, err
+	}
+	return dd, nil
+}
+
+// prepareStock cleans one stock's quotes of a day through a filter of
+// its own and samples the survivors into a new price row, then
+// backfills the row and derives its log-returns (nil when no quote
+// survived).
+func prepareStock(cc clean.Config, grid series.Grid, quotes []taq.Quote) (prices, returns []float64) {
+	f := clean.NewFilter(cc)
+	rs := series.NewRowSampler(grid, make([]float64, grid.SMax))
+	for _, q := range quotes {
+		if f.Accept(q) == clean.OK {
+			rs.Add(q)
+		}
+	}
+	prices = rs.Finish()
+	if series.BackfillRow(prices) {
+		returns = series.LogReturns(prices)
+	}
+	return prices, returns
 }
 
 // deltaSOf returns the grid resolution; all Table I vectors share

@@ -6,7 +6,9 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"marketminer/internal/clean"
 	"marketminer/internal/market"
@@ -145,6 +147,40 @@ func TestPrepareDayEmptyStockError(t *testing.T) {
 			if err == nil || err.Error() != tc.error {
 				t.Errorf("%s, workers %d: error %v, want %q", tc.name, workers, err, tc.error)
 			}
+		}
+	}
+}
+
+// PrepareDay holds one stock's quotes per worker, never the day's: the
+// bytes it allocates stay far below one copy of the day's quote stream.
+func TestPrepareDayAllocatesNoQuoteSlice(t *testing.T) {
+	u, err := taq.NewUniverse(taq.SyntheticSymbols(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := market.DefaultConfig()
+	mc.Universe, mc.Days = u, 1
+	gen, err := market.NewGenerator(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := gen.GenerateDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(len(md.Quotes)) * uint64(unsafe.Sizeof(taq.Quote{})) / 4
+	md = nil
+	for _, workers := range []int{1, 4} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := PrepareDay(Config{Market: mc, Workers: workers}, gen, 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+			t.Errorf("workers %d: PrepareDay allocated %d bytes, budget %d (a quarter of the day's quotes)", workers, got, budget)
+		} else {
+			t.Logf("workers %d: %d bytes, budget %d", workers, got, budget)
 		}
 	}
 }

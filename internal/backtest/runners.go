@@ -78,7 +78,7 @@ func Farm(ctx context.Context, cfg Config) (*Result, error) {
 	// everything downstream is per-job, as in Approach 2 where each
 	// Matlab job re-derived its own correlations from the raw data.
 	// Days are prepared lazily into a small bounded cache rather than
-	// all up front: GenerateDay is seeded per day, so whichever worker
+	// all up front: the generator is seeded per day, so whichever worker
 	// arrives first produces the same data any other would have.
 	workers := cfg.workers()
 	cache := newDayCache(farmCacheCap(days, workers), func(d int) (*DayData, error) {

@@ -243,8 +243,9 @@ func (f *Filter) Level(symbol string) (mean, dev float64, ok bool) {
 }
 
 // Clean filters a quote slice in one pass, returning the accepted
-// quotes in order. A convenience wrapper over Accept for batch
-// (backtest) use.
+// quotes in order. A convenience wrapper over Accept for a whole
+// stream at once; backtest.PrepareDay instead runs one Filter per
+// stock over that stock's quotes.
 func Clean(cfg Config, quotes []taq.Quote) ([]taq.Quote, *Filter) {
 	f := NewFilter(cfg)
 	out := make([]taq.Quote, 0, len(quotes))

@@ -68,3 +68,64 @@ func TestGenerateDayBufferNeverRegrows(t *testing.T) {
 		}
 	}
 }
+
+// GenerateByStock hands over each stock's quotes, in ascending time, in
+// stock order; gathered and sorted they are GenerateDay's stream, and
+// the day's mids and bad-tick count agree.
+func TestGenerateByStockMatchesGenerateDay(t *testing.T) {
+	u, err := taq.NewUniverse(taq.SyntheticSymbols(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := DefaultConfig()
+		cfg.Universe, cfg.Seed, cfg.Days, cfg.Contamination = u, seed, 1, 0.05
+		g, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := g.GenerateDay(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bySym := map[string][]taq.Quote{}
+		for _, q := range want.Quotes {
+			bySym[q.Symbol] = append(bySym[q.Symbol], q)
+		}
+		next := 0
+		got, err := g.GenerateByStock(0, func() []taq.Quote { return nil }, func(i int, quotes []taq.Quote) []taq.Quote {
+			if i != next {
+				t.Fatalf("seed %d: stock %d handed over, want %d", seed, i, next)
+			}
+			next++
+			sub := bySym[u.Symbol(i)]
+			if len(quotes) != len(sub) {
+				t.Fatalf("seed %d stock %d: %d quotes, GenerateDay has %d", seed, i, len(quotes), len(sub))
+			}
+			for k, q := range quotes {
+				if q != sub[k] {
+					t.Fatalf("seed %d stock %d quote %d: %+v, GenerateDay has %+v", seed, i, k, q, sub[k])
+				}
+			}
+			return quotes[:0]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != u.Len() || got.NumBad != want.NumBad || got.Quotes != nil {
+			t.Errorf("seed %d: %d stocks, %d bad (want %d), %d quotes kept", seed, next, got.NumBad, want.NumBad, len(got.Quotes))
+		}
+		for i := range want.Mid {
+			for s := range want.Mid[i] {
+				if got.Mid[i][s] != want.Mid[i][s] {
+					t.Fatalf("seed %d: mid[%d][%d] %v, want %v", seed, i, s, got.Mid[i][s], want.Mid[i][s])
+				}
+			}
+		}
+	}
+	g, _ := NewGenerator(smallConfig())
+	none := func() []taq.Quote { return nil }
+	if _, err := g.GenerateByStock(99, none, func(int, []taq.Quote) []taq.Quote { return nil }); err == nil {
+		t.Error("day beyond dataset should error")
+	}
+}

@@ -16,8 +16,16 @@
 //     outlier sensitivity is what separates Pearson from Maronna.
 //
 // All randomness is derived from Config.Seed; day d of a dataset is
-// generated by an rng seeded with Seed+d, so individual days can be
-// produced independently and in parallel.
+// generated by an rng seeded from (Seed, d), so individual days can be
+// produced independently and in parallel. Within a day the rng order
+// is fixed and exists once, in GenerateByStock: the latent paths second
+// by second, the breakdown events stock by stock, then each stock's
+// quotes in ascending time, so every way of consuming a day sees the
+// same bytes. GenerateByStock hands each stock's quotes over as they
+// are drawn (backtest.PrepareDay cleans and samples them stock by
+// stock). GenerateDay and Dataset gather them into one day-wide
+// stream sorted by SeqTime, the form the online pipeline, mmfeed and
+// mmgen consume.
 package market
 
 import (
@@ -196,6 +204,23 @@ func (g *Generator) quoteCapacity() int {
 	for _, r := range g.rate {
 		lambda += r * taq.TradingDaySec
 	}
+	return poissonCapacity(lambda)
+}
+
+// StockQuoteCapacity is the same bound for the most liquid stock alone:
+// a buffer of this size holds any one stock's quotes of a day without
+// regrowing.
+func (g *Generator) StockQuoteCapacity() int {
+	var rate float64
+	for _, r := range g.rate {
+		rate = math.Max(rate, r)
+	}
+	return poissonCapacity(rate * taq.TradingDaySec)
+}
+
+// poissonCapacity returns λ + 6√λ + 1 rounded down: a Poisson(λ) count
+// exceeds it about once in 10⁹ draws.
+func poissonCapacity(lambda float64) int {
 	return int(lambda+6*math.Sqrt(lambda)) + 1
 }
 
@@ -245,8 +270,10 @@ func (b breakdown) offset(t int) float64 {
 
 // Day is one generated trading day.
 type Day struct {
-	Index  int
-	Quotes []taq.Quote // sorted by SeqTime
+	Index int
+	// Quotes is the day's stream sorted by SeqTime (GenerateDay; nil
+	// from GenerateByStock).
+	Quotes []taq.Quote
 	// Mid holds the latent (uncontaminated) mid price per stock per
 	// second — the ground truth against which cleaning and sampling
 	// can be validated in tests.
@@ -255,9 +282,41 @@ type Day struct {
 	NumBad int
 }
 
-// GenerateDay produces day d (0-based). Each day is independent given
-// (seed, d) and may be generated concurrently with other days.
+// GenerateDay produces day d (0-based): GenerateByStock's quotes
+// gathered into one buffer and sorted by SeqTime. Each day is
+// independent given (seed, d) and may be generated concurrently with
+// other days.
 func (g *Generator) GenerateDay(d int) (*Day, error) {
+	var quotes []taq.Quote
+	day, err := g.GenerateByStock(d,
+		func() []taq.Quote { return make([]taq.Quote, 0, g.quoteCapacity()) },
+		func(_ int, q []taq.Quote) []taq.Quote {
+			quotes = q
+			return q
+		})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(quotes, func(a, b int) bool { return quotes[a].SeqTime < quotes[b].SeqTime })
+	day.Quotes = quotes
+	return day, nil
+}
+
+// GenerateByStock draws day d (0-based) stock by stock. All of the
+// day's randomness comes from one rng seeded by (Seed, d), drawn in a
+// fixed order: the latent paths second by second, the breakdown events
+// stock by stock, then each stock's quotes in ascending time.
+//
+// Once the mids are drawn, first() returns the slice stock 0's quotes
+// are appended to; it is called only then, so a large buffer is not
+// allocated before the mids. Once stock i's quotes are drawn, fn(i,
+// quotes) is called, for i in index order, with stock i's quotes
+// appended in ascending SeqTime to the current slice. fn returns the
+// slice the next stock's quotes are appended to: quotes itself to
+// gather the whole day (GenerateDay), or an empty buffer to hand each
+// stock's run off on its own. The returned Day has Mid and NumBad set
+// and no Quotes.
+func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i int, quotes []taq.Quote) []taq.Quote) (*Day, error) {
 	if d < 0 || d >= g.cfg.Days {
 		return nil, fmt.Errorf("market: day %d outside dataset of %d days", d, g.cfg.Days)
 	}
@@ -265,11 +324,15 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 	n := g.n
 	secs := taq.TradingDaySec
 
-	// Latent log-price paths from the factor model.
-	logp := make([][]float64, n)
-	for i := range logp {
-		logp[i] = make([]float64, secs)
-		logp[i][0] = math.Log(g.base[i] * (1 + 0.01*rng.NormFloat64()))
+	// Latent log-price paths from the factor model, materialised as
+	// per-second mids as they are drawn; only the current log-price of
+	// each stock is kept.
+	mid := make([][]float32, n)
+	logp := make([]float64, n)
+	for i := range mid {
+		mid[i] = make([]float32, secs)
+		logp[i] = math.Log(g.base[i] * (1 + 0.01*rng.NormFloat64()))
+		mid[i][0] = float32(math.Exp(logp[i]))
 	}
 	norm := math.Sqrt(g.cfg.MarketBeta*g.cfg.MarketBeta + g.cfg.SectorBeta*g.cfg.SectorBeta + 1)
 	sectorShock := make([]float64, g.cfg.NumSectors)
@@ -292,7 +355,8 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 			// instead of accumulating.
 			old := misp[i]
 			misp[i] += -kappa*misp[i] + g.cfg.MeanRevVol*rng.NormFloat64()
-			logp[i][t] = logp[i][t-1] + g.cfg.Vol*z/norm + (misp[i] - old)
+			logp[i] = logp[i] + g.cfg.Vol*z/norm + (misp[i] - old)
+			mid[i][t] = float32(math.Exp(logp[i]))
 		}
 	}
 
@@ -311,14 +375,7 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 		}
 	}
 
-	// Materialise per-second mids with dislocations applied.
-	mid := make([][]float32, n)
-	for i := range mid {
-		mid[i] = make([]float32, secs)
-		for t := 0; t < secs; t++ {
-			mid[i][t] = float32(math.Exp(logp[i][t]))
-		}
-	}
+	// Apply the dislocations to the mids.
 	for _, ev := range events {
 		row := mid[ev.stock]
 		for t := ev.start; t < secs; t++ {
@@ -332,8 +389,9 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 
 	day := &Day{Index: d, Mid: mid}
 
-	// Quote arrivals: Poisson per stock, then a global time sort.
-	quotes := make([]taq.Quote, 0, g.quoteCapacity())
+	// Quote arrivals: Poisson per stock, so each stock's run is in
+	// ascending time.
+	quotes := first()
 	for i := 0; i < n; i++ {
 		sym := g.cfg.Universe.Symbol(i)
 		t := 0.0
@@ -350,9 +408,8 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 			q.Day = d
 			quotes = append(quotes, q)
 		}
+		quotes = fn(i, quotes)
 	}
-	sort.Slice(quotes, func(a, b int) bool { return quotes[a].SeqTime < quotes[b].SeqTime })
-	day.Quotes = quotes
 	return day, nil
 }
 

@@ -88,15 +88,57 @@ func (pg *PriceGrid) FirstComplete() int {
 	return -1
 }
 
-// Sampler accumulates a stream of (already cleaned) quotes into a
-// PriceGrid for one trading day: the level of interval s is the BAM of
-// the last quote with timestamp inside [s·∆s, (s+1)·∆s).
-type Sampler struct {
+// RowSampler is the forward-fill sampling rule for one stock's price
+// row: row[s] is the BAM of the stock's last quote with timestamp
+// before (s+1)·∆s, and NaN before its first quote. Each interval is
+// written once, when a quote of a later interval or Finish closes it,
+// so the row depends on this stock's quotes alone.
+type RowSampler struct {
 	grid Grid
+	row  []float64
+	lvl  float64 // carried level: BAM of the latest quote, NaN before the first
+	next int     // first interval not yet written
+}
+
+// NewRowSampler samples into row, which must hold grid.SMax prices.
+func NewRowSampler(grid Grid, row []float64) RowSampler {
+	return RowSampler{grid: grid, row: row[:grid.SMax], lvl: math.NaN()}
+}
+
+// Add incorporates one quote of the row's stock. Quotes must arrive in
+// non-decreasing SeqTime order; out-of-session quotes are ignored and
+// reported via the return value.
+func (rs *RowSampler) Add(q taq.Quote) bool {
+	s, ok := rs.grid.Index(q.SeqTime)
+	if !ok {
+		return false
+	}
+	rs.fillThrough(s)
+	rs.lvl = q.Mid()
+	return true
+}
+
+// fillThrough closes intervals next..s-1 with the carried level.
+func (rs *RowSampler) fillThrough(s int) {
+	for ; rs.next < s; rs.next++ {
+		rs.row[rs.next] = rs.lvl
+	}
+}
+
+// Finish closes all remaining intervals and returns the completed row.
+func (rs *RowSampler) Finish() []float64 {
+	rs.fillThrough(rs.grid.SMax)
+	return rs.row
+}
+
+// Sampler accumulates a day's stream of (already cleaned) quotes over a
+// universe into a PriceGrid by handing each quote to its stock's
+// RowSampler. Only each stock's own quotes need be in time order, so a
+// globally time-sorted stream and each stock's sub-stream sampled on
+// its own give the same rows.
+type Sampler struct {
 	uni  *taq.Universe
-	last []float64 // latest BAM seen per stock in the current interval, NaN if none
-	lvl  []float64 // carried level per stock
-	cur  int       // current interval being filled
+	rows []RowSampler
 	pg   *PriceGrid
 }
 
@@ -104,78 +146,65 @@ type Sampler struct {
 func NewSampler(grid Grid, uni *taq.Universe) *Sampler {
 	n := uni.Len()
 	pg := &PriceGrid{Grid: grid, Prices: make([][]float64, n)}
-	for i := range pg.Prices {
-		row := make([]float64, grid.SMax)
-		for s := range row {
-			row[s] = math.NaN()
-		}
-		pg.Prices[i] = row
+	rows := make([]RowSampler, n)
+	for i := range rows {
+		pg.Prices[i] = make([]float64, grid.SMax)
+		rows[i] = NewRowSampler(grid, pg.Prices[i])
 	}
-	lvl := make([]float64, n)
-	for i := range lvl {
-		lvl[i] = math.NaN()
-	}
-	return &Sampler{grid: grid, uni: uni, lvl: lvl, pg: pg}
+	return &Sampler{uni: uni, rows: rows, pg: pg}
 }
 
-// Add incorporates one quote. Quotes must arrive in non-decreasing
-// SeqTime order; out-of-session or unknown-symbol quotes are ignored
-// and reported via the return value.
+// Add incorporates one quote. Each stock's quotes must arrive in
+// non-decreasing SeqTime order; out-of-session or unknown-symbol quotes
+// are ignored and reported via the return value.
 func (sm *Sampler) Add(q taq.Quote) bool {
-	s, ok := sm.grid.Index(q.SeqTime)
-	if !ok {
-		return false
-	}
 	i, ok := sm.uni.Index(q.Symbol)
 	if !ok {
 		return false
 	}
-	if s > sm.cur {
-		sm.fillThrough(s)
-	}
-	sm.lvl[i] = q.Mid()
-	return true
-}
-
-// fillThrough closes intervals cur..s-1 with the carried levels.
-func (sm *Sampler) fillThrough(s int) {
-	for t := sm.cur; t < s && t < sm.grid.SMax; t++ {
-		for i := range sm.lvl {
-			sm.pg.Prices[i][t] = sm.lvl[i]
-		}
-	}
-	sm.cur = s
+	return sm.rows[i].Add(q)
 }
 
 // Finish closes all remaining intervals and returns the completed grid.
 // The sampler must not be used afterwards.
 func (sm *Sampler) Finish() *PriceGrid {
-	sm.fillThrough(sm.grid.SMax)
+	for i := range sm.rows {
+		sm.rows[i].Finish()
+	}
 	return sm.pg
 }
 
 // Backfill replaces each stock's leading NaN prices (intervals before
 // its first quote of the day) with its first defined price, so that
-// return series are NaN-free. It returns an error if any stock has no
-// quotes at all. Interior NaNs cannot occur with Sampler's forward
-// fill.
+// return series are NaN-free. It returns an error naming the lowest
+// stock with no quotes at all. Interior NaNs cannot occur with the
+// forward fill.
 func Backfill(pg *PriceGrid) error {
 	for i, row := range pg.Prices {
-		first := -1
-		for s, p := range row {
-			if !math.IsNaN(p) {
-				first = s
-				break
-			}
-		}
-		if first < 0 {
+		if !BackfillRow(row) {
 			return fmt.Errorf("series: stock %d has no prices for the whole day", i)
-		}
-		for s := 0; s < first; s++ {
-			row[s] = row[first]
 		}
 	}
 	return nil
+}
+
+// BackfillRow is Backfill for one stock's row; it reports false, and
+// leaves the row alone, if the row has no price at all.
+func BackfillRow(row []float64) bool {
+	first := -1
+	for s, p := range row {
+		if !math.IsNaN(p) {
+			first = s
+			break
+		}
+	}
+	if first < 0 {
+		return false
+	}
+	for s := 0; s < first; s++ {
+		row[s] = row[first]
+	}
+	return true
 }
 
 // LogReturns computes the per-interval 1-period log-returns

@@ -55,6 +55,10 @@ focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|T
 echo "== strategy level grid: pinned RunDay digest, grid = lone levels, zero steady-state allocation"
 focus 'TestDayGridMatchesParentRunDay|TestDayGridSteadyStateAllocs' ./internal/strategy
 
+echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 workers, no day-wide quote slice, one sampling rule, generator stream unchanged"
+focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
+    ./internal/backtest ./internal/series ./internal/market
+
 echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
 focus 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
 
@@ -111,6 +115,9 @@ bash cmd/mmbench/run.sh --workload sweep_robust --seconds 2 --trace 0 | tail -n 
 
 echo "== mmbench smoke: sweep_wide_pearson, 2 s, untraced: level grid + per-day moment table -> golden hash -> 32-pair oracle"
 bash cmd/mmbench/run.sh --workload sweep_wide_pearson --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
+
+echo "== mmbench smoke: sweep_wide_pearson, 2 s, traced: the traced pass rebuilds each day through GenerateDay -> clean.Clean -> Sampler and must reproduce the stock-major sweep's merged hash"
+bash cmd/mmbench/run.sh --workload sweep_wide_pearson --seconds 2 --trace 1 | tail -n 1 | grep -q '"failed":0'
 
 echo "== bench gate: fresh kernel ratios + scaling efficiency vs committed baselines"
 bench_tmp=$(mktemp /tmp/mm_bench_gate.XXXXXX.json)
