@@ -352,7 +352,9 @@ func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i i
 			// The increment carries the fundamental diffusion plus the
 			// *change* in mispricing, so the observed price is
 			// fundamental + mispricing and the mispricing decays
-			// instead of accumulating.
+			// instead of accumulating. The sum runs left to right
+			// from the previous log-price; `+=` would add the two
+			// increments together first and change the bits.
 			old := misp[i]
 			misp[i] += -kappa*misp[i] + g.cfg.MeanRevVol*rng.NormFloat64()
 			logp[i] = logp[i] + g.cfg.Vol*z/norm + (misp[i] - old)
