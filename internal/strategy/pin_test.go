@@ -223,3 +223,46 @@ func TestDayGridSteadyStateAllocs(t *testing.T) {
 		t.Errorf("DayGrid.Run allocates %v per pair after warm-up, want 0", a)
 	}
 }
+
+// stepDigest drives one Tracker per level through Step, the online
+// path's entry point, feeding it C̄ as a rolling W-sum, then closes any
+// position left open at the day's last interval, as RunDay does.
+func stepDigest(t *testing.T, cases []pinCase) string {
+	h := fnv.New64a()
+	for ci, c := range cases {
+		lastS := c.pg.Grid.SMax - 1
+		n := min(len(c.corr), lastS-c.firstS+1)
+		for li, p := range c.levels {
+			if len(c.corr) < p.W {
+				digestLevel(h, ci, li, nil, errShortSeries)
+				continue
+			}
+			tr, err := NewTracker(p, c.pairI, c.pairJ, c.day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for k := 0; k < p.W-1; k++ {
+				sum += c.corr[k]
+			}
+			for k := p.W - 1; k < n; k++ {
+				sum += c.corr[k]
+				tr.Step(c.firstS+k, c.corr[k], sum/float64(p.W), c.pg)
+				sum -= c.corr[k-p.W+1]
+			}
+			if tr.Position() != nil {
+				tr.closePosition(lastS, ExitEndOfDay, c.pg)
+			}
+			digestLevel(h, ci, li, tr.Trades(), nil)
+		}
+	}
+	return hexSum(h)
+}
+
+// Step, which the online pipeline drives, makes the same trades as the
+// level grid on the pinning corpus.
+func TestStepMatchesParentDigest(t *testing.T) {
+	if got := stepDigest(t, pinCases(t)); got != pinnedRunDayDigest {
+		t.Errorf("Step digest = %s, want %s", got, pinnedRunDayDigest)
+	}
+}
