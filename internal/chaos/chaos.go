@@ -151,7 +151,7 @@ func parseEvery(val string) (int64, error) {
 
 func parseRate(val string) (float64, error) {
 	v, err := strconv.ParseFloat(val, 64)
-	if err == nil && (v < 0 || v > 1) {
+	if err == nil && !(v >= 0 && v <= 1) { // NaN fails both bounds
 		err = fmt.Errorf("must be in [0,1]")
 	}
 	return v, err

@@ -41,7 +41,7 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 	for _, text := range []string{
 		"", "seed", "seed=x", "corrupt=0", "corrupt=-5", "cut=1.5",
 		"delay=100", "delay=100:0s", "delay=0:1ms", "drop=1.5", "drop=-0.1",
-		"typo=3", "seed=1,,",
+		"typo=3", "seed=1,,", "drop=NaN", "dup=NaN", "reorder=NaN", "drop=Inf",
 	} {
 		if _, err := ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", text)
@@ -50,6 +50,33 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 	if s, err := ParseSpec("seed=9"); err != nil || s.Active() {
 		t.Errorf("fault-free spec: %+v, %v", s, err)
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every spec it accepts
+// renders through String to text that parses back to the same Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"seed=7,corrupt=8192,cut=65536,delay=4096:2ms,partition=5,drop=0.01,dup=0.02,reorder=0.03",
+		"seed=7,corrupt=8192,cut=65536", "seed=7,corrupt=4096,cut=32768",
+		"seed=7,cut=65536,partition=4", "seed=7,corrupt=8192", "seed=7,corrupt=16384,cut=32768",
+		"seed=5,corrupt=32768,cut=131072", "seed=11,corrupt=16384,cut=65536",
+		"seed=5,drop=0.01,dup=0.01", "seed=9", "drop=NaN", "delay=10:1ms", "seed=1,,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted as %+v, but its String %q fails: %v", text, s, s.String(), err)
+		}
+		if back != s {
+			t.Fatalf("ParseSpec(%q) = %+v, but its String %q parses to %+v", text, s, s.String(), back)
+		}
+	})
 }
 
 // TestParseSpecUnknownAndDuplicateKeys pins the exact diagnostics for

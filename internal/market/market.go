@@ -268,6 +268,13 @@ func (b breakdown) offset(t int) float64 {
 	}
 }
 
+// apply dislocates the stock's row of per-second mids.
+func (b breakdown) apply(row []float32) {
+	for t := b.start; t < len(row) && t <= b.start+4*b.duration; t++ {
+		row[t] = float32(float64(row[t]) * math.Exp(b.offset(t)))
+	}
+}
+
 // Day is one generated trading day.
 type Day struct {
 	Index int
@@ -316,6 +323,11 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 // gather the whole day (GenerateDay), or an empty buffer to hand each
 // stock's run off on its own. The returned Day has Mid and NumBad set
 // and no Quotes.
+//
+// The calling goroutine only draws. One helper goroutine, which never
+// touches the rng, exponentiates the drawn log-prices into the mids
+// and applies each stock's breakdowns; the quote draw waits for stock
+// i's row only.
 func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i int, quotes []taq.Quote) []taq.Quote) (*Day, error) {
 	if d < 0 || d >= g.cfg.Days {
 		return nil, fmt.Errorf("market: day %d outside dataset of %d days", d, g.cfg.Days)
@@ -324,15 +336,28 @@ func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i i
 	n := g.n
 	secs := taq.TradingDaySec
 
-	// Latent log-price paths from the factor model, materialised as
-	// per-second mids as they are drawn; only the current log-price of
-	// each stock is kept.
+	// The latent log-prices go out in second-major chunks to
+	// finishMids, which exponentiates them into the per-second mids
+	// and then applies each stock's breakdowns, stock by stock, ahead
+	// of the quote draw.
 	mid := make([][]float32, n)
-	logp := make([]float64, n)
 	for i := range mid {
 		mid[i] = make([]float32, secs)
+	}
+	chunks := make(chan pathChunk, 1)
+	free := make(chan []float64, 2)
+	for k := 0; k < cap(free); k++ {
+		free <- make([]float64, chunkSecs*n)
+	}
+	events := make(chan []breakdown, 1)
+	ready := make(chan struct{}, n) // one per stock whose mids are final
+	go g.finishMids(mid, chunks, free, events, ready)
+
+	// Latent log-price paths from the factor model; only the current
+	// log-price of each stock is kept.
+	logp := make([]float64, n)
+	for i := range logp {
 		logp[i] = math.Log(g.base[i] * (1 + 0.01*rng.NormFloat64()))
-		mid[i][0] = float32(math.Exp(logp[i]))
 	}
 	norm := math.Sqrt(g.cfg.MarketBeta*g.cfg.MarketBeta + g.cfg.SectorBeta*g.cfg.SectorBeta + 1)
 	sectorShock := make([]float64, g.cfg.NumSectors)
@@ -342,28 +367,38 @@ func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i i
 	// retracement capture.
 	misp := make([]float64, n)
 	kappa := g.cfg.MeanRevRate
-	for t := 1; t < secs; t++ {
-		mkt := rng.NormFloat64()
-		for s := range sectorShock {
-			sectorShock[s] = rng.NormFloat64()
+	for t0 := 0; t0 < secs; t0 += chunkSecs {
+		buf := <-free
+		t1 := min(t0+chunkSecs, secs)
+		if t0 == 0 {
+			copy(buf, logp)
 		}
-		for i := 0; i < n; i++ {
-			z := g.cfg.MarketBeta*mkt + g.cfg.SectorBeta*sectorShock[g.sector[i]] + rng.NormFloat64()
-			// The increment carries the fundamental diffusion plus the
-			// *change* in mispricing, so the observed price is
-			// fundamental + mispricing and the mispricing decays
-			// instead of accumulating. The sum runs left to right
-			// from the previous log-price; `+=` would add the two
-			// increments together first and change the bits.
-			old := misp[i]
-			misp[i] += -kappa*misp[i] + g.cfg.MeanRevVol*rng.NormFloat64()
-			logp[i] = logp[i] + g.cfg.Vol*z/norm + (misp[i] - old)
-			mid[i][t] = float32(math.Exp(logp[i]))
+		for t := max(t0, 1); t < t1; t++ {
+			mkt := rng.NormFloat64()
+			for s := range sectorShock {
+				sectorShock[s] = rng.NormFloat64()
+			}
+			row := buf[(t-t0)*n : (t-t0+1)*n]
+			for i := range row {
+				z := g.cfg.MarketBeta*mkt + g.cfg.SectorBeta*sectorShock[g.sector[i]] + rng.NormFloat64()
+				// The increment carries the fundamental diffusion plus
+				// the *change* in mispricing, so the observed price is
+				// fundamental + mispricing and the mispricing decays
+				// instead of accumulating. The sum runs left to right
+				// from the previous log-price; `+=` would add the two
+				// increments together first and change the bits.
+				old := misp[i]
+				misp[i] += -kappa*misp[i] + g.cfg.MeanRevVol*rng.NormFloat64()
+				logp[i] = logp[i] + g.cfg.Vol*z/norm + (misp[i] - old)
+				row[i] = logp[i]
+			}
 		}
+		chunks <- pathChunk{t0: t0, logp: buf[:(t1-t0)*n]}
 	}
+	close(chunks)
 
-	// Breakdown events.
-	var events []breakdown
+	// Breakdown events, stock by stock.
+	var evs []breakdown
 	expected := g.cfg.BreakdownsPerDay
 	for i := 0; i < n; i++ {
 		for k := 0; k < poisson(rng, expected); k++ {
@@ -373,28 +408,22 @@ func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i i
 			if rng.Intn(2) == 0 {
 				mag = -mag
 			}
-			events = append(events, breakdown{stock: i, start: start, duration: dur, mag: mag})
+			evs = append(evs, breakdown{stock: i, start: start, duration: dur, mag: mag})
 		}
 	}
-
-	// Apply the dislocations to the mids.
-	for _, ev := range events {
-		row := mid[ev.stock]
-		for t := ev.start; t < secs; t++ {
-			off := ev.offset(t)
-			if t > ev.start+4*ev.duration {
-				break
-			}
-			row[t] = float32(float64(row[t]) * math.Exp(off))
-		}
-	}
+	events <- evs
 
 	day := &Day{Index: d, Mid: mid}
 
 	// Quote arrivals: Poisson per stock, so each stock's run is in
-	// ascending time.
+	// ascending time. Stock 0's row is final only once every mid is
+	// written, so first() still runs after the mids exist.
+	<-ready
 	quotes := first()
 	for i := 0; i < n; i++ {
+		if i > 0 {
+			<-ready
+		}
 		sym := g.cfg.Universe.Symbol(i)
 		t := 0.0
 		for {
@@ -413,6 +442,43 @@ func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i i
 		quotes = fn(i, quotes)
 	}
 	return day, nil
+}
+
+// chunkSecs is the number of seconds of log-prices in one pathChunk:
+// with two chunks in flight a 400-stock day holds 1.6 MB of them.
+const chunkSecs = 256
+
+// pathChunk holds the log-prices of seconds t0, t0+1, … of every
+// stock, second-major: logp[(t−t0)·n + i] is stock i's at second t.
+type pathChunk struct {
+	t0   int
+	logp []float64
+}
+
+// finishMids is GenerateByStock's helper goroutine. It exponentiates
+// each chunk into mid and returns its buffer to free; once chunks is
+// closed it takes the day's breakdown events, in drawn order (stock by
+// stock), applies each stock's dislocations to its row and then sends
+// one value on ready, for stocks in index order.
+func (g *Generator) finishMids(mid [][]float32, chunks <-chan pathChunk, free chan<- []float64, events <-chan []breakdown, ready chan<- struct{}) {
+	n := len(mid)
+	for c := range chunks {
+		secs := len(c.logp) / n
+		for i, row := range mid {
+			row = row[c.t0 : c.t0+secs]
+			for k := range row {
+				row[k] = float32(math.Exp(c.logp[k*n+i]))
+			}
+		}
+		free <- c.logp[:cap(c.logp)]
+	}
+	evs := <-events
+	for i, row := range mid {
+		for ; len(evs) > 0 && evs[0].stock == i; evs = evs[1:] {
+			evs[0].apply(row)
+		}
+		ready <- struct{}{}
+	}
 }
 
 // quoteAt builds a clean quote around the latent mid.

@@ -396,23 +396,38 @@ func SpreadWindow(pg *PriceGrid, i, j, s, rt int) (SpreadStats, error) {
 	if lo < 0 || s >= pg.Grid.SMax {
 		return SpreadStats{}, fmt.Errorf("series: spread window [%d,%d] out of range", lo, s)
 	}
+	var buf [256]float64 // holds every RT the sweep grids use
+	sp := buf[:0]
+	for t := lo; t <= s; t++ {
+		sp = append(sp, pg.Spread(i, j, t))
+	}
+	st, nan := SummarizeSpread(sp)
+	if nan >= 0 {
+		return SpreadStats{}, fmt.Errorf("series: undefined spread at interval %d", lo+nan)
+	}
+	return st, nil
+}
+
+// SummarizeSpread returns the SpreadStats of a window of spread values,
+// taken in order, and -1; or, if the window holds a NaN, the index of
+// the first one. It is the one place the statistics are computed.
+func SummarizeSpread(sp []float64) (SpreadStats, int) {
 	st := SpreadStats{High: math.Inf(-1), Low: math.Inf(1)}
 	var sum float64
-	for t := lo; t <= s; t++ {
-		sp := pg.Spread(i, j, t)
-		if math.IsNaN(sp) {
-			return SpreadStats{}, fmt.Errorf("series: undefined spread at interval %d", t)
+	for k, v := range sp {
+		if math.IsNaN(v) {
+			return SpreadStats{}, k
 		}
-		if sp > st.High {
-			st.High = sp
+		if v > st.High {
+			st.High = v
 		}
-		if sp < st.Low {
-			st.Low = sp
+		if v < st.Low {
+			st.Low = v
 		}
-		sum += sp
+		sum += v
 	}
-	st.Avg = sum / float64(rt)
-	return st, nil
+	st.Avg = sum / float64(len(sp))
+	return st, -1
 }
 
 // PeriodReturn returns the W-interval simple return of stock i ending

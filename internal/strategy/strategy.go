@@ -67,15 +67,22 @@ type Trade struct {
 // its position by value, so a tracker reused across pair-days (the
 // level grid's) allocates nothing per entry.
 type Tracker struct {
-	p        Params
-	pairI    int
-	pairJ    int
-	day      int
-	pos      portfolio.PairPosition // the open position, valid while open
-	open     bool
+	p      Params
+	pairI  int
+	pairJ  int
+	day    int
+	pos    portfolio.PairPosition // the open position, valid while open
+	open   bool
+	div    divergence
+	trades []Trade
+}
+
+// divergence is a tracker's §III step-2 state. diverge takes and
+// returns it by value, so a loop over many intervals keeps it in
+// registers.
+type divergence struct {
 	armed    bool // above the divergence band since the last entry
 	belowAge int  // intervals since the divergence band was crossed
-	trades   []Trade
 }
 
 // NewTracker builds a tracker for one pair. pairI < pairJ is required.
@@ -103,8 +110,7 @@ func checkPair(pairI, pairJ int) error {
 func (tr *Tracker) reset(pairI, pairJ, day int) {
 	tr.pairI, tr.pairJ, tr.day = pairI, pairJ, day
 	tr.open = false
-	tr.armed = true
-	tr.belowAge = 0
+	tr.div = divergence{armed: true}
 	tr.trades = tr.trades[:0]
 }
 
@@ -125,87 +131,80 @@ func (tr *Tracker) Trades() []Trade { return tr.trades }
 // grid. It returns a completed trade (nil if none) and any orders
 // generated this interval (entry or exit legs).
 func (tr *Tracker) Step(s int, c, cbar float64, pg *series.PriceGrid) (*Trade, []portfolio.Order) {
-	switch tr.advance(s, c, cbar, pg, nil) {
-	case entered:
-		pos := &tr.pos
-		return nil, []portfolio.Order{
-			{Day: tr.day, Interval: s, Stock: pos.LongStock, Side: portfolio.Buy, Shares: pos.LongSh, Price: pos.LongPx},
-			{Day: tr.day, Interval: s, Stock: pos.ShortStock, Side: portfolio.Sell, Shares: pos.ShortSh, Price: pos.ShortPx},
+	var band float64
+	var candidate bool
+	tr.div, band, candidate = tr.diverge(tr.div, c, cbar)
+	if tr.open {
+		reason, ok := tr.exitReason(s, c, cbar, band, pg.Spread(tr.pairI, tr.pairJ, s), pg)
+		if !ok || !tr.closePosition(s, reason, pg) {
+			return nil, nil
 		}
-	case exited:
 		t := &tr.trades[len(tr.trades)-1]
 		return t, []portfolio.Order{
 			{Day: tr.day, Interval: s, Stock: t.LongStock, Side: portfolio.Sell, Shares: t.LongSh, Price: t.LongExit},
 			{Day: tr.day, Interval: s, Stock: t.ShortStock, Side: portfolio.Buy, Shares: t.ShortSh, Price: t.ShortExit},
 		}
 	}
-	return nil, nil
+	if !candidate || !tr.enter(s, cbar, pg, nil) {
+		return nil, nil
+	}
+	pos := &tr.pos
+	return nil, []portfolio.Order{
+		{Day: tr.day, Interval: s, Stock: pos.LongStock, Side: portfolio.Buy, Shares: pos.LongSh, Price: pos.LongPx},
+		{Day: tr.day, Interval: s, Stock: pos.ShortStock, Side: portfolio.Sell, Shares: pos.ShortSh, Price: pos.ShortPx},
+	}
 }
 
-// event is what one interval did to a tracker's position.
-type event uint8
-
-const (
-	held    event = iota // no position change
-	entered              // a position was opened
-	exited               // the open position was reversed into a Trade
-)
-
-// advance is the strategy's one state transition: Step and the level
-// grid both drive every interval through it. spreads shares the
-// entry's RT-window spread statistics between the levels of a grid;
-// nil computes them directly.
-func (tr *Tracker) advance(s int, c, cbar float64, pg *series.PriceGrid, spreads *spreadMemo) event {
-	// Divergence bookkeeping (§III step 2): the coefficient has
-	// "diverged more than d% from C̄(s)" when C < C̄·(1−d). The
-	// divergence must be fresh — it must have begun within the last Y
-	// intervals — and each divergence episode triggers at most one
-	// entry (the tracker re-arms when C returns above the band).
-	band := cbar * (1 - tr.p.D)
-	below := c < band
-	if below {
-		tr.belowAge++
-	} else {
-		tr.belowAge = 0
-		tr.armed = true
+// diverge applies the divergence rule (§III step 2) to the tracker's
+// divergence state dv at one interval and returns the new state and the
+// band C̄·(1−d). The coefficient has "diverged more than d% from C̄(s)"
+// when C < band. The divergence must be fresh — it must have begun
+// within the last Y intervals — and each divergence episode triggers at
+// most one entry (the tracker re-arms when C returns above the band).
+// candidate reports whether a flat tracker may try to enter here: a
+// fresh, armed divergence while C̄ exceeds the trading threshold A
+// (step 3). Step and the level grid both call it once per interval.
+func (tr *Tracker) diverge(dv divergence, c, cbar float64) (_ divergence, band float64, candidate bool) {
+	band = cbar * (1 - tr.p.D)
+	if !(c < band) {
+		return divergence{armed: true}, band, false
 	}
-	if tr.open {
-		if reason, ok := tr.exitReason(s, c, cbar, band, pg.Grid.SMax-1, pg); ok && tr.closePosition(s, reason, pg) {
-			return exited
-		}
-		return held
-	}
-	if !below || !tr.armed || tr.belowAge > tr.p.Y {
-		return held
-	}
-	return tr.enter(s, cbar, pg, spreads)
+	dv.belowAge++
+	return dv, band, dv.armed && dv.belowAge <= tr.p.Y && cbar > tr.p.A
 }
 
-// enter opens a position at s on a fresh divergence when the rest of
-// §III steps 3–5 allow it.
-func (tr *Tracker) enter(s int, cbar float64, pg *series.PriceGrid, spreads *spreadMemo) event {
+// enter opens a position at candidate interval s when the rest of §III
+// steps 3–5 allow it, and reports whether it did. spreads shares the
+// RT-window spread statistics between the levels of a grid; nil
+// computes them from pg.
+func (tr *Tracker) enter(s int, cbar float64, pg *series.PriceGrid, spreads *spreadMemo) bool {
 	lastS := pg.Grid.SMax - 1
-	if cbar <= tr.p.A {
-		return held // step 3: C̄ must exceed the trading threshold
-	}
 	if s > lastS-tr.p.ST {
-		return held // too close to the close to open
+		return false // too close to the close to open
 	}
 	if s-tr.p.W < 0 || s-tr.p.RT+1 < 0 {
-		return held // lookbacks not yet available
+		return false // lookbacks not yet available
 	}
 	pi, pj := pg.Price(tr.pairI, s), pg.Price(tr.pairJ, s)
 	if !(pi > 0) || !(pj > 0) || math.IsNaN(pi) || math.IsNaN(pj) {
-		return held
+		return false
 	}
 	retI := series.PeriodReturn(pg, tr.pairI, s, tr.p.W)
 	retJ := series.PeriodReturn(pg, tr.pairJ, s, tr.p.W)
 	if math.IsNaN(retI) || math.IsNaN(retJ) || retI == retJ {
-		return held
+		return false
 	}
-	spread, err := spreads.window(pg, tr.pairI, tr.pairJ, s, tr.p.RT)
-	if err != nil {
-		return held
+	var spread series.SpreadStats
+	if spreads != nil {
+		var ok bool
+		if spread, ok = spreads.window(s, tr.p.RT); !ok {
+			return false
+		}
+	} else {
+		var err error
+		if spread, err = series.SpreadWindow(pg, tr.pairI, tr.pairJ, s, tr.p.RT); err != nil {
+			return false
+		}
 	}
 
 	// Step 3: long the under-performer, short the over-performer.
@@ -235,14 +234,15 @@ func (tr *Tracker) enter(s int, cbar float64, pg *series.PriceGrid, spreads *spr
 	}
 	tr.pos = pos
 	tr.open = true
-	tr.armed = false // consume this divergence episode
-	return entered
+	tr.div.armed = false // consume this divergence episode
+	return true
 }
 
-// exitReason evaluates §III step-5 reversal triggers in priority
-// order: stop-loss, correlation reversion, retracement, holding
-// period, end of day.
-func (tr *Tracker) exitReason(s int, c, cbar, band float64, lastS int, pg *series.PriceGrid) (ExitReason, bool) {
+// exitReason evaluates §III step-5 reversal triggers at interval s, in
+// priority order: stop-loss, correlation reversion, retracement,
+// holding period, end of day. band is diverge's, and spread is the
+// pair's P_i(s) − P_j(s).
+func (tr *Tracker) exitReason(s int, c, cbar, band, spread float64, pg *series.PriceGrid) (ExitReason, bool) {
 	pos := &tr.pos
 	if tr.p.StopLoss > 0 {
 		le := pg.Price(pos.LongStock, s)
@@ -254,7 +254,6 @@ func (tr *Tracker) exitReason(s int, c, cbar, band float64, lastS int, pg *serie
 	if tr.p.CorrReversion && c >= band && c < cbar {
 		return ExitCorrReversion, true
 	}
-	spread := pg.Spread(tr.pairI, tr.pairJ, s)
 	if !math.IsNaN(spread) {
 		if pos.RetraceUp && spread >= pos.Retrace {
 			return ExitRetracement, true
@@ -266,7 +265,7 @@ func (tr *Tracker) exitReason(s int, c, cbar, band float64, lastS int, pg *serie
 	if s-pos.EntryS >= tr.p.HP {
 		return ExitHoldingPeriod, true
 	}
-	if s >= lastS {
+	if s >= pg.Grid.SMax-1 {
 		return ExitEndOfDay, true
 	}
 	return 0, false

@@ -52,10 +52,10 @@ go test -race ./internal/screen ./internal/corr
 echo "== batched-vs-reference bit-identity smoke, and one corr.Day shared by concurrent blocks"
 focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestDaySharesMoments|TestDayConcurrentBlocks' ./internal/corr
 
-echo "== strategy level grid: pinned RunDay digest, grid = lone levels, zero steady-state allocation"
-focus 'TestDayGridMatchesParentRunDay|TestDayGridSteadyStateAllocs' ./internal/strategy
+echo "== strategy level grid: pinned RunDay digest, grid = lone levels = online Step, zero steady-state allocation"
+focus 'TestDayGridMatchesParentRunDay|TestDayGridSteadyStateAllocs|TestStepMatchesParentDigest' ./internal/strategy
 
-echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 workers, no day-wide quote slice, one sampling rule, generator stream unchanged"
+echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 workers, no day-wide quote slice, one sampling rule, generator stream unchanged with its helper goroutine under -race"
 focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
     ./internal/backtest ./internal/series ./internal/market
 
@@ -80,6 +80,10 @@ go test -run '^$' -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/supervise
 
 echo "== quarantine fuzz, 10 s: arbitrary file bytes open, and one Record rewrites them to a clean reopen"
 go test -run '^$' -fuzz FuzzOpenQuarantine -fuzztime 10s ./internal/supervise
+
+echo "== chaos spec fuzz, 10 s: ParseSpec never panics, and every accepted spec round-trips through String"
+go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/chaos
+focus 'TestParseSpec|FuzzParseSpec' ./internal/chaos
 
 echo "== state-file focus: snapshot envelope pinned, quarantine v1 fixture, bit-flip heal and re-quarantine"
 focus 'TestSnapshot|TestQuarantine|FuzzLoadSnapshot|FuzzOpenQuarantine' ./internal/supervise
