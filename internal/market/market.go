@@ -345,7 +345,7 @@ func (g *Generator) GenerateByStock(d int, first func() []taq.Quote, fn func(i i
 		mid[i] = make([]float32, secs)
 	}
 	chunks := make(chan pathChunk, 1)
-	free := make(chan []float64, 2)
+	free := make(chan []float64, 2) // the two chunk buffers: one drawn into, one exponentiated
 	for k := 0; k < cap(free); k++ {
 		free <- make([]float64, chunkSecs*n)
 	}
