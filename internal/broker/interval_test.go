@@ -2,7 +2,9 @@ package broker
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
@@ -131,6 +133,44 @@ func TestSlotMajorRingsMatchPerPairOracle(t *testing.T) {
 		live.rebuild(log, uint64(3*len(pairs)), d)
 		c, cbar, kind := live.step(ms[3], d)
 		sameColumns(t, "rebuilt in place", pairs, 3, c, cbar, kind, want[3])
+	}
+}
+
+// pairRingsDigest is the FNV-64a of TestPairRingsMatchesParentDigest's
+// columns, taken at the commit before C̄ was folded four rows per pass.
+const pairRingsDigest = 0xfd3535f9f2396690
+
+// TestPairRingsMatchesParentDigest pins pairRings.step bit for bit: C,
+// C̄ and the crossing kinds over 2W+7 intervals, so the ring passes
+// through every fill level 1…W and, once full, every remainder of W
+// rows by four, at partition widths of 1, 3, 7 and 915 pairs.
+func TestPairRingsMatchesParentDigest(t *testing.T) {
+	const d = 0.08
+	h := fnv.New64a()
+	var b [8]byte
+	for _, w := range []int{1, 6, 60} {
+		for _, np := range []int{1, 3, 7, 915} {
+			n := 7
+			if np > n*(n-1)/2 {
+				n = 61
+			}
+			pairs := partitionPairs(n, 2)[0][:np]
+			rings := newPairRings(pairs, w)
+			ms := randomMatrices(rand.New(rand.NewSource(int64(w*1000+np))), n, 2*w+7)
+			for _, m := range ms {
+				c, cbar, kind := rings.step(m, d)
+				for idx := range c {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(c[idx]))
+					h.Write(b[:])
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(cbar[idx]))
+					h.Write(b[:])
+				}
+				h.Write(kind)
+			}
+		}
+	}
+	if got := h.Sum64(); got != pairRingsDigest {
+		t.Fatalf("digest %#x, want %#x", got, uint64(pairRingsDigest))
 	}
 }
 

@@ -1,6 +1,8 @@
 package corr
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,6 +205,82 @@ func TestOnlineEngineMatchesBatch(t *testing.T) {
 	}
 	if step != batch.Len() {
 		t.Errorf("online produced %d matrices, batch has %d", step, batch.Len())
+	}
+}
+
+// onlinePearsonDigest is the FNV-64a of every online Pearson matrix in
+// TestOnlinePearsonMatchesParentDigest's corpus, taken at the commit
+// before the cross moments were summed four pairs per pass.
+const onlinePearsonDigest = 0xff95ac67532a99f7
+
+// TestOnlinePearsonMatchesParentDigest pins the online Pearson matrices
+// bit for bit, which TestOnlineEngineMatchesBatch's 1e-9 tolerance
+// cannot. Every layout of the same triangle hashes to one digest: full
+// engines at one and three workers with tile sizes that leave ragged
+// tiles, and the broker's two-partition split as two subset engines of
+// odd pair counts writing into one matrix.
+func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
+	const n, T = 13, 70
+	rets := syntheticReturns(71, n, T)
+	// The broker's PartitionOf hash over two partitions: 39 + 39 pairs.
+	var split [2][]int
+	for id := 0; id < n*(n-1)/2; id++ {
+		h := uint64(id) + 0x9e3779b97f4a7c15
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
+		split[h%2] = append(split[h%2], id)
+	}
+	for _, part := range split {
+		if len(part)%2 == 0 {
+			t.Fatalf("subset of %d pairs, want an odd count", len(part))
+		}
+	}
+	layouts := map[string][]EngineConfig{
+		"full-1-worker":  {{Workers: 1, TileSize: 10}},
+		"full-3-workers": {{Workers: 3, TileSize: 10}},
+		"full-tile-5":    {{Workers: 3, TileSize: 5}},
+		"broker-split":   {{Workers: 2, Pairs: split[0]}, {Workers: 1, TileSize: 10, Pairs: split[1]}},
+	}
+	for name, layout := range layouts {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, m := range []int{7, 16} {
+			engines := make([]*OnlineEngine, len(layout))
+			for i, cfg := range layout {
+				cfg.Type, cfg.M = Pearson, m
+				e, err := NewOnlineEngine(cfg, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[i] = e
+			}
+			dst := NewMatrix(n)
+			vec := make([]float64, n)
+			for u := 0; u < T; u++ {
+				for i := range vec {
+					vec[i] = rets[i][u]
+				}
+				ready := false
+				for _, e := range engines {
+					r, err := e.PushInto(vec, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ready = r
+				}
+				if !ready {
+					continue
+				}
+				for _, v := range dst.Values() {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+		}
+		if got := h.Sum64(); got != onlinePearsonDigest {
+			t.Errorf("%s: digest %#x, want %#x", name, got, uint64(onlinePearsonDigest))
+		}
 	}
 }
 

@@ -563,6 +563,38 @@ func TestCollectorStopsOnContextCancel(t *testing.T) {
 	}
 }
 
+// TestCollectorStopsOnCancelWhileConsumerStalled: with nobody reading
+// Quotes() the collector blocks handing off a batch, and cancellation
+// must still end Run promptly from inside that blocked send.
+func TestCollectorStopsOnCancelWhileConsumerStalled(t *testing.T) {
+	u := testUniverse(t)
+	s, addr := startServer(t, ServerConfig{Universe: u})
+	s.PublishBatch(testQuotes(u, 10, 0))
+	s.Flush() // stream never finishes
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := NewCollector(CollectorConfig{Addr: addr, Buffer: 1, HeartbeatTimeout: 5 * time.Second})
+	errCh := make(chan error, 1)
+	go func() { errCh <- c.Run(ctx) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Quotes < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector counted %d of 10 quotes", c.Stats().Quotes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run still blocked 1 s after cancel with a stalled consumer")
+	}
+}
+
 func TestServerRequiresUniverse(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("NewServer without universe should error")
