@@ -54,12 +54,13 @@ func (r *pairRings) push(c []float64) {
 
 // step ingests one matrix interval and produces this partition's
 // signal columns, one index per owned pair. C̄ always folds from zero
-// in chronological slot order, so the value is path-independent: a
-// processor that lived through the stream and one that rebuilt its
-// ring from the log compute bit-identical C̄ — the keystone of the
-// no-loss/no-dup delivery proof. The crossing kind compares this
-// interval's divergence with the one carried from the previous
-// interval.
+// in chronological slot order — four rows per pass, but each pair's sum
+// still adds its rows oldest first, one at a time — so the value is
+// path-independent: a processor that lived through the stream and one
+// that rebuilt its ring from the log compute bit-identical C̄ — the
+// keystone of the no-loss/no-dup delivery proof. The crossing kind
+// compares this interval's divergence with the one carried from the
+// previous interval.
 func (r *pairRings) step(m *corr.Matrix, d float64) (c, cbar []float64, kind []uint8) {
 	np := len(r.pairs)
 	cols := make([]float64, 2*np)
@@ -68,9 +69,23 @@ func (r *pairRings) step(m *corr.Matrix, d float64) (c, cbar []float64, kind []u
 		c[idx] = m.AtPair(k)
 	}
 	r.push(c)
-	for i := 0; i < r.n; i++ { // oldest row first
-		slot := (r.head + i) % r.w
-		for idx, v := range r.vals[slot*np:][:len(cbar)] {
+	row := func(i int) []float64 { // the i-th oldest row
+		return r.vals[(r.head+i)%r.w*np:][:len(cbar)]
+	}
+	i := 0
+	for ; i+4 <= r.n; i += 4 { // four rows per pass, oldest first
+		r0, r1, r2, r3 := row(i), row(i+1), row(i+2), row(i+3)
+		for idx := range cbar {
+			s := cbar[idx]
+			s += r0[idx]
+			s += r1[idx]
+			s += r2[idx]
+			s += r3[idx]
+			cbar[idx] = s
+		}
+	}
+	for ; i < r.n; i++ {
+		for idx, v := range row(i) {
 			cbar[idx] += v
 		}
 	}

@@ -709,19 +709,24 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 			e.invs[i] = pearsonInvStd(sxx, sx, fn)
 		}
 		sched.Steal(workers, len(e.tiles), func(w, ti int) {
-			for _, k := range e.tiles[ti] {
-				p := pairs[k]
-				x, y := e.scratch[p.I], e.scratch[p.J]
-				var sxy float64
-				for i := range x {
-					sxy += x[i] * y[i]
+			tile := e.tiles[ti]
+			for q := 0; q < len(tile); q += 4 {
+				// Four pairs per pass; a ragged tail repeats the tile's
+				// last pair and drops its extra sums.
+				var quad [4]taq.Pair
+				for l := range quad {
+					quad[l] = pairs[tile[min(q+l, len(tile)-1)]]
 				}
-				rx, ry := e.invs[p.I], e.invs[p.J]
-				if rx == 0 || ry == 0 {
-					m.SetPair(k, 0)
-					continue
+				sxy := crossMoments4(e.scratch, &quad)
+				for l, k := range tile[q:min(q+4, len(tile))] {
+					p := quad[l]
+					rx, ry := e.invs[p.I], e.invs[p.J]
+					if rx == 0 || ry == 0 {
+						m.SetPair(k, 0)
+						continue
+					}
+					m.SetPair(k, clampCorr((sxy[l]-e.sums[p.I]*e.sums[p.J]/fn)*rx*ry))
 				}
-				m.SetPair(k, clampCorr((sxy-e.sums[p.I]*e.sums[p.J]/fn)*rx*ry))
 			}
 		})
 	case Maronna, Combined:
@@ -768,4 +773,27 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 			}
 		})
 	}
+}
+
+// crossMoments4 returns the cross moments Σ x[i]·y[i] of four pairs,
+// x = win[p.I] and y = win[p.J], over windows of one length. Each pair
+// has its own accumulator and adds its products for i = 0…M−1, the
+// order of a lone pair's loop, so every sum is bit-identical to it;
+// the four add chains are independent, so they overlap instead of
+// each waiting on the previous pair's last add.
+func crossMoments4(win [][]float64, quad *[4]taq.Pair) [4]float64 {
+	x0, y0 := win[quad[0].I], win[quad[0].J]
+	n := len(x0)
+	y0 = y0[:n]
+	x1, y1 := win[quad[1].I][:n], win[quad[1].J][:n]
+	x2, y2 := win[quad[2].I][:n], win[quad[2].J][:n]
+	x3, y3 := win[quad[3].I][:n], win[quad[3].J][:n]
+	var s0, s1, s2, s3 float64
+	for i := range x0 {
+		s0 += x0[i] * y0[i]
+		s1 += x1[i] * y1[i]
+		s2 += x2[i] * y2[i]
+		s3 += x3[i] * y3[i]
+	}
+	return [4]float64{s0, s1, s2, s3}
 }

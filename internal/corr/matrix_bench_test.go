@@ -55,3 +55,35 @@ func BenchmarkMatrixEngineTileSize(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOnlinePushPearson is one interval of the online Pearson
+// engine at the benchmark's scale: 61 stocks (1830 pairs), M = 100,
+// one worker, pushing into a reused matrix.
+func BenchmarkOnlinePushPearson(b *testing.B) {
+	const n, m, T = 61, 100, 400
+	rets := syntheticReturns(20080301, n, T)
+	e, err := NewOnlineEngine(EngineConfig{Type: Pearson, M: m, Workers: 1}, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := NewMatrix(n)
+	vecs := make([][]float64, T)
+	for u := range vecs {
+		vecs[u] = make([]float64, n)
+		for i := range vecs[u] {
+			vecs[u][i] = rets[i][u]
+		}
+	}
+	for _, v := range vecs[:m] {
+		if _, err := e.PushInto(v, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.PushInto(vecs[i%T], dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -261,6 +261,13 @@ func (c *Collector) session(ctx context.Context, progress func()) (err error) {
 			c.st.Quotes += len(fr.Quotes)
 			c.mu.Unlock()
 			for _, q := range fr.Quotes {
+				// A send with room skips the two-case select; only a
+				// full channel waits on it, where cancellation can win.
+				select {
+				case c.quotes <- q:
+					continue
+				default:
+				}
 				select {
 				case c.quotes <- q:
 				case <-ctx.Done():
