@@ -141,6 +141,11 @@ func (e *OnlineEngine) validateSnapshot(s *EngineSnapshot) error {
 	if s.Count < 0 || s.Count > s.M {
 		return fmt.Errorf("count %d outside [0,%d]", s.Count, s.M)
 	}
+	if s.Count < s.M && s.Head != s.Count {
+		// Until the ring is full every push lands at the cursor, so
+		// head = count; any other head would read slots no push wrote.
+		return fmt.Errorf("head %d with %d of %d points pushed, want head = count", s.Head, s.Count, s.M)
+	}
 	if len(s.Windows) != s.N {
 		return fmt.Errorf("%d windows, want %d", len(s.Windows), s.N)
 	}

@@ -29,7 +29,7 @@ func snapReturns(t, n int, seed int64) [][]float64 {
 	return out
 }
 
-func pushAll(t *testing.T, e *OnlineEngine, rets [][]float64) []*Matrix {
+func pushAll(t testing.TB, e *OnlineEngine, rets [][]float64) []*Matrix {
 	t.Helper()
 	var out []*Matrix
 	for _, v := range rets {
@@ -164,6 +164,7 @@ func TestEngineRestoreRejectsBadSnapshots(t *testing.T) {
 		{"head-past-ring", func(s *EngineSnapshot) { s.Head = m }, "head"},
 		{"count-negative", func(s *EngineSnapshot) { s.Count = -2 }, "count"},
 		{"count-past-window", func(s *EngineSnapshot) { s.Count = m + 1 }, "count"},
+		{"head-ahead-of-partial-count", func(s *EngineSnapshot) { s.Head, s.Count = 7, 3 }, "head"},
 		{"missing-window", func(s *EngineSnapshot) { s.Windows = s.Windows[:n-1] }, "windows"},
 		{"short-window", func(s *EngineSnapshot) { s.Windows[2] = s.Windows[2][:m-1] }, "points"},
 		{"nan-window", func(s *EngineSnapshot) { s.Windows[1][3] = math.NaN() }, "non-finite"},
@@ -263,4 +264,73 @@ func TestEngineSnapshotIsDeepCopy(t *testing.T) {
 	if !sameMatrixBits(a, b) {
 		t.Error("snapshot shares memory with the engine")
 	}
+}
+
+// FuzzEngineRestore feeds arbitrary bytes through json.Unmarshal and
+// Restore into small Pearson and Maronna engines, full and subset.
+// Restore must never panic; a snapshot it accepts must round-trip
+// through Snapshot, and the engine's next push of a finite vector must
+// succeed with every coefficient in [-1, 1].
+func FuzzEngineRestore(f *testing.F) {
+	const n, m = 4, 6
+	configs := []EngineConfig{
+		{Type: Pearson, M: m},
+		{Type: Pearson, M: m, Pairs: []int{1, 3, 4}},
+		{Type: Maronna, M: m},
+		{Type: Maronna, M: m, Pairs: []int{0, 2, 5}},
+	}
+	rets := snapReturns(m+3, n, 17)
+	for _, cfg := range configs {
+		for _, pushes := range []int{m / 2, m + 3} { // Count < M, Count = M
+			e, err := NewOnlineEngine(cfg, n)
+			if err != nil {
+				f.Fatal(err)
+			}
+			pushAll(f, e, rets[:pushes])
+			seed, err := json.Marshal(e.Snapshot())
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+		}
+	}
+	next := rets[0]
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s EngineSnapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		want, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range configs {
+			e, err := NewOnlineEngine(cfg, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Restore(&s) != nil {
+				continue
+			}
+			got, err := json.Marshal(e.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%+v: restored snapshot\n%s\nreads back as\n%s", cfg, want, got)
+			}
+			mx, err := e.Push(next)
+			if err != nil {
+				t.Fatalf("%+v: push after restore: %v", cfg, err)
+			}
+			if mx == nil {
+				continue
+			}
+			for k, c := range mx.Values() {
+				if !(c >= -1 && c <= 1) {
+					t.Fatalf("%+v: pair %d coefficient %v after restore", cfg, k, c)
+				}
+			}
+		}
+	})
 }

@@ -59,6 +59,11 @@ echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 worker
 focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
     ./internal/backtest ./internal/series ./internal/market
 
+echo "== online hot loops: pinned online Pearson and C̄ digests, PushInto's partial write, the collector's blocked send under cancel, Restore's ring-cursor check"
+focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineEngineMatchesBatch|TestPushIntoReusesOneMatrix|TestOnlineEnginePairSubset|TestEngineSnapshotResumeBitIdentical|TestEngineRestoreRejectsBadSnapshots|FuzzEngineRestore' ./internal/corr
+focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval' ./internal/broker
+focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumerStalled' ./internal/feed
+
 echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
 focus 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
 
@@ -84,6 +89,9 @@ go test -run '^$' -fuzz FuzzOpenQuarantine -fuzztime 10s ./internal/supervise
 echo "== chaos spec fuzz, 10 s: ParseSpec never panics, and every accepted spec round-trips through String"
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/chaos
 focus 'TestParseSpec|FuzzParseSpec' ./internal/chaos
+
+echo "== engine snapshot fuzz, 10 s: arbitrary bytes -> json -> Restore never panics; an accepted snapshot round-trips and the next push stays in [-1, 1]"
+go test -run '^$' -fuzz FuzzEngineRestore -fuzztime 10s ./internal/corr
 
 echo "== state-file focus: snapshot envelope pinned, quarantine v1 fixture, bit-flip heal and re-quarantine"
 focus 'TestSnapshot|TestQuarantine|FuzzLoadSnapshot|FuzzOpenQuarantine' ./internal/supervise
