@@ -134,6 +134,34 @@ func TestEngineSnapshotFingerprintEncodesConfig(t *testing.T) {
 	}
 }
 
+// TestEngineFingerprintPinned pins the exact fingerprint strings that
+// snapshot stores embed. A snapshot already on disk restores only when
+// its stored fingerprint equals the engine's, so any change here
+// strands every saved engine state. The literal psd=false stays even
+// though no engine option sets it any more.
+func TestEngineFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  EngineConfig
+		n    int
+		want string
+	}{
+		{EngineConfig{Type: Pearson, M: 100}, 61,
+			"marketminer/online-engine/v1|Pearson|n=61|m=100|psd=false"},
+		{EngineConfig{Type: Maronna, M: 50}, 8,
+			"marketminer/online-engine/v1|Maronna|n=8|m=50|psd=false"},
+		{EngineConfig{Type: Combined, M: 20, Pairs: []int{0, 3, 7}}, 6,
+			"marketminer/online-engine/v1|Combined|n=6|m=20|psd=false|pairs=3:d942df186c068489"},
+	} {
+		e, err := NewOnlineEngine(c.cfg, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Fingerprint(); got != c.want {
+			t.Errorf("fingerprint = %q, want %q", got, c.want)
+		}
+	}
+}
+
 // TestEngineRestoreRejectsBadSnapshots is the satellite-6 table: every
 // malformed, non-finite, or out-of-range field must be rejected, and a
 // rejected restore must leave the engine untouched.
