@@ -411,7 +411,7 @@ func BenchmarkCleaningFilter(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := clean.NewFilter(clean.DefaultConfig())
+		f := clean.NewFilter(clean.Config{})
 		for _, q := range day.Quotes {
 			f.Accept(q)
 		}

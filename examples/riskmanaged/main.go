@@ -106,6 +106,6 @@ func main() {
 	fmt.Printf("  mean return, gross      %+9.2f bps\n", gs/float64(gn)*1e4)
 	fmt.Printf("  mean return, net        %+9.2f bps  (0.5c/share + full spread cross)\n", ns/float64(gn)*1e4)
 	fmt.Println("\n  at these divergence thresholds the edge does not survive full")
-	fmt.Println("  spread crossing — d must be sized against the break-even cost")
-	fmt.Println("  (portfolio.CostModel.BreakEvenReturn) before deployment.")
+	fmt.Println("  spread crossing — d must be sized against the round-trip cost")
+	fmt.Println("  (portfolio.CostModel.RoundTripCost) before deployment.")
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"marketminer/internal/corr"
-	"marketminer/internal/metrics"
 	"marketminer/internal/stats"
 )
 
@@ -75,28 +74,6 @@ func (r *Result) aggregate(measure func(pair, param int) float64) []Aggregate {
 		out[ti] = a
 	}
 	return out
-}
-
-// DailyReturnOverPairs implements Equation (4): the total cumulative
-// return over all pairs on day t using flat parameter index k,
-// r^{t,k} = Π_{p∈Φ}(r_p^{t,k}+1) − 1.
-func (r *Result) DailyReturnOverPairs(day, param int) float64 {
-	prod := 1.0
-	for p := range r.Series {
-		prod *= 1 + metrics.DailyCumulative(r.Series[p][param].Daily[day])
-	}
-	return prod - 1
-}
-
-// DailyReturnOverParams implements Equation (5): the total cumulative
-// return for pair p on day t over all parameter sets,
-// r_p^t = Π_{k∈K}(r_p^{t,k}+1) − 1.
-func (r *Result) DailyReturnOverParams(pair, day int) float64 {
-	prod := 1.0
-	for k := range r.Series[pair] {
-		prod *= 1 + metrics.DailyCumulative(r.Series[pair][k].Daily[day])
-	}
-	return prod - 1
 }
 
 // CumulativeMonthlyReturns reproduces Table III: the per-pair average

@@ -9,7 +9,6 @@ import (
 
 	"marketminer/internal/corr"
 	"marketminer/internal/market"
-	"marketminer/internal/metrics"
 	"marketminer/internal/portfolio"
 	"marketminer/internal/strategy"
 	"marketminer/internal/taq"
@@ -338,36 +337,6 @@ func TestLoadJSONErrors(t *testing.T) {
 	}
 	if _, err := LoadJSON(strings.NewReader(`{"symbols":["A","B"],"levels":[],"types":["bogus"],"series":[]}`)); err == nil {
 		t.Error("unknown type should error")
-	}
-}
-
-func TestEquation4And5Aggregates(t *testing.T) {
-	cfg := tinyConfig(t)
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equation (4): compound over pairs must equal the direct product.
-	for k := 0; k < res.NumParams(); k++ {
-		prod := 1.0
-		for p := 0; p < res.NumPairs(); p++ {
-			prod *= 1 + metrics.DailyCumulative(res.Series[p][k].Daily[0])
-		}
-		got := res.DailyReturnOverPairs(0, k)
-		if math.Abs(got-(prod-1)) > 1e-12 {
-			t.Errorf("eq4 param %d: %v vs %v", k, got, prod-1)
-		}
-	}
-	// Equation (5): compound over parameter sets.
-	for p := 0; p < res.NumPairs(); p++ {
-		prod := 1.0
-		for k := 0; k < res.NumParams(); k++ {
-			prod *= 1 + metrics.DailyCumulative(res.Series[p][k].Daily[1])
-		}
-		got := res.DailyReturnOverParams(p, 1)
-		if math.Abs(got-(prod-1)) > 1e-12 {
-			t.Errorf("eq5 pair %d: %v vs %v", p, got, prod-1)
-		}
 	}
 }
 

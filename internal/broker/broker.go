@@ -29,7 +29,6 @@ import (
 	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 	"marketminer/internal/supervise"
-	"marketminer/internal/taq"
 )
 
 // Signal kinds carried in feed.Signal.Kind.
@@ -522,6 +521,3 @@ func (b *Broker) MemberCount() int {
 	}
 	return n
 }
-
-// pairTable returns the canonical pair table of the broker universe.
-func (b *Broker) pairTable() []taq.Pair { return taq.AllPairs(b.cfg.N) }

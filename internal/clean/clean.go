@@ -52,8 +52,11 @@ func (r Reason) String() string {
 	}
 }
 
-// Config tunes the filter. The zero value is unusable; use
-// DefaultConfig.
+// Config tunes the filter. NewFilter replaces each zero or
+// out-of-range field with its default, so the zero value resolves to
+// TCP's RTT estimator gains (Gain 1/8, DevGain 1/4), a 4-deviation
+// band (K 4, the paper's "a few standard deviations"), MaxRelSpread
+// 0.10, Warmup 2 and MaxRun 5, with Ordered off.
 type Config struct {
 	// Gain is the EWMA gain α for the level estimate (TCP uses 1/8).
 	Gain float64
@@ -81,12 +84,6 @@ type Config struct {
 	// time is rejected with OutOfOrder before any statistical test; it
 	// never perturbs the EWMA estimators.
 	Ordered bool
-}
-
-// DefaultConfig mirrors TCP's RTT estimator gains with a 4-deviation
-// band, the paper's "a few standard deviations".
-func DefaultConfig() Config {
-	return Config{Gain: 1.0 / 8, DevGain: 1.0 / 4, K: 4, MaxRelSpread: 0.10, Warmup: 8, MaxRun: 5}
 }
 
 // state is the per-symbol EWMA estimator pair.

@@ -24,7 +24,7 @@ func TestReasonString(t *testing.T) {
 }
 
 func TestFilterAcceptsCleanTape(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	for i := 0; i < 100; i++ {
 		q := goodQuote(float64(i), 50+0.001*float64(i))
 		if r := f.Accept(q); r != OK {
@@ -37,7 +37,7 @@ func TestFilterAcceptsCleanTape(t *testing.T) {
 }
 
 func TestFilterRejectsStructure(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	crossed := taq.Quote{SeqTime: 1, Symbol: "AA", Bid: 51, Ask: 50, BidSize: 1, AskSize: 1}
 	if r := f.Accept(crossed); r != BadStructure {
 		t.Errorf("crossed quote: %v", r)
@@ -52,7 +52,7 @@ func TestFilterRejectsStructure(t *testing.T) {
 }
 
 func TestFilterRejectsTestQuotes(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	zero := taq.Quote{SeqTime: 1, Symbol: "AA", Bid: 50, Ask: 50.1, BidSize: 0, AskSize: 0}
 	if r := f.Accept(zero); r != ZeroSize {
 		t.Errorf("zero-size quote: %v", r)
@@ -64,7 +64,7 @@ func TestFilterRejectsTestQuotes(t *testing.T) {
 }
 
 func TestFilterRejectsFatFinger(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	for i := 0; i < 50; i++ {
 		f.Accept(goodQuote(float64(i), 50))
 	}
@@ -80,7 +80,7 @@ func TestFilterRejectsFatFinger(t *testing.T) {
 }
 
 func TestFilterWarmupGrace(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Warmup = 5
 	f := NewFilter(cfg)
 	// During warm-up even jumpy prices pass the deviation check.
@@ -92,7 +92,7 @@ func TestFilterWarmupGrace(t *testing.T) {
 }
 
 func TestFilterTracksDrift(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	mid := 50.0
 	for i := 0; i < 2000; i++ {
 		mid *= 1.0005 // steady drift
@@ -103,7 +103,7 @@ func TestFilterTracksDrift(t *testing.T) {
 }
 
 func TestFilterPerSymbolState(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	for i := 0; i < 20; i++ {
 		f.Accept(goodQuote(float64(i), 50))
 		q := goodQuote(float64(i), 200)
@@ -126,7 +126,7 @@ func TestFilterPerSymbolState(t *testing.T) {
 }
 
 func TestCheckDoesNotMutate(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	q := goodQuote(1, 50)
 	for i := 0; i < 10; i++ {
 		f.Check(q)
@@ -156,7 +156,7 @@ func TestCleanBatch(t *testing.T) {
 	quotes[40] = goodQuote(40, 5000)                                                            // fat finger
 	quotes[60] = taq.Quote{SeqTime: 60, Symbol: "AA", Bid: 50, Ask: 50.1}                       // zero size
 	quotes[70] = taq.Quote{SeqTime: 70, Symbol: "AA", Bid: 55, Ask: 54, BidSize: 1, AskSize: 1} // crossed
-	out, f := Clean(DefaultConfig(), quotes)
+	out, f := Clean(Config{}, quotes)
 	if len(out) != 97 {
 		t.Errorf("cleaned %d quotes, want 97", len(out))
 	}
@@ -171,7 +171,7 @@ func TestCleanBatch(t *testing.T) {
 func TestFilterSelectivityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		flt := NewFilter(DefaultConfig())
+		flt := NewFilter(Config{})
 		var cleanRejected, spikeAccepted int
 		cleanTotal := 0
 		for i := 0; i < 500; i++ {
@@ -199,7 +199,7 @@ func TestFilterSelectivityProperty(t *testing.T) {
 }
 
 func TestLevelShiftReAccepted(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.MaxRun = 5
 	f := NewFilter(cfg)
 	for i := 0; i < 50; i++ {
@@ -228,7 +228,7 @@ func TestLevelShiftReAccepted(t *testing.T) {
 }
 
 func TestIsolatedSpikesStillRejectedWithMaxRun(t *testing.T) {
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	for i := 0; i < 50; i++ {
 		f.Accept(goodQuote(float64(i), 50))
 	}
@@ -244,7 +244,7 @@ func TestIsolatedSpikesStillRejectedWithMaxRun(t *testing.T) {
 }
 
 func TestFilterOrderedRejectsTimeTravel(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Ordered = true
 	f := NewFilter(cfg)
 	for i := 0; i < 20; i++ {
@@ -275,7 +275,7 @@ func TestFilterOrderedShieldsReanchor(t *testing.T) {
 	// A MaxRun-length burst of out-of-order quotes must NOT trigger the
 	// level-shift re-anchor: ordering rejection precedes outlier
 	// counting, so outRun never advances and the estimator is intact.
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.Ordered = true
 	f := NewFilter(cfg)
 	for i := 0; i < 20; i++ {
@@ -298,7 +298,7 @@ func TestFilterOrderedShieldsReanchor(t *testing.T) {
 func TestFilterUnorderedIgnoresTime(t *testing.T) {
 	// Without Ordered, the default filter is time-agnostic (historical
 	// slices are pre-sorted; re-checking them would be pure overhead).
-	f := NewFilter(DefaultConfig())
+	f := NewFilter(Config{})
 	if r := f.Accept(goodQuote(10, 50)); r != OK {
 		t.Fatal(r)
 	}

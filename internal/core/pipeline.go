@@ -491,11 +491,9 @@ func (b *barNode) drain(ctx context.Context, emit engine.Emit) error {
 // taNode converts completed intervals into cross-sectional log-return
 // vectors once every stock has a defined price.
 type taNode struct {
-	pg    *series.PriceGrid
-	n     int
-	prevS int
-	ready bool
-	tap   func(s int, rets []float64) error
+	pg  *series.PriceGrid
+	n   int
+	tap func(s int, rets []float64) error
 }
 
 func (t *taNode) process(ctx context.Context, m engine.Message, emit engine.Emit) error {

@@ -132,13 +132,3 @@ func clampCorr(c float64) float64 {
 	}
 	return c
 }
-
-// Estimator computes a correlation coefficient from two equal-length
-// return windows. Implementations must be safe for concurrent use by
-// multiple goroutines (the engine shards pairs across workers).
-type Estimator interface {
-	// Corr returns the coefficient in [-1, 1].
-	Corr(x, y []float64) float64
-	// Type reports which measure the estimator implements.
-	Type() Type
-}

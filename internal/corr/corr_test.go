@@ -205,13 +205,9 @@ func TestMaronnaScratchReuse(t *testing.T) {
 func TestCombinedBetweenHalves(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := bivariate(rng, 500, 0.7)
-	ce := NewCombinedEstimator(DefaultMaronnaConfig())
-	c := ce.Corr(x, y)
+	c := NewCombinedEstimator(DefaultMaronnaConfig()).Corr(x, y)
 	if c < 0.5 || c > 0.9 {
 		t.Errorf("Combined = %v, want near 0.7", c)
-	}
-	if ce.Type() != Combined {
-		t.Error("Type() wrong")
 	}
 }
 
@@ -229,30 +225,13 @@ func TestCombinedRobust(t *testing.T) {
 	}
 }
 
-// pearsonEstimator adapts PearsonCorr to the Estimator interface.
-type pearsonEstimator struct{}
-
-func (pearsonEstimator) Corr(x, y []float64) float64 { return PearsonCorr(x, y) }
-func (pearsonEstimator) Type() Type                  { return Pearson }
-
-// estimators returns one Estimator per treatment, in Types() order.
-func estimators() []Estimator {
-	return []Estimator{
-		pearsonEstimator{},
-		NewMaronnaEstimator(DefaultMaronnaConfig()),
-		NewCombinedEstimator(DefaultMaronnaConfig()),
-	}
-}
-
-func TestEstimatorTypes(t *testing.T) {
-	ests := estimators()
-	for i, ty := range Types() {
-		if ests[i].Type() != ty {
-			t.Errorf("estimator type mismatch: %v vs %v", ests[i].Type(), ty)
-		}
-	}
-	if (SpearmanEstimator{}).Type() != SpearmanType {
-		t.Error("Spearman estimator reports the wrong type")
+// estimators returns one coefficient function per treatment, in
+// Types() order.
+func estimators() []func(x, y []float64) float64 {
+	return []func(x, y []float64) float64{
+		PearsonCorr,
+		NewMaronnaEstimator(DefaultMaronnaConfig()).Corr,
+		NewCombinedEstimator(DefaultMaronnaConfig()).Corr,
 	}
 }
 
@@ -267,8 +246,8 @@ func TestEstimatorsBoundedProperty(t *testing.T) {
 			x[i] = rng.NormFloat64() * math.Exp(rng.Float64()*4)
 			y[i] = rng.NormFloat64() * math.Exp(rng.Float64()*4)
 		}
-		for _, e := range ests {
-			c := e.Corr(x, y)
+		for _, corr := range ests {
+			c := corr(x, y)
 			if math.IsNaN(c) || c < -1 || c > 1 {
 				return false
 			}
@@ -284,8 +263,8 @@ func TestEstimatorsSymmetricProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x, y := bivariate(rng, 80, rng.Float64()*1.8-0.9)
-		for _, e := range estimators() {
-			if math.Abs(e.Corr(x, y)-e.Corr(y, x)) > 1e-9 {
+		for _, corr := range estimators() {
+			if math.Abs(corr(x, y)-corr(y, x)) > 1e-9 {
 				return false
 			}
 		}

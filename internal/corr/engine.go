@@ -34,12 +34,6 @@ type EngineConfig struct {
 	// every tile size — the knob only trades scheduling granularity
 	// against per-tile cache footprint.
 	TileSize int
-	// RepairPSD, when set, shrinks each online matrix toward the
-	// identity until it passes a Cholesky test. Per-pair Maronna
-	// estimates do not form a PSD matrix (the defect the paper calls
-	// out in its Matlab Approach 2); repair costs O(n³) per matrix
-	// and only affects OnlineEngine output.
-	RepairPSD bool
 	// DisableSIMD forces this request's batched Maronna kernel onto
 	// the pure-Go scalar path even when CPUID dispatch would use the
 	// vector backend. The tiers are bit-identical, so the flag changes
@@ -572,12 +566,7 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 	e.pairs = taq.AllPairs(n)
 	var pairIdx []int
 	if cfg.Pairs != nil {
-		// Subset mode: compute only the selected pairs. PSD repair is a
-		// whole-matrix operation and cannot be meaningful on a partial
-		// triangle, so the combination is rejected outright.
-		if cfg.RepairPSD {
-			return nil, errors.New("corr: Pairs subset and RepairPSD are incompatible")
-		}
+		// Subset mode: compute only the selected pairs.
 		if len(cfg.Pairs) == 0 {
 			return nil, errors.New("corr: empty pair subset")
 		}
@@ -670,11 +659,6 @@ func (e *OnlineEngine) PushInto(rets []float64, dst *Matrix) (ready bool, err er
 		copy(s[k:], w[:e.head])
 	}
 	e.matrix(dst)
-	if e.cfg.RepairPSD {
-		if repaired, _, _ := EnsurePSD(dst, 1e-10); repaired != dst {
-			copy(dst.vals, repaired.vals)
-		}
-	}
 	return true, nil
 }
 

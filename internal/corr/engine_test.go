@@ -329,132 +329,34 @@ func TestOnlineEngineErrors(t *testing.T) {
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(4)
-	if m.Order() != 4 || m.NumPairs() != 6 {
-		t.Fatalf("order=%d pairs=%d", m.Order(), m.NumPairs())
+	if m.NumPairs() != 6 {
+		t.Fatalf("pairs=%d", m.NumPairs())
 	}
-	m.Set(1, 3, 0.5)
+	m.SetPair(taq.PairID(1, 3, 4), 0.5)
 	if m.At(1, 3) != 0.5 || m.At(3, 1) != 0.5 {
 		t.Error("symmetric access broken")
 	}
 	if m.At(2, 2) != 1 {
 		t.Error("diagonal should be 1")
 	}
-	m.Set(2, 2, 9) // no-op
-	if m.At(2, 2) != 1 {
-		t.Error("diagonal must be immutable")
-	}
-	cl := m.Clone()
-	cl.Set(1, 3, -0.5)
-	if m.At(1, 3) != 0.5 {
-		t.Error("Clone must not share storage")
-	}
 	if len(m.Values()) != 6 {
 		t.Error("Values length wrong")
 	}
 }
 
-func TestMatrixPSD(t *testing.T) {
-	// Identity is PSD.
-	if !NewMatrix(5).IsPSD(1e-12) {
-		t.Error("identity should be PSD")
-	}
-	// A valid equicorrelation matrix (rho=0.5, n=3) is PSD.
-	m := NewMatrix(3)
-	for i := 0; i < 3; i++ {
-		for j := i + 1; j < 3; j++ {
-			m.Set(i, j, 0.5)
-		}
-	}
-	if !m.IsPSD(1e-12) {
-		t.Error("equicorrelation 0.5 should be PSD")
-	}
-	// rho = -0.9 equicorrelation of order 3 is NOT PSD
-	// (min eigenvalue 1 + 2·rho = -0.8).
-	bad := NewMatrix(3)
-	for i := 0; i < 3; i++ {
-		for j := i + 1; j < 3; j++ {
-			bad.Set(i, j, -0.9)
-		}
-	}
-	if bad.IsPSD(1e-12) {
-		t.Error("equicorrelation -0.9 should not be PSD")
-	}
-}
-
-func TestEnsurePSDRepairs(t *testing.T) {
-	bad := NewMatrix(3)
-	for i := 0; i < 3; i++ {
-		for j := i + 1; j < 3; j++ {
-			bad.Set(i, j, -0.9)
-		}
-	}
-	fixed, lambda, err := EnsurePSD(bad, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lambda <= 0 {
-		t.Error("repair should report λ > 0")
-	}
-	if !fixed.IsPSD(1e-9) {
-		t.Error("repaired matrix not PSD")
-	}
-	// Repair must preserve sign and ordering.
-	if fixed.At(0, 1) >= 0 {
-		t.Error("repair flipped the sign")
-	}
-	// Already-PSD input is returned unchanged with λ=0.
-	id := NewMatrix(4)
-	same, lambda, err := EnsurePSD(id, 1e-12)
-	if err != nil || lambda != 0 || same != id {
-		t.Errorf("PSD input should be identity-repaired: %v %v", lambda, err)
-	}
-}
-
 func TestMatrixValidate(t *testing.T) {
 	m := NewMatrix(3)
-	m.Set(0, 1, 0.3)
+	m.SetPair(taq.PairID(0, 1, 3), 0.3)
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid matrix rejected: %v", err)
 	}
-	m.Set(0, 2, math.NaN())
+	m.SetPair(taq.PairID(0, 2, 3), math.NaN())
 	if err := m.Validate(); err == nil {
 		t.Error("NaN coefficient accepted")
 	}
-	m.Set(0, 2, 1.5)
+	m.SetPair(taq.PairID(0, 2, 3), 1.5)
 	if err := m.Validate(); err == nil {
 		t.Error("out-of-range coefficient accepted")
-	}
-}
-
-func TestOnlineEngineRepairPSD(t *testing.T) {
-	n, m := 5, 12
-	eng, err := NewOnlineEngine(EngineConfig{Type: Maronna, M: m, RepairPSD: true}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31))
-	var last *Matrix
-	for u := 0; u < 30; u++ {
-		vec := make([]float64, n)
-		f := rng.NormFloat64()
-		for i := range vec {
-			vec[i] = 0.5*f + rng.NormFloat64()
-			// Occasional gross outliers stress the robust estimator
-			// into non-PSD territory when estimated pairwise.
-			if rng.Float64() < 0.08 {
-				vec[i] *= 20
-			}
-		}
-		last, err = eng.Push(vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if last != nil && !last.IsPSD(1e-8) {
-			t.Fatalf("repaired matrix at step %d is not PSD", u)
-		}
-	}
-	if last == nil {
-		t.Fatal("no matrix produced")
 	}
 }
 

@@ -63,10 +63,7 @@ func NewMaronnaEstimator(cfg MaronnaConfig) *MaronnaEstimator {
 // Config returns the estimator's (validated) configuration.
 func (e *MaronnaEstimator) Config() MaronnaConfig { return e.cfg }
 
-// Type implements Estimator.
-func (e *MaronnaEstimator) Type() Type { return Maronna }
-
-// Corr implements Estimator.
+// Corr returns the Maronna coefficient of x and y, cold-started.
 func (e *MaronnaEstimator) Corr(x, y []float64) float64 {
 	c, _ := e.CorrScratch(x, y, nil)
 	return c
@@ -388,10 +385,7 @@ func NewCombinedEstimator(cfg MaronnaConfig) *CombinedEstimator {
 	return &CombinedEstimator{m: NewMaronnaEstimator(cfg)}
 }
 
-// Type implements Estimator.
-func (e *CombinedEstimator) Type() Type { return Combined }
-
-// Corr implements Estimator.
+// Corr returns the Combined coefficient of x and y, cold-started.
 func (e *CombinedEstimator) Corr(x, y []float64) float64 {
 	c, _ := e.CorrScratch(x, y, nil)
 	return c

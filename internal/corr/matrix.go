@@ -1,7 +1,6 @@
 package corr
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -25,9 +24,6 @@ func NewMatrix(n int) *Matrix {
 	return &Matrix{n: n, vals: make([]float64, n*(n-1)/2)}
 }
 
-// Order returns n.
-func (m *Matrix) Order() int { return m.n }
-
 // NumPairs returns n(n-1)/2.
 func (m *Matrix) NumPairs() int { return len(m.vals) }
 
@@ -39,14 +35,6 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.vals[taq.PairID(i, j, m.n)]
 }
 
-// Set stores C[i][j] = C[j][i] = c. Setting the diagonal is a no-op.
-func (m *Matrix) Set(i, j int, c float64) {
-	if i == j {
-		return
-	}
-	m.vals[taq.PairID(i, j, m.n)] = c
-}
-
 // AtPair returns the coefficient by canonical pair id.
 func (m *Matrix) AtPair(id int) float64 { return m.vals[id] }
 
@@ -56,106 +44,6 @@ func (m *Matrix) SetPair(id int, c float64) { m.vals[id] = c }
 // Values exposes the underlying triangle (pair-id order). The slice is
 // shared, not copied; treat as read-only.
 func (m *Matrix) Values() []float64 { return m.vals }
-
-// Clone deep-copies the matrix.
-func (m *Matrix) Clone() *Matrix {
-	cp := &Matrix{n: m.n, vals: make([]float64, len(m.vals))}
-	copy(cp.vals, m.vals)
-	return cp
-}
-
-// dense expands to a full row-major n×n matrix (for PSD checks).
-func (m *Matrix) dense() []float64 {
-	n := m.n
-	d := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		d[i*n+i] = 1
-		for j := i + 1; j < n; j++ {
-			v := m.At(i, j)
-			d[i*n+j] = v
-			d[j*n+i] = v
-		}
-	}
-	return d
-}
-
-// IsPSD reports whether the matrix is positive semi-definite, tested by
-// attempting a Cholesky factorisation with tolerance tol on pivot
-// non-negativity. The paper notes that "calculating the Maronna
-// correlation coefficients independently no longer assures the
-// resulting matrix is positive semi-definite" — this check makes the
-// property observable.
-func (m *Matrix) IsPSD(tol float64) bool {
-	return choleskyOK(m.dense(), m.n, tol)
-}
-
-// choleskyOK runs an in-place Cholesky on dense a (row-major, order n);
-// pivots ≥ -tol are accepted and clamped to zero.
-func choleskyOK(a []float64, n int, tol float64) bool {
-	for j := 0; j < n; j++ {
-		d := a[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * a[j*n+k]
-		}
-		if d < -tol {
-			return false
-		}
-		if d < 0 {
-			d = 0
-		}
-		d = math.Sqrt(d)
-		a[j*n+j] = d
-		for i := j + 1; i < n; i++ {
-			s := a[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * a[j*n+k]
-			}
-			if d > 0 {
-				a[i*n+j] = s / d
-			} else {
-				a[i*n+j] = 0
-			}
-		}
-	}
-	return true
-}
-
-// ErrNotConverged is returned by EnsurePSD when shrinking cannot reach
-// positive semi-definiteness within the step budget.
-var ErrNotConverged = errors.New("corr: PSD repair did not converge")
-
-// EnsurePSD returns a PSD matrix near m by shrinking toward the
-// identity: C(λ) = (1−λ)·C + λ·I, doubling λ from 1e-4 until the
-// Cholesky test passes. Shrinkage preserves the unit diagonal and
-// ordering of coefficients, which is what the trading strategy consumes
-// (the paper flags non-PSD per-pair Maronna matrices as a defect of the
-// Matlab approach; the integrated engine repairs them). Returns the
-// repaired matrix and the λ used (0 when m was already PSD).
-func EnsurePSD(m *Matrix, tol float64) (*Matrix, float64, error) {
-	if m.IsPSD(tol) {
-		return m, 0, nil
-	}
-	lambda := 1e-4
-	for iter := 0; iter < 32; iter++ {
-		cp := m.Clone()
-		for i, v := range cp.vals {
-			cp.vals[i] = v * (1 - lambda)
-		}
-		if cp.IsPSD(tol) {
-			return cp, lambda, nil
-		}
-		lambda *= 2
-		if lambda >= 1 {
-			break
-		}
-	}
-	// λ = 1 is the identity, which is always PSD.
-	cp := m.Clone()
-	for i := range cp.vals {
-		cp.vals[i] = 0
-	}
-	return cp, 1, ErrNotConverged
-}
 
 // Validate checks every coefficient is finite and in [-1, 1].
 func (m *Matrix) Validate() error {

@@ -52,9 +52,11 @@ type EngineSnapshot struct {
 // configuration is never restored into another. Subset engines (a
 // partition processor's slice of the triangle) append a hash of the
 // selected pair ids, so a snapshot never crosses partition boundaries
-// even when shapes coincide.
+// even when shapes coincide. The constant psd=false field is the
+// retired PSD-repair option; it stays so snapshots already on disk
+// still match.
 func (e *OnlineEngine) Fingerprint() string {
-	fp := fmt.Sprintf("%s|%s|n=%d|m=%d|psd=%v", EngineSnapshotSchema, e.cfg.Type, e.n, e.cfg.M, e.cfg.RepairPSD)
+	fp := fmt.Sprintf("%s|%s|n=%d|m=%d|psd=false", EngineSnapshotSchema, e.cfg.Type, e.n, e.cfg.M)
 	if len(e.sel) != len(e.pairs) {
 		h := uint64(14695981039346656037) // FNV-64a offset basis
 		for _, id := range e.sel {

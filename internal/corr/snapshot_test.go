@@ -126,7 +126,6 @@ func TestEngineSnapshotFingerprintEncodesConfig(t *testing.T) {
 		"type": mk(EngineConfig{Type: Pearson, M: 16}, 6),
 		"m":    mk(EngineConfig{Type: Maronna, M: 32}, 6),
 		"n":    mk(EngineConfig{Type: Maronna, M: 16}, 7),
-		"psd":  mk(EngineConfig{Type: Maronna, M: 16, RepairPSD: true}, 6),
 	} {
 		if other == base {
 			t.Errorf("fingerprint does not distinguish %s", name)

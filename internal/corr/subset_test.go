@@ -142,7 +142,6 @@ func TestOnlineEnginePairSubsetErrors(t *testing.T) {
 		name string
 		cfg  EngineConfig
 	}{
-		{"repair-psd", EngineConfig{Type: Pearson, M: m, Pairs: []int{0, 1}, RepairPSD: true}},
 		{"empty", EngineConfig{Type: Pearson, M: m, Pairs: []int{}}},
 		{"out-of-range", EngineConfig{Type: Pearson, M: m, Pairs: []int{0, 99}}},
 		{"negative", EngineConfig{Type: Pearson, M: m, Pairs: []int{-1, 2}}},
@@ -263,7 +262,7 @@ func TestPushIntoReusesOneMatrix(t *testing.T) {
 	vec := make([]float64, n)
 	for _, cfg := range []EngineConfig{
 		{Type: Pearson, M: m}, {Type: Pearson, M: m, Pairs: subset},
-		{Type: Maronna, M: m, Pairs: subset}, {Type: Pearson, M: m, RepairPSD: true},
+		{Type: Maronna, M: m, Pairs: subset},
 	} {
 		a, err := NewOnlineEngine(cfg, n)
 		if err != nil {

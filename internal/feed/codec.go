@@ -287,10 +287,6 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// Symbols returns the symbol table from the Hello frame, nil before one
-// has been decoded.
-func (d *Decoder) Symbols() []string { return d.symbols }
-
 // Offset returns the byte length of every frame Read has returned so
 // far: the end of the last intact frame, where a reader that heals a
 // damaged stream truncates it.

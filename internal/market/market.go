@@ -224,17 +224,8 @@ func poissonCapacity(lambda float64) int {
 	return int(lambda+6*math.Sqrt(lambda)) + 1
 }
 
-// QuoteRate returns stock i's per-second quote arrival rate.
-func (g *Generator) QuoteRate(i int) float64 { return g.rate[i] }
-
 // Config returns the sanitised configuration in effect.
 func (g *Generator) Config() Config { return g.cfg }
-
-// Sector returns the sector id of stock i.
-func (g *Generator) Sector(i int) int { return g.sector[i] }
-
-// SameSector reports whether stocks i and j share a factor group.
-func (g *Generator) SameSector(i, j int) bool { return g.sector[i] == g.sector[j] }
 
 // breakdown is one transient dislocation applied to a single stock.
 type breakdown struct {
@@ -548,18 +539,4 @@ func poisson(rng *rand.Rand, lambda float64) int {
 			return k
 		}
 	}
-}
-
-// Dataset generates all days sequentially. Large experiments should
-// call GenerateDay from their own worker pool instead.
-func (g *Generator) Dataset() ([]*Day, error) {
-	out := make([]*Day, g.cfg.Days)
-	for d := 0; d < g.cfg.Days; d++ {
-		day, err := g.GenerateDay(d)
-		if err != nil {
-			return nil, err
-		}
-		out[d] = day
-	}
-	return out, nil
 }

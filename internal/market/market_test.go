@@ -137,7 +137,7 @@ func TestContaminationProducesBadTicks(t *testing.T) {
 		t.Errorf("bad-tick fraction = %v, want ≈ 0.05", frac)
 	}
 	// The cleaning filter should catch a large share of them.
-	cleaned, flt := clean.Clean(clean.DefaultConfig(), day.Quotes)
+	cleaned, flt := clean.Clean(clean.Config{}, day.Quotes)
 	caught := flt.TotalRejected()
 	if caught < day.NumBad/3 {
 		t.Errorf("filter caught %d of %d bad ticks", caught, day.NumBad)
@@ -149,14 +149,14 @@ func TestContaminationProducesBadTicks(t *testing.T) {
 
 func TestSectorAssignment(t *testing.T) {
 	g, _ := NewGenerator(smallConfig())
-	if !g.SameSector(0, 2) {
+	if g.sector[0] != g.sector[2] {
 		t.Error("stocks 0 and 2 should share sector (i %% 2)")
 	}
-	if g.SameSector(0, 1) {
+	if g.sector[0] == g.sector[1] {
 		t.Error("stocks 0 and 1 should differ in sector")
 	}
-	if g.Sector(3) != 1 {
-		t.Errorf("Sector(3) = %d", g.Sector(3))
+	if g.sector[3] != 1 {
+		t.Errorf("sector of stock 3 = %d", g.sector[3])
 	}
 }
 
@@ -248,10 +248,15 @@ func TestBreakdownOffsetShape(t *testing.T) {
 }
 
 func TestDataset(t *testing.T) {
-	g, _ := NewGenerator(smallConfig())
-	days, err := g.Dataset()
-	if err != nil {
-		t.Fatal(err)
+	cfg := smallConfig()
+	g, _ := NewGenerator(cfg)
+	days := make([]*Day, cfg.Days)
+	for d := range days {
+		day, err := g.GenerateDay(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		days[d] = day
 	}
 	if len(days) != 2 {
 		t.Fatalf("dataset has %d days", len(days))
@@ -310,7 +315,7 @@ func TestLiquidityTiers(t *testing.T) {
 	}
 	var lo, hi float64 = math.Inf(1), 0
 	for i := 0; i < cfg.Universe.Len(); i++ {
-		r := g.QuoteRate(i)
+		r := g.rate[i]
 		if r < cfg.QuoteRate/4-1e-9 || r > cfg.QuoteRate*4+1e-9 {
 			t.Errorf("stock %d rate %v outside tier bounds", i, r)
 		}
@@ -335,10 +340,10 @@ func TestLiquidityTiers(t *testing.T) {
 	}
 	var iMax, iMin int
 	for i := 1; i < cfg.Universe.Len(); i++ {
-		if g.QuoteRate(i) > g.QuoteRate(iMax) {
+		if g.rate[i] > g.rate[iMax] {
 			iMax = i
 		}
-		if g.QuoteRate(i) < g.QuoteRate(iMin) {
+		if g.rate[i] < g.rate[iMin] {
 			iMin = i
 		}
 	}
@@ -356,8 +361,8 @@ func TestLiquiditySpreadClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.Universe.Len(); i++ {
-		if math.Abs(g.QuoteRate(i)-g.Config().QuoteRate) > 1e-12 {
-			t.Errorf("clamped spread should give uniform rates, got %v", g.QuoteRate(i))
+		if math.Abs(g.rate[i]-g.Config().QuoteRate) > 1e-12 {
+			t.Errorf("clamped spread should give uniform rates, got %v", g.rate[i])
 		}
 	}
 }

@@ -157,12 +157,6 @@ func (s *PairParamSeries) MaxDailyDrawdown() float64 {
 	return MaxDrawdown(s.DailyCumulatives())
 }
 
-// MaxTradeDrawdown applies Equation (6): the worst drop measured at
-// per-trade granularity.
-func (s *PairParamSeries) MaxTradeDrawdown() float64 {
-	return MaxDrawdown(s.Flat())
-}
-
 // WinLossRatio applies Equation (8) over the whole period.
 func (s *PairParamSeries) WinLossRatio() float64 {
 	return WinLossRatio(s.Flat())

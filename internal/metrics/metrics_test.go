@@ -119,9 +119,6 @@ func TestPairParamSeries(t *testing.T) {
 	if s.MaxDailyDrawdown() <= 0 {
 		t.Error("losing final day should produce positive daily MDD")
 	}
-	if s.MaxTradeDrawdown() <= 0 {
-		t.Error("trade-level MDD should be positive")
-	}
 }
 
 // Property: MDD is always in [0, peak−valley bound] and equals 0 iff

@@ -58,12 +58,3 @@ type NamedCount struct {
 	Name  string
 	Value int64
 }
-
-// ResetCounters zeroes every registered counter. Intended for tests
-// that assert on exact deltas.
-func ResetCounters() {
-	opsRegistry.Range(func(_, v any) bool {
-		v.(*OpsCounter).v.Store(0)
-		return true
-	})
-}

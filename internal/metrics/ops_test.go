@@ -6,15 +6,12 @@ import (
 )
 
 func TestOpsCounterBasics(t *testing.T) {
-	ResetCounters()
 	c := Counter("test.basic")
-	if got := c.Value(); got != 0 {
-		t.Fatalf("fresh counter = %d, want 0", got)
-	}
+	base := c.Value() // counters are process-wide; -count>1 reruns see earlier adds
 	c.Inc()
 	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("after Inc+Add(4) = %d, want 5", got)
+	if got := c.Value() - base; got != 5 {
+		t.Fatalf("after Inc+Add(4) moved by %d, want 5", got)
 	}
 	if again := Counter("test.basic"); again != c {
 		t.Fatalf("Counter returned a different instance for the same name")
@@ -23,17 +20,13 @@ func TestOpsCounterBasics(t *testing.T) {
 	for _, nc := range Counters() {
 		if nc.Name == "test.basic" {
 			found = true
-			if nc.Value != 5 {
-				t.Fatalf("Counters reports %d, want 5", nc.Value)
+			if nc.Value != base+5 {
+				t.Fatalf("Counters reports %d, want %d", nc.Value, base+5)
 			}
 		}
 	}
 	if !found {
 		t.Fatalf("Counters() missing test.basic")
-	}
-	ResetCounters()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("after reset = %d, want 0", got)
 	}
 }
 
@@ -49,8 +42,8 @@ func TestOpsCountersSorted(t *testing.T) {
 }
 
 func TestOpsCounterConcurrent(t *testing.T) {
-	ResetCounters()
 	const goroutines, perG = 8, 1000
+	base := Counter("test.concurrent").Value()
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -62,7 +55,7 @@ func TestOpsCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := Counter("test.concurrent").Value(); got != goroutines*perG {
+	if got := Counter("test.concurrent").Value() - base; got != goroutines*perG {
 		t.Fatalf("concurrent count = %d, want %d", got, goroutines*perG)
 	}
 }

@@ -1,9 +1,6 @@
 package portfolio
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // CostModel quantifies the "implementation shortfalls that occur in
 // practice such as transaction costs, moving the market (on big
@@ -73,16 +70,4 @@ func (c CostModel) NetReturn(p *PairPosition, longExit, shortExit, halfSpreadBps
 		pnl -= c.RoundTripCost(p, longExit, shortExit, halfSpreadBps)
 	}
 	return pnl / g
-}
-
-// BreakEvenReturn returns the gross return a trade must clear before
-// costs for the given position shape — useful for sizing the
-// divergence threshold d against frictions.
-func (c CostModel) BreakEvenReturn(p *PairPosition, halfSpreadBps float64) float64 {
-	g := p.GrossEntry()
-	if g <= 0 {
-		return 0
-	}
-	// Approximate exit prices with entry prices for the bound.
-	return math.Abs(c.RoundTripCost(p, p.LongPx, p.ShortPx, halfSpreadBps)) / g
 }

@@ -40,7 +40,6 @@ type Order struct {
 	Day      int
 	Interval int
 	Stock    int // universe index
-	Symbol   string
 	Side     Side
 	Shares   int
 	Price    float64
@@ -124,16 +123,13 @@ func (p *PairPosition) Return(longExit, shortExit float64) float64 {
 }
 
 // Book is the master-side aggregate over all strategy instances: open
-// orders netted per stock, realised P&L, and counters. It is the state
+// orders netted per stock and realised P&L. It is the state
 // behind "aggregating the results into a single basket, as opposed to
 // many individual trade orders".
 type Book struct {
 	shares   map[int]int     // net shares per stock
 	avgPx    map[int]float64 // volume-weighted average |price| traded
 	realized float64
-	orders   int
-	buys     int
-	sells    int
 }
 
 // NewBook returns an empty book.
@@ -149,14 +145,11 @@ func (b *Book) Apply(o Order) error {
 	if o.Shares <= 0 || o.Price <= 0 {
 		return ErrBadOrder
 	}
-	b.orders++
 	signed := o.Shares
 	if o.Side == Sell {
 		signed = -signed
-		b.sells++
 		b.realized += o.Notional()
 	} else {
-		b.buys++
 		b.realized -= o.Notional()
 	}
 	b.shares[o.Stock] += signed
@@ -189,7 +182,3 @@ func (b *Book) GrossExposure() float64 {
 	}
 	return g
 }
-
-// Orders returns the total number of orders applied, with buy/sell
-// breakdown.
-func (b *Book) Orders() (total, buys, sells int) { return b.orders, b.buys, b.sells }

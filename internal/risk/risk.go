@@ -14,7 +14,6 @@ package risk
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"marketminer/internal/portfolio"
 )
@@ -171,21 +170,6 @@ func (m *Manager) Check(o portfolio.Order) Reason {
 	return Accepted
 }
 
-// Apply checks and, if accepted, applies the order to the book. It
-// returns *ErrRejected on a limit breach and the book's error on a
-// malformed order.
-func (m *Manager) Apply(o portfolio.Order) error {
-	if r := m.Check(o); r != Accepted {
-		m.rejected[r]++
-		return &ErrRejected{Reason: r, Order: o}
-	}
-	if err := m.book.Apply(o); err != nil {
-		return err
-	}
-	m.accepted++
-	return nil
-}
-
 // ApplyPair applies a two-leg pair basket atomically: either every
 // leg passes Check and all are applied, or none are and an
 // *ErrRejected for the first offending leg is returned. The gross
@@ -223,13 +207,4 @@ func (m *Manager) ApplyClosingPair(legs []portfolio.Order) error {
 		m.accepted++
 	}
 	return nil
-}
-
-// GrossUtilisation returns current gross exposure as a fraction of the
-// limit (NaN if unlimited) — a dashboard number for the master node.
-func (m *Manager) GrossUtilisation() float64 {
-	if m.limits.MaxGrossExposure == 0 {
-		return math.NaN()
-	}
-	return m.book.GrossExposure() / m.limits.MaxGrossExposure
 }

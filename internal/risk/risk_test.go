@@ -2,7 +2,6 @@ package risk
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"marketminer/internal/portfolio"
@@ -16,21 +15,21 @@ func sell(stock, shares int, price float64) portfolio.Order {
 	return portfolio.Order{Stock: stock, Side: portfolio.Sell, Shares: shares, Price: price}
 }
 
+// apply sends one order through the pair path as a one-leg basket.
+func apply(m *Manager, o portfolio.Order) error { return m.ApplyPair([]portfolio.Order{o}) }
+
 func TestUnlimitedAcceptsEverything(t *testing.T) {
 	m, err := NewManager(Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := m.Apply(buy(i%3, 1000, 500)); err != nil {
+		if err := apply(m, buy(i%3, 1000, 500)); err != nil {
 			t.Fatalf("unlimited manager rejected: %v", err)
 		}
 	}
 	if m.Accepted() != 100 || m.TotalRejected() != 0 {
 		t.Errorf("accepted=%d rejected=%d", m.Accepted(), m.TotalRejected())
-	}
-	if !math.IsNaN(m.GrossUtilisation()) {
-		t.Error("utilisation should be NaN when unlimited")
 	}
 }
 
@@ -42,10 +41,10 @@ func TestNewManagerRejectsNegativeLimits(t *testing.T) {
 
 func TestGrossExposureLimit(t *testing.T) {
 	m, _ := NewManager(Limits{MaxGrossExposure: 1000})
-	if err := m.Apply(buy(0, 9, 100)); err != nil {
+	if err := apply(m, buy(0, 9, 100)); err != nil {
 		t.Fatalf("within limit: %v", err)
 	}
-	err := m.Apply(buy(1, 5, 100)) // would take gross to 1400
+	err := apply(m, buy(1, 5, 100)) // would take gross to 1400
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Reason != GrossExposure {
 		t.Fatalf("want gross-exposure rejection, got %v", err)
@@ -53,36 +52,36 @@ func TestGrossExposureLimit(t *testing.T) {
 	if m.Rejected(GrossExposure) != 1 {
 		t.Errorf("Rejected(GrossExposure) = %d", m.Rejected(GrossExposure))
 	}
-	if u := m.GrossUtilisation(); u != 0.9 {
-		t.Errorf("utilisation = %v, want 0.9", u)
+	if g := m.Book().GrossExposure(); g != 900 {
+		t.Errorf("gross exposure = %v, want the 900 accepted", g)
 	}
 }
 
 func TestStockConcentrationLimit(t *testing.T) {
 	m, _ := NewManager(Limits{MaxStockShares: 10})
-	if err := m.Apply(buy(0, 10, 5)); err != nil {
+	if err := apply(m, buy(0, 10, 5)); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Apply(buy(0, 1, 5))
+	err := apply(m, buy(0, 1, 5))
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Reason != StockConcentration {
 		t.Fatalf("want concentration rejection, got %v", err)
 	}
 	// Short side is symmetric.
-	if err := m.Apply(sell(1, 10, 5)); err != nil {
+	if err := apply(m, sell(1, 10, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(sell(1, 1, 5)); err == nil {
+	if err := apply(m, sell(1, 1, 5)); err == nil {
 		t.Fatal("short concentration not enforced")
 	}
 }
 
 func TestOrderNotionalLimit(t *testing.T) {
 	m, _ := NewManager(Limits{MaxOrderNotional: 500})
-	if err := m.Apply(buy(0, 4, 100)); err != nil {
+	if err := apply(m, buy(0, 4, 100)); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Apply(buy(1, 6, 100))
+	err := apply(m, buy(1, 6, 100))
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Reason != OrderNotional {
 		t.Fatalf("want notional rejection, got %v", err)
@@ -91,13 +90,13 @@ func TestOrderNotionalLimit(t *testing.T) {
 
 func TestOrderBudget(t *testing.T) {
 	m, _ := NewManager(Limits{MaxOrders: 2})
-	if err := m.Apply(buy(0, 1, 10)); err != nil {
+	if err := apply(m, buy(0, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(buy(1, 1, 10)); err != nil {
+	if err := apply(m, buy(1, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Apply(buy(2, 1, 10))
+	err := apply(m, buy(2, 1, 10))
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Reason != OrderBudget {
 		t.Fatalf("want budget rejection, got %v", err)
@@ -106,11 +105,11 @@ func TestOrderBudget(t *testing.T) {
 
 func TestClosingOrdersAlwaysAllowed(t *testing.T) {
 	m, _ := NewManager(Limits{MaxGrossExposure: 1000, MaxOrders: 1, MaxStockShares: 10})
-	if err := m.Apply(buy(0, 10, 100)); err != nil {
+	if err := apply(m, buy(0, 10, 100)); err != nil {
 		t.Fatal(err)
 	}
 	// Every limit is now saturated, but the closing sell must pass.
-	if err := m.Apply(sell(0, 10, 100)); err != nil {
+	if err := apply(m, sell(0, 10, 100)); err != nil {
 		t.Fatalf("closing order rejected: %v", err)
 	}
 	if !m.Book().Flat() {

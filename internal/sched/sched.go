@@ -1,9 +1,9 @@
 // Package sched is a bounded-worker job scheduler emulating the Sun
 // Grid Engine farm of the paper's Approach 2 ("creating scripts which
 // sent out independent Matlab jobs to a Sun Grid Engine scheduler").
-// Jobs are independent closures; the pool bounds concurrency, tracks
-// completion counts, and cancels outstanding work on the first error —
-// the same submit/wait contract an SGE array job gives, with goroutines
+// Jobs are independent calls of one indexed function; the pool bounds
+// concurrency and cancels outstanding work on the first error — the
+// same submit/wait contract an SGE array job gives, with goroutines
 // standing in for cluster slots.
 //
 // Beyond the Pool, the package hosts the deterministic-parallelism
@@ -25,14 +25,10 @@ import (
 	"sync/atomic"
 )
 
-// Job is one unit of independent work.
-type Job func(ctx context.Context) error
-
 // Pool is a fixed-size worker pool. The zero value is unusable; use
 // New.
 type Pool struct {
 	workers int
-	done    atomic.Int64
 }
 
 // New returns a pool with the given concurrency (clamped to ≥ 1).
@@ -41,26 +37,6 @@ func New(workers int) *Pool {
 		workers = 1
 	}
 	return &Pool{workers: workers}
-}
-
-// Workers returns the pool's concurrency.
-func (p *Pool) Workers() int { return p.workers }
-
-// Completed returns the number of jobs that have finished successfully
-// across all Run/Map calls on this pool.
-func (p *Pool) Completed() int64 { return p.done.Load() }
-
-// Run executes all jobs, at most Workers at a time. It returns the
-// first job error (cancelling the rest) or ctx's error if cancelled.
-func (p *Pool) Run(ctx context.Context, jobs []Job) error {
-	for i, j := range jobs {
-		if j == nil {
-			return fmt.Errorf("sched: job %d is nil", i)
-		}
-	}
-	return p.Map(ctx, len(jobs), func(ctx context.Context, i int) error {
-		return jobs[i](ctx)
-	})
 }
 
 // Map executes fn(i) for i in [0, n), at most Workers at a time. This
@@ -107,7 +83,6 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i in
 					cancel()
 					return
 				}
-				p.done.Add(1)
 			}
 		}()
 	}

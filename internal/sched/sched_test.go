@@ -25,9 +25,6 @@ func TestMapRunsAllJobs(t *testing.T) {
 			t.Fatalf("job %d ran %d times", i, hits[i].Load())
 		}
 	}
-	if p.Completed() != 100 {
-		t.Errorf("Completed = %d", p.Completed())
-	}
 }
 
 func TestConcurrencyBound(t *testing.T) {
@@ -89,36 +86,10 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRunJobList(t *testing.T) {
-	p := New(2)
-	var sum atomic.Int64
-	jobs := make([]Job, 10)
-	for i := range jobs {
-		v := int64(i)
-		jobs[i] = func(ctx context.Context) error {
-			sum.Add(v)
-			return nil
-		}
-	}
-	if err := p.Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-}
-
-func TestRunRejectsNilJob(t *testing.T) {
-	p := New(1)
-	if err := p.Run(context.Background(), []Job{nil}); err == nil {
-		t.Error("nil job should error")
-	}
-}
-
 func TestMapEdgeCases(t *testing.T) {
 	p := New(0) // clamps to 1
-	if p.Workers() != 1 {
-		t.Errorf("Workers = %d", p.Workers())
+	if p.workers != 1 {
+		t.Errorf("workers = %d", p.workers)
 	}
 	if err := p.Map(context.Background(), 0, func(ctx context.Context, i int) error { return nil }); err != nil {
 		t.Errorf("n=0 should be a no-op: %v", err)

@@ -55,9 +55,6 @@ type PriceGrid struct {
 	Prices [][]float64 // [stock][interval]
 }
 
-// NumStocks returns the number of stocks in the grid.
-func (pg *PriceGrid) NumStocks() int { return len(pg.Prices) }
-
 // Price returns P_i(s).
 func (pg *PriceGrid) Price(i, s int) float64 { return pg.Prices[i][s] }
 
@@ -267,21 +264,8 @@ func (w *Window) Len() int {
 	return w.head
 }
 
-// Cap returns the window capacity M.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Full reports whether the window holds M elements.
 func (w *Window) Full() bool { return w.full }
-
-// Snapshot appends the window contents, oldest first, to dst and
-// returns the extended slice. Pass a reusable dst to avoid allocation.
-func (w *Window) Snapshot(dst []float64) []float64 {
-	if w.full {
-		dst = append(dst, w.buf[w.head:]...)
-		return append(dst, w.buf[:w.head]...)
-	}
-	return append(dst, w.buf[:w.head]...)
-}
 
 // At returns the k-th element counted from the oldest (0 = oldest).
 func (w *Window) At(k int) float64 {
@@ -365,17 +349,6 @@ func (ba *BarAccumulator) flushThrough(s int) {
 		c := ba.bar.Close
 		ba.out = append(ba.out, Bar{Day: ba.day, Interval: t, Symbol: ba.symbol, Open: c, High: c, Low: c, Close: c})
 	}
-}
-
-// Bars closes the accumulator and returns the completed, gapless bar
-// series (empty if no quote was ever added).
-func (ba *BarAccumulator) Bars() []Bar {
-	if !ba.started {
-		return nil
-	}
-	ba.flushThrough(ba.grid.SMax)
-	ba.started = false
-	return ba.out
 }
 
 // SpreadStats summarises the spread of a pair over a trailing window:

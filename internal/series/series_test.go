@@ -170,40 +170,21 @@ func TestReturnGridShape(t *testing.T) {
 
 func TestWindowBasics(t *testing.T) {
 	w := NewWindow(3)
-	if w.Cap() != 3 || w.Len() != 0 || w.Full() {
+	if w.Len() != 0 || w.Full() {
 		t.Fatal("fresh window state wrong")
 	}
 	w.Push(1)
 	w.Push(2)
-	if got := w.Snapshot(nil); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Snapshot = %v", got)
+	if w.Len() != 2 || w.At(0) != 1 || w.At(1) != 2 {
+		t.Errorf("partial window: len=%d at0=%v at1=%v", w.Len(), w.At(0), w.At(1))
 	}
 	w.Push(3)
 	w.Push(4) // evicts 1
 	if !w.Full() || w.Len() != 3 {
 		t.Error("window should be full with 3 elements")
 	}
-	got := w.Snapshot(nil)
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Snapshot = %v, want %v", got, want)
-			break
-		}
-	}
-	if w.At(0) != 2 || w.At(2) != 4 {
-		t.Errorf("At = %v,%v", w.At(0), w.At(2))
-	}
-}
-
-func TestWindowSnapshotReuse(t *testing.T) {
-	w := NewWindow(2)
-	w.Push(7)
-	w.Push(8)
-	buf := make([]float64, 0, 2)
-	got := w.Snapshot(buf)
-	if len(got) != 2 || cap(got) != 2 {
-		t.Errorf("Snapshot should reuse dst: len=%d cap=%d", len(got), cap(got))
+	if w.At(0) != 2 || w.At(1) != 3 || w.At(2) != 4 {
+		t.Errorf("At = %v,%v,%v", w.At(0), w.At(1), w.At(2))
 	}
 }
 
@@ -211,8 +192,8 @@ func TestWindowCapClamp(t *testing.T) {
 	w := NewWindow(0)
 	w.Push(1)
 	w.Push(2)
-	if w.Cap() != 1 || w.At(0) != 2 {
-		t.Errorf("clamped window: cap=%d at0=%v", w.Cap(), w.At(0))
+	if w.Len() != 1 || w.At(0) != 2 {
+		t.Errorf("clamped window: len=%d at0=%v", w.Len(), w.At(0))
 	}
 }
 
@@ -229,12 +210,11 @@ func TestWindowOrderProperty(t *testing.T) {
 			if len(ref) > m {
 				ref = ref[1:]
 			}
-			got := w.Snapshot(nil)
-			if len(got) != len(ref) {
+			if w.Len() != len(ref) {
 				return false
 			}
 			for i := range ref {
-				if got[i] != ref[i] || w.At(i) != ref[i] {
+				if w.At(i) != ref[i] {
 					return false
 				}
 			}
@@ -244,6 +224,16 @@ func TestWindowOrderProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// closedBars flushes ba through the session close and returns its
+// gapless bar series (nil if no quote was ever added).
+func closedBars(ba *BarAccumulator) []Bar {
+	if !ba.started {
+		return nil
+	}
+	ba.flushThrough(ba.grid.SMax)
+	return ba.out
 }
 
 func TestBarAccumulator(t *testing.T) {
@@ -263,7 +253,7 @@ func TestBarAccumulator(t *testing.T) {
 	if ba.Add(taq.Quote{SeqTime: 80, Symbol: "BB", Bid: 1, Ask: 2}) {
 		t.Error("foreign symbol accepted")
 	}
-	bars := ba.Bars()
+	bars := closedBars(ba)
 	if len(bars) != g.SMax {
 		t.Fatalf("bars = %d, want %d (gapless)", len(bars), g.SMax)
 	}
@@ -288,14 +278,6 @@ func TestBarAccumulator(t *testing.T) {
 	}
 }
 
-func TestBarAccumulatorEmpty(t *testing.T) {
-	g := mustGrid(t, 30)
-	ba := NewBarAccumulator(g, "AA", 0)
-	if bars := ba.Bars(); bars != nil {
-		t.Errorf("empty accumulator returned %d bars", len(bars))
-	}
-}
-
 func TestBarOHLCInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -310,7 +292,7 @@ func TestBarOHLCInvariantProperty(t *testing.T) {
 			bid := 50 + rng.NormFloat64()
 			ba.Add(taq.Quote{SeqTime: tsec, Symbol: "AA", Bid: bid, Ask: bid + 0.02})
 		}
-		for _, b := range ba.Bars() {
+		for _, b := range closedBars(ba) {
 			if b.Low > b.Open || b.Low > b.Close || b.High < b.Open || b.High < b.Close {
 				return false
 			}

@@ -1,7 +1,6 @@
 // Package stats provides the descriptive statistics used throughout the
 // MarketMiner pair-trading reproduction: central moments, robust order
-// statistics, box-plot summaries (Figure 2 of the paper) and streaming
-// (Welford) accumulators used by the online cleaning filter.
+// statistics and box-plot summaries (Figure 2 of the paper).
 //
 // All functions operate on float64 slices and are allocation-free unless
 // documented otherwise. NaN handling follows the rule "garbage in,
@@ -31,15 +30,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Variance returns the unbiased (n-1) sample variance of xs.
 // It returns 0 for samples of size < 2.
 func Variance(xs []float64) float64 {
@@ -54,21 +44,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(n-1)
-}
-
-// PopVariance returns the population (n) variance of xs, 0 if empty.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
 }
 
 // StdDev returns the unbiased sample standard deviation of xs.
@@ -303,124 +278,4 @@ func BoxPlotStats(xs []float64) (BoxPlot, error) {
 		bp.WhiskerHigh = bp.Median
 	}
 	return bp, nil
-}
-
-// Welford is a streaming accumulator for mean and variance using
-// Welford's algorithm. It backs the online tick-cleaning filter, which
-// must maintain a running mean/deviation without storing the window.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations added.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
-// RollingMoments maintains mean and standard deviation over a
-// fixed-size sliding window in O(1) per update. It is used by the
-// TCP-like cleaning filter (§III) whose acceptance band is
-// mean ± k·stddev over a trailing window of observations.
-type RollingMoments struct {
-	buf  []float64
-	head int
-	full bool
-	sum  float64
-	sum2 float64
-}
-
-// NewRollingMoments returns a window of the given size (size ≥ 1).
-func NewRollingMoments(size int) *RollingMoments {
-	if size < 1 {
-		size = 1
-	}
-	return &RollingMoments{buf: make([]float64, size)}
-}
-
-// Add pushes x, evicting the oldest value once the window is full.
-func (r *RollingMoments) Add(x float64) {
-	if r.full {
-		old := r.buf[r.head]
-		r.sum -= old
-		r.sum2 -= old * old
-	}
-	r.buf[r.head] = x
-	r.sum += x
-	r.sum2 += x * x
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-		r.full = true
-	}
-}
-
-// N returns the number of values currently in the window.
-func (r *RollingMoments) N() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.head
-}
-
-// Full reports whether the window has reached capacity.
-func (r *RollingMoments) Full() bool { return r.full }
-
-// Mean returns the window mean (0 when empty).
-func (r *RollingMoments) Mean() float64 {
-	n := r.N()
-	if n == 0 {
-		return 0
-	}
-	return r.sum / float64(n)
-}
-
-// Variance returns the unbiased sample variance of the window. Negative
-// rounding residue is clamped to 0.
-func (r *RollingMoments) Variance() float64 {
-	n := r.N()
-	if n < 2 {
-		return 0
-	}
-	fn := float64(n)
-	v := (r.sum2 - r.sum*r.sum/fn) / (fn - 1)
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// StdDev returns the window sample standard deviation.
-func (r *RollingMoments) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Reset empties the window.
-func (r *RollingMoments) Reset() {
-	r.head = 0
-	r.full = false
-	r.sum = 0
-	r.sum2 = 0
 }

@@ -24,19 +24,9 @@ func TestMeanBasic(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1.5, -0.5, 2}); got != 3 {
-		t.Errorf("Sum = %v, want 3", got)
-	}
-	if got := Sum(nil); got != 0 {
-		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-}
-
 func TestVarianceAndStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// population variance is 4; sample variance is 32/7.
-	approx(t, PopVariance(xs), 4, 1e-12, "PopVariance")
+	// sample variance is 32/7.
 	approx(t, Variance(xs), 32.0/7.0, 1e-12, "Variance")
 	approx(t, StdDev(xs), math.Sqrt(32.0/7.0), 1e-12, "StdDev")
 }
@@ -47,9 +37,6 @@ func TestVarianceDegenerate(t *testing.T) {
 	}
 	if Variance(nil) != 0 {
 		t.Error("Variance of empty should be 0")
-	}
-	if PopVariance(nil) != 0 {
-		t.Error("PopVariance of empty should be 0")
 	}
 }
 
@@ -287,93 +274,6 @@ func TestBoxPlotInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-		w.Add(xs[i])
-	}
-	approx(t, w.Mean(), Mean(xs), 1e-9, "Welford.Mean")
-	approx(t, w.Variance(), Variance(xs), 1e-9, "Welford.Variance")
-	approx(t, w.StdDev(), StdDev(xs), 1e-9, "Welford.StdDev")
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 || w.Variance() != 0 {
-		t.Error("Reset did not clear accumulator")
-	}
-}
-
-func TestRollingMomentsWindowing(t *testing.T) {
-	r := NewRollingMoments(3)
-	for _, x := range []float64{1, 2, 3} {
-		r.Add(x)
-	}
-	approx(t, r.Mean(), 2, 1e-12, "RollingMoments.Mean full")
-	if !r.Full() {
-		t.Error("window should be full")
-	}
-	r.Add(4) // evicts 1 → window {2,3,4}
-	approx(t, r.Mean(), 3, 1e-12, "RollingMoments.Mean after evict")
-	approx(t, r.Variance(), 1, 1e-12, "RollingMoments.Variance after evict")
-}
-
-func TestRollingMomentsPartial(t *testing.T) {
-	r := NewRollingMoments(5)
-	r.Add(10)
-	if r.N() != 1 || r.Full() {
-		t.Errorf("N=%d Full=%v", r.N(), r.Full())
-	}
-	approx(t, r.Mean(), 10, 1e-12, "partial mean")
-	if r.Variance() != 0 {
-		t.Error("variance of single value should be 0")
-	}
-	r.Reset()
-	if r.N() != 0 || r.Mean() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
-func TestRollingMomentsMatchesBatchProperty(t *testing.T) {
-	f := func(seed int64, sizeRaw uint8) bool {
-		size := int(sizeRaw%20) + 2
-		rng := rand.New(rand.NewSource(seed))
-		r := NewRollingMoments(size)
-		window := make([]float64, 0, size)
-		for i := 0; i < 100; i++ {
-			x := rng.NormFloat64() * 100
-			r.Add(x)
-			window = append(window, x)
-			if len(window) > size {
-				window = window[1:]
-			}
-			if math.Abs(r.Mean()-Mean(window)) > 1e-6 {
-				return false
-			}
-			if math.Abs(r.Variance()-Variance(window)) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRollingMomentsSizeClamp(t *testing.T) {
-	r := NewRollingMoments(0)
-	r.Add(1)
-	r.Add(2)
-	if r.N() != 1 {
-		t.Errorf("size-0 window should clamp to 1, N=%d", r.N())
-	}
-	approx(t, r.Mean(), 2, 1e-12, "clamped window mean")
 }
 
 func TestQuantileSortedMonotoneProperty(t *testing.T) {

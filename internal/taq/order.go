@@ -16,7 +16,6 @@ type OrderChecker struct {
 	started    bool
 	maxDay     int
 	maxTime    float64
-	checked    int
 	violations int
 }
 
@@ -24,7 +23,6 @@ type OrderChecker struct {
 // far, i.e. its (Day, SeqTime) is ≥ the running maximum. Out-of-order
 // quotes are counted but do not advance the maximum.
 func (c *OrderChecker) Check(q Quote) bool {
-	c.checked++
 	if !c.started {
 		c.started = true
 		c.maxDay, c.maxTime = q.Day, q.SeqTime
@@ -38,24 +36,5 @@ func (c *OrderChecker) Check(q Quote) bool {
 	return true
 }
 
-// Checked returns the number of quotes examined.
-func (c *OrderChecker) Checked() int { return c.checked }
-
 // Violations returns the number of out-of-order quotes seen.
 func (c *OrderChecker) Violations() int { return c.violations }
-
-// Reset clears the checker to its zero state (e.g. at a day boundary
-// when days are processed independently).
-func (c *OrderChecker) Reset() { *c = OrderChecker{} }
-
-// CheckOrdered counts out-of-order quotes in a slice.
-func CheckOrdered(quotes []Quote) int {
-	var c OrderChecker
-	for _, q := range quotes {
-		c.Check(q)
-	}
-	return c.Violations()
-}
-
-// IsOrdered reports whether the slice is (Day, SeqTime) non-decreasing.
-func IsOrdered(quotes []Quote) bool { return CheckOrdered(quotes) == 0 }

@@ -16,8 +16,8 @@ func TestOrderCheckerMonotonic(t *testing.T) {
 			t.Errorf("quote %d flagged out of order", i)
 		}
 	}
-	if c.Violations() != 0 || c.Checked() != 5 {
-		t.Errorf("violations=%d checked=%d", c.Violations(), c.Checked())
+	if c.Violations() != 0 {
+		t.Errorf("violations = %d, want 0", c.Violations())
 	}
 }
 
@@ -46,34 +46,18 @@ func TestOrderCheckerFlagsRegressions(t *testing.T) {
 func TestOrderCheckerSingleGlitchCountsOnce(t *testing.T) {
 	// One early-timestamp glitch inside an otherwise sorted stream
 	// produces exactly one violation.
-	quotes := []Quote{q(0, 1), q(0, 2), q(0, 0.5), q(0, 3), q(0, 4)}
-	if v := CheckOrdered(quotes); v != 1 {
+	if v := violations([]Quote{q(0, 1), q(0, 2), q(0, 0.5), q(0, 3), q(0, 4)}); v != 1 {
 		t.Errorf("violations = %d, want 1", v)
 	}
-	if IsOrdered(quotes) {
-		t.Error("IsOrdered = true for glitched stream")
-	}
 }
 
-func TestOrderCheckerReset(t *testing.T) {
+// violations runs a fresh checker over quotes.
+func violations(quotes []Quote) int {
 	var c OrderChecker
-	c.Check(q(5, 1000))
-	c.Reset()
-	if !c.Check(q(0, 0)) {
-		t.Error("post-Reset quote flagged")
+	for _, quote := range quotes {
+		c.Check(quote)
 	}
-	if c.Checked() != 1 || c.Violations() != 0 {
-		t.Errorf("Reset did not clear counters: %d/%d", c.Checked(), c.Violations())
-	}
-}
-
-func TestIsOrderedEmptyAndSingle(t *testing.T) {
-	if !IsOrdered(nil) {
-		t.Error("empty stream should be ordered")
-	}
-	if !IsOrdered([]Quote{q(3, 7)}) {
-		t.Error("single quote should be ordered")
-	}
+	return c.Violations()
 }
 
 // TestOrderCheckerSortedProperty: any stream sorted by (Day, SeqTime)
@@ -99,7 +83,7 @@ func TestOrderCheckerSortedProperty(t *testing.T) {
 			tm += step
 			quotes = append(quotes, q(day, tm))
 		}
-		return IsOrdered(quotes)
+		return violations(quotes) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -18,11 +18,11 @@ import (
 	"time"
 )
 
-// MarketOpen and MarketClose delimit a regular US equities trading day;
-// the paper's time grid spans the 23400 seconds between them.
+// MarketOpen is the 09:30 open of a regular US equities trading day;
+// the paper's time grid spans the TradingDaySec seconds from it to the
+// 16:00 close.
 const (
 	MarketOpen    = 9*time.Hour + 30*time.Minute // 09:30:00
-	MarketClose   = 16 * time.Hour               // 16:00:00
 	TradingDaySec = 23400                        // seconds between open and close
 )
 
@@ -132,14 +132,15 @@ func (e *ErrBadRecord) Unwrap() error { return e.Err }
 // not abort a 50 GB scan — mirroring the paper's observation that raw
 // TAQ contains transmission and typing errors.
 type Reader struct {
-	sc     *bufio.Scanner
-	line   int
-	strict bool
+	sc        *bufio.Scanner
+	line      int
+	strict    bool
+	sawHeader bool
 }
 
-// NewReader wraps r. If strict is true, malformed records are returned
-// as errors; otherwise they are silently skipped (the count is
-// available via Skipped).
+// NewReader wraps r. The first non-blank line must be the header, in
+// either mode. If strict is true, malformed records are returned as
+// errors; otherwise they are silently skipped.
 func NewReader(r io.Reader, strict bool) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
@@ -157,10 +158,11 @@ func (r *Reader) Read() (Quote, error) {
 		if text == "" {
 			continue
 		}
-		if r.line == 1 {
+		if !r.sawHeader {
 			if text != header {
-				return Quote{}, &ErrBadRecord{Line: 1, Err: errHeader}
+				return Quote{}, &ErrBadRecord{Line: r.line, Err: errHeader}
 			}
+			r.sawHeader = true
 			continue
 		}
 		q, err := parseLine(text)

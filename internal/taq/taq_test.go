@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -154,6 +155,27 @@ func TestReaderMissingHeader(t *testing.T) {
 	var bad *ErrBadRecord
 	if !errors.As(err, &bad) || bad.Line != 1 {
 		t.Fatalf("want header ErrBadRecord at line 1, got %v", err)
+	}
+}
+
+// TestReaderHeaderAfterLeadingBlankLine: blank lines before the header
+// are skipped like blank lines anywhere else, so the header is checked
+// on the first non-blank line rather than on physical line 1.
+func TestReaderHeaderAfterLeadingBlankLine(t *testing.T) {
+	in := "\n" + header + "\n0,1.0,IBM,10,10.1,1,1\n"
+	got, err := NewReader(strings.NewReader(in), true).ReadAll()
+	if err != nil || len(got) != 1 || got[0].Symbol != "IBM" {
+		t.Fatalf("got %+v, err %v; want the one IBM record", got, err)
+	}
+}
+
+// TestReaderMissingHeaderAfterLeadingBlankLine: a record on the first
+// non-blank line is a missing header, reported at its physical line.
+func TestReaderMissingHeaderAfterLeadingBlankLine(t *testing.T) {
+	got, err := NewReader(strings.NewReader("\n0,1.0,IBM,10,10.1,1,1\n"), true).ReadAll()
+	var bad *ErrBadRecord
+	if !errors.As(err, &bad) || !errors.Is(err, errHeader) || bad.Line != 2 {
+		t.Fatalf("got %+v, err %v; want the header error at line 2", got, err)
 	}
 }
 
@@ -420,4 +442,60 @@ func TestSyntheticSymbols(t *testing.T) {
 			t.Fatalf("universe not prefix-stable at %d: %q vs %q", i, s, big[i])
 		}
 	}
+}
+
+// FuzzReader feeds arbitrary bytes to a strict and a lenient reader.
+// Neither may panic. Every quote either returns has a finite SeqTime,
+// Bid and Ask and a non-empty symbol, and writing the quotes with
+// Writer then reading them back is a fixed point after one pass: the
+// first write rounds to the CSV's fixed decimals, and a second round
+// trip reproduces the same bytes.
+func FuzzReader(f *testing.F) {
+	for _, seed := range []string{
+		header + "\n0,1.0,IBM,10,10.1,1,1\n0,2.5,AA,20.25,20.5,3,4\n",
+		"\n" + header + "\n\n0,1.0,IBM,10,10.1,1,1\n\n",
+		"\n0,1.0,IBM,10,10.1,1,1\n",
+		header + "\nnot,a,valid,row\n0,x,IBM,10,10.1,1,1\n0,NaN,IBM,10,10.1,1,1\n",
+		header + "\n-3,-0.00001,S P,1e300,-Inf,-1,0\n7,23399.9996,Z,0.00005,1e-9,2,2\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, strict := range []bool{true, false} {
+			quotes, _ := NewReader(bytes.NewReader(data), strict).ReadAll()
+			for _, q := range quotes {
+				for _, v := range []float64{q.SeqTime, q.Bid, q.Ask} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("strict=%v: non-finite field in %+v", strict, q)
+					}
+				}
+				if q.Symbol == "" {
+					t.Fatalf("strict=%v: empty symbol in %+v", strict, q)
+				}
+			}
+			once := writeQuotes(t, quotes)
+			again, err := NewReader(bytes.NewReader(once), true).ReadAll()
+			if err != nil || len(again) != len(quotes) {
+				t.Fatalf("strict=%v: re-read %d of %d quotes, err %v", strict, len(again), len(quotes), err)
+			}
+			if twice := writeQuotes(t, again); !bytes.Equal(once, twice) {
+				t.Fatalf("strict=%v: second round trip differs:\n%q\n%q", strict, once, twice)
+			}
+		}
+	})
+}
+
+func writeQuotes(t *testing.T, quotes []Quote) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, q := range quotes {
+		if err := w.Write(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
