@@ -28,7 +28,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -227,66 +226,9 @@ func max1(x float64) float64 {
 	return x
 }
 
-// synthetic generates one day of quotes for a prefix of the default
-// universe.
-func synthetic(stocks int, seed int64, day int) ([]taq.Quote, *marketminer.Universe, error) {
-	if stocks < 2 || stocks > 61 {
-		return nil, nil, fmt.Errorf("stocks must be in [2, 61]")
-	}
-	uni, err := taq.NewUniverse(taq.DefaultSymbols()[:stocks])
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := market.DefaultConfig()
-	cfg.Universe = uni
-	cfg.Seed = seed
-	cfg.Days = day + 1
-	gen, err := market.NewGenerator(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	md, err := gen.GenerateDay(day)
-	if err != nil {
-		return nil, nil, err
-	}
-	return md.Quotes, uni, nil
-}
-
-// loadCSV streams one day's quotes out of an mmgen file and derives
-// the universe from the symbols seen.
-func loadCSV(path string, day int) ([]taq.Quote, *marketminer.Universe, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	r := taq.NewReader(f, false)
-	var quotes []taq.Quote
-	seen := map[string]bool{}
-	var symbols []string
-	for {
-		q, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if q.Day != day {
-			continue
-		}
-		quotes = append(quotes, q)
-		if !seen[q.Symbol] {
-			seen[q.Symbol] = true
-			symbols = append(symbols, q.Symbol)
-		}
-	}
-	if len(symbols) < 2 {
-		return nil, nil, fmt.Errorf("day %d has quotes for %d symbols; need ≥ 2", day, len(symbols))
-	}
-	uni, err := taq.NewUniverse(symbols)
-	if err != nil {
-		return nil, nil, err
-	}
-	return quotes, uni, nil
-}
+// The day loaders, shared with mmfeed: CSV replay (-in) and synthetic
+// generation.
+var (
+	loadCSV   = taq.ReadDay
+	synthetic = market.SyntheticDay
+)

@@ -193,6 +193,31 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
+// SyntheticDay generates day `day` of DefaultConfig, reseeded with
+// seed, over the first `stocks` default symbols (2 ≤ stocks ≤ 61).
+func SyntheticDay(stocks int, seed int64, day int) ([]taq.Quote, *taq.Universe, error) {
+	if stocks < 2 || stocks > 61 {
+		return nil, nil, fmt.Errorf("stocks must be in [2, 61]")
+	}
+	uni, err := taq.NewUniverse(taq.DefaultSymbols()[:stocks])
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := DefaultConfig()
+	cfg.Universe = uni
+	cfg.Seed = seed
+	cfg.Days = day + 1
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	md, err := gen.GenerateDay(day)
+	if err != nil {
+		return nil, nil, err
+	}
+	return md.Quotes, uni, nil
+}
+
 // quoteCapacity is the size GenerateDay gives a day's quote buffer so
 // that filling it never regrows. The day's count is Poisson with mean
 // λ = Σ rate[i] · TradingDaySec — the per-stock tiers, not the nominal

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -194,6 +195,47 @@ func (r *Reader) ReadAll() ([]Quote, error) {
 		}
 		out = append(out, q)
 	}
+}
+
+// ReadDay streams one day's quotes out of a CSV file written by Writer
+// (malformed records are skipped) and derives the universe from the
+// symbols seen, in first-seen order. It fails when the day quotes
+// fewer than two symbols.
+func ReadDay(path string, day int) ([]Quote, *Universe, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	r := NewReader(f, false)
+	var quotes []Quote
+	seen := map[string]bool{}
+	var symbols []string
+	for {
+		q, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if q.Day != day {
+			continue
+		}
+		quotes = append(quotes, q)
+		if !seen[q.Symbol] {
+			seen[q.Symbol] = true
+			symbols = append(symbols, q.Symbol)
+		}
+	}
+	if len(symbols) < 2 {
+		return nil, nil, fmt.Errorf("day %d has quotes for %d symbols; need ≥ 2", day, len(symbols))
+	}
+	uni, err := NewUniverse(symbols)
+	if err != nil {
+		return nil, nil, err
+	}
+	return quotes, uni, nil
 }
 
 func parseLine(text string) (Quote, error) {
