@@ -6,11 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"marketminer/internal/clean"
+	"marketminer/internal/backtest"
 	"marketminer/internal/corr"
 	"marketminer/internal/market"
 	"marketminer/internal/risk"
-	"marketminer/internal/series"
 	"marketminer/internal/strategy"
 	"marketminer/internal/taq"
 )
@@ -35,6 +34,16 @@ func testUniverse(t testing.TB) *taq.Universe {
 
 func genQuotes(t testing.TB, u *taq.Universe) []taq.Quote {
 	t.Helper()
+	day, err := testGenerator(t, u).GenerateDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return day.Quotes
+}
+
+// testGenerator is the generator behind genQuotes' day 0.
+func testGenerator(t testing.TB, u *taq.Universe) *market.Generator {
+	t.Helper()
 	gen, err := market.NewGenerator(market.Config{
 		Universe:         u,
 		Seed:             11,
@@ -48,11 +57,7 @@ func genQuotes(t testing.TB, u *taq.Universe) []taq.Quote {
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, err := gen.GenerateDay(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return day.Quotes
+	return gen
 }
 
 func TestPipelineEndToEnd(t *testing.T) {
@@ -138,36 +143,73 @@ func TestPipelineMultipleStrategyNodes(t *testing.T) {
 }
 
 // TestPipelineMatchesBatchBacktest is the integration cross-check: the
-// streaming Figure-1 path and the batch engine produce the same trades
-// for the same cleaned data (identical filter, grid and estimator).
+// streaming Figure-1 path and the production batch path
+// (backtest.PrepareDay → corr.Day.Series → strategy.DayGrid) produce
+// bit-identical trades from the same generated day, for every
+// correlation treatment.
 func TestPipelineMatchesBatchBacktest(t *testing.T) {
 	u := testUniverse(t)
-	quotes := genQuotes(t, u)
-	p := pipelineParams()
-
-	res, err := RunPipeline(context.Background(), PipelineConfig{
-		Universe: u,
-		Params:   []strategy.Params{p},
-		Workers:  1,
-	}, quotes, 0)
+	gen := testGenerator(t, u)
+	day, err := gen.GenerateDay(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, ct := range corr.Types() {
+		t.Run(ct.String(), func(t *testing.T) {
+			p := pipelineParams().WithType(ct)
+			res, err := RunPipeline(context.Background(), PipelineConfig{
+				Universe: u,
+				Params:   []strategy.Params{p},
+				Workers:  1,
+			}, day.Quotes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := batchTrades(t, gen, p)
+			if len(batch) == 0 {
+				t.Fatal("batch path produced no trades")
+			}
+			if len(res.Trades[0]) != len(batch) {
+				t.Fatalf("stream %d trades, batch %d", len(res.Trades[0]), len(batch))
+			}
+			for i := range batch {
+				a, b := res.Trades[0][i], batch[i]
+				if a.EntryS != b.EntryS || a.ExitS != b.ExitS || math.Float64bits(a.Return) != math.Float64bits(b.Return) {
+					t.Errorf("trade %d differs: stream %+v batch %+v", i, a, b)
+				}
+			}
+		})
+	}
+}
 
-	// Batch path over the same quotes: replicate the pipeline stages.
-	batch, err := batchReplay(u, quotes, p)
+// batchTrades runs the sweep's per-day path on gen's day 0 for one
+// parameter set and returns every pair's trades in pair-id order.
+func batchTrades(t *testing.T, gen *market.Generator, p strategy.Params) []strategy.Trade {
+	t.Helper()
+	dd, err := backtest.PrepareDay(backtest.Config{Levels: []strategy.Params{p}, Workers: 1}, gen, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trades[0]) != len(batch) {
-		t.Fatalf("stream %d trades, batch %d", len(res.Trades[0]), len(batch))
+	day, err := corr.NewDay(dd.Returns)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range batch {
-		a, b := res.Trades[0][i], batch[i]
-		if a.EntryS != b.EntryS || a.ExitS != b.ExitS || a.Return != b.Return {
-			t.Errorf("trade %d differs: stream %+v batch %+v", i, a, b)
+	css, err := day.Series(corr.EngineConfig{M: p.M, Workers: 1}, []corr.Type{p.Ctype})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := strategy.NewDayGrid([]strategy.Params{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []strategy.Trade
+	for pid, pr := range taq.AllPairs(len(dd.Returns)) {
+		if err := grid.Run(css[0].Corr[pid], css[0].FirstS, dd.PG, pr.I, pr.J, 0); err != nil {
+			t.Fatal(err)
 		}
+		out = append(out, grid.Trades(0)...)
 	}
+	return out
 }
 
 func TestPipelineValidation(t *testing.T) {
@@ -209,46 +251,6 @@ func TestPipelineEmptyStream(t *testing.T) {
 	if res.QuotesIn != 0 || res.Matrices != 0 || len(res.Trades[0]) != 0 {
 		t.Errorf("empty stream produced activity: %+v", res)
 	}
-}
-
-// batchReplay reruns the pipeline's semantics sequentially: same
-// filter, same grid construction, shared correlation series, same
-// strategy — the reference the streaming DAG must agree with.
-func batchReplay(u *taq.Universe, quotes []taq.Quote, p strategy.Params) ([]strategy.Trade, error) {
-	f := clean.NewFilter(clean.Config{})
-	grid, err := series.NewGrid(p.DeltaS)
-	if err != nil {
-		return nil, err
-	}
-	sm := series.NewSampler(grid, u)
-	for _, q := range quotes {
-		if f.Accept(q) == clean.OK {
-			sm.Add(q)
-		}
-	}
-	pg := sm.Finish()
-	s0 := pg.FirstComplete()
-	if s0 < 0 {
-		return nil, nil
-	}
-	n := u.Len()
-	rets := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		rets[i] = series.LogReturns(pg.Prices[i][s0:])
-	}
-	cs, err := corr.ComputeSeries(corr.EngineConfig{Type: p.Ctype, M: p.M, Workers: 1}, rets)
-	if err != nil {
-		return nil, err
-	}
-	var out []strategy.Trade
-	for pid, pr := range taq.AllPairs(n) {
-		trades, err := strategy.RunDay(p, cs.Corr[pid], s0+cs.FirstS, pg, pr.I, pr.J, 0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, trades...)
-	}
-	return out, nil
 }
 
 func TestPipelineGraphDOT(t *testing.T) {
