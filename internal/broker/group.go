@@ -25,7 +25,6 @@ type group struct {
 // reconnect displace a stale handler, and lastSeen + MemberGrace
 // decides when a silent member finally loses its assignment.
 type member struct {
-	id       string
 	session  uint64
 	alive    bool
 	lastSeen time.Time
@@ -50,7 +49,7 @@ func (b *Broker) joinGroup(groupName, memberID string) (g *group, session uint64
 	m := g.members[memberID]
 	fresh := m == nil
 	if fresh {
-		m = &member{id: memberID}
+		m = &member{}
 		g.members[memberID] = m
 	}
 	m.session++

@@ -64,6 +64,12 @@ focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineEngineMatchesBatch|TestPus
 focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval' ./internal/broker
 focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumerStalled' ./internal/feed
 
+echo "== engine snapshot fingerprint: the exact strings saved snapshots carry, psd=false included"
+focus 'TestEngineFingerprintPinned' ./internal/corr
+
+echo "== Figure 1 equals Section V: pipeline trades bit-equal to PrepareDay -> corr.Day.Series -> DayGrid for Pearson, Maronna and Combined"
+focus 'TestPipelineMatchesBatchBacktest' ./internal/core
+
 echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
 focus 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
 
@@ -92,6 +98,10 @@ focus 'TestParseSpec|FuzzParseSpec' ./internal/chaos
 
 echo "== engine snapshot fuzz, 10 s: arbitrary bytes -> json -> Restore never panics; an accepted snapshot round-trips and the next push stays in [-1, 1]"
 go test -run '^$' -fuzz FuzzEngineRestore -fuzztime 10s ./internal/corr
+
+echo "== TAQ reader fuzz, 10 s: strict and lenient readers never panic, return only finite quotes with a symbol, and write -> read is a fixed point after one pass"
+go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/taq
+focus 'TestReaderHeaderAfterLeadingBlankLine|TestReaderMissingHeaderAfterLeadingBlankLine|TestReaderMissingHeader|FuzzReader' ./internal/taq
 
 echo "== state-file focus: snapshot envelope pinned, quarantine v1 fixture, bit-flip heal and re-quarantine"
 focus 'TestSnapshot|TestQuarantine|FuzzLoadSnapshot|FuzzOpenQuarantine' ./internal/supervise
