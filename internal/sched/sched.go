@@ -39,8 +39,9 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Map executes fn(i) for i in [0, n), at most Workers at a time. This
-// is the array-job form: the index plays the role of SGE_TASK_ID.
+// Map executes fn(i) for i in [0, n), at most the pool's worker count
+// at a time. This is the array-job form: the index plays the role of
+// SGE_TASK_ID.
 func (p *Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n < 0 {
 		return errors.New("sched: negative job count")

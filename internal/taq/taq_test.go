@@ -487,6 +487,7 @@ func FuzzReader(f *testing.F) {
 }
 
 func writeQuotes(t *testing.T, quotes []Quote) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, q := range quotes {
