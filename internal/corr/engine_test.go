@@ -217,8 +217,9 @@ const onlinePearsonDigest = 0xff95ac67532a99f7
 // bit for bit, which TestOnlineEngineMatchesBatch's 1e-9 tolerance
 // cannot. Every layout of the same triangle hashes to one digest: full
 // engines at one and three workers with tile sizes that leave ragged
-// tiles, and the broker's two-partition split as two subset engines of
-// odd pair counts writing into one matrix.
+// tiles, the broker's two-partition split as two subset engines of odd
+// pair counts writing into one matrix, and the pure-Go tier
+// (DisableSIMD), so the vector and scalar kernels share one digest.
 func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 	const n, T = 13, 70
 	rets := syntheticReturns(71, n, T)
@@ -241,6 +242,7 @@ func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 		"full-3-workers": {{Workers: 3, TileSize: 10}},
 		"full-tile-5":    {{Workers: 3, TileSize: 5}},
 		"broker-split":   {{Workers: 2, Pairs: split[0]}, {Workers: 1, TileSize: 10, Pairs: split[1]}},
+		"scalar-tier":    {{Workers: 2, DisableSIMD: true}},
 	}
 	for name, layout := range layouts {
 		h := fnv.New64a()
@@ -281,6 +283,69 @@ func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 		if got := h.Sum64(); got != onlinePearsonDigest {
 			t.Errorf("%s: digest %#x, want %#x", name, got, uint64(onlinePearsonDigest))
 		}
+	}
+}
+
+// TestOnlineMatchesDaySeries streams one day through OnlineEngine and
+// compares every coefficient with the batch engine's Series for the
+// same windows. The robust types must match bit for bit: both start
+// each pair's warm chain at the first window and fit the same window
+// values in the same order. Online Pearson re-sums each window while
+// the batch rolls its sums, so it agrees only to rounding; the test
+// logs how many of its coefficients happen to be bit-equal.
+func TestOnlineMatchesDaySeries(t *testing.T) {
+	const n, T, m = 20, 240, 30
+	rets := syntheticReturns(20, n, T)
+	d, err := NewDay(rets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ty := range []Type{Pearson, Maronna, Combined} {
+		ss, err := d.Series(EngineConfig{M: m, Workers: 2}, []Type{ty})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ss[0]
+		e, err := NewOnlineEngine(EngineConfig{Type: ty, M: m, Workers: 2}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := NewMatrix(n)
+		vec := make([]float64, n)
+		var same, total int
+		var maxDiff float64
+		for u := 0; u < T; u++ {
+			for i := range vec {
+				vec[i] = rets[i][u]
+			}
+			ready, err := e.PushInto(vec, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ready {
+				continue
+			}
+			w := u - m + 1
+			for k, id := range want.Pairs {
+				got, ref := dst.AtPair(id), want.Corr[k][w]
+				total++
+				if math.Float64bits(got) == math.Float64bits(ref) {
+					same++
+					continue
+				}
+				maxDiff = max(maxDiff, math.Abs(got-ref))
+				if ty != Pearson {
+					t.Fatalf("%v window %d pair %d: online %v, batch %v", ty, w, id, got, ref)
+				}
+			}
+		}
+		if total != len(want.Pairs)*want.Len() {
+			t.Fatalf("%v: compared %d coefficients, want %d", ty, total, len(want.Pairs)*want.Len())
+		}
+		if ty == Pearson && maxDiff > 1e-12 {
+			t.Errorf("Pearson: max |online - batch| = %g, want rounding only", maxDiff)
+		}
+		t.Logf("%v: %d / %d coefficients bit-equal (max |diff| %g)", ty, same, total, maxDiff)
 	}
 }
 
