@@ -30,16 +30,19 @@ type EngineConfig struct {
 	// (canonical ids). Nil means all n(n-1)/2 pairs.
 	Pairs []int
 	// TileSize bounds the number of pairs per cache tile in the matrix
-	// engine; ≤ 0 means DefaultTileSize. Output is bit-identical for
-	// every tile size — the knob only trades scheduling granularity
-	// against per-tile cache footprint.
+	// engine and in the online engine's robust types (online Pearson
+	// computes its whole cross-moment table and has no tiles); ≤ 0
+	// means DefaultTileSize. Output is bit-identical for every tile
+	// size — the knob only trades scheduling granularity against
+	// per-tile cache footprint.
 	TileSize int
-	// DisableSIMD forces this request's batched Maronna kernel onto
-	// the pure-Go scalar path even when CPUID dispatch would use the
-	// vector backend. The tiers are bit-identical, so the flag changes
-	// speed only; the tests and the bench harness use it to A/B the
-	// tiers in one process. It is deliberately not part of any sweep
-	// fingerprint.
+	// DisableSIMD forces this request's vector kernels — the batched
+	// Maronna kernel and the online engine's Pearson cross-moment
+	// kernel — onto their pure-Go paths even when CPUID dispatch would
+	// use the vector backend. The tiers are bit-identical, so the flag
+	// changes speed only; the tests and the bench harness use it to A/B
+	// the tiers in one process. It is deliberately not part of any
+	// sweep or snapshot fingerprint.
 	DisableSIMD bool
 }
 
@@ -524,24 +527,29 @@ func rollingPearson(x, y []float64, m int, dst []float64) {
 type OnlineEngine struct {
 	cfg     EngineConfig
 	n       int
-	windows [][]float64 // ring buffers, one per stock
+	rows    []float64 // time-major ring, M rows of stride (crossmoment.go)
+	stride  int
 	head    int
 	count   int
-	scratch [][]float64  // contiguous window copies, one per stock
-	pool    []*pairBatch // per-worker batched robust kernels
-	pairs   []taq.Pair   // cached pair table
-	sel     []int        // selected canonical pair ids (identity when cfg.Pairs is nil)
-	fits    []Fit        // per-pair warm-start state (robust types only)
+	simd    bool // cross moments on the vector kernel
+	workers int
+	pairs   []taq.Pair // cached pair table
+	sel     []int      // selected canonical pair ids (identity when cfg.Pairs is nil)
 
-	// Matrix-level shared state, refreshed per push: tiles over the
-	// pair triangle, per-stock window sums (Pearson) and per-stock
-	// robust cold-start initialisers (robust types, computed only on
-	// pushes where some pair actually needs a cold start).
+	// Pearson: the cross-moment table of the current window and the
+	// per-stock normalisers read from it.
+	tab  []float64
+	invs []float64
+
+	// Robust types: contiguous window copies (one per stock), cache
+	// tiles over the selected pairs, per-worker batched kernels,
+	// per-pair warm-start state, and per-stock cold-start initialisers
+	// (computed only on pushes where some pair actually needs one).
+	scratch  [][]float64
 	tiles    [][]int
+	pool     []*pairBatch
+	fits     []Fit
 	est      *MaronnaEstimator
-	sums     []float64
-	sumSqs   []float64
-	invs     []float64
 	inits    []ColdInit
 	initBuf  []float64
 	haveInit bool
@@ -555,14 +563,12 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 	if cfg.M < 2 {
 		return nil, fmt.Errorf("corr: window M=%d too small", cfg.M)
 	}
-	e := &OnlineEngine{cfg: cfg, n: n}
-	e.windows = make([][]float64, n)
-	e.scratch = make([][]float64, n)
-	for i := range e.windows {
-		e.windows[i] = make([]float64, cfg.M)
-		e.scratch[i] = make([]float64, cfg.M)
+	e := &OnlineEngine{cfg: cfg, n: n, stride: (n + 4) &^ 3, workers: cfg.workers()}
+	e.simd = simdSupported && !cfg.DisableSIMD
+	e.rows = make([]float64, cfg.M*e.stride)
+	for s := 0; s < cfg.M; s++ {
+		e.rows[s*e.stride+n] = 1
 	}
-	e.pool = make([]*pairBatch, cfg.workers())
 	e.pairs = taq.AllPairs(n)
 	var pairIdx []int
 	if cfg.Pairs != nil {
@@ -587,21 +593,25 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		}
 	}
 	e.sel = pairIdx
-	e.tiles = buildTiles(pairsOf(pairIdx, n), cfg.tileSize())
-	// buildTiles returns positions into pairIdx; remap them to canonical
-	// pair ids so matrix() indexes e.pairs/e.fits/Matrix slots uniformly
-	// whether or not a subset is selected.
-	for _, tile := range e.tiles {
-		for i, pos := range tile {
-			tile[i] = pairIdx[pos]
-		}
-	}
 	switch cfg.Type {
 	case Pearson:
-		e.sums = make([]float64, n)
-		e.sumSqs = make([]float64, n)
+		e.tab = make([]float64, e.stride*e.stride)
 		e.invs = make([]float64, n)
 	case Maronna, Combined:
+		e.scratch = make([][]float64, n)
+		for i := range e.scratch {
+			e.scratch[i] = make([]float64, cfg.M)
+		}
+		e.tiles = buildTiles(pairsOf(pairIdx, n), cfg.tileSize())
+		// buildTiles returns positions into pairIdx; remap them to
+		// canonical pair ids so matrix() indexes e.pairs/e.fits/Matrix
+		// slots uniformly whether or not a subset is selected.
+		for _, tile := range e.tiles {
+			for i, pos := range tile {
+				tile[i] = pairIdx[pos]
+			}
+		}
+		e.pool = make([]*pairBatch, e.workers)
 		// Successive pushes slide each pair's window by one point, so
 		// the previous matrix's converged fits seed the next one.
 		e.fits = make([]Fit, len(e.pairs))
@@ -630,7 +640,8 @@ func (e *OnlineEngine) Push(rets []float64) (*Matrix, error) {
 // that consumes each matrix before the next push and so can reuse one.
 // It reports whether the window is full; until then dst is untouched.
 // Only the engine's selected pairs are written, so the unselected
-// slots of a subset engine's dst keep whatever they held.
+// slots of a subset engine's dst keep whatever they held. A rejected
+// vector leaves the engine exactly as it was.
 func (e *OnlineEngine) PushInto(rets []float64, dst *Matrix) (ready bool, err error) {
 	if len(rets) != e.n {
 		return false, fmt.Errorf("corr: vector length %d, want %d", len(rets), e.n)
@@ -642,8 +653,8 @@ func (e *OnlineEngine) PushInto(rets []float64, dst *Matrix) (ready bool, err er
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return false, fmt.Errorf("corr: non-finite return for stock %d", i)
 		}
-		e.windows[i][e.head] = x
 	}
+	copy(e.rows[e.head*e.stride:], rets)
 	e.head = (e.head + 1) % e.cfg.M
 	if e.count < e.cfg.M {
 		e.count++
@@ -651,69 +662,67 @@ func (e *OnlineEngine) PushInto(rets []float64, dst *Matrix) (ready bool, err er
 	if !e.Ready() {
 		return false, nil
 	}
-	// Unroll the rings into contiguous scratch, oldest first.
-	for i := range e.windows {
-		w := e.windows[i]
-		s := e.scratch[i]
-		k := copy(s, w[e.head:])
-		copy(s[k:], w[:e.head])
-	}
 	e.matrix(dst)
 	return true, nil
 }
 
-// matrix computes all pairwise coefficients of the current scratch
-// windows: per-stock state first (window sums for Pearson, cold
-// initialisers for the robust types when some pair needs one), then
-// cache tiles of pairs scheduled across workers by work stealing.
-// Every pair owns its matrix slot and warm-fit entry and worker
-// batch kernels are exchanged only through the steal pool's
-// happens-before, so any schedule yields the same matrix. Every
-// selected pair's slot of m is written.
+// segments returns the ring's rows in chronological order as two
+// slices of whole rows: the slots from the head on, then those before
+// it (empty when the head is 0).
+func (e *OnlineEngine) segments() (seg0, seg1 []float64) {
+	h := e.head * e.stride
+	return e.rows[h:], e.rows[:h]
+}
+
+// matrix computes all selected pairwise coefficients of the current
+// window. Pearson fills the whole cross-moment table, one row pair per
+// task, and reads each selected pair's three sums from it. The robust
+// types unroll the ring into per-stock scratch windows, refresh the
+// cold initialisers when some pair needs one, and run cache tiles of
+// pairs through the batched kernel. Tasks are scheduled across
+// workers by work stealing; every task owns its table rows or its
+// pairs' matrix slots and warm fits, and worker batch kernels are
+// exchanged only through the steal pool's happens-before, so any
+// schedule yields the same matrix. Every selected pair's slot of m is
+// written.
 func (e *OnlineEngine) matrix(m *Matrix) {
 	pairs := e.pairs
-	workers := len(e.pool)
-	if workers > len(e.tiles) {
-		workers = len(e.tiles)
-	}
 	switch e.cfg.Type {
 	case Pearson:
-		// Univariate sums and normalisers once per stock per push; each
-		// pair then computes only the cross moment. Per-sum addition
-		// order is identical to PearsonCorr's fused loop, so
-		// coefficients are bit-identical to the per-pair form.
-		fn := float64(e.cfg.M)
-		for i, s := range e.scratch {
-			var sx, sxx float64
-			for _, v := range s {
-				sx += v
-				sxx += v * v
-			}
-			e.sums[i], e.sumSqs[i] = sx, sxx
-			e.invs[i] = pearsonInvStd(sxx, sx, fn)
-		}
-		sched.Steal(workers, len(e.tiles), func(w, ti int) {
-			tile := e.tiles[ti]
-			for q := 0; q < len(tile); q += 4 {
-				// Four pairs per pass; a ragged tail repeats the tile's
-				// last pair and drops its extra sums.
-				var quad [4]taq.Pair
-				for l := range quad {
-					quad[l] = pairs[tile[min(q+l, len(tile)-1)]]
-				}
-				sxy := crossMoments4(e.scratch, &quad)
-				for l, k := range tile[q:min(q+4, len(tile))] {
-					p := quad[l]
-					rx, ry := e.invs[p.I], e.invs[p.J]
-					if rx == 0 || ry == 0 {
-						m.SetPair(k, 0)
-						continue
-					}
-					m.SetPair(k, clampCorr((sxy[l]-e.sums[p.I]*e.sums[p.J]/fn)*rx*ry))
-				}
-			}
+		n, st := e.n, e.stride
+		seg0, seg1 := e.segments()
+		sched.Steal(e.workers, (n+1)/2, func(_, p int) {
+			crossMoments(e.simd, e.tab, seg0, seg1, st, 2*p)
 		})
+		// The normaliser is the batch engine's pearsonInvStd of the
+		// same sums, so coefficients are bit-identical to the
+		// per-pair form.
+		fn := float64(e.cfg.M)
+		for i := range e.invs {
+			e.invs[i] = pearsonInvStd(e.tab[i*st+i], e.tab[i*st+n], fn)
+		}
+		for _, k := range e.sel {
+			p := pairs[k]
+			rx, ry := e.invs[p.I], e.invs[p.J]
+			if rx == 0 || ry == 0 {
+				m.SetPair(k, 0)
+				continue
+			}
+			sxy, sx, sy := e.tab[p.I*st+p.J], e.tab[p.I*st+n], e.tab[p.J*st+n]
+			m.SetPair(k, clampCorr((sxy-sx*sy/fn)*rx*ry))
+		}
 	case Maronna, Combined:
+		// Unroll the ring into contiguous scratch, oldest first.
+		seg0, seg1 := e.segments()
+		t := 0
+		for _, seg := range [2][]float64{seg0, seg1} {
+			for r := 0; r < len(seg); r += e.stride {
+				for i, x := range seg[r : r+e.n] {
+					e.scratch[i][t] = x
+				}
+				t++
+			}
+		}
 		// Shared cold initialisers are only worth refreshing on pushes
 		// where some chain actually restarts (the first ready window,
 		// and after degenerate fits); mid-stream warm fallbacks are
@@ -728,7 +737,7 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 				break
 			}
 		}
-		sched.Steal(workers, len(e.tiles), func(w, ti int) {
+		sched.Steal(len(e.pool), len(e.tiles), func(w, ti int) {
 			b := e.pool[w]
 			if b == nil {
 				b = newPairBatch(e.est.Config(), !e.cfg.DisableSIMD)
@@ -757,27 +766,4 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 			}
 		})
 	}
-}
-
-// crossMoments4 returns the cross moments Σ x[i]·y[i] of four pairs,
-// x = win[p.I] and y = win[p.J], over windows of one length. Each pair
-// has its own accumulator and adds its products for i = 0…M−1, the
-// order of a lone pair's loop, so every sum is bit-identical to it;
-// the four add chains are independent, so they overlap instead of
-// each waiting on the previous pair's last add.
-func crossMoments4(win [][]float64, quad *[4]taq.Pair) [4]float64 {
-	x0, y0 := win[quad[0].I], win[quad[0].J]
-	n := len(x0)
-	y0 = y0[:n]
-	x1, y1 := win[quad[1].I][:n], win[quad[1].J][:n]
-	x2, y2 := win[quad[2].I][:n], win[quad[2].J][:n]
-	x3, y3 := win[quad[3].I][:n], win[quad[3].J][:n]
-	var s0, s1, s2, s3 float64
-	for i := range x0 {
-		s0 += x0[i] * y0[i]
-		s1 += x1[i] * y1[i]
-		s2 += x2[i] * y2[i]
-		s3 += x3[i] * y3[i]
-	}
-	return [4]float64{s0, s1, s2, s3}
 }

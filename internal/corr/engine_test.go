@@ -208,6 +208,20 @@ func TestOnlineEngineMatchesBatch(t *testing.T) {
 	}
 }
 
+// brokerSplit deals an n-stock universe's pair ids to parts subsets
+// by the broker's PartitionOf hash, ascending within each.
+func brokerSplit(n, parts int) [][]int {
+	split := make([][]int, parts)
+	for id := 0; id < n*(n-1)/2; id++ {
+		h := uint64(id) + 0x9e3779b97f4a7c15
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
+		split[h%uint64(parts)] = append(split[h%uint64(parts)], id)
+	}
+	return split
+}
+
 // onlinePearsonDigest is the FNV-64a of every online Pearson matrix in
 // TestOnlinePearsonMatchesParentDigest's corpus, taken at the commit
 // before the cross moments were summed four pairs per pass.
@@ -223,15 +237,8 @@ const onlinePearsonDigest = 0xff95ac67532a99f7
 func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 	const n, T = 13, 70
 	rets := syntheticReturns(71, n, T)
-	// The broker's PartitionOf hash over two partitions: 39 + 39 pairs.
-	var split [2][]int
-	for id := 0; id < n*(n-1)/2; id++ {
-		h := uint64(id) + 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
-		split[h%2] = append(split[h%2], id)
-	}
+	// The broker's split over two partitions: 39 + 39 pairs.
+	split := brokerSplit(n, 2)
 	for _, part := range split {
 		if len(part)%2 == 0 {
 			t.Fatalf("subset of %d pairs, want an odd count", len(part))

@@ -58,15 +58,12 @@ func BenchmarkMatrixEngineTileSize(b *testing.B) {
 
 // BenchmarkOnlinePushPearson is one interval of the online Pearson
 // engine at the benchmark's scale: 61 stocks (1830 pairs), M = 100,
-// one worker, pushing into a reused matrix.
+// pushing into a reused matrix. "full" is one engine over the whole
+// triangle on each tier; "split-P" is the broker's P-partition split,
+// P subset engines of one worker each, all pushed per op.
 func BenchmarkOnlinePushPearson(b *testing.B) {
 	const n, m, T = 61, 100, 400
 	rets := syntheticReturns(20080301, n, T)
-	e, err := NewOnlineEngine(EngineConfig{Type: Pearson, M: m, Workers: 1}, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := NewMatrix(n)
 	vecs := make([][]float64, T)
 	for u := range vecs {
 		vecs[u] = make([]float64, n)
@@ -74,16 +71,50 @@ func BenchmarkOnlinePushPearson(b *testing.B) {
 			vecs[u][i] = rets[i][u]
 		}
 	}
-	for _, v := range vecs[:m] {
-		if _, err := e.PushInto(v, dst); err != nil {
-			b.Fatal(err)
-		}
+	layouts := []struct {
+		name string
+		cfgs []EngineConfig
+	}{
+		{"full", []EngineConfig{{}}},
+		{"full-scalar", []EngineConfig{{DisableSIMD: true}}},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.PushInto(vecs[i%T], dst); err != nil {
-			b.Fatal(err)
+	for _, parts := range []int{2, 4, 8} {
+		var cfgs []EngineConfig
+		for _, sel := range brokerSplit(n, parts) {
+			cfgs = append(cfgs, EngineConfig{Pairs: sel})
 		}
+		layouts = append(layouts, struct {
+			name string
+			cfgs []EngineConfig
+		}{fmt.Sprintf("split-%d", parts), cfgs})
+	}
+	for _, l := range layouts {
+		b.Run(l.name, func(b *testing.B) {
+			engines := make([]*OnlineEngine, len(l.cfgs))
+			for i, cfg := range l.cfgs {
+				cfg.Type, cfg.M, cfg.Workers = Pearson, m, 1
+				e, err := NewOnlineEngine(cfg, n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				engines[i] = e
+			}
+			dst := NewMatrix(n)
+			push := func(v []float64) {
+				for _, e := range engines {
+					if _, err := e.PushInto(v, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			for _, v := range vecs[:m] {
+				push(v)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				push(vecs[i%T])
+			}
+		})
 	}
 }

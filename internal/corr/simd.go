@@ -2,15 +2,17 @@ package corr
 
 import "sync/atomic"
 
-// SIMD dispatch. The batched Maronna kernel (pairBatch) has a
-// hand-written amd64 AVX2 backend that executes the weight passes in
+// SIMD dispatch. Two kernels have a hand-written amd64 AVX2 backend.
+// The batched Maronna kernel (pairBatch) executes the weight passes in
 // lane-major lockstep: the active lanes' window data is transposed
 // into obs-major tiles and four lanes advance per vector instruction,
-// each lane's accumulators pinned to its own vector slot. Because a
-// lane's operation sequence is exactly the scalar reference's — same
-// expressions, same order, one IEEE operation per IEEE operation — the
-// vector path is bit-identical to the pure-Go kernel (see DESIGN.md
-// §10 for the full argument).
+// each lane's accumulators pinned to its own vector slot. The online
+// engine's Pearson cross-moment kernel (crossmoment.go) runs two ring
+// columns against 16 columns per pass, one accumulator lane per table
+// entry. Because a lane's operation sequence is exactly the pure-Go
+// kernel's — same expressions, same order, one IEEE operation per IEEE
+// operation, no FMA — each vector path is bit-identical to its pure-Go
+// kernel (see DESIGN.md §10 for the full argument).
 //
 // Dispatch has one rule: the vector tier runs when the build targets
 // amd64 and CPUID (AVX2 plus OS YMM-state support) reports it at
@@ -23,11 +25,12 @@ import "sync/atomic"
 // SIMD dispatch tier names, as reported by SIMDTier.
 const (
 	// SIMDTierScalar is the pure-Go fallback: the pre-SIMD batched
-	// kernel, used on non-amd64 builds, hosts without AVX2, and
-	// requests with EngineConfig.DisableSIMD set.
+	// kernel and the pure-Go cross-moment kernel, used on non-amd64
+	// builds, hosts without AVX2, and requests with
+	// EngineConfig.DisableSIMD set.
 	SIMDTierScalar = "scalar"
 	// SIMDTierAVX2 is the amd64 AVX2 backend: the 4-wide f64
-	// lane-major kernels.
+	// lane-major Maronna kernels and the cross-moment kernel.
 	SIMDTierAVX2 = "avx2"
 )
 

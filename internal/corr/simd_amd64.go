@@ -4,9 +4,9 @@ package corr
 
 // Arch-specific half of the SIMD dispatch: CPUID feature detection and
 // the Go declarations of the hand-written AVX2 kernels in
-// maronna_amd64.s. The build tag pair (`amd64` here, `!amd64` in
-// simd_fallback.go) guarantees exactly one definition of each symbol
-// in every build configuration.
+// maronna_amd64.s and crossmoment_amd64.s. The build tag pair (`amd64`
+// here, `!amd64` in simd_fallback.go) guarantees exactly one definition
+// of each symbol in every build configuration.
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -59,3 +59,10 @@ func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k,
 //
 //go:noescape
 func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64)
+
+// crossMomentsAVX2 is the vector cross-moment kernel: the table's row
+// pair (i, i+1) over n0 ring rows from seg0 then n1 from seg1, with
+// crossMomentsGo's layout and per-element order (crossmoment_amd64.s).
+//
+//go:noescape
+func crossMomentsAVX2(tab, seg0, seg1 *float64, n0, n1, stride, i int)

@@ -4,9 +4,10 @@ package corr
 
 // Pure-Go half of the SIMD dispatch: on non-amd64 builds there is no
 // vector backend, simdDetect reports false, and the batch kernel runs
-// the scalar path. The kernel stubs exist only so batch.go compiles
-// everywhere; dispatch guarantees they are never called (pairBatch.simd
-// is false when simdDetect is).
+// the scalar path. The kernel stubs exist only so batch.go and
+// crossmoment.go compile everywhere; dispatch guarantees they are never
+// called (pairBatch.simd and OnlineEngine.simd are false when
+// simdDetect is).
 
 func simdDetect() bool { return false }
 
@@ -16,4 +17,8 @@ func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k,
 
 func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64) {
 	panic("corr: maronnaScatter4 called without SIMD support")
+}
+
+func crossMomentsAVX2(tab, seg0, seg1 *float64, n0, n1, stride, i int) {
+	panic("corr: crossMomentsAVX2 called without SIMD support")
 }

@@ -28,11 +28,12 @@ type FitState struct {
 }
 
 // EngineSnapshot is the complete warm state of an OnlineEngine at an
-// interval boundary: the ring windows (as stored, head-aligned), the
+// interval boundary: the ring windows (one per stock, indexed by ring
+// slot, so head-aligned), the
 // ring cursor, and the warm fits of the robust types — one per selected
 // pair, in ascending pair-id order (the whole triangle unless the
-// engine computes a subset). Shared
-// per-push state (window sums, cold initialisers, scratch copies) is
+// engine computes a subset). Shared per-push state (the cross-moment
+// table, cold initialisers, scratch copies) is
 // deliberately absent — it is recomputed from the windows on the next
 // Push, so a restored engine produces bit-identical matrices to one
 // that never stopped.
@@ -80,8 +81,12 @@ func (e *OnlineEngine) Snapshot() *EngineSnapshot {
 		Count:  e.count,
 	}
 	s.Windows = make([][]float64, e.n)
-	for i, w := range e.windows {
-		s.Windows[i] = append([]float64(nil), w...)
+	for i := range s.Windows {
+		w := make([]float64, e.cfg.M)
+		for slot := range w {
+			w[slot] = e.rows[slot*e.stride+i]
+		}
+		s.Windows[i] = w
 	}
 	if e.fits != nil {
 		s.Fits = make([]FitState, len(e.sel))
@@ -108,7 +113,9 @@ func (e *OnlineEngine) Restore(s *EngineSnapshot) error {
 		return fmt.Errorf("corr: restore: %w", err)
 	}
 	for i, w := range s.Windows {
-		copy(e.windows[i], w)
+		for slot, v := range w {
+			e.rows[slot*e.stride+i] = v
+		}
 	}
 	e.head = s.Head
 	e.count = s.Count

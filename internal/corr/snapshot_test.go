@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,6 +111,29 @@ func TestEngineSnapshotResumeBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRejectedPushLeavesEngineUntouched: a vector PushInto rejects as
+// non-finite must not reach the ring, even in the stocks before the bad
+// value, so a snapshot taken after the failed call equals one taken
+// before it.
+func TestRejectedPushLeavesEngineUntouched(t *testing.T) {
+	const n, m = 3, 4
+	rets := snapReturns(m+2, n, 29)
+	for _, typ := range Types() {
+		e, err := NewOnlineEngine(EngineConfig{Type: typ, M: m}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushAll(t, e, rets)
+		before := e.Snapshot()
+		if _, err := e.PushInto([]float64{9, math.NaN(), 1}, NewMatrix(n)); err == nil {
+			t.Fatalf("%v: NaN return accepted", typ)
+		}
+		if after := e.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%v: rejected push changed the engine:\nbefore %+v\nafter  %+v", typ, before, after)
+		}
 	}
 }
 

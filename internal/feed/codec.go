@@ -127,7 +127,10 @@ type Hello struct {
 }
 
 // Batch is a sequence-numbered group of quotes from one trading day.
-// Seq starts at 1 and increments by exactly 1 per batch.
+// Seq starts at 1 and increments by exactly 1 per batch. A Batch that
+// Decoder.Read returns shares its Quotes with the decoder, which
+// decodes the next batch into the same memory: they are valid until
+// the next Read, so a consumer copies out any quote it keeps.
 type Batch struct {
 	Seq    uint64
 	Day    int
@@ -278,8 +281,10 @@ func (e *Encoder) WriteSubscribe(s *Subscribe) error {
 type Decoder struct {
 	r       *bufio.Reader
 	symbols []string
+	hdr     [frameHeaderSize]byte // a field, so reading it does not allocate
 	buf     []byte
-	off     int64 // bytes of the frames decoded so far
+	quotes  []taq.Quote // the last batch's quotes, reused by the next
+	off     int64       // bytes of the frames decoded so far
 }
 
 // NewDecoder wraps r.
@@ -296,7 +301,7 @@ func (d *Decoder) Offset() int64 { return d.off }
 // between frames, io.ErrUnexpectedEOF when a frame is torn, and errors
 // wrapping ErrProtocol for structural corruption.
 func (d *Decoder) Read() (Frame, error) {
-	var hdr [frameHeaderSize]byte
+	hdr := d.hdr[:]
 	if _, err := io.ReadFull(d.r, hdr[:1]); err != nil {
 		return nil, err // io.EOF here is a clean close
 	}
@@ -449,7 +454,10 @@ func (d *Decoder) decodeBatch(p []byte) (*Batch, error) {
 	if len(p) != count*quoteWireSize {
 		return nil, protoErrf("batch declares %d quotes but carries %d bytes", count, len(p))
 	}
-	b.Quotes = make([]taq.Quote, count)
+	if cap(d.quotes) < count {
+		d.quotes = make([]taq.Quote, count)
+	}
+	b.Quotes = d.quotes[:count]
 	for i := 0; i < count; i++ {
 		rec := p[i*quoteWireSize:]
 		idx := int(binary.LittleEndian.Uint16(rec))

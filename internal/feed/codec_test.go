@@ -295,3 +295,61 @@ func TestCodecCompactness(t *testing.T) {
 		t.Errorf("binary %d bytes ≥ CSV %d bytes", bin.Len(), csv.Len())
 	}
 }
+
+// TestDecodeBatchReusesQuotes: decoding a batch frame allocates only
+// the Batch itself; its quotes land in the memory the previous batch
+// used, and still decode exactly.
+func TestDecodeBatchReusesQuotes(t *testing.T) {
+	u := testUniverse(t)
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, u)
+	if err := enc.WriteHello(&Hello{Version: ProtocolVersion, Symbols: u.Symbols()}); err != nil {
+		t.Fatal(err)
+	}
+	helloLen := buf.Len()
+	first, second := testQuotes(u, 300, 4), testQuotes(u, 200, 5)
+	var ends []int
+	for i, qs := range [][]taq.Quote{first, second} {
+		if err := enc.WriteBatch(&Batch{Seq: uint64(i + 1), Day: qs[0].Day, Quotes: qs}); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	stream := buf.Bytes()
+	rd := bytes.NewReader(stream)
+	dec := NewDecoder(rd)
+	if _, err := dec.Read(); err != nil {
+		t.Fatal(err)
+	}
+	var prev *taq.Quote
+	for _, want := range [][]taq.Quote{first, second} {
+		f, err := dec.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := f.(*Batch).Quotes
+		if len(got) != len(want) {
+			t.Fatalf("%d quotes, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("quote %d: got %+v want %+v", i, got[i], want[i])
+			}
+		}
+		if prev != nil && &got[0] != prev {
+			t.Error("second batch did not reuse the first batch's quotes")
+		}
+		prev = &got[0]
+	}
+	// One batch frame, decoded again and again.
+	frame := stream[helloLen:ends[0]]
+	allocs := testing.AllocsPerRun(50, func() {
+		rd.Reset(frame)
+		if _, err := dec.Read(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("decoding one batch frame allocates %v times, want ≤ 1", allocs)
+	}
+}
