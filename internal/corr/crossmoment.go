@@ -21,10 +21,11 @@ package corr
 
 // crossMomentsGo is the pure-Go cross-moment kernel for the row pair
 // (i, i+1) over the ring segments seg0 then seg1 (whole rows of length
-// stride). It adds each ring row's products into the two table rows
-// in place, so each table entry is one add chain in chronological
-// order. Every product is written float64(x*y), which the Go spec
-// rounds before the add, so no port may fuse it into an FMA.
+// stride). It adds ring rows' products into the two table rows in
+// place, four ring rows per pass over the table rows and then one at a
+// time, so each table entry is one add chain in chronological order.
+// Every product is written float64(x*y), which the Go spec rounds
+// before the add, so no port may fuse it into an FMA.
 func crossMomentsGo(tab, seg0, seg1 []float64, stride, i int) {
 	c := i &^ 3
 	ra := tab[i*stride+c : (i+1)*stride]
@@ -32,15 +33,36 @@ func crossMomentsGo(tab, seg0, seg1 []float64, stride, i int) {
 	clear(ra)
 	clear(rb)
 	rb = rb[:len(ra)]
+	// col returns ring row r's stocks i and i+1 and its columns c….
+	col := func(row []float64) (x, y float64, v []float64) {
+		v = row[c:]
+		return row[i], row[i+1], v[:len(ra)]
+	}
 	for _, seg := range [2][]float64{seg0, seg1} {
-		for o := 0; o < len(seg); o += stride {
-			row := seg[o : o+stride]
-			x, y := row[i], row[i+1]
-			v := row[c:]
-			v = v[:len(ra)]
-			for k, w := range v {
-				ra[k] += float64(x * w)
-				rb[k] += float64(y * w)
+		o := 0
+		for ; o+4*stride <= len(seg); o += 4 * stride {
+			x0, y0, v0 := col(seg[o:])
+			x1, y1, v1 := col(seg[o+stride:])
+			x2, y2, v2 := col(seg[o+2*stride:])
+			x3, y3, v3 := col(seg[o+3*stride:])
+			for k := range ra {
+				a, b := ra[k], rb[k]
+				a += float64(x0 * v0[k])
+				b += float64(y0 * v0[k])
+				a += float64(x1 * v1[k])
+				b += float64(y1 * v1[k])
+				a += float64(x2 * v2[k])
+				b += float64(y2 * v2[k])
+				a += float64(x3 * v3[k])
+				b += float64(y3 * v3[k])
+				ra[k], rb[k] = a, b
+			}
+		}
+		for ; o < len(seg); o += stride {
+			x, y, v := col(seg[o:])
+			for k := range ra {
+				ra[k] += float64(x * v[k])
+				rb[k] += float64(y * v[k])
 			}
 		}
 	}

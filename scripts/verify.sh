@@ -59,10 +59,20 @@ echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 worker
 focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
     ./internal/backtest ./internal/series ./internal/market
 
-echo "== online hot loops: pinned online Pearson and C̄ digests, PushInto's partial write, the collector's blocked send under cancel, Restore's ring-cursor check"
-focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineEngineMatchesBatch|TestPushIntoReusesOneMatrix|TestOnlineEnginePairSubset|TestEngineSnapshotResumeBitIdentical|TestEngineRestoreRejectsBadSnapshots|FuzzEngineRestore' ./internal/corr
+echo "== online hot loops: pinned online Pearson digest on both kernel tiers, online robust coefficients = batch day series, the cross-moment kernel oracle, a rejected push leaves the engine untouched, PushInto's partial write, pinned C̄ digest, one allocation per decoded batch, the collector's blocked send under cancel, Restore's ring-cursor check"
+focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineMatchesDaySeries|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel|TestRejectedPushLeavesEngineUntouched|TestOnlineEngineMatchesBatch|TestPushIntoReusesOneMatrix|TestOnlineEnginePairSubset|TestEngineSnapshotResumeBitIdentical|TestEngineRestoreRejectsBadSnapshots|FuzzEngineRestore' ./internal/corr
 focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval' ./internal/broker
-focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumerStalled' ./internal/feed
+focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumerStalled|TestDecodeBatchReusesQuotes' ./internal/feed
+
+echo "== the pinned online tests on the pure-Go kernel tier: a 386 test binary runs on an x86-64 host and has no AVX2 backend (and no -race)"
+case $(go env GOHOSTARCH) in
+amd64 | 386)
+    GOARCH=386 go test -run 'TestOnlinePearsonMatchesParentDigest|TestOnlineMatchesDaySeries|TestEngineSnapshotResumeBitIdentical|TestEngineFingerprintPinned|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel' ./internal/corr
+    ;;
+*)
+    echo "skipped: host is $(go env GOHOSTARCH)"
+    ;;
+esac
 
 echo "== engine snapshot fingerprint: the exact strings saved snapshots carry, psd=false included"
 focus 'TestEngineFingerprintPinned' ./internal/corr
