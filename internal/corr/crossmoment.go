@@ -15,7 +15,8 @@ package corr
 // to it. The chronological order is the ring's two segments: the
 // slots from the head to the end, then the slots before the head.
 //
-// Both kernels below fill rows i and i+1 of the table (one row pair)
+// Both kernels (crossMomentsGo here, crossMomentsAVX2 in
+// crossmoment_amd64.s) fill rows i and i+1 of the table (one row pair)
 // for columns i&^3 … stride−1, which covers j ≥ i; the few columns
 // left of i and the padding columns are computed and never read.
 

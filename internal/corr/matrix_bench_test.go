@@ -71,27 +71,21 @@ func BenchmarkOnlinePushPearson(b *testing.B) {
 			vecs[u][i] = rets[i][u]
 		}
 	}
-	layouts := []struct {
-		name string
-		cfgs []EngineConfig
-	}{
-		{"full", []EngineConfig{{}}},
-		{"full-scalar", []EngineConfig{{DisableSIMD: true}}},
+	layouts := map[string][]EngineConfig{
+		"full":        {{}},
+		"full-scalar": {{DisableSIMD: true}},
 	}
 	for _, parts := range []int{2, 4, 8} {
 		var cfgs []EngineConfig
 		for _, sel := range brokerSplit(n, parts) {
 			cfgs = append(cfgs, EngineConfig{Pairs: sel})
 		}
-		layouts = append(layouts, struct {
-			name string
-			cfgs []EngineConfig
-		}{fmt.Sprintf("split-%d", parts), cfgs})
+		layouts[fmt.Sprintf("split-%d", parts)] = cfgs
 	}
-	for _, l := range layouts {
-		b.Run(l.name, func(b *testing.B) {
-			engines := make([]*OnlineEngine, len(l.cfgs))
-			for i, cfg := range l.cfgs {
+	for name, cfgs := range layouts {
+		b.Run(name, func(b *testing.B) {
+			engines := make([]*OnlineEngine, len(cfgs))
+			for i, cfg := range cfgs {
 				cfg.Type, cfg.M, cfg.Workers = Pearson, m, 1
 				e, err := NewOnlineEngine(cfg, n)
 				if err != nil {
