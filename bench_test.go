@@ -33,6 +33,7 @@ import (
 	"marketminer/internal/market"
 	"marketminer/internal/portfolio"
 	"marketminer/internal/strategy"
+	"marketminer/internal/sweep"
 	"marketminer/internal/taq"
 )
 
@@ -206,7 +207,7 @@ func BenchmarkSectionV_IntegratedSweepDay(b *testing.B) {
 	cfg := sweepDayConfig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := backtest.Run(context.Background(), cfg); err != nil {
+		if _, err := sweep.Backtest(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,7 +220,7 @@ func BenchmarkSectionV_FarmSweepDay(b *testing.B) {
 	cfg := sweepDayConfig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := backtest.Farm(context.Background(), cfg); err != nil {
+		if _, err := sweep.Farm(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,7 +471,7 @@ func BenchmarkAblationCosts(b *testing.B) {
 			var sum float64
 			var n int
 			for i := 0; i < b.N; i++ {
-				res, err := backtest.Run(context.Background(), cfg)
+				res, err := sweep.Backtest(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -145,9 +145,6 @@ func run(o options) error {
 	if o.journal != "" {
 		res, err = runOrchestrated(cfg, shard, o)
 	} else {
-		cfg.Progress = func(day, total, trades int) {
-			fmt.Printf("  day %2d/%d: %6d trades\n", day+1, total, trades)
-		}
 		res, err = marketminer.RunBacktest(context.Background(), cfg)
 	}
 	if err != nil {

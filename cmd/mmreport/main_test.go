@@ -19,7 +19,7 @@ func tinyConfig() marketminer.BacktestConfig {
 
 func writeResults(t *testing.T) string {
 	t.Helper()
-	res, err := backtest.Run(context.Background(), tinyConfig())
+	res, err := sweep.Backtest(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunMergesShardJournals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := backtest.Run(context.Background(), cfg)
+	want, err := sweep.Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

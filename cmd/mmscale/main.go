@@ -29,6 +29,7 @@ import (
 	"marketminer/internal/prof"
 	"marketminer/internal/report"
 	"marketminer/internal/strategy"
+	"marketminer/internal/sweep"
 	"marketminer/internal/taq"
 )
 
@@ -132,7 +133,7 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 		return err
 	}
 	startFarm := time.Now()
-	farmRes, err := backtest.Farm(ctx, cfg)
+	farmRes, err := sweep.Farm(ctx, cfg)
 	if err != nil {
 		stopProf()
 		return err
@@ -140,7 +141,7 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 	farmSec := time.Since(startFarm).Seconds()
 
 	startInt := time.Now()
-	intRes, err := backtest.Run(ctx, cfg)
+	intRes, err := sweep.Backtest(ctx, cfg)
 	if err != nil {
 		stopProf()
 		return err

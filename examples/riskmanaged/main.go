@@ -20,6 +20,7 @@ import (
 	"marketminer/internal/portfolio"
 	"marketminer/internal/risk"
 	"marketminer/internal/strategy"
+	"marketminer/internal/sweep"
 	"marketminer/internal/taq"
 )
 
@@ -77,12 +78,12 @@ func main() {
 		Market: mc,
 		Levels: []strategy.Params{p},
 	}
-	gross, err := backtest.Run(context.Background(), cfg)
+	gross, err := sweep.Backtest(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg.Costs = portfolio.CostModel{Commission: 0.005, SpreadCross: 1}
-	net, err := backtest.Run(context.Background(), cfg)
+	net, err := sweep.Backtest(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,22 +1,20 @@
-// Package backtest orchestrates the paper's Section IV experiment: for
-// every pair p ∈ Φ, every parameter set k ∈ K and every trading day t,
-// run the canonical strategy and collect the return sets R_p^{t,k}.
+// Package backtest holds the paper's Section IV experiment model: the
+// sweep configuration (every pair p ∈ Φ, every parameter set k ∈ K,
+// every trading day t), the collected return sets R_p^{t,k} with their
+// Section V aggregates and JSON form, day preparation (generate →
+// clean → sample → log-returns) and the one conversion of trades to
+// returns net of costs.
 //
-// Three runners reproduce the paper's three approaches:
-//
-//   - RunPairDaySequential — the Matlab Approach-2 unit of work: one
-//     (pair, day, parameter set) return vector computed in isolation,
-//     including its own correlation series. Its wall time is the
-//     analogue of the paper's "approximately 2 seconds".
-//   - Farm — Approach 2 at scale: independent per-(pair, set) jobs on
-//     an SGE-like scheduler (internal/sched), sharing nothing.
-//   - Run — Approach 3, the integrated MarketMiner path: each day's
-//     correlation series is computed once per (Ctype, M) by the
-//     parallel engine and shared by every pair and parameter set.
+// RunPairDaySequential is the Matlab Approach-2 unit of work: one
+// (pair, day, parameter set) return vector computed in isolation,
+// including its own correlation series. Its wall time is the analogue
+// of the paper's "approximately 2 seconds". The sweep drivers that
+// fill a Result — the integrated Approach-3 sweep and the per-pair
+// Approach-2 farm — live in internal/sweep, with the day cache they
+// share.
 package backtest
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,7 +24,6 @@ import (
 	"marketminer/internal/market"
 	"marketminer/internal/metrics"
 	"marketminer/internal/portfolio"
-	"marketminer/internal/sched"
 	"marketminer/internal/screen"
 	"marketminer/internal/series"
 	"marketminer/internal/strategy"
@@ -59,8 +56,6 @@ type Config struct {
 	Screen screen.Config
 	// Workers bounds parallelism; ≤ 0 means GOMAXPROCS.
 	Workers int
-	// Progress, when non-nil, receives a line per completed day.
-	Progress func(day, totalDays, trades int)
 }
 
 // ResolvedWorkers returns the effective worker count (GOMAXPROCS when
@@ -91,12 +86,6 @@ func (c Config) ResolvedTypes() []corr.Type {
 	return corr.Types()
 }
 
-func (c Config) workers() int { return c.ResolvedWorkers() }
-
-func (c Config) levels() []strategy.Params { return c.ResolvedLevels() }
-
-func (c Config) types() []corr.Type { return c.ResolvedTypes() }
-
 // Result is the collected return data of one sweep.
 type Result struct {
 	Universe *taq.Universe
@@ -107,6 +96,34 @@ type Result struct {
 	// paramIdx = typeIdx*len(Levels) + levelIdx.
 	Series     [][]metrics.PairParamSeries
 	TradeCount int64
+}
+
+// NewResult allocates the empty Result of a sweep over uni's pairs,
+// levels × types parameter sets and days, with one (nil) return set
+// slot per pair × parameter set × day for the drivers to fill.
+func NewResult(uni *taq.Universe, levels []strategy.Params, types []corr.Type, days int) *Result {
+	res := &Result{Universe: uni, Levels: levels, Types: types, Days: days}
+	res.Series = make([][]metrics.PairParamSeries, uni.NumPairs())
+	for p := range res.Series {
+		res.Series[p] = make([]metrics.PairParamSeries, len(levels)*len(types))
+		for k := range res.Series[p] {
+			res.Series[p][k].Daily = make([][]float64, days)
+		}
+	}
+	return res
+}
+
+// CountTrades returns the number of trade returns r holds.
+func (r *Result) CountTrades() int64 {
+	var n int64
+	for p := range r.Series {
+		for k := range r.Series[p] {
+			for _, day := range r.Series[p][k].Daily {
+				n += int64(len(day))
+			}
+		}
+	}
+	return n
 }
 
 // NumPairs returns |Φ|.
@@ -160,7 +177,7 @@ func PrepareDay(cfg Config, gen *market.Generator, day int) (*DayData, error) {
 	}
 	// One buffer per worker plus the one the generator fills: drawn
 	// quotes are recycled, never accumulated.
-	workers := min(cfg.workers(), n)
+	workers := min(cfg.ResolvedWorkers(), n)
 	runs := make(chan stockRun)
 	free := make(chan []taq.Quote, workers+1)
 	for k := 0; k <= workers; k++ {
@@ -217,7 +234,7 @@ func prepareStock(cc clean.Config, grid series.Grid, quotes []taq.Quote) (prices
 // deltaSOf returns the grid resolution; all Table I vectors share
 // ∆s = 30 s, and Config validation enforces that agreement.
 func deltaSOf(cfg Config) int {
-	levels := cfg.levels()
+	levels := cfg.ResolvedLevels()
 	if len(levels) == 0 {
 		return 30
 	}
@@ -226,7 +243,7 @@ func deltaSOf(cfg Config) int {
 
 // Validate checks the configuration is runnable.
 func (c Config) Validate() error {
-	levels := c.levels()
+	levels := c.ResolvedLevels()
 	if len(levels) == 0 {
 		return fmt.Errorf("backtest: no parameter levels")
 	}
@@ -239,7 +256,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("backtest: mixed ∆s in levels (%d vs %d)", p.DeltaS, ds)
 		}
 	}
-	if len(c.types()) == 0 {
+	if len(c.ResolvedTypes()) == 0 {
 		return fmt.Errorf("backtest: no correlation types")
 	}
 	if err := c.Costs.Validate(); err != nil {
@@ -272,145 +289,32 @@ func TradeReturns(cfg Config, trades []strategy.Trade) []float64 {
 	return rets
 }
 
-// pairsPerJob is how many pairs one Run scheduler job backtests with
-// one DayGrid.
-const pairsPerJob = 64
-
-// Run executes the integrated (Approach 3) sweep: for each day the
-// correlation series is computed once per (Ctype, M) across all pairs
-// by the parallel engine, then every (pair, parameter set) strategy is
-// replayed against the shared series.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+// RunPairDaySequential reproduces the Matlab Approach-2 unit of work:
+// compute the correlation time series for one pair from scratch (no
+// sharing with other pairs or parameter sets) and backtest one
+// parameter set over one day. Its wall-clock time is the reproduction's
+// analogue of the paper's "approximately 2 seconds … on a dual core
+// Intel Pentium 4".
+func RunPairDaySequential(p strategy.Params, dd *DayData, pairI, pairJ, day int) ([]strategy.Trade, error) {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	gen, err := market.NewGenerator(cfg.Market)
+	x := dd.Returns[pairI]
+	y := dd.Returns[pairJ]
+	if len(x) < p.M {
+		return nil, fmt.Errorf("backtest: %d returns < M=%d", len(x), p.M)
+	}
+	// Single-pair, single-worker engine run: numerically identical to
+	// the shared series the integrated runner computes, but repeated
+	// per (pair, parameter set, day) — Approach 2's wasted work.
+	cs, err := corr.ComputeSeries(corr.EngineConfig{
+		Type:    p.Ctype,
+		M:       p.M,
+		Workers: 1,
+		Pairs:   []int{0},
+	}, [][]float64{x, y})
 	if err != nil {
 		return nil, err
 	}
-	// Adopt the generator's sanitised configuration (defaults filled).
-	cfg.Market = gen.Config()
-	uni := gen.Config().Universe
-	levels := cfg.levels()
-	types := cfg.types()
-	days := gen.Config().Days
-
-	res := &Result{Universe: uni, Levels: levels, Types: types, Days: days}
-	numPairs := uni.NumPairs()
-	numParams := len(levels) * len(types)
-	res.Series = make([][]metrics.PairParamSeries, numPairs)
-	for p := range res.Series {
-		res.Series[p] = make([]metrics.PairParamSeries, numParams)
-		for k := range res.Series[p] {
-			res.Series[p][k].Daily = make([][]float64, days)
-		}
-	}
-
-	pool := sched.New(cfg.workers())
-	pairs := taq.AllPairs(uni.Len())
-	allIDs := make([]int, numPairs)
-	for i := range allIDs {
-		allIDs[i] = i
-	}
-
-	// Group levels by window M so each (Ctype, M) series is computed
-	// exactly once per day — the paper's "overcoming the main
-	// bottleneck, the computation of all pair-wise correlations".
-	byM := map[int][]int{}
-	for li, p := range levels {
-		byM[p.M] = append(byM[p.M], li)
-	}
-
-	for d := 0; d < days; d++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dd, err := PrepareDay(cfg, gen, d)
-		if err != nil {
-			return nil, err
-		}
-		// Pre-screening: prune the pair triangle on the normalized
-		// price paths before any correlation work. Pruned pairs record
-		// empty (non-nil) return sets for every parameter set, so the
-		// result shape is unchanged.
-		runIDs := allIDs
-		if cfg.Screen.Enabled() {
-			keep, _, err := screen.Select(cfg.Screen, dd.Returns)
-			if err != nil {
-				return nil, err
-			}
-			runIDs = keep
-			kept := make([]bool, numPairs)
-			for _, pid := range keep {
-				kept[pid] = true
-			}
-			for pid := 0; pid < numPairs; pid++ {
-				if kept[pid] {
-					continue
-				}
-				for k := range res.Series[pid] {
-					res.Series[pid][k].Daily[d] = TradeReturns(cfg, nil)
-				}
-			}
-		}
-		day, err := corr.NewDay(dd.Returns)
-		if err != nil {
-			return nil, err
-		}
-		var dayTrades int64
-		for m, levelIdxs := range byM {
-			// One engine pass per (M): the robust treatments share a
-			// single warm-started Maronna fit per (pair, window), so
-			// Maronna + Combined cost one M-estimation, not two.
-			ec := corr.EngineConfig{M: m, Workers: cfg.workers()}
-			if cfg.Screen.Enabled() {
-				ec.Pairs = runIDs
-			}
-			css, err := day.Series(ec, types)
-			if err != nil {
-				return nil, err
-			}
-			for ti, ct := range types {
-				cs := css[ti]
-				ti, levelIdxs := ti, levelIdxs
-				gridLevels := make([]strategy.Params, len(levelIdxs))
-				for k, li := range levelIdxs {
-					gridLevels[k] = levels[li].WithType(ct)
-				}
-				// One DayGrid pass per pair serves every level of this
-				// series; each job reuses one grid over a run of pairs.
-				jobs := (len(runIDs) + pairsPerJob - 1) / pairsPerJob
-				err = pool.Map(ctx, jobs, func(ctx context.Context, j int) error {
-					grid, err := strategy.NewDayGrid(gridLevels)
-					if err != nil {
-						return err
-					}
-					for i := j * pairsPerJob; i < min((j+1)*pairsPerJob, len(runIDs)); i++ {
-						pid := runIDs[i]
-						pr := pairs[pid]
-						if err := grid.Run(cs.Corr[i], cs.FirstS, dd.PG, pr.I, pr.J, d); err != nil {
-							return err
-						}
-						for k, li := range levelIdxs {
-							res.Series[pid][ti*len(levels)+li].Daily[d] = TradeReturns(cfg, grid.Trades(k))
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		for p := range res.Series {
-			for k := range res.Series[p] {
-				dayTrades += int64(len(res.Series[p][k].Daily[d]))
-			}
-		}
-		res.TradeCount += dayTrades
-		if cfg.Progress != nil {
-			cfg.Progress(d, days, int(dayTrades))
-		}
-	}
-	return res, nil
+	return strategy.RunDay(p, cs.Corr[0], cs.FirstS, dd.PG, pairI, pairJ, day)
 }

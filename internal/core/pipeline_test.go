@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -146,40 +147,73 @@ func TestPipelineMultipleStrategyNodes(t *testing.T) {
 // streaming Figure-1 path and the production batch path
 // (backtest.PrepareDay → corr.Day.Series → strategy.DayGrid) produce
 // bit-identical trades from the same generated day, for every
-// correlation treatment.
+// correlation treatment: on the 4-stock test day, and on day 0 of a
+// 20-stock default market for the first base-grid level of each
+// window length M.
 func TestPipelineMatchesBatchBacktest(t *testing.T) {
-	u := testUniverse(t)
-	gen := testGenerator(t, u)
+	gen := testGenerator(t, testUniverse(t))
 	day, err := gen.GenerateDay(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ct := range corr.Types() {
 		t.Run(ct.String(), func(t *testing.T) {
-			p := pipelineParams().WithType(ct)
-			res, err := RunPipeline(context.Background(), PipelineConfig{
-				Universe: u,
-				Params:   []strategy.Params{p},
-				Workers:  1,
-			}, day.Quotes, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := batchTrades(t, gen, p)
-			if len(batch) == 0 {
-				t.Fatal("batch path produced no trades")
-			}
-			if len(res.Trades[0]) != len(batch) {
-				t.Fatalf("stream %d trades, batch %d", len(res.Trades[0]), len(batch))
-			}
-			for i := range batch {
-				a, b := res.Trades[0][i], batch[i]
-				if a.EntryS != b.EntryS || a.ExitS != b.ExitS || math.Float64bits(a.Return) != math.Float64bits(b.Return) {
-					t.Errorf("trade %d differs: stream %+v batch %+v", i, a, b)
-				}
-			}
+			matchBatch(t, gen, day.Quotes, pipelineParams().WithType(ct), 1)
 		})
 	}
+	if testing.Short() {
+		return
+	}
+	u, err := taq.NewUniverse(taq.DefaultSymbols()[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := market.DefaultConfig()
+	mc.Universe, mc.Days = u, 1
+	gen20, err := market.NewGenerator(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day20, err := gen20.GenerateDay(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lvl := range strategy.BaseGrid()[:3] { // M = 100, 50, 200
+		for _, ct := range corr.Types() {
+			p := lvl.WithType(ct)
+			t.Run(fmt.Sprintf("stocks20/M%d/%s", p.M, ct), func(t *testing.T) {
+				matchBatch(t, gen20, day20.Quotes, p, 2)
+			})
+		}
+	}
+}
+
+// matchBatch runs the pipeline with one parameter set over gen's day 0
+// quotes and requires its trades to equal batchTrades' bit for bit.
+func matchBatch(t *testing.T, gen *market.Generator, quotes []taq.Quote, p strategy.Params, workers int) {
+	t.Helper()
+	res, err := RunPipeline(context.Background(), PipelineConfig{
+		Universe: gen.Config().Universe,
+		Params:   []strategy.Params{p},
+		Workers:  workers,
+	}, quotes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := batchTrades(t, gen, p)
+	if len(batch) == 0 {
+		t.Fatal("batch path produced no trades")
+	}
+	if len(res.Trades[0]) != len(batch) {
+		t.Fatalf("stream %d trades, batch %d", len(res.Trades[0]), len(batch))
+	}
+	for i := range batch {
+		a, b := res.Trades[0][i], batch[i]
+		if a.EntryS != b.EntryS || a.ExitS != b.ExitS || math.Float64bits(a.Return) != math.Float64bits(b.Return) {
+			t.Errorf("trade %d differs: stream %+v batch %+v", i, a, b)
+		}
+	}
+	t.Logf("%d trades bit-equal", len(batch))
 }
 
 // batchTrades runs the sweep's per-day path on gen's day 0 for one

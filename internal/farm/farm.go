@@ -8,8 +8,8 @@
 // fencing and reassignment. It closes the loop the paper opens — the
 // 854-hour brute-force sweep cut to cluster time — without weakening
 // any single-host guarantee: the merged output of a farm run is
-// byte-identical to an uninterrupted backtest.Run of the same
-// configuration.
+// byte-identical to an uninterrupted in-memory sweep.Backtest of the
+// same configuration.
 //
 // # Ownership and determinism contract
 //

@@ -55,7 +55,7 @@ var (
 func farmWant(t *testing.T) *backtest.Result {
 	t.Helper()
 	wantOnce.Do(func() {
-		wantResult, wantErr = backtest.Run(context.Background(), mustFarmConfig())
+		wantResult, wantErr = sweep.Backtest(context.Background(), mustFarmConfig())
 	})
 	if wantErr != nil {
 		t.Fatal(wantErr)
@@ -287,7 +287,7 @@ func TestFarmWorkerCrashHelper(t *testing.T) {
 // TestFarmSIGKILLChaosByteIdentical is the acceptance e2e: a worker is
 // SIGKILLed mid-unit, the survivor finishes the sweep over a link with
 // deterministic corruption and cuts injected, and the merged journal
-// is byte-identical to an uninterrupted single-host backtest.Run.
+// is byte-identical to an uninterrupted single-host sweep.Backtest.
 func TestFarmSIGKILLChaosByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

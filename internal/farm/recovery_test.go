@@ -177,7 +177,7 @@ func intactRecords(t *testing.T, journal string) int {
 // chaos-corrupted link — then restarted cold on the same journal. The
 // restart must claim a higher epoch, restore every journaled unit,
 // re-confirm the survivor's session, and finish with output
-// byte-identical to an uninterrupted single-host backtest.Run.
+// byte-identical to an uninterrupted single-host sweep.Backtest.
 func TestFarmCoordinatorSIGKILLRestartByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -71,8 +71,8 @@ func resultDigest(res *backtest.Result) string {
 }
 
 // TestBacktestMatchesParentDigest pins the in-memory sweep's output to
-// the digests the integrated per-day runner produced before Backtest
-// replaced it, on unscreened, screened and costed configurations.
+// the digests the integrated per-day runner it replaced produced, on
+// unscreened, screened and costed configurations.
 func TestBacktestMatchesParentDigest(t *testing.T) {
 	screened := tinyBacktestConfig(t, 4)
 	screened.Screen = screen.Config{TopFrac: 0.5}
@@ -89,12 +89,44 @@ func TestBacktestMatchesParentDigest(t *testing.T) {
 		{"tiny/costed", costed, "c22cc38d0433be99"},
 		{"stocks6/days3/levels2", testConfig(t, 6, 3, 2, 42), "a18e775063bcbe36"},
 	} {
-		res, err := backtest.Run(context.Background(), tc.cfg)
+		res, err := Backtest(context.Background(), tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := resultDigest(res); got != tc.want {
 			t.Errorf("%s: digest %s (%d trades), want %s", tc.name, got, res.TradeCount, tc.want)
 		}
+	}
+}
+
+// TestFarmMatchesBacktest: the per-pair Approach-2 farm recomputes
+// every series the integrated sweep shares, so both must give the same
+// Result bit for bit — with screening too, where the farm reads the
+// day's kept set from the shared day cache and a pruned pair records an
+// empty return set.
+func TestFarmMatchesBacktest(t *testing.T) {
+	screened := tinyBacktestConfig(t, 4)
+	screened.Screen = screen.Config{TopFrac: 0.5}
+	for _, tc := range []struct {
+		name string
+		cfg  backtest.Config
+	}{
+		{"unscreened", tinyBacktestConfig(t, 4)},
+		{"screened", screened},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := Backtest(context.Background(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Farm(context.Background(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.TradeCount == 0 {
+				t.Fatal("no trades to compare")
+			}
+			sameResult(t, want, got, "farm vs backtest")
+		})
 	}
 }

@@ -57,7 +57,7 @@ func TestSweepSIGKILLResumesLostUnitsOnly(t *testing.T) {
 	}
 	const killAfter = 12
 	cfg := crashConfig(t)
-	want, err := backtest.Run(context.Background(), cfg)
+	want, err := Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

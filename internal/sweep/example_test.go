@@ -54,7 +54,7 @@ func ExampleMergeFiles() {
 	}
 
 	// Merging is pure assembly: the result is bit-identical to an
-	// uninterrupted single-process backtest.Run of the same config.
+	// uninterrupted in-memory Backtest of the same config.
 	res, rep, err := MergeFiles(paths)
 	if err != nil {
 		fmt.Println(err)

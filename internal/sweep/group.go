@@ -8,24 +8,28 @@ import (
 	"marketminer/internal/backtest"
 	"marketminer/internal/corr"
 	"marketminer/internal/market"
+	"marketminer/internal/sched"
 	"marketminer/internal/screen"
 	"marketminer/internal/strategy"
 	"marketminer/internal/taq"
 )
 
 // GroupRunner executes (day, pair-block) groups of a sweep plan and is
-// the single execution path shared by the local shard orchestrator
-// (Run) and the distributed farm worker (internal/farm): both produce
-// each unit's Entry through RunGroup, so a unit's bytes are identical
-// whether it was computed in-process or on a remote worker — the
-// invariant the farm's merge byte-identity rests on.
+// the one batch driver: the in-memory sweep (Backtest), the local
+// shard orchestrator (Run) and the distributed farm worker
+// (internal/farm) all produce each unit's Entry through RunGroup, so a
+// unit's bytes are identical whether it was computed in memory,
+// journaled locally or computed on a remote worker — the invariant the
+// merge byte-identity rests on.
 //
-// Day preparation (generate → clean → sample, plus the screening pass
-// when enabled) is cached per day, so consecutive groups of the same
-// day share one pass regardless of which caller got there first.
-// RunGroup is safe for concurrent use across distinct groups; each
-// group must be executed by exactly one caller at a time (the
-// journal/lease layers guarantee that ownership).
+// Day preparation (generate → clean → sample, the engine's per-day
+// moment table, and the screening pass when enabled) goes through a
+// bounded day cache, so consecutive groups of the same day share one
+// pass regardless of which caller got there first, and a multi-day
+// sweep holds at most about one day per worker. RunGroup is safe for
+// concurrent use across distinct groups; each group must be executed
+// by exactly one caller at a time (the journal/lease layers guarantee
+// that ownership).
 type GroupRunner struct {
 	cfg  backtest.Config
 	gen  *market.Generator
@@ -33,27 +37,14 @@ type GroupRunner struct {
 
 	pairs []taq.Pair
 
-	days []dayOnce
+	days *dayCache
 
 	warmMu sync.Mutex
 	warm   corr.RobustStats
 }
 
-// dayOnce caches one prepared day: the generated/cleaned/sampled data,
-// the correlation engine's view of it (validated once, with the
-// per-stock moment table every block of the day shares) and, when
-// screening is enabled, the day's kept-pair set — identical for every
-// block of the day by construction.
-type dayOnce struct {
-	once sync.Once
-	dd   *backtest.DayData
-	corr *corr.Day
-	kept []bool // by pair id; nil when screening is disabled
-	err  error
-}
-
 // NewGroupRunner validates and sanitises the configuration (filling
-// market defaults exactly as backtest.Run does) and derives the unit
+// market defaults from market.NewGenerator) and derives the unit
 // plan. The returned runner's Plan and Config are the canonical
 // versions every cooperating process must agree on.
 func NewGroupRunner(cfg backtest.Config, blockSize int) (*GroupRunner, error) {
@@ -69,13 +60,14 @@ func NewGroupRunner(cfg backtest.Config, blockSize int) (*GroupRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GroupRunner{
+	r := &GroupRunner{
 		cfg:   cfg,
 		gen:   gen,
 		plan:  plan,
 		pairs: taq.AllPairs(cfg.Market.Universe.Len()),
-		days:  make([]dayOnce, plan.Days),
-	}, nil
+	}
+	r.days = newDayCache(dayCacheCap(plan.Days, cfg.ResolvedWorkers()), r.prepareDay)
+	return r, nil
 }
 
 // Plan returns the sweep decomposition.
@@ -119,42 +111,66 @@ func PlanHeader(r *GroupRunner, sh Shard) Header {
 }
 
 // prepareDay generates, cleans, samples and (when enabled) screens day
-// d exactly once.
-func (r *GroupRunner) prepareDay(d int) (*dayOnce, error) {
-	c := &r.days[d]
-	c.once.Do(func() {
-		c.dd, c.err = backtest.PrepareDay(r.cfg, r.gen, d)
-		if c.err != nil {
-			return
-		}
-		if c.corr, c.err = corr.NewDay(c.dd.Returns); c.err != nil || !r.cfg.Screen.Enabled() {
-			return
-		}
-		keep, _, err := screen.Select(r.cfg.Screen, c.dd.Returns)
+// d; the day cache calls it once per residency.
+func (r *GroupRunner) prepareDay(d int) (*preparedDay, error) {
+	dd, err := backtest.PrepareDay(r.cfg, r.gen, d)
+	if err != nil {
+		return nil, err
+	}
+	day, err := corr.NewDay(dd.Returns)
+	if err != nil {
+		return nil, err
+	}
+	pd := &preparedDay{dd: dd, corr: day}
+	if r.cfg.Screen.Enabled() {
+		keep, _, err := screen.Select(r.cfg.Screen, dd.Returns)
 		if err != nil {
-			c.err = err
-			return
+			return nil, err
 		}
-		c.kept = make([]bool, r.plan.NumPairs)
+		pd.kept = make([]bool, r.plan.NumPairs)
 		for _, pid := range keep {
-			c.kept[pid] = true
+			pd.kept[pid] = true
 		}
+	}
+	return pd, nil
+}
+
+// runGroups executes groups — each the units of one (day, block) group,
+// in ascending group id — on cfg.ResolvedWorkers() workers, emitting
+// every completed unit through emit. The pool hands groups out in the
+// order given, and group ids are day-major, so every group of a day has
+// been handed out before any group of a later day; the day cache,
+// which holds one day more than there are workers, therefore evicts a
+// day only after all of its groups have been handed out.
+func (r *GroupRunner) runGroups(ctx context.Context, groups [][]Unit, emit func(e Entry, trades int64) error) error {
+	W := r.cfg.ResolvedWorkers()
+	// Parallelism lives at the group level, but when there are fewer
+	// groups than workers the surplus cores would idle; hand the
+	// remainder to the matrix engine inside each group. The engine is
+	// worker-count-invariant (bit-identical output for any worker
+	// count), so the bytes are unchanged either way.
+	engineWorkers := 1
+	if len(groups) > 0 && len(groups) < W {
+		engineWorkers = (W + len(groups) - 1) / len(groups)
+	}
+	return sched.New(W).Map(ctx, len(groups), func(ctx context.Context, gi int) error {
+		units := groups[gi]
+		return r.RunGroup(ctx, r.plan.GroupID(units[0].Day, units[0].Block), units, engineWorkers, emit)
 	})
-	return c, c.err
 }
 
 // RunGroup executes the given units of one (day, block) group —
 // computing each needed correlation series once per window length and
 // serving every parameter unit that reads it from one strategy.DayGrid
-// pass per pair, exactly like the integrated backtest — and calls emit
-// once per completed unit with its journal Entry and trade count.
+// pass per pair — and calls emit once per completed unit with its
+// journal Entry and trade count.
 // Units must belong to the group identified by gid. engineWorkers sets
 // the matrix engine's intra-group parallelism; the engine is
 // worker-count-invariant, so any value produces identical bytes.
 func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engineWorkers int, emit func(e Entry, trades int64) error) error {
 	plan := r.plan
 	day, block := gid/plan.NumBlocks(), gid%plan.NumBlocks()
-	dc, err := r.prepareDay(day)
+	dc, err := r.days.get(day)
 	if err != nil {
 		return err
 	}
@@ -185,8 +201,7 @@ func (r *GroupRunner) RunGroup(ctx context.Context, gid int, units []Unit, engin
 
 	// Group the units by window M and compute each needed correlation
 	// series once — the fused robust path serves Maronna and Combined
-	// from a single fit per window, exactly as the integrated runner
-	// does.
+	// from a single fit per window.
 	byM := map[int]map[corr.Type][]Unit{}
 	for _, u := range units {
 		p := plan.Param(u.Param)

@@ -17,7 +17,7 @@ import (
 func completeJournal(t *testing.T) (string, backtest.Config, *backtest.Result) {
 	t.Helper()
 	cfg := testConfig(t, 4, 1, 2, 11)
-	want, err := backtest.Run(context.Background(), cfg)
+	want, err := Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +224,13 @@ func copyFixture(t *testing.T, cut int) string {
 // TestJournalV1FixtureResumes is the read-both, write-new contract: a
 // v1 journal still merges as far as it goes, resumes under the
 // unchanged fingerprint by migrating to v2 in place, and the finished
-// sweep merges byte-identical to backtest.Run.
+// sweep merges byte-identical to Backtest.
 func TestJournalV1FixtureResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	cfg := testConfig(t, 8, 2, 2, 20080301) // the fixture's -scale tiny -levels 2
-	want, err := backtest.Run(context.Background(), cfg)
+	want, err := Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"marketminer/internal/backtest"
 	"marketminer/internal/corr"
-	"marketminer/internal/metrics"
 	"marketminer/internal/taq"
 )
 
@@ -38,8 +37,7 @@ type MergeReport struct {
 // incomplete Result would bias every aggregate.
 //
 // Merging is pure assembly — no recomputation — so merged output is
-// bit-identical to a single-process backtest.Run of the same
-// configuration.
+// bit-identical to an in-memory Backtest of the same configuration.
 func MergeFiles(paths []string) (*backtest.Result, *MergeReport, error) {
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("sweep: no journals to merge")
@@ -87,14 +85,7 @@ func MergeFiles(paths []string) (*backtest.Result, *MergeReport, error) {
 		return nil, rep, fmt.Errorf("sweep: merge incomplete: %d/%d units present; shards with missing work: %v",
 			rep.Units, rep.UnitsTotal, missing)
 	}
-
-	for p := range res.Series {
-		for k := range res.Series[p] {
-			for _, day := range res.Series[p][k].Daily {
-				res.TradeCount += int64(len(day))
-			}
-		}
-	}
+	res.TradeCount = res.CountTrades()
 	return res, rep, nil
 }
 
@@ -123,15 +114,7 @@ func newMergeTarget(h Header) (*Plan, *backtest.Result, error) {
 	if plan.NumUnits() != h.UnitsTotal {
 		return nil, nil, fmt.Errorf("sweep: journal header inconsistent: %d units declared, %d derived", h.UnitsTotal, plan.NumUnits())
 	}
-	res := &backtest.Result{Universe: uni, Levels: h.Levels, Types: types, Days: h.Days}
-	res.Series = make([][]metrics.PairParamSeries, plan.NumPairs)
-	for p := range res.Series {
-		res.Series[p] = make([]metrics.PairParamSeries, plan.NumParams())
-		for k := range res.Series[p] {
-			res.Series[p][k].Daily = make([][]float64, plan.Days)
-		}
-	}
-	return plan, res, nil
+	return plan, backtest.NewResult(uni, h.Levels, types, h.Days), nil
 }
 
 // mergeEntries streams r's intact entries into res, one decoded record
@@ -145,10 +128,8 @@ func mergeEntries(r *JournalReader, plan *Plan, res *backtest.Result, seen []boo
 		if err != nil {
 			return err
 		}
-		u := plan.UnitFromID(e.U)
-		lo, hi := plan.BlockRange(u.Block)
-		if len(e.Rets) != hi-lo {
-			return fmt.Errorf("sweep: unit %d has %d pair rows, want %d", e.U, len(e.Rets), hi-lo)
+		if err := plan.place(res, e); err != nil {
+			return err
 		}
 		if seen[e.U] {
 			rep.Duplicates++
@@ -156,10 +137,22 @@ func mergeEntries(r *JournalReader, plan *Plan, res *backtest.Result, seen []boo
 			seen[e.U] = true
 			rep.Units++
 		}
-		for i, rets := range e.Rets {
-			res.Series[lo+i][u.Param].Daily[u.Day] = rets
-		}
 	}
+}
+
+// place stores unit e's per-pair return rows in res: the one placement
+// every assembled Result uses, whether its entries were decoded from a
+// journal or emitted in memory.
+func (p *Plan) place(res *backtest.Result, e Entry) error {
+	u := p.UnitFromID(e.U)
+	lo, hi := p.BlockRange(u.Block)
+	if len(e.Rets) != hi-lo {
+		return fmt.Errorf("sweep: unit %d has %d pair rows, want %d", e.U, len(e.Rets), hi-lo)
+	}
+	for i, rets := range e.Rets {
+		res.Series[lo+i][u.Param].Daily[u.Day] = rets
+	}
+	return nil
 }
 
 // missingShards lists which shard indexes own at least one missing

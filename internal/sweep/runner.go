@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +117,7 @@ func Run(ctx context.Context, rc RunConfig) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, plan := runner.Config(), runner.Plan()
+	plan := runner.Plan()
 	header := PlanHeader(runner, rc.Shard)
 
 	journal, done, recovered, err := OpenJournal(rc.JournalPath, header)
@@ -128,21 +127,19 @@ func Run(ctx context.Context, rc RunConfig) (*RunStats, error) {
 	defer journal.Close()
 
 	// This shard's groups and the units still missing from its
-	// journal, in deterministic id order. Limit truncates the missing
+	// journal, in ascending group id. Limit truncates the missing
 	// list, which is what makes budgeted runs resumable mid-group.
-	var groups []int
+	var groups [][]Unit
 	shardUnits := 0
-	missingByGroup := map[int][]Unit{}
 	var missingTotal int
 	stats := &RunStats{Shard: rc.Shard, Recovered: recovered}
 	for gid := 0; gid < plan.NumGroups(); gid++ {
 		if plan.GroupOwner(gid, rc.Shard.Count) != rc.Shard.Index {
 			continue
 		}
-		day, block := gid/plan.NumBlocks(), gid%plan.NumBlocks()
-		shardUnits += plan.NumParams()
-		for k := 0; k < plan.NumParams(); k++ {
-			u := Unit{Day: day, Block: block, Param: k}
+		var missing []Unit
+		for _, u := range plan.groupUnits(gid) {
+			shardUnits++
 			if n, ok := done[plan.UnitID(u)]; ok {
 				stats.UnitsSkipped++
 				stats.Trades += int64(n)
@@ -152,15 +149,14 @@ func Run(ctx context.Context, rc RunConfig) (*RunStats, error) {
 				stats.Paused = true
 				continue
 			}
-			if len(missingByGroup[gid]) == 0 {
-				groups = append(groups, gid)
-			}
-			missingByGroup[gid] = append(missingByGroup[gid], u)
+			missing = append(missing, u)
 			missingTotal++
+		}
+		if len(missing) > 0 {
+			groups = append(groups, missing)
 		}
 	}
 	stats.UnitsTotal = shardUnits
-	sort.Ints(groups)
 
 	meter := sched.NewMeter(int64(shardUnits))
 	meter.Skip(int64(stats.UnitsSkipped))
@@ -197,29 +193,15 @@ func Run(ctx context.Context, rc RunConfig) (*RunStats, error) {
 		writeManifest(rc.manifestPath(), manifestFrom(header, info, ws, false))
 	}
 
-	W := cfg.ResolvedWorkers()
-	// Parallelism lives at the group level, but when this shard owns
-	// fewer groups than workers the surplus cores would idle; hand the
-	// remainder to the matrix engine inside each group. The engine is
-	// worker-count-invariant (bit-identical output for any worker
-	// count), so shard bytes are unchanged either way.
-	engineWorkers := 1
-	if len(groups) > 0 && len(groups) < W {
-		engineWorkers = (W + len(groups) - 1) / len(groups)
-	}
-	pool := sched.New(W)
-	err = pool.Map(ctx, len(groups), func(ctx context.Context, gi int) error {
-		gid := groups[gi]
-		return runner.RunGroup(ctx, gid, missingByGroup[gid], engineWorkers, func(e Entry, unitTrades int64) error {
-			if err := journal.Append(e); err != nil {
-				return err
-			}
-			trades.Add(unitTrades)
-			meter.Add(1)
-			executed.Add(1)
-			emitProgress()
-			return nil
-		})
+	err = runner.runGroups(ctx, groups, func(e Entry, unitTrades int64) error {
+		if err := journal.Append(e); err != nil {
+			return err
+		}
+		trades.Add(unitTrades)
+		meter.Add(1)
+		executed.Add(1)
+		emitProgress()
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -35,13 +35,13 @@ func TestScreenedSweepRecall(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := testConfig(t, 6, 2, 2, 20080301)
-	full, err := backtest.Run(context.Background(), cfg)
+	full, err := Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scfg := cfg
 	scfg.Screen = screen.Config{TopFrac: 0.5, MinKeep: 2}
-	screened, err := backtest.Run(context.Background(), scfg)
+	screened, err := Backtest(context.Background(), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestScreenedSweepRecall(t *testing.T) {
 // TestScreenedShardedMergeEqualsSingleShot extends the sweep's
 // bit-determinism property to the screened path: the
 // orchestrator's per-day screening and block intersection must
-// reproduce the integrated runner's screening decision exactly, for
+// reproduce the in-memory sweep's screening decision exactly, for
 // any shard count and block size.
 func TestScreenedShardedMergeEqualsSingleShot(t *testing.T) {
 	if testing.Short() {
@@ -71,7 +71,7 @@ func TestScreenedShardedMergeEqualsSingleShot(t *testing.T) {
 	}
 	cfg := testConfig(t, 6, 2, 2, 42)
 	cfg.Screen = screen.Config{TopFrac: 0.4, MinKeep: 1}
-	want, err := backtest.Run(context.Background(), cfg)
+	want, err := Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

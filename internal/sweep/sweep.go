@@ -17,10 +17,13 @@
 //
 // Units are grouped by (day, pair-block) for execution so the fused
 // Maronna+Combined correlation series is computed once per group and
-// shared by all parameter sets — the same sharing that makes the
-// integrated backtest.Run beat the per-pair farm. Because every unit's
-// value depends only on its own (day, block, set) inputs, any shard
-// assignment, worker count, interruption point or resume order yields
+// shared by all parameter sets — the sharing that makes the integrated
+// sweep beat the per-pair farm. One driver, GroupRunner, executes every
+// group: in memory (Backtest), journaled per shard (Run) or on a remote
+// farm worker (internal/farm). The per-pair Approach-2 baseline (Farm)
+// shares its bounded day cache. Because every unit's value depends
+// only on its own (day, block, set) inputs, any shard assignment,
+// worker count, interruption point or resume order yields
 // bit-identical merged results; TestShardedMergeEqualsSingleShot and
 // TestResumeReproducesSingleShot assert this.
 package sweep
@@ -94,7 +97,7 @@ type Plan struct {
 // NewPlan derives the unit decomposition from a backtest configuration
 // whose market configuration has already been sanitised (defaults
 // filled) — callers obtain that via market.NewGenerator(cfg.Market)
-// and Generator.Config, exactly as backtest.Run does.
+// and Generator.Config, exactly as NewGroupRunner does.
 func NewPlan(cfg backtest.Config, blockSize int) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -131,6 +134,15 @@ func (p *Plan) NumGroups() int { return p.Days * p.NumBlocks() }
 // block, then parameter set.
 func (p *Plan) UnitID(u Unit) int {
 	return (u.Day*p.NumBlocks()+u.Block)*p.NumParams() + u.Param
+}
+
+// groupUnits returns every unit of group gid, in parameter order.
+func (p *Plan) groupUnits(gid int) []Unit {
+	units := make([]Unit, p.NumParams())
+	for k := range units {
+		units[k] = Unit{Day: gid / p.NumBlocks(), Block: gid % p.NumBlocks(), Param: k}
+	}
+	return units
 }
 
 // UnitFromID inverts UnitID.

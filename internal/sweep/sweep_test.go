@@ -81,15 +81,14 @@ func sameResult(t *testing.T, want, got *backtest.Result, label string) {
 
 // TestShardedMergeEqualsSingleShot is the bit-determinism property of
 // the acceptance criteria: for every shard width and block size, the
-// merged per-shard journals equal the single-process backtest.Run
-// exactly.
+// merged per-shard journals equal the in-memory Backtest exactly.
 func TestShardedMergeEqualsSingleShot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, seed := range []int64{42, 20080301} {
 		cfg := testConfig(t, 6, 2, 2, seed)
-		want, err := backtest.Run(context.Background(), cfg)
+		want, err := Backtest(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func TestResumeReproducesSingleShot(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := testConfig(t, 6, 2, 2, 7)
-	want, err := backtest.Run(context.Background(), cfg)
+	want, err := Backtest(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

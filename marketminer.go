@@ -42,6 +42,7 @@ import (
 	"marketminer/internal/report"
 	"marketminer/internal/strategy"
 	"marketminer/internal/supervise"
+	"marketminer/internal/sweep"
 	"marketminer/internal/taq"
 )
 
@@ -142,7 +143,7 @@ func DefaultMarketConfig() MarketConfig { return market.DefaultConfig() }
 // RunBacktest executes the integrated (Approach 3) sweep: shared
 // parallel correlation series, every pair × parameter set × day.
 func RunBacktest(ctx context.Context, cfg BacktestConfig) (*BacktestResult, error) {
-	return backtest.Run(ctx, cfg)
+	return sweep.Backtest(ctx, cfg)
 }
 
 // RunBacktestFarm executes the same sweep as independent jobs on the
@@ -150,7 +151,7 @@ func RunBacktest(ctx context.Context, cfg BacktestConfig) (*BacktestResult, erro
 // identical results with asymptotically more work; use it only for the
 // performance comparison.
 func RunBacktestFarm(ctx context.Context, cfg BacktestConfig) (*BacktestResult, error) {
-	return backtest.Farm(ctx, cfg)
+	return sweep.Farm(ctx, cfg)
 }
 
 // RunLivePipeline executes the Figure-1 DAG over a time-sorted quote
