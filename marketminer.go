@@ -21,12 +21,13 @@
 // returns, bars), stats (descriptive statistics), corr (Pearson,
 // Maronna, Combined + parallel engine), engine (channel DAG runtime),
 // strategy (the §III state machine), portfolio (orders and P&L),
-// backtest (the three runners), metrics (Equations (1)–(9)), report
-// (the paper's tables), sched (SGE-like farm baseline), feed (the
-// networked quote-distribution layer: binary codec, replay server,
-// resilient collector client), supervise (the fault-tolerance runtime:
-// restart policies, quarantine, crash-safe snapshots) and chaos
-// (deterministic fault injection for the networked pipeline).
+// backtest (sweep configuration, day preparation, results), sweep (the
+// batch drivers and their day cache), metrics (Equations (1)–(9)),
+// report (the paper's tables), sched (SGE-like farm baseline), feed
+// (the networked quote-distribution layer: binary codec, replay
+// server, resilient collector client), supervise (the fault-tolerance
+// runtime: restart policies, quarantine, crash-safe snapshots) and
+// chaos (deterministic fault injection for the networked pipeline).
 package marketminer
 
 import (

@@ -77,8 +77,11 @@ esac
 echo "== engine snapshot fingerprint: the exact strings saved snapshots carry, psd=false included"
 focus 'TestEngineFingerprintPinned' ./internal/corr
 
-echo "== Figure 1 equals Section V: pipeline trades bit-equal to PrepareDay -> corr.Day.Series -> DayGrid for Pearson, Maronna and Combined"
+echo "== Figure 1 equals Section V: pipeline trades bit-equal to PrepareDay -> corr.Day.Series -> DayGrid for Pearson, Maronna and Combined, on a 4-stock day and a 20-stock default-market day at M = 50, 100, 200"
 focus 'TestPipelineMatchesBatchBacktest' ./internal/core
+
+echo "== one batch driver: in-memory sweep digest pinned to the per-day runner it replaced, Farm = Backtest screened and unscreened, the bounded day cache (singleflight, errors, capacity, resident days over a 20-day plan)"
+focus 'TestBacktestMatchesParentDigest|TestFarmMatchesBacktest|TestDayCacheSingleflightAndBound|TestDayCachePropagatesErrors|TestDayCacheCap|TestGroupDispatchBoundsResidentDays' ./internal/sweep
 
 echo "== SIMD bit-identity: vector and scalar tiers vs reference, in one process"
 focus 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
