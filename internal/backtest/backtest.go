@@ -69,7 +69,7 @@ func (c Config) ResolvedWorkers() int {
 
 // ResolvedLevels returns the effective non-treatment parameter vectors
 // K′ (strategy.BaseGrid when Levels is nil). Sweep decomposition and
-// the runners must agree on this resolution, so it is exported.
+// the drivers must agree on this resolution, so it is exported.
 func (c Config) ResolvedLevels() []strategy.Params {
 	if c.Levels != nil {
 		return c.Levels
@@ -143,7 +143,7 @@ func (r *Result) Param(idx int) strategy.Params {
 // NumParams returns |K| = levels × types.
 func (r *Result) NumParams() int { return len(r.Levels) * len(r.Types) }
 
-// DayData is the per-day cleaned market state shared by all runners:
+// DayData is the per-day cleaned market state every driver reads:
 // the sampled price grid and the per-stock log-return rows.
 type DayData struct {
 	PG      *series.PriceGrid
@@ -269,9 +269,8 @@ func (c Config) Validate() error {
 }
 
 // TradeReturns converts completed trades to per-trade returns, net of
-// the configured cost model. It is the single conversion point shared
-// by all runners (and the sweep orchestrator), so every execution path
-// prices trades identically.
+// the configured cost model. It is the single conversion point every
+// driver uses, so every execution path prices trades identically.
 func TradeReturns(cfg Config, trades []strategy.Trade) []float64 {
 	rets := make([]float64, len(trades))
 	halfBps := cfg.Market.HalfSpreadBps
@@ -305,7 +304,7 @@ func RunPairDaySequential(p strategy.Params, dd *DayData, pairI, pairJ, day int)
 		return nil, fmt.Errorf("backtest: %d returns < M=%d", len(x), p.M)
 	}
 	// Single-pair, single-worker engine run: numerically identical to
-	// the shared series the integrated runner computes, but repeated
+	// the shared series the integrated sweep computes, but repeated
 	// per (pair, parameter set, day) — Approach 2's wasted work.
 	cs, err := corr.ComputeSeries(corr.EngineConfig{
 		Type:    p.Ctype,
