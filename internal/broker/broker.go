@@ -57,16 +57,9 @@ type Config struct {
 	D float64
 	// Type selects the correlation treatment (default Pearson).
 	Type corr.Type
-	// Workers is the per-partition engine parallelism (default 1 — the
-	// parallelism of the broker is across partitions).
-	Workers int
 	// SnapshotEvery is the number of processed intervals between state-
 	// store saves per partition (default 16).
 	SnapshotEvery int
-	// SnapshotDir, when non-empty, persists partition state through
-	// supervise.SaveSnapshot files under this directory; empty keeps
-	// state in memory (survives processor restarts, not the process).
-	SnapshotDir string
 	// LeaseTTL is how stale a processor's lease renewal may be before
 	// the lease checker declares it dead and rebalances (default 1s).
 	LeaseTTL time.Duration
@@ -86,9 +79,6 @@ type Config struct {
 	// Heartbeat is the idle keep-alive period on subscriber
 	// connections (default 1s).
 	Heartbeat time.Duration
-	// Policy supervises each partition processor (restart backoff and
-	// circuit breaker); the zero value is the supervise default.
-	Policy supervise.Policy
 	// CollectStamps records an append timestamp per logged interval for
 	// delivery-latency benchmarks.
 	CollectStamps bool
@@ -121,9 +111,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.D <= 0 {
 		c.D = 0.1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 16
@@ -246,11 +233,7 @@ func New(cfg Config) (*Broker, error) {
 		watch:     make(chan struct{}),
 		groups:    make(map[string]*group),
 		listeners: make(map[interface{ Close() error }]struct{}),
-	}
-	if cfg.SnapshotDir != "" {
-		b.store = &fileStore{dir: cfg.SnapshotDir}
-	} else {
-		b.store = &memStore{}
+		store:     &memStore{},
 	}
 	for i := 0; i < cfg.Partitions; i++ {
 		b.parts = append(b.parts, &partition{
@@ -392,7 +375,7 @@ func (b *Broker) launchProcessor(p *partition, gen int) {
 	go func() {
 		defer b.procWG.Done()
 		name := fmt.Sprintf("broker-partition-%d", p.id)
-		_, err := supervise.Run(b.ctx, name, b.cfg.Policy, func(ctx context.Context, progress func()) error {
+		_, err := supervise.Run(b.ctx, name, supervise.Policy{}, func(ctx context.Context, progress func()) error {
 			return b.runProcessor(ctx, p, gen, progress)
 		})
 		if err != nil && b.ctx.Err() == nil {

@@ -242,39 +242,6 @@ func TestKillPartitionRebalanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestKillPartitionWithFileStore exercises the snapshot-restore path
-// through supervise's on-disk snapshot files.
-func TestKillPartitionWithFileStore(t *testing.T) {
-	cfg := testConfig()
-	cfg.SnapshotDir = t.TempDir()
-	rets := testReturns(8, 40)
-	want := referenceLogs(t, testConfig(), rets)
-
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	b.Start()
-	for s := 0; s < 24; s++ {
-		if err := b.OfferReturns(s, rets[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool { return b.parts[2].log.end() > 0 })
-	b.KillPartition(2)
-	for s := 24; s < 40; s++ {
-		if err := b.OfferReturns(s, rets[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.FinishInput()
-	got := drainLogs(t, b)
-	for p := range want {
-		sameSignals(t, "partition", got[p], want[p])
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -3,12 +3,10 @@ package broker
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"marketminer/internal/feed"
-	"marketminer/internal/supervise"
 )
 
 // PartitionOf maps a canonical pair id to its topic partition by a
@@ -161,11 +159,10 @@ func (l *partitionLog) isSealed() bool {
 	return l.sealed
 }
 
-// stateStore persists per-partition processor state across restarts.
-// The memory store survives processor generations (the common case:
-// the broker process is alive, a partition worker died); the file
-// store additionally survives the process via supervise's CRC-guarded
-// atomic-rename snapshot files.
+// stateStore persists per-partition processor state across processor
+// generations: the broker process is alive, a partition worker died.
+// memStore is the one implementation; tests substitute a recording
+// store through the interface.
 type stateStore interface {
 	save(part int, fingerprint string, payload any) error
 	load(part int, fingerprint string, payload any) error
@@ -212,18 +209,4 @@ func (s *memStore) load(part int, fp string, payload any) error {
 	}
 	*dst = st
 	return nil
-}
-
-type fileStore struct{ dir string }
-
-func (s *fileStore) path(part int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("partition-%03d.snap", part))
-}
-
-func (s *fileStore) save(part int, fp string, payload any) error {
-	return supervise.SaveSnapshot(s.path(part), fp, payload)
-}
-
-func (s *fileStore) load(part int, fp string, payload any) error {
-	return supervise.LoadSnapshot(s.path(part), fp, payload)
 }

@@ -140,7 +140,7 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 	engCfg := corr.EngineConfig{
 		Type:    b.cfg.Type,
 		M:       b.cfg.M,
-		Workers: b.cfg.Workers,
+		Workers: 1, // the broker's parallelism is across partitions
 		Pairs:   p.pairs,
 	}
 	eng, err := corr.NewOnlineEngine(engCfg, b.cfg.N)

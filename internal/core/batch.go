@@ -108,9 +108,8 @@ func (b *batcher) flush() bool {
 // only thing that reaches ChannelSource through them.
 type idleFlushKey struct{}
 
-// withIdleFlush returns ctx carrying flush; a nil flush removes one.
-// flush must only be called from the goroutine that calls the
-// collector's emit.
+// withIdleFlush returns ctx carrying flush. flush must only be called
+// from the goroutine that calls the collector's emit.
 func withIdleFlush(ctx context.Context, flush func() bool) context.Context {
 	return context.WithValue(ctx, idleFlushKey{}, flush)
 }

@@ -41,7 +41,7 @@ func TestPipelineResultIndependentOfBatching(t *testing.T) {
 			return chaos.New(chaos.Spec{Seed: 7, DropRate: 0.02, DupRate: 0.02, ReorderRate: 0.05}).Source(src())
 		}
 	}
-	bounded := &core.SuperviseOptions{SourceBuffer: 16}
+	supervised := &core.SuperviseOptions{}
 
 	// The first case of each stream is its reference.
 	streams := map[string][]struct {
@@ -53,12 +53,12 @@ func TestPipelineResultIndependentOfBatching(t *testing.T) {
 			{"slice", slice, nil},
 			{"channel", channel, nil},
 			{"unbuffered-channel", unbuffered, nil},
-			{"bounded-ingress", channel, bounded},
+			{"supervised-channel", channel, supervised},
 		},
 		"chaos": {
 			{"slice", perturbed(slice), nil},
 			{"channel", perturbed(channel), nil},
-			{"bounded-ingress", perturbed(slice), bounded},
+			{"supervised-slice", perturbed(slice), supervised},
 		},
 	}
 	for stream, cases := range streams {

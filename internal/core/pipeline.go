@@ -29,6 +29,9 @@ import (
 	"marketminer/internal/taq"
 )
 
+// edgeBuffer is the channel depth between nodes.
+const edgeBuffer = 256
+
 // PipelineConfig configures one Figure-1 pipeline run.
 type PipelineConfig struct {
 	// Universe of tradeable stocks.
@@ -42,16 +45,13 @@ type PipelineConfig struct {
 	Params []strategy.Params
 	// Workers bounds the correlation engine's parallelism.
 	Workers int
-	// Buffer is the channel depth between nodes (default 256).
-	Buffer int
 	// Risk configures the master node's pre-trade limits; the zero
 	// value is unlimited (the paper's evaluated configuration).
 	Risk risk.Limits
 	// Supervise, when non-nil, runs the DAG under the fault-tolerance
-	// runtime: panic isolation with retry and poison-message
-	// quarantine on the data stages, crash-safe correlation-engine
-	// snapshots, bounded ingress accounting, and graceful drain. See
-	// SuperviseOptions.
+	// runtime: panic isolation with poison-message quarantine on the
+	// data stages, crash-safe correlation-engine snapshots, and
+	// graceful drain. See SuperviseOptions.
 	Supervise *SuperviseOptions
 	// ReturnsTap, when non-nil, observes every cross-sectional
 	// log-return vector the technical-analysis stage emits, in grid
@@ -222,10 +222,6 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 		return nil, err
 	}
 	n := cfg.Universe.Len()
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = 256
-	}
 
 	// Shared day state. The bar node completes interval s in the grid
 	// before emitting tickMsg{s}; channel delivery orders those writes
@@ -255,14 +251,10 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 	// In drain mode the graph runs on a detached context and only the
 	// source observes user cancellation: the stream ends, every stage
 	// finishes its in-flight work, and partial results come back clean.
-	// stopOnCancel sits inside boundSource so the ingress queue's
-	// producer also stops on cancellation instead of blocking against a
-	// detached context.
 	drain := sup != nil && sup.opts.DrainTimeout > 0
 	if drain {
 		source = stopOnCancel(source, ctx)
 	}
-	source = sup.boundSource(source)
 
 	res := &PipelineResult{Trades: make([][]strategy.Trade, len(cfg.Params))}
 	g := engine.NewGraph()
@@ -299,10 +291,10 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 		if err != nil {
 			if sup != nil {
 				// Supervised runs treat a bad return vector as poison
-				// data, not a stream abort: the panic routes it through
-				// retry → quarantine and the day continues. (A failed
-				// Push never advances the ring, so retrying or skipping
-				// the interval leaves the engine consistent.)
+				// data, not a stream abort: the panic routes it to
+				// quarantine and the day continues. (A failed Push never
+				// advances the ring, so skipping the interval leaves the
+				// engine consistent.)
 				panic(fmt.Sprintf("correlation: interval %d: %v", rm.S, err))
 			}
 			return err
@@ -371,13 +363,13 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 		return nil
 	})
 
-	g.Connect(src, cleaner, buffer)
-	g.Connect(cleaner, barNode, buffer)
-	g.Connect(barNode, taNodeID, buffer)
-	g.Connect(taNodeID, corrNode, buffer)
+	g.Connect(src, cleaner, edgeBuffer)
+	g.Connect(cleaner, barNode, edgeBuffer)
+	g.Connect(barNode, taNodeID, edgeBuffer)
+	g.Connect(taNodeID, corrNode, edgeBuffer)
 	for i := range stratIDs {
-		g.Connect(corrNode, stratIDs[i], buffer)
-		g.Connect(stratIDs[i], master, buffer)
+		g.Connect(corrNode, stratIDs[i], edgeBuffer)
+		g.Connect(stratIDs[i], master, edgeBuffer)
 	}
 
 	res.GraphDOT = g.DOT("marketminer-figure1")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -149,78 +150,96 @@ func TestPipelineMultipleStrategyNodes(t *testing.T) {
 // bit-identical trades from the same generated day, for every
 // correlation treatment: on the 4-stock test day, and on day 0 of a
 // 20-stock default market for the first base-grid level of each
-// window length M.
+// window length M. With MM_FULL_DAY_CHECK=1 it also runs the default
+// 61-stock day with all 14 base-grid levels, one pipeline per (M,
+// treatment) carrying every level of that M (a minute or more on two
+// cores, so only verify.sh sets it).
 func TestPipelineMatchesBatchBacktest(t *testing.T) {
 	gen := testGenerator(t, testUniverse(t))
 	day, err := gen.GenerateDay(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bd := newBatchDay(t, gen)
 	for _, ct := range corr.Types() {
 		t.Run(ct.String(), func(t *testing.T) {
-			matchBatch(t, gen, day.Quotes, pipelineParams().WithType(ct), 1)
+			matchBatch(t, bd, day.Quotes, []strategy.Params{pipelineParams().WithType(ct)}, 1)
 		})
 	}
 	if testing.Short() {
 		return
 	}
-	u, err := taq.NewUniverse(taq.DefaultSymbols()[:20])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := market.DefaultConfig()
-	mc.Universe, mc.Days = u, 1
-	gen20, err := market.NewGenerator(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day20, err := gen20.GenerateDay(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen20, day20 := defaultMarketDay(t, 20)
+	bd20 := newBatchDay(t, gen20)
 	for _, lvl := range strategy.BaseGrid()[:3] { // M = 100, 50, 200
 		for _, ct := range corr.Types() {
 			p := lvl.WithType(ct)
 			t.Run(fmt.Sprintf("stocks20/M%d/%s", p.M, ct), func(t *testing.T) {
-				matchBatch(t, gen20, day20.Quotes, p, 2)
+				matchBatch(t, bd20, day20, []strategy.Params{p}, 2)
+			})
+		}
+	}
+	if os.Getenv("MM_FULL_DAY_CHECK") != "1" {
+		return
+	}
+	n := taq.DefaultUniverse().Len()
+	genAll, dayAll := defaultMarketDay(t, n)
+	bdAll := newBatchDay(t, genAll)
+	byM := map[int][]strategy.Params{}
+	var ms []int
+	for _, lvl := range strategy.BaseGrid() {
+		if byM[lvl.M] == nil {
+			ms = append(ms, lvl.M)
+		}
+		byM[lvl.M] = append(byM[lvl.M], lvl)
+	}
+	for _, m := range ms {
+		for _, ct := range corr.Types() {
+			levels := make([]strategy.Params, len(byM[m]))
+			for i, lvl := range byM[m] {
+				levels[i] = lvl.WithType(ct)
+			}
+			t.Run(fmt.Sprintf("stocks%d/M%d/%s", n, m, ct), func(t *testing.T) {
+				matchBatch(t, bdAll, dayAll, levels, 2)
 			})
 		}
 	}
 }
 
-// matchBatch runs the pipeline with one parameter set over gen's day 0
-// quotes and requires its trades to equal batchTrades' bit for bit.
-func matchBatch(t *testing.T, gen *market.Generator, quotes []taq.Quote, p strategy.Params, workers int) {
+// defaultMarketDay returns a one-day generator over the first n
+// default symbols with every other setting at market.DefaultConfig,
+// and its day 0 quotes.
+func defaultMarketDay(t *testing.T, n int) (*market.Generator, []taq.Quote) {
 	t.Helper()
-	res, err := RunPipeline(context.Background(), PipelineConfig{
-		Universe: gen.Config().Universe,
-		Params:   []strategy.Params{p},
-		Workers:  workers,
-	}, quotes, 0)
+	u, err := taq.NewUniverse(taq.DefaultSymbols()[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := batchTrades(t, gen, p)
-	if len(batch) == 0 {
-		t.Fatal("batch path produced no trades")
+	mc := market.DefaultConfig()
+	mc.Universe, mc.Days = u, 1
+	gen, err := market.NewGenerator(mc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Trades[0]) != len(batch) {
-		t.Fatalf("stream %d trades, batch %d", len(res.Trades[0]), len(batch))
+	day, err := gen.GenerateDay(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range batch {
-		a, b := res.Trades[0][i], batch[i]
-		if a.EntryS != b.EntryS || a.ExitS != b.ExitS || math.Float64bits(a.Return) != math.Float64bits(b.Return) {
-			t.Errorf("trade %d differs: stream %+v batch %+v", i, a, b)
-		}
-	}
-	t.Logf("%d trades bit-equal", len(batch))
+	return gen, day.Quotes
 }
 
-// batchTrades runs the sweep's per-day path on gen's day 0 for one
-// parameter set and returns every pair's trades in pair-id order.
-func batchTrades(t *testing.T, gen *market.Generator, p strategy.Params) []strategy.Trade {
+// batchDay is the sweep's per-day state for gen's day 0, prepared once
+// and shared by every parameter set checked against it.
+type batchDay struct {
+	gen *market.Generator
+	dd  *backtest.DayData
+	day *corr.Day
+}
+
+func newBatchDay(t *testing.T, gen *market.Generator) *batchDay {
 	t.Helper()
-	dd, err := backtest.PrepareDay(backtest.Config{Levels: []strategy.Params{p}, Workers: 1}, gen, 0)
+	// Every level checked here has the default ∆s, which sets the grid.
+	dd, err := backtest.PrepareDay(backtest.Config{Levels: []strategy.Params{pipelineParams()}, Workers: 1}, gen, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +247,63 @@ func batchTrades(t *testing.T, gen *market.Generator, p strategy.Params) []strat
 	if err != nil {
 		t.Fatal(err)
 	}
-	css, err := day.Series(corr.EngineConfig{M: p.M, Workers: 1}, []corr.Type{p.Ctype})
+	return &batchDay{gen: gen, dd: dd, day: day}
+}
+
+// matchBatch runs the pipeline with levels, which share M and Ctype,
+// over the day's quotes and requires each level's trades to equal
+// batchTrades' bit for bit.
+func matchBatch(t *testing.T, bd *batchDay, quotes []taq.Quote, levels []strategy.Params, workers int) {
+	t.Helper()
+	res, err := RunPipeline(context.Background(), PipelineConfig{
+		Universe: bd.gen.Config().Universe,
+		Params:   levels,
+		Workers:  workers,
+	}, quotes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := strategy.NewDayGrid([]strategy.Params{p})
+	batch := batchTrades(t, bd, levels, workers)
+	for li, want := range batch {
+		got := res.Trades[li]
+		if len(want) == 0 {
+			t.Fatalf("level %d: batch path produced no trades", li)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("level %d: stream %d trades, batch %d", li, len(got), len(want))
+		}
+		for i := range want {
+			a, b := got[i], want[i]
+			if a.EntryS != b.EntryS || a.ExitS != b.ExitS || math.Float64bits(a.Return) != math.Float64bits(b.Return) {
+				t.Errorf("level %d trade %d differs: stream %+v batch %+v", li, i, a, b)
+			}
+		}
+		t.Logf("level %d: %d trades bit-equal", li, len(want))
+	}
+}
+
+// batchTrades runs the sweep's per-day path for levels, which share M
+// and Ctype, through one DayGrid and returns each level's trades over
+// every pair, in pair-id order.
+func batchTrades(t *testing.T, bd *batchDay, levels []strategy.Params, workers int) [][]strategy.Trade {
+	t.Helper()
+	p := levels[0]
+	css, err := bd.day.Series(corr.EngineConfig{M: p.M, Workers: workers}, []corr.Type{p.Ctype})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []strategy.Trade
-	for pid, pr := range taq.AllPairs(len(dd.Returns)) {
-		if err := grid.Run(css[0].Corr[pid], css[0].FirstS, dd.PG, pr.I, pr.J, 0); err != nil {
+	grid, err := strategy.NewDayGrid(levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]strategy.Trade, len(levels))
+	for pid, pr := range taq.AllPairs(len(bd.dd.Returns)) {
+		if err := grid.Run(css[0].Corr[pid], css[0].FirstS, bd.dd.PG, pr.I, pr.J, 0); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, grid.Trades(0)...)
+		for li := range levels {
+			out[li] = append(out[li], grid.Trades(li)...)
+		}
 	}
 	return out
 }

@@ -13,17 +13,13 @@ import (
 )
 
 // SuperviseOptions runs the pipeline under the fault-tolerance
-// runtime: data stages get panic isolation with retry/backoff and
-// poison-message quarantine, the correlation engine persists crash-safe
-// warm-state snapshots, the ingress can be bounded with explicit
-// backpressure accounting, and cancellation drains the DAG gracefully
-// instead of aborting mid-message. The master (order book) node is
+// runtime: data stages get panic isolation with poison-message
+// quarantine, the correlation engine persists crash-safe warm-state
+// snapshots, and cancellation drains the DAG gracefully instead of
+// aborting mid-message. The master (order book) node is
 // deliberately NOT wrapped: silently skipping an order basket would
 // desynchronise the book, so order-path failures keep failing fast.
 type SuperviseOptions struct {
-	// Policy tunes restart backoff, retry counts, and the circuit
-	// breaker for every wrapped stage (zero value = defaults).
-	Policy supervise.Policy
 	// QuarantinePath persists the poison-message set as a snapshot
 	// ("" keeps it in memory: quarantine still works, but does not
 	// survive restarts).
@@ -37,10 +33,6 @@ type SuperviseOptions struct {
 	// SnapshotEvery is the number of matrices between snapshots
 	// (default 25).
 	SnapshotEvery int
-	// SourceBuffer, when positive, bounds the ingress with an explicit
-	// accounting queue in lossless (blocking) mode; the report then
-	// carries high-water and backpressure counters.
-	SourceBuffer int
 	// DrainTimeout, when positive, turns context cancellation into a
 	// graceful drain: the source stops emitting, in-flight messages
 	// finish within the timeout, and the pipeline returns its partial
@@ -52,11 +44,8 @@ type SuperviseOptions struct {
 
 // SupervisionReport is the runtime's accounting for one pipeline run.
 type SupervisionReport struct {
-	// Stages are the per-stage retry/quarantine counters, in DAG order.
+	// Stages are the per-stage panic/quarantine counters, in DAG order.
 	Stages []supervise.StageReport
-	// Ingress is the bounded source queue's accounting (zero when
-	// SourceBuffer is off).
-	Ingress supervise.QueueStats
 	// Resumed reports that engine warm state was restored; intervals
 	// at or before ResumeCursor were skipped instead of recomputed.
 	Resumed      bool
@@ -112,12 +101,11 @@ func newSupervisor(opts *SuperviseOptions) (*supervisor, error) {
 }
 
 // wrap supervises one stage. Keys are namespaced by stage so the same
-// message quarantined under one stage is not skipped by another.
-// Retries are disabled regardless of Policy.Retries: every pipeline
-// stage folds each message into cumulative state (filter EWMAs, price
-// grids, correlation rings, strategy windows), so re-running a failed
-// message would double-apply its side effects. A panicking message
-// goes straight to quarantine.
+// message quarantined under one stage is not skipped by another. A
+// panicking message goes straight to quarantine: every pipeline stage
+// folds each message into cumulative state (filter EWMAs, price grids,
+// correlation rings, strategy windows), so re-running it would
+// double-apply its side effects.
 func (s *supervisor) wrap(name string, key supervise.KeyFunc, proc engine.ProcFunc) engine.ProcFunc {
 	if s == nil {
 		return proc
@@ -129,9 +117,7 @@ func (s *supervisor) wrap(name string, key supervise.KeyFunc, proc engine.ProcFu
 		}
 		return name + "|" + k, true
 	}
-	pol := s.opts.Policy
-	pol.Retries = -1
-	st := supervise.NewStage(name, pol, s.quar, namespaced)
+	st := supervise.NewStage(name, 0, s.quar, namespaced)
 	s.stages = append(s.stages, st)
 	return st.Wrap(proc)
 }
@@ -218,44 +204,6 @@ type engineState struct {
 	Engine *corr.EngineSnapshot `json:"engine"`
 }
 
-// boundSource routes the source through a lossless accounting queue so
-// ingress backpressure becomes observable.
-func (s *supervisor) boundSource(source QuoteSource) QuoteSource {
-	if s == nil || s.opts.SourceBuffer <= 0 {
-		return source
-	}
-	return func(ctx context.Context, emit func(taq.Quote) bool) error {
-		q := supervise.NewQueue[taq.Quote](s.opts.SourceBuffer, supervise.Block)
-		errCh := make(chan error, 1)
-		// The queue is where this source waits for input, so the
-		// flush-on-idle duty is taken over here; the producer runs on its
-		// own goroutine and must not reach the collector's batch.
-		flush := idleFlush(ctx)
-		producerCtx := withIdleFlush(ctx, nil)
-		go func() {
-			errCh <- source(producerCtx, func(qt taq.Quote) bool { return q.Push(ctx, qt) })
-			q.Close()
-		}()
-		for {
-			qt, ok := q.TryPop()
-			if !ok {
-				if !flush() {
-					break
-				}
-				if qt, ok = q.Pop(ctx); !ok {
-					break
-				}
-			}
-			if !emit(qt) {
-				break
-			}
-		}
-		err := <-errCh
-		s.report.Ingress = q.Stats()
-		return err
-	}
-}
-
 // stopOnCancel makes the source observe the user context while the
 // graph runs detached: on cancellation the stream simply ends, which
 // lets every downstream stage drain instead of being aborted.
@@ -311,8 +259,8 @@ func (s *supervisor) finish(res *PipelineResult) {
 	rep := s.report
 	if rep.Snapshots > 0 || rep.Resumed || len(rep.Stages) > 0 {
 		for _, st := range rep.Stages {
-			if st.Quarantined > 0 || st.Retries > 0 {
-				s.logf("core: stage %s: %d retries, %d quarantined, %d skipped", st.Name, st.Retries, st.Quarantined, st.Skipped)
+			if st.Quarantined > 0 {
+				s.logf("core: stage %s: %d quarantined, %d skipped", st.Name, st.Quarantined, st.Skipped)
 			}
 		}
 	}

@@ -23,19 +23,9 @@ type EngineConfig struct {
 	// This is the Go analogue of the MPI world size in the original
 	// MarketMiner correlation engine.
 	Workers int
-	// Maronna tunes the robust estimator (used by Maronna and
-	// Combined); the zero value means DefaultMaronnaConfig.
-	Maronna MaronnaConfig
 	// Pairs optionally restricts computation to a subset of pairs
 	// (canonical ids). Nil means all n(n-1)/2 pairs.
 	Pairs []int
-	// TileSize bounds the number of pairs per cache tile in the matrix
-	// engine and in the online engine's robust types (online Pearson
-	// computes its whole cross-moment table and has no tiles); ≤ 0
-	// means DefaultTileSize. Output is bit-identical for every tile
-	// size — the knob only trades scheduling granularity against
-	// per-tile cache footprint.
-	TileSize int
 	// DisableSIMD forces this request's vector kernels — the batched
 	// Maronna kernel and the online engine's Pearson cross-moment
 	// kernel — onto their pure-Go paths even when CPUID dispatch would
@@ -44,6 +34,11 @@ type EngineConfig struct {
 	// the tiers in one process. It is deliberately not part of any
 	// sweep or snapshot fingerprint.
 	DisableSIMD bool
+	// tile, when positive, replaces DefaultTileSize. Only this
+	// package's tests set it: output is bit-identical for every tile
+	// size, and small test universes need small tiles to exercise
+	// ragged tiles and several tiles per worker.
+	tile int
 }
 
 func (c *EngineConfig) workers() int {
@@ -53,16 +48,9 @@ func (c *EngineConfig) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c *EngineConfig) maronna() MaronnaConfig {
-	if c.Maronna == (MaronnaConfig{}) {
-		return DefaultMaronnaConfig()
-	}
-	return c.Maronna
-}
-
 func (c *EngineConfig) tileSize() int {
-	if c.TileSize > 0 {
-		return c.TileSize
+	if c.tile > 0 {
+		return c.tile
 	}
 	return DefaultTileSize
 }
@@ -366,7 +354,7 @@ func ComputeSeriesMultiReference(cfg EngineConfig, types []Type, returns [][]flo
 	if robust {
 		workerStats = make([]RobustStats, workers)
 		for w := range workerStats {
-			workerStats[w].IterHist = make([]int, cfg.maronna().MaxIter+1)
+			workerStats[w].IterHist = make([]int, DefaultMaronnaConfig().MaxIter+1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -393,7 +381,7 @@ func ComputeSeriesMultiReference(cfg EngineConfig, types []Type, returns [][]flo
 	wg.Wait()
 
 	if robust {
-		total := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
+		total := &RobustStats{IterHist: make([]int, DefaultMaronnaConfig().MaxIter+1)}
 		for w := range workerStats {
 			total.Merge(&workerStats[w])
 		}
@@ -428,7 +416,7 @@ func computePairRange(cfg EngineConfig, types []Type, returns [][]float64, allPa
 	var est *MaronnaEstimator
 	var sc *Scratch
 	if maronnaDst != nil || combinedDst != nil {
-		est = NewMaronnaEstimator(cfg.maronna())
+		est = NewMaronnaEstimator(DefaultMaronnaConfig())
 	}
 	for k := lo; k < hi; k++ {
 		p := allPairs[pairs[k]]
@@ -615,7 +603,7 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		// Successive pushes slide each pair's window by one point, so
 		// the previous matrix's converged fits seed the next one.
 		e.fits = make([]Fit, len(e.pairs))
-		e.est = NewMaronnaEstimator(cfg.maronna())
+		e.est = NewMaronnaEstimator(DefaultMaronnaConfig())
 		e.inits = make([]ColdInit, n)
 		e.initBuf = make([]float64, cfg.M)
 	}

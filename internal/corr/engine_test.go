@@ -245,10 +245,10 @@ func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 		}
 	}
 	layouts := map[string][]EngineConfig{
-		"full-1-worker":  {{Workers: 1, TileSize: 10}},
-		"full-3-workers": {{Workers: 3, TileSize: 10}},
-		"full-tile-5":    {{Workers: 3, TileSize: 5}},
-		"broker-split":   {{Workers: 2, Pairs: split[0]}, {Workers: 1, TileSize: 10, Pairs: split[1]}},
+		"full-1-worker":  {{Workers: 1, tile: 10}},
+		"full-3-workers": {{Workers: 3, tile: 10}},
+		"full-tile-5":    {{Workers: 3, tile: 5}},
+		"broker-split":   {{Workers: 2, Pairs: split[0]}, {Workers: 1, tile: 10, Pairs: split[1]}},
 		"scalar-tier":    {{Workers: 2, DisableSIMD: true}},
 	}
 	for name, layout := range layouts {

@@ -46,7 +46,7 @@ func BenchmarkMatrixEngineTileSize(b *testing.B) {
 	rets := marketReturns(b, 10, 20080301)
 	for _, tile := range []int{1, 16, 64, 256, 1 << 30} {
 		b.Run(fmt.Sprintf("tile%d", tile), func(b *testing.B) {
-			cfg := EngineConfig{M: 100, Workers: 1, TileSize: tile}
+			cfg := EngineConfig{M: 100, Workers: 1, tile: tile}
 			for i := 0; i < b.N; i++ {
 				if _, err := ComputeSeriesMulti(cfg, []Type{Pearson}, rets); err != nil {
 					b.Fatal(err)

@@ -33,7 +33,7 @@ import (
 // reference for every worker count and tile size, which is what keeps
 // the sharded sweep's byte-determinism guarantee intact.
 
-// DefaultTileSize is the default pair budget per cache tile (a tile of
+// DefaultTileSize is the pair budget per cache tile (a tile of
 // tileDim² pairs spans 2·tileDim stock rows ≈ 13 KB of window data at
 // M = 100, comfortably L1-resident alongside the tile's warm state).
 const DefaultTileSize = 64
@@ -418,10 +418,10 @@ func (d *Day) Series(cfg EngineConfig, types []Type) ([]*Series, error) {
 	var est *MaronnaEstimator
 	var workerStats []RobustStats
 	if robust {
-		est = NewMaronnaEstimator(cfg.maronna())
+		est = NewMaronnaEstimator(DefaultMaronnaConfig())
 		workerStats = make([]RobustStats, workers)
 		for w := range workerStats {
-			workerStats[w].IterHist = make([]int, cfg.maronna().MaxIter+1)
+			workerStats[w].IterHist = make([]int, DefaultMaronnaConfig().MaxIter+1)
 		}
 	}
 	workerBatch := make([]*pairBatch, workers)
@@ -438,7 +438,7 @@ func (d *Day) Series(cfg EngineConfig, types []Type) ([]*Series, error) {
 	})
 
 	if robust {
-		total := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
+		total := &RobustStats{IterHist: make([]int, DefaultMaronnaConfig().MaxIter+1)}
 		for w := range workerStats {
 			total.Merge(&workerStats[w])
 		}

@@ -37,7 +37,7 @@ func TestMatrixEngineMatchesReference(t *testing.T) {
 			for _, workers := range workerCounts {
 				for _, tile := range tileSizes {
 					label := fmt.Sprintf("types=%v disableSIMD=%v workers=%d tile=%d", types, noSIMD, workers, tile)
-					got, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: workers, TileSize: tile, DisableSIMD: noSIMD}, types, rets)
+					got, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: workers, tile: tile, DisableSIMD: noSIMD}, types, rets)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,7 +84,7 @@ func TestMatrixEnginePairSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 2, TileSize: 4, Pairs: subset}, []Type{Pearson, Maronna, Combined}, rets)
+	got, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 2, tile: 4, Pairs: subset}, []Type{Pearson, Maronna, Combined}, rets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestColdInitSharedMatchesInline(t *testing.T) {
 func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 	rets := marketReturns(t, 5, 12)
 	const m = 100
-	cfg := EngineConfig{M: m, TileSize: 16}
+	cfg := EngineConfig{M: m, tile: 16}
 	d, err := NewDay(rets)
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +269,9 @@ func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 		computeStockMoments(rets[i], m, &moments[i])
 		inits[i] = ColdInitOf(buf, rets[i][:m])
 	}
-	tiles := buildTiles(req, cfg.TileSize)
-	est := NewMaronnaEstimator(cfg.maronna())
-	st := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
+	tiles := buildTiles(req, cfg.tile)
+	est := NewMaronnaEstimator(DefaultMaronnaConfig())
+	st := &RobustStats{IterHist: make([]int, DefaultMaronnaConfig().MaxIter+1)}
 	tr := newTileRun(&cfg, tiles[0], req, rets,
 		outs[0].Corr, outs[1].Corr, outs[2].Corr, moments, inits, est, nil, st)
 

@@ -64,7 +64,7 @@ func seriesBitEqual(t *testing.T, label string, got, want []*Series) {
 
 // TestSIMDBitIdentityRaggedLanes pins the SIMD f64 path bitwise to the
 // frozen per-pair reference across every batch occupancy from one lane
-// to four-plus quads: TileSize L makes the matrix engine run batches
+// to four-plus quads: tile L makes the matrix engine run batches
 // of exactly L lanes (the last tile ragged), so L = 1..17 walks the
 // quad boundaries (<4 all-scalar, 4 one quad, 5..7 quad+tail, 8, 12,
 // 16 multi-quad, 17 four quads + one). The adversarial universe keeps
@@ -81,12 +81,12 @@ func TestSIMDBitIdentityRaggedLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lanes := 1; lanes <= 17; lanes++ {
-		simd, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 1, TileSize: lanes}, types, rets)
+		simd, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 1, tile: lanes}, types, rets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seriesBitEqual(t, "simd vs reference", simd, ref)
-		scal, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 1, TileSize: lanes, DisableSIMD: true}, types, rets)
+		scal, err := ComputeSeriesMulti(EngineConfig{M: m, Workers: 1, tile: lanes, DisableSIMD: true}, types, rets)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestOnlineEnginePairSubset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub, err := NewOnlineEngine(EngineConfig{Type: ty, M: m, Workers: 3, Pairs: subset, TileSize: 2}, n)
+			sub, err := NewOnlineEngine(EngineConfig{Type: ty, M: m, Workers: 3, Pairs: subset, tile: 2}, n)
 			if err != nil {
 				t.Fatal(err)
 			}

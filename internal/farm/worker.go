@@ -13,6 +13,18 @@ import (
 	"marketminer/internal/sweep"
 )
 
+const (
+	// idleTimeout bounds silence from the coordinator before a worker
+	// abandons the connection and redials. The coordinator heartbeats
+	// parked workers every TTL/4, so a healthy link never trips this.
+	idleTimeout = 30 * time.Second
+	// maxUnacked caps the completed-but-unacknowledged Results a worker
+	// buffers for redelivery across a coordinator restart. Overflow
+	// evicts arbitrarily: an evicted unit is merely recomputed, never
+	// lost.
+	maxUnacked = 1024
+)
+
 // WorkerConfig configures one farm worker process.
 type WorkerConfig struct {
 	// Config must match the coordinator's sweep configuration exactly;
@@ -37,11 +49,6 @@ type WorkerConfig struct {
 	// HeartbeatEvery is the lease-renewal cadence; ≤ 0 means 1s. Keep
 	// it well under the coordinator's lease TTL.
 	HeartbeatEvery time.Duration
-	// IdleTimeout bounds silence from the coordinator before this
-	// worker abandons the connection and redials; ≤ 0 means 30s. The
-	// coordinator heartbeats parked workers every TTL/4, so a healthy
-	// link never trips this.
-	IdleTimeout time.Duration
 	// Backoff is the first redial delay (≤ 0 means 100ms); consecutive
 	// failures double it up to 32×Backoff, each delay jittered in
 	// [d/2, d] (supervise.Redial) so a farm of workers orphaned by the
@@ -54,11 +61,6 @@ type WorkerConfig struct {
 	// or a compute error is fatal on the first attempt: retrying either
 	// can never succeed.
 	MaxAttempts int
-	// MaxUnacked caps the completed-but-unacknowledged Results buffered
-	// for redelivery across a coordinator restart; ≤ 0 means 1024.
-	// Overflow evicts arbitrarily — an evicted unit is merely
-	// recomputed, never lost.
-	MaxUnacked int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// OnUnit, when non-nil, is called after each computed unit with
@@ -116,17 +118,11 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 	if wc.HeartbeatEvery <= 0 {
 		wc.HeartbeatEvery = time.Second
 	}
-	if wc.IdleTimeout <= 0 {
-		wc.IdleTimeout = 30 * time.Second
-	}
 	if wc.Backoff <= 0 {
 		wc.Backoff = 100 * time.Millisecond
 	}
 	if wc.MaxAttempts <= 0 {
 		wc.MaxAttempts = 10
-	}
-	if wc.MaxUnacked <= 0 {
-		wc.MaxUnacked = 1024
 	}
 	if wc.Dial == nil {
 		if wc.Addr == "" {
@@ -189,15 +185,30 @@ func (w *worker) logf(format string, args ...any) {
 	}
 }
 
+// join builds the session's Join frame. After a first session it is a
+// rejoin, claiming the prior session and the leases still held.
+func (w *worker) join() *feed.Join {
+	j := &feed.Join{
+		Version:     feed.ProtocolVersion,
+		Name:        w.wc.Name,
+		Fingerprint: w.runner.Fingerprint(),
+	}
+	if w.sessionID != 0 {
+		j.PriorSession = w.sessionID
+		j.PriorEpoch = w.epoch
+		j.HeldLeases = w.heldLeaseIDs()
+	}
+	return j
+}
+
 // heldLeaseIDs snapshots the lease ids to claim in a rejoin Join,
 // bounded by the wire-format cap (an unreported lease is merely
 // reassigned by the coordinator, never lost).
 func (w *worker) heldLeaseIDs() []uint64 {
-	const wireCap = 1024 // feed's maxHeldLeases
-	ids := make([]uint64, 0, len(w.held))
+	ids := make([]uint64, 0, min(len(w.held), feed.MaxHeldLeases))
 	for _, id := range w.held {
 		ids = append(ids, id)
-		if len(ids) == wireCap {
+		if len(ids) == feed.MaxHeldLeases {
 			break
 		}
 	}
@@ -229,7 +240,7 @@ func (w *worker) ack(unit int) {
 // buffer records a delivered Result for potential redelivery, evicting
 // arbitrarily at the cap (the evicted unit is recomputed, not lost).
 func (w *worker) buffer(r *feed.Result) {
-	if len(w.unacked) >= w.wc.MaxUnacked {
+	if len(w.unacked) >= maxUnacked {
 		for id := range w.unacked {
 			delete(w.unacked, id)
 			break
@@ -261,21 +272,12 @@ func (w *worker) session(ctx context.Context, progress func()) error {
 	}
 	dec := feed.NewDecoder(conn)
 	read := func() (feed.Frame, error) {
-		conn.SetReadDeadline(time.Now().Add(w.wc.IdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		return dec.Read()
 	}
 
 	rejoin := w.sessionID != 0
-	join := &feed.Join{
-		Version:     feed.ProtocolVersion,
-		Name:        w.wc.Name,
-		Fingerprint: w.runner.Fingerprint(),
-	}
-	if rejoin {
-		join.PriorSession = w.sessionID
-		join.PriorEpoch = w.epoch
-		join.HeldLeases = w.heldLeaseIDs()
-	}
+	join := w.join()
 	if err := send(func(e *feed.Encoder) error { return e.WriteJoin(join) }); err != nil {
 		return err
 	}

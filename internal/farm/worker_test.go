@@ -1,13 +1,16 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"marketminer/internal/feed"
+	"marketminer/internal/sweep"
 )
 
 // deadAddr binds and immediately closes a listener, yielding an
@@ -116,5 +119,36 @@ func TestFarmWorkerGrantResetsAttempts(t *testing.T) {
 	}
 	if st.Sessions != drops+1 || st.Rejoins != drops || st.Redials != drops {
 		t.Fatalf("stats %+v: want %d sessions, each drop rejoined and redialed", st, drops+1)
+	}
+}
+
+// TestFarmWorkerRejoinCapsHeldLeases: a worker holding more leases
+// than one Join frame may claim builds a rejoin Join with exactly
+// feed.MaxHeldLeases of them, and that frame encodes and decodes
+// unchanged. The leases left out are reassigned, not lost.
+func TestFarmWorkerRejoinCapsHeldLeases(t *testing.T) {
+	runner, err := sweep.NewGroupRunner(mustFarmConfig(), farmBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &worker{wc: WorkerConfig{Name: "w"}, runner: runner, sessionID: 7, epoch: 3, held: map[int]uint64{}}
+	for gid := 0; gid < feed.MaxHeldLeases+100; gid++ {
+		w.held[gid] = uint64(1000 + gid)
+	}
+	join := w.join()
+	if len(join.HeldLeases) != feed.MaxHeldLeases || join.PriorSession != 7 || join.PriorEpoch != 3 {
+		t.Fatalf("rejoin claims %d leases of session %d epoch %d, want %d of session 7 epoch 3",
+			len(join.HeldLeases), join.PriorSession, join.PriorEpoch, feed.MaxHeldLeases)
+	}
+	var buf bytes.Buffer
+	if err := feed.NewEncoder(&buf, nil).WriteJoin(join); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	f, err := feed.NewDecoder(&buf).Read()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got, ok := f.(*feed.Join); !ok || !reflect.DeepEqual(got, join) {
+		t.Errorf("decoded %+v, want %+v", f, join)
 	}
 }

@@ -161,18 +161,18 @@ const resultHeaderSize = 8*4 + 1 + 4
 // MaxResultFloats bounds the total float64 count in one Result frame.
 const MaxResultFloats = (MaxFrameSize - resultHeaderSize) / 8
 
-// maxHeldLeases bounds the lease ids a rejoining worker may claim in
+// MaxHeldLeases bounds the lease ids a rejoining worker may claim in
 // one Join frame; a worker computes one group at a time plus a short
 // queue of pushed re-confirmations, so real counts are single digits.
-const maxHeldLeases = 1024
+const MaxHeldLeases = 1024
 
 // WriteJoin emits a worker's join request.
 func (e *Encoder) WriteJoin(j *Join) error {
 	if len(j.Name) > maxSymbolLen || len(j.Fingerprint) > maxSymbolLen {
 		return protoErrf("join name or fingerprint too long")
 	}
-	if len(j.HeldLeases) > maxHeldLeases {
-		return protoErrf("join claims %d held leases (limit %d)", len(j.HeldLeases), maxHeldLeases)
+	if len(j.HeldLeases) > MaxHeldLeases {
+		return protoErrf("join claims %d held leases (limit %d)", len(j.HeldLeases), MaxHeldLeases)
 	}
 	e.begin(FrameJoin)
 	e.putU16(j.Version)
@@ -301,8 +301,8 @@ func decodeJoin(p []byte) (*Join, error) {
 	j.PriorEpoch = binary.LittleEndian.Uint64(p[8:])
 	count := int(binary.LittleEndian.Uint16(p[16:]))
 	p = p[18:]
-	if count > maxHeldLeases {
-		return nil, protoErrf("join claims %d held leases (limit %d)", count, maxHeldLeases)
+	if count > MaxHeldLeases {
+		return nil, protoErrf("join claims %d held leases (limit %d)", count, MaxHeldLeases)
 	}
 	if len(p) != count*8 {
 		return nil, protoErrf("join declares %d held leases but carries %d bytes", count, len(p))

@@ -129,9 +129,7 @@ func TestQuarantineRejectsBitFlippedLine(t *testing.T) {
 		t.Fatalf("bit flip handling: healed=%v len=%d, want true/0", q2.Healed(), q2.Len())
 	}
 
-	p := testPolicy(&fakeClock{}, 5)
-	p.Retries = -1
-	st := NewStage("stage", p, q2, intKey)
+	st := NewStage("stage", 0, q2, intKey)
 	attempts := 0
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		if m.(int) == 2 {

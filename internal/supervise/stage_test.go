@@ -44,8 +44,7 @@ func TestStageQuarantinesPoisonMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{}
-	st := NewStage("stage", testPolicy(clk, 5), quar, intKey)
+	st := NewStage("stage", 0, quar, intKey)
 
 	attempts := map[int]int{}
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
@@ -65,14 +64,14 @@ func TestStageQuarantinesPoisonMessage(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("delivered %v, want %v (poison skipped)", got, want)
 	}
-	if attempts[3] != 3 { // 1 initial + Retries(2)
-		t.Errorf("poison attempts = %d, want 3", attempts[3])
+	if attempts[3] != 1 {
+		t.Errorf("poison attempts = %d, want 1 (no retry)", attempts[3])
 	}
 	if !quar.Seen("msg-3") || quar.Len() != 1 {
 		t.Errorf("quarantine: seen=%v len=%d", quar.Seen("msg-3"), quar.Len())
 	}
 	rep := st.Report()
-	if rep.Processed != 5 || rep.Quarantined != 1 || rep.Panics != 3 || rep.Retries != 2 {
+	if rep.Processed != 5 || rep.Quarantined != 1 || rep.Panics != 1 {
 		t.Errorf("report: %+v", rep)
 	}
 	recs := quar.Records()
@@ -86,8 +85,7 @@ func TestStageSkipsAlreadyQuarantined(t *testing.T) {
 	if err := quar.Record("stage", "msg-2", "poisoned in a previous life"); err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{}
-	st := NewStage("stage", testPolicy(clk, 5), quar, intKey)
+	st := NewStage("stage", 0, quar, intKey)
 	calls := 0
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		calls++
@@ -109,39 +107,60 @@ func TestStageSkipsAlreadyQuarantined(t *testing.T) {
 	}
 }
 
-func TestStageRetrySucceedsWithoutDoubleEmit(t *testing.T) {
-	// The message emits downstream *before* panicking on its first
-	// attempt; buffered emits must make the retry side-effect-atomic:
-	// exactly one delivery.
+// TestStageQuarantinesOnFirstAttempt is the stage contract. A message
+// that emits and then panics forwards nothing and is quarantined on its
+// first attempt, and the message after it goes through. maxFailures
+// consecutive poison messages still open the circuit, each one run
+// exactly once.
+func TestStageQuarantinesOnFirstAttempt(t *testing.T) {
 	quar, _ := OpenQuarantine("")
-	clk := &fakeClock{}
-	st := NewStage("stage", testPolicy(clk, 5), quar, intKey)
-	attempt := 0
+	st := NewStage("stage", 3, quar, intKey)
+	attempts := map[int]int{}
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
-		emit(m.(int) * 10)
-		attempt++
-		if attempt == 1 {
+		i := m.(int)
+		attempts[i]++
+		emit(i * 10)
+		if i%2 == 1 {
 			panic("crash after emit")
 		}
 		return nil
 	}
-	got, err := runStageGraph(t, st, proc, []int{7})
+	got, err := runStageGraph(t, st, proc, []int{7, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != fmt.Sprint([]int{70}) {
-		t.Errorf("delivered %v, want exactly one 70", got)
+	if fmt.Sprint(got) != fmt.Sprint([]int{80}) {
+		t.Errorf("delivered %v, want only 80", got)
+	}
+	if !quar.Seen("msg-7") || quar.Len() != 1 {
+		t.Errorf("quarantine: seen=%v len=%d, want msg-7 alone", quar.Seen("msg-7"), quar.Len())
 	}
 	rep := st.Report()
-	if rep.Processed != 1 || rep.Retries != 1 || rep.Quarantined != 0 {
+	if rep.Processed != 1 || rep.Panics != 1 || rep.Quarantined != 1 || rep.Skipped != 0 {
 		t.Errorf("report: %+v", rep)
+	}
+
+	got, err = runStageGraph(t, st, proc, []int{1, 3, 5, 9})
+	var ce *CircuitError
+	if !errors.As(err, &ce) || ce.Failures != 3 {
+		t.Fatalf("err = %v, want a CircuitError after 3 failures", err)
+	}
+	if len(got) != 0 {
+		t.Errorf("poison messages delivered %v", got)
+	}
+	for _, i := range []int{7, 1, 3, 5} {
+		if attempts[i] != 1 {
+			t.Errorf("message %d ran %d times, want 1", i, attempts[i])
+		}
+	}
+	if quar.Len() != 3 { // msg-7, msg-1, msg-3; msg-5 trips the breaker
+		t.Errorf("quarantined %d, want 3", quar.Len())
 	}
 }
 
 func TestStageExplicitErrorPassesThrough(t *testing.T) {
 	quar, _ := OpenQuarantine("")
-	clk := &fakeClock{}
-	st := NewStage("stage", testPolicy(clk, 5), quar, intKey)
+	st := NewStage("stage", 0, quar, intKey)
 	sentinel := errors.New("intentional abort")
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		return sentinel
@@ -159,11 +178,7 @@ func TestStageCircuitBreakerOnConsecutivePoison(t *testing.T) {
 	// Every message is poison: after MaxFailures consecutive
 	// quarantines the stage must stop absorbing and fail the graph.
 	quar, _ := OpenQuarantine("")
-	clk := &fakeClock{}
-	p := testPolicy(clk, 5)
-	p.MaxFailures = 3
-	p.Retries = -1 // quarantine on first panic; fewer attempts to count
-	st := NewStage("stage", p, quar, intKey)
+	st := NewStage("stage", 3, quar, intKey)
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		panic("all poison")
 	}
@@ -182,9 +197,8 @@ func TestStageCircuitBreakerOnConsecutivePoison(t *testing.T) {
 
 func TestStageUnquarantinableFailureFailsGraph(t *testing.T) {
 	// Messages with no key (internal message types) must not be
-	// silently skipped: exhausted retries fail the graph.
-	clk := &fakeClock{}
-	st := NewStage("stage", testPolicy(clk, 5), nil, nil)
+	// silently skipped: their first panic fails the graph.
+	st := NewStage("stage", 0, nil, nil)
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		panic("logic bug")
 	}
@@ -197,11 +211,7 @@ func TestStageUnquarantinableFailureFailsGraph(t *testing.T) {
 
 func TestStageCleanMessageResetsBreaker(t *testing.T) {
 	quar, _ := OpenQuarantine("")
-	clk := &fakeClock{}
-	p := testPolicy(clk, 5)
-	p.MaxFailures = 3
-	p.Retries = -1
-	st := NewStage("stage", p, quar, intKey)
+	st := NewStage("stage", 3, quar, intKey)
 	proc := func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		if m.(int)%2 == 1 {
 			panic("odd poison")

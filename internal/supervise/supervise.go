@@ -3,8 +3,7 @@
 // exponential backoff and a max-restart circuit breaker (Retry, the one
 // redial loop of the feed collector, broker subscriber and farm
 // worker; Run, the same loop with panic isolation), per-message panic
-// isolation for DAG stages with poison-message quarantine, bounded
-// queues with explicit backpressure and drop accounting,
+// isolation for DAG stages with poison-message quarantine,
 // deadline-bounded graceful drain, and CRC-guarded atomic-rename
 // snapshots for warm state.
 //
@@ -25,14 +24,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"marketminer/internal/metrics"
 )
 
 // Policy configures restart and retry behaviour for one supervised
-// task or stage. The zero value of every field takes the documented
+// task. The zero value of every field takes the documented
 // default, so Policy{} is a usable production policy.
 type Policy struct {
 	// InitialBackoff is the delay before the first restart (default
@@ -47,21 +45,21 @@ type Policy struct {
 	// without a clean one in between) abort with a CircuitError
 	// instead of retrying forever (default 8).
 	MaxFailures int
-	// Retries is the number of times a Stage re-runs a message whose
-	// processing panicked before quarantining it (default 2). Retried
-	// work must be idempotent or harmless to repeat; stages that are
-	// not should set Retries < 0, which disables retrying (a first
-	// panic quarantines immediately).
-	Retries int
 	// Jitter, when non-nil, replaces the backoff jitter rng; inject a
 	// seeded one to pin a test's exact schedule. The default draws
 	// from math/rand's process-wide source, which is seeded afresh in
-	// every process, so two processes never share a schedule.
+	// every process, so two processes never share a schedule. An
+	// injected rng is not locked: do not share it between concurrent
+	// Retry loops.
 	Jitter *rand.Rand
 	// Sleep, when non-nil, replaces the real backoff wait; it must
 	// return false iff ctx was cancelled before the delay elapsed.
 	Sleep func(ctx context.Context, d time.Duration) bool
 }
+
+// defaultMaxFailures is the circuit breaker of a zero Policy and of a
+// Stage given no limit.
+const defaultMaxFailures = 8
 
 func (p Policy) withDefaults() Policy {
 	if p.InitialBackoff <= 0 {
@@ -71,12 +69,7 @@ func (p Policy) withDefaults() Policy {
 		p.MaxBackoff = 2 * time.Second
 	}
 	if p.MaxFailures <= 0 {
-		p.MaxFailures = 8
-	}
-	if p.Retries == 0 {
-		p.Retries = 2
-	} else if p.Retries < 0 {
-		p.Retries = 0
+		p.MaxFailures = defaultMaxFailures
 	}
 	if p.Sleep == nil {
 		p.Sleep = func(ctx context.Context, d time.Duration) bool {
@@ -104,30 +97,21 @@ func Redial(backoff time.Duration, maxAttempts int) Policy {
 	return Policy{InitialBackoff: backoff, MaxBackoff: 32 * backoff, MaxFailures: maxAttempts}
 }
 
-// backoff computes jittered exponential delays. Safe for concurrent
-// use (stage workers may back off in parallel).
-type backoff struct {
-	pol Policy
-	mu  sync.Mutex // guards an injected pol.Jitter
-}
-
 // delay returns the jittered backoff for the given consecutive-failure
 // count (1-based).
-func (b *backoff) delay(failure int) time.Duration {
-	d := b.pol.InitialBackoff
+func (p Policy) delay(failure int) time.Duration {
+	d := p.InitialBackoff
 	for i := 1; i < failure; i++ {
-		if d *= 2; d >= b.pol.MaxBackoff {
-			d = b.pol.MaxBackoff
+		if d *= 2; d >= p.MaxBackoff {
+			d = p.MaxBackoff
 			break
 		}
 	}
 	n := int64(d/2) + 1
-	if b.pol.Jitter == nil {
+	if p.Jitter == nil {
 		return d/2 + time.Duration(rand.Int63n(n))
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return d/2 + time.Duration(b.pol.Jitter.Int63n(n))
+	return d/2 + time.Duration(p.Jitter.Int63n(n))
 }
 
 // permanentError marks a task failure that retrying cannot fix.
@@ -207,7 +191,6 @@ type TaskReport struct {
 // Run adds that isolation.
 func Retry(ctx context.Context, p Policy, task func(ctx context.Context, progress func()) error) error {
 	p = p.withDefaults()
-	bo := &backoff{pol: p}
 	failures := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -232,7 +215,7 @@ func Retry(ctx context.Context, p Policy, task func(ctx context.Context, progres
 		if failures >= p.MaxFailures {
 			return &CircuitError{Failures: failures, Last: err}
 		}
-		if !p.Sleep(ctx, bo.delay(failures)) {
+		if !p.Sleep(ctx, p.delay(failures)) {
 			return ctx.Err()
 		}
 	}

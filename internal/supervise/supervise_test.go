@@ -270,14 +270,14 @@ func TestGracefulDrainCleanAndForced(t *testing.T) {
 	}
 }
 
-func TestPolicyRetriesSentinel(t *testing.T) {
-	if got := (Policy{}).withDefaults().Retries; got != 2 {
-		t.Errorf("default Retries = %d, want 2", got)
+// TestPolicyDefaults: every zero field takes its documented default,
+// and a set field is kept.
+func TestPolicyDefaults(t *testing.T) {
+	p := (Policy{}).withDefaults()
+	if p.InitialBackoff != 10*time.Millisecond || p.MaxBackoff != 2*time.Second || p.MaxFailures != 8 || p.Sleep == nil {
+		t.Errorf("defaults = %+v", p)
 	}
-	if got := (Policy{Retries: -1}).withDefaults().Retries; got != 0 {
-		t.Errorf("Retries<0 → %d, want 0 (disabled)", got)
-	}
-	if got := (Policy{Retries: 5}).withDefaults().Retries; got != 5 {
-		t.Errorf("explicit Retries = %d, want 5", got)
+	if got := (Policy{MaxFailures: 3}).withDefaults().MaxFailures; got != 3 {
+		t.Errorf("explicit MaxFailures = %d, want 3", got)
 	}
 }

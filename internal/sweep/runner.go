@@ -24,10 +24,9 @@ type RunConfig struct {
 	// is invalid, use Shard{0, 1} for a single process.
 	Shard Shard
 	// JournalPath is the checkpoint journal for this shard (required).
+	// The machine-readable progress manifest goes to JournalPath +
+	// ".manifest".
 	JournalPath string
-	// ManifestPath receives the machine-readable progress manifest;
-	// empty means JournalPath + ".manifest".
-	ManifestPath string
 	// Progress, when non-nil, receives periodic progress snapshots.
 	Progress func(ProgressInfo)
 	// ProgressEvery rate-limits Progress and manifest writes; ≤ 0
@@ -39,12 +38,7 @@ type RunConfig struct {
 	Limit int
 }
 
-func (rc RunConfig) manifestPath() string {
-	if rc.ManifestPath != "" {
-		return rc.ManifestPath
-	}
-	return rc.JournalPath + ".manifest"
-}
+func (rc RunConfig) manifestPath() string { return rc.JournalPath + ".manifest" }
 
 // ProgressInfo is one observability snapshot of a running shard.
 type ProgressInfo struct {

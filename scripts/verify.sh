@@ -80,6 +80,12 @@ focus 'TestEngineFingerprintPinned' ./internal/corr
 echo "== Figure 1 equals Section V: pipeline trades bit-equal to PrepareDay -> corr.Day.Series -> DayGrid for Pearson, Maronna and Combined, on a 4-stock day and a 20-stock default-market day at M = 50, 100, 200"
 focus 'TestPipelineMatchesBatchBacktest' ./internal/core
 
+echo "== Figure 1 equals Section V on the default 61-stock day: all 14 levels x 3 treatments, one pipeline per (M, treatment), without -race"
+MM_FULL_DAY_CHECK=1 go test -run 'TestPipelineMatchesBatchBacktest' ./internal/core
+
+echo "== supervision: pinned supervised chaotic day (poison quotes, snapshot resume, quarantine); a stage quarantines on the first panic and forwards nothing from it, and consecutive poison opens the circuit"
+focus 'TestSupervisedChaoticDayMatchesParentDigest|TestStageQuarantinesOnFirstAttempt|TestStageCircuitBreakerOnConsecutivePoison|TestStageCleanMessageResetsBreaker|TestStageUnquarantinableFailureFailsGraph' ./internal/core ./internal/supervise
+
 echo "== one batch driver: in-memory sweep digest pinned to the per-day runner it replaced, Farm = Backtest screened and unscreened, the bounded day cache (singleflight, errors, capacity, resident days over a 20-day plan)"
 focus 'TestBacktestMatchesParentDigest|TestFarmMatchesBacktest|TestDayCacheSingleflightAndBound|TestDayCachePropagatesErrors|TestDayCacheCap|TestGroupDispatchBoundsResidentDays' ./internal/sweep
 
