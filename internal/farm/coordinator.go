@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -81,7 +80,9 @@ type CoordStats struct {
 
 // Coordinator deals sweep groups to remote workers and journals their
 // results. One Coordinator serves one sweep; create it with
-// NewCoordinator and run it with Serve.
+// NewCoordinator and run it with Serve. It is the shell around
+// coordState: every connection, tick and cancellation becomes an event
+// for apply, which carries out the effects.
 type Coordinator struct {
 	cc           CoordinatorConfig
 	plan         *sweep.Plan
@@ -92,61 +93,40 @@ type Coordinator struct {
 	drainGrace   time.Duration
 	manifestPath string
 	now          func() time.Time // injectable clock (expiry tests)
+	done         chan struct{}    // closed once finished
 
-	// mu guards everything below, including every session's held set.
-	mu          sync.Mutex
-	journal     *sweep.Journal
-	epoch       uint64
-	groups      []groupState
-	pending     []int // unleased gids with missing units; front = next out
-	waiters     []*session
-	sessions    map[uint64]*session
-	nextSession uint64
-	nextLease   uint64
-	unitsTotal  int
-	doneUnits   int // journaled units (restored + accepted)
-	restored    int
-	accepted    int
-	trades      int64
-	joined      int
-	finished    bool
-	paused      bool
-	fatal       error
-	done        chan struct{} // closed once finished
-}
-
-// groupState tracks one (day, pair-block) group's lease. The
-// generation counter is bumped on every (re)assignment; a Result whose
-// (lease, gen, session) triple does not match the current holder is a
-// fenced zombie and is dropped.
-type groupState struct {
-	gen     uint64
-	lease   uint64 // 0 = unleased
-	session uint64
-	expiry  time.Time
-	missing map[int]bool // param indexes not yet journaled
+	// mu guards the core, the journal and the session table.
+	mu       sync.Mutex
+	st       coordState
+	journal  *sweep.Journal
+	sessions map[uint64]*session
 }
 
 // session is one connected worker. Its encoder is shared by the
-// handler, the sweeper's heartbeats and waiter wake-ups; writeMu
-// serializes them. held is guarded by Coordinator.mu, not writeMu.
+// handler, the sweeper's heartbeats and wake-ups of parked workers;
+// writeMu serializes them.
 type session struct {
 	id      uint64
-	name    string
 	conn    net.Conn
 	writeMu sync.Mutex
 	enc     *feed.Encoder
-	held    map[int]bool // gids leased to this session
 }
 
-func (s *session) send(f func(*feed.Encoder) error) error {
+func (s *session) send(f feed.Frame) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return f(s.enc)
-}
-
-func (s *session) sendEnd() error {
-	return s.send(func(e *feed.Encoder) error { return e.WriteEnd(&feed.End{}) })
+	switch f := f.(type) {
+	case *feed.Grant:
+		return s.enc.WriteGrant(f)
+	case *feed.Lease:
+		return s.enc.WriteLease(f)
+	case *feed.ResultAck:
+		return s.enc.WriteResultAck(f)
+	case *feed.Heartbeat:
+		return s.enc.WriteHeartbeat(f)
+	default:
+		return s.enc.WriteEnd(&feed.End{})
+	}
 }
 
 // NewCoordinator validates the configuration and derives the plan. The
@@ -169,8 +149,8 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 		drainGrace:   3 * time.Second,
 		manifestPath: coordManifestPath(cc.JournalPath),
 		now:          time.Now,
-		sessions:     map[uint64]*session{},
 		done:         make(chan struct{}),
+		sessions:     map[uint64]*session{},
 	}
 	if c.ttl <= 0 {
 		c.ttl = DefaultLeaseTTL
@@ -178,6 +158,7 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 	if c.sweepEvery <= 0 {
 		c.sweepEvery = c.ttl / defaultTTLDivide
 	}
+	c.st = coordState{plan: c.plan, ttl: c.ttl, limit: cc.Limit, sessions: map[uint64]string{}}
 	return c, nil
 }
 
@@ -204,114 +185,36 @@ func (c *Coordinator) Serve(ctx context.Context, l net.Listener) (*CoordStats, e
 		l.Close()
 		return nil, err
 	}
-
-	c.mu.Lock()
 	c.journal = journal
-	c.epoch = 1
-	c.unitsTotal = c.plan.NumUnits()
-	c.groups = make([]groupState, c.plan.NumGroups())
-	np := c.plan.NumParams()
-	for gid := range c.groups {
-		g := &c.groups[gid]
-		g.missing = make(map[int]bool, np)
-		for k := 0; k < np; k++ {
-			g.missing[k] = true
-		}
-	}
-	for id, n := range done {
-		u := c.plan.UnitFromID(id)
-		delete(c.groups[c.plan.GroupID(u.Day, u.Block)].missing, u.Param)
-		c.restored++
-		c.doneUnits++
-		c.trades += int64(n)
-	}
-	// Cold restart / takeover: claim the next epoch (fencing the
-	// previous incarnation), resume the monotonic id counters, park
-	// the manifest's live leases in a rejoin grace window, and rebuild
-	// the pending deque in its journaled order.
-	limbo := 0
-	if prior != nil {
-		c.epoch = prior.Epoch + 1
-		c.nextSession = prior.NextSession
-		c.nextLease = prior.NextLease
-		grace := c.now().Add(c.ttl)
-		for _, pl := range prior.Leases {
-			if pl.Gid < 0 || pl.Gid >= len(c.groups) {
-				continue
-			}
-			g := &c.groups[pl.Gid]
-			if len(g.missing) == 0 || g.lease != 0 {
-				continue
-			}
-			g.lease, g.gen, g.session, g.expiry = pl.Lease, pl.Gen, pl.Session, grace
-			limbo++
-		}
-	}
-	inPending := map[int]bool{}
-	if prior != nil {
-		for _, gid := range prior.Pending {
-			if gid < 0 || gid >= len(c.groups) || inPending[gid] {
-				continue
-			}
-			g := &c.groups[gid]
-			if len(g.missing) > 0 && g.lease == 0 {
-				c.pending = append(c.pending, gid)
-				inPending[gid] = true
-			}
-		}
-	}
-	for gid := range c.groups {
-		g := &c.groups[gid]
-		if len(g.missing) > 0 && g.lease == 0 && !inPending[gid] {
-			c.pending = append(c.pending, gid)
-		}
-	}
-	complete := c.doneUnits == c.unitsTotal
-	if complete {
-		c.finishLocked(false, nil)
-	}
-	// Claim the epoch durably before serving anything: from this write
-	// on, the previous incarnation's journal/manifest writes bounce off
-	// the fence check.
-	c.saveManifestLocked()
-	c.mu.Unlock()
-
-	if prior != nil {
-		metrics.Counter(MetricCoordRestarts).Inc()
-		c.logf("farm: coordinator restarted under epoch %d (%d lease(s) held for rejoin, TTL %v)",
-			c.epoch, limbo, c.ttl)
-	}
+	c.apply(event{kind: evRestore, prior: prior, done: done, now: c.now()}, nil)
 	if recovered != nil {
 		c.logf("farm: healed journal tail: %v", recovered)
 	}
-	if complete {
+	c.mu.Lock()
+	finished, st := c.st.finished, c.st
+	c.mu.Unlock()
+	if finished { // nothing left to do, or fenced before serving
 		l.Close()
-		err := journal.Close()
-		return c.snapshotStats(recovered), err
+		return c.close(recovered)
 	}
 	c.logf("farm: serving %d/%d units (%d restored), lease TTL %v, epoch %d",
-		c.unitsTotal-c.doneUnits, c.unitsTotal, c.restored, c.ttl, c.epoch)
+		st.unitsTotal-st.doneUnits, st.unitsTotal, st.restored, c.ttl, st.epoch)
 
 	// Watchdog: on cancel, abort every session; on finish (from any
 	// path), just close the listener so Accept returns.
 	go func() {
 		select {
 		case <-ctx.Done():
-			c.mu.Lock()
-			ss := c.finishLocked(false, ctx.Err())
-			c.mu.Unlock()
-			for _, s := range ss {
-				s.conn.Close()
-			}
+			c.apply(event{kind: evAbort, err: ctx.Err()}, nil)
 		case <-c.done:
 		}
 		l.Close()
 	}()
 
-	// Lease sweeper: expiry checks plus liveness heartbeats to every
-	// session (parked workers use them to reset their idle timers) and
-	// a manifest touch or rewrite (standbys watch for it to judge when
-	// to take over).
+	// Sweeper: lease expiry, heartbeats to every session (parked workers
+	// use them to reset their idle timers), and the manifest probe and
+	// touch (standbys watch it to judge when to take over). The probe
+	// reads outside mu: only another incarnation can move the epoch.
 	go func() {
 		t := time.NewTicker(c.sweepEvery)
 		defer t.Stop()
@@ -320,7 +223,7 @@ func (c *Coordinator) Serve(ctx context.Context, l net.Listener) (*CoordStats, e
 			case <-c.done:
 				return
 			case <-t.C:
-				c.sweepLeases()
+				c.apply(event{kind: evTick, seen: c.diskEpoch(), now: c.now()}, nil)
 			}
 		}
 	}()
@@ -341,155 +244,122 @@ func (c *Coordinator) Serve(ctx context.Context, l net.Listener) (*CoordStats, e
 	}
 	// If the listener died before anything finished the run, that is a
 	// real serving error, not a shutdown.
-	c.mu.Lock()
-	ss := c.finishLocked(false, acceptErr)
-	c.mu.Unlock()
-	for _, s := range ss {
-		s.conn.Close()
-	}
+	c.apply(event{kind: evAbort, err: acceptErr}, nil)
 	wg.Wait()
-
-	c.mu.Lock()
-	// Final manifest, so a later run resumes exactly here. On a clean
-	// finish or Limit pause every session was Ended — no lease can be
-	// rejoined, so drop them all and let the next incarnation re-deal
-	// immediately instead of waiting out a rejoin grace. An abort keeps
-	// the lease table (its workers are alive and will rejoin); a fenced
-	// stand-down skips the write — the newer incarnation owns the file.
-	if c.fatal == nil {
-		for gid := range c.groups {
-			g := &c.groups[gid]
-			if g.lease != 0 && len(g.missing) > 0 {
-				g.lease, g.session = 0, 0
-				c.pending = append(c.pending, gid)
-			}
-		}
-	}
-	c.saveManifestLocked()
-	ferr := c.fatal
-	c.mu.Unlock()
-	if cerr := journal.Close(); ferr == nil {
-		ferr = cerr
-	}
-	return c.snapshotStats(recovered), ferr
+	// Final manifest, so a later run resumes exactly here; a fenced
+	// incarnation's write bounces off the fence.
+	c.apply(event{kind: evRelease}, nil)
+	return c.close(recovered)
 }
 
-// snapshotStats snapshots run stats under mu.
-func (c *Coordinator) snapshotStats(recovered *sweep.Corruption) *CoordStats {
+// close closes the journal and reports the run.
+func (c *Coordinator) close(recovered *sweep.Corruption) (*CoordStats, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return &CoordStats{
-		UnitsTotal:    c.unitsTotal,
-		UnitsRestored: c.restored,
-		UnitsExecuted: c.accepted,
-		Trades:        c.trades,
-		WorkersJoined: c.joined,
-		Epoch:         c.epoch,
-		Paused:        c.paused,
+	st := &c.st
+	stats := &CoordStats{
+		UnitsTotal:    st.unitsTotal,
+		UnitsRestored: st.restored,
+		UnitsExecuted: st.accepted,
+		Trades:        st.trades,
+		WorkersJoined: st.joined,
+		Epoch:         st.epoch,
+		Paused:        st.paused,
 		Recovered:     recovered,
 	}
+	err := st.fatal
+	c.mu.Unlock()
+	if cerr := c.journal.Close(); err == nil {
+		err = cerr
+	}
+	return stats, err
 }
 
-// fenceCheckLocked verifies this incarnation still owns the manifest
-// epoch; it must be called before every durable write (journal append,
-// manifest replace). A manifest carrying a higher epoch means a
-// standby or restart has taken over: the write is refused, counted,
-// and the coordinator stands down. An unreadable manifest never blocks
-// the primary — fencing fails open, and the journal's CRC framing plus
-// merge-level duplicate dropping keep even a lost race benign. own
-// reports whether the file holds this incarnation's epoch; it does not
-// after a stale writer whose check preceded our claim replaced it.
-func (c *Coordinator) fenceCheckLocked() (own bool, err error) {
-	m, err := readCoordManifest(c.manifestPath, c.fingerprint)
-	if err != nil || m == nil {
-		return false, nil
+// diskEpoch re-reads the manifest's epoch. A missing or unreadable
+// manifest reads as 0: fencing fails open, and the journal's CRC
+// framing plus merge-level duplicate dropping keep even a lost race
+// benign.
+func (c *Coordinator) diskEpoch() uint64 {
+	if m, err := readCoordManifest(c.manifestPath, c.fingerprint); err == nil && m != nil {
+		return m.Epoch
 	}
-	if m.Epoch > c.epoch {
-		metrics.Counter(MetricCoordEpochFences).Inc()
-		c.logf("farm: write refused: coordinator epoch %d fenced by epoch %d", c.epoch, m.Epoch)
-		return false, fmt.Errorf("%w (own epoch %d, manifest epoch %d)", ErrFenced, c.epoch, m.Epoch)
-	}
-	return m.Epoch == c.epoch, nil
+	return 0
 }
 
-// buildManifestLocked snapshots the durable coordinator state.
-func (c *Coordinator) buildManifestLocked() *coordManifest {
-	m := &coordManifest{
-		Epoch:       c.epoch,
-		NextSession: c.nextSession,
-		NextLease:   c.nextLease,
-		Pending:     append([]int{}, c.pending...),
+// apply steps the core and carries out its effects. Under mu it runs
+// the durable ones in order: each journal append or manifest replace
+// after a fresh fence check, whose failure goes back into the core as
+// evFenced and replaces the rest of the step. After unlock it performs
+// the sends, closes, counters and logs. join, when non-nil, is the
+// connection of an evJoin: it is registered under the granted session
+// id (a join's first effect is its Grant), and left with id 0 when the
+// run is over.
+func (c *Coordinator) apply(ev event, join *session) {
+	type todo struct {
+		effect
+		s *session
 	}
-	for gid := range c.groups {
-		g := &c.groups[gid]
-		if g.lease != 0 && len(g.missing) > 0 {
-			m.Leases = append(m.Leases, coordLease{Gid: gid, Lease: g.lease, Gen: g.gen, Session: g.session})
+	var after []todo
+	c.mu.Lock()
+	effs := c.st.step(ev)
+	if join != nil && len(effs) > 0 {
+		join.id = effs[0].session
+		c.sessions[join.id] = join
+	}
+	for i := 0; i < len(effs); i++ {
+		refused := event{kind: evFenced}
+		switch e := effs[i]; e.kind {
+		case effFence:
+			refused.seen = c.diskEpoch()
+		case effAppend:
+			refused.err = c.journal.Append(e.entry)
+		case effSave:
+			// An I/O failure is tolerated: the manifest is a recovery
+			// accelerator, the journal remains the ground truth.
+			if err := supervise.SaveSnapshot(c.manifestPath, c.fingerprint, c.st.manifest()); err != nil {
+				c.logf("farm: coordinator manifest write failed: %v", err)
+			}
+		case effTouch:
+			if t := time.Now(); os.Chtimes(c.manifestPath, t, t) != nil {
+				c.logf("farm: coordinator manifest touch failed")
+			}
+		default:
+			after = append(after, todo{e, c.sessions[e.session]})
+		}
+		if refused.seen > c.st.epoch || refused.err != nil {
+			effs, i, after = c.st.step(refused), -1, nil
 		}
 	}
-	return m
-}
-
-// saveManifestLocked fence-checks, then atomically replaces the
-// coordinator manifest. A fencing violation is returned (fatal); an
-// I/O failure is logged but tolerated — the manifest is a recovery
-// accelerator, the journal remains the ground truth.
-func (c *Coordinator) saveManifestLocked() error {
-	if _, err := c.fenceCheckLocked(); err != nil {
-		return err
+	if ev.kind == evDrop {
+		delete(c.sessions, ev.session)
 	}
-	if err := supervise.SaveSnapshot(c.manifestPath, c.fingerprint, c.buildManifestLocked()); err != nil {
-		c.logf("farm: coordinator manifest write failed: %v", err)
-	}
-	return nil
-}
-
-// appendFencedLocked fence-checks, then journals one entry.
-func (c *Coordinator) appendFencedLocked(e sweep.Entry) error {
-	if _, err := c.fenceCheckLocked(); err != nil {
-		return err
-	}
-	return c.journal.Append(e)
-}
-
-// standDown transitions to the failed state (typically on a fencing
-// violation) and hard-closes every session so their handlers unwind.
-func (c *Coordinator) standDown(err error) {
-	c.mu.Lock()
-	ss := c.finishLocked(false, err)
 	c.mu.Unlock()
-	for _, s := range ss {
-		s.conn.Close()
-	}
-}
 
-// finishLocked transitions to the finished state exactly once and
-// returns the sessions to notify; mu must be held. The caller decides
-// how to notify (End + drain deadline on clean finish, Close on
-// abort).
-func (c *Coordinator) finishLocked(paused bool, err error) []*session {
-	if c.finished {
-		return nil
-	}
-	c.finished = true
-	c.paused = paused
-	c.fatal = err
-	close(c.done)
-	c.waiters = nil
-	out := make([]*session, 0, len(c.sessions))
-	for _, s := range c.sessions {
-		out = append(out, s)
-	}
-	return out
-}
-
-// endSessions notifies workers of a clean finish: End, then a read
-// deadline so a wedged peer cannot hold Serve open past the grace
-// period. Conns are kept open until the worker hangs up (or the
-// deadline) so the End frame is never lost to a reset.
-func (c *Coordinator) endSessions(ss []*session) {
-	for _, s := range ss {
-		s.conn.SetDeadline(time.Now().Add(c.drainGrace))
-		s.sendEnd()
+	for _, e := range after {
+		switch e.kind {
+		case effSend:
+			// A failed send is recovered by the session's own read
+			// loop: its handler drops it and requeues its leases.
+			if e.s != nil && e.s.send(e.frame) != nil {
+				e.s.conn.Close()
+			}
+		case effEnd:
+			// Keep the conn open until the worker hangs up, so End is
+			// never lost to a reset, but not past the drain grace.
+			e.s.conn.SetDeadline(time.Now().Add(c.drainGrace))
+			e.s.send(&feed.End{})
+		case effClose:
+			e.s.conn.Close()
+		case effCount:
+			metrics.Counter(e.text).Add(e.n)
+		case effLog:
+			c.logf("%s", e.text)
+		case effProgress:
+			if c.cc.Progress != nil {
+				c.cc.Progress(int(e.n), c.plan.NumUnits())
+			}
+		case effFinish:
+			close(c.done)
+		}
 	}
 }
 
@@ -499,9 +369,9 @@ func refuse(conn net.Conn, code uint16, reason string) {
 	feed.NewEncoder(conn, nil).WriteRefuse(&feed.Refuse{Code: code, Reason: reason})
 }
 
-// handle runs one worker connection: Join/Grant handshake (with the
-// rejoin re-confirmation path), then a Steal/Heartbeat/Result read
-// loop until the peer drops or the run ends.
+// handle runs one worker connection: the Join handshake, then a
+// Steal/Heartbeat/Result read loop until the peer drops or the run
+// ends.
 func (c *Coordinator) handle(conn net.Conn) {
 	defer conn.Close()
 	dec := feed.NewDecoder(conn)
@@ -528,416 +398,30 @@ func (c *Coordinator) handle(conn net.Conn) {
 		return
 	}
 
-	c.mu.Lock()
-	if c.finished {
-		c.mu.Unlock()
-		// Late joiner: the sweep is over; tell it so it exits cleanly.
-		feed.NewEncoder(conn, nil).WriteEnd(&feed.End{})
+	s := &session{conn: conn, enc: feed.NewEncoder(conn, nil)}
+	c.apply(event{kind: evJoin, join: join, now: c.now()}, s)
+	if s.id == 0 {
+		s.send(&feed.End{}) // late joiner: the sweep is over
 		return
 	}
-	c.nextSession++
-	s := &session{
-		id:   c.nextSession,
-		name: join.Name,
-		conn: conn,
-		enc:  feed.NewEncoder(conn, nil),
-		held: map[int]bool{},
-	}
-	c.sessions[s.id] = s
-	c.joined++
-	// Rejoin: re-confirm the groups the prior session still holds (so
-	// the worker's in-flight compute and unacked results survive the
-	// coordinator's death) and reclaim the ones it no longer claims.
-	var reconfirm []*feed.Lease
-	reclaimed := 0
-	if join.PriorSession != 0 {
-		held := make(map[uint64]bool, len(join.HeldLeases))
-		for _, id := range join.HeldLeases {
-			held[id] = true
-		}
-		for gid := range c.groups {
-			g := &c.groups[gid]
-			if g.lease == 0 || g.session != join.PriorSession || len(g.missing) == 0 {
-				continue
-			}
-			if held[g.lease] {
-				reconfirm = append(reconfirm, c.leaseLocked(gid, s))
-			} else {
-				g.lease, g.session = 0, 0
-				c.pending = append([]int{gid}, c.pending...)
-				reclaimed++
-			}
-		}
-	}
-	ferr := error(nil)
-	if len(reconfirm) > 0 || reclaimed > 0 {
-		ferr = c.saveManifestLocked()
-	}
-	grant := &feed.Grant{Session: s.id, Epoch: c.epoch, UnitsTotal: uint64(c.unitsTotal), UnitsDone: uint64(c.doneUnits)}
-	c.mu.Unlock()
-	if ferr != nil {
-		c.standDown(ferr)
-		return
-	}
-
-	metrics.Counter(MetricWorkersJoined).Inc()
-	if join.PriorSession != 0 {
-		metrics.Counter(MetricCoordRejoins).Inc()
-		c.logf("farm: worker %q rejoined as session %d (was session %d under epoch %d; %d group(s) re-confirmed, %d reclaimed)",
-			join.Name, s.id, join.PriorSession, join.PriorEpoch, len(reconfirm), reclaimed)
-	} else {
-		c.logf("farm: worker %q joined as session %d", join.Name, s.id)
-	}
-	defer c.dropSession(s)
-	if s.send(func(e *feed.Encoder) error { return e.WriteGrant(grant) }) != nil {
-		return
-	}
-	for _, l := range reconfirm {
-		if s.send(func(e *feed.Encoder) error { return e.WriteLease(l) }) != nil {
-			return
-		}
-		metrics.Counter(MetricLeasesGranted).Inc()
-	}
-	if reclaimed > 0 {
-		c.wakeWaiters()
-	}
-
+	defer func() { c.apply(event{kind: evDrop, session: s.id, now: c.now()}, nil) }()
 	for {
 		f, err := dec.Read()
 		if err != nil {
 			return
 		}
+		ev := event{session: s.id, now: c.now()}
 		switch f := f.(type) {
 		case *feed.Steal:
-			if c.requestWork(s) != nil {
-				return
-			}
+			ev.kind = evSteal
 		case *feed.Heartbeat:
-			c.renew(s)
+			ev.kind = evHeartbeat
 		case *feed.Result:
-			if err := c.acceptResult(s, f); err != nil {
-				c.logf("farm: session %d (%q): %v; dropping connection", s.id, s.name, err)
-				return
-			}
+			ev.kind, ev.result = evResult, f
 		default:
 			c.logf("farm: session %d sent unexpected %T; dropping connection", s.id, f)
 			return
 		}
-	}
-}
-
-// requestWork answers a Steal: the front pending group, a parking slot
-// if the queue is dry, or End if the run is over. The returned error
-// is a send failure or a fencing stand-down.
-func (c *Coordinator) requestWork(s *session) error {
-	c.mu.Lock()
-	if c.finished {
-		c.mu.Unlock()
-		return s.sendEnd()
-	}
-	if len(c.pending) == 0 {
-		// A rejoined worker can Steal while already parked (its
-		// unsolicited re-confirm leases desynchronize the Steal/Lease
-		// cadence); never park the same session twice.
-		parked := false
-		for _, w := range c.waiters {
-			if w == s {
-				parked = true
-				break
-			}
-		}
-		if !parked {
-			c.waiters = append(c.waiters, s)
-		}
-		c.mu.Unlock()
-		return nil
-	}
-	gid := c.pending[0]
-	c.pending = c.pending[1:]
-	lease := c.leaseLocked(gid, s)
-	ferr := c.saveManifestLocked()
-	c.mu.Unlock()
-	if ferr != nil {
-		c.standDown(ferr)
-		return ferr
-	}
-	metrics.Counter(MetricLeasesGranted).Inc()
-	return s.send(func(e *feed.Encoder) error { return e.WriteLease(lease) })
-}
-
-// leaseLocked assigns gid to s, bumping the fencing generation; mu
-// must be held.
-func (c *Coordinator) leaseLocked(gid int, s *session) *feed.Lease {
-	g := &c.groups[gid]
-	g.gen++
-	c.nextLease++
-	g.lease = c.nextLease
-	g.session = s.id
-	g.expiry = c.now().Add(c.ttl)
-	s.held[gid] = true
-	params := make([]int, 0, len(g.missing))
-	for k := range g.missing {
-		params = append(params, k)
-	}
-	sort.Ints(params)
-	l := &feed.Lease{
-		ID:        g.lease,
-		Gen:       g.gen,
-		Day:       uint32(gid / c.plan.NumBlocks()),
-		Block:     uint32(gid % c.plan.NumBlocks()),
-		TTLMillis: uint32(c.ttl / time.Millisecond),
-		Params:    make([]uint16, len(params)),
-	}
-	for i, k := range params {
-		l.Params[i] = uint16(k)
-	}
-	return l
-}
-
-// renew extends every lease s holds; called on worker heartbeats.
-func (c *Coordinator) renew(s *session) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	exp := c.now().Add(c.ttl)
-	for gid := range s.held {
-		g := &c.groups[gid]
-		if g.session == s.id && g.lease != 0 {
-			g.expiry = exp
-		}
-	}
-}
-
-// acceptResult validates one Result against the coordinator epoch and
-// the group's current lease, journals it, and acks it back so the
-// worker can drop its redelivery copy. A non-nil return is a protocol
-// violation or fencing stand-down that drops the connection; fenced
-// zombies and duplicates are dropped silently (counted) because the
-// journal must only ever grow by currently-leased units.
-func (c *Coordinator) acceptResult(s *session, r *feed.Result) error {
-	c.mu.Lock()
-	if c.finished {
-		c.mu.Unlock()
-		metrics.Counter(MetricResultsLate).Inc()
-		return nil
-	}
-	id := int(r.Unit)
-	if id < 0 || id >= c.plan.NumUnits() {
-		c.mu.Unlock()
-		return fmt.Errorf("result for unit %d outside plan of %d units", id, c.plan.NumUnits())
-	}
-	if r.Epoch != c.epoch {
-		c.mu.Unlock()
-		metrics.Counter(MetricResultsZombie).Inc()
-		c.logf("farm: fenced stale-epoch result for unit %d from session %d (epoch %d, current %d)",
-			id, s.id, r.Epoch, c.epoch)
-		return nil
-	}
-	u := c.plan.UnitFromID(id)
-	gid := c.plan.GroupID(u.Day, u.Block)
-	g := &c.groups[gid]
-	if g.lease != r.Lease || g.gen != r.Gen || g.session != s.id {
-		c.mu.Unlock()
-		metrics.Counter(MetricResultsZombie).Inc()
-		c.logf("farm: fenced zombie result for unit %d from session %d (lease %d gen %d; current lease %d gen %d session %d)",
-			id, s.id, r.Lease, r.Gen, g.lease, g.gen, g.session)
-		return nil
-	}
-	if !g.missing[u.Param] {
-		c.mu.Unlock()
-		metrics.Counter(MetricResultsDuplicate).Inc()
-		// Already journaled (e.g. the ack for it was lost with the old
-		// connection): ack again so the worker clears its buffer.
-		s.send(func(e *feed.Encoder) error { return e.WriteResultAck(&feed.ResultAck{Unit: r.Unit}) })
-		return nil
-	}
-	lo, hi := c.plan.BlockRange(u.Block)
-	if len(r.Rets) != hi-lo {
-		c.mu.Unlock()
-		return fmt.Errorf("result for unit %d carries %d rows, want %d", id, len(r.Rets), hi-lo)
-	}
-	if err := c.appendFencedLocked(sweep.Entry{U: id, Rets: r.Rets}); err != nil {
-		ss := c.finishLocked(false, err)
-		c.mu.Unlock()
-		for _, x := range ss {
-			x.conn.Close()
-		}
-		return err
-	}
-	delete(g.missing, u.Param)
-	g.expiry = c.now().Add(c.ttl) // progress is as good as a heartbeat
-	groupDone := len(g.missing) == 0
-	if groupDone {
-		g.lease, g.session = 0, 0
-		delete(s.held, gid)
-	}
-	c.doneUnits++
-	c.accepted++
-	for _, row := range r.Rets {
-		c.trades += int64(len(row))
-	}
-	recovered := r.Flags&feed.ResultRecovered != 0
-	doneNow, total := c.doneUnits, c.unitsTotal
-	var ended []*session
-	ferr := error(nil)
-	if c.doneUnits == c.unitsTotal {
-		ended = c.finishLocked(false, nil)
-	} else if c.cc.Limit > 0 && c.accepted >= c.cc.Limit {
-		ended = c.finishLocked(true, nil)
-	} else if groupDone {
-		ferr = c.saveManifestLocked()
-	}
-	c.mu.Unlock()
-
-	metrics.Counter(MetricResultsAccepted).Inc()
-	if recovered {
-		metrics.Counter(MetricCoordRecovered).Inc()
-	}
-	s.send(func(e *feed.Encoder) error { return e.WriteResultAck(&feed.ResultAck{Unit: r.Unit}) })
-	if c.cc.Progress != nil {
-		c.cc.Progress(doneNow, total)
-	}
-	if ended != nil {
-		c.endSessions(ended)
-	}
-	if ferr != nil {
-		c.standDown(ferr)
-		return ferr
-	}
-	return nil
-}
-
-// dropSession reclaims a disconnected worker's leases immediately —
-// no TTL wait when the TCP connection itself tells us the holder is
-// gone — and re-deals them to parked workers.
-func (c *Coordinator) dropSession(s *session) {
-	c.mu.Lock()
-	delete(c.sessions, s.id)
-	ws := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w != s {
-			ws = append(ws, w)
-		}
-	}
-	c.waiters = ws
-	reclaimed := 0
-	for gid := range s.held {
-		g := &c.groups[gid]
-		if g.session == s.id && g.lease != 0 && len(g.missing) > 0 {
-			g.lease, g.session = 0, 0
-			c.pending = append([]int{gid}, c.pending...)
-			reclaimed++
-		}
-		delete(s.held, gid)
-	}
-	ferr := error(nil)
-	if reclaimed > 0 && !c.finished {
-		ferr = c.saveManifestLocked()
-	}
-	finished := c.finished
-	c.mu.Unlock()
-	if ferr != nil {
-		c.standDown(ferr)
-		return
-	}
-	if reclaimed > 0 {
-		metrics.Counter(MetricLeaseReclaims).Add(int64(reclaimed))
-		c.logf("farm: session %d (%q) disconnected holding %d group(s); requeued", s.id, s.name, reclaimed)
-		c.wakeWaiters()
-	} else if !finished {
-		c.logf("farm: session %d (%q) disconnected", s.id, s.name)
-	}
-}
-
-// sweepLeases expires overdue leases (requeued at the front so lost
-// work re-deals first), heartbeats every session so parked workers
-// know the coordinator is alive, and refreshes the manifest, whose
-// modification time is the on-disk liveness beacon. It is also the
-// idle-path fencing probe: a stale coordinator with no result traffic
-// still notices a takeover within one tick. It rewrites the manifest
-// only when leases expired or the file lost our claim; otherwise it
-// just touches it, which never replaces a successor's claim that lands
-// between the fence check and the touch.
-func (c *Coordinator) sweepLeases() {
-	c.mu.Lock()
-	if c.finished {
-		c.mu.Unlock()
-		return
-	}
-	own, ferr := c.fenceCheckLocked()
-	if ferr != nil {
-		c.mu.Unlock()
-		c.standDown(ferr)
-		return
-	}
-	now := c.now()
-	var expired []int
-	for gid := range c.groups {
-		g := &c.groups[gid]
-		if g.lease != 0 && len(g.missing) > 0 && g.expiry.Before(now) {
-			g.lease, g.session = 0, 0
-			expired = append(expired, gid)
-		}
-	}
-	if len(expired) > 0 || !own {
-		c.pending = append(append([]int{}, expired...), c.pending...)
-		ferr = c.saveManifestLocked()
-	} else if t := time.Now(); os.Chtimes(c.manifestPath, t, t) != nil {
-		c.logf("farm: coordinator manifest touch failed")
-	}
-	ss := make([]*session, 0, len(c.sessions))
-	for _, s := range c.sessions {
-		ss = append(ss, s)
-	}
-	c.mu.Unlock()
-	if ferr != nil {
-		c.standDown(ferr)
-		return
-	}
-
-	if len(expired) > 0 {
-		metrics.Counter(MetricLeaseExpiries).Add(int64(len(expired)))
-		c.logf("farm: %d lease(s) expired after %v of silence; reassigning", len(expired), c.ttl)
-	}
-	for _, s := range ss {
-		s.send(func(e *feed.Encoder) error { return e.WriteHeartbeat(&feed.Heartbeat{Seq: s.id}) })
-	}
-	if len(expired) > 0 {
-		c.wakeWaiters()
-	}
-}
-
-// wakeWaiters pairs parked workers with pending groups until one side
-// runs dry.
-func (c *Coordinator) wakeWaiters() {
-	for {
-		c.mu.Lock()
-		if c.finished {
-			ws := c.waiters
-			c.waiters = nil
-			c.mu.Unlock()
-			for _, s := range ws {
-				s.sendEnd()
-			}
-			return
-		}
-		if len(c.waiters) == 0 || len(c.pending) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		s := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		gid := c.pending[0]
-		c.pending = c.pending[1:]
-		lease := c.leaseLocked(gid, s)
-		ferr := c.saveManifestLocked()
-		c.mu.Unlock()
-		if ferr != nil {
-			c.standDown(ferr)
-			return
-		}
-		metrics.Counter(MetricLeasesGranted).Inc()
-		// A failed send is recovered by the session's own read loop
-		// (its handler will drop and requeue the lease).
-		s.send(func(e *feed.Encoder) error { return e.WriteLease(lease) })
+		c.apply(ev, nil)
 	}
 }
