@@ -81,8 +81,7 @@ type CoordStats struct {
 // Coordinator deals sweep groups to remote workers and journals their
 // results. One Coordinator serves one sweep; create it with
 // NewCoordinator and run it with Serve. It is the shell around
-// coordState: every connection, tick and cancellation becomes an event
-// for apply, which carries out the effects.
+// coordState: apply turns connections, ticks and cancels into events.
 type Coordinator struct {
 	cc           CoordinatorConfig
 	plan         *sweep.Plan
@@ -176,50 +175,39 @@ func (c *Coordinator) logf(format string, args ...any) {
 // can drive a room full of workers.
 func (c *Coordinator) Serve(ctx context.Context, l net.Listener) (*CoordStats, error) {
 	prior, err := readCoordManifest(c.manifestPath, c.fingerprint)
+	var done map[int]int
+	var recovered *sweep.Corruption
+	if err == nil {
+		c.journal, done, recovered, err = sweep.OpenJournal(c.cc.JournalPath, c.header)
+	}
 	if err != nil {
 		l.Close()
 		return nil, err
 	}
-	journal, done, recovered, err := sweep.OpenJournal(c.cc.JournalPath, c.header)
-	if err != nil {
-		l.Close()
-		return nil, err
-	}
-	c.journal = journal
-	c.apply(event{kind: evRestore, prior: prior, done: done, now: c.now()}, nil)
 	if recovered != nil {
 		c.logf("farm: healed journal tail: %v", recovered)
 	}
-	c.mu.Lock()
-	finished, st := c.st.finished, c.st
-	c.mu.Unlock()
-	if finished { // nothing left to do, or fenced before serving
+	c.apply(event{kind: evRestore, prior: prior, done: done, now: c.now()}, nil)
+	select {
+	case <-c.done: // nothing left to do, or fenced before serving
 		l.Close()
 		return c.close(recovered)
+	default:
 	}
-	c.logf("farm: serving %d/%d units (%d restored), lease TTL %v, epoch %d",
-		st.unitsTotal-st.doneUnits, st.unitsTotal, st.restored, c.ttl, st.epoch)
 
-	// Watchdog: on cancel, abort every session; on finish (from any
-	// path), just close the listener so Accept returns.
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.apply(event{kind: evAbort, err: ctx.Err()}, nil)
-		case <-c.done:
-		}
-		l.Close()
-	}()
-
-	// Sweeper: lease expiry, heartbeats to every session (parked workers
-	// use them to reset their idle timers), and the manifest probe and
-	// touch (standbys watch it to judge when to take over). The probe
-	// reads outside mu: only another incarnation can move the epoch.
+	// Sweeper: expiry, heartbeats, and the manifest probe and touch that
+	// standbys watch (the probe reads outside mu: only another
+	// incarnation moves the epoch). It aborts on cancel, and closes the
+	// listener once the run is over so Accept returns.
 	go func() {
 		t := time.NewTicker(c.sweepEvery)
 		defer t.Stop()
-		for {
+		defer l.Close()
+		for cancel := ctx.Done(); ; {
 			select {
+			case <-cancel:
+				cancel = nil
+				c.apply(event{kind: evAbort, err: ctx.Err()}, nil)
 			case <-c.done:
 				return
 			case <-t.C:
@@ -257,7 +245,7 @@ func (c *Coordinator) close(recovered *sweep.Corruption) (*CoordStats, error) {
 	c.mu.Lock()
 	st := &c.st
 	stats := &CoordStats{
-		UnitsTotal:    st.unitsTotal,
+		UnitsTotal:    c.plan.NumUnits(),
 		UnitsRestored: st.restored,
 		UnitsExecuted: st.accepted,
 		Trades:        st.trades,
@@ -274,10 +262,8 @@ func (c *Coordinator) close(recovered *sweep.Corruption) (*CoordStats, error) {
 	return stats, err
 }
 
-// diskEpoch re-reads the manifest's epoch. A missing or unreadable
-// manifest reads as 0: fencing fails open, and the journal's CRC
-// framing plus merge-level duplicate dropping keep even a lost race
-// benign.
+// diskEpoch re-reads the manifest's epoch; a missing or unreadable
+// manifest reads as 0, so fencing fails open.
 func (c *Coordinator) diskEpoch() uint64 {
 	if m, err := readCoordManifest(c.manifestPath, c.fingerprint); err == nil && m != nil {
 		return m.Epoch
@@ -285,14 +271,11 @@ func (c *Coordinator) diskEpoch() uint64 {
 	return 0
 }
 
-// apply steps the core and carries out its effects. Under mu it runs
-// the durable ones in order: each journal append or manifest replace
-// after a fresh fence check, whose failure goes back into the core as
-// evFenced and replaces the rest of the step. After unlock it performs
-// the sends, closes, counters and logs. join, when non-nil, is the
-// connection of an evJoin: it is registered under the granted session
-// id (a join's first effect is its Grant), and left with id 0 when the
-// run is over.
+// apply steps the core and carries out its effects: under mu the
+// durable ones in order, each write after its own fence check, whose
+// failure steps evFenced in place of the rest; after unlock the sends,
+// closes, counters and logs. join, with evJoin, is registered under
+// the granted session (a join's first effect is its Grant).
 func (c *Coordinator) apply(ev event, join *session) {
 	type todo struct {
 		effect
@@ -363,12 +346,6 @@ func (c *Coordinator) apply(ev event, join *session) {
 	}
 }
 
-// refuse sends an explicit rejection so the worker can tell a fatal
-// misconfiguration from a transient connection failure.
-func refuse(conn net.Conn, code uint16, reason string) {
-	feed.NewEncoder(conn, nil).WriteRefuse(&feed.Refuse{Code: code, Reason: reason})
-}
-
 // handle runs one worker connection: the Join handshake, then a
 // Steal/Heartbeat/Result read loop until the peer drops or the run
 // ends.
@@ -384,17 +361,20 @@ func (c *Coordinator) handle(conn net.Conn) {
 		c.logf("farm: dropping connection: first frame %T, want Join", f)
 		return
 	}
-	if join.Version != feed.ProtocolVersion {
-		c.logf("farm: REFUSING worker %q: protocol version %d, want %d", join.Name, join.Version, feed.ProtocolVersion)
-		refuse(conn, feed.RefuseVersion,
-			fmt.Sprintf("protocol version %d, coordinator speaks %d", join.Version, feed.ProtocolVersion))
-		return
+	// An explicit Refuse lets the worker tell a fatal misconfiguration
+	// from a transient connection failure.
+	refuse := &feed.Refuse{}
+	switch {
+	case join.Version != feed.ProtocolVersion:
+		refuse.Code, refuse.Reason = feed.RefuseVersion,
+			fmt.Sprintf("protocol version %d, coordinator speaks %d", join.Version, feed.ProtocolVersion)
+	case join.Fingerprint != c.fingerprint:
+		refuse.Code, refuse.Reason = feed.RefuseFingerprint,
+			fmt.Sprintf("sweep fingerprint %s, coordinator has %s", join.Fingerprint, c.fingerprint)
 	}
-	if join.Fingerprint != c.fingerprint {
-		c.logf("farm: REFUSING worker %q: sweep fingerprint %s, coordinator has %s (mismatched config?)",
-			join.Name, join.Fingerprint, c.fingerprint)
-		refuse(conn, feed.RefuseFingerprint,
-			fmt.Sprintf("sweep fingerprint %s, coordinator has %s", join.Fingerprint, c.fingerprint))
+	if refuse.Code != 0 {
+		c.logf("farm: REFUSING worker %q: %s", join.Name, refuse.Reason)
+		feed.NewEncoder(conn, nil).WriteRefuse(refuse)
 		return
 	}
 

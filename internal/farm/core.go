@@ -2,7 +2,7 @@ package farm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"marketminer/internal/feed"
@@ -10,11 +10,10 @@ import (
 )
 
 // The coordinator's decisions — grant, renew, reclaim, expire, fence,
-// accept, finish — are made by coordState.step, a pure state machine:
-// no I/O, no locks, no clock reads. The Coordinator is a shell around
-// it that turns sockets, ticks and disk reads into events and carries
-// out the effects step returns, and the exhaustive explorer in the
-// tests drives the same step against a model disk.
+// accept, finish — are made by coordState.step, a pure state machine
+// with no I/O, locks or clock reads. The Coordinator shell feeds it
+// events and carries out its effects; the tests' explorer drives it
+// against a model disk.
 
 type evKind uint8
 
@@ -70,10 +69,9 @@ type effect struct {
 	n       int64
 }
 
-// groupState tracks one (day, pair-block) group's lease. The
-// generation counter is bumped on every (re)assignment; a Result whose
-// (lease, gen, session) triple does not match the current holder is a
-// fenced zombie and is dropped.
+// groupState tracks one (day, pair-block) group's lease. Every
+// (re)assignment bumps gen; a Result whose (lease, gen, session) does
+// not match the current holder is a fenced zombie.
 type groupState struct {
 	gen     uint64
 	lease   uint64 // 0 = unleased
@@ -95,7 +93,6 @@ type coordState struct {
 	sessions    map[uint64]string // live session id → worker name
 	nextSession uint64
 	nextLease   uint64
-	unitsTotal  int
 	doneUnits   int // journaled units (restored + accepted)
 	restored    int
 	accepted    int
@@ -111,11 +108,9 @@ type coordState struct {
 }
 
 // step applies one event and returns the effects to carry out. A step
-// that changes the lease table or the pending order ends with one
-// fenced manifest save, unless it finished the run (the release step
-// writes the final manifest). Sends are emitted after the journal
-// append they depend on, and the shell runs every durable effect before
-// any send, so a ResultAck can never precede its unit's append.
+// that changes the lease table or pending order ends with one fenced
+// manifest save, unless it finished the run. The shell runs every
+// durable effect before any send, so a ResultAck follows its append.
 func (st *coordState) step(ev event) []effect {
 	st.out, st.dirty = nil, false
 	if ev.kind != evFenced {
@@ -153,15 +148,14 @@ func (st *coordState) step(ev event) []effect {
 		st.finish(false, ev.err)
 	case evRelease:
 		if st.fatal == nil {
-			// Every session was Ended: nobody can rejoin a lease, so
-			// the next incarnation re-deals at once instead of waiting
-			// out a rejoin grace.
+			// Every session was Ended and nobody can rejoin: the next
+			// incarnation re-deals at once, with no rejoin grace.
 			st.free(func(*groupState) bool { return true })
 		}
-		st.durable(effSave)
+		st.durable(effect{kind: effSave})
 	}
 	if st.dirty && !st.finished {
-		st.durable(effSave)
+		st.durable(effect{kind: effSave})
 	}
 	return st.out
 }
@@ -182,24 +176,15 @@ func (st *coordState) logf(format string, args ...any) {
 
 // durable emits a journal append or manifest save behind the fence
 // check that must precede every durable write.
-func (st *coordState) durable(k effKind, e ...sweep.Entry) {
-	st.emit(effect{kind: effFence})
-	w := effect{kind: k}
-	if len(e) > 0 {
-		w.entry = e[0]
-	}
-	st.emit(w)
-}
+func (st *coordState) durable(w effect) { st.out = append(st.out, effect{kind: effFence}, w) }
 
-// restore builds the tables from the journal's units and, after a cold
-// restart or takeover, the prior manifest: claim the next epoch
-// (fencing the previous incarnation), resume the monotonic id
-// counters, park the prior live leases in a rejoin grace window, and
-// rebuild the pending deque in its recorded order. The claim is saved
-// before anything is served.
+// restore builds the tables from the journal's units and, after a
+// restart or takeover, the prior manifest: claim the next epoch (the
+// fence against the previous incarnation), resume the id counters,
+// hold the prior leases one TTL for their owners to rejoin, and keep
+// the recorded pending order. The claim is saved before serving.
 func (st *coordState) restore(ev event) {
 	st.epoch = 1
-	st.unitsTotal = st.plan.NumUnits()
 	st.groups = make([]groupState, st.plan.NumGroups())
 	for gid := range st.groups {
 		g := &st.groups[gid]
@@ -215,36 +200,39 @@ func (st *coordState) restore(ev event) {
 		st.doneUnits++
 		st.trades += int64(n)
 	}
-	limbo := 0
+	var order []int // the recorded pending order, then every other group
 	inPending := map[int]bool{}
+	open := func(gid int) bool { // unfinished, unleased and not yet queued
+		return gid >= 0 && gid < len(st.groups) && len(st.groups[gid].missing) > 0 && st.groups[gid].lease == 0 && !inPending[gid]
+	}
 	if p := ev.prior; p != nil {
 		st.epoch, st.nextSession, st.nextLease = p.Epoch+1, p.NextSession, p.NextLease
+		limbo := 0
 		for _, pl := range p.Leases {
-			if pl.Gid >= 0 && pl.Gid < len(st.groups) {
-				if g := &st.groups[pl.Gid]; len(g.missing) > 0 && g.lease == 0 {
-					g.lease, g.gen, g.session, g.expiry = pl.Lease, pl.Gen, pl.Session, ev.now.Add(st.ttl)
-					limbo++
-				}
-			}
-		}
-		for _, gid := range p.Pending {
-			if gid >= 0 && gid < len(st.groups) && !inPending[gid] {
-				if g := &st.groups[gid]; len(g.missing) > 0 && g.lease == 0 {
-					st.pending = append(st.pending, gid)
-					inPending[gid] = true
-				}
+			if open(pl.Gid) {
+				g := &st.groups[pl.Gid]
+				g.lease, g.gen, g.session, g.expiry = pl.Lease, pl.Gen, pl.Session, ev.now.Add(st.ttl)
+				limbo++
 			}
 		}
 		st.count(MetricCoordRestarts, 1)
 		st.logf("farm: coordinator restarted under epoch %d (%d lease(s) held for rejoin, TTL %v)", st.epoch, limbo, st.ttl)
+		order = append(order, p.Pending...)
 	}
 	for gid := range st.groups {
-		if g := &st.groups[gid]; len(g.missing) > 0 && g.lease == 0 && !inPending[gid] {
+		order = append(order, gid)
+	}
+	for _, gid := range order {
+		if open(gid) {
 			st.pending = append(st.pending, gid)
+			inPending[gid] = true
 		}
 	}
-	st.durable(effSave)
-	if st.doneUnits == st.unitsTotal {
+	st.durable(effect{kind: effSave})
+	if total := st.plan.NumUnits(); st.doneUnits < total {
+		st.logf("farm: serving %d/%d units (%d restored), lease TTL %v, epoch %d",
+			total-st.doneUnits, total, st.restored, st.ttl, st.epoch)
+	} else {
 		st.finish(false, nil)
 	}
 }
@@ -260,7 +248,7 @@ func (st *coordState) join(ev event) {
 	}
 	st.nextSession++
 	id, j := st.nextSession, ev.join
-	st.send(id, &feed.Grant{Session: id, Epoch: st.epoch, UnitsTotal: uint64(st.unitsTotal), UnitsDone: uint64(st.doneUnits)})
+	st.send(id, &feed.Grant{Session: id, Epoch: st.epoch, UnitsTotal: uint64(st.plan.NumUnits()), UnitsDone: uint64(st.doneUnits)})
 	st.sessions[id] = j.Name
 	st.joined++
 	st.count(MetricWorkersJoined, 1)
@@ -268,13 +256,9 @@ func (st *coordState) join(ev event) {
 		st.logf("farm: worker %q joined as session %d", j.Name, id)
 		return
 	}
-	held := make(map[uint64]bool, len(j.HeldLeases))
-	for _, l := range j.HeldLeases {
-		held[l] = true
-	}
 	reconfirmed := 0
 	for gid := range st.groups {
-		if g := &st.groups[gid]; g.lease != 0 && g.session == j.PriorSession && len(g.missing) > 0 && held[g.lease] {
+		if g := &st.groups[gid]; g.lease != 0 && g.session == j.PriorSession && len(g.missing) > 0 && slices.Contains(j.HeldLeases, g.lease) {
 			st.lease(gid, id, ev.now)
 			reconfirmed++
 		}
@@ -290,12 +274,9 @@ func (st *coordState) join(ev event) {
 // can Steal while already parked (its unsolicited re-confirm leases
 // desynchronize the Steal/Lease cadence); never park it twice.
 func (st *coordState) park(s uint64) {
-	for _, w := range st.waiters {
-		if w == s {
-			return
-		}
+	if !slices.Contains(st.waiters, s) {
+		st.waiters = append(st.waiters, s)
 	}
-	st.waiters = append(st.waiters, s)
 }
 
 // deal leases the front pending group to s.
@@ -322,22 +303,12 @@ func (st *coordState) lease(gid int, s uint64, now time.Time) {
 	g.gen++
 	st.nextLease++
 	g.lease, g.session, g.expiry = st.nextLease, s, now.Add(st.ttl)
-	params := make([]int, 0, len(g.missing))
+	l := &feed.Lease{ID: g.lease, Gen: g.gen, Day: uint32(gid / st.plan.NumBlocks()), Block: uint32(gid % st.plan.NumBlocks()),
+		TTLMillis: uint32(st.ttl / time.Millisecond)}
 	for k := range g.missing {
-		params = append(params, k)
+		l.Params = append(l.Params, uint16(k))
 	}
-	sort.Ints(params)
-	l := &feed.Lease{
-		ID:        g.lease,
-		Gen:       g.gen,
-		Day:       uint32(gid / st.plan.NumBlocks()),
-		Block:     uint32(gid % st.plan.NumBlocks()),
-		TTLMillis: uint32(st.ttl / time.Millisecond),
-		Params:    make([]uint16, len(params)),
-	}
-	for i, k := range params {
-		l.Params[i] = uint16(k)
-	}
+	slices.Sort(l.Params)
 	st.dirty = true
 	st.count(MetricLeasesGranted, 1)
 	st.send(s, l)
@@ -361,11 +332,9 @@ func (st *coordState) free(match func(*groupState) bool) int {
 	return len(gids)
 }
 
-// accept validates one Result against the epoch and the group's
-// current lease, journals it and acks it, so the worker can drop its
-// redelivery copy. Fenced zombies and duplicates are dropped (counted):
-// the journal only ever grows by currently-leased units. A protocol
-// violation closes the connection.
+// accept journals and acks one Result that matches the epoch and the
+// group's current lease. Zombies and duplicates are counted and
+// dropped; a protocol violation closes the connection.
 func (st *coordState) accept(ev event) {
 	s, r := ev.session, ev.result
 	id := int(r.Unit)
@@ -402,7 +371,7 @@ func (st *coordState) accept(ev event) {
 		st.reject(s, "result for unit %d carries %d rows, want %d", id, len(r.Rets), hi-lo)
 		return
 	}
-	st.durable(effAppend, sweep.Entry{U: id, Rets: r.Rets})
+	st.durable(effect{kind: effAppend, entry: sweep.Entry{U: id, Rets: r.Rets}})
 	delete(g.missing, u.Param)
 	g.expiry = ev.now.Add(st.ttl) // progress is as good as a heartbeat
 	if len(g.missing) == 0 {
@@ -420,7 +389,7 @@ func (st *coordState) accept(ev event) {
 	}
 	st.send(s, &feed.ResultAck{Unit: r.Unit})
 	st.emit(effect{kind: effProgress, n: int64(st.doneUnits)})
-	if st.doneUnits == st.unitsTotal {
+	if st.doneUnits == st.plan.NumUnits() {
 		st.finish(false, nil)
 	} else if st.limit > 0 && st.accepted >= st.limit {
 		st.finish(true, nil)
@@ -439,13 +408,7 @@ func (st *coordState) drop(ev event) {
 	s := ev.session
 	name := st.sessions[s]
 	delete(st.sessions, s)
-	ws := st.waiters[:0]
-	for _, w := range st.waiters {
-		if w != s {
-			ws = append(ws, w)
-		}
-	}
-	st.waiters = ws
+	st.waiters = slices.DeleteFunc(st.waiters, func(w uint64) bool { return w == s })
 	if n := st.free(func(g *groupState) bool { return g.session == s }); n > 0 {
 		st.count(MetricLeaseReclaims, n)
 		st.logf("farm: session %d (%q) disconnected holding %d group(s); requeued", s, name, n)
@@ -455,13 +418,10 @@ func (st *coordState) drop(ev event) {
 	}
 }
 
-// tick expires overdue leases, heartbeats every session so parked
-// workers know the coordinator is alive, and refreshes the manifest,
-// whose modification time is the on-disk liveness beacon. It is also
-// the idle path's fence probe. It rewrites the manifest only when
-// leases expired or the file lost this incarnation's claim; otherwise
-// it only touches it, which never replaces a successor's claim that
-// lands between the probe and the touch.
+// tick is the idle path's fence probe: it expires overdue leases,
+// heartbeats every session, and rewrites the manifest when leases
+// expired or the file lost this incarnation's claim. Otherwise it only
+// touches it, which cannot replace a claim landing after the probe.
 func (st *coordState) tick(ev event) {
 	if st.finished {
 		return
@@ -526,7 +486,7 @@ func (st *coordState) live() []uint64 {
 	for id := range st.sessions {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
