@@ -263,7 +263,10 @@ func runWork(args []string) error {
 
 	addrs := strings.Split(*connect, ",")
 	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+		// A blank entry would fail every visit of the redial rotation.
+		if addrs[i] = strings.TrimSpace(addrs[i]); addrs[i] == "" {
+			return fmt.Errorf("mmfarm work: -connect %q has an empty address", *connect)
+		}
 	}
 	wc := farm.WorkerConfig{
 		Config:         cfg,

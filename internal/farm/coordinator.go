@@ -288,6 +288,9 @@ func (c *Coordinator) apply(ev event, join *session) {
 		join.id = effs[0].session
 		c.sessions[join.id] = join
 	}
+	logLater := func(format string, args ...any) {
+		after = append(after, todo{effect: effect{kind: effLog, text: fmt.Sprintf(format, args...)}})
+	}
 	for i := 0; i < len(effs); i++ {
 		refused := event{kind: evFenced}
 		switch e := effs[i]; e.kind {
@@ -299,11 +302,11 @@ func (c *Coordinator) apply(ev event, join *session) {
 			// An I/O failure is tolerated: the manifest is a recovery
 			// accelerator, the journal remains the ground truth.
 			if err := supervise.SaveSnapshot(c.manifestPath, c.fingerprint, c.st.manifest()); err != nil {
-				c.logf("farm: coordinator manifest write failed: %v", err)
+				logLater("farm: coordinator manifest write failed: %v", err)
 			}
 		case effTouch:
 			if t := time.Now(); os.Chtimes(c.manifestPath, t, t) != nil {
-				c.logf("farm: coordinator manifest touch failed")
+				logLater("farm: coordinator manifest touch failed")
 			}
 		default:
 			after = append(after, todo{e, c.sessions[e.session]})

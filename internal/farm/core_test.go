@@ -461,7 +461,6 @@ func (w *xWorld) moves() []func(*xWorld) error {
 			continue
 		}
 		alive++
-		k := k
 		mv = append(mv, func(w *xWorld) error { // crash
 			w.coords[k].alive = false
 			for _, x := range w.workers {
@@ -477,7 +476,6 @@ func (w *xWorld) moves() []func(*xWorld) error {
 			continue
 		}
 		for d := range c.drops { // handlers unwind in any order
-			d := d
 			mv = append(mv, func(w *xWorld) error {
 				c := w.coords[k]
 				s := c.drops[d]
@@ -518,12 +516,11 @@ func (w *xWorld) moves() []func(*xWorld) error {
 		return mv
 	}
 	for i, x := range w.workers {
-		i := i
 		switch {
 		case x.done:
 		case x.conn < 0:
 			for k, c := range w.coords {
-				if k := k; w.joins < w.b.joins && c.alive && !c.st.finished {
+				if w.joins < w.b.joins && c.alive && !c.st.finished {
 					mv = append(mv, func(w *xWorld) error { return w.connect(i, k) })
 				}
 			}

@@ -52,10 +52,10 @@
 // CRC-guarded manifest alongside the journal persists the coordinator
 // epoch, the monotonic session/lease counters, the live lease table
 // and the pending order; a restarted coordinator (or a warm standby
-// promoted by RunStandby after heartbeat-file silence) claims the next
-// epoch, holds the manifest's leases open for one TTL so their owners
-// can rejoin, and re-deals only what the journal does not already
-// hold. Epoch fencing makes the handoff safe: every durable write
+// that RunStandby promotes once the manifest's modification time has
+// stood still for its takeover TTL) claims the next epoch, holds the
+// manifest's leases open for one TTL so their owners can rejoin, and
+// re-deals only what the journal does not already hold. Epoch fencing makes the handoff safe: every durable write
 // re-reads the manifest epoch first, so a stale primary's writes fail
 // with ErrFenced, and Results stamped with an old epoch are dropped as
 // zombies. Workers survive the handoff too — they rejoin with their
@@ -63,6 +63,11 @@
 // completed-but-unacked Results, which the new coordinator re-confirms
 // or absorbs idempotently (unit values are pure, so a redelivered
 // Result is bit-identical).
+//
+// Every lease, fence and finish decision is made by one pure state
+// machine, coordState.step(event) → effects; the Coordinator is the
+// shell that turns sockets, ticks and disk reads into its events and
+// carries out its effects, durable ones first.
 package farm
 
 import "time"

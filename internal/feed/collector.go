@@ -21,11 +21,15 @@ type DialFunc func(ctx context.Context) (net.Conn, error)
 
 // Dialer returns a TCP DialFunc that moves to the next of addrs on
 // each call, so a client redialing after a failure tries the next
-// candidate (a primary, then its standbys). addrs must not be empty.
+// candidate (a primary, then its standbys). With no address every call
+// fails.
 func Dialer(addrs ...string) DialFunc {
 	var d net.Dialer
 	var calls atomic.Uint64
 	return func(ctx context.Context) (net.Conn, error) {
+		if len(addrs) == 0 {
+			return nil, errors.New("feed: Dialer has no address to dial")
+		}
 		addr := addrs[(calls.Add(1)-1)%uint64(len(addrs))]
 		return d.DialContext(ctx, "tcp", addr)
 	}

@@ -790,3 +790,16 @@ func TestFinishAfterWholeDayEvictsNobody(t *testing.T) {
 		t.Fatalf("client received %d batches before End, want %d", got, len(day))
 	}
 }
+
+// TestDialerWithoutAddressesFails: a Dialer given no address fails
+// each dial with an error rather than panicking.
+func TestDialerWithoutAddressesFails(t *testing.T) {
+	dial := Dialer()
+	for i := 0; i < 2; i++ {
+		c, err := dial(context.Background())
+		if err == nil {
+			c.Close()
+			t.Fatal("a Dialer with no address dialed something")
+		}
+	}
+}

@@ -137,6 +137,10 @@ go test -race ./internal/farm ./internal/feed
 echo "== coordinator crash-recovery gate: SIGKILL restart, standby takeover and config check, fencing, torn tail, v1 manifest, worker give-up rules"
 focus 'TestFarmCoordinatorSIGKILL|TestFarmStandbyTakeover|TestStandbyRejectsBadConfigAtStart|TestStandbyRejectsForeignManifest|TestStandbyHoldsWhileIdlePrimaryTouches|TestFarmEpochFencing|TestFarmClobberedClaimReasserted|TestFarmJournalTornTail|TestFarmV1ManifestRestartKeepsLeasesAndPending|TestFarmV1ManifestFingerprintMismatchRefused|TestFarmCoordinatorMetrics|TestFarmWorkerComputeErrorIsTerminal|TestFarmWorkerGrantResetsAttempts|TestFarmUnreachableCoordinatorRetriesThenFails' ./internal/farm
 
+echo "== farm coordinator core: pinned Serve script digest, exhaustive explorer (reduced bound under -race), its mutation check, the DESIGN 11 open case, empty -connect entries; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
+focus 'TestCoordinatorScriptMatchesParentDigest|TestExplorerCoordinatorCore|TestExplorerFindsUnfencedAppend|TestExplorerReissuedIDsHarmless|TestDialerWithoutAddressesFails|TestRunWorkRejectsEmptyConnectEntry' ./internal/farm ./internal/feed ./cmd/mmfarm
+go test -count=1 -run 'TestExplorer' ./internal/farm
+
 echo "== go test -race ./..."
 go test -race ./...
 
