@@ -308,8 +308,10 @@ func (c *Coordinator) apply(ev event, join *session) {
 			if t := time.Now(); os.Chtimes(c.manifestPath, t, t) != nil {
 				logLater("farm: coordinator manifest touch failed")
 			}
-		default:
-			after = append(after, todo{e, c.sessions[e.session]})
+		default: // a send to a session already dropped is moot
+			if s := c.sessions[e.session]; s != nil || e.session == 0 {
+				after = append(after, todo{e, s})
+			}
 		}
 		if refused.seen > c.st.epoch || refused.err != nil {
 			effs, i, after = c.st.step(refused), -1, nil
@@ -325,7 +327,7 @@ func (c *Coordinator) apply(ev event, join *session) {
 		case effSend:
 			// A failed send is recovered by the session's own read
 			// loop: its handler drops it and requeues its leases.
-			if e.s != nil && e.s.send(e.frame) != nil {
+			if e.s.send(e.frame) != nil {
 				e.s.conn.Close()
 			}
 		case effEnd:

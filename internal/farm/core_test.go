@@ -20,7 +20,7 @@ import (
 // through every interleaving of a small farm: coordinator incarnations
 // that start (a restart when the previous one crashed, a takeover when
 // it is still alive), tick and crash, and workers that join, rejoin,
-// steal, deliver, renew, lose their link or die, against one model
+// steal, deliver, lose their link or die, against one model
 // disk (journal records + manifest) shared by every incarnation, with
 // sweeper ticks that expire every live lease. It mirrors the shell:
 // a step's durable effects run one per explorer move, each append or
@@ -35,17 +35,16 @@ import (
 //   - no unit is lost: in every live, unfinished incarnation each group
 //     with a missing unit is pending exactly once or leased, never both,
 //     and a run that finishes complete has every unit journaled;
-//   - no durable write by epoch e executes after its fence check saw
-//     an epoch above e.
+//   - no durable write by epoch e runs without its own fence check, or
+//     after that check saw an epoch above e.
 //
-// Two reductions keep the search small without losing a reachable
-// state. Worker moves touch neither the disk nor a
-// step's durable effects, so they are only enabled between steps.
-// Reading a frame is local to a worker and a frame only ever joins the
-// back of an inbox, so workers read eagerly, and a link fails only with
-// an empty inbox. A lost ack — the link failing between the ack's send
-// and its read — is still covered: a crash between the append and the
-// ack leaves the same worker and disk behind.
+// Worker moves touch neither the disk nor a step's durable effects, so
+// they are only enabled between steps. Reading a frame is local to a
+// worker and a frame only ever joins the back of an inbox, so workers
+// read eagerly, and a link fails only with an empty inbox. That drops
+// one kind of state, the link failing between an ack's send and its
+// read, whose worker and disk a crash between the append and the ack
+// still produces.
 
 type xBound struct {
 	groups       int  // the three units form 1 group of 3 params or 3 groups of 1
@@ -221,10 +220,10 @@ func btou(b bool) uint64 {
 }
 
 // key digests everything that can influence later moves: a dead or
-// released incarnation never acts again, a lease's expiry matters only
-// relative to the clock, a disconnected worker's epoch only reaches a
-// log line, and a redelivered result is re-stamped, so none of those
-// enter. Workers are interchangeable, so their encodings are sorted.
+// released incarnation never acts again, a disconnected worker's epoch
+// only reaches a log line, and a redelivered result is re-stamped, so
+// none of those enter. Workers are interchangeable, so their encodings
+// are sorted.
 func (e *xExplorer) key(w *xWorld) uint64 {
 	b := e.buf[0][:0]
 	b.u(uint64(w.journal), uint64(w.expired), uint64(w.joins))
