@@ -123,7 +123,7 @@ func (s *session) send(f feed.Frame) error {
 		return s.enc.WriteResultAck(f)
 	case *feed.Heartbeat:
 		return s.enc.WriteHeartbeat(f)
-	default:
+	default: // *feed.End
 		return s.enc.WriteEnd(&feed.End{})
 	}
 }
