@@ -2,12 +2,15 @@ package broker
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
+	"marketminer/internal/corr"
 	"marketminer/internal/feed"
 )
 
@@ -239,6 +242,103 @@ func TestKillPartitionRebalanceDeterministic(t *testing.T) {
 	}
 	for p := range want {
 		sameSignals(t, "partition", got[p], want[p])
+	}
+}
+
+// killedLogs runs a broker over rets that hard-kills partition part's
+// processor once intervals 0…after are offered and the processor has
+// logged every ready matrix among them, waits for the lease checker to
+// relaunch it, then offers the rest and drains every partition log.
+func killedLogs(t *testing.T, cfg Config, rets [][]float64, part, after int) [][]feed.Signal {
+	t.Helper()
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	for s := 0; s <= after; s++ {
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt := b.parts[part]
+	ready := max(0, after+1-(cfg.M-1))
+	waitFor(t, func() bool { return pt.log.end() == uint64(ready*len(pt.pairs)) })
+	genOf := func() int {
+		pt.mu.Lock()
+		defer pt.mu.Unlock()
+		return pt.gen
+	}
+	gen := genOf()
+	b.KillPartition(part)
+	waitFor(t, func() bool { return genOf() > gen })
+	for s := after + 1; s < len(rets); s++ {
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.FinishInput()
+	return drainLogs(t, b)
+}
+
+// logsDigest is the FNV-64a of every signal of every partition log, in
+// partition then offset order.
+func logsDigest(logs [][]feed.Signal) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for p, sigs := range logs {
+		word(uint64(p))
+		word(uint64(len(sigs)))
+		for _, sg := range sigs {
+			word(sg.Offset)
+			word(uint64(sg.Pair)<<32 | uint64(sg.S))
+			word(uint64(sg.Kind))
+			word(math.Float64bits(sg.C))
+			word(math.Float64bits(sg.Cbar))
+		}
+	}
+	return h.Sum64()
+}
+
+// brokerLogPins are the logsDigest of a 40-interval testReturns day at
+// testConfig(), per correlation type, taken while each partition
+// processor still owned a pair-subset engine restored from a state
+// store. At M=4 a Combined coefficient's weighted-Pearson half equals
+// its Maronna fit, so Combined is pinned again at M=10, where it
+// differs.
+var brokerLogPins = []struct {
+	ty     corr.Type
+	m      int
+	digest uint64
+}{
+	{corr.Pearson, 4, 0x97e82e5bcbef3f05},
+	{corr.Maronna, 4, 0x9d0ace134733c6fc},
+	{corr.Combined, 4, 0x9d0ace134733c6fc},
+	{corr.Combined, 10, 0xcbfebe1b87d91eeb},
+}
+
+// TestBrokerLogsMatchParentDigest pins every partition log bit for bit
+// for each correlation type: a clean run, and runs whose partition 1
+// processor is hard-killed before the first ready window, mid-day and
+// after the last interval, must all yield the pinned digest.
+func TestBrokerLogsMatchParentDigest(t *testing.T) {
+	rets := testReturns(8, 40)
+	for _, pin := range brokerLogPins {
+		cfg := testConfig()
+		cfg.Type, cfg.M = pin.ty, pin.m
+		if got := logsDigest(referenceLogs(t, cfg, rets)); got != pin.digest {
+			t.Errorf("%v M=%d clean: digest %#x, want %#x", pin.ty, pin.m, got, pin.digest)
+		}
+		for _, after := range []int{cfg.M - 2, len(rets) / 2, len(rets) - 1} {
+			if got := logsDigest(killedLogs(t, cfg, rets, 1, after)); got != pin.digest {
+				t.Errorf("%v M=%d killed after interval %d: digest %#x, want %#x", pin.ty, pin.m, after, got, pin.digest)
+			}
+		}
 	}
 }
 
