@@ -117,6 +117,9 @@ func serve(ctx context.Context, cfg broker.Config, listen string, intervals int,
 		return err
 	}
 	defer b.Close()
+	if killSpec != "" && (killPart >= b.NumPartitions() || killAfter >= intervals) {
+		return fmt.Errorf("-kill %s outside the day of %d partitions and %d intervals", killSpec, b.NumPartitions(), intervals)
+	}
 	b.Start()
 	addr, err := b.ListenAndServe(listen)
 	if err != nil {

@@ -2,21 +2,23 @@
 // the layer between the paper's single-consumer pipeline and the
 // ROADMAP's "millions of subscribers" north star. It partitions the
 // pair universe into topic partitions by a stable hash of the pair id,
-// runs one supervised correlation/strategy processor per partition —
-// each owning a corr.OnlineEngine pair-subset whose Snapshot/Restore
-// is the partition's state store — and fans the resulting signal log
-// out to consumer groups over the feed codec's snapshot+delta
-// protocol with per-member ack offsets.
+// computes each interval's correlation matrix once, in one
+// corr.OnlineEngine whose matrices it logs, runs one supervised
+// strategy processor per partition over that matrix log, and fans the
+// resulting signal logs out to consumer groups over the feed codec's
+// snapshot+delta protocol with per-member ack offsets.
 //
 // Delivery contract: every partition's signal log is deterministic —
 // a function only of the input return stream — and offsets are
 // contiguous from 1. A processor that dies (panic, or hard kill
 // detected by lease expiry) is relaunched by the lease checker under
-// a new generation; fenced appends plus replay-past-the-log
-// deduplication regenerate the log bit-identically, so a subscriber
-// resuming from any committed offset never loses or double-sees a
-// signal, no matter how many crashes or reconnects happened in
-// between (see DESIGN.md §7).
+// a new generation. Its durable state is its own log: every ready
+// matrix yields one record, so the record count is its cursor into
+// the matrix log and the log's last W records are its C̄ rings.
+// Fenced appends keep a superseded generation out, so the log
+// continues bit-identically and a subscriber resuming from any
+// committed offset never loses or double-sees a signal, no matter how
+// many crashes or reconnects happened in between (see DESIGN.md §7).
 package broker
 
 import (
@@ -57,9 +59,6 @@ type Config struct {
 	D float64
 	// Type selects the correlation treatment (default Pearson).
 	Type corr.Type
-	// SnapshotEvery is the number of processed intervals between state-
-	// store saves per partition (default 16).
-	SnapshotEvery int
 	// LeaseTTL is how stale a processor's lease renewal may be before
 	// the lease checker declares it dead and rebalances (default 1s).
 	LeaseTTL time.Duration
@@ -112,9 +111,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.D <= 0 {
 		c.D = 0.1
 	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 16
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = time.Second
 	}
@@ -142,17 +138,19 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// inputEntry is one interval of the shared input log every partition
-// processor consumes at its own cursor.
+// inputEntry is one interval of an inputLog: a return vector, or a
+// matrix's triangle in pair-id order.
 type inputEntry struct {
 	s    int
 	rets []float64
 }
 
-// inputLog is the broker's append-only record of offered return
-// vectors. Keeping the whole day lets a crashed processor replay from
-// any snapshot cursor — it is the broker-side analogue of the feed
-// server's retained batch log.
+// inputLog is an append-only record of per-interval vectors, read by
+// each consumer at its own cursor. The broker keeps two: the offered
+// return vectors, which the correlation stage reads, and the ready
+// matrices, which every partition processor reads. Keeping the whole
+// day lets a relaunched processor resume at any cursor — it is the
+// broker-side analogue of the feed server's retained batch log.
 type inputLog struct {
 	mu      sync.Mutex
 	entries []inputEntry
@@ -171,13 +169,16 @@ func (l *inputLog) offer(s int, rets []float64) bool {
 	return true
 }
 
-func (l *inputLog) get(i int) (inputEntry, bool) {
+// get returns entry i, or whether the log is sealed with nothing at or
+// after i. Both answers come from one critical section, so an entry
+// appended just before the seal is never mistaken for the end.
+func (l *inputLog) get(i int) (e inputEntry, ok, drained bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if i < 0 || i >= len(l.entries) {
-		return inputEntry{}, false
+	if i >= len(l.entries) {
+		return inputEntry{}, false, l.sealed
 	}
-	return l.entries[i], true
+	return l.entries[i], true, false
 }
 
 func (l *inputLog) isSealed() bool {
@@ -192,15 +193,16 @@ func (l *inputLog) seal() {
 	l.mu.Unlock()
 }
 
-// Broker owns the partitions, their supervised processors, the
-// consumer groups and the serving side. Construct with New, feed it
-// via OfferReturns (or core.PipelineConfig.ReturnsTap), then
-// FinishInput; Serve accepts subscriber connections until Close.
+// Broker owns the correlation stage, the partitions, their supervised
+// processors, the consumer groups and the serving side. Construct with
+// New, feed it via OfferReturns (or core.PipelineConfig.ReturnsTap),
+// then FinishInput; Serve accepts subscriber connections until Close.
 type Broker struct {
-	cfg   Config
-	parts []*partition
-	input *inputLog
-	store stateStore
+	cfg      Config
+	parts    []*partition
+	input    *inputLog // offered return vectors
+	eng      *corr.OnlineEngine
+	matrices *inputLog // one triangle per ready matrix, in input order
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -223,17 +225,22 @@ func New(cfg Config) (*Broker, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng, err := corr.NewOnlineEngine(corr.EngineConfig{Type: cfg.Type, M: cfg.M}, cfg.N)
+	if err != nil {
+		return nil, err
+	}
 	byPart := partitionPairs(cfg.N, cfg.Partitions)
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &Broker{
 		cfg:       cfg,
 		input:     &inputLog{lastS: -1},
+		eng:       eng,
+		matrices:  &inputLog{lastS: -1},
 		ctx:       ctx,
 		cancel:    cancel,
 		watch:     make(chan struct{}),
 		groups:    make(map[string]*group),
 		listeners: make(map[interface{ Close() error }]struct{}),
-		store:     &memStore{},
 	}
 	for i := 0; i < cfg.Partitions; i++ {
 		b.parts = append(b.parts, &partition{
@@ -252,7 +259,8 @@ func (b *Broker) NumPartitions() int { return len(b.parts) }
 // (ascending; the caller must not mutate it).
 func (b *Broker) PartitionPairs(p int) []int { return b.parts[p].pairs }
 
-// Start launches every partition processor and the lease checker.
+// Start launches the correlation stage, every partition processor and
+// the lease checker.
 func (b *Broker) Start() {
 	b.mu.Lock()
 	if b.started || b.closed {
@@ -261,6 +269,11 @@ func (b *Broker) Start() {
 	}
 	b.started = true
 	b.mu.Unlock()
+	b.procWG.Add(1)
+	go func() {
+		defer b.procWG.Done()
+		b.correlate()
+	}()
 	now := b.cfg.Now()
 	for _, p := range b.parts {
 		p.mu.Lock()
@@ -296,8 +309,9 @@ func (b *Broker) OfferReturns(s int, rets []float64) error {
 	return nil
 }
 
-// FinishInput seals the input log: processors drain to the end and
-// seal their partitions, after which subscribers receive End frames.
+// FinishInput seals the input log: the correlation stage drains it and
+// seals the matrix log, processors drain that and seal their
+// partitions, after which subscribers receive End frames.
 func (b *Broker) FinishInput() {
 	b.input.seal()
 	b.wake()
@@ -326,8 +340,9 @@ func (b *Broker) Close() {
 	b.connWG.Wait()
 }
 
-// wake broadcasts a state change to every waiter (processors waiting
-// for input, handlers waiting for signals or epoch changes).
+// wake broadcasts a state change to every waiter (the correlation
+// stage and processors waiting for input, handlers waiting for signals
+// or epoch changes).
 func (b *Broker) wake() {
 	b.mu.Lock()
 	close(b.watch)
@@ -463,11 +478,9 @@ func (b *Broker) bumpEpochs() {
 }
 
 // Done reports whether every partition has fully processed the sealed
-// input.
+// input. A partition seals only after the matrix log, which seals only
+// after the input, so the partitions alone decide.
 func (b *Broker) Done() bool {
-	if !b.input.isSealed() {
-		return false
-	}
 	for _, p := range b.parts {
 		if !p.log.isSealed() {
 			return false

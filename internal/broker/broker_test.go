@@ -3,10 +3,9 @@ package broker
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,15 +29,14 @@ func testReturns(n, T int) [][]float64 {
 
 func testConfig() Config {
 	return Config{
-		N:             8,
-		Partitions:    4,
-		M:             4,
-		W:             3,
-		D:             0.01,
-		SnapshotEvery: 4,
-		LeaseTTL:      80 * time.Millisecond,
-		LeaseEvery:    5 * time.Millisecond,
-		Heartbeat:     20 * time.Millisecond,
+		N:          8,
+		Partitions: 4,
+		M:          4,
+		W:          3,
+		D:          0.01,
+		LeaseTTL:   80 * time.Millisecond,
+		LeaseEvery: 5 * time.Millisecond,
+		Heartbeat:  20 * time.Millisecond,
 	}
 }
 
@@ -342,6 +340,23 @@ func TestBrokerLogsMatchParentDigest(t *testing.T) {
 	}
 }
 
+// TestKillAtEveryInterval hard-kills partition 1's processor after
+// each interval of a 40-interval day in turn — before, at and after the
+// first ready window and on every interval after it — and demands the
+// unfaulted logs bit for bit every time: a relaunched processor resumes
+// at its log's record count, whatever that count is.
+func TestKillAtEveryInterval(t *testing.T) {
+	cfg := testConfig()
+	rets := testReturns(8, 40)
+	want := referenceLogs(t, cfg, rets)
+	for after := range rets {
+		got := killedLogs(t, cfg, rets, 1, after)
+		for p := range want {
+			sameSignals(t, fmt.Sprintf("killed after interval %d, partition %d", after, p), got[p], want[p])
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -416,114 +431,6 @@ func TestCommitMonotonicAndClamped(t *testing.T) {
 	b.commit(g, 0, 5) // empty partition log: clamps to zero
 	if got := commitAt(0); got != 0 {
 		t.Fatalf("empty-log ack committed %d, want 0", got)
-	}
-}
-
-// recordingStore wraps a stateStore, capturing every saved procState
-// and optionally failing loads (a lost or rejected snapshot forcing a
-// cold-start replay of the partition log).
-type recordingStore struct {
-	inner stateStore
-
-	mu       sync.Mutex
-	saves    []recordedSave
-	failLoad bool
-}
-
-type recordedSave struct {
-	part int
-	st   procState
-}
-
-func (r *recordingStore) save(part int, fp string, payload any) error {
-	if st, ok := payload.(procState); ok {
-		r.mu.Lock()
-		r.saves = append(r.saves, recordedSave{part, st})
-		r.mu.Unlock()
-	}
-	return r.inner.save(part, fp, payload)
-}
-
-func (r *recordingStore) load(part int, fp string, payload any) error {
-	r.mu.Lock()
-	fail := r.failLoad
-	r.mu.Unlock()
-	if fail {
-		return os.ErrNotExist
-	}
-	return r.inner.load(part, fp, payload)
-}
-
-func (r *recordingStore) recorded() []recordedSave {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]recordedSave(nil), r.saves...)
-}
-
-// TestNoStateSaveDuringReplay: a cold-started processor replaying a
-// non-empty log (its snapshot was lost) must not save state until its
-// cursor passes the log. A mid-replay save would pair a lagging Cursor
-// with the full log's EndOffset; restoring it would push already-logged
-// intervals into rings rebuilt as of EndOffset, duplicating C values in
-// the W-window and breaking the bit-identical contract. The invariant
-// checked here: every saved state has EndOffset equal to the signals
-// its Cursor's input prefix generates.
-func TestNoStateSaveDuringReplay(t *testing.T) {
-	cfg := testConfig()
-	cfg.SnapshotEvery = 1 // as aggressive as possible: replay must still save nothing
-	rets := testReturns(8, 40)
-	want := referenceLogs(t, testConfig(), rets)
-
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	rec := &recordingStore{inner: b.store}
-	b.store = rec
-	b.Start()
-	for s := 0; s < 24; s++ {
-		if err := b.OfferReturns(s, rets[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Partition 2 must fully process the prefix first, so the post-kill
-	// replay spans 24 intervals — far more than SnapshotEvery.
-	wantEnd := uint64((24 - (cfg.M - 1)) * len(b.parts[2].pairs))
-	waitFor(t, func() bool { return b.parts[2].log.end() == wantEnd })
-
-	rec.mu.Lock()
-	rec.failLoad = true // the relaunch cold-starts and replays the log
-	rec.mu.Unlock()
-	b.KillPartition(2)
-	waitFor(t, func() bool {
-		b.parts[2].mu.Lock()
-		defer b.parts[2].mu.Unlock()
-		return b.parts[2].gen > 0
-	})
-	for s := 24; s < 40; s++ {
-		if err := b.OfferReturns(s, rets[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.FinishInput()
-	got := drainLogs(t, b)
-	for p := range want {
-		sameSignals(t, "partition", got[p], want[p])
-	}
-	saves := rec.recorded()
-	if len(saves) == 0 {
-		t.Fatal("no state saves recorded")
-	}
-	for _, sv := range saves {
-		ready := sv.st.Cursor - (cfg.M - 1)
-		if ready < 0 {
-			ready = 0
-		}
-		if want := uint64(ready * len(b.parts[sv.part].pairs)); sv.st.EndOffset != want {
-			t.Fatalf("partition %d saved Cursor %d with EndOffset %d, want %d (mid-replay save)",
-				sv.part, sv.st.Cursor, sv.st.EndOffset, want)
-		}
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,7 +115,7 @@ func TestSlotMajorRingsMatchPerPairOracle(t *testing.T) {
 			if s == T {
 				break // the last matrix only extends rebuilt rings
 			}
-			c, cbar, kind := live.step(m, d)
+			c, cbar, kind := live.step(m.Values(), d)
 			sameColumns(t, "live", pairs, s, c, cbar, kind, want[s])
 			log.appendInterval(s, c, cbar, kind)
 		}
@@ -126,12 +124,12 @@ func TestSlotMajorRingsMatchPerPairOracle(t *testing.T) {
 			rebuilt.rebuild(log, uint64(prefix*len(pairs)), d)
 			// The oracle's signals for this interval followed the same
 			// history the log prefix holds.
-			c, cbar, kind := rebuilt.step(ms[prefix], d)
+			c, cbar, kind := rebuilt.step(ms[prefix].Values(), d)
 			sameColumns(t, "rebuilt", pairs, prefix, c, cbar, kind, want[prefix])
 		}
 		// Rebuilding over a used ring leaves nothing of its past behind.
 		live.rebuild(log, uint64(3*len(pairs)), d)
-		c, cbar, kind := live.step(ms[3], d)
+		c, cbar, kind := live.step(ms[3].Values(), d)
 		sameColumns(t, "rebuilt in place", pairs, 3, c, cbar, kind, want[3])
 	}
 }
@@ -158,7 +156,7 @@ func TestPairRingsMatchesParentDigest(t *testing.T) {
 			rings := newPairRings(pairs, w)
 			ms := randomMatrices(rand.New(rand.NewSource(int64(w*1000+np))), n, 2*w+7)
 			for _, m := range ms {
-				c, cbar, kind := rings.step(m, d)
+				c, cbar, kind := rings.step(m.Values(), d)
 				for idx := range c {
 					binary.LittleEndian.PutUint64(b[:], math.Float64bits(c[idx]))
 					h.Write(b[:])
@@ -214,8 +212,8 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	if got := log.end(); got != uint64(n) {
 		t.Fatalf("log end %d, want %d", got, n)
 	}
-	if got := log.lastLoggedS(); got != int(ivs[intervals-1].S) {
-		t.Fatalf("lastLoggedS %d, want %d", got, ivs[intervals-1].S)
+	if got := log.records(); got != intervals {
+		t.Fatalf("%d records, want %d", got, intervals)
 	}
 
 	for _, lo := range []int{0, 1, np - 1, np, np + 1, 2*np - 1, 2 * np, n - np, n - 1} {
@@ -325,7 +323,7 @@ func TestStepAndAppendAllocatePerInterval(t *testing.T) {
 		log := newPartitionLog(len(pairs), false)
 		s := 0
 		return testing.AllocsPerRun(200, func() {
-			c, cbar, kind := rings.step(m, 0.1)
+			c, cbar, kind := rings.step(m.Values(), 0.1)
 			log.appendInterval(s, c, cbar, kind)
 			s++
 		})
@@ -351,7 +349,7 @@ func BenchmarkPartitionStep(b *testing.B) {
 		if i%1024 == 0 { // a day and a half; keeps the retained log bounded
 			log = newPartitionLog(len(pairs), false)
 		}
-		c, cbar, kind := rings.step(ms[i%len(ms)], 0.1)
+		c, cbar, kind := rings.step(ms[i%len(ms)].Values(), 0.1)
 		log.appendInterval(i, c, cbar, kind)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/signal")
@@ -443,59 +441,5 @@ func TestE2EResumeInsideInterval(t *testing.T) {
 	b.parts[1].mu.Unlock()
 	if gen == 0 {
 		t.Fatal("kill did not advance the partition generation")
-	}
-}
-
-// TestTriangleLongSnapshotColdStarts: a stored state whose engine
-// snapshot still lists warm fits for the whole pair triangle (the
-// layout before subset engines snapshotted only their own pairs) is
-// rejected on restore; the processor cold-starts, replays the input
-// from the beginning and produces the reference log.
-func TestTriangleLongSnapshotColdStarts(t *testing.T) {
-	cfg := testConfig()
-	cfg.Type = corr.Maronna
-	rets := testReturns(8, 30)
-	want := referenceLogs(t, cfg, rets)
-
-	var rejected atomic.Int32
-	cfg.Logf = func(format string, args ...any) {
-		if strings.Contains(format, "snapshot rejected") {
-			rejected.Add(1)
-		}
-	}
-	b, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	eng, err := corr.NewOnlineEngine(corr.EngineConfig{Type: cfg.Type, M: cfg.M, Workers: 1, Pairs: b.PartitionPairs(2)}, cfg.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 10; s++ {
-		if _, err := eng.Push(rets[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := eng.Snapshot()
-	own := snap.Fits
-	snap.Fits = make([]corr.FitState, cfg.N*(cfg.N-1)/2)
-	for i, k := range b.PartitionPairs(2) {
-		snap.Fits[k] = own[i]
-	}
-	// Had the snapshot been accepted, the processor would resume at
-	// cursor 10 over an empty log and the first ten intervals' signals
-	// would be missing.
-	if err := b.store.save(2, b.stateFingerprint(eng), procState{Cursor: 10, Engine: snap}); err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
-	feedAll(t, b, rets)
-	got := drainLogs(t, b)
-	for p := range want {
-		sameSignals(t, "partition", got[p], want[p])
-	}
-	if rejected.Load() != 1 {
-		t.Fatalf("%d snapshots rejected, want partition 2's", rejected.Load())
 	}
 }

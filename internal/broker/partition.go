@@ -1,8 +1,6 @@
 package broker
 
 import (
-	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -96,15 +94,12 @@ func (l *partitionLog) end() uint64 {
 	return uint64(len(l.recs) * l.np)
 }
 
-// lastLoggedS returns the grid interval of the newest record (-1 when
-// empty) — the replay-deduplication watermark.
-func (l *partitionLog) lastLoggedS() int {
+// records returns the number of logged intervals — a processor's
+// cursor into the matrix log.
+func (l *partitionLog) records() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.recs) == 0 {
-		return -1
-	}
-	return int(l.recs[len(l.recs)-1].S)
+	return len(l.recs)
 }
 
 // read returns the signals at offsets [next, next+max) that lie in
@@ -129,7 +124,7 @@ func (l *partitionLog) read(next uint64, max int) (iv feed.Interval, drained boo
 
 // tail returns the last ≤ w records at or before offset end: the
 // compaction source for snapshot-on-subscribe (w = 1) and the ring
-// source for a restored processor (w = W).
+// source for a relaunched processor (w = W).
 func (l *partitionLog) tail(end uint64, w int) []feed.Interval {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -157,56 +152,4 @@ func (l *partitionLog) isSealed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sealed
-}
-
-// stateStore persists per-partition processor state across processor
-// generations: the broker process is alive, a partition worker died.
-// memStore is the one implementation; tests substitute a recording
-// store through the interface.
-type stateStore interface {
-	save(part int, fingerprint string, payload any) error
-	load(part int, fingerprint string, payload any) error
-}
-
-type memStore struct {
-	mu     sync.Mutex
-	states map[int]procState
-	fps    map[int]string
-}
-
-// save keeps the value itself: an engine snapshot shares no memory
-// with its engine, and Restore copies out of it.
-func (s *memStore) save(part int, fp string, payload any) error {
-	st, ok := payload.(procState)
-	if !ok {
-		return fmt.Errorf("broker: memory store cannot hold %T", payload)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.states == nil {
-		s.states = make(map[int]procState)
-		s.fps = make(map[int]string)
-	}
-	s.states[part] = st
-	s.fps[part] = fp
-	return nil
-}
-
-func (s *memStore) load(part int, fp string, payload any) error {
-	s.mu.Lock()
-	st, ok := s.states[part]
-	have := s.fps[part]
-	s.mu.Unlock()
-	if !ok {
-		return os.ErrNotExist
-	}
-	if have != fp {
-		return fmt.Errorf("broker: state fingerprint mismatch for partition %d", part)
-	}
-	dst, ok := payload.(*procState)
-	if !ok {
-		return fmt.Errorf("broker: memory store cannot load into %T", payload)
-	}
-	*dst = st
-	return nil
 }

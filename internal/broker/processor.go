@@ -2,23 +2,11 @@ package broker
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"marketminer/internal/corr"
 	"marketminer/internal/metrics"
 )
-
-// procState is a partition processor's complete resumable state: the
-// input cursor, the log end offset the cursor corresponds to, and the
-// engine warm state. Cursor and EndOffset are captured in the same
-// critical section as the engine snapshot, so a restore replays input
-// from exactly where the log ends.
-type procState struct {
-	Cursor    int                  `json:"cursor"`
-	EndOffset uint64               `json:"end_offset"`
-	Engine    *corr.EngineSnapshot `json:"engine"`
-}
 
 // pairRings holds the trailing-W correlation windows of a partition's
 // pairs, from which a processor derives C̄ and divergence crossings.
@@ -52,21 +40,21 @@ func (r *pairRings) push(c []float64) {
 	copy(r.vals[slot*len(c):], c)
 }
 
-// step ingests one matrix interval and produces this partition's
-// signal columns, one index per owned pair. C̄ always folds from zero
-// in chronological slot order — four rows per pass, but each pair's sum
-// still adds its rows oldest first, one at a time — so the value is
-// path-independent: a processor that lived through the stream and one
-// that rebuilt its ring from the log compute bit-identical C̄ — the
-// keystone of the no-loss/no-dup delivery proof. The crossing kind
-// compares this interval's divergence with the one carried from the
-// previous interval.
-func (r *pairRings) step(m *corr.Matrix, d float64) (c, cbar []float64, kind []uint8) {
+// step ingests one matrix interval — its triangle in pair-id order —
+// and produces this partition's signal columns, one index per owned
+// pair. C̄ always folds from zero in chronological slot order — four
+// rows per pass, but each pair's sum still adds its rows oldest first,
+// one at a time — so the value is path-independent: a processor that
+// lived through the stream and one that rebuilt its ring from the log
+// compute bit-identical C̄ — the keystone of the no-loss/no-dup
+// delivery proof. The crossing kind compares this interval's
+// divergence with the one carried from the previous interval.
+func (r *pairRings) step(tri []float64, d float64) (c, cbar []float64, kind []uint8) {
 	np := len(r.pairs)
 	cols := make([]float64, 2*np)
 	c, cbar, kind = cols[:np:np], cols[np:], make([]uint8, np)
 	for idx, k := range r.pairs {
-		c[idx] = m.AtPair(k)
+		c[idx] = tri[k]
 	}
 	r.push(c)
 	row := func(i int) []float64 { // the i-th oldest row
@@ -123,47 +111,55 @@ func (r *pairRings) rebuild(log *partitionLog, endOffset uint64, d float64) {
 	}
 }
 
-// stateFingerprint extends the engine fingerprint with the signal
-// parameters, so a snapshot from a differently-tuned broker never
-// restores.
-func (b *Broker) stateFingerprint(eng *corr.OnlineEngine) string {
-	return fmt.Sprintf("%s|w=%d|d=%g", eng.Fingerprint(), b.cfg.W, b.cfg.D)
+// correlate is the broker's correlation stage: one goroutine pushing
+// the input log through the broker's one engine and appending each
+// ready matrix's triangle to the matrix log, which it seals once the
+// sealed input is drained. Every partition reads the same matrices, so
+// each interval's correlation matrix is computed once.
+func (b *Broker) correlate() {
+	m := corr.NewMatrix(b.cfg.N)
+	for cursor := 0; ; {
+		entry, ok, drained := b.input.get(cursor)
+		if drained {
+			b.matrices.seal()
+			b.wake()
+			return
+		}
+		if !ok {
+			if !b.waitWake(b.ctx, b.cfg.LeaseEvery) {
+				return
+			}
+			continue
+		}
+		cursor++
+		// OfferReturns validated the vector, so the push cannot fail.
+		ready, err := b.eng.PushInto(entry.rets, m)
+		if err != nil {
+			b.cfg.Logf("broker: correlation stage stopped at interval %d: %v", entry.s, err)
+			return
+		}
+		if ready && b.matrices.offer(entry.s, m.Values()) {
+			b.wake()
+		}
+	}
 }
 
 // runProcessor is one incarnation of partition p's processor under
-// generation gen. It restores from the state store when possible,
-// replays the input log from its cursor, and publishes fenced signal
-// batches. A hard kill exits the goroutine without returning (the
-// supervisor never sees it — only the lease checker does); a
-// superseded generation returns nil and falls silent.
+// generation gen. Its log is its whole state: the record count is its
+// cursor into the matrix log (every ready matrix yields one record when
+// the partition has pairs) and the last W records rebuild its rings.
+// It publishes fenced signal batches. A hard kill exits the goroutine
+// without returning (the supervisor never sees it — only the lease
+// checker does); a superseded generation returns nil and falls silent.
 func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progress func()) error {
-	engCfg := corr.EngineConfig{
-		Type:    b.cfg.Type,
-		M:       b.cfg.M,
-		Workers: 1, // the broker's parallelism is across partitions
-		Pairs:   p.pairs,
-	}
-	eng, err := corr.NewOnlineEngine(engCfg, b.cfg.N)
-	if err != nil {
-		return err
-	}
 	rings := newPairRings(p.pairs, b.cfg.W)
-	m := corr.NewMatrix(b.cfg.N) // every push overwrites the owned pairs' slots
-	fp := b.stateFingerprint(eng)
-	cursor := 0
-	var st procState
-	if err := b.store.load(p.id, fp, &st); err == nil && st.Engine != nil {
-		if err := eng.Restore(st.Engine); err == nil {
-			cursor = st.Cursor
-			rings.rebuild(p.log, st.EndOffset, b.cfg.D)
-			metrics.Counter("broker.processor_restores").Inc()
-			b.cfg.Logf("broker: partition %d gen %d restored at cursor %d offset %d", p.id, gen, cursor, st.EndOffset)
-		} else {
-			b.cfg.Logf("broker: partition %d snapshot rejected (%v); cold start", p.id, err)
-		}
+	end := p.log.end()
+	rings.rebuild(p.log, end, b.cfg.D)
+	cursor := p.log.records()
+	if cursor > 0 {
+		metrics.Counter("broker.processor_restores").Inc()
+		b.cfg.Logf("broker: partition %d gen %d resumed at record %d offset %d", p.id, gen, cursor, end)
 	}
-
-	sinceSnap := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -174,51 +170,23 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		case beatSuperseded:
 			return nil
 		}
-		entry, ok := b.input.get(cursor)
+		entry, ok, drained := b.matrices.get(cursor)
+		if drained {
+			b.finishPartition(p, gen)
+			return nil
+		}
 		if !ok {
-			if b.input.isSealed() {
-				b.finishPartition(p, gen)
-				return nil
-			}
 			if !b.waitWake(ctx, b.cfg.LeaseEvery) {
 				return ctx.Err()
 			}
 			continue
 		}
-		// Replay detection must precede the publish: once this interval
-		// is appended, lastLoggedS catches up to entry.s and the
-		// distinction is gone.
-		replaying := entry.s <= p.log.lastLoggedS()
-		ready, err := eng.PushInto(entry.rets, m)
-		if err != nil {
-			return err // supervised: restart replays from the snapshot
-		}
 		cursor++
-		if ready {
-			c, cbar, kind := rings.step(m, b.cfg.D)
-			// Replay deduplication: intervals already in the log (we are
-			// re-deriving them after a crash) are regenerated to warm
-			// the rings but never re-appended.
-			if !replaying && !b.publish(p, gen, entry.s, c, cbar, kind) {
-				return nil // superseded mid-publish
-			}
+		c, cbar, kind := rings.step(entry.rets, b.cfg.D)
+		if !b.publish(p, gen, entry.s, c, cbar, kind) {
+			return nil // superseded mid-publish
 		}
 		progress()
-		if replaying {
-			// No state saves mid-replay: a snapshot taken here would
-			// pair a lagging Cursor with the full log's EndOffset, and a
-			// restore from it would re-push intervals whose C values are
-			// already in the rebuilt rings, corrupting the W-window.
-			continue
-		}
-		sinceSnap++
-		if sinceSnap >= b.cfg.SnapshotEvery {
-			sinceSnap = 0
-			snap := procState{Cursor: cursor, EndOffset: p.log.end(), Engine: eng.Snapshot()}
-			if err := b.store.save(p.id, fp, snap); err != nil {
-				b.cfg.Logf("broker: partition %d snapshot save: %v", p.id, err)
-			}
-		}
 	}
 }
 

@@ -23,8 +23,10 @@ type EngineConfig struct {
 	// This is the Go analogue of the MPI world size in the original
 	// MarketMiner correlation engine.
 	Workers int
-	// Pairs optionally restricts computation to a subset of pairs
-	// (canonical ids). Nil means all n(n-1)/2 pairs.
+	// Pairs optionally restricts the batch engine (ComputeSeries and
+	// its kin) to a subset of pairs (canonical ids). Nil means all
+	// n(n-1)/2 pairs. NewOnlineEngine rejects it: the online engine
+	// always computes the whole triangle.
 	Pairs []int
 	// DisableSIMD forces this request's vector kernels — the batched
 	// Maronna kernel and the online engine's Pearson cross-moment
@@ -505,13 +507,6 @@ func rollingPearson(x, y []float64, m int, dst []float64) {
 // M vectors have arrived, produces the full correlation matrix of the
 // trailing window after every push — "large correlation matrices in an
 // online fashion".
-//
-// When EngineConfig.Pairs is set the engine computes only that subset
-// of the pair triangle (unselected matrix slots stay 0). This is the
-// partition seam the signal broker builds on: each partition processor
-// owns one pair subset with its own warm state, and Snapshot/Restore
-// of a subset engine is its complete per-partition state store.
-// Selected-pair coefficients are bit-identical to a full engine's.
 type OnlineEngine struct {
 	cfg     EngineConfig
 	n       int
@@ -522,7 +517,6 @@ type OnlineEngine struct {
 	simd    bool // cross moments on the vector kernel
 	workers int
 	pairs   []taq.Pair // cached pair table
-	sel     []int      // selected canonical pair ids (identity when cfg.Pairs is nil)
 
 	// Pearson: the cross-moment table of the current window and the
 	// per-stock normalisers read from it.
@@ -530,7 +524,7 @@ type OnlineEngine struct {
 	invs []float64
 
 	// Robust types: contiguous window copies (one per stock), cache
-	// tiles over the selected pairs, per-worker batched kernels,
+	// tiles over the pairs, per-worker batched kernels,
 	// per-pair warm-start state, and per-stock cold-start initialisers
 	// (computed only on pushes where some pair actually needs one).
 	scratch  [][]float64
@@ -551,6 +545,9 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 	if cfg.M < 2 {
 		return nil, fmt.Errorf("corr: window M=%d too small", cfg.M)
 	}
+	if cfg.Pairs != nil {
+		return nil, errors.New("corr: the online engine computes every pair; EngineConfig.Pairs is for the batch engine")
+	}
 	e := &OnlineEngine{cfg: cfg, n: n, stride: (n + 4) &^ 3, workers: cfg.workers()}
 	e.simd = simdSupported && !cfg.DisableSIMD
 	e.rows = make([]float64, cfg.M*e.stride)
@@ -558,29 +555,6 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		e.rows[s*e.stride+n] = 1
 	}
 	e.pairs = taq.AllPairs(n)
-	var pairIdx []int
-	if cfg.Pairs != nil {
-		// Subset mode: compute only the selected pairs.
-		if len(cfg.Pairs) == 0 {
-			return nil, errors.New("corr: empty pair subset")
-		}
-		sel := append([]int(nil), cfg.Pairs...)
-		for i, id := range sel {
-			if id < 0 || id >= len(e.pairs) {
-				return nil, fmt.Errorf("corr: pair id %d outside [0,%d)", id, len(e.pairs))
-			}
-			if i > 0 && id <= sel[i-1] {
-				return nil, fmt.Errorf("corr: pair subset not strictly ascending at index %d", i)
-			}
-		}
-		pairIdx = sel
-	} else {
-		pairIdx = make([]int, len(e.pairs))
-		for i := range pairIdx {
-			pairIdx[i] = i
-		}
-	}
-	e.sel = pairIdx
 	switch cfg.Type {
 	case Pearson:
 		e.tab = make([]float64, e.stride*e.stride)
@@ -590,15 +564,10 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		for i := range e.scratch {
 			e.scratch[i] = make([]float64, cfg.M)
 		}
-		e.tiles = buildTiles(pairsOf(pairIdx, n), cfg.tileSize())
-		// buildTiles returns positions into pairIdx; remap them to
-		// canonical pair ids so matrix() indexes e.pairs/e.fits/Matrix
-		// slots uniformly whether or not a subset is selected.
-		for _, tile := range e.tiles {
-			for i, pos := range tile {
-				tile[i] = pairIdx[pos]
-			}
-		}
+		// Over the whole triangle a tile's positions are canonical pair
+		// ids, so matrix() indexes e.pairs, e.fits and Matrix slots with
+		// them directly.
+		e.tiles = buildTiles(e.pairs, cfg.tileSize())
 		e.pool = make([]*pairBatch, e.workers)
 		// Successive pushes slide each pair's window by one point, so
 		// the previous matrix's converged fits seed the next one.
@@ -627,9 +596,8 @@ func (e *OnlineEngine) Push(rets []float64) (*Matrix, error) {
 // PushInto is Push writing the matrix into dst (order n), for a caller
 // that consumes each matrix before the next push and so can reuse one.
 // It reports whether the window is full; until then dst is untouched.
-// Only the engine's selected pairs are written, so the unselected
-// slots of a subset engine's dst keep whatever they held. A rejected
-// vector leaves the engine exactly as it was.
+// Once it is, every slot of dst is written. A rejected vector leaves
+// the engine exactly as it was.
 func (e *OnlineEngine) PushInto(rets []float64, dst *Matrix) (ready bool, err error) {
 	if len(rets) != e.n {
 		return false, fmt.Errorf("corr: vector length %d, want %d", len(rets), e.n)
@@ -662,17 +630,16 @@ func (e *OnlineEngine) segments() (seg0, seg1 []float64) {
 	return e.rows[h:], e.rows[:h]
 }
 
-// matrix computes all selected pairwise coefficients of the current
-// window. Pearson fills the whole cross-moment table, one row pair per
-// task, and reads each selected pair's three sums from it. The robust
+// matrix computes every pairwise coefficient of the current window.
+// Pearson fills the whole cross-moment table, one row pair per task,
+// and reads each pair's three sums from it. The robust
 // types unroll the ring into per-stock scratch windows, refresh the
 // cold initialisers when some pair needs one, and run cache tiles of
 // pairs through the batched kernel. Tasks are scheduled across
 // workers by work stealing; every task owns its table rows or its
 // pairs' matrix slots and warm fits, and worker batch kernels are
 // exchanged only through the steal pool's happens-before, so any
-// schedule yields the same matrix. Every selected pair's slot of m is
-// written.
+// schedule yields the same matrix. Every slot of m is written.
 func (e *OnlineEngine) matrix(m *Matrix) {
 	pairs := e.pairs
 	switch e.cfg.Type {
@@ -689,8 +656,7 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 		for i := range e.invs {
 			e.invs[i] = pearsonInvStd(e.tab[i*st+i], e.tab[i*st+n], fn)
 		}
-		for _, k := range e.sel {
-			p := pairs[k]
+		for k, p := range pairs {
 			rx, ry := e.invs[p.I], e.invs[p.J]
 			if rx == 0 || ry == 0 {
 				m.SetPair(k, 0)
@@ -716,7 +682,7 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 		// and after degenerate fits); mid-stream warm fallbacks are
 		// rare and recompute inline, which yields identical values.
 		e.haveInit = false
-		for _, k := range e.sel {
+		for k := range e.fits {
 			if !e.fits[k].Valid {
 				for i, s := range e.scratch {
 					e.inits[i] = ColdInitOf(e.initBuf, s)

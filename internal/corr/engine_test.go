@@ -208,20 +208,6 @@ func TestOnlineEngineMatchesBatch(t *testing.T) {
 	}
 }
 
-// brokerSplit deals an n-stock universe's pair ids to parts subsets
-// by the broker's PartitionOf hash, ascending within each.
-func brokerSplit(n, parts int) [][]int {
-	split := make([][]int, parts)
-	for id := 0; id < n*(n-1)/2; id++ {
-		h := uint64(id) + 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
-		split[h%uint64(parts)] = append(split[h%uint64(parts)], id)
-	}
-	return split
-}
-
 // onlinePearsonDigest is the FNV-64a of every online Pearson matrix in
 // TestOnlinePearsonMatchesParentDigest's corpus, taken at the commit
 // before the cross moments were summed four pairs per pass.
@@ -229,40 +215,27 @@ const onlinePearsonDigest = 0xff95ac67532a99f7
 
 // TestOnlinePearsonMatchesParentDigest pins the online Pearson matrices
 // bit for bit, which TestOnlineEngineMatchesBatch's 1e-9 tolerance
-// cannot. Every layout of the same triangle hashes to one digest: full
-// engines at one and three workers with tile sizes that leave ragged
-// tiles, the broker's two-partition split as two subset engines of odd
-// pair counts writing into one matrix, and the pure-Go tier
-// (DisableSIMD), so the vector and scalar kernels share one digest.
+// cannot. Every layout of the same triangle hashes to one digest: one
+// and three workers with tile sizes that leave ragged tiles, and the
+// pure-Go tier (DisableSIMD), so the vector and scalar kernels share
+// one digest.
 func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 	const n, T = 13, 70
 	rets := syntheticReturns(71, n, T)
-	// The broker's split over two partitions: 39 + 39 pairs.
-	split := brokerSplit(n, 2)
-	for _, part := range split {
-		if len(part)%2 == 0 {
-			t.Fatalf("subset of %d pairs, want an odd count", len(part))
-		}
+	layouts := map[string]EngineConfig{
+		"full-1-worker":  {Workers: 1, tile: 10},
+		"full-3-workers": {Workers: 3, tile: 10},
+		"full-tile-5":    {Workers: 3, tile: 5},
+		"scalar-tier":    {Workers: 2, DisableSIMD: true},
 	}
-	layouts := map[string][]EngineConfig{
-		"full-1-worker":  {{Workers: 1, tile: 10}},
-		"full-3-workers": {{Workers: 3, tile: 10}},
-		"full-tile-5":    {{Workers: 3, tile: 5}},
-		"broker-split":   {{Workers: 2, Pairs: split[0]}, {Workers: 1, tile: 10, Pairs: split[1]}},
-		"scalar-tier":    {{Workers: 2, DisableSIMD: true}},
-	}
-	for name, layout := range layouts {
+	for name, cfg := range layouts {
 		h := fnv.New64a()
 		var b [8]byte
 		for _, m := range []int{7, 16} {
-			engines := make([]*OnlineEngine, len(layout))
-			for i, cfg := range layout {
-				cfg.Type, cfg.M = Pearson, m
-				e, err := NewOnlineEngine(cfg, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[i] = e
+			cfg.Type, cfg.M = Pearson, m
+			e, err := NewOnlineEngine(cfg, n)
+			if err != nil {
+				t.Fatal(err)
 			}
 			dst := NewMatrix(n)
 			vec := make([]float64, n)
@@ -270,13 +243,9 @@ func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 				for i := range vec {
 					vec[i] = rets[i][u]
 				}
-				ready := false
-				for _, e := range engines {
-					r, err := e.PushInto(vec, dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ready = r
+				ready, err := e.PushInto(vec, dst)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if !ready {
 					continue

@@ -58,9 +58,7 @@ func BenchmarkMatrixEngineTileSize(b *testing.B) {
 
 // BenchmarkOnlinePushPearson is one interval of the online Pearson
 // engine at the benchmark's scale: 61 stocks (1830 pairs), M = 100,
-// pushing into a reused matrix. "full" is one engine over the whole
-// triangle on each tier; "split-P" is the broker's P-partition split,
-// P subset engines of one worker each, all pushed per op.
+// pushing into a reused matrix, one worker, on each tier.
 func BenchmarkOnlinePushPearson(b *testing.B) {
 	const n, m, T = 61, 100, 400
 	rets := syntheticReturns(20080301, n, T)
@@ -71,34 +69,21 @@ func BenchmarkOnlinePushPearson(b *testing.B) {
 			vecs[u][i] = rets[i][u]
 		}
 	}
-	layouts := map[string][]EngineConfig{
-		"full":        {{}},
-		"full-scalar": {{DisableSIMD: true}},
+	layouts := map[string]EngineConfig{
+		"full":        {},
+		"full-scalar": {DisableSIMD: true},
 	}
-	for _, parts := range []int{2, 4, 8} {
-		var cfgs []EngineConfig
-		for _, sel := range brokerSplit(n, parts) {
-			cfgs = append(cfgs, EngineConfig{Pairs: sel})
-		}
-		layouts[fmt.Sprintf("split-%d", parts)] = cfgs
-	}
-	for name, cfgs := range layouts {
+	for name, cfg := range layouts {
 		b.Run(name, func(b *testing.B) {
-			engines := make([]*OnlineEngine, len(cfgs))
-			for i, cfg := range cfgs {
-				cfg.Type, cfg.M, cfg.Workers = Pearson, m, 1
-				e, err := NewOnlineEngine(cfg, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				engines[i] = e
+			cfg.Type, cfg.M, cfg.Workers = Pearson, m, 1
+			e, err := NewOnlineEngine(cfg, n)
+			if err != nil {
+				b.Fatal(err)
 			}
 			dst := NewMatrix(n)
 			push := func(v []float64) {
-				for _, e := range engines {
-					if _, err := e.PushInto(v, dst); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := e.PushInto(v, dst); err != nil {
+					b.Fatal(err)
 				}
 			}
 			for _, v := range vecs[:m] {

@@ -30,9 +30,8 @@ type FitState struct {
 // EngineSnapshot is the complete warm state of an OnlineEngine at an
 // interval boundary: the ring windows (one per stock, indexed by ring
 // slot, so head-aligned), the
-// ring cursor, and the warm fits of the robust types — one per selected
-// pair, in ascending pair-id order (the whole triangle unless the
-// engine computes a subset). Shared per-push state (the cross-moment
+// ring cursor, and the warm fits of the robust types — one per pair,
+// in ascending pair-id order. Shared per-push state (the cross-moment
 // table, cold initialisers, scratch copies) is
 // deliberately absent — it is recomputed from the windows on the next
 // Push, so a restored engine produces bit-identical matrices to one
@@ -50,22 +49,11 @@ type EngineSnapshot struct {
 
 // Fingerprint summarises the configuration a snapshot is only valid
 // for. Snapshot stores embed it so a snapshot taken under one engine
-// configuration is never restored into another. Subset engines (a
-// partition processor's slice of the triangle) append a hash of the
-// selected pair ids, so a snapshot never crosses partition boundaries
-// even when shapes coincide. The constant psd=false field is the
-// retired PSD-repair option; it stays so snapshots already on disk
-// still match.
+// configuration is never restored into another. The constant
+// psd=false field is the retired PSD-repair option; it stays so
+// snapshots already on disk still match.
 func (e *OnlineEngine) Fingerprint() string {
-	fp := fmt.Sprintf("%s|%s|n=%d|m=%d|psd=false", EngineSnapshotSchema, e.cfg.Type, e.n, e.cfg.M)
-	if len(e.sel) != len(e.pairs) {
-		h := uint64(14695981039346656037) // FNV-64a offset basis
-		for _, id := range e.sel {
-			h = (h ^ uint64(id)) * 1099511628211
-		}
-		fp += fmt.Sprintf("|pairs=%d:%016x", len(e.sel), h)
-	}
-	return fp
+	return fmt.Sprintf("%s|%s|n=%d|m=%d|psd=false", EngineSnapshotSchema, e.cfg.Type, e.n, e.cfg.M)
 }
 
 // Snapshot captures the engine's warm state. The result shares no
@@ -89,9 +77,8 @@ func (e *OnlineEngine) Snapshot() *EngineSnapshot {
 		s.Windows[i] = w
 	}
 	if e.fits != nil {
-		s.Fits = make([]FitState, len(e.sel))
-		for i, k := range e.sel {
-			f := e.fits[k]
+		s.Fits = make([]FitState, len(e.fits))
+		for i, f := range e.fits {
 			s.Fits[i] = FitState{
 				T1: f.T1, T2: f.T2,
 				V11: f.V11, V22: f.V22, V12: f.V12,
@@ -120,7 +107,7 @@ func (e *OnlineEngine) Restore(s *EngineSnapshot) error {
 	e.head = s.Head
 	e.count = s.Count
 	for i, f := range s.Fits {
-		e.fits[e.sel[i]] = Fit{
+		e.fits[i] = Fit{
 			T1: f.T1, T2: f.T2,
 			V11: f.V11, V22: f.V22, V12: f.V12,
 			Rho: f.Rho, Iters: f.Iters,
@@ -168,12 +155,8 @@ func (e *OnlineEngine) validateSnapshot(s *EngineSnapshot) error {
 			}
 		}
 	}
-	wantFits := 0
-	if e.fits != nil {
-		wantFits = len(e.sel)
-	}
-	if len(s.Fits) != wantFits {
-		return fmt.Errorf("%d warm fits, engine needs %d", len(s.Fits), wantFits)
+	if len(s.Fits) != len(e.fits) {
+		return fmt.Errorf("%d warm fits, engine needs %d", len(s.Fits), len(e.fits))
 	}
 	for k, f := range s.Fits {
 		for _, v := range [...]float64{f.T1, f.T2, f.V11, f.V22, f.V12, f.Rho} {

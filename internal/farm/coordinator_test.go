@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,7 +138,9 @@ func (w *pinWorker) result(l *feed.Lease, p uint16) {
 // zombie result that follows it, a crash and a restart on the same
 // journal whose rejoin re-confirms one lease and reclaims the other,
 // and a Limit pause. The digest was taken from the coordinator before
-// its decisions moved into a pure core; it must not move.
+// its decisions moved into a pure core, and moved once since: sessions
+// dropped after the run finished no longer count lease reclaims, as
+// their leases stay held for the release to save.
 func TestCoordinatorScriptMatchesParentDigest(t *testing.T) {
 	cfg := mustFarmConfig()
 	cfg.Types = []corr.Type{corr.Pearson} // 2 params × 2 days × 2 blocks of 8 pairs
@@ -276,6 +279,19 @@ func TestCoordinatorScriptMatchesParentDigest(t *testing.T) {
 	a.drain()
 	c.drain()
 	fmt.Fprintf(digest, "first serve: %+v %v\n", *s1.st, s1.err)
+	// The cancel aborted the run with A holding la2's and la3's groups:
+	// the release must have saved both leases for A to rejoin with.
+	after, err := readCoordManifest(path, c1.fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []uint64
+	for _, l := range after.Leases {
+		kept = append(kept, l.Lease)
+	}
+	if want := []uint64{la2.ID, la3.ID}; !slices.Equal(kept, want) {
+		t.Fatalf("manifest after cancel holds leases %v, want A's %v", kept, want)
+	}
 	if err := os.WriteFile(journal, jraw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +337,7 @@ func TestCoordinatorScriptMatchesParentDigest(t *testing.T) {
 		fmt.Fprintf(digest, "%s %+d\n", n, metrics.Counter(n).Value()-base[n])
 	}
 
-	const want = uint64(0xa3c1864ab012ba10)
+	const want = uint64(0x65ea64a2168cfa9b)
 	if got := digest.Sum64(); got != want {
 		t.Fatalf("coordinator script digest %016x, want %016x", got, want)
 	}

@@ -403,17 +403,23 @@ func (st *coordState) reject(s uint64, format string, args ...any) {
 
 // drop reclaims a disconnected session's leases at once — no TTL wait
 // when the connection itself says the holder is gone — and re-deals
-// them to parked workers.
+// them to parked workers. Once the run is finished it reclaims
+// nothing: an abort's leases must reach the release save so their
+// holders can rejoin the next incarnation, and a clean stop's release
+// frees every lease itself.
 func (st *coordState) drop(ev event) {
 	s := ev.session
 	name := st.sessions[s]
 	delete(st.sessions, s)
 	st.waiters = slices.DeleteFunc(st.waiters, func(w uint64) bool { return w == s })
+	if st.finished {
+		return
+	}
 	if n := st.free(func(g *groupState) bool { return g.session == s }); n > 0 {
 		st.count(MetricLeaseReclaims, n)
 		st.logf("farm: session %d (%q) disconnected holding %d group(s); requeued", s, name, n)
 		st.wake(ev.now)
-	} else if !st.finished {
+	} else {
 		st.logf("farm: session %d (%q) disconnected", s, name)
 	}
 }

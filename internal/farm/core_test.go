@@ -3,9 +3,11 @@ package farm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +38,10 @@ import (
 //     with a missing unit is pending exactly once or leased, never both,
 //     and a run that finishes complete has every unit journaled;
 //   - no durable write by epoch e runs without its own fence check, or
-//     after that check saw an epoch above e.
+//     after that check saw an epoch above e;
+//   - an abort keeps its leases: every lease live when an incarnation
+//     aborts is in the manifest its release saves, so the next
+//     incarnation holds it for its worker's rejoin.
 //
 // Worker moves touch neither the disk nor a step's durable effects, so
 // they are only enabled between steps. Reading a frame is local to a
@@ -52,6 +57,7 @@ type xBound struct {
 	alive        int  // incarnations alive at once
 	joins        int  // Join handshakes, all workers together
 	expiries     int  // sweeper ticks that find every live lease overdue
+	aborts       int  // aborts (cancel or listener failure) with live sessions
 	mutant       bool // drop the fence re-read before journal appends
 }
 
@@ -59,6 +65,8 @@ const (
 	xWorkers = 2
 	xTTL     = time.Second
 )
+
+var errXAbort = errors.New("listener failed")
 
 type xCoord struct {
 	st        *coordState
@@ -69,8 +77,9 @@ type xCoord struct {
 	sawHigher bool     // and saw an epoch above this incarnation's
 	alive     bool
 	released  bool
-	sessions  uint64 // bit i: this incarnation granted session i
-	leases    uint64 // bit i: this incarnation issued lease i
+	atAbort   []coordLease // the leases live when this incarnation aborted
+	sessions  uint64       // bit i: this incarnation granted session i
+	leases    uint64       // bit i: this incarnation issued lease i
 }
 
 type xWorker struct {
@@ -96,6 +105,7 @@ type xWorld struct {
 	coords   []*xCoord
 	workers  [xWorkers]*xWorker
 	expired  int // expiries used
+	aborted  int // aborts used
 	joins    int
 	reissued bool // an incarnation issued a session or lease id an earlier one had issued
 }
@@ -219,14 +229,15 @@ func btou(b bool) uint64 {
 	return 0
 }
 
-// key digests everything that can influence later moves: a dead or
-// released incarnation never acts again, a disconnected worker's epoch
+// key digests everything that can influence later moves: a dead
+// incarnation never acts again, nor does a released one once its final
+// save is done (until then it is keyed in full), a disconnected worker's epoch
 // only reaches a log line, and a redelivered result is re-stamped, so
 // none of those enter. Workers are interchangeable, so their encodings
 // are sorted.
 func (e *xExplorer) key(w *xWorld) uint64 {
 	b := e.buf[0][:0]
-	b.u(uint64(w.journal), uint64(w.expired), uint64(w.joins))
+	b.u(uint64(w.journal), uint64(w.expired), uint64(w.aborted), uint64(w.joins))
 	if m := w.manifest; m != nil {
 		b.u(m.Epoch, m.NextSession, m.NextLease, uint64(len(m.Leases)))
 		for _, l := range m.Leases {
@@ -235,11 +246,15 @@ func (e *xExplorer) key(w *xWorld) uint64 {
 		b.ints(m.Pending)
 	}
 	for _, c := range w.coords {
-		if !c.alive || c.released {
+		if !c.alive || c.released && len(c.durable) == 0 {
 			b.u(2 + btou(c.alive))
 			continue
 		}
 		st := c.st
+		b.u(uint64(len(c.atAbort)))
+		for _, l := range c.atAbort {
+			b.u(uint64(l.Gid), l.Lease, l.Gen, l.Session)
+		}
 		b.u(btou(c.checked), btou(c.sawHigher), st.epoch, st.nextSession, st.nextLease, uint64(st.doneUnits), uint64(st.accepted),
 			btou(st.finished), btou(st.fatal != nil), uint64(len(st.sessions)))
 		b.ints(st.pending)
@@ -404,6 +419,9 @@ func (w *xWorld) runDurable(k int) error {
 		}
 		if e.kind == effSave {
 			w.manifest = c.st.manifest()
+			if c.released {
+				return w.checkAbortKept(k)
+			}
 			break
 		}
 		if u := e.entry.U; len(e.entry.Rets) != 1 || len(e.entry.Rets[0]) != 1 || e.entry.Rets[0][0] != float64(u) {
@@ -438,6 +456,17 @@ func (w *xWorld) checkTables() error {
 		}
 	}
 	return nil
+}
+
+// checkAbortKept asserts that the manifest incarnation k's release
+// saved holds every lease that was live when k aborted.
+func (w *xWorld) checkAbortKept(k int) error {
+	for _, l := range w.coords[k].atAbort {
+		if !slices.Contains(w.manifest.Leases, l) {
+			return fmt.Errorf("incarnation %d aborted holding lease %+v, but its release saved leases %+v", k, l, w.manifest.Leases)
+		}
+	}
+	return w.settle(k)
 }
 
 // leaseLive reports whether incarnation k holds a lease an expiry
@@ -497,6 +526,15 @@ func (w *xWorld) moves() []func(*xWorld) error {
 				mv = append(mv, func(w *xWorld) error {
 					w.expired++
 					w.step(k, event{kind: evTick, seen: w.diskEpoch(), now: w.now().Add(2 * xTTL)})
+					return w.settle(k)
+				})
+			}
+			if w.aborted < w.b.aborts && len(c.st.sessions) > 0 {
+				mv = append(mv, func(w *xWorld) error {
+					w.aborted++
+					c := w.coords[k]
+					c.atAbort = c.st.manifest().Leases
+					w.step(k, event{kind: evAbort, err: errXAbort})
 					return w.settle(k)
 				})
 			}
@@ -719,6 +757,12 @@ var explorerBounds = []struct {
 	{"three groups with expiry",
 		xBound{groups: 3, incarnations: 1, alive: 1, joins: 2, expiries: 1},
 		xBound{groups: 3, incarnations: 1, alive: 1, joins: 2, expiries: 1}},
+	{"abort with restart and rejoin",
+		xBound{groups: 1, incarnations: 2, alive: 1, joins: 3, aborts: 1},
+		xBound{groups: 1, incarnations: 2, alive: 1, joins: 3, aborts: 1}},
+	{"three groups with abort, restart and rejoin",
+		xBound{groups: 3, incarnations: 2, alive: 1, joins: 3, aborts: 1},
+		xBound{groups: 3, incarnations: 2, alive: 1, joins: 2, aborts: 1}},
 }
 
 func reducedBound() bool { return testing.Short() || raceBuild }

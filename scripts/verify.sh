@@ -59,9 +59,10 @@ echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 worker
 focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
     ./internal/backtest ./internal/series ./internal/market
 
-echo "== online hot loops: pinned online Pearson digest on both kernel tiers, online robust coefficients = batch day series, the cross-moment kernel oracle, a rejected push leaves the engine untouched, PushInto's partial write, pinned C̄ digest, one allocation per decoded batch, the collector's blocked send under cancel, Restore's ring-cursor check"
+echo "== online hot loops: pinned online Pearson digest on both kernel tiers, online robust coefficients = batch day series, the cross-moment kernel oracle, a rejected push leaves the engine untouched, PushInto's reused matrix, pair subsets refused, pinned C̄ digest, pinned partition logs clean and killed at every interval, -kill outside the day refused, one allocation per decoded batch, the collector's blocked send under cancel, Restore's ring-cursor check"
 focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineMatchesDaySeries|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel|TestRejectedPushLeavesEngineUntouched|TestOnlineEngineMatchesBatch|TestPushIntoReusesOneMatrix|TestOnlineEnginePairSubset|TestEngineSnapshotResumeBitIdentical|TestEngineRestoreRejectsBadSnapshots|FuzzEngineRestore' ./internal/corr
-focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval' ./internal/broker
+focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval|TestBrokerLogsMatchParentDigest|TestKillAtEveryInterval' ./internal/broker
+focus 'TestServeRejectsKillOutsideTheDay' ./cmd/mmbroker
 focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumerStalled|TestDecodeBatchReusesQuotes' ./internal/feed
 
 echo "== the pinned online tests on the pure-Go kernel tier: a 386 test binary runs on an x86-64 host and has no AVX2 backend (and no -race)"
@@ -118,6 +119,9 @@ focus 'TestParseSpec|FuzzParseSpec' ./internal/chaos
 echo "== engine snapshot fuzz, 10 s: arbitrary bytes -> json -> Restore never panics; an accepted snapshot round-trips and the next push stays in [-1, 1]"
 go test -run '^$' -fuzz FuzzEngineRestore -fuzztime 10s ./internal/corr
 
+echo "== farm manifest fuzz, 10 s: arbitrary .coord bytes -> readCoordManifest -> one restore step never panics, and a manifest that loads loses or doubles no group"
+go test -run '^$' -fuzz FuzzCoordManifest -fuzztime 10s ./internal/farm
+
 echo "== TAQ reader fuzz, 10 s: strict and lenient readers never panic, return only finite quotes with a symbol, and write -> read is a fixed point after one pass"
 go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/taq
 focus 'TestReaderHeaderAfterLeadingBlankLine|TestReaderMissingHeaderAfterLeadingBlankLine|TestReaderMissingHeader|FuzzReader' ./internal/taq
@@ -137,8 +141,8 @@ go test -race ./internal/farm ./internal/feed
 echo "== coordinator crash-recovery gate: SIGKILL restart, standby takeover and config check, fencing, torn tail, v1 manifest, worker give-up rules"
 focus 'TestFarmCoordinatorSIGKILL|TestFarmStandbyTakeover|TestStandbyRejectsBadConfigAtStart|TestStandbyRejectsForeignManifest|TestStandbyHoldsWhileIdlePrimaryTouches|TestFarmEpochFencing|TestFarmClobberedClaimReasserted|TestFarmJournalTornTail|TestFarmV1ManifestRestartKeepsLeasesAndPending|TestFarmV1ManifestFingerprintMismatchRefused|TestFarmCoordinatorMetrics|TestFarmWorkerComputeErrorIsTerminal|TestFarmWorkerGrantResetsAttempts|TestFarmUnreachableCoordinatorRetriesThenFails' ./internal/farm
 
-echo "== farm coordinator core: pinned Serve script digest, exhaustive explorer (reduced bound under -race), its mutation check, the DESIGN 11 open case, empty -connect entries; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
-focus 'TestCoordinatorScriptMatchesParentDigest|TestExplorerCoordinatorCore|TestExplorerFindsUnfencedAppend|TestExplorerReissuedIDsHarmless|TestDialerWithoutAddressesFails|TestRunWorkRejectsEmptyConnectEntry' ./internal/farm ./internal/feed ./cmd/mmfarm
+echo "== farm coordinator core: pinned Serve script digest, exhaustive explorer (reduced bound under -race) incl. the abort bounds of property 4, its mutation check, the DESIGN 11 open case, the manifest fuzz seed corpus, empty -connect entries; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
+focus 'TestCoordinatorScriptMatchesParentDigest|TestExplorerCoordinatorCore|TestExplorerFindsUnfencedAppend|TestExplorerReissuedIDsHarmless|FuzzCoordManifest|TestDialerWithoutAddressesFails|TestRunWorkRejectsEmptyConnectEntry' ./internal/farm ./internal/feed ./cmd/mmfarm
 go test -count=1 -run 'TestExplorer' ./internal/farm
 
 echo "== go test -race ./..."
