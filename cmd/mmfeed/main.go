@@ -107,7 +107,9 @@ func serve(ctx context.Context, l net.Listener, quotes []taq.Quote, uni *marketm
 
 // publish feeds the quotes into the server, paced to ≈ rate quotes/sec
 // when rate > 0 (sleeping every chunk keeps the granularity coarse
-// enough for the scheduler while holding the average rate).
+// enough for the scheduler while holding the average rate). The server
+// seals subslices of quotes into its log rather than copying them, so
+// the loaded day is the one copy held; nothing writes to it afterwards.
 func publish(ctx context.Context, s *marketminer.FeedServer, quotes []taq.Quote, rate float64) error {
 	if rate <= 0 {
 		s.PublishBatch(quotes)

@@ -148,12 +148,13 @@ type inputEntry struct {
 // inputLog is an append-only record of per-interval vectors, read by
 // each consumer at its own cursor. The broker keeps two: the offered
 // return vectors, which the correlation stage reads, and the ready
-// matrices, which every partition processor reads. Keeping the whole
-// day lets a relaunched processor resume at any cursor — it is the
-// broker-side analogue of the feed server's retained batch log.
+// matrices, which every partition processor reads. Entries below the
+// lowest cursor any reader can still hold are released (see release),
+// so what is retained follows consumer lag, not the length of the day.
 type inputLog struct {
 	mu      sync.Mutex
-	entries []inputEntry
+	entries []inputEntry // entries[i] is entry base+i
+	base    int          // entries below base are released
 	lastS   int
 	sealed  bool
 }
@@ -161,7 +162,7 @@ type inputLog struct {
 func (l *inputLog) offer(s int, rets []float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.sealed || (len(l.entries) > 0 && s <= l.lastS) {
+	if l.sealed || (l.base+len(l.entries) > 0 && s <= l.lastS) {
 		return false
 	}
 	l.entries = append(l.entries, inputEntry{s: s, rets: append([]float64(nil), rets...)})
@@ -171,14 +172,30 @@ func (l *inputLog) offer(s int, rets []float64) bool {
 
 // get returns entry i, or whether the log is sealed with nothing at or
 // after i. Both answers come from one critical section, so an entry
-// appended just before the seal is never mistaken for the end.
+// appended just before the seal is never mistaken for the end. Reading
+// a released entry panics: no reader may fall below the floor it was
+// released at.
 func (l *inputLog) get(i int) (e inputEntry, ok, drained bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if i >= len(l.entries) {
+	if i < l.base {
+		panic(fmt.Sprintf("broker: log entry %d read after release below %d", i, l.base))
+	}
+	if i -= l.base; i >= len(l.entries) {
 		return inputEntry{}, false, l.sealed
 	}
 	return l.entries[i], true, false
+}
+
+// release drops every entry below floor, which every reader has passed.
+func (l *inputLog) release(floor int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if k := min(floor-l.base, len(l.entries)); k > 0 {
+		clear(l.entries[:k])
+		l.entries = l.entries[k:]
+		l.base += k
+	}
 }
 
 func (l *inputLog) isSealed() bool {
@@ -407,20 +424,45 @@ const (
 	beatSuperseded
 )
 
-// leaseBeat renews partition p's lease for generation gen. A killed
-// processor learns its fate here; a superseded one (lease already
-// reassigned) must fall silent.
-func (b *Broker) leaseBeat(p *partition, gen int) beat {
+// next renews partition p's lease for generation gen and, under the
+// same lock, reads matrix cursor. A killed processor learns its fate
+// here; a superseded one (lease already reassigned) must fall silent.
+// While gen holds the lease its cursor is the partition's record
+// count, which the matrix log's release floor never passes; reading
+// under the lease lock keeps a superseded generation, whose cursor the
+// floor may have passed, from reading at all.
+func (b *Broker) next(p *partition, gen, cursor int) (bt beat, e inputEntry, ok, drained bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.gen != gen {
-		return beatSuperseded
+		return beatSuperseded, e, false, false
 	}
 	if p.killed {
-		return beatKilled
+		return beatKilled, e, false, false
 	}
 	p.renewed = b.cfg.Now()
-	return beatOK
+	if len(p.pairs) == 0 {
+		// A pairless partition logs nothing, so it reads nothing: it
+		// only waits for the seal.
+		return beatOK, e, false, b.matrices.isSealed()
+	}
+	e, ok, drained = b.matrices.get(cursor)
+	return beatOK, e, ok, drained
+}
+
+// releaseMatrices drops every matrix below the lowest record count of
+// the partitions that own pairs: a processor resumes at its own record
+// count, so nothing below it is read again. A pairless partition reads
+// no matrix (it only waits for the seal), so it does not hold the
+// floor.
+func (b *Broker) releaseMatrices() {
+	floor := -1
+	for _, p := range b.parts {
+		if r := p.log.records(); len(p.pairs) > 0 && (floor < 0 || r < floor) {
+			floor = r
+		}
+	}
+	b.matrices.release(floor)
 }
 
 // leaseLoop periodically expires dead processor leases and sweeps

@@ -357,6 +357,51 @@ func TestKillAtEveryInterval(t *testing.T) {
 	}
 }
 
+// TestMatrixLogFollowsSlowestPartition: over a 61-stock day the matrix
+// log retains no more triangles than the furthest-behind processor
+// still needs plus the one being logged, and the offered-returns log
+// nothing the correlation stage has read — checked after every
+// interval, once every stage has caught up.
+func TestMatrixLogFollowsSlowestPartition(t *testing.T) {
+	cfg := testConfig()
+	cfg.N, cfg.M = 61, 10
+	rets := testReturns(cfg.N, 40)
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	retained := func(l *inputLog) (base, n int) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.base, len(l.entries)
+	}
+	for s := range rets {
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { base, _ := retained(b.input); return base == s+1 })
+		ready := max(0, s+1-(cfg.M-1))
+		for _, p := range b.parts {
+			waitFor(t, func() bool { return p.log.records() == ready })
+		}
+		waitFor(t, func() bool { base, n := retained(b.matrices); return base+n == ready })
+		lag := 0
+		for _, p := range b.parts {
+			lag = max(lag, ready-p.log.records())
+		}
+		if _, n := retained(b.matrices); n > lag+1 {
+			t.Fatalf("interval %d: %d triangles retained, max processor lag %d", s, n, lag)
+		}
+		if _, n := retained(b.input); n != 0 {
+			t.Fatalf("interval %d: %d return vectors retained after the correlation stage read them", s, n)
+		}
+	}
+	b.FinishInput()
+	drainLogs(t, b)
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

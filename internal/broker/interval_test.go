@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -271,17 +272,26 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	sub.pairs = [][]int{nil, nil, nil, pairs}
 	enc := feed.NewEncoder(io.Discard, nil) // acks go nowhere
 	frames, dups := 0, 0
+	var vals []float64
+	var kinds []uint8
 	for lo := 0; lo < n; {
 		iv, _ := log.read(uint64(lo+1), 40)
 		if frames%5 == 4 && lo >= 10 { // a resend that overlaps what was delivered
 			iv, _ = log.read(uint64(lo-10+1), 40)
 			dups += min(10, iv.Len())
 		}
-		// Off the wire a frame owns its columns; copy, as the decoder does.
-		iv.C, iv.Cbar, iv.Kind = append([]float64(nil), iv.C...), append([]float64(nil), iv.Cbar...), append([]uint8(nil), iv.Kind...)
+		// Off the wire a frame's columns are the decoder's, which the
+		// next frame overwrites: so are these.
+		vals = append(append(vals[:0], iv.C...), iv.Cbar...)
+		kinds = append(kinds[:0], iv.Kind...)
+		iv.C, iv.Cbar, iv.Kind = vals[:iv.Len()], vals[iv.Len():], kinds
 		if _, err := sub.deliver(enc, 3, iv, false, false); err != nil {
 			t.Fatal(err)
 		}
+		for i := range vals {
+			vals[i] = math.NaN()
+		}
+		clear(kinds)
 		lo = max(lo, int(iv.End()))
 		frames++
 	}
@@ -308,6 +318,67 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	short.Pairs--
 	if _, err := sub.deliver(enc, 3, short, false, false); err == nil {
 		t.Error("an interval narrower than the partition was accepted")
+	}
+}
+
+// TestSubscriberWritesEachRunOnce: a 915-pair interval — a 61-stock
+// partition's worth — arriving as two MaxDelta frames off one decoder
+// is retained as one run whose columns were allocated at the
+// interval's length and filled in place: cap == len, and bit-equal to
+// what was sent after the decoder has reused its memory.
+func TestSubscriberWritesEachRunOnce(t *testing.T) {
+	const np, maxDelta = 915, 512
+	pairs := make([]int, np)
+	iv := feed.Interval{S: 9, Base: 7 * np, Pairs: np,
+		C: make([]float64, np), Cbar: make([]float64, np), Kind: make([]uint8, np)}
+	for i := range pairs {
+		pairs[i] = 2 * i
+		iv.C[i], iv.Cbar[i], iv.Kind[i] = float64(i)/13, float64(i)/17, uint8(i%3)
+	}
+	var wire bytes.Buffer
+	enc := feed.NewEncoder(&wire, nil)
+	for _, f := range []*feed.DeltaFrame{
+		{Interval: feed.Interval{S: iv.S, Base: iv.Base, Pairs: np, C: iv.C[:maxDelta], Cbar: iv.Cbar[:maxDelta], Kind: iv.Kind[:maxDelta]}},
+		{Interval: iv.From(maxDelta)},
+		{Interval: feed.Interval{S: iv.S + 1, Base: iv.Base + np, Pairs: np, C: iv.C[:1], Cbar: iv.Cbar[:1], Kind: iv.Kind[:1]}},
+	} {
+		if err := enc.WriteDelta(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := NewSubscriber(SubscriberConfig{Group: "g", Member: "m",
+		Dial: func(context.Context) (net.Conn, error) { return nil, errors.New("not dialled in this test") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.pairs = [][]int{pairs}
+	sub.next[0] = iv.Base + 1
+	dec := feed.NewDecoder(&wire)
+	for range 3 {
+		f, err := dec.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sub.deliver(feed.NewEncoder(io.Discard, nil), 0, f.(*feed.DeltaFrame).Interval, false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := sub.signals[0]
+	if len(runs) != 2 {
+		t.Fatalf("%d runs, want the whole interval and the next one's first signal", len(runs))
+	}
+	r := runs[0]
+	if r.Len() != np || cap(r.C) != np || cap(r.Cbar) != np || cap(r.Kind) != np {
+		t.Fatalf("run of %d signals with capacities %d/%d/%d, want %d each",
+			r.Len(), cap(r.C), cap(r.Cbar), cap(r.Kind), np)
+	}
+	for i := range np {
+		if math.Float64bits(r.C[i]) != math.Float64bits(iv.C[i]) || math.Float64bits(r.Cbar[i]) != math.Float64bits(iv.Cbar[i]) || r.Kind[i] != iv.Kind[i] {
+			t.Fatalf("signal %d retained as (%v, %v, %d), sent (%v, %v, %d)", i, r.C[i], r.Cbar[i], r.Kind[i], iv.C[i], iv.Cbar[i], iv.Kind[i])
+		}
+	}
+	if st := sub.Stats(); st.Delivered != np+1 || st.Duplicates != 0 || st.Jumps != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

@@ -132,6 +132,7 @@ func (b *Broker) correlate() {
 			continue
 		}
 		cursor++
+		b.input.release(cursor)
 		// OfferReturns validated the vector, so the push cannot fail.
 		ready, err := b.eng.PushInto(entry.rets, m)
 		if err != nil {
@@ -164,13 +165,13 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch b.leaseBeat(p, gen) {
+		bt, entry, ok, drained := b.next(p, gen, cursor)
+		switch bt {
 		case beatKilled:
 			runtime.Goexit() // SIGKILL analogue: no flush, no return
 		case beatSuperseded:
 			return nil
 		}
-		entry, ok, drained := b.matrices.get(cursor)
 		if drained {
 			b.finishPartition(p, gen)
 			return nil
@@ -186,6 +187,7 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		if !b.publish(p, gen, entry.s, c, cbar, kind) {
 			return nil // superseded mid-publish
 		}
+		b.releaseMatrices()
 		progress()
 	}
 }

@@ -237,12 +237,13 @@ func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapsho
 		// A range continuing the newest retained run extends it; anything
 		// else (a new interval, a jump) starts a run. Partitions lists
 		// what has a run, and a frame of redeliveries delivers nothing.
+		// The frame's columns are the decoder's, so they are copied.
 		runs := s.signals[p]
 		if last := len(runs) - 1; last >= 0 && runs[last].Base == iv.Base && runs[last].End()+1 == start {
 			r := &runs[last]
 			r.C, r.Cbar, r.Kind = append(r.C, iv.C...), append(r.Cbar, iv.Cbar...), append(r.Kind, iv.Kind...)
 		} else {
-			s.signals[p] = append(runs, iv)
+			s.signals[p] = append(runs, newRun(iv))
 		}
 		if !snapshot {
 			if s.sinceAck[p] += n; s.sinceAck[p] >= s.cfg.AckEvery {
@@ -273,6 +274,19 @@ func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapsho
 		s.mu.Unlock()
 	}
 	return iv.Len(), nil
+}
+
+// newRun copies iv into a run whose columns have room for the rest of
+// its interval, so the frames that continue it append in place and a
+// whole interval is written once, into columns of exactly its length.
+func newRun(iv feed.Interval) feed.Interval {
+	m := int(iv.Pairs - iv.First)
+	vals := make([]float64, 2*m)
+	r := iv
+	r.C = append(vals[:0:m], iv.C...)
+	r.Cbar = append(vals[m:m], iv.Cbar...)
+	r.Kind = append(make([]uint8, 0, m), iv.Kind...)
+	return r
 }
 
 // signalAt materialises column index i of a run; pairs is its

@@ -277,13 +277,17 @@ func (e *Encoder) WriteSubscribe(s *Subscribe) error {
 
 // Decoder reads frames from r. After a Hello frame is decoded its
 // symbol table is retained and used to resolve Batch symbol indices.
-// Not safe for concurrent use.
+// A Batch's quotes and a Snapshot's or Delta's columns live in memory
+// the decoder reuses: they are valid until the next Read, and a caller
+// that keeps them copies them. Not safe for concurrent use.
 type Decoder struct {
 	r       *bufio.Reader
 	symbols []string
 	hdr     [frameHeaderSize]byte // a field, so reading it does not allocate
 	buf     []byte
 	quotes  []taq.Quote // the last batch's quotes, reused by the next
+	vals    []float64   // the last interval's C and C̄ columns, reused by the next
+	kinds   []uint8     // … and its Kind column
 	off     int64       // bytes of the frames decoded so far
 }
 
@@ -369,9 +373,9 @@ func (d *Decoder) decode(t FrameType) (Frame, error) {
 	case FrameAssign:
 		return decodeAssign(d.buf)
 	case FrameSnapshot:
-		return decodeSnapshot(d.buf)
+		return d.decodeSnapshot(d.buf)
 	case FrameDelta:
-		return decodeDelta(d.buf)
+		return d.decodeDelta(d.buf)
 	case FrameAck:
 		return decodeAck(d.buf)
 	case FrameJoin:

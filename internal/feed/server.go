@@ -69,11 +69,19 @@ type ServerStats struct {
 }
 
 // Server replays a quote stream to many subscribers over the binary
-// wire protocol. Quotes enter via Publish (historical file replay and
-// live simulator output look identical), are sealed into sequence-
-// numbered batches, and are retained for the lifetime of the server so
-// that any client can subscribe late (snapshot-on-subscribe) or
-// reconnect and resume from its last good sequence number.
+// wire protocol. Quotes enter via Publish or PublishBatch (historical
+// file replay and live simulator output look identical), are sealed
+// into sequence-numbered batches, and are retained for the lifetime of
+// the server so that any client can subscribe late (snapshot-on-
+// subscribe) or reconnect and resume from its last good sequence
+// number.
+//
+// The log holds one copy of the day, and it is the publisher's:
+// PublishBatch seals subslices of the caller's slice rather than
+// copying them, so the caller must not modify quotes it has handed
+// over. Only quotes that merge with others across calls — per-quote
+// Publish, or a short run a later call extends — are copied, through
+// one reusable pending buffer.
 //
 // Each subscriber is served by its own goroutine reading the shared
 // log; a subscriber that falls more than QueueLen batches behind the
@@ -82,9 +90,13 @@ type ServerStats struct {
 type Server struct {
 	cfg ServerConfig
 
-	mu         sync.Mutex
-	log        []*Batch    // sealed batches; log[i].Seq == i+1
-	pending    []taq.Quote // quotes not yet sealed
+	mu  sync.Mutex
+	log []*Batch // sealed batches; log[i].Seq == i+1
+	// The unsealed quotes, all on pendingDay, are either in pending,
+	// the server's own BatchSize-capacity buffer, or in tail, a
+	// cap-clipped alias of a caller's slice; never in both.
+	pending    []taq.Quote
+	tail       []taq.Quote
 	pendingDay int
 	finished   bool
 	closed     bool
@@ -131,41 +143,78 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Flush to seal a partial batch immediately. Publishing after Finish
 // or Close is a no-op.
 func (s *Server) Publish(q taq.Quote) {
-	s.PublishBatch([]taq.Quote{q})
+	s.publish([]taq.Quote{q}, false)
 }
 
 // PublishBatch publishes a slice of quotes as Publish would one by
-// one, under a single acquisition of the server lock. No subscriber
-// can take a batch while the call holds the lock, so what it seals
-// beyond the first batch is backlog nobody had a chance to drain:
-// slow-consumer lag is judged against the log as it stood at entry
-// plus that first batch, which is exactly Publish's rule.
+// one, under a single acquisition of the server lock.
+//
+// The log keeps the caller's memory: each same-day run of BatchSize
+// quotes is sealed as a subslice of quotes, and a shorter same-day
+// tail that starts a batch is held as one and sealed as it stands by
+// Flush, Finish or a day change. Only a tail that a later call extends
+// is copied. So the caller must not modify quotes after the call, and
+// a short slice keeps its whole backing array alive for the server's
+// lifetime.
+//
+// No subscriber can take a batch while the call holds the lock, so
+// what it seals beyond the first batch is backlog nobody had a chance
+// to drain: slow-consumer lag is judged against the log as it stood
+// at entry plus that first batch, which is exactly Publish's rule.
 func (s *Server) PublishBatch(quotes []taq.Quote) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entry := len(s.log)
-	for _, q := range quotes {
-		s.publishLocked(q)
-	}
-	if len(s.log) > entry {
-		s.notifyLocked(entry + 1)
-	}
+	s.publish(quotes, true)
 }
 
-func (s *Server) publishLocked(q taq.Quote) {
+// publish seals quotes into the log; alias says whether the log may
+// keep the caller's memory or must copy it.
+func (s *Server) publish(quotes []taq.Quote, alias bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.finished || s.closed {
 		return
 	}
-	if len(s.pending) > 0 && q.Day != s.pendingDay {
-		s.sealLocked()
+	entry := len(s.log)
+	bs := s.cfg.BatchSize
+	for len(quotes) > 0 {
+		day, n := quotes[0].Day, 1
+		for n < len(quotes) && quotes[n].Day == day {
+			n++
+		}
+		run := quotes[:n:n]
+		quotes = quotes[n:]
+		s.quotes += n
+		if len(s.pending)+len(s.tail) > 0 && s.pendingDay != day {
+			s.sealLocked()
+		}
+		s.pendingDay = day
+		if len(s.tail) > 0 {
+			// A later call extends the held tail: from here on it
+			// merges, so it moves into the server's buffer.
+			s.pending = append(s.pending, s.tail...)
+			s.tail = nil
+		}
+		if len(s.pending) > 0 {
+			k := min(bs-len(s.pending), len(run))
+			s.pending = append(s.pending, run[:k]...)
+			run = run[k:]
+			if len(s.pending) == bs {
+				s.sealLocked()
+			}
+		}
+		for ; len(run) >= bs; run = run[bs:] {
+			s.appendLocked(run[:bs:bs])
+		}
+		if len(run) == 0 {
+			continue
+		}
+		if alias {
+			s.tail = run
+		} else {
+			s.pending = append(s.pending, run...)
+		}
 	}
-	if len(s.pending) == 0 {
-		s.pendingDay = q.Day
-	}
-	s.pending = append(s.pending, q)
-	s.quotes++
-	if len(s.pending) >= s.cfg.BatchSize {
-		s.sealLocked()
+	if len(s.log) > entry {
+		s.notifyLocked(entry + 1)
 	}
 }
 
@@ -178,23 +227,23 @@ func (s *Server) Flush() {
 	s.notifyLocked(len(s.log))
 }
 
-// sealLocked moves pending quotes into the log. Caller holds s.mu and
+// sealLocked moves the unsealed quotes into the log: a held tail as it
+// stands, the pending buffer as an exact copy (so the retained log
+// holds no slack and the buffer is reused). Caller holds s.mu and
 // tells the subscribers.
 func (s *Server) sealLocked() {
-	if len(s.pending) == 0 {
-		return
-	}
-	// pending always has BatchSize capacity, so filling it never
-	// regrows: a full batch hands its array to the log and a fresh
-	// one is armed; a partial batch (Flush, day change) is sealed as
-	// an exact copy, so the retained log holds no slack.
-	quotes := s.pending
-	if len(quotes) < cap(quotes) {
-		quotes = slices.Clone(quotes)
+	switch {
+	case len(s.tail) > 0:
+		s.appendLocked(s.tail)
+		s.tail = nil
+	case len(s.pending) > 0:
+		s.appendLocked(slices.Clone(s.pending))
 		s.pending = s.pending[:0]
-	} else {
-		s.pending = make([]taq.Quote, 0, s.cfg.BatchSize)
 	}
+}
+
+// appendLocked seals quotes, all on pendingDay, as the next batch.
+func (s *Server) appendLocked(quotes []taq.Quote) {
 	s.log = append(s.log, &Batch{Seq: uint64(len(s.log) + 1), Day: s.pendingDay, Quotes: quotes})
 }
 

@@ -257,8 +257,8 @@ func (e *Encoder) WriteAck(a *AckFrame) error {
 }
 
 // decodeInterval reads an interval header and columns that fill p
-// exactly.
-func decodeInterval(p []byte, what string) (Interval, error) {
+// exactly, into the decoder's reused column memory.
+func (d *Decoder) decodeInterval(p []byte, what string) (Interval, error) {
 	if len(p) < intervalHeaderSize {
 		return Interval{}, protoErrf("%s payload too short (%d bytes)", what, len(p))
 	}
@@ -276,12 +276,15 @@ func decodeInterval(p []byte, what string) (Interval, error) {
 	if uint64(iv.First)+uint64(n) > uint64(iv.Pairs) {
 		return Interval{}, protoErrf("%s range %d+%d outside %d pairs", what, iv.First, n, iv.Pairs)
 	}
-	vals := make([]float64, 2*n)
+	if cap(d.vals) < 2*n {
+		d.vals = make([]float64, 2*n)
+	}
+	vals := d.vals[:2*n]
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
-	iv.C, iv.Cbar = vals[:n:n], vals[n:]
-	iv.Kind = append([]uint8(nil), p[16*n:]...)
+	d.kinds = append(d.kinds[:0], p[16*n:]...)
+	iv.C, iv.Cbar, iv.Kind = vals[:n:n], vals[n:2*n:2*n], d.kinds[:n:n]
 	return iv, nil
 }
 
@@ -357,11 +360,11 @@ func decodeAssign(p []byte) (*Assign, error) {
 	return a, nil
 }
 
-func decodeSnapshot(p []byte) (*SnapshotFrame, error) {
+func (d *Decoder) decodeSnapshot(p []byte) (*SnapshotFrame, error) {
 	if len(p) < 2 {
 		return nil, protoErrf("snapshot payload too short (%d bytes)", len(p))
 	}
-	iv, err := decodeInterval(p[2:], "snapshot")
+	iv, err := d.decodeInterval(p[2:], "snapshot")
 	if err != nil {
 		return nil, err
 	}
@@ -371,26 +374,26 @@ func decodeSnapshot(p []byte) (*SnapshotFrame, error) {
 	return &SnapshotFrame{Partition: binary.LittleEndian.Uint16(p), Interval: iv}, nil
 }
 
-func decodeDelta(p []byte) (*DeltaFrame, error) {
+func (d *Decoder) decodeDelta(p []byte) (*DeltaFrame, error) {
 	if len(p) < 3 {
 		return nil, protoErrf("delta payload too short (%d bytes)", len(p))
 	}
-	d := &DeltaFrame{Partition: binary.LittleEndian.Uint16(p)}
+	f := &DeltaFrame{Partition: binary.LittleEndian.Uint16(p)}
 	switch p[2] {
 	case 0:
 	case 1:
-		d.Sealed = true
+		f.Sealed = true
 	default:
 		return nil, protoErrf("delta sealed flag %d", p[2])
 	}
 	var err error
-	if d.Interval, err = decodeInterval(p[3:], "delta"); err != nil {
+	if f.Interval, err = d.decodeInterval(p[3:], "delta"); err != nil {
 		return nil, err
 	}
-	if len(d.C) == 0 && !d.Sealed {
+	if len(f.C) == 0 && !f.Sealed {
 		return nil, protoErrf("empty delta")
 	}
-	return d, nil
+	return f, nil
 }
 
 func decodeAck(p []byte) (*AckFrame, error) {

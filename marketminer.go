@@ -83,7 +83,9 @@ type (
 	QuoteSource = core.QuoteSource
 	// FeedServerConfig tunes a quote-distribution server.
 	FeedServerConfig = feed.ServerConfig
-	// FeedServer replays quote streams to networked subscribers.
+	// FeedServer replays quote streams to networked subscribers. Its
+	// retained log keeps the publisher's own memory: do not modify
+	// quotes after handing them to PublishBatch.
 	FeedServer = feed.Server
 	// FeedCollectorConfig tunes a networked collector client.
 	FeedCollectorConfig = feed.CollectorConfig
