@@ -131,7 +131,9 @@ type SnapshotFrame struct {
 // DeltaFrame carries the next signals of one partition: one interval,
 // or the range of one that a resume point or the broker's frame bound
 // leaves. Sealed marks the end of the partition's stream (no further
-// signals will ever follow); only a sealed delta may be empty.
+// signals will ever follow); only a sealed delta may be empty. As with
+// a Batch, the columns of a Snapshot or Delta that Decoder.Read returns
+// are the decoder's, valid until the next Read.
 type DeltaFrame struct {
 	Partition uint16
 	Sealed    bool
