@@ -372,11 +372,6 @@ func TestMatrixLogFollowsSlowestPartition(t *testing.T) {
 	}
 	defer b.Close()
 	b.Start()
-	retained := func(l *inputLog) (base, n int) {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.base, len(l.entries)
-	}
 	for s := range rets {
 		if err := b.OfferReturns(s, rets[s]); err != nil {
 			t.Fatal(err)
@@ -400,6 +395,76 @@ func TestMatrixLogFollowsSlowestPartition(t *testing.T) {
 	}
 	b.FinishInput()
 	drainLogs(t, b)
+}
+
+// TestMatrixLogHeldByKilledPartition: a processor that is killed
+// mid-day and kept down while the other partitions run ahead holds the
+// matrix-log floor at its own record count — the log retains its lag
+// plus the triangle being logged and releases nothing it will read
+// again — and its relaunch resumes there and reproduces the unfaulted
+// logs.
+func TestMatrixLogHeldByKilledPartition(t *testing.T) {
+	cfg := testConfig()
+	cfg.N, cfg.M = 61, 10
+	rets := testReturns(cfg.N, 40)
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	const killAt, downUntil = 20, 30
+	pt := b.parts[1]
+	for s := 0; s <= downUntil; s++ {
+		if s == killAt {
+			// KillPartition, with the lease lock kept: the processor
+			// cannot read another matrix, nor the lease checker
+			// relaunch it, until the lock is let go.
+			waitFor(t, func() bool { return pt.log.records() == s-(cfg.M-1) })
+			pt.mu.Lock()
+			pt.killed = true
+		}
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ready := downUntil + 1 - (cfg.M - 1)
+	for _, p := range b.parts {
+		if p != pt {
+			waitFor(t, func() bool { return p.log.records() == ready })
+		}
+	}
+	held := pt.log.records()
+	waitFor(t, func() bool { base, n := retained(b.matrices); return base >= held && base+n == ready })
+	base, n := retained(b.matrices)
+	if lag := ready - held; lag == 0 || base != held || n > lag+1 {
+		t.Fatalf("partition 1 down at record %d of %d: log base %d, %d triangles retained", held, ready, base, n)
+	}
+	gen := pt.gen
+	pt.mu.Unlock()
+	waitFor(t, func() bool {
+		pt.mu.Lock()
+		defer pt.mu.Unlock()
+		return pt.gen > gen
+	})
+	for s := downUntil + 1; s < len(rets); s++ {
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.FinishInput()
+	got := drainLogs(t, b)
+	want := referenceLogs(t, cfg, rets)
+	for p := range want {
+		sameSignals(t, fmt.Sprintf("partition %d", p), got[p], want[p])
+	}
+}
+
+// retained reports an input log's release base and retained entries.
+func retained(l *inputLog) (base, n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.base, len(l.entries)
 }
 
 func waitFor(t *testing.T, cond func() bool) {

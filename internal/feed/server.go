@@ -143,7 +143,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Flush to seal a partial batch immediately. Publishing after Finish
 // or Close is a no-op.
 func (s *Server) Publish(q taq.Quote) {
-	s.publish([]taq.Quote{q}, false)
+	s.PublishBatch([]taq.Quote{q})
 }
 
 // PublishBatch publishes a slice of quotes as Publish would one by
@@ -157,17 +157,25 @@ func (s *Server) Publish(q taq.Quote) {
 // a short slice keeps its whole backing array alive for the server's
 // lifetime.
 //
-// No subscriber can take a batch while the call holds the lock, so
-// what it seals beyond the first batch is backlog nobody had a chance
-// to drain: slow-consumer lag is judged against the log as it stood
-// at entry plus that first batch, which is exactly Publish's rule.
+// The quotes are split into same-day runs before the lock is taken,
+// so the lock covers O(len(quotes)/BatchSize) work, not a pass over
+// every quote. No subscriber can take a batch while the call holds
+// the lock, so what it seals beyond the first batch is backlog nobody
+// had a chance to drain: slow-consumer lag is judged against the log
+// as it stood at entry plus that first batch, which is exactly
+// Publish's rule.
 func (s *Server) PublishBatch(quotes []taq.Quote) {
-	s.publish(quotes, true)
-}
+	var buf [4][]taq.Quote
+	runs := buf[:0]
+	for len(quotes) > 0 {
+		n := 1
+		for n < len(quotes) && quotes[n].Day == quotes[0].Day {
+			n++
+		}
+		runs = append(runs, quotes[:n:n])
+		quotes = quotes[n:]
+	}
 
-// publish seals quotes into the log; alias says whether the log may
-// keep the caller's memory or must copy it.
-func (s *Server) publish(quotes []taq.Quote, alias bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished || s.closed {
@@ -175,14 +183,9 @@ func (s *Server) publish(quotes []taq.Quote, alias bool) {
 	}
 	entry := len(s.log)
 	bs := s.cfg.BatchSize
-	for len(quotes) > 0 {
-		day, n := quotes[0].Day, 1
-		for n < len(quotes) && quotes[n].Day == day {
-			n++
-		}
-		run := quotes[:n:n]
-		quotes = quotes[n:]
-		s.quotes += n
+	for _, run := range runs {
+		day := run[0].Day
+		s.quotes += len(run)
 		if len(s.pending)+len(s.tail) > 0 && s.pendingDay != day {
 			s.sealLocked()
 		}
@@ -204,13 +207,8 @@ func (s *Server) publish(quotes []taq.Quote, alias bool) {
 		for ; len(run) >= bs; run = run[bs:] {
 			s.appendLocked(run[:bs:bs])
 		}
-		if len(run) == 0 {
-			continue
-		}
-		if alias {
+		if len(run) > 0 {
 			s.tail = run
-		} else {
-			s.pending = append(s.pending, run...)
 		}
 	}
 	if len(s.log) > entry {
