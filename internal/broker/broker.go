@@ -151,21 +151,30 @@ type inputEntry struct {
 // matrices, which every partition processor reads. Entries below the
 // lowest cursor any reader can still hold are released (see release),
 // so what is retained follows consumer lag, not the length of the day.
+// A released entry's vector is refilled by a later offer, so a reader
+// must be done with a vector before the floor passes it.
 type inputLog struct {
 	mu      sync.Mutex
 	entries []inputEntry // entries[i] is entry base+i
 	base    int          // entries below base are released
+	free    [][]float64  // vectors of released entries
 	lastS   int
 	sealed  bool
 }
 
+// offer appends a copy of rets as entry s, in a released entry's
+// vector when there is one.
 func (l *inputLog) offer(s int, rets []float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealed || (l.base+len(l.entries) > 0 && s <= l.lastS) {
 		return false
 	}
-	l.entries = append(l.entries, inputEntry{s: s, rets: append([]float64(nil), rets...)})
+	var buf []float64
+	if k := len(l.free) - 1; k >= 0 {
+		buf, l.free = l.free[k][:0], l.free[:k]
+	}
+	l.entries = append(l.entries, inputEntry{s: s, rets: append(buf, rets...)})
 	l.lastS = s
 	return true
 }
@@ -187,13 +196,19 @@ func (l *inputLog) get(i int) (e inputEntry, ok, drained bool) {
 	return l.entries[i], true, false
 }
 
-// release drops every entry below floor, which every reader has passed.
+// release drops every entry below floor, which every reader has
+// passed, keeping their vectors for offer. The retained entries move
+// to the front, so the entry array is reused too.
 func (l *inputLog) release(floor int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if k := min(floor-l.base, len(l.entries)); k > 0 {
-		clear(l.entries[:k])
-		l.entries = l.entries[k:]
+		for _, e := range l.entries[:k] {
+			l.free = append(l.free, e.rets)
+		}
+		n := copy(l.entries, l.entries[k:])
+		clear(l.entries[n:])
+		l.entries = l.entries[:n]
 		l.base += k
 	}
 }
@@ -425,29 +440,35 @@ const (
 )
 
 // next renews partition p's lease for generation gen and, under the
-// same lock, reads matrix cursor. A killed processor learns its fate
+// same lock, reads matrix cursor and gathers the partition's C column
+// from it (see pairRings.gather). A killed processor learns its fate
 // here; a superseded one (lease already reassigned) must fall silent.
 // While gen holds the lease its cursor is the partition's record
-// count, which the matrix log's release floor never passes; reading
+// count, which the matrix log's release floor never passes. Reading
 // under the lease lock keeps a superseded generation, whose cursor the
-// floor may have passed, from reading at all.
-func (b *Broker) next(p *partition, gen, cursor int) (bt beat, e inputEntry, ok, drained bool) {
+// floor may have passed, from reading at all; gathering under it too
+// means the triangle is read in full before any later generation can
+// move the floor past it and a later offer refill it.
+func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (bt beat, s int, cols []float64, ok, drained bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.gen != gen {
-		return beatSuperseded, e, false, false
+		return beatSuperseded, 0, nil, false, false
 	}
 	if p.killed {
-		return beatKilled, e, false, false
+		return beatKilled, 0, nil, false, false
 	}
 	p.renewed = b.cfg.Now()
 	if len(p.pairs) == 0 {
 		// A pairless partition logs nothing, so it reads nothing: it
 		// only waits for the seal.
-		return beatOK, e, false, b.matrices.isSealed()
+		return beatOK, 0, nil, false, b.matrices.isSealed()
 	}
-	e, ok, drained = b.matrices.get(cursor)
-	return beatOK, e, ok, drained
+	e, ok, drained := b.matrices.get(cursor)
+	if ok {
+		cols = rings.gather(e.rets)
+	}
+	return beatOK, e.s, cols, ok, drained
 }
 
 // releaseMatrices drops every matrix below the lowest record count of

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -457,6 +458,30 @@ func TestMatrixLogHeldByKilledPartition(t *testing.T) {
 	want := referenceLogs(t, cfg, rets)
 	for p := range want {
 		sameSignals(t, fmt.Sprintf("partition %d", p), got[p], want[p])
+	}
+}
+
+// TestInputLogRefillsReleasedVectors: an offer copies into the vector
+// of an entry released below the floor, so a log whose reader keeps up
+// allocates nothing per entry, and the copy is still the offered one.
+func TestInputLogRefillsReleasedVectors(t *testing.T) {
+	l := &inputLog{lastS: -1}
+	vec := func(s int) []float64 { return []float64{float64(s), -float64(s), 0.5} }
+	l.offer(0, vec(0))
+	first, _, _ := l.get(0)
+	l.release(1)
+	l.offer(1, vec(1))
+	e, ok, _ := l.get(1)
+	if !ok || &e.rets[0] != &first.rets[0] || !slices.Equal(e.rets, vec(1)) {
+		t.Fatalf("entry 1 = %v in a new vector %v; want %v in entry 0's released one", e.rets, ok, vec(1))
+	}
+	s, in := 2, vec(2)
+	if allocs := testing.AllocsPerRun(100, func() {
+		l.offer(s, in)
+		l.release(s)
+		s++
+	}); allocs != 0 {
+		t.Errorf("%.0f allocations per offered entry with the reader caught up, want 0", allocs)
 	}
 }
 

@@ -19,6 +19,12 @@ import (
 	"marketminer/internal/feed"
 )
 
+// step is one processor interval on its own: gather the partition's C
+// column from the matrix triangle tri, then fold it.
+func (r *pairRings) step(tri []float64, d float64) (c, cbar []float64, kind []uint8) {
+	return r.fold(r.gather(tri), d)
+}
+
 // oracleRings is the per-pair derivation the slot-major ring replaced,
 // kept as the reference: one chronological slice per pair, C̄ folded
 // from zero over it, the previous interval's divergence recomputed

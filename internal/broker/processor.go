@@ -40,22 +40,29 @@ func (r *pairRings) push(c []float64) {
 	copy(r.vals[slot*len(c):], c)
 }
 
-// step ingests one matrix interval — its triangle in pair-id order —
-// and produces this partition's signal columns, one index per owned
-// pair. C̄ always folds from zero in chronological slot order — four
-// rows per pass, but each pair's sum still adds its rows oldest first,
-// one at a time — so the value is path-independent: a processor that
-// lived through the stream and one that rebuilt its ring from the log
-// compute bit-identical C̄ — the keystone of the no-loss/no-dup
-// delivery proof. The crossing kind compares this interval's
-// divergence with the one carried from the previous interval.
-func (r *pairRings) step(tri []float64, d float64) (c, cbar []float64, kind []uint8) {
-	np := len(r.pairs)
-	cols := make([]float64, 2*np)
-	c, cbar, kind = cols[:np:np], cols[np:], make([]uint8, np)
+// gather allocates one interval's signal columns, C then C̄, and
+// fills C from the matrix triangle tri (pair-id order) at this
+// partition's pairs.
+func (r *pairRings) gather(tri []float64) []float64 {
+	cols := make([]float64, 2*len(r.pairs))
 	for idx, k := range r.pairs {
-		c[idx] = tri[k]
+		cols[idx] = tri[k]
 	}
+	return cols
+}
+
+// fold ingests one interval's columns from gather and produces this
+// partition's signal columns, one index per owned pair. C̄ always
+// folds from zero in chronological slot order — four rows per pass,
+// but each pair's sum still adds its rows oldest first, one at a time
+// — so the value is path-independent: a processor that lived through
+// the stream and one that rebuilt its ring from the log compute
+// bit-identical C̄ — the keystone of the no-loss/no-dup delivery
+// proof. The crossing kind compares this interval's divergence with
+// the one carried from the previous interval.
+func (r *pairRings) fold(cols []float64, d float64) (c, cbar []float64, kind []uint8) {
+	np := len(r.pairs)
+	c, cbar, kind = cols[:np:np], cols[np:], make([]uint8, np)
 	r.push(c)
 	row := func(i int) []float64 { // the i-th oldest row
 		return r.vals[(r.head+i)%r.w*np:][:len(cbar)]
@@ -131,10 +138,10 @@ func (b *Broker) correlate() {
 			}
 			continue
 		}
-		cursor++
-		b.input.release(cursor)
 		// OfferReturns validated the vector, so the push cannot fail.
 		ready, err := b.eng.PushInto(entry.rets, m)
+		cursor++
+		b.input.release(cursor)
 		if err != nil {
 			b.cfg.Logf("broker: correlation stage stopped at interval %d: %v", entry.s, err)
 			return
@@ -165,7 +172,7 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bt, entry, ok, drained := b.next(p, gen, cursor)
+		bt, s, cols, ok, drained := b.next(p, gen, cursor, rings)
 		switch bt {
 		case beatKilled:
 			runtime.Goexit() // SIGKILL analogue: no flush, no return
@@ -183,8 +190,8 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 			continue
 		}
 		cursor++
-		c, cbar, kind := rings.step(entry.rets, b.cfg.D)
-		if !b.publish(p, gen, entry.s, c, cbar, kind) {
+		c, cbar, kind := rings.fold(cols, b.cfg.D)
+		if !b.publish(p, gen, s, c, cbar, kind) {
 			return nil // superseded mid-publish
 		}
 		b.releaseMatrices()

@@ -134,6 +134,11 @@ func NewFilter(cfg Config) *Filter {
 // Check classifies a quote without updating any state. Exposed for
 // testing and for consumers that manage their own estimator updates.
 func (f *Filter) Check(q taq.Quote) Reason {
+	return f.check(q, f.bySymbol[q.Symbol])
+}
+
+// check is Check against the symbol's estimator st (nil if unseen).
+func (f *Filter) check(q taq.Quote, st *state) Reason {
 	if !q.Valid() {
 		return BadStructure
 	}
@@ -144,7 +149,6 @@ func (f *Filter) Check(q taq.Quote) Reason {
 	if q.Spread() > f.cfg.MaxRelSpread*mid {
 		return WideSpread
 	}
-	st := f.bySymbol[q.Symbol]
 	if st == nil || st.n < f.cfg.Warmup {
 		return OK
 	}
@@ -176,9 +180,9 @@ func (f *Filter) Accept(q taq.Quote) Reason {
 		f.rejected[OutOfOrder]++
 		return OutOfOrder
 	}
-	r := f.Check(q)
 	st := f.bySymbol[q.Symbol]
-	if r == Outlier && st != nil {
+	r := f.check(q, st)
+	if r == Outlier {
 		st.outRun++
 		if st.outRun >= f.cfg.MaxRun {
 			// Persistent level: re-anchor and fall through to accept.

@@ -1,10 +1,12 @@
 // Package core wires the full MarketMiner pair-trading system of the
 // paper's Figure 1 on top of the channel-based stream engine: data
 // adapters (live/file collectors) feed a cleaning stage, an OHLC bar
-// accumulator, a technical-analysis (returns) stage, the parallel
-// correlation engine, one pair-trading strategy node per parameter
-// set, and a master order-aggregation sink — "the outputs from each
-// strategy (trade decisions) can be gathered by a master process".
+// accumulator (which keeps only each interval's close, the one price
+// the later stages read), a technical-analysis (returns) stage, the
+// parallel correlation engine, one pair-trading strategy node per
+// parameter set, and a master order-aggregation sink — "the outputs
+// from each strategy (trade decisions) can be gathered by a master
+// process".
 //
 // This is the paper's Approach 3: the strategy consumes correlation
 // matrices as they stream out of the engine, with no per-pair
@@ -270,8 +272,9 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 		return filter.Accept(q) == clean.OK
 	}), pool, &res.QuotesClean))
 
-	// OHLC bar accumulator: folds quotes into the shared grid and
-	// emits one tick per completed interval.
+	// OHLC bar accumulator: folds each quote's mid into the shared
+	// grid as its stock's close and emits one tick per completed
+	// interval.
 	bars := newBarNode(grid, cfg.Universe, pg, pool)
 	barNode := g.Node("ohlc-bars", 1, bars.process)
 	g.OnDrain(barNode, bars.drain)
@@ -405,9 +408,11 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 	return res, nil
 }
 
-// barNode folds cleaned quotes into the shared price grid, carrying
-// levels forward across empty intervals, and emits a tick per
-// completed interval.
+// barNode is Figure 1's OHLC bar accumulator, kept to the one field of
+// a bar anything downstream reads: each stock's last mid, its close.
+// It folds cleaned quotes into the shared price grid, carrying levels
+// forward across empty intervals, and emits a tick per completed
+// interval.
 type barNode struct {
 	grid series.Grid
 	uni  *taq.Universe
@@ -415,7 +420,6 @@ type barNode struct {
 	last []float64
 	cur  int
 	seen bool
-	bars []*series.BarAccumulator
 	pool *batchPool
 }
 
@@ -424,11 +428,7 @@ func newBarNode(grid series.Grid, uni *taq.Universe, pg *series.PriceGrid, pool 
 	for i := range last {
 		last[i] = math.NaN()
 	}
-	bars := make([]*series.BarAccumulator, uni.Len())
-	for i := range bars {
-		bars[i] = series.NewBarAccumulator(grid, uni.Symbol(i), 0)
-	}
-	return &barNode{grid: grid, uni: uni, pg: pg, last: last, bars: bars, pool: pool}
+	return &barNode{grid: grid, uni: uni, pg: pg, last: last, pool: pool}
 }
 
 // process folds one batch of cleaned quotes, in order, and returns the
@@ -459,7 +459,6 @@ func (b *barNode) add(q taq.Quote, emit engine.Emit) {
 		b.flush(s, emit)
 	}
 	b.last[i] = q.Mid()
-	b.bars[i].Add(q)
 }
 
 // flush completes intervals cur..s-1 into the grid and emits ticks.
@@ -514,13 +513,17 @@ func (t *taNode) process(ctx context.Context, m engine.Message, emit engine.Emit
 }
 
 // strategyNode runs one Tracker per pair for a single parameter set.
+// The trailing-W correlations behind each pair's C̄ are one slot-major
+// ring — ring[slot·np+k], slot head the oldest once full — the layout
+// the broker's pairRings uses, so an interval writes one row.
 type strategyNode struct {
 	idx      int // node index within the pipeline
 	p        strategy.Params
 	pairs    []taq.Pair
 	trackers []*strategy.Tracker
 	sums     []float64 // rolling C sums for C̄
-	wins     []*series.Window
+	ring     []float64
+	head, n  int // oldest slot, filled slots
 	pg       *series.PriceGrid
 }
 
@@ -529,29 +532,35 @@ func newStrategyNode(idx int, p strategy.Params, n int, pg *series.PriceGrid, da
 	sn := &strategyNode{idx: idx, p: p, pairs: pairs, pg: pg}
 	sn.trackers = make([]*strategy.Tracker, len(pairs))
 	sn.sums = make([]float64, len(pairs))
-	sn.wins = make([]*series.Window, len(pairs))
+	sn.ring = make([]float64, p.W*len(pairs))
 	for k, pr := range pairs {
 		tr, err := strategy.NewTracker(p, pr.I, pr.J, day)
 		if err != nil {
 			return nil, err
 		}
 		sn.trackers[k] = tr
-		sn.wins[k] = series.NewWindow(p.W)
 	}
 	return sn, nil
 }
 
+// process folds one matrix into the ring and steps every pair once its
+// window is full. Each pair drops the C in its slot from its sum before
+// adding the new one: an unfilled slot holds 0, and x−0 is x bit for
+// bit, so C̄ is the same sum a per-pair window keeps. The ring moves
+// after the pass, so a pass that panics leaves that interval out of
+// every pair's window.
 func (sn *strategyNode) process(ctx context.Context, m engine.Message, emit engine.Emit) error {
 	cm := m.(corrMsg)
-	for k := range sn.pairs {
+	np := len(sn.pairs)
+	slot := (sn.head + sn.n) % sn.p.W
+	row := sn.ring[slot*np : (slot+1)*np]
+	full := sn.n+1 >= sn.p.W
+	for k := range row {
 		c := cm.Matrix.AtPair(k)
-		w := sn.wins[k]
-		if w.Full() {
-			sn.sums[k] -= w.At(0)
-		}
-		w.Push(c)
+		sn.sums[k] -= row[k]
+		row[k] = c
 		sn.sums[k] += c
-		if !w.Full() {
+		if !full {
 			continue
 		}
 		cbar := sn.sums[k] / float64(sn.p.W)
@@ -559,6 +568,11 @@ func (sn *strategyNode) process(ctx context.Context, m engine.Message, emit engi
 		if len(orders) > 0 {
 			emit(basket{Key: [2]int{sn.idx, k}, Entry: trade == nil, Legs: orders})
 		}
+	}
+	if sn.n < sn.p.W {
+		sn.n++
+	} else {
+		sn.head = (sn.head + 1) % sn.p.W
 	}
 	return nil
 }

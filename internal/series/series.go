@@ -1,7 +1,8 @@
 // Package series provides the time-series substrate of the
 // reproduction: the ∆s interval grid, bid-ask-midpoint (BAM) price
-// sampling, 1-period log-returns, sliding return windows, and OHLC bar
-// accumulation (the "OHLC Bar Accumulator" node of Figure 1).
+// sampling, 1-period log-returns, and OHLC bar accumulation (the "OHLC
+// Bar Accumulator" node of Figure 1, whose pipeline node keeps only
+// each interval's close; BarAccumulator builds whole bars).
 //
 // All strategy-visible quantities in the paper live on a discrete time
 // grid indexed by s = 0..smax-1, where each index covers ∆s seconds of
@@ -228,55 +229,10 @@ func ReturnGrid(pg *PriceGrid) [][]float64 {
 	return out
 }
 
-// Window is a fixed-capacity sliding window of float64 values with
-// O(1) append and an ordered snapshot view. It carries the last M
-// log-returns per stock that feed each correlation calculation:
-// "two vectors Xi(s) and Xj(s), containing the last M log-returns".
-type Window struct {
-	buf  []float64
-	head int
-	full bool
-}
-
-// NewWindow allocates a window of capacity m ≥ 1.
-func NewWindow(m int) *Window {
-	if m < 1 {
-		m = 1
-	}
-	return &Window{buf: make([]float64, m)}
-}
-
-// Push appends x, evicting the oldest element when full.
-func (w *Window) Push(x float64) {
-	w.buf[w.head] = x
-	w.head++
-	if w.head == len(w.buf) {
-		w.head = 0
-		w.full = true
-	}
-}
-
-// Len returns the number of elements currently held.
-func (w *Window) Len() int {
-	if w.full {
-		return len(w.buf)
-	}
-	return w.head
-}
-
-// Full reports whether the window holds M elements.
-func (w *Window) Full() bool { return w.full }
-
-// At returns the k-th element counted from the oldest (0 = oldest).
-func (w *Window) At(k int) float64 {
-	if w.full {
-		return w.buf[(w.head+k)%len(w.buf)]
-	}
-	return w.buf[k]
-}
-
-// Bar is one OHLC (open/high/low/close) bar, the unit produced by
-// Figure 1's "OHLC Bar Accumulator" node.
+// Bar is one OHLC (open/high/low/close) bar, the unit named by Figure
+// 1's "OHLC Bar Accumulator" node. The pipeline's node keeps only the
+// close, the one price later stages read; whole bars are built by
+// BarAccumulator, which the benchmark's series probe times.
 type Bar struct {
 	Day      int
 	Interval int // grid interval index

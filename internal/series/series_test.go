@@ -168,64 +168,6 @@ func TestReturnGridShape(t *testing.T) {
 	}
 }
 
-func TestWindowBasics(t *testing.T) {
-	w := NewWindow(3)
-	if w.Len() != 0 || w.Full() {
-		t.Fatal("fresh window state wrong")
-	}
-	w.Push(1)
-	w.Push(2)
-	if w.Len() != 2 || w.At(0) != 1 || w.At(1) != 2 {
-		t.Errorf("partial window: len=%d at0=%v at1=%v", w.Len(), w.At(0), w.At(1))
-	}
-	w.Push(3)
-	w.Push(4) // evicts 1
-	if !w.Full() || w.Len() != 3 {
-		t.Error("window should be full with 3 elements")
-	}
-	if w.At(0) != 2 || w.At(1) != 3 || w.At(2) != 4 {
-		t.Errorf("At = %v,%v,%v", w.At(0), w.At(1), w.At(2))
-	}
-}
-
-func TestWindowCapClamp(t *testing.T) {
-	w := NewWindow(0)
-	w.Push(1)
-	w.Push(2)
-	if w.Len() != 1 || w.At(0) != 2 {
-		t.Errorf("clamped window: len=%d at0=%v", w.Len(), w.At(0))
-	}
-}
-
-func TestWindowOrderProperty(t *testing.T) {
-	f := func(seed int64, capRaw uint8) bool {
-		m := int(capRaw%16) + 1
-		rng := rand.New(rand.NewSource(seed))
-		w := NewWindow(m)
-		var ref []float64
-		for k := 0; k < 100; k++ {
-			x := rng.Float64()
-			w.Push(x)
-			ref = append(ref, x)
-			if len(ref) > m {
-				ref = ref[1:]
-			}
-			if w.Len() != len(ref) {
-				return false
-			}
-			for i := range ref {
-				if w.At(i) != ref[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // closedBars flushes ba through the session close and returns its
 // gapless bar series (nil if no quote was ever added).
 func closedBars(ba *BarAccumulator) []Bar {

@@ -59,10 +59,12 @@ echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 worker
 focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
     ./internal/backtest ./internal/series ./internal/market
 
-echo "== online hot loops: pinned online Pearson digest on both kernel tiers, online robust coefficients = batch day series, the cross-moment kernel oracle, a rejected push leaves the engine untouched, PushInto's reused matrix, pair subsets refused, pinned C̄ digest, pinned partition logs clean and killed at every interval, the matrix log trimmed to the slowest partition and held by a killed one, each retained subscriber run written once, -kill outside the day refused, one allocation per decoded batch, the collector's blocked send under cancel, the pinned feed-server log and wire bytes, the server logging the publisher's memory without writing it, Restore's ring-cursor check"
+echo "== online hot loops: pinned online Pearson digest on both kernel tiers, online robust coefficients = batch day series, the cross-moment kernel oracle, a rejected push leaves the engine untouched, PushInto's reused matrix, pair subsets refused, pinned C̄ digest, pinned partition logs clean and killed at every interval, the matrix log trimmed to the slowest partition and held by a killed one, each retained subscriber run written once, -kill outside the day refused, one allocation per decoded batch, the collector's blocked send under cancel, the pinned feed-server log and wire bytes, the server logging the publisher's memory without writing it, Restore's ring-cursor check, the pinned unsupervised pipeline day (strategy nodes' C̄ rings, closes-only bar node), the pinned clean filter decisions, released input-log vectors refilled"
 focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineMatchesDaySeries|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel|TestRejectedPushLeavesEngineUntouched|TestOnlineEngineMatchesBatch|TestPushIntoReusesOneMatrix|TestOnlineEnginePairSubset|TestEngineSnapshotResumeBitIdentical|TestEngineRestoreRejectsBadSnapshots|FuzzEngineRestore' ./internal/corr
-focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval|TestBrokerLogsMatchParentDigest|TestKillAtEveryInterval|TestMatrixLogFollowsSlowestPartition|TestMatrixLogHeldByKilledPartition|TestSubscriberWritesEachRunOnce' ./internal/broker
+focus 'TestPairRingsMatchesParentDigest|TestSlotMajorRingsMatchPerPairOracle|TestStepAndAppendAllocatePerInterval|TestBrokerLogsMatchParentDigest|TestKillAtEveryInterval|TestMatrixLogFollowsSlowestPartition|TestMatrixLogHeldByKilledPartition|TestSubscriberWritesEachRunOnce|TestInputLogRefillsReleasedVectors' ./internal/broker
 focus 'TestServeRejectsKillOutsideTheDay' ./cmd/mmbroker
+focus 'TestPipelineMatchesParentDigest' ./internal/core
+focus 'TestCleanDayMatchesParentDigest' ./internal/clean
 focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumerStalled|TestDecodeBatchReusesQuotes|TestServerLogMatchesParentDigest|TestPublishBatchSealsAsPublishDoes|TestPublishBatchLogsCallerMemory|TestServerNeverWritesCallerMemory|TestPublishAfterAliasedTailCopies|TestPublishBatchDayAllocatesLittle|TestSubscribersReadWhilePublisherContinues' ./internal/feed
 
 echo "== the pinned online tests on the pure-Go kernel tier: a 386 test binary runs on an x86-64 host and has no AVX2 backend (and no -race)"
