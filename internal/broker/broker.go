@@ -151,8 +151,8 @@ type inputEntry struct {
 // matrices, which every partition processor reads. Entries below the
 // lowest cursor any reader can still hold are released (see release),
 // so what is retained follows consumer lag, not the length of the day.
-// A released entry's vector is refilled by a later offer, so a reader
-// must be done with a vector before the floor passes it.
+// A later offer refills a released entry's vector, so a reader must be
+// done with a vector before the floor passes it.
 type inputLog struct {
 	mu      sync.Mutex
 	entries []inputEntry // entries[i] is entry base+i
@@ -440,15 +440,13 @@ const (
 )
 
 // next renews partition p's lease for generation gen and, under the
-// same lock, reads matrix cursor and gathers the partition's C column
-// from it (see pairRings.gather). A killed processor learns its fate
-// here; a superseded one (lease already reassigned) must fall silent.
-// While gen holds the lease its cursor is the partition's record
-// count, which the matrix log's release floor never passes. Reading
-// under the lease lock keeps a superseded generation, whose cursor the
-// floor may have passed, from reading at all; gathering under it too
-// means the triangle is read in full before any later generation can
-// move the floor past it and a later offer refill it.
+// same lock, gathers the partition's columns from matrix cursor. A
+// killed processor learns its fate here; a superseded one (lease
+// already reassigned) must fall silent. While gen holds the lease its
+// cursor is the partition's record count, which the matrix log's
+// release floor never passes; reading all of the triangle under the
+// lease lock keeps a superseded generation, whose cursor the floor may
+// have passed and whose triangle an offer may refill, from reading.
 func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (bt beat, s int, cols []float64, ok, drained bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

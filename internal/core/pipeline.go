@@ -1,12 +1,11 @@
 // Package core wires the full MarketMiner pair-trading system of the
 // paper's Figure 1 on top of the channel-based stream engine: data
 // adapters (live/file collectors) feed a cleaning stage, an OHLC bar
-// accumulator (which keeps only each interval's close, the one price
-// the later stages read), a technical-analysis (returns) stage, the
-// parallel correlation engine, one pair-trading strategy node per
-// parameter set, and a master order-aggregation sink — "the outputs
-// from each strategy (trade decisions) can be gathered by a master
-// process".
+// accumulator (of which only each interval's close is read, and kept),
+// a technical-analysis (returns) stage, the parallel correlation
+// engine, one pair-trading strategy node per parameter set, and a
+// master order-aggregation sink — "the outputs from each strategy
+// (trade decisions) can be gathered by a master process".
 //
 // This is the paper's Approach 3: the strategy consumes correlation
 // matrices as they stream out of the engine, with no per-pair
@@ -408,11 +407,10 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 	return res, nil
 }
 
-// barNode is Figure 1's OHLC bar accumulator, kept to the one field of
-// a bar anything downstream reads: each stock's last mid, its close.
-// It folds cleaned quotes into the shared price grid, carrying levels
-// forward across empty intervals, and emits a tick per completed
-// interval.
+// barNode is Figure 1's OHLC bar accumulator cut to the one field of a
+// bar read downstream, the close: it folds cleaned quotes' mids into
+// the shared price grid, carrying levels forward across empty
+// intervals, and emits a tick per completed interval.
 type barNode struct {
 	grid series.Grid
 	uni  *taq.Universe
@@ -513,9 +511,9 @@ func (t *taNode) process(ctx context.Context, m engine.Message, emit engine.Emit
 }
 
 // strategyNode runs one Tracker per pair for a single parameter set.
-// The trailing-W correlations behind each pair's C̄ are one slot-major
-// ring — ring[slot·np+k], slot head the oldest once full — the layout
-// the broker's pairRings uses, so an interval writes one row.
+// The trailing-W correlations behind C̄ are one slot-major ring,
+// ring[slot·np+k] as in the broker's pairRings: an interval writes
+// one row, the oldest once the ring is full.
 type strategyNode struct {
 	idx      int // node index within the pipeline
 	p        strategy.Params
@@ -523,7 +521,7 @@ type strategyNode struct {
 	trackers []*strategy.Tracker
 	sums     []float64 // rolling C sums for C̄
 	ring     []float64
-	head, n  int // oldest slot, filled slots
+	slot, n  int // the row the next interval writes, filled rows
 	pg       *series.PriceGrid
 }
 
@@ -552,8 +550,7 @@ func newStrategyNode(idx int, p strategy.Params, n int, pg *series.PriceGrid, da
 func (sn *strategyNode) process(ctx context.Context, m engine.Message, emit engine.Emit) error {
 	cm := m.(corrMsg)
 	np := len(sn.pairs)
-	slot := (sn.head + sn.n) % sn.p.W
-	row := sn.ring[slot*np : (slot+1)*np]
+	row := sn.ring[sn.slot*np : (sn.slot+1)*np]
 	full := sn.n+1 >= sn.p.W
 	for k := range row {
 		c := cm.Matrix.AtPair(k)
@@ -569,11 +566,7 @@ func (sn *strategyNode) process(ctx context.Context, m engine.Message, emit engi
 			emit(basket{Key: [2]int{sn.idx, k}, Entry: trade == nil, Legs: orders})
 		}
 	}
-	if sn.n < sn.p.W {
-		sn.n++
-	} else {
-		sn.head = (sn.head + 1) % sn.p.W
-	}
+	sn.slot, sn.n = (sn.slot+1)%sn.p.W, min(sn.n+1, sn.p.W)
 	return nil
 }
 
