@@ -512,8 +512,8 @@ func (t *taNode) process(ctx context.Context, m engine.Message, emit engine.Emit
 
 // strategyNode runs one Tracker per pair for a single parameter set.
 // The trailing-W correlations behind C̄ are one slot-major ring,
-// ring[slot·np+k] as in the broker's pairRings: an interval writes
-// one row, the oldest once the ring is full.
+// ring[slot·np+k] as in the broker's pairRings: interval n writes row
+// n mod W, the oldest once the ring is full.
 type strategyNode struct {
 	idx      int // node index within the pipeline
 	p        strategy.Params
@@ -521,7 +521,7 @@ type strategyNode struct {
 	trackers []*strategy.Tracker
 	sums     []float64 // rolling C sums for C̄
 	ring     []float64
-	slot, n  int // the row the next interval writes, filled rows
+	n        int // intervals folded into the ring
 	pg       *series.PriceGrid
 }
 
@@ -550,7 +550,8 @@ func newStrategyNode(idx int, p strategy.Params, n int, pg *series.PriceGrid, da
 func (sn *strategyNode) process(ctx context.Context, m engine.Message, emit engine.Emit) error {
 	cm := m.(corrMsg)
 	np := len(sn.pairs)
-	row := sn.ring[sn.slot*np : (sn.slot+1)*np]
+	slot := sn.n % sn.p.W
+	row := sn.ring[slot*np : (slot+1)*np]
 	full := sn.n+1 >= sn.p.W
 	for k := range row {
 		c := cm.Matrix.AtPair(k)
@@ -566,7 +567,7 @@ func (sn *strategyNode) process(ctx context.Context, m engine.Message, emit engi
 			emit(basket{Key: [2]int{sn.idx, k}, Entry: trade == nil, Legs: orders})
 		}
 	}
-	sn.slot, sn.n = (sn.slot+1)%sn.p.W, min(sn.n+1, sn.p.W)
+	sn.n++
 	return nil
 }
 
