@@ -90,11 +90,10 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Subscribers; i++ {
 		part := b.parts[i%len(b.parts)]
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		spawn(&wg, func() {
 			var next uint64 = 1
 			for {
+				w := b.watcher()
 				iv, drained := part.log.read(next, 4096)
 				if iv.Len() > 0 {
 					now := time.Now().UnixNano()
@@ -108,11 +107,11 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchResult, error) {
 				if drained {
 					return
 				}
-				if !b.waitWake(ctx, 10*time.Millisecond) {
+				if !b.wait(ctx, w, 10*time.Millisecond) {
 					return
 				}
 			}
-		}(i)
+		})
 	}
 
 	rets := benchReturns(cfg.N, cfg.Intervals, cfg.Seed)

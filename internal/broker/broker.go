@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"marketminer/internal/corr"
@@ -229,6 +230,8 @@ func (l *inputLog) seal() {
 // processors, the consumer groups and the serving side. Construct with
 // New, feed it via OfferReturns (or core.PipelineConfig.ReturnsTap),
 // then FinishInput; Serve accepts subscriber connections until Close.
+// Every lease, membership, epoch and commit decision is the core's
+// (brokerState); the Broker is its shell.
 type Broker struct {
 	cfg      Config
 	parts    []*partition
@@ -238,15 +241,13 @@ type Broker struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	start  sync.Once
 	procWG sync.WaitGroup
 	connWG sync.WaitGroup
+	watch  atomic.Pointer[chan struct{}] // closed and replaced by every wake
 
-	mu        sync.Mutex
-	watch     chan struct{}
-	groups    map[string]*group
-	listeners map[interface{ Close() error }]struct{}
-	started   bool
-	closed    bool
+	mu sync.Mutex // guards st; only apply takes it
+	st brokerState
 }
 
 // New builds a Broker. The pair universe taq.AllPairs(cfg.N) is
@@ -264,16 +265,19 @@ func New(cfg Config) (*Broker, error) {
 	byPart := partitionPairs(cfg.N, cfg.Partitions)
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &Broker{
-		cfg:       cfg,
-		input:     &inputLog{lastS: -1},
-		eng:       eng,
-		matrices:  &inputLog{lastS: -1},
-		ctx:       ctx,
-		cancel:    cancel,
-		watch:     make(chan struct{}),
-		groups:    make(map[string]*group),
-		listeners: make(map[interface{ Close() error }]struct{}),
+		cfg:      cfg,
+		input:    &inputLog{lastS: -1},
+		eng:      eng,
+		matrices: &inputLog{lastS: -1},
+		ctx:      ctx,
+		cancel:   cancel,
+		st: brokerState{
+			ttl: cfg.LeaseTTL, grace: cfg.MemberGrace,
+			leases: make([]lease, cfg.Partitions), groups: map[string]*group{},
+		},
 	}
+	ch := make(chan struct{})
+	b.watch.Store(&ch)
 	for i := 0; i < cfg.Partitions; i++ {
 		b.parts = append(b.parts, &partition{
 			id:    i,
@@ -292,33 +296,46 @@ func (b *Broker) NumPartitions() int { return len(b.parts) }
 func (b *Broker) PartitionPairs(p int) []int { return b.parts[p].pairs }
 
 // Start launches the correlation stage, every partition processor and
-// the lease checker.
+// the lease loop, once.
 func (b *Broker) Start() {
+	b.start.Do(func() {
+		if b.ctx.Err() != nil {
+			return // closed
+		}
+		spawn(&b.procWG, b.correlate)
+		spawn(&b.procWG, b.leaseLoop)
+		b.apply(&event{kind: evStart, now: b.cfg.Now()}, nil)
+	})
+}
+
+// apply steps the core with ev (none when nil) under mu and, unless
+// the step turned ev's processor away, runs under in the same critical
+// section; it carries out the step's effects once mu is released and
+// returns the processor's fate.
+func (b *Broker) apply(ev *event, under func(st *brokerState)) fate {
+	var f fate
+	var effs []effect
 	b.mu.Lock()
-	if b.started || b.closed {
-		b.mu.Unlock()
-		return
+	if ev != nil {
+		f, effs = b.st.step(*ev)
 	}
-	b.started = true
+	if under != nil && f == holds {
+		under(&b.st)
+	}
 	b.mu.Unlock()
-	b.procWG.Add(1)
-	go func() {
-		defer b.procWG.Done()
-		b.correlate()
-	}()
-	now := b.cfg.Now()
-	for _, p := range b.parts {
-		p.mu.Lock()
-		p.renewed = now
-		gen := p.gen
-		p.mu.Unlock()
-		b.launchProcessor(p, gen)
+	for _, e := range effs {
+		switch e.kind {
+		case effLaunch:
+			b.launchProcessor(b.parts[e.part], e.gen)
+		case effWake:
+			b.wake()
+		case effCount:
+			metrics.Counter(e.text).Add(e.n)
+		case effLog:
+			b.cfg.Logf("%s", e.text)
+		}
 	}
-	b.procWG.Add(1)
-	go func() {
-		defer b.procWG.Done()
-		b.leaseLoop()
-	}()
+	return f
 }
 
 // OfferReturns appends one interval's cross-sectional return vector
@@ -349,24 +366,10 @@ func (b *Broker) FinishInput() {
 	b.wake()
 }
 
-// Close tears the broker down: cancels processors, closes listeners
-// and waits for every goroutine.
+// Close tears the broker down: cancels processors and handlers, which
+// closes the listeners, and waits for every goroutine.
 func (b *Broker) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	ls := make([]interface{ Close() error }, 0, len(b.listeners))
-	for l := range b.listeners {
-		ls = append(ls, l)
-	}
-	b.mu.Unlock()
 	b.cancel()
-	for _, l := range ls {
-		l.Close()
-	}
 	b.wake()
 	b.procWG.Wait()
 	b.connWG.Wait()
@@ -376,22 +379,17 @@ func (b *Broker) Close() {
 // stage and processors waiting for input, handlers waiting for signals
 // or epoch changes).
 func (b *Broker) wake() {
-	b.mu.Lock()
-	close(b.watch)
-	b.watch = make(chan struct{})
-	b.mu.Unlock()
+	ch := make(chan struct{})
+	close(*b.watch.Swap(&ch))
 }
 
-func (b *Broker) watcher() <-chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.watch
-}
+// watcher returns the channel the next wake closes. A waiter takes it
+// before it looks at what it waits for, so a wake in between is seen.
+func (b *Broker) watcher() <-chan struct{} { return *b.watch.Load() }
 
-// waitWake blocks until a wake, a timeout, or ctx death; false means
+// wait blocks until w is closed, a timeout, or ctx death; false means
 // ctx died.
-func (b *Broker) waitWake(ctx context.Context, d time.Duration) bool {
-	w := b.watcher()
+func (b *Broker) wait(ctx context.Context, w <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -406,21 +404,17 @@ func (b *Broker) waitWake(ctx context.Context, d time.Duration) bool {
 
 // KillPartition hard-kills partition p's current processor: the
 // in-process analogue of SIGKILL on a partition worker. The processor
-// dies at its next lease beat without flushing anything; only lease
-// expiry discovers the death and relaunches under a new generation.
+// dies at its next lease beat without flushing anything; only the
+// lease loop's next tick discovers the death and relaunches under a
+// new generation.
 func (b *Broker) KillPartition(p int) {
-	pt := b.parts[p]
-	pt.mu.Lock()
-	pt.killed = true
-	pt.mu.Unlock()
+	b.apply(&event{kind: evKill, part: p}, nil)
 }
 
 // launchProcessor runs one supervised processor incarnation chain for
 // generation gen of partition p.
 func (b *Broker) launchProcessor(p *partition, gen int) {
-	b.procWG.Add(1)
-	go func() {
-		defer b.procWG.Done()
+	spawn(&b.procWG, func() {
 		name := fmt.Sprintf("broker-partition-%d", p.id)
 		_, err := supervise.Run(b.ctx, name, supervise.Policy{}, func(ctx context.Context, progress func()) error {
 			return b.runProcessor(ctx, p, gen, progress)
@@ -428,45 +422,16 @@ func (b *Broker) launchProcessor(p *partition, gen int) {
 		if err != nil && b.ctx.Err() == nil {
 			b.cfg.Logf("broker: %s gen %d: %v", name, gen, err)
 		}
-	}()
+	})
 }
 
-type beat int
-
-const (
-	beatOK beat = iota
-	beatKilled
-	beatSuperseded
-)
-
-// next renews partition p's lease for generation gen and, under the
-// same lock, gathers the partition's columns from matrix cursor. A
-// killed processor learns its fate here; a superseded one (lease
-// already reassigned) must fall silent. While gen holds the lease its
-// cursor is the partition's record count, which the matrix log's
-// release floor never passes; reading all of the triangle under the
-// lease lock keeps a superseded generation, whose cursor the floor may
-// have passed and whose triangle an offer may refill, from reading.
-func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (bt beat, s int, cols []float64, ok, drained bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.gen != gen {
-		return beatSuperseded, 0, nil, false, false
-	}
-	if p.killed {
-		return beatKilled, 0, nil, false, false
-	}
-	p.renewed = b.cfg.Now()
-	if len(p.pairs) == 0 {
-		// A pairless partition logs nothing, so it reads nothing: it
-		// only waits for the seal.
-		return beatOK, 0, nil, false, b.matrices.isSealed()
-	}
-	e, ok, drained := b.matrices.get(cursor)
-	if ok {
-		cols = rings.gather(e.rets)
-	}
-	return beatOK, e.s, cols, ok, drained
+// spawn runs f on its own goroutine, counted by wg.
+func spawn(wg *sync.WaitGroup, f func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f()
+	}()
 }
 
 // releaseMatrices drops every matrix below the lowest record count of
@@ -484,8 +449,8 @@ func (b *Broker) releaseMatrices() {
 	b.matrices.release(floor)
 }
 
-// leaseLoop periodically expires dead processor leases and sweeps
-// group members whose grace ran out.
+// leaseLoop steps a tick every LeaseEvery: lease expiry and the
+// member sweep.
 func (b *Broker) leaseLoop() {
 	t := time.NewTicker(b.cfg.LeaseEvery)
 	defer t.Stop()
@@ -494,48 +459,9 @@ func (b *Broker) leaseLoop() {
 		case <-b.ctx.Done():
 			return
 		case <-t.C:
-			b.CheckLeases()
-			b.sweepMembers()
+			b.apply(&event{kind: evTick, now: b.cfg.Now()}, nil)
 		}
 	}
-}
-
-// CheckLeases scans for expired partition leases and relaunches their
-// processors under a new generation, bumping every group epoch so
-// subscribers observe the rebalance. Exported so tests (and an
-// injected clock) can force a deterministic check; the lease loop
-// calls it every LeaseEvery.
-func (b *Broker) CheckLeases() {
-	now := b.cfg.Now()
-	for _, p := range b.parts {
-		p.mu.Lock()
-		expired := !p.done && (p.killed || now.Sub(p.renewed) > b.cfg.LeaseTTL)
-		if expired {
-			p.gen++
-			p.killed = false
-			p.renewed = now
-		}
-		gen := p.gen
-		p.mu.Unlock()
-		if expired {
-			metrics.Counter("broker.rebalances").Inc()
-			b.cfg.Logf("broker: partition %d lease expired; relaunching gen %d", p.id, gen)
-			b.launchProcessor(p, gen)
-			b.bumpEpochs()
-		}
-	}
-}
-
-// bumpEpochs increments every group's epoch (assignments must be
-// re-announced) and wakes the handlers.
-func (b *Broker) bumpEpochs() {
-	b.mu.Lock()
-	for _, g := range b.groups {
-		g.epoch++
-	}
-	close(b.watch)
-	b.watch = make(chan struct{})
-	b.mu.Unlock()
 }
 
 // Done reports whether every partition has fully processed the sealed
@@ -553,10 +479,11 @@ func (b *Broker) Done() bool {
 // WaitDone blocks until Done or ctx death.
 func (b *Broker) WaitDone(ctx context.Context) error {
 	for {
+		w := b.watcher()
 		if b.Done() {
 			return nil
 		}
-		if !b.waitWake(ctx, 50*time.Millisecond) {
+		if !b.wait(ctx, w, 50*time.Millisecond) {
 			return ctx.Err()
 		}
 	}
@@ -566,15 +493,15 @@ func (b *Broker) WaitDone(ctx context.Context) error {
 // consumer groups — cmd/mmbroker's serve mode gates feeding on it so
 // orchestrated runs don't race subscribers joining.
 func (b *Broker) MemberCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	n := 0
-	for _, g := range b.groups {
-		for _, m := range g.members {
-			if m.alive {
-				n++
+	b.apply(nil, func(st *brokerState) {
+		for _, g := range st.groups {
+			for _, m := range g.members {
+				if m.alive {
+					n++
+				}
 			}
 		}
-	}
+	})
 	return n
 }

@@ -233,10 +233,7 @@ func TestKillPartitionRebalanceDeterministic(t *testing.T) {
 	}
 	b.FinishInput()
 	got := drainLogs(t, b)
-	b.parts[1].mu.Lock()
-	gen := b.parts[1].gen
-	b.parts[1].mu.Unlock()
-	if gen == 0 {
+	if gen := b.genOf(1); gen == 0 {
 		t.Fatal("kill did not advance the partition generation")
 	}
 	for p := range want {
@@ -264,14 +261,9 @@ func killedLogs(t *testing.T, cfg Config, rets [][]float64, part, after int) [][
 	pt := b.parts[part]
 	ready := max(0, after+1-(cfg.M-1))
 	waitFor(t, func() bool { return pt.log.end() == uint64(ready*len(pt.pairs)) })
-	genOf := func() int {
-		pt.mu.Lock()
-		defer pt.mu.Unlock()
-		return pt.gen
-	}
-	gen := genOf()
+	gen := b.genOf(part)
 	b.KillPartition(part)
-	waitFor(t, func() bool { return genOf() > gen })
+	waitFor(t, func() bool { return b.genOf(part) > gen })
 	for s := after + 1; s < len(rets); s++ {
 		if err := b.OfferReturns(s, rets[s]); err != nil {
 			t.Fatal(err)
@@ -407,6 +399,9 @@ func TestMatrixLogFollowsSlowestPartition(t *testing.T) {
 func TestMatrixLogHeldByKilledPartition(t *testing.T) {
 	cfg := testConfig()
 	cfg.N, cfg.M = 61, 10
+	// No lease loop tick and no lapsed lease: the killed processor
+	// stays down until the test steps the tick that relaunches it.
+	cfg.LeaseEvery, cfg.LeaseTTL = time.Hour, time.Hour
 	rets := testReturns(cfg.N, 40)
 	b, err := New(cfg)
 	if err != nil {
@@ -418,12 +413,10 @@ func TestMatrixLogHeldByKilledPartition(t *testing.T) {
 	pt := b.parts[1]
 	for s := 0; s <= downUntil; s++ {
 		if s == killAt {
-			// KillPartition, with the lease lock kept: the processor
-			// cannot read another matrix, nor the lease checker
-			// relaunch it, until the lock is let go.
+			// The processor dies at the beat before it would read
+			// another matrix.
 			waitFor(t, func() bool { return pt.log.records() == s-(cfg.M-1) })
-			pt.mu.Lock()
-			pt.killed = true
+			b.KillPartition(1)
 		}
 		if err := b.OfferReturns(s, rets[s]); err != nil {
 			t.Fatal(err)
@@ -441,13 +434,11 @@ func TestMatrixLogHeldByKilledPartition(t *testing.T) {
 	if lag := ready - held; lag == 0 || base != held || n > lag+1 {
 		t.Fatalf("partition 1 down at record %d of %d: log base %d, %d triangles retained", held, ready, base, n)
 	}
-	gen := pt.gen
-	pt.mu.Unlock()
-	waitFor(t, func() bool {
-		pt.mu.Lock()
-		defer pt.mu.Unlock()
-		return pt.gen > gen
-	})
+	gen := b.genOf(1)
+	b.apply(&event{kind: evTick, now: b.cfg.Now()}, nil)
+	if b.genOf(1) <= gen {
+		t.Fatalf("the tick after the kill left partition 1 at gen %d", gen)
+	}
 	for s := downUntil + 1; s < len(rets); s++ {
 		if err := b.OfferReturns(s, rets[s]); err != nil {
 			t.Fatal(err)
@@ -483,6 +474,24 @@ func TestInputLogRefillsReleasedVectors(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("%.0f allocations per offered entry with the reader caught up, want 0", allocs)
 	}
+}
+
+// genOf reads partition p's processor generation.
+func (b *Broker) genOf(p int) (gen int) {
+	b.apply(nil, func(st *brokerState) { gen = st.leases[p].gen })
+	return gen
+}
+
+// epochOf reads group g's epoch.
+func (b *Broker) epochOf(g *group) (epoch uint64) {
+	b.apply(nil, func(*brokerState) { epoch = g.epoch })
+	return epoch
+}
+
+// viewFor reads member's assignment in group g.
+func (b *Broker) viewFor(g *group, member string) (v groupView) {
+	b.apply(nil, func(st *brokerState) { v = st.viewFor(g, member) })
+	return v
 }
 
 // retained reports an input log's release base and retained entries.

@@ -74,7 +74,7 @@ func runGroupE2E(t *testing.T, spec chaos.Spec, rets [][]float64) map[string]*Su
 	waitFor(t, func() bool {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		g := b.groups["g"]
+		g := b.st.groups["g"]
 		return g != nil && len(g.members) == len(members)
 	})
 

@@ -513,10 +513,7 @@ func TestE2EResumeInsideInterval(t *testing.T) {
 	if midInterval == 0 {
 		t.Fatalf("none of %d reconnects resumed inside an interval", st.Reconnects)
 	}
-	b.parts[1].mu.Lock()
-	gen := b.parts[1].gen
-	b.parts[1].mu.Unlock()
-	if gen == 0 {
+	if gen := b.genOf(1); gen == 0 {
 		t.Fatal("kill did not advance the partition generation")
 	}
 }

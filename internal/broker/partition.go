@@ -32,18 +32,12 @@ func partitionPairs(n, partitions int) [][]int {
 	return byPart
 }
 
-// partition is one topic partition: its pair subset, its signal log,
-// and the lease state of its current processor generation.
+// partition is one topic partition: its pair subset and its signal
+// log. Its processor's lease is the core's (brokerState.leases).
 type partition struct {
 	id    int
 	pairs []int // canonical pair ids, ascending
 	log   *partitionLog
-
-	mu      sync.Mutex
-	gen     int       // processor generation (fencing token)
-	killed  bool      // hard-kill flag for the current generation
-	renewed time.Time // last lease renewal
-	done    bool      // sealed input fully processed
 }
 
 // partitionLog is the append-only, offset-addressed signal log of one

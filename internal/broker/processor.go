@@ -126,6 +126,7 @@ func (r *pairRings) rebuild(log *partitionLog, endOffset uint64, d float64) {
 func (b *Broker) correlate() {
 	m := corr.NewMatrix(b.cfg.N)
 	for cursor := 0; ; {
+		w := b.watcher()
 		entry, ok, drained := b.input.get(cursor)
 		if drained {
 			b.matrices.seal()
@@ -133,7 +134,7 @@ func (b *Broker) correlate() {
 			return
 		}
 		if !ok {
-			if !b.waitWake(b.ctx, b.cfg.LeaseEvery) {
+			if !b.wait(b.ctx, w, b.cfg.LeaseEvery) {
 				return
 			}
 			continue
@@ -158,7 +159,7 @@ func (b *Broker) correlate() {
 // the partition has pairs) and the last W records rebuild its rings.
 // It publishes fenced signal batches. A hard kill exits the goroutine
 // without returning (the supervisor never sees it — only the lease
-// checker does); a superseded generation returns nil and falls silent.
+// loop does); a superseded generation returns nil and falls silent.
 func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progress func()) error {
 	rings := newPairRings(p.pairs, b.cfg.W)
 	end := p.log.end()
@@ -172,26 +173,29 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bt, s, cols, ok, drained := b.next(p, gen, cursor, rings)
-		switch bt {
-		case beatKilled:
+		w := b.watcher()
+		f, s, cols, ok, drained := b.next(p, gen, cursor, rings)
+		switch f {
+		case killed:
 			runtime.Goexit() // SIGKILL analogue: no flush, no return
-		case beatSuperseded:
+		case superseded:
 			return nil
 		}
 		if drained {
-			b.finishPartition(p, gen)
+			b.apply(&event{kind: evFinish, part: p.id, gen: gen}, func(*brokerState) { p.log.seal() })
 			return nil
 		}
 		if !ok {
-			if !b.waitWake(ctx, b.cfg.LeaseEvery) {
+			if !b.wait(ctx, w, b.cfg.LeaseEvery) {
 				return ctx.Err()
 			}
 			continue
 		}
 		cursor++
 		c, cbar, kind := rings.fold(cols, b.cfg.D)
-		if !b.publish(p, gen, s, c, cbar, kind) {
+		if b.apply(&event{kind: evPublish, part: p.id, gen: gen, n: len(c)}, func(*brokerState) {
+			p.log.appendInterval(s, c, cbar, kind)
+		}) != holds {
 			return nil // superseded mid-publish
 		}
 		b.releaseMatrices()
@@ -199,31 +203,27 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 	}
 }
 
-// publish appends one interval under generation fencing and wakes
-// subscribers. false means this processor has been superseded.
-func (b *Broker) publish(p *partition, gen int, s int, c, cbar []float64, kind []uint8) bool {
-	p.mu.Lock()
-	if p.gen != gen || p.killed {
-		p.mu.Unlock()
-		return false
-	}
-	p.log.appendInterval(s, c, cbar, kind)
-	p.mu.Unlock()
-	metrics.Counter("broker.signals_published").Add(int64(len(c)))
-	b.wake()
-	return true
-}
-
-// finishPartition seals partition p's log once the sealed input is
-// fully consumed, still under generation fencing.
-func (b *Broker) finishPartition(p *partition, gen int) {
-	p.mu.Lock()
-	if p.gen != gen || p.killed {
-		p.mu.Unlock()
-		return
-	}
-	p.done = true
-	p.mu.Unlock()
-	p.log.seal()
-	b.wake()
+// next beats generation gen's lease on partition p and, in the same
+// critical section, gathers the partition's columns from matrix
+// cursor. A killed processor learns its fate here; a superseded one
+// (lease already reassigned) must fall silent. While gen holds the
+// lease its cursor is the partition's record count, which the matrix
+// log's release floor never passes; reading all of the triangle under
+// the lock that fences the beat keeps a superseded generation, whose
+// cursor the floor may have passed and whose triangle an offer may
+// refill, from reading.
+func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (f fate, s int, cols []float64, ok, drained bool) {
+	f = b.apply(&event{kind: evBeat, part: p.id, gen: gen, now: b.cfg.Now()}, func(*brokerState) {
+		if len(p.pairs) == 0 {
+			// A pairless partition logs nothing, so it reads nothing: it
+			// only waits for the seal.
+			drained = b.matrices.isSealed()
+			return
+		}
+		var e inputEntry
+		if e, ok, drained = b.matrices.get(cursor); ok {
+			s, cols = e.s, rings.gather(e.rets)
+		}
+	})
+	return f, s, cols, ok, drained
 }

@@ -131,7 +131,7 @@ func (c *pinClient) ack(t *testing.T, p int, off uint64) {
 func pinCommits(b *Broker, g string) []uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return slices.Clone(b.groups[g].commits)
+	return slices.Clone(b.st.groups[g].commits)
 }
 
 // brokerScriptDigest is TestBrokerScriptMatchesParentDigest's pin,

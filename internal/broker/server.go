@@ -1,48 +1,28 @@
 package broker
 
 import (
+	"context"
 	"net"
+	"slices"
 	"time"
 
 	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 )
 
-// Serve accepts subscriber connections until the listener is closed
-// (Close does that). Each connection is one group-member session.
+// Serve accepts subscriber connections until Close, which closes the
+// listener. Each connection is one group-member session.
 func (b *Broker) Serve(l net.Listener) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		l.Close()
-		return nil
-	}
-	b.listeners[l] = struct{}{}
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(b.listeners, l)
-		b.mu.Unlock()
-	}()
+	defer context.AfterFunc(b.ctx, func() { l.Close() })()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			if b.ctx.Err() != nil {
 				return nil
 			}
-			b.mu.Lock()
-			closed := b.closed
-			b.mu.Unlock()
-			if closed {
-				return nil
-			}
 			return err
 		}
-		b.connWG.Add(1)
-		go func() {
-			defer b.connWG.Done()
-			b.handleConn(conn)
-		}()
+		spawn(&b.connWG, func() { b.handleConn(conn) })
 	}
 }
 
@@ -74,7 +54,6 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}
 	g, session := b.joinGroup(gs.Group, gs.Member)
 	defer b.leaveGroup(g, gs.Member, session)
-	b.cfg.Logf("broker: member %q joined group %q (session %d)", gs.Member, gs.Group, session)
 
 	// Ack reader: commits flow back concurrently with delivery. A read
 	// error (disconnect, chaos fault) closes the connection, which in
@@ -93,7 +72,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 			}
 			if ack, ok := fr.(*feed.AckFrame); ok {
 				b.commit(g, int(ack.Partition), ack.Offset)
-				b.touchMember(g, gs.Member, session)
+				b.apply(&event{kind: evTouch, group: g.name, member: gs.Member, session: session, now: b.cfg.Now()}, nil)
 			}
 		}
 	}()
@@ -117,12 +96,18 @@ func (b *Broker) handleConn(conn net.Conn) {
 		if b.ctx.Err() != nil {
 			return
 		}
+		w := b.watcher()
 		wrote := false
 
 		// Re-announce the assignment whenever the epoch moves (member
 		// churn or a partition-processor rebalance).
-		if e := b.epochOf(g); e != curEpoch {
-			v := b.viewFor(g, gs.Member)
+		var v groupView
+		b.apply(nil, func(st *brokerState) {
+			if g.epoch != curEpoch {
+				v = st.viewFor(g, gs.Member)
+			}
+		})
+		if v.epoch != 0 {
 			curEpoch = v.epoch
 			parts := make([]uint16, len(v.partitions))
 			for i, p := range v.partitions {
@@ -139,9 +124,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 				return
 			}
 			wrote = true
-			assigned := make(map[int]bool, len(v.partitions))
 			for i, p := range v.partitions {
-				assigned[p] = true
 				if cursors[p] == nil {
 					cursors[p] = b.openCursor(enc, g, p, resume[p], v.commits[i], gs.FromStart)
 					if cursors[p] == nil {
@@ -152,10 +135,8 @@ func (b *Broker) handleConn(conn net.Conn) {
 			// Partitions reassigned away stop being served here, but
 			// their delivery watermark survives in resume.
 			for p, cur := range cursors {
-				if !assigned[p] {
-					if cur.next > 1 && cur.next-1 > resume[p] {
-						resume[p] = cur.next - 1
-					}
+				if !slices.Contains(v.partitions, p) {
+					resume[p] = max(resume[p], cur.next-1)
 					delete(cursors, p)
 				}
 			}
@@ -195,7 +176,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 		if len(cursors) == 0 {
 			allSealed = b.Done()
 		}
-		if allSealed && b.input.isSealed() {
+		if allSealed { // a partition seals only after the input
 			seq++
 			if enc.WriteEnd(&feed.End{Seq: seq}) == nil {
 				select { // linger for the client's final acks + close
@@ -217,10 +198,37 @@ func (b *Broker) handleConn(conn net.Conn) {
 			}
 			lastWrite = now
 		}
-		if !b.waitWake(b.ctx, b.cfg.Heartbeat) {
+		if !b.wait(b.ctx, w, b.cfg.Heartbeat) {
 			return
 		}
 	}
+}
+
+// joinGroup registers (or revives) a member under a new session and
+// returns its group and session token.
+func (b *Broker) joinGroup(groupName, memberID string) (g *group, session uint64) {
+	b.apply(&event{kind: evJoin, group: groupName, member: memberID, now: b.cfg.Now()}, func(st *brokerState) {
+		g = st.groups[groupName]
+		session = g.members[memberID].session
+	})
+	return g, session
+}
+
+// leaveGroup marks a member's session as disconnected. The member
+// keeps its assignment until MemberGrace expires (reconnect-friendly);
+// only the lease loop's sweep removes it.
+func (b *Broker) leaveGroup(g *group, memberID string, session uint64) {
+	b.apply(&event{kind: evLeave, group: g.name, member: memberID, session: session, now: b.cfg.Now()}, nil)
+}
+
+// commit steps a member's ack, carrying the partition's log end for
+// the clamp.
+func (b *Broker) commit(g *group, part int, offset uint64) {
+	var end uint64
+	if part >= 0 && part < len(b.parts) {
+		end = b.parts[part].log.end()
+	}
+	b.apply(&event{kind: evAck, group: g.name, part: part, offset: offset, end: end}, nil)
 }
 
 // openCursor decides where delivery starts for a newly assigned
@@ -249,13 +257,11 @@ func (b *Broker) ListenAndServe(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.connWG.Add(1)
-	go func() {
-		defer b.connWG.Done()
+	spawn(&b.connWG, func() {
 		if err := b.Serve(l); err != nil {
 			b.cfg.Logf("broker: serve: %v", err)
 		}
-	}()
+	})
 	// Give callers the bound address (port 0 support for tests).
 	return l.Addr(), nil
 }
