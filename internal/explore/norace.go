@@ -1,5 +1,5 @@
 //go:build !race
 
-package farm
+package explore
 
 const raceBuild = false

@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"marketminer/internal/corr"
+	"marketminer/internal/explore"
 	"marketminer/internal/feed"
 	"marketminer/internal/strategy"
 	"marketminer/internal/sweep"
@@ -111,11 +111,8 @@ type xWorld struct {
 }
 
 type xExplorer struct {
-	seen     map[uint64]bool
 	buf      [xWorkers + 1]xKey
-	states   int
 	reissues int
-	err      error
 }
 
 func newXWorld(b *xBound) *xWorld {
@@ -480,16 +477,18 @@ func (w *xWorld) leaseLive(k int) bool {
 	return false
 }
 
+type xMove = explore.Move[*xWorld]
+
 // moves lists every enabled move; each runs on a fresh clone.
-func (w *xWorld) moves() []func(*xWorld) error {
-	var mv []func(*xWorld) error
+func (w *xWorld) moves() []xMove {
+	var mv []xMove
 	alive, busy := 0, false
 	for k, c := range w.coords {
 		if !c.alive {
 			continue
 		}
 		alive++
-		mv = append(mv, func(w *xWorld) error { // crash
+		mv = append(mv, xMove{Name: "incarnation %[1]d crashes", Args: [2]int{k}, Do: func(w *xWorld) error {
 			w.coords[k].alive = false
 			for _, x := range w.workers {
 				if x.conn == k {
@@ -497,57 +496,57 @@ func (w *xWorld) moves() []func(*xWorld) error {
 				}
 			}
 			return nil
-		})
+		}})
 		if len(c.durable) > 0 {
 			busy = true
-			mv = append(mv, func(w *xWorld) error { return w.runDurable(k) })
+			mv = append(mv, xMove{Name: "incarnation %[1]d runs its next durable effect", Args: [2]int{k}, Do: func(w *xWorld) error { return w.runDurable(k) }})
 			continue
 		}
 		for d := range c.drops { // handlers unwind in any order
-			mv = append(mv, func(w *xWorld) error {
+			mv = append(mv, xMove{Name: "incarnation %[1]d drops session %[2]d", Args: [2]int{k, int(c.drops[d])}, Do: func(w *xWorld) error {
 				c := w.coords[k]
 				s := c.drops[d]
 				c.drops = append(c.drops[:d:d], c.drops[d+1:]...)
 				w.step(k, event{kind: evDrop, session: s, now: w.now()})
 				return w.settle(k)
-			})
+			}})
 		}
 		switch {
 		case !c.st.finished:
 			// A tick only matters when the file lost this incarnation's
 			// claim; the touch and heartbeats are invisible here.
 			if w.diskEpoch() != c.st.epoch {
-				mv = append(mv, func(w *xWorld) error {
+				mv = append(mv, xMove{Name: "incarnation %[1]d ticks", Args: [2]int{k}, Do: func(w *xWorld) error {
 					w.step(k, event{kind: evTick, seen: w.diskEpoch(), now: w.now()})
 					return w.settle(k)
-				})
+				}})
 			}
 			if w.expired < w.b.expiries && w.leaseLive(k) {
-				mv = append(mv, func(w *xWorld) error {
+				mv = append(mv, xMove{Name: "incarnation %[1]d ticks a TTL late: every lease expires", Args: [2]int{k}, Do: func(w *xWorld) error {
 					w.expired++
 					w.step(k, event{kind: evTick, seen: w.diskEpoch(), now: w.now().Add(2 * xTTL)})
 					return w.settle(k)
-				})
+				}})
 			}
 			if w.aborted < w.b.aborts && len(c.st.sessions) > 0 {
-				mv = append(mv, func(w *xWorld) error {
+				mv = append(mv, xMove{Name: "incarnation %[1]d aborts", Args: [2]int{k}, Do: func(w *xWorld) error {
 					w.aborted++
 					c := w.coords[k]
 					c.atAbort = c.st.manifest().Leases
 					w.step(k, event{kind: evAbort, err: errXAbort})
 					return w.settle(k)
-				})
+				}})
 			}
 		case c.st.finished && !c.released && len(c.st.sessions) == 0 && len(c.drops) == 0:
-			mv = append(mv, func(w *xWorld) error {
+			mv = append(mv, xMove{Name: "incarnation %[1]d releases", Args: [2]int{k}, Do: func(w *xWorld) error {
 				w.coords[k].released = true
 				w.step(k, event{kind: evRelease})
 				return w.settle(k)
-			})
+			}})
 		}
 	}
 	if len(w.coords) < w.b.incarnations && alive < w.b.alive {
-		mv = append(mv, func(w *xWorld) error { return w.start() })
+		mv = append(mv, xMove{Name: "an incarnation starts", Do: func(w *xWorld) error { return w.start() }})
 	}
 	if busy {
 		return mv
@@ -558,20 +557,20 @@ func (w *xWorld) moves() []func(*xWorld) error {
 		case x.conn < 0:
 			for k, c := range w.coords {
 				if w.joins < w.b.joins && c.alive && !c.st.finished {
-					mv = append(mv, func(w *xWorld) error { return w.connect(i, k) })
+					mv = append(mv, xMove{Name: "worker %[1]d joins incarnation %[2]d", Args: [2]int{i, k}, Do: func(w *xWorld) error { return w.connect(i, k) }})
 				}
 			}
 		case len(x.inbox) == 0:
-			mv = append(mv, func(w *xWorld) error { w.disconnect(w.workers[i]); return nil })
+			mv = append(mv, xMove{Name: "worker %[1]d loses its link", Args: [2]int{i}, Do: func(w *xWorld) error { w.disconnect(w.workers[i]); return nil }})
 			if x.held != [3]uint64{} || x.unacked != 0 {
 				// SIGKILL: the resume state dies too. Without held
 				// leases or buffered results a rejoin is a join.
-				mv = append(mv, func(w *xWorld) error {
+				mv = append(mv, xMove{Name: "worker %[1]d is SIGKILLed", Args: [2]int{i}, Do: func(w *xWorld) error {
 					x := w.workers[i]
 					w.disconnect(x)
 					x.sessionID, x.epoch, x.held, x.unacked = 0, 0, [3]uint64{}, 0
 					return nil
-				})
+				}})
 			}
 		}
 		if x.conn < 0 {
@@ -579,15 +578,15 @@ func (w *xWorld) moves() []func(*xWorld) error {
 		}
 		k := x.conn
 		if x.want {
-			mv = append(mv, func(w *xWorld) error {
+			mv = append(mv, xMove{Name: "worker %[1]d steals", Args: [2]int{i}, Do: func(w *xWorld) error {
 				x := w.workers[i]
 				x.want = false
 				w.step(k, event{kind: evSteal, session: x.link, now: w.now()})
 				return w.settle(k)
-			})
+			}})
 		}
 		if x.lease != nil {
-			mv = append(mv, func(w *xWorld) error { return w.deliver(i) })
+			mv = append(mv, xMove{Name: "worker %[1]d delivers a unit", Args: [2]int{i}, Do: func(w *xWorld) error { return w.deliver(i) }})
 		}
 	}
 	return mv
@@ -693,45 +692,29 @@ func (w *xWorld) deliver(i int) error {
 	return w.settle(k)
 }
 
-// explore runs a depth-first search over every interleaving from w.
-func (e *xExplorer) explore(w *xWorld) {
-	if e.err != nil {
-		return
-	}
-	key := e.key(w)
-	if e.seen[key] {
-		return
-	}
-	e.seen[key] = true
-	e.states++
-	if w.reissued {
-		e.reissues++
-	}
-	for _, mv := range w.moves() {
-		n := w.clone()
-		err := mv(n)
-		if err == nil {
-			n.readAll()
-			err = n.checkTables()
-		}
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.explore(n)
+// model is the search over xWorld: after every move each worker reads
+// what it would read next and the lease tables are checked.
+func (e *xExplorer) model() explore.Model[*xWorld] {
+	return explore.Model[*xWorld]{
+		Key:   e.key,
+		Clone: (*xWorld).clone,
+		Moves: (*xWorld).moves,
+		After: func(w *xWorld) error {
+			w.readAll()
+			return w.checkTables()
+		},
+		Visit: func(w *xWorld) {
+			if w.reissued {
+				e.reissues++
+			}
+		},
 	}
 }
 
-func runExplorer(t *testing.T, w *xWorld) *xExplorer {
+func runExplorer(t *testing.T, w *xWorld) (explore.Result, *xExplorer) {
 	t.Helper()
-	start := time.Now()
-	// The search allocates a little per move and keeps almost none of
-	// it: collect less often.
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	e := &xExplorer{seen: map[uint64]bool{}}
-	e.explore(w)
-	t.Logf("explorer %+v: %d states in %v", *w.b, e.states, time.Since(start).Round(time.Millisecond))
-	return e
+	e := &xExplorer{}
+	return explore.Search(t, fmt.Sprintf("%+v", *w.b), e.model(), w), e
 }
 
 // explorerBounds are the committed bounds, each searched exhaustively.
@@ -765,17 +748,15 @@ var explorerBounds = []struct {
 		xBound{groups: 3, incarnations: 2, alive: 1, joins: 2, aborts: 1}},
 }
 
-func reducedBound() bool { return testing.Short() || raceBuild }
-
 func TestExplorerCoordinatorCore(t *testing.T) {
 	for _, c := range explorerBounds {
 		t.Run(c.name, func(t *testing.T) {
 			b := c.full
-			if reducedBound() {
+			if explore.Reduced() {
 				b = c.short
 			}
-			if e := runExplorer(t, newXWorld(&b)); e.err != nil {
-				t.Fatal(e.err)
+			if r, _ := runExplorer(t, newXWorld(&b)); r.Err != nil {
+				t.Fatal(r.Violation())
 			}
 		})
 	}
@@ -787,10 +768,11 @@ func TestExplorerCoordinatorCore(t *testing.T) {
 func TestExplorerFindsUnfencedAppend(t *testing.T) {
 	b := explorerBounds[0].short
 	b.mutant = true
-	e := runExplorer(t, newXWorld(&b))
-	if e.err == nil || !strings.Contains(e.err.Error(), "wrote after its fence check") {
-		t.Fatalf("explorer with the pre-append fence re-read removed reported %v, want a fencing violation", e.err)
+	r, _ := runExplorer(t, newXWorld(&b))
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "wrote after its fence check") {
+		t.Fatalf("explorer with the pre-append fence re-read removed reported %v, want a fencing violation", r.Err)
 	}
+	t.Logf("mutant caught: %s", r.Violation())
 }
 
 // TestExplorerReissuedIDsHarmless decides DESIGN §11's open case. An
@@ -805,7 +787,7 @@ func TestExplorerFindsUnfencedAppend(t *testing.T) {
 // unit while reaching states where a restart reissued an id.
 func TestExplorerReissuedIDsHarmless(t *testing.T) {
 	b := xBound{groups: 1, incarnations: 3, alive: 2, joins: 5}
-	if reducedBound() {
+	if explore.Reduced() {
 		b.joins = 4
 	}
 	w := newXWorld(&b)
@@ -851,9 +833,9 @@ func TestExplorerReissuedIDsHarmless(t *testing.T) {
 			w.diskEpoch(), w.coords[1].sessions, w.coords[1].leases)
 	}
 	w.reissued = false
-	e := runExplorer(t, w)
-	if e.err != nil {
-		t.Fatal(e.err)
+	r, e := runExplorer(t, w)
+	if r.Err != nil {
+		t.Fatal(r.Violation())
 	}
 	if e.reissues == 0 {
 		t.Fatal("no explored state reissued an id: the open case was not reached")
