@@ -116,7 +116,12 @@ type PipelineResult struct {
 	Orders int
 	// OrdersRejected is the number of legs rejected by risk limits.
 	OrdersRejected int
-	// CashPnL is the master book's realised cash once flat.
+	// CashPnL is the realised cash of the accepted baskets, which is
+	// the trading profit once the book is flat. The master keeps each
+	// strategy node's cash apart and sums them in node order, so the
+	// value does not depend on the order in which concurrent nodes'
+	// baskets reach it. Under risk limits, which baskets are accepted
+	// still can.
 	CashPnL float64
 	// BookFlat reports whether all positions were closed by day end.
 	BookFlat bool
@@ -333,6 +338,13 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 	}
 	var bookMu sync.Mutex
 	suppressed := make(map[[2]int]bool)
+	cash := make([]float64, len(stratNodes)) // realised cash per strategy node
+	accept := func(b basket) {
+		res.Orders += len(b.Legs)
+		for _, o := range b.Legs {
+			cash[b.Key[0]] += o.Cash()
+		}
+	}
 	master := g.Node("master", 1, func(ctx context.Context, m engine.Message, emit engine.Emit) error {
 		b := m.(basket)
 		bookMu.Lock()
@@ -347,7 +359,7 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 			if err := manager.ApplyClosingPair(b.Legs); err != nil {
 				return err
 			}
-			res.Orders += len(b.Legs)
+			accept(b)
 			return nil
 		}
 		if err := manager.ApplyPair(b.Legs); err != nil {
@@ -361,7 +373,7 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 			}
 			return err
 		}
-		res.Orders += len(b.Legs)
+		accept(b)
 		return nil
 	})
 
@@ -400,7 +412,9 @@ func runPipeline(ctx context.Context, cfg PipelineConfig, source QuoteSource, da
 	for i, sn := range stratNodes {
 		res.Trades[i] = sn.trades()
 	}
-	res.CashPnL = manager.Book().CashPnL()
+	for _, c := range cash {
+		res.CashPnL += c
+	}
 	res.BookFlat = manager.Book().Flat()
 	res.NodeStats = g.Stats()
 	sup.finish(res)

@@ -20,10 +20,10 @@ const pinnedPipelineDigest = "a59c716ccfc00025"
 
 // pipelineDayDigest runs day 0 of a 20-stock default market through
 // the pipeline for each correlation treatment: once per trailing
-// window W, and once with both W as two strategy nodes. The master
-// folds the baskets of two nodes in arrival order, so the cash P&L of
-// the two-node run depends on scheduling in its last bits; it is
-// digested from the one-node runs only.
+// window W, and once with both W as two strategy nodes. The cash P&L
+// is digested from the one-node runs only, as it was when the master
+// folded two nodes' baskets in arrival order (TestTwoNodeCashIsSumOfNodes
+// covers the two-node sum).
 func pipelineDayDigest(t *testing.T) (digest string, trades int) {
 	gen, quotes := defaultMarketDay(t, 20)
 	h := fnv.New64a()
@@ -86,5 +86,38 @@ func TestPipelineMatchesParentDigest(t *testing.T) {
 	}
 	if got != pinnedPipelineDigest {
 		t.Errorf("pipeline day digest = %s, want %s (%d trades)", got, pinnedPipelineDigest, trades)
+	}
+}
+
+// TestTwoNodeCashIsSumOfNodes: without risk limits every basket is
+// accepted, so a run with W 30 and W 60 as two strategy nodes realises
+// exactly the cash of the W 30 run plus that of the W 60 run — bit for
+// bit, in every run, whatever order the two nodes' baskets reach the
+// master in.
+func TestTwoNodeCashIsSumOfNodes(t *testing.T) {
+	gen, quotes := defaultMarketDay(t, 20)
+	run := func(ws ...int) float64 {
+		t.Helper()
+		var levels []strategy.Params
+		for _, w := range ws {
+			p := strategy.DefaultParams()
+			p.W = w
+			levels = append(levels, p)
+		}
+		res, err := RunPipeline(context.Background(), PipelineConfig{
+			Universe: gen.Config().Universe,
+			Params:   levels,
+			Workers:  2,
+		}, quotes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.CashPnL
+	}
+	want := run(30) + run(60)
+	for i := 0; i < 6; i++ {
+		if got := run(30, 60); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d: two-node cash %v, want the W 30 run's plus the W 60 run's, %v", i, got, want)
+		}
 	}
 }

@@ -48,6 +48,15 @@ type Order struct {
 // Notional returns the order's dollar value.
 func (o Order) Notional() float64 { return float64(o.Shares) * o.Price }
 
+// Cash returns the order's cash flow: its notional, received for a
+// sale and paid for a purchase.
+func (o Order) Cash() float64 {
+	if o.Side == Sell {
+		return o.Notional()
+	}
+	return -o.Notional()
+}
+
 // ShareRatio implements §III step 4: for prices pi > pj, long i/short j
 // uses ratio 1:⌊pi/pj⌋ and short i/long j uses 1:⌈pi/pj⌉, keeping the
 // basket "as close to cash-neutral as possible, but just slightly on
@@ -148,10 +157,8 @@ func (b *Book) Apply(o Order) error {
 	signed := o.Shares
 	if o.Side == Sell {
 		signed = -signed
-		b.realized += o.Notional()
-	} else {
-		b.realized -= o.Notional()
 	}
+	b.realized += o.Cash()
 	b.shares[o.Stock] += signed
 	b.avgPx[o.Stock] = o.Price
 	return nil
