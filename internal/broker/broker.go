@@ -11,7 +11,7 @@
 // Delivery contract: every partition's signal log is deterministic —
 // a function only of the input return stream — and offsets are
 // contiguous from 1. A processor that dies (panic, or hard kill
-// detected by lease expiry) is relaunched by the lease checker under
+// detected by lease expiry) is relaunched by the lease loop under
 // a new generation. Its durable state is its own log: every ready
 // matrix yields one record, so the record count is its cursor into
 // the matrix log and the log's last W records are its C̄ rings.
@@ -19,6 +19,10 @@
 // continues bit-identically and a subscriber resuming from any
 // committed offset never loses or double-sees a signal, no matter how
 // many crashes or reconnects happened in between (see DESIGN.md §7).
+//
+// Every lease, fencing, membership, epoch and commit decision is made
+// by one pure state machine (core.go) that the Broker steps under its
+// one lock; the data plane keeps its own locks.
 package broker
 
 import (
@@ -61,10 +65,11 @@ type Config struct {
 	// Type selects the correlation treatment (default Pearson).
 	Type corr.Type
 	// LeaseTTL is how stale a processor's lease renewal may be before
-	// the lease checker declares it dead and rebalances (default 1s).
+	// the lease loop declares it dead and rebalances (default 1s).
 	LeaseTTL time.Duration
-	// LeaseEvery is the lease-checker and member-sweep period
-	// (default 100ms).
+	// LeaseEvery is the lease loop's tick period (lease expiry and
+	// member sweep) and an idle processor's beat period (default
+	// 100ms).
 	LeaseEvery time.Duration
 	// MemberGrace is how long a disconnected group member keeps its
 	// partition assignment before the group rebalances without it

@@ -152,11 +152,9 @@ func (st *brokerState) step(ev event) (f fate, effs []effect) {
 		// Only the member's current session speaks for it: an older
 		// one's handler is unwinding after a reconnect displaced it.
 		// A member that left keeps its assignment until the sweep.
-		if g := st.groups[ev.group]; g != nil {
-			if m := g.members[ev.member]; m != nil && m.session == ev.session {
-				m.alive = m.alive && ev.kind == evTouch
-				m.lastSeen = ev.now
-			}
+		if m := st.groups[ev.group].members[ev.member]; m != nil && m.session == ev.session {
+			m.alive = m.alive && ev.kind == evTouch
+			m.lastSeen = ev.now
 		}
 	case evAck:
 		st.ack(ev)
@@ -229,8 +227,8 @@ func (st *brokerState) join(ev event) {
 // resuming from commit+1 would silently skip the range in between.
 func (st *brokerState) ack(ev event) {
 	g := st.groups[ev.group]
-	if g == nil || ev.part < 0 || ev.part >= len(g.commits) {
-		return
+	if ev.part < 0 || ev.part >= len(g.commits) {
+		return // not a partition: the frame came off the wire
 	}
 	if off := min(ev.offset, ev.end); off > g.commits[ev.part] {
 		g.commits[ev.part] = off

@@ -107,7 +107,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 				v = st.viewFor(g, gs.Member)
 			}
 		})
-		if v.epoch != 0 {
+		if v.epoch != 0 { // it moved: a group's epoch starts at 1
 			curEpoch = v.epoch
 			parts := make([]uint16, len(v.partitions))
 			for i, p := range v.partitions {

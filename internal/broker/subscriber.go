@@ -131,11 +131,12 @@ func (s *Subscriber) session(ctx context.Context, progress func()) error {
 
 	s.mu.Lock()
 	offsets := make([]feed.PartitionOffset, 0, len(s.next))
-	for _, p := range sortedKeys(s.next) {
-		if n := s.next[p]; n > 1 {
+	for p, n := range s.next {
+		if n > 1 {
 			offsets = append(offsets, feed.PartitionOffset{Partition: uint16(p), Offset: n - 1})
 		}
 	}
+	sort.Slice(offsets, func(i, j int) bool { return offsets[i].Partition < offsets[j].Partition })
 	s.stats.Connects++
 	if s.stats.Connects > 1 {
 		s.stats.Reconnects++
@@ -301,19 +302,24 @@ func signalAt(iv *feed.Interval, pairs []int, i int) feed.Signal {
 // flushAcks commits every partition's final watermark (End path).
 func (s *Subscriber) flushAcks(enc *feed.Encoder) {
 	s.mu.Lock()
-	var pending []feed.AckFrame
-	for _, p := range sortedKeys(s.next) {
-		if n := s.next[p]; n > 1 && s.acked[p] < n-1 {
-			pending = append(pending, feed.AckFrame{Partition: uint16(p), Offset: n - 1})
+	type pa struct {
+		p   int
+		off uint64
+	}
+	var pending []pa
+	for p, n := range s.next {
+		if n > 1 && s.acked[p] < n-1 {
+			pending = append(pending, pa{p, n - 1})
 		}
 	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i].p < pending[j].p })
 	s.mu.Unlock()
 	for _, a := range pending {
-		if enc.WriteAck(&a) != nil {
+		if enc.WriteAck(&feed.AckFrame{Partition: uint16(a.p), Offset: a.off}) != nil {
 			return
 		}
 		s.mu.Lock()
-		s.acked[int(a.Partition)] = a.Offset
+		s.acked[a.p] = a.off
 		s.stats.Acked++
 		s.mu.Unlock()
 	}
@@ -353,15 +359,10 @@ func (s *Subscriber) Signals(part int) []feed.Signal {
 func (s *Subscriber) Partitions() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sortedKeys(s.signals)
-}
-
-// sortedKeys returns a per-partition map's partitions, ascending.
-func sortedKeys[V any](m map[int]V) []int {
-	ps := make([]int, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
+	out := make([]int, 0, len(s.signals))
+	for p := range s.signals {
+		out = append(out, p)
 	}
-	sort.Ints(ps)
-	return ps
+	sort.Ints(out)
+	return out
 }
