@@ -308,8 +308,8 @@ func (b *Broker) Start() {
 			return // closed
 		}
 		spawn(&b.procWG, b.correlate)
-		spawn(&b.procWG, b.leaseLoop)
 		b.apply(&event{kind: evStart, now: b.cfg.Now()}, nil)
+		spawn(&b.procWG, b.leaseLoop) // after start: its first tick finds every lease granted
 	})
 }
 

@@ -555,10 +555,9 @@ func TestCommitMonotonicAndClamped(t *testing.T) {
 		b.parts[1].log.appendInterval(s, make([]float64, np), make([]float64, np), make([]uint8, np))
 	}
 	end := b.parts[1].log.end()
-	commitAt := func(p int) uint64 {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return g.commits[p]
+	commitAt := func(p int) (c uint64) {
+		b.apply(nil, func(*brokerState) { c = g.commits[p] })
+		return c
 	}
 	b.commit(g, 1, 10)
 	b.commit(g, 1, 7) // stale replay ack must not rewind
@@ -591,10 +590,9 @@ func TestMemberGraceSweep(t *testing.T) {
 	b.joinGroup("g", "m-1")
 	e0 := b.epochOf(g)
 	b.leaveGroup(g, "m-0", session)
-	waitFor(t, func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(g.members) == 1
+	waitFor(t, func() (swept bool) {
+		b.apply(nil, func(*brokerState) { swept = len(g.members) == 1 })
+		return swept
 	})
 	if e := b.epochOf(g); e <= e0 {
 		t.Fatalf("epoch %d did not advance past %d on sweep", e, e0)

@@ -99,6 +99,7 @@ type member struct {
 // brokerState is everything the broker decides with.
 type brokerState struct {
 	ttl, grace time.Duration
+	started    bool // evStart stepped: the leases hold their first renewal
 	leases     []lease
 	groups     map[string]*group
 
@@ -123,6 +124,7 @@ func (st *brokerState) step(ev event) (f fate, effs []effect) {
 	st.out = nil
 	switch ev.kind {
 	case evStart:
+		st.started = true
 		for p := range st.leases {
 			st.leases[p].renewed = ev.now
 			st.out = append(st.out, effect{kind: effLaunch, part: p, gen: st.leases[p].gen})
@@ -164,8 +166,12 @@ func (st *brokerState) step(ev event) (f fate, effs []effect) {
 
 // expire relaunches every partition whose processor was killed or let
 // its lease lapse under a new generation, and rebalances every group
-// so subscribers observe it.
+// so subscribers observe it. Before evStart no lease has been granted,
+// so none can lapse: a relaunch then would run beside start's own.
 func (st *brokerState) expire(now time.Time) {
+	if !st.started {
+		return
+	}
 	for p := range st.leases {
 		l := &st.leases[p]
 		if l.done || !l.killed && now.Sub(l.renewed) <= st.ttl {

@@ -71,11 +71,12 @@ func runGroupE2E(t *testing.T, spec chaos.Spec, rets [][]float64) map[string]*Su
 
 	// All members must be in the group before signals flow, so the
 	// assignment (and therefore each member's stream) is deterministic.
-	waitFor(t, func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		g := b.st.groups["g"]
-		return g != nil && len(g.members) == len(members)
+	waitFor(t, func() (in bool) {
+		b.apply(nil, func(st *brokerState) {
+			g := st.groups["g"]
+			in = g != nil && len(g.members) == len(members)
+		})
+		return in
 	})
 
 	for s := 0; s < len(rets)/2; s++ {

@@ -13,10 +13,10 @@ import (
 )
 
 // The explorer drives brokerState.step — the production decision core —
-// through every interleaving of a small broker: processor generations
-// that restore from their log, beat, gather a matrix, publish and
-// finish; kills, lease-expiry ticks and the ticks that relaunch killed
-// processors; matrices offered and sealed; members of one group that
+// through every interleaving of a small broker: its start, and a
+// lease-loop tick that comes first; processor generations that restore
+// from their log, beat, gather a matrix, publish and finish; kills,
+// lease-expiry ticks and the ticks that relaunch killed processors; matrices offered and sealed; members of one group that
 // join, drop, rejoin, are swept, ack (once past the log end) and are
 // served by a model of the wire handler and the subscriber. It mirrors
 // the shell: a processor's beat and its read of the matrix log are one
@@ -106,7 +106,6 @@ func newXBWorld(b *xbBound) *xbWorld {
 	for i := range w.members {
 		w.members[i].name = fmt.Sprint("m", i)
 	}
-	w.step(event{kind: evStart, now: w.clock})
 	return w
 }
 
@@ -156,7 +155,7 @@ func (w *xbWorld) key(b []byte) []byte {
 			b = binary.AppendUvarint(b, v)
 		}
 	}
-	u(uint64(w.avail), uint64(w.joins), uint64(w.kills), uint64(w.expiries), uint64(w.sweeps), uint64(w.overshoots))
+	u(btou(w.st.started), uint64(w.avail), uint64(w.joins), uint64(w.kills), uint64(w.expiries), uint64(w.sweeps), uint64(w.overshoots))
 	for p := 0; p < w.b.parts; p++ {
 		l := w.st.leases[p]
 		u(uint64(l.gen), btou(l.killed), btou(l.done), btou(w.logSealed[p]), w.handed[p], w.forfeit[p], uint64(len(w.logs[p])))
@@ -204,6 +203,18 @@ type xbMove = explore.Move[*xbWorld]
 
 // moves lists every enabled move.
 func (w *xbWorld) moves() []xbMove {
+	if !w.st.started {
+		return []xbMove{
+			{Name: "the lease loop ticks before the broker starts", Do: func(w *xbWorld) error {
+				w.step(event{kind: evTick, now: w.clock})
+				return nil
+			}},
+			{Name: "the broker starts", Do: func(w *xbWorld) error {
+				w.step(event{kind: evStart, now: w.clock})
+				return nil
+			}},
+		}
+	}
 	var mv []xbMove
 	if w.avail < w.b.intervals {
 		mv = append(mv, xbMove{Name: "a matrix is ready (the last with the seal)", Do: func(w *xbWorld) error {
@@ -573,6 +584,11 @@ func TestExplorerFindsBrokerMutants(t *testing.T) {
 			"off := ev.offset",
 			"a_rejoin_and_an_ack_past_the_log_end",
 			"past its log end"},
+		{"expiry before the start",
+			"\tif !st.started {\n\t\treturn\n\t}\n",
+			"",
+			"kill_and_expiry",
+			"two generations interleave writes"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			out, passed := explore.Mutant(t, "core.go", m.old, m.new, "^TestExplorerBrokerCore$/^"+m.bound+"$")

@@ -128,10 +128,9 @@ func (c *pinClient) ack(t *testing.T, p int, off uint64) {
 }
 
 // pinCommits reads group g's committed offsets.
-func pinCommits(b *Broker, g string) []uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return slices.Clone(b.st.groups[g].commits)
+func pinCommits(b *Broker, g string) (commits []uint64) {
+	b.apply(nil, func(st *brokerState) { commits = slices.Clone(st.groups[g].commits) })
+	return commits
 }
 
 // brokerScriptDigest is TestBrokerScriptMatchesParentDigest's pin,

@@ -132,13 +132,12 @@ func (p *PairPosition) Return(longExit, shortExit float64) float64 {
 }
 
 // Book is the master-side aggregate over all strategy instances: open
-// orders netted per stock and realised P&L. It is the state
-// behind "aggregating the results into a single basket, as opposed to
-// many individual trade orders".
+// orders netted per stock. It is the state behind "aggregating the
+// results into a single basket, as opposed to many individual trade
+// orders". The cash of a fill is Order.Cash; the master sums it.
 type Book struct {
-	shares   map[int]int     // net shares per stock
-	avgPx    map[int]float64 // volume-weighted average |price| traded
-	realized float64
+	shares map[int]int     // net shares per stock
+	avgPx  map[int]float64 // volume-weighted average |price| traded
 }
 
 // NewBook returns an empty book.
@@ -158,7 +157,6 @@ func (b *Book) Apply(o Order) error {
 	if o.Side == Sell {
 		signed = -signed
 	}
-	b.realized += o.Cash()
 	b.shares[o.Stock] += signed
 	b.avgPx[o.Stock] = o.Price
 	return nil
@@ -176,10 +174,6 @@ func (b *Book) Flat() bool {
 	}
 	return true
 }
-
-// CashPnL returns cumulative cash from fills (sales minus purchases);
-// once the book is flat this equals realised trading profit.
-func (b *Book) CashPnL() float64 { return b.realized }
 
 // GrossExposure values current holdings at their last traded prices.
 func (b *Book) GrossExposure() float64 {

@@ -137,7 +137,7 @@ go test -race ./internal/engine ./internal/core
 echo "== go test -race ./internal/broker (signal broker focus)"
 go test -race ./internal/broker
 
-echo "== broker core: pinned clock-injected broker script digest, exhaustive explorer of the pure core (reduced bound under -race) and its two source mutants (no generation check before publish, no commit clamp), the pinned partition logs and kill tests; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
+echo "== broker core: pinned clock-injected broker script digest, exhaustive explorer of the pure core (reduced bound under -race) and its three source mutants (no generation check before publish, no commit clamp, a tick that expires leases before start), the pinned partition logs and kill tests; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
 focus 'TestBrokerScriptMatchesParentDigest|TestExplorerBrokerCore|TestExplorerFindsBrokerMutants|TestBrokerLogsMatchParentDigest|TestKillAtEveryInterval|TestMatrixLogHeldByKilledPartition|TestMemberGraceSweep|TestReassignAwayAndBackNoLoss|TestE2EResumeInsideInterval' ./internal/broker
 go test -count=1 -run 'TestExplorerBrokerCore' ./internal/broker
 
