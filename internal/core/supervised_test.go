@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
+	"marketminer/internal/corr"
 	"marketminer/internal/strategy"
 	"marketminer/internal/supervise"
 	"marketminer/internal/taq"
@@ -270,5 +275,127 @@ func TestSupervisedDrainDeadlineForcesAbort(t *testing.T) {
 	}
 	if res.QuotesIn != 200 {
 		t.Errorf("quotes in = %d, want the 200 delivered before the stall", res.QuotesIn)
+	}
+}
+
+// killConfig is the supervised day the SIGKILL test crashes: the test
+// day under estimator ct, snapshotting to path every 13 matrices (a
+// cadence that does not divide the day's matrix count).
+func killConfig(u *taq.Universe, ct corr.Type, path string) PipelineConfig {
+	p := pipelineParams()
+	p.Ctype = ct
+	return PipelineConfig{
+		Universe:  u,
+		Params:    []strategy.Params{p},
+		Supervise: &SuperviseOptions{SnapshotPath: path, SnapshotEvery: 13},
+	}
+}
+
+// killAt is the interval from which the helper's tap kills the process
+// as soon as a snapshot exists: mid-day, so the resumed run has
+// snapshots of its own left to write.
+const killAt = 390
+
+// TestSupervisedSIGKILLHelper is not a test: it is the subprocess body
+// of TestSupervisedSIGKILLResumesBitIdentical, selected by environment.
+// From interval killAt on, its tap waits for the correlation stage's
+// first snapshot and then SIGKILLs the process: no deferred cleanup,
+// the snapshot on disk is all the next run gets.
+func TestSupervisedSIGKILLHelper(t *testing.T) {
+	path := os.Getenv("MM_SIGKILL_SNAPSHOT")
+	if path == "" {
+		t.Skip("helper process only")
+	}
+	ct, err := corr.ParseType(os.Getenv("MM_SIGKILL_TYPE"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := testUniverse(t)
+	cfg := killConfig(u, ct, path)
+	cfg.ReturnsTap = func(s int, _ []float64) error {
+		if s < killAt {
+			return nil
+		}
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, err := os.Stat(path); err == nil {
+				syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			}
+		}
+		return errors.New("no snapshot written by mid-day")
+	}
+	_, err = RunPipeline(context.Background(), cfg, genQuotes(t, u), 0)
+	t.Fatalf("helper survived its own SIGKILL: %v", err)
+}
+
+// A supervised pipeline SIGKILLed mid-day resumes from its last
+// snapshot and finishes the day in the state an uninterrupted run
+// reaches: the final snapshot file is byte-equal to the clean run's,
+// and the resumed run computes exactly the matrices after its cursor.
+func TestSupervisedSIGKILLResumesBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: re-executes the test binary")
+	}
+	u := testUniverse(t)
+	quotes := genQuotes(t, u)
+	for _, ct := range []corr.Type{corr.Pearson, corr.Maronna, corr.Combined} {
+		t.Run(ct.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			cleanPath := filepath.Join(dir, "clean.snap")
+			cfg := killConfig(u, ct, cleanPath)
+			var intervals []int // every return interval the correlation stage is fed
+			cfg.ReturnsTap = func(s int, _ []float64) error {
+				intervals = append(intervals, s)
+				return nil
+			}
+			clean, err := RunPipeline(context.Background(), cfg, quotes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(cleanPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			path := filepath.Join(dir, "engine.snap")
+			cmd := exec.Command(os.Args[0], "-test.run=^TestSupervisedSIGKILLHelper$")
+			cmd.Env = append(os.Environ(), "MM_SIGKILL_SNAPSHOT="+path, "MM_SIGKILL_TYPE="+ct.String())
+			out, err := cmd.CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) {
+				t.Fatalf("helper: %v, want death by SIGKILL:\n%s", err, out)
+			}
+			if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+				t.Fatalf("helper ended with %v, want death by SIGKILL:\n%s", err, out)
+			}
+
+			res, err := RunPipeline(context.Background(), killConfig(u, ct, path), quotes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sup := res.Supervision
+			if !sup.Resumed || sup.ResumeCursor <= 0 || sup.Snapshots == 0 {
+				t.Fatalf("rerun after SIGKILL: %+v, want a resume that snapshots again", sup)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("final snapshot after SIGKILL at interval %d differs from the clean run's", sup.ResumeCursor)
+			}
+			// The clean run made one matrix per interval once its
+			// M-interval window was full.
+			before := 1 - pipelineParams().M
+			for _, s := range intervals {
+				if s <= sup.ResumeCursor {
+					before++
+				}
+			}
+			if res.Matrices+before != clean.Matrices {
+				t.Errorf("resumed at %d: %d matrices + %d at or before the cursor, want the clean run's %d",
+					sup.ResumeCursor, res.Matrices, before, clean.Matrices)
+			}
+			t.Logf("resumed at interval %d, recomputed %d matrices", sup.ResumeCursor, res.Matrices)
+		})
 	}
 }
