@@ -604,6 +604,37 @@ func TestMemberGraceSweep(t *testing.T) {
 	}
 }
 
+// A member whose client hangs up ends its session at once, not at the
+// handler's next heartbeat write: on a frozen clock no heartbeat is
+// ever due, so only the hang-up itself can end it.
+func TestHangupEndsSessionOnFrozenClock(t *testing.T) {
+	cfg := testConfig()
+	frozen := time.Unix(1_000_000, 0)
+	cfg.Now = func() time.Time { return frozen }
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	ln, err := b.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dialPinClient(t, ln.String(), "m")
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.epoch != 0
+	})
+	c.conn.Close()
+	for deadline := time.Now().Add(time.Second); b.MemberCount() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("member still alive 1 s after its client hung up")
+		}
+	}
+}
+
 func TestOfferReturnsValidation(t *testing.T) {
 	b, err := New(testConfig())
 	if err != nil {

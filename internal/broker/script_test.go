@@ -330,8 +330,8 @@ func TestBrokerScriptMatchesParentDigest(t *testing.T) {
 	offer(25)
 	settle("intervals 15-24")
 
-	// c drops; a heartbeat write finds the closed connection and ends
-	// its session, then the grace runs out and the sweep rebalances.
+	// c drops; its handler sees the hang-up and ends its session, then
+	// the grace runs out and the sweep rebalances.
 	drop("c")
 	waitFor(t, func() bool {
 		advance(cfg.Heartbeat)

@@ -56,14 +56,16 @@ func (b *Broker) handleConn(conn net.Conn) {
 	defer b.leaveGroup(g, gs.Member, session)
 
 	// Ack reader: commits flow back concurrently with delivery. A read
-	// error (disconnect, chaos fault) closes the connection, which in
-	// turn fails the writer below. readerDone doubles as the linger
-	// signal: after End the writer must not close the socket until the
-	// client has hung up, or an RST would destroy the in-flight tail
-	// (End included) before the client reads it.
-	readerDone := make(chan struct{})
+	// error (disconnect, chaos fault) closes the connection and ends
+	// the session's context, so the writer below returns at once, idle
+	// or not. The context doubles as the linger signal: after End the
+	// writer must not close the socket until the client has hung up,
+	// or an RST would destroy the in-flight tail (End included) before
+	// the client reads it.
+	ctx, hangup := context.WithCancel(b.ctx)
+	defer hangup()
 	go func() {
-		defer close(readerDone)
+		defer hangup()
 		for {
 			fr, err := dec.Read()
 			if err != nil {
@@ -93,7 +95,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	lastWrite := b.cfg.Now()
 
 	for {
-		if b.ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		w := b.watcher()
@@ -180,8 +182,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 			seq++
 			if enc.WriteEnd(&feed.End{Seq: seq}) == nil {
 				select { // linger for the client's final acks + close
-				case <-readerDone:
-				case <-b.ctx.Done():
+				case <-ctx.Done():
 				case <-time.After(10 * time.Second):
 				}
 			}
@@ -198,7 +199,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 			}
 			lastWrite = now
 		}
-		if !b.wait(b.ctx, w, b.cfg.Heartbeat) {
+		if !b.wait(ctx, w, b.cfg.Heartbeat) {
 			return
 		}
 	}
