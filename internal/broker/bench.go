@@ -40,8 +40,8 @@ type BenchResult struct {
 	DeliverP99us  float64 `json:"deliver_p99_us"`
 }
 
-// benchReturns mirrors the synthetic stream mmchaos uses: smooth
-// deterministic cross-sections, no allocation surprises.
+// benchReturns is a synthetic return stream: smooth deterministic
+// cross-sections, no allocation surprises.
 func benchReturns(n, T int, seed int64) [][]float64 {
 	out := make([][]float64, T)
 	for s := range out {

@@ -421,7 +421,7 @@ func (b *Broker) KillPartition(p int) {
 func (b *Broker) launchProcessor(p *partition, gen int) {
 	spawn(&b.procWG, func() {
 		name := fmt.Sprintf("broker-partition-%d", p.id)
-		_, err := supervise.Run(b.ctx, name, supervise.Policy{}, func(ctx context.Context, progress func()) error {
+		err := supervise.Run(b.ctx, name, supervise.Policy{}, func(ctx context.Context, progress func()) error {
 			return b.runProcessor(ctx, p, gen, progress)
 		})
 		if err != nil && b.ctx.Err() == nil {

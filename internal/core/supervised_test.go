@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -136,32 +139,72 @@ func TestSupervisedSnapshotFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// A snapshot that cannot be used costs a cold start, never the run
+// and never its results: garbage bytes fail the envelope check, and a
+// snapshot with a valid envelope and the right fingerprint but an
+// engine field Restore rejects (a ring head outside the window) fails
+// the engine's own validation.
 func TestSupervisedCorruptSnapshotColdStarts(t *testing.T) {
 	u := testUniverse(t)
 	quotes := genQuotes(t, u)
 	base := runBaseline(t, u, quotes)
-	path := filepath.Join(t.TempDir(), "engine.snap")
-	if err := os.WriteFile(path, []byte("garbage, not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var logged bool
-	res, err := RunPipeline(context.Background(), supervisedConfig(u, &SuperviseOptions{
-		SnapshotPath: path,
-		Logf:         func(string, ...any) { logged = true },
-	}), quotes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Supervision.Resumed || res.Supervision.ColdStart == "" {
-		t.Errorf("corrupt snapshot not rejected: %+v", res.Supervision)
-	}
-	if !logged {
-		t.Error("cold start not logged")
-	}
-	// Cold start means the corrupt file changed nothing.
-	if res.Matrices != base.Matrices || !reflect.DeepEqual(res.Trades, base.Trades) {
-		t.Error("corrupt snapshot skewed the results")
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, path string)
+		want  string // in the cold-start warning
+	}{
+		{"garbage", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, []byte("garbage, not a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "corrupt"},
+		{"rejected-field", func(t *testing.T, path string) {
+			// A real run writes the snapshot; the test rewrites it under
+			// the fingerprint read back from it.
+			if _, err := RunPipeline(context.Background(), supervisedConfig(u, &SuperviseOptions{
+				SnapshotPath: path, SnapshotEvery: 13,
+			}), quotes, 0); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Fingerprint string      `json:"fingerprint"`
+				Payload     engineState `json:"payload"`
+			}
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatal(err)
+			}
+			env.Payload.Engine.Head = env.Payload.Engine.M + 3
+			if err := supervise.SaveSnapshot(path, env.Fingerprint, env.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}, "head"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "engine.snap")
+			tc.write(t, path)
+			var logged []string
+			res, err := RunPipeline(context.Background(), supervisedConfig(u, &SuperviseOptions{
+				SnapshotPath: path,
+				Logf:         func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+			}), quotes, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Supervision.Resumed || !strings.Contains(res.Supervision.ColdStart, tc.want) {
+				t.Errorf("unusable snapshot not rejected (want %q in the warning): %+v", tc.want, res.Supervision)
+			}
+			if !strings.Contains(strings.Join(logged, "\n"), "cold-starting") {
+				t.Errorf("cold start not logged: %q", logged)
+			}
+			// Cold start means the unusable file changed nothing.
+			if res.Matrices != base.Matrices || !reflect.DeepEqual(res.Trades, base.Trades) {
+				t.Error("unusable snapshot skewed the results")
+			}
+		})
 	}
 }
 

@@ -166,13 +166,6 @@ func runRecovered(name string, fn func() error) (err error) {
 	return fn()
 }
 
-// TaskReport summarises one supervised task run.
-type TaskReport struct {
-	Restarts int   // times the task was restarted after a failure
-	Panics   int   // failures that were panics (vs returned errors)
-	LastErr  error // most recent failure (nil after a clean finish)
-}
-
 // Retry runs task until it returns nil, returns an error wrapped by
 // Permanent (Retry then returns the unwrapped error), ctx dies
 // (ctx.Err()), or Policy.MaxFailures consecutive attempts fail without
@@ -223,28 +216,23 @@ func Retry(ctx context.Context, p Policy, task func(ctx context.Context, progres
 
 // Run is Retry for an in-process task: a panic counts as a failure
 // (a *PanicError) instead of crashing the process, the circuit error
-// carries name, and restarts, panics and opened circuits are counted
-// in the report and the supervise.* metrics.
-func Run(ctx context.Context, name string, p Policy, task func(ctx context.Context, progress func()) error) (TaskReport, error) {
-	var rep TaskReport
+// carries name, and restarts and opened circuits are counted in the
+// supervise.* metrics.
+func Run(ctx context.Context, name string, p Policy, task func(ctx context.Context, progress func()) error) error {
+	started := false
 	err := Retry(ctx, p, func(ctx context.Context, progress func()) error {
-		if rep.LastErr != nil {
-			rep.Restarts++
+		if started { // Retry calls again only after a failure
 			metrics.Counter("supervise.restarts").Inc()
 		}
-		err := runRecovered(name, func() error { return task(ctx, progress) })
-		if _, ok := err.(*PanicError); ok {
-			rep.Panics++
-		}
-		rep.LastErr = err
-		return err
+		started = true
+		return runRecovered(name, func() error { return task(ctx, progress) })
 	})
 	var ce *CircuitError
 	if errors.As(err, &ce) {
 		ce.Name = name
 		metrics.Counter("supervise.circuit_open").Inc()
 	}
-	return rep, err
+	return err
 }
 
 // GracefulDrain coordinates a deadline-bounded stop: it waits for done

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"marketminer/internal/metrics"
 )
 
 // fakeClock records requested delays and never actually sleeps.
@@ -30,7 +32,8 @@ func testPolicy(clk *fakeClock, seed int64) Policy {
 func TestRunRestartsAfterPanicUntilSuccess(t *testing.T) {
 	clk := &fakeClock{}
 	runs := 0
-	rep, err := Run(context.Background(), "task", testPolicy(clk, 7), func(ctx context.Context, progress func()) error {
+	restarts, circuits := metrics.Counter("supervise.restarts").Value(), metrics.Counter("supervise.circuit_open").Value()
+	err := Run(context.Background(), "task", testPolicy(clk, 7), func(ctx context.Context, progress func()) error {
 		runs++
 		if runs < 4 {
 			panic("transient crash")
@@ -40,11 +43,11 @@ func TestRunRestartsAfterPanicUntilSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if runs != 4 || rep.Restarts != 3 || rep.Panics != 3 {
-		t.Errorf("runs=%d restarts=%d panics=%d, want 4/3/3", runs, rep.Restarts, rep.Panics)
+	if d := metrics.Counter("supervise.restarts").Value() - restarts; runs != 4 || d != 3 {
+		t.Errorf("runs=%d supervise.restarts +%d, want 4 runs and +3", runs, d)
 	}
-	if rep.LastErr != nil {
-		t.Errorf("LastErr = %v after clean finish", rep.LastErr)
+	if d := metrics.Counter("supervise.circuit_open").Value() - circuits; d != 0 {
+		t.Errorf("supervise.circuit_open +%d after a clean finish, want +0", d)
 	}
 	if len(clk.slept) != 3 {
 		t.Fatalf("slept %d times, want 3", len(clk.slept))
@@ -56,7 +59,7 @@ func TestRunBackoffScheduleDeterministic(t *testing.T) {
 		clk := &fakeClock{}
 		p := testPolicy(clk, 11)
 		p.MaxFailures = 7
-		_, err := Run(context.Background(), "task", p, func(ctx context.Context, progress func()) error {
+		err := Run(context.Background(), "task", p, func(ctx context.Context, progress func()) error {
 			return errors.New("always fails")
 		})
 		var ce *CircuitError
@@ -92,7 +95,8 @@ func TestRunCircuitBreakerCountsConsecutiveFailures(t *testing.T) {
 	p := testPolicy(clk, 3)
 	p.MaxFailures = 4
 	runs := 0
-	rep, err := Run(context.Background(), "stuck", p, func(ctx context.Context, progress func()) error {
+	restarts, circuits := metrics.Counter("supervise.restarts").Value(), metrics.Counter("supervise.circuit_open").Value()
+	err := Run(context.Background(), "stuck", p, func(ctx context.Context, progress func()) error {
 		runs++
 		return errors.New("hard failure")
 	})
@@ -103,8 +107,11 @@ func TestRunCircuitBreakerCountsConsecutiveFailures(t *testing.T) {
 	if ce.Name != "stuck" || ce.Failures != 4 {
 		t.Errorf("circuit: %+v", ce)
 	}
-	if runs != 4 || rep.Restarts != 3 {
-		t.Errorf("runs=%d restarts=%d, want 4/3", runs, rep.Restarts)
+	if d := metrics.Counter("supervise.restarts").Value() - restarts; runs != 4 || d != 3 {
+		t.Errorf("runs=%d supervise.restarts +%d, want 4 runs and +3", runs, d)
+	}
+	if d := metrics.Counter("supervise.circuit_open").Value() - circuits; d != 1 {
+		t.Errorf("supervise.circuit_open +%d, want +1", d)
 	}
 }
 
@@ -116,7 +123,7 @@ func TestRunProgressResetsFailureCount(t *testing.T) {
 	p := testPolicy(clk, 3)
 	p.MaxFailures = 3
 	runs := 0
-	_, err := Run(context.Background(), "resumer", p, func(ctx context.Context, progress func()) error {
+	err := Run(context.Background(), "resumer", p, func(ctx context.Context, progress func()) error {
 		runs++
 		if runs <= 10 {
 			progress()
@@ -138,7 +145,7 @@ func TestRunStopsOnContextCancel(t *testing.T) {
 		cancel()
 		return false
 	}}
-	_, err := Run(ctx, "task", p, func(ctx context.Context, progress func()) error {
+	err := Run(ctx, "task", p, func(ctx context.Context, progress func()) error {
 		return errors.New("fail once")
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -89,6 +89,9 @@ MM_FULL_DAY_CHECK=1 go test -run 'TestPipelineMatchesBatchBacktest' ./internal/c
 echo "== supervision: pinned supervised chaotic day (poison quotes, snapshot resume, quarantine); a stage quarantines on the first panic and forwards nothing from it, and consecutive poison opens the circuit"
 focus 'TestSupervisedChaoticDayMatchesParentDigest|TestStageQuarantinesOnFirstAttempt|TestStageCircuitBreakerOnConsecutivePoison|TestStageCleanMessageResetsBreaker|TestStageUnquarantinableFailureFailsGraph' ./internal/core ./internal/supervise
 
+echo "== crash path: the supervised pipeline SIGKILLed mid-day resumes to a final snapshot byte-equal to a clean run's (Pearson, Maronna, Combined); garbage and rejected-field snapshots cold-start with the baseline's trades; a foreign fingerprint is never restored; a broker member's hang-up ends its session on a frozen clock"
+focus 'TestSupervisedSIGKILLResumesBitIdentical|TestSupervisedCorruptSnapshotColdStarts|TestSupervisedSnapshotFingerprintMismatch|TestHangupEndsSessionOnFrozenClock' ./internal/core ./internal/broker
+
 echo "== one batch driver: in-memory sweep digest pinned to the per-day runner it replaced, Farm = Backtest screened and unscreened, the bounded day cache (singleflight, errors, capacity, resident days over a 20-day plan)"
 focus 'TestBacktestMatchesParentDigest|TestFarmMatchesBacktest|TestDayCacheSingleflightAndBound|TestDayCachePropagatesErrors|TestDayCacheCap|TestGroupDispatchBoundsResidentDays' ./internal/sweep
 
@@ -164,7 +167,6 @@ echo "== bench smoke: go test -run '^\$' -bench . -benchtime 1x ./..."
 go test -run '^$' -bench . -benchtime 1x ./...
 
 sh scripts/sweep_smoke.sh
-sh scripts/chaos_smoke.sh
 sh scripts/broker_smoke.sh
 sh scripts/farm_smoke.sh
 
