@@ -325,13 +325,9 @@ func TestSupervisedDrainDeadlineForcesAbort(t *testing.T) {
 // day under estimator ct, snapshotting to path every 13 matrices (a
 // cadence that does not divide the day's matrix count).
 func killConfig(u *taq.Universe, ct corr.Type, path string) PipelineConfig {
-	p := pipelineParams()
-	p.Ctype = ct
-	return PipelineConfig{
-		Universe:  u,
-		Params:    []strategy.Params{p},
-		Supervise: &SuperviseOptions{SnapshotPath: path, SnapshotEvery: 13},
-	}
+	cfg := supervisedConfig(u, &SuperviseOptions{SnapshotPath: path, SnapshotEvery: 13})
+	cfg.Params[0].Ctype = ct
+	return cfg
 }
 
 // killAt is the interval from which the helper's tap kills the process
