@@ -1,7 +1,6 @@
 // Command mmbroker drives the partitioned signal broker: serve a
-// synthetic day's pair signals to consumer groups, subscribe as a
-// group member and print a digest of the delivered stream, or run the
-// subscriber-scale fan-out benchmark.
+// synthetic day's pair signals to consumer groups, or subscribe as a
+// group member and print a digest of the delivered stream.
 //
 // The digest a subscriber prints is an FNV-64 fold over every
 // delivered signal (partition by partition, offsets, float bits and
@@ -13,20 +12,16 @@
 //	mmbroker -mode serve -listen :9100 -await-subs 2 -kill 1@30
 //	mmbroker -mode subscribe -connect :9100 -group g -member m-0 -from-start
 //	mmbroker -mode subscribe -connect :9100 -chaos seed=7,corrupt=4096,cut=32768
-//	mmbroker -mode bench -subs 1000,10000 -bench-json BENCH_broker.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -39,7 +34,7 @@ import (
 
 func main() {
 	var (
-		mode      = flag.String("mode", "serve", "serve | subscribe | bench")
+		mode      = flag.String("mode", "serve", "serve | subscribe")
 		listen    = flag.String("listen", ":9100", "serve: address to listen on")
 		connect   = flag.String("connect", ":9100", "subscribe: broker address")
 		stocks    = flag.Int("n", 8, "universe size")
@@ -57,8 +52,6 @@ func main() {
 		member    = flag.String("member", "m-0", "subscribe: member id")
 		fromStart = flag.Bool("from-start", false, "subscribe: full replay instead of snapshot-on-subscribe")
 		chaosF    = flag.String("chaos", "", "subscribe: fault-injection spec for the connection, e.g. seed=7,corrupt=4096,cut=32768")
-		subsF     = flag.String("subs", "1000,10000", "bench: comma-separated subscriber counts")
-		benchJSON = flag.String("bench-json", "", "bench: write results to this JSON file")
 		quiet     = flag.Bool("quiet", false, "subscribe: print only the final digest")
 	)
 	flag.Parse()
@@ -78,8 +71,6 @@ func main() {
 		err = serve(ctx, bcfg, *listen, *intervals, *seed, *awaitSubs, *kill, *rate)
 	case "subscribe":
 		err = subscribe(ctx, *connect, *group, *member, *fromStart, *chaosF, *quiet)
-	case "bench":
-		err = bench(ctx, bcfg, *intervals, *seed, *subsF, *benchJSON)
 	default:
 		err = fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -89,8 +80,8 @@ func main() {
 	}
 }
 
-// synthReturns generates the deterministic synthetic day every mode
-// shares: same seed, same stream, so digests compare across runs.
+// synthReturns generates the deterministic synthetic day the server
+// feeds: same seed, same stream, so digests compare across runs.
 func synthReturns(n, T int, seed int64) [][]float64 {
 	out := make([][]float64, T)
 	for s := range out {
@@ -226,57 +217,6 @@ func subscribe(ctx context.Context, connect, group, member string, fromStart boo
 		}
 	}
 	fmt.Printf("%016x\n", h.Sum64())
-	return nil
-}
-
-// benchFile is the committed BENCH_broker.json shape.
-type benchFile struct {
-	Schema     string                `json:"schema"`
-	GOMAXPROCS int                   `json:"gomaxprocs"`
-	NumCPU     int                   `json:"numcpu"`
-	Workload   string                `json:"workload"`
-	Points     []*broker.BenchResult `json:"points"`
-}
-
-func bench(ctx context.Context, cfg broker.Config, intervals int, seed int64, subsF, out string) error {
-	var counts []int
-	for _, f := range strings.Split(subsF, ",") {
-		c, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || c <= 0 {
-			return fmt.Errorf("bad -subs entry %q", f)
-		}
-		counts = append(counts, c)
-	}
-	sort.Ints(counts)
-	file := benchFile{
-		Schema:     "marketminer/bench_broker/v1",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Workload: fmt.Sprintf("signal fan-out, %d stocks (%d pairs), %d partitions, %d intervals, M=%d",
-			cfg.N, cfg.N*(cfg.N-1)/2, cfg.Partitions, intervals, cfg.M),
-	}
-	for _, c := range counts {
-		res, err := broker.RunBench(ctx, broker.BenchConfig{
-			N: cfg.N, M: cfg.M, Partitions: cfg.Partitions, W: cfg.W, D: cfg.D,
-			Intervals: intervals, Subscribers: c, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("mmbroker: %6d subscribers: %10.0f signals/sec delivered, p50 %.0fµs p99 %.0fµs (%d deliveries in %.1fms)\n",
-			res.Subscribers, res.SignalsPerSec, res.DeliverP50us, res.DeliverP99us, res.Deliveries, res.DurationMS)
-		file.Points = append(file.Points, res)
-	}
-	if out != "" {
-		blob, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("mmbroker: wrote %s\n", out)
-	}
 	return nil
 }
 

@@ -10,15 +10,14 @@
 //
 //	mmscale                      # default: 10 stocks, 2 days, 2 levels
 //	mmscale -stocks 20 -days 3
-//	mmscale -ctype maronna       # unit-cost measure for one treatment
-//	mmscale -bench-json BENCH_corr.json   # machine-readable kernel benchmarks
-//	mmscale -scaling-json BENCH_scaling.json   # 1..NumCPU engine scaling curve
+//	mmscale -same-m              # every level at M=100: one shared series
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -35,25 +34,23 @@ import (
 
 func main() {
 	var (
-		stocks      = flag.Int("stocks", 10, "universe size (2..1024; past 61 uses synthetic tickers)")
-		days        = flag.Int("days", 2, "trading days")
-		levels      = flag.Int("levels", 2, "parameter levels (max 14)")
-		seed        = flag.Int64("seed", 20080301, "data seed")
-		workers     = flag.Int("workers", 0, "workers (0 = GOMAXPROCS)")
-		sameM       = flag.Bool("same-m", false, "restrict levels to M=100 so every set shares one correlation series (maximum integrated-engine sharing)")
-		benchJSON   = flag.String("bench-json", "", "run the correlation kernel benchmark suite and write machine-readable results to this file")
-		scalingJSON = flag.String("scaling-json", "", "measure the matrix engine's 1..NumCPU worker scaling curve and write it to this file")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the approach comparison to this file")
-		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file")
+		stocks     = flag.Int("stocks", 10, "universe size (2..1024; past 61 uses synthetic tickers)")
+		days       = flag.Int("days", 2, "trading days")
+		levels     = flag.Int("levels", 2, "parameter levels (max 14)")
+		seed       = flag.Int64("seed", 20080301, "data seed")
+		workers    = flag.Int("workers", 0, "workers (0 = GOMAXPROCS)")
+		sameM      = flag.Bool("same-m", false, "restrict levels to M=100 so every set shares one correlation series (maximum integrated-engine sharing)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the approach comparison to this file")
+		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file")
 	)
 	flag.Parse()
-	if err := run(*stocks, *days, *levels, *seed, *workers, *sameM, *benchJSON, *scalingJSON, *cpuProfile, *memProfile); err != nil {
+	if err := run(os.Stdout, *stocks, *days, *levels, *seed, *workers, *sameM, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "mmscale:", err)
 		os.Exit(1)
 	}
 }
 
-func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSON, scalingJSON, cpuProfile, memProfile string) error {
+func run(out io.Writer, stocks, days, levels int, seed int64, workers int, sameM bool, cpuProfile, memProfile string) error {
 	if stocks < 2 || stocks > 1024 {
 		return fmt.Errorf("stocks must be in [2, 1024]")
 	}
@@ -86,9 +83,9 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 		Levels:  lvls[:levels],
 		Workers: workers,
 	}
-	fmt.Printf("workload: %d stocks (%d pairs) x %d days x %d levels x 3 types on %d core(s)\n",
+	fmt.Fprintf(out, "workload: %d stocks (%d pairs) x %d days x %d levels x 3 types on %d core(s)\n",
 		stocks, uni.NumPairs(), days, levels, runtime.GOMAXPROCS(0))
-	fmt.Printf("robust kernel SIMD: %s\n\n", corr.SIMDTier())
+	fmt.Fprintf(out, "robust kernel SIMD: %s\n\n", corr.SIMDTier())
 
 	// --- Unit cost per correlation treatment (Section IV) ---------
 	gen, err := market.NewGenerator(mc)
@@ -99,7 +96,7 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 	if err != nil {
 		return err
 	}
-	fmt.Println("SEQUENTIAL UNIT COST — one (pair, day, parameter set) return vector")
+	fmt.Fprintln(out, "SEQUENTIAL UNIT COST — one (pair, day, parameter set) return vector")
 	var maronnaUnit float64
 	for _, ct := range corr.Types() {
 		p := strategy.DefaultParams().WithType(ct)
@@ -115,16 +112,16 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 			}
 		}
 		unit := time.Since(start).Seconds() / reps
-		fmt.Printf("  %-10s %12.6f s\n", ct, unit)
+		fmt.Fprintf(out, "  %-10s %12.6f s\n", ct, unit)
 		if ct == corr.Maronna {
 			maronnaUnit = unit
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 
 	// --- Paper-scale extrapolation (Section IV arithmetic) --------
 	ext := report.Extrapolation{UnitSeconds: maronnaUnit, Pairs: 1830, Days: 20, Sets: 42}
-	fmt.Println(ext)
+	fmt.Fprintln(out, ext)
 
 	// --- Approach comparison on the reduced workload (Section V) --
 	ctx := context.Background()
@@ -154,31 +151,15 @@ func run(stocks, days, levels int, seed int64, workers int, sameM bool, benchJSO
 	if farmRes.TradeCount != intRes.TradeCount {
 		return fmt.Errorf("runner mismatch: farm %d trades, integrated %d", farmRes.TradeCount, intRes.TradeCount)
 	}
-	fmt.Println(report.SpeedupTable(
+	fmt.Fprintln(out, report.SpeedupTable(
 		fmt.Sprintf("SECTION V — APPROACH COMPARISON (%d trades, identical results)", intRes.TradeCount),
 		[]report.Speedup{
 			{Name: "approach 2: per-pair farm (SGE-like)", Seconds: farmSec},
 			{Name: "approach 3: integrated engine", Seconds: intSec},
 		}))
-	fmt.Println("the integrated engine computes each (Ctype, M) correlation series once\n" +
-		"per day and shares it across every pair and parameter set; the farm\n" +
-		"recomputes it per (pair, set), which is the asymptotic waste the paper\n" +
+	fmt.Fprintln(out, "the integrated engine computes each (Ctype, M) correlation series once\n"+
+		"per day and shares it across every pair and parameter set; the farm\n"+
+		"recomputes it per (pair, set), which is the asymptotic waste the paper\n"+
 		"identifies as 'the main bottleneck'.")
-
-	if benchJSON != "" {
-		fmt.Println("\nrunning correlation kernel benchmark suite ...")
-		sw := sweepReport{FarmSeconds: farmSec, IntegratedSeconds: intSec, Trades: intRes.TradeCount}
-		if err := writeBenchJSON(benchJSON, dd, workers, sw); err != nil {
-			return err
-		}
-		fmt.Printf("benchmark results saved to %s\n", benchJSON)
-	}
-	if scalingJSON != "" {
-		fmt.Println("\nmeasuring matrix engine scaling curve ...")
-		if err := writeScalingJSON(scalingJSON, dd); err != nil {
-			return err
-		}
-		fmt.Printf("scaling curve saved to %s\n", scalingJSON)
-	}
 	return nil
 }

@@ -84,9 +84,6 @@ type Config struct {
 	// Heartbeat is the idle keep-alive period on subscriber
 	// connections (default 1s).
 	Heartbeat time.Duration
-	// CollectStamps records an append timestamp per logged interval for
-	// delivery-latency benchmarks.
-	CollectStamps bool
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 	// Now is the clock (default time.Now; tests inject a fake to drive
@@ -287,7 +284,7 @@ func New(cfg Config) (*Broker, error) {
 		b.parts = append(b.parts, &partition{
 			id:    i,
 			pairs: byPart[i],
-			log:   newPartitionLog(len(byPart[i]), cfg.CollectStamps),
+			log:   newPartitionLog(len(byPart[i])),
 		})
 	}
 	return b, nil

@@ -115,7 +115,7 @@ func TestSlotMajorRingsMatchPerPairOracle(t *testing.T) {
 		ms := randomMatrices(rng, n, T+1)
 		oracle := &oracleRings{pairs: pairs, w: w, rings: make([][]float64, len(pairs))}
 		live := newPairRings(pairs, w)
-		log := newPartitionLog(len(pairs), false)
+		log := newPartitionLog(len(pairs))
 		want := make([][]feed.Signal, T+1)
 		for s, m := range ms {
 			want[s] = oracle.step(s, m, d)
@@ -211,7 +211,7 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	const np, intervals = 91, 50
 	pairs, flat, ivs := columnarFixture(intervals)
 	n := len(flat)
-	part := &partition{pairs: pairs, log: newPartitionLog(np, true)}
+	part := &partition{pairs: pairs, log: newPartitionLog(np)}
 	log := part.log
 	for _, iv := range ivs {
 		log.appendInterval(int(iv.S), iv.C, iv.Cbar, iv.Kind)
@@ -236,9 +236,6 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 					t.Fatalf("read(%d, %d)[%d] = %+v, want %+v", lo+1, max, i, got, want[i])
 				}
 			}
-			if st := log.stampAt(iv.End()); st == 0 || st != log.stampAt(iv.Base+1) {
-				t.Fatalf("read(%d, %d): an interval has one append stamp, got %d and %d", lo+1, max, st, log.stampAt(iv.Base+1))
-			}
 		}
 	}
 	if got := logSignals(part, 512); !reflect.DeepEqual(got, flat) {
@@ -250,9 +247,6 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	log.seal()
 	if iv, drained := log.read(uint64(n+1), 512); iv.Len() != 0 || !drained {
 		t.Errorf("read past the end of a sealed log: %d signals, drained %v", iv.Len(), drained)
-	}
-	if st := log.stampAt(0) + log.stampAt(uint64(n+1)); st != 0 {
-		t.Errorf("stamps outside the log: %d", st)
 	}
 	for _, tc := range []struct {
 		end       uint64
@@ -397,7 +391,7 @@ func TestStepAndAppendAllocatePerInterval(t *testing.T) {
 	m := randomMatrices(rand.New(rand.NewSource(1)), n, 1)[0]
 	perInterval := func(pairs []int) float64 {
 		rings := newPairRings(pairs, w)
-		log := newPartitionLog(len(pairs), false)
+		log := newPartitionLog(len(pairs))
 		s := 0
 		return testing.AllocsPerRun(200, func() {
 			c, cbar, kind := rings.step(m.Values(), 0.1)
@@ -419,12 +413,12 @@ func BenchmarkPartitionStep(b *testing.B) {
 	pairs := partitionPairs(n, 2)[0]
 	ms := randomMatrices(rand.New(rand.NewSource(1)), n, 64)
 	rings := newPairRings(pairs, w)
-	log := newPartitionLog(len(pairs), false)
+	log := newPartitionLog(len(pairs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 0 { // a day and a half; keeps the retained log bounded
-			log = newPartitionLog(len(pairs), false)
+			log = newPartitionLog(len(pairs))
 		}
 		c, cbar, kind := rings.step(ms[i%len(ms)].Values(), 0.1)
 		log.appendInterval(i, c, cbar, kind)

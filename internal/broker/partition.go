@@ -2,7 +2,6 @@ package broker
 
 import (
 	"sync"
-	"time"
 
 	"marketminer/internal/feed"
 )
@@ -50,16 +49,14 @@ type partitionLog struct {
 	mu     sync.Mutex
 	np     int
 	recs   []feed.Interval
-	stamps []int64 // append nanos per interval (empty unless collecting)
 	sealed bool
-	stamp  bool
 }
 
-func newPartitionLog(pairs int, collectStamps bool) *partitionLog {
+func newPartitionLog(pairs int) *partitionLog {
 	// The hash can leave a partition without pairs (N=4 in 4 partitions
 	// does); appendInterval keeps its log empty, so np only has to keep
 	// the offset arithmetic defined.
-	return &partitionLog{np: max(pairs, 1), stamp: collectStamps}
+	return &partitionLog{np: max(pairs, 1)}
 }
 
 // appendInterval logs interval s, taking ownership of its np-long
@@ -76,9 +73,6 @@ func (l *partitionLog) appendInterval(s int, c, cbar []float64, kind []uint8) {
 		S: uint32(s), Base: uint64(len(l.recs) * l.np), Pairs: uint32(l.np),
 		C: c, Cbar: cbar, Kind: kind,
 	})
-	if l.stamp {
-		l.stamps = append(l.stamps, time.Now().UnixNano())
-	}
 }
 
 // end returns the newest assigned offset (0 when empty).
@@ -124,16 +118,6 @@ func (l *partitionLog) tail(end uint64, w int) []feed.Interval {
 	defer l.mu.Unlock()
 	n := min(int(end)/l.np, len(l.recs))
 	return l.recs[max(0, n-w):n:n]
-}
-
-// stampAt returns the append timestamp of an offset (bench only).
-func (l *partitionLog) stampAt(off uint64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i := int(off-1) / l.np; off >= 1 && i < len(l.stamps) {
-		return l.stamps[i]
-	}
-	return 0
 }
 
 func (l *partitionLog) seal() {

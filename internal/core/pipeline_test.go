@@ -150,7 +150,7 @@ func TestPipelineMultipleStrategyNodes(t *testing.T) {
 // bit-identical trades from the same generated day, for every
 // correlation treatment: on the 4-stock test day, and on day 0 of a
 // 20-stock default market for the first base-grid level of each
-// window length M. With MM_FULL_DAY_CHECK=1 it also runs the default
+// window length M. With MM_VERIFY=1 it also runs the default
 // 61-stock day with all 14 base-grid levels, one pipeline per (M,
 // treatment) carrying every level of that M (a minute or more on two
 // cores, so only verify.sh sets it).
@@ -179,7 +179,7 @@ func TestPipelineMatchesBatchBacktest(t *testing.T) {
 			})
 		}
 	}
-	if os.Getenv("MM_FULL_DAY_CHECK") != "1" {
+	if os.Getenv("MM_VERIFY") != "1" {
 		return
 	}
 	n := taq.DefaultUniverse().Len()

@@ -86,8 +86,8 @@ type pairBatch struct {
 	// as compaction swaps them (swapLanes swaps columns while packed),
 	// and compaction itself is deferred to sweep end (dead marks) so a
 	// sweep steps exactly its start-of-sweep active set — the same
-	// schedule as the scalar path, which recordSweep telemetry and the
-	// bit-identity argument both rely on.
+	// schedule as the scalar path, which the bit-identity argument
+	// relies on.
 	simd   bool // vector backend enabled for this batch
 	packed bool // tiles currently hold the active lanes' windows
 	deferC bool // inside a phased sweep: finalize defers compaction
@@ -249,18 +249,14 @@ func (b *pairBatch) startCold(l int, st *RobustStats) bool {
 
 // run sweeps the active set until every lane has finished. One sweep
 // applies one fixed-point iteration to each active lane; st (when
-// non-nil) records the active-set telemetry that keeps the "where do
-// the cycles go" profile measurable after batching. The vector and
-// scalar paths produce bit-identical fits, weights and telemetry.
+// non-nil) records each lane's warm-start statistics. The vector and
+// scalar paths produce bit-identical fits, weights and statistics.
 func (b *pairBatch) run(st *RobustStats) {
 	if b.simd && b.active >= simdMinLanes {
 		b.runSIMD(st)
 		return
 	}
 	for b.active > 0 {
-		if st != nil {
-			st.recordSweep(b.active)
-		}
 		l := 0
 		for l < b.active {
 			if b.step(l, st) {
@@ -299,9 +295,6 @@ func (b *pairBatch) runSIMD(st *RobustStats) {
 	b.deferC = true
 	m := b.m
 	for b.active > 0 {
-		if st != nil {
-			st.recordSweep(b.active)
-		}
 		n := b.active
 		for l := 0; l < n; l++ {
 			b.skip[l] = false

@@ -168,9 +168,6 @@ func TestBatchDegenerateLanesMatchReference(t *testing.T) {
 					t.Fatalf("simd=%v reverse=%v: IterHist[%d] = %d, reference %d", simd, reverse, i, st.IterHist[i], wantStats.IterHist[i])
 				}
 			}
-			if st.BatchSweeps == 0 || st.BatchLaneSteps == 0 || len(st.ActiveHist) == 0 {
-				t.Fatalf("simd=%v reverse=%v: batch telemetry empty: %+v", simd, reverse, *st)
-			}
 		}
 	}
 }

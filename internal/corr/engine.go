@@ -79,47 +79,14 @@ type RobustStats struct {
 	// fixed-point iterations (length MaxIter+1).
 	IterHist []int
 
-	// Batched-kernel telemetry. IterHist stays per-pair (it is part of
-	// the reference-equality contract); these fields add the batch view
-	// so the "where do the cycles go" profile remains measurable after
-	// batching: one sweep applies one fixed-point iteration to every
-	// lane of a batch's active set.
-	//
-	// BatchSweeps counts sweeps executed, BatchLaneSteps sums the
-	// active-set size over them (total per-lane iteration steps), and
-	// ActiveHist[a] counts sweeps that ran with a active lanes.
-	BatchSweeps    int
-	BatchLaneSteps int
-	ActiveHist     []int
-
 	// SIMD wall-clock telemetry, populated only while SetSIMDProfiling
-	// is on (the bench harness measuring the transpose overhead).
+	// is on (the pack-overhead check measuring the transpose cost).
 	// SIMDPackNs is time spent packing windows into the lane-major
 	// tiles; SIMDRunNs is the remainder of the vector batch runs.
 	// Excluded from bit-identity comparisons: wall-clock is not part of
 	// the reference-equality contract.
 	SIMDPackNs int64
 	SIMDRunNs  int64
-}
-
-// recordSweep records one batched sweep over active lanes.
-func (s *RobustStats) recordSweep(active int) {
-	s.BatchSweeps++
-	s.BatchLaneSteps += active
-	if active >= len(s.ActiveHist) {
-		s.ActiveHist = append(s.ActiveHist, make([]int, active+1-len(s.ActiveHist))...)
-	}
-	s.ActiveHist[active]++
-}
-
-// MeanActiveLanes returns the average active-set size per batched
-// sweep — the occupancy evidence that swap-to-end compaction keeps
-// late-converging pairs from serializing the batch.
-func (s *RobustStats) MeanActiveLanes() float64 {
-	if s.BatchSweeps == 0 {
-		return 0
-	}
-	return float64(s.BatchLaneSteps) / float64(s.BatchSweeps)
 }
 
 func (s *RobustStats) record(f Fit, attemptedWarm bool) {
@@ -150,14 +117,6 @@ func (s *RobustStats) Merge(o *RobustStats) {
 	}
 	for i, c := range o.IterHist {
 		s.IterHist[i] += c
-	}
-	s.BatchSweeps += o.BatchSweeps
-	s.BatchLaneSteps += o.BatchLaneSteps
-	if len(s.ActiveHist) < len(o.ActiveHist) {
-		s.ActiveHist = append(s.ActiveHist, make([]int, len(o.ActiveHist)-len(s.ActiveHist))...)
-	}
-	for i, c := range o.ActiveHist {
-		s.ActiveHist[i] += c
 	}
 	s.SIMDPackNs += o.SIMDPackNs
 	s.SIMDRunNs += o.SIMDRunNs
@@ -326,8 +285,8 @@ func (d *Day) request(cfg EngineConfig, types []Type) (pairs []int, outs []*Seri
 // computing its own sliding statistics from scratch. It is retained as
 // the verification baseline the matrix engine must match bit-for-bit
 // (TestMatrixEngineMatchesReference) and as the comparison point for
-// the sharing+tiling speedup reported in BENCH_corr.json. New code
-// should call ComputeSeriesMulti.
+// the sharing+tiling speedup TestRatioEnginePearson and
+// TestRatioEngineFused check. New code should call ComputeSeriesMulti.
 func ComputeSeriesMultiReference(cfg EngineConfig, types []Type, returns [][]float64) ([]*Series, error) {
 	d, err := NewDay(returns)
 	if err != nil {

@@ -51,7 +51,7 @@ func SIMDTier() string {
 // simdProfiling gates the pack/run wall-clock telemetry of the SIMD
 // batch path (RobustStats.SIMDPackNs / SIMDRunNs). It costs four
 // clock reads per batch run, so it is off by default and enabled only
-// by the bench harness to measure the transpose overhead.
+// by TestRatioSIMDPackOverhead to measure the transpose overhead.
 var simdProfiling atomic.Bool
 
 // SetSIMDProfiling enables or disables SIMD pack/run wall-clock

@@ -5,19 +5,27 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# focus REGEX PKG...: run the tests REGEX names under -race, after
-# checking that every name in REGEX still starts some test in PKG...,
-# so a renamed test cannot silently drop out of a gate.
-focus() {
+# named REGEX PKG...: fail unless every name in REGEX still starts
+# some test in PKG..., so a renamed test cannot silently drop out of a
+# gate.
+named() {
     regex=$1
     shift
     listed=$(go test -list . "$@")
     for name in $(echo "$regex" | tr '|' ' '); do
         if ! echo "$listed" | grep -Eq "^$name"; then
-            echo "focus gate names $name, which matches no test in $*" >&2
+            echo "gate names $name, which matches no test in $*" >&2
             exit 1
         fi
     done
+}
+
+# focus REGEX PKG...: run the tests REGEX names under -race, after
+# checking their names with named.
+focus() {
+    named "$@"
+    regex=$1
+    shift
     go test -race -run "$regex" "$@"
 }
 
@@ -49,8 +57,8 @@ go test -race ./internal/corr ./internal/sched
 echo "== go test -race ./internal/screen ./internal/corr (screening + batched kernel focus)"
 go test -race ./internal/screen ./internal/corr
 
-echo "== batched-vs-reference bit-identity smoke, and one corr.Day shared by concurrent blocks"
-focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestDaySharesMoments|TestDayConcurrentBlocks' ./internal/corr
+echo "== batched-vs-reference bit-identity smoke, one corr.Day shared by concurrent blocks, and the kernel day's exact warm-start and screening counts"
+focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestDaySharesMoments|TestDayConcurrentBlocks|TestKernelDayWarmStarts|TestKernelDayScreenKeepsHalf' ./internal/corr
 
 echo "== strategy level grid: pinned RunDay digest, grid = lone levels = online Step, zero steady-state allocation"
 focus 'TestDayGridMatchesParentRunDay|TestDayGridSteadyStateAllocs|TestStepMatchesParentDigest' ./internal/strategy
@@ -84,7 +92,7 @@ echo "== Figure 1 equals Section V: pipeline trades bit-equal to PrepareDay -> c
 focus 'TestPipelineMatchesBatchBacktest' ./internal/core
 
 echo "== Figure 1 equals Section V on the default 61-stock day: all 14 levels x 3 treatments, one pipeline per (M, treatment), without -race"
-MM_FULL_DAY_CHECK=1 go test -run 'TestPipelineMatchesBatchBacktest' ./internal/core
+MM_VERIFY=1 go test -run 'TestPipelineMatchesBatchBacktest' ./internal/core
 
 echo "== supervision: pinned supervised chaotic day (poison quotes, snapshot resume, quarantine); a stage quarantines on the first panic and forwards nothing from it, and consecutive poison opens the circuit"
 focus 'TestSupervisedChaoticDayMatchesParentDigest|TestStageQuarantinesOnFirstAttempt|TestStageCircuitBreakerOnConsecutivePoison|TestStageCleanMessageResetsBreaker|TestStageUnquarantinableFailureFailsGraph' ./internal/core ./internal/supervise
@@ -182,12 +190,9 @@ bash cmd/mmbench/run.sh --workload sweep_wide_pearson --seconds 2 --trace 0 | ta
 echo "== mmbench smoke: sweep_wide_pearson, 2 s, traced: the traced pass rebuilds each day through GenerateDay -> clean.Clean -> Sampler and must reproduce the stock-major sweep's merged hash"
 bash cmd/mmbench/run.sh --workload sweep_wide_pearson --seconds 2 --trace 1 | tail -n 1 | grep -q '"failed":0'
 
-echo "== bench gate: fresh kernel ratios + scaling efficiency vs committed baselines"
-bench_tmp=$(mktemp /tmp/mm_bench_gate.XXXXXX.json)
-scaling_tmp=$(mktemp /tmp/mm_scaling_gate.XXXXXX.json)
-trap 'rm -f "$bench_tmp" "$scaling_tmp"' EXIT
-go run ./cmd/mmscale -stocks 8 -days 1 -levels 2 -workers 1 -bench-json "$bench_tmp" -scaling-json "$scaling_tmp" >/dev/null
-go run ./cmd/mmbenchgate -fresh "$bench_tmp" -committed BENCH_corr.json \
-    -fresh-scaling "$scaling_tmp" -committed-scaling BENCH_scaling.json
+echo "== kernel ratios on the 8-stock kernel day, without -race: fusion, matrix engine (Pearson, fused), batched scalar tier, screened pipeline, AVX2 tier and its pack overhead; each prints PASS, FAIL or unresolved with its quartiles"
+ratios='TestRatioFusion|TestRatioEnginePearson|TestRatioEngineFused|TestRatioBatched|TestRatioScreenedPipeline|TestRatioSIMD|TestRatioSIMDPackOverhead'
+named "$ratios" ./internal/corr
+MM_VERIFY=1 go test -count=1 -v -run "$ratios" ./internal/corr
 
 echo "verify: OK"
