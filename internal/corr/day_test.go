@@ -1,7 +1,9 @@
 package corr
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -166,4 +168,67 @@ func sameSeries(got, want []*Series) string {
 		}
 	}
 	return ""
+}
+
+// robustSeriesDigest is the FNV-64a of TestRobustSeriesMatchesParentDigest's
+// series and robust statistics, taken before the batched kernel's
+// lanes kept their quad slots.
+const robustSeriesDigest = 0xa988939904e29e3b
+
+// TestRobustSeriesMatchesParentDigest pins Day.Series' Maronna and
+// Combined output on sweep-shaped requests: 128-pair blocks of a
+// 24-stock adversarial day (fat tails, a constant stock, a
+// near-collinear pair, a level shift) at M 50, 100 and 200. The digest
+// covers every coefficient and the robust statistics (windows, warm
+// hits, cold starts, fallbacks, iteration histogram), and both
+// dispatch tiers at one and two workers hash to it.
+func TestRobustSeriesMatchesParentDigest(t *testing.T) {
+	const n, T, block = 24, 300, 128
+	d, err := NewDay(simdAdversarialUniverse(n, T, 20080301))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nPairs := n * (n - 1) / 2
+	layouts := map[string]EngineConfig{
+		"avx2-1-worker":    {Workers: 1},
+		"scalar-2-workers": {Workers: 2, DisableSIMD: true},
+	}
+	for name, cfg := range layouts {
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(u uint64) {
+			binary.LittleEndian.PutUint64(b[:], u)
+			h.Write(b[:])
+		}
+		for _, m := range []int{50, 100, 200} {
+			for lo := 0; lo < nPairs; lo += block {
+				ids := make([]int, 0, block)
+				for id := lo; id < min(lo+block, nPairs); id++ {
+					ids = append(ids, id)
+				}
+				cfg.M, cfg.Pairs = m, ids
+				ss, err := d.Series(cfg, []Type{Maronna, Combined})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range ss {
+					for _, row := range s.Corr {
+						for _, v := range row {
+							put(math.Float64bits(v))
+						}
+					}
+				}
+				st := ss[0].Robust
+				for _, c := range []int{st.Windows, st.WarmHits, st.ColdStarts, st.Fallbacks} {
+					put(uint64(c))
+				}
+				for _, c := range st.IterHist {
+					put(uint64(c))
+				}
+			}
+		}
+		if got := h.Sum64(); got != robustSeriesDigest {
+			t.Errorf("%s: digest %#x, want %#x", name, got, uint64(robustSeriesDigest))
+		}
+	}
 }

@@ -262,6 +262,61 @@ func TestOnlinePearsonMatchesParentDigest(t *testing.T) {
 	}
 }
 
+// onlineRobustDigest is the FNV-64a of every online Maronna and
+// Combined matrix over TestOnlineRobustMatchesParentDigest's corpus,
+// taken before the batched kernel's lanes kept their quad slots.
+const onlineRobustDigest = 0x6ef7554d12bb4e79
+
+// TestOnlineRobustMatchesParentDigest pins the online robust matrices
+// bit for bit on TestOnlinePearsonMatchesParentDigest's corpus and
+// layouts: one and three workers with ragged tiles, tile 5, and the
+// pure-Go tier all hash to one digest, so the batched kernel's lane
+// scheduling, quad padding and both dispatch tiers are covered.
+func TestOnlineRobustMatchesParentDigest(t *testing.T) {
+	const n, T = 13, 70
+	rets := syntheticReturns(71, n, T)
+	layouts := map[string]EngineConfig{
+		"full-1-worker":  {Workers: 1, tile: 10},
+		"full-3-workers": {Workers: 3, tile: 10},
+		"full-tile-5":    {Workers: 3, tile: 5},
+		"scalar-tier":    {Workers: 2, DisableSIMD: true},
+	}
+	for name, cfg := range layouts {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, ty := range []Type{Maronna, Combined} {
+			for _, m := range []int{7, 16} {
+				cfg.Type, cfg.M = ty, m
+				e, err := NewOnlineEngine(cfg, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := NewMatrix(n)
+				vec := make([]float64, n)
+				for u := 0; u < T; u++ {
+					for i := range vec {
+						vec[i] = rets[i][u]
+					}
+					ready, err := e.PushInto(vec, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ready {
+						continue
+					}
+					for _, v := range dst.Values() {
+						binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+						h.Write(b[:])
+					}
+				}
+			}
+		}
+		if got := h.Sum64(); got != onlineRobustDigest {
+			t.Errorf("%s: digest %#x, want %#x", name, got, uint64(onlineRobustDigest))
+		}
+	}
+}
+
 // TestOnlineMatchesDaySeries streams one day through OnlineEngine and
 // compares every coefficient with the batch engine's Series for the
 // same windows. The robust types must match bit for bit: both start

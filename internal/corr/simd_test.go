@@ -174,9 +174,11 @@ func TestSIMDWarmChainRestarts(t *testing.T) {
 // FuzzSIMDMatchesScalar feeds randomized batches — ragged lane counts,
 // random window lengths, occasional NaN, zero-variance and collinear
 // corruption, warm seeds of every flavor — through both dispatch tiers
-// and requires bitwise-identical fits and weight rows. On hosts
-// without AVX2 both tiers run scalar and the fuzz degenerates to a
-// determinism check.
+// and requires each lane's fit and weight row to be bitwise identical
+// to the frozen per-pair kernel (MaronnaEstimator.FitScratchShared)
+// on the same window, so a change to both tiers at once cannot hide.
+// On hosts without AVX2 both tiers run scalar and the fuzz still
+// checks them against the reference.
 func FuzzSIMDMatchesScalar(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(16))
 	f.Add(int64(2), uint8(7), uint8(31))
@@ -236,15 +238,20 @@ func FuzzSIMDMatchesScalar(f *testing.F) {
 			}
 			return fits, ws
 		}
-		sf, sw := run(false)
-		vf, vw := run(true)
-		for l := 0; l < lanes; l++ {
-			if !fitsBitEqual(sf[l], vf[l]) {
-				t.Fatalf("lane %d: scalar fit %+v, simd fit %+v", l, sf[l], vf[l])
-			}
-			for j := range sw[l] {
-				if math.Float64bits(sw[l][j]) != math.Float64bits(vw[l][j]) {
-					t.Fatalf("lane %d weight[%d]: scalar %v, simd %v", l, j, sw[l][j], vw[l][j])
+		est := NewMaronnaEstimator(cfg)
+		var sc *Scratch
+		for _, simd := range []bool{false, true} {
+			fits, ws := run(simd)
+			for l := 0; l < lanes; l++ {
+				var want Fit
+				want, sc = est.FitScratchShared(xs[l], ys[l], sc, warms[l], nil, nil)
+				if !fitsBitEqual(fits[l], want) {
+					t.Fatalf("simd=%v lane %d: fit %+v, reference %+v", simd, l, fits[l], want)
+				}
+				for j, w := range sc.Weights() {
+					if math.Float64bits(ws[l][j]) != math.Float64bits(w) {
+						t.Fatalf("simd=%v lane %d weight[%d]: %v, reference %v", simd, l, j, ws[l][j], w)
+					}
 				}
 			}
 		}

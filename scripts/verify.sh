@@ -57,8 +57,8 @@ go test -race ./internal/corr ./internal/sched
 echo "== go test -race ./internal/screen ./internal/corr (screening + batched kernel focus)"
 go test -race ./internal/screen ./internal/corr
 
-echo "== batched-vs-reference bit-identity smoke, one corr.Day shared by concurrent blocks, and the kernel day's exact warm-start and screening counts"
-focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestDaySharesMoments|TestDayConcurrentBlocks|TestKernelDayWarmStarts|TestKernelDayScreenKeepsHalf' ./internal/corr
+echo "== batched-vs-reference bit-identity smoke, pinned robust digests (Day.Series on 128-pair blocks, online Maronna and Combined on every layout), one corr.Day shared by concurrent blocks, and the kernel day's exact warm-start and screening counts"
+focus 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestRobustSeriesMatchesParentDigest|TestOnlineRobustMatchesParentDigest|TestDaySharesMoments|TestDayConcurrentBlocks|TestKernelDayWarmStarts|TestKernelDayScreenKeepsHalf' ./internal/corr
 
 echo "== strategy level grid: pinned RunDay digest, grid = lone levels = online Step, zero steady-state allocation"
 focus 'TestDayGridMatchesParentRunDay|TestDayGridSteadyStateAllocs|TestStepMatchesParentDigest' ./internal/strategy
@@ -78,7 +78,7 @@ focus 'TestCollectorStopsOnContextCancel|TestCollectorStopsOnCancelWhileConsumer
 echo "== the pinned online tests on the pure-Go kernel tier: a 386 test binary runs on an x86-64 host and has no AVX2 backend (and no -race)"
 case $(go env GOHOSTARCH) in
 amd64 | 386)
-    GOARCH=386 go test -run 'TestOnlinePearsonMatchesParentDigest|TestOnlineMatchesDaySeries|TestEngineSnapshotResumeBitIdentical|TestEngineFingerprintPinned|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel' ./internal/corr
+    GOARCH=386 go test -run 'TestOnlinePearsonMatchesParentDigest|TestOnlineRobustMatchesParentDigest|TestRobustSeriesMatchesParentDigest|TestOnlineMatchesDaySeries|TestEngineSnapshotResumeBitIdentical|TestEngineFingerprintPinned|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel' ./internal/corr
     ;;
 *)
     echo "skipped: host is $(go env GOHOSTARCH)"
@@ -128,6 +128,9 @@ go test -run '^$' -fuzz FuzzOpenQuarantine -fuzztime 10s ./internal/supervise
 echo "== chaos spec fuzz, 10 s: ParseSpec never panics, and every accepted spec round-trips through String"
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/chaos
 focus 'TestParseSpec|FuzzParseSpec' ./internal/chaos
+
+echo "== batched Maronna fuzz, 10 s: random batches on both dispatch tiers, every lane's fit and weight row bit-equal to the per-pair reference"
+go test -run '^$' -fuzz FuzzSIMDMatchesScalar -fuzztime 10s ./internal/corr
 
 echo "== engine snapshot fuzz, 10 s: arbitrary bytes -> json -> Restore never panics; an accepted snapshot round-trips and the next push stays in [-1, 1]"
 go test -run '^$' -fuzz FuzzEngineRestore -fuzztime 10s ./internal/corr
