@@ -14,14 +14,21 @@ import (
 // weight reset and the one-lane-at-a-time traversal leave the CPU no
 // way to overlap independent pairs.
 //
-// pairBatch lays the same iteration out as struct-of-arrays lanes: one
-// lane per pair, the per-lane scalars (location, scatter, Anderson
-// history, iteration budget, warm/cold mode) in parallel float64
-// slices, and the per-observation weight rows carved out of one flat
-// backing array. A sweep applies exactly one fixed-point iteration to
-// every active lane; lanes that finish (converged, collapsed, or out
-// of budget) drop out via swap-to-end compaction so late-converging
-// pairs do not serialize the batch.
+// pairBatch lays the same iteration out as lanes: one lane per pair,
+// four lanes to a quad, and each quad's per-lane scalars (location,
+// scatter, the sweep's inverse scatter and sums, the Anderson history)
+// stored component-major, so one component of a quad is one 32-byte
+// vector. A lane keeps its slot for the whole run — lane l is always
+// the caller's pair l — and a lane that finishes (converged,
+// collapsed, or out of budget) is only marked dead: nothing moves, and
+// the slot idles until its next window. A ragged tail is padded to a
+// whole quad with permanently dead lanes. run drives one quad at a
+// time until all four of its lanes are dead; one sweep of a quad
+// applies one fixed-point iteration to each live lane. Both dispatch
+// tiers share this scheduler and differ only in the weight passes and
+// the sweep's tail: the vector tier runs the AVX2 quad kernels
+// (maronna_amd64.s), the scalar tier runs maronnaLocation,
+// maronnaScatter and advanceQuad lane by lane.
 //
 // Bit-identity contract: a lane executes the reference per-pair
 // arithmetic — the same expressions, in the same order, on the same
@@ -44,70 +51,70 @@ type pairBatch struct {
 	k, k2   float64
 	tol     float64
 	maxIter int
+	simd    bool // vector backend enabled for this batch
 
-	m       int // window length all lanes share
-	laneCap int
-	active  int
+	m       int  // window length all lanes share
+	lanes   int  // lanes loaded by the last load
+	weights bool // callers read the final weights (combine)
 
-	// Per-lane window views and weight rows (swapped with their lane).
-	xw, yw [][]float64
-	wrow   [][]float64
-	wback  []float64 // flat backing for the weight rows
+	// Per-lane rows as loaded, the current window's views of them, and
+	// the scalar tier's weight rows (carved out of one flat backing
+	// array by slot).
+	xrow, yrow [][]float64
+	t          int // offset of the current window in the rows
+	xw, yw     [][]float64
+	wrow       [][]float64
+	wback      []float64
 
-	// Per-lane iteration state, struct-of-arrays.
-	t1, t2        []float64
-	v11, v22, v12 []float64
-	pg, pf        [][5]float64 // Anderson(1) history
-	havePrev      []bool
-	strict        []bool // current run is the warm strict attempt
-	attempted     []bool // a warm attempt was made for this window
-	wFresh        []bool // weight row written by the accepted run
-	iters         []int
-	tag           []int // caller's lane identity (stable across compaction)
+	qs []quad // per-quad iteration state; lane l is qs[l/4], slot l%4
+
+	// Per-lane run state.
+	havePrev  []bool // the Anderson history holds a previous step
+	strict    []bool // current run is the warm strict attempt
+	attempted []bool // a warm attempt was made for this window
+	wFresh    []bool // weights written by the accepted run
+	dead      []bool // lane finished this window (or is padding)
+	iters     []int
 
 	// Shared cold-start initialisers captured at add time (used again
 	// if a strict run fails and the lane restarts cold).
 	ix, iy   []ColdInit
 	haveInit []bool
 
-	// Results indexed by tag, valid after run() until the next begin().
+	// Results indexed by lane, valid after run() until the next add.
 	fits []Fit
-	wOut [][]float64 // final weight rows, aliases into wback
+	comb []float64 // Combined coefficients, valid after combine()
 
 	sbuf []float64 // median/MAD selection scratch for inline cold inits
 
-	// SIMD lane-major state. When simd is set (AVX2 available and not
-	// disabled for this batch) run() executes sweeps in phases: the
-	// scalar bookkeeping of step() per lane, then one vector kernel
-	// call per full quad of four lanes over the packed tiles. Element
-	// i of the lane at position l lives at xt[(l/4)*4*m + i*4 + l%4]
-	// (quad-blocked obs-major), so a quad's observation i is one
-	// contiguous 32-byte vector load. Lanes keep their packed columns
-	// as compaction swaps them (swapLanes swaps columns while packed),
-	// and compaction itself is deferred to sweep end (dead marks) so a
-	// sweep steps exactly its start-of-sweep active set — the same
-	// schedule as the scalar path, which the bit-identity argument
-	// relies on.
-	simd   bool // vector backend enabled for this batch
-	packed bool // tiles currently hold the active lanes' windows
-	deferC bool // inside a phased sweep: finalize defers compaction
-
-	xt, yt, wt []float64 // quad-blocked obs-major tiles (x, y, weights)
-	wVec       []bool    // lane's freshest weights live in wt, not wrow
-	dead       []bool    // lane finalized mid-sweep, compacted at sweep end
-	skip       []bool    // lane resolved/restarted this sweep: no vector consume
-
-	// Per-sweep per-lane scratch carrying values between phases
-	// (inverse scatter, location sums, new center, scatter sums).
-	li11, li22, li12 []float64
-	lsw, lsx, lsy    []float64
-	lt1n, lt2n       []float64
-	ln11, ln22, ln12 []float64
+	// Vector tier. load packs every lane's whole rows once into
+	// quad-blocked obs-major day tiles: element i of lane l lives at
+	// xt[(l/4)*4*span + i*4 + l%4], so a quad's observation i is one
+	// contiguous 32-byte load and window t starts at offset t*4 of the
+	// quad's block. Padding lanes pack a zero row. wt is the window's
+	// weight tile, in the same layout: the scatter kernel stores only
+	// the iterating lanes' weights, so a finished lane's column keeps
+	// its final weights while the rest of its quad runs on.
+	span   int // row length of the loaded lanes
+	xt, yt []float64
+	wt     []float64
+	zero   []float64     // all-zero row packed into padding slots
+	wp     [4][4]float64 // weightedPearson4's sums: sw, vx, vy, cxy
 }
 
-// simdMinLanes is the smallest active set runSIMD will pack: below one
-// full quad every lane would take the scalar fallback anyway.
-const simdMinLanes = 4
+// quad is the iteration state of four lane slots, component-major:
+// each field holds one component of the quad's four lanes, so the
+// AVX2 kernels load and store it as one vector. The kernels address
+// the fields by byte offset (maronna_amd64.s); TestQuadLayout pins
+// them.
+type quad struct {
+	t1, t2        [4]float64    // location
+	v11, v22, v12 [4]float64    // scatter
+	i11, i22, i12 [4]float64    // inverse scatter of the current sweep
+	sw, t1n, t2n  [4]float64    // location weight sum and new center
+	n11, n22, n12 [4]float64    // scatter sums (before the 1/m scaling)
+	pg, pf        [5][4]float64 // Anderson(1) history: last map output and residual
+}
 
 // newPairBatch builds a batch kernel for the given (validated)
 // estimator configuration. The batch grows its lane capacity on
@@ -123,86 +130,112 @@ func newPairBatch(cfg MaronnaConfig, simd bool) *pairBatch {
 	}
 }
 
-// begin prepares the batch for windows of length m with up to lanes
-// concurrent lanes. Calling it with previously-seen sizes performs no
-// allocation; results of the previous run remain readable until the
-// first add.
-func (b *pairBatch) begin(m, lanes int) {
-	if m != b.m || lanes > b.laneCap {
+// load binds lane l to rows xs[l], ys[l] (all of one length, at least
+// m) for windows of length m, and on the vector tier packs the rows
+// into the day tiles once. weights asks for the final weights
+// (combine). With previously-seen sizes it allocates nothing. st, when
+// non-nil and SIMD profiling is on, is charged the pack time.
+func (b *pairBatch) load(m int, xs, ys [][]float64, weights bool, st *RobustStats) {
+	lanes := len(xs)
+	if m != b.m || lanes > len(b.dead) {
 		b.grow(m, lanes)
 	}
-	b.active = 0
+	b.lanes, b.weights = lanes, weights
+	copy(b.xrow, xs)
+	copy(b.yrow, ys)
+	for l := range b.dead {
+		b.dead[l] = true
+	}
+	// Padding slots see zero location and inverse scatter: every
+	// observation falls inside the Huber band, so they never send the
+	// quad's kernels down their slow path.
+	for l := lanes; l < (lanes+3)&^3; l++ {
+		q, s := &b.qs[l>>2], l&3
+		q.t1[s], q.t2[s], q.t1n[s], q.t2n[s] = 0, 0, 0, 0
+		q.i11[s], q.i22[s], q.i12[s] = 0, 0, 0
+	}
+	if !b.simd {
+		return
+	}
+	prof := st != nil && simdProfiling.Load()
+	var t0 time.Time
+	if prof {
+		t0 = time.Now()
+	}
+	span := len(xs[0])
+	if n := len(b.dead) * span; n > len(b.xt) {
+		b.xt = make([]float64, n)
+		b.yt = make([]float64, n)
+		b.zero = make([]float64, span)
+	}
+	b.span = span
+	zero := b.zero[:span]
+	for o := 0; o < lanes; o += 4 {
+		var xq, yq [4][]float64
+		for s := range xq {
+			xq[s], yq[s] = zero, zero
+			if o+s < lanes {
+				xq[s], yq[s] = xs[o+s][:span], ys[o+s][:span]
+			}
+		}
+		xt := b.xt[o*span : (o+4)*span]
+		yt := b.yt[o*span : (o+4)*span]
+		for i := 0; i < span; i++ {
+			xt[i*4], xt[i*4+1], xt[i*4+2], xt[i*4+3] = xq[0][i], xq[1][i], xq[2][i], xq[3][i]
+			yt[i*4], yt[i*4+1], yt[i*4+2], yt[i*4+3] = yq[0][i], yq[1][i], yq[2][i], yq[3][i]
+		}
+	}
+	if prof {
+		st.SIMDPackNs += time.Since(t0).Nanoseconds()
+	}
 }
 
 func (b *pairBatch) grow(m, lanes int) {
-	if lanes < b.laneCap {
-		lanes = b.laneCap
-	}
+	lanes = max((lanes+3)&^3, len(b.dead))
 	b.m = m
-	b.laneCap = lanes
+	b.xrow = make([][]float64, lanes)
+	b.yrow = make([][]float64, lanes)
 	b.xw = make([][]float64, lanes)
 	b.yw = make([][]float64, lanes)
 	b.wrow = make([][]float64, lanes)
 	b.wback = make([]float64, lanes*m)
-	b.t1 = make([]float64, lanes)
-	b.t2 = make([]float64, lanes)
-	b.v11 = make([]float64, lanes)
-	b.v22 = make([]float64, lanes)
-	b.v12 = make([]float64, lanes)
-	b.pg = make([][5]float64, lanes)
-	b.pf = make([][5]float64, lanes)
+	for l := range b.wrow {
+		b.wrow[l] = b.wback[l*m : (l+1)*m : (l+1)*m]
+	}
+	b.qs = make([]quad, lanes/4)
 	b.havePrev = make([]bool, lanes)
 	b.strict = make([]bool, lanes)
 	b.attempted = make([]bool, lanes)
 	b.wFresh = make([]bool, lanes)
+	b.dead = make([]bool, lanes)
 	b.iters = make([]int, lanes)
-	b.tag = make([]int, lanes)
 	b.ix = make([]ColdInit, lanes)
 	b.iy = make([]ColdInit, lanes)
 	b.haveInit = make([]bool, lanes)
 	b.fits = make([]Fit, lanes)
-	b.wOut = make([][]float64, lanes)
+	b.comb = make([]float64, lanes)
 	b.sbuf = make([]float64, m)
-	b.wVec = make([]bool, lanes)
-	b.dead = make([]bool, lanes)
-	b.skip = make([]bool, lanes)
 	if b.simd {
-		tile := (lanes + 3) / 4 * 4 * m
-		b.xt = make([]float64, tile)
-		b.yt = make([]float64, tile)
-		b.wt = make([]float64, tile)
-		b.li11 = make([]float64, lanes)
-		b.li22 = make([]float64, lanes)
-		b.li12 = make([]float64, lanes)
-		b.lsw = make([]float64, lanes)
-		b.lsx = make([]float64, lanes)
-		b.lsy = make([]float64, lanes)
-		b.lt1n = make([]float64, lanes)
-		b.lt2n = make([]float64, lanes)
-		b.ln11 = make([]float64, lanes)
-		b.ln22 = make([]float64, lanes)
-		b.ln12 = make([]float64, lanes)
+		b.xt, b.yt = nil, nil // regrown by load at the new lane count
+		b.wt = make([]float64, lanes*m)
 	}
 }
 
-// add enqueues one window as a lane. x and y must have length m (the
-// begin length); tag identifies the lane to the caller (0 ≤ tag <
-// lanes) and indexes the fits/wOut result slots. warm, ix, iy carry
-// the same meaning as in FitScratchShared. Lanes that finish without
-// iterating (degenerate cold inits) resolve immediately.
-func (b *pairBatch) add(x, y []float64, warm *Fit, ix, iy *ColdInit, tag int, st *RobustStats) {
-	l := b.active
-	b.xw[l], b.yw[l] = x, y
-	b.tag[l] = tag
-	// The weight row is carved out by tag, not by lane slot: a lane
-	// that resolves during add frees its slot for the next add, and a
-	// slot-indexed row would let that later lane overwrite the weights
-	// already published under the finished lane's tag.
-	b.wrow[l] = b.wback[tag*b.m : (tag+1)*b.m : (tag+1)*b.m]
-	b.wFresh[l] = false
-	b.wVec[l] = false
+// window positions every lane at window t of its loaded rows. Every
+// lane of one run shares t, so each quad reads one tile offset.
+func (b *pairBatch) window(t int) {
+	b.t = t
+	for l := 0; l < b.lanes; l++ {
+		b.xw[l], b.yw[l] = b.xrow[l][t:t+b.m], b.yrow[l][t:t+b.m]
+	}
+}
+
+// add starts lane l on the current window. warm, ix, iy carry the same
+// meaning as in FitScratchShared. A lane that finishes without
+// iterating (degenerate cold inits) resolves immediately.
+func (b *pairBatch) add(l int, warm *Fit, ix, iy *ColdInit, st *RobustStats) {
 	b.dead[l] = false
-	b.skip[l] = false
+	b.wFresh[l] = false
 	b.iters[l] = 0
 	b.havePrev[l] = false
 	b.attempted[l] = warm != nil && warm.Valid
@@ -212,12 +245,12 @@ func (b *pairBatch) add(x, y []float64, warm *Fit, ix, iy *ColdInit, tag int, st
 	} else {
 		b.haveInit[l] = false
 	}
-	b.active = l + 1
 	if b.attempted[l] {
 		// Strict warm attempt from the previous window's fixed point.
+		q, s := &b.qs[l>>2], l&3
 		b.strict[l] = true
-		b.t1[l], b.t2[l] = warm.T1, warm.T2
-		b.v11[l], b.v22[l], b.v12[l] = warm.V11, warm.V22, warm.V12
+		q.t1[s], q.t2[s] = warm.T1, warm.T2
+		q.v11[s], q.v22[s], q.v12[s] = warm.V11, warm.V22, warm.V12
 		return
 	}
 	b.startCold(l, st)
@@ -225,9 +258,8 @@ func (b *pairBatch) add(x, y []float64, warm *Fit, ix, iy *ColdInit, tag int, st
 
 // startCold (re)initialises lane l from the robust univariate cold
 // start, finalizing immediately when a series is genuinely constant
-// (no correlation defined — the reference's empty Fit). It reports
-// whether the lane is still active.
-func (b *pairBatch) startCold(l int, st *RobustStats) bool {
+// (no correlation defined — the reference's empty Fit).
+func (b *pairBatch) startCold(l int, st *RobustStats) {
 	b.strict[l] = false
 	b.wFresh[l] = false
 	b.iters[l] = 0
@@ -240,380 +272,220 @@ func (b *pairBatch) startCold(l int, st *RobustStats) bool {
 		i2 = ColdInitOf(b.sbuf, b.yw[l])
 	}
 	if i1.Scale == 0 || i2.Scale == 0 {
-		return b.finalize(l, Fit{}, st)
-	}
-	b.t1[l], b.t2[l] = i1.Med, i2.Med
-	b.v11[l], b.v22[l], b.v12[l] = i1.Scale*i1.Scale, i2.Scale*i2.Scale, 0
-	return true
-}
-
-// run sweeps the active set until every lane has finished. One sweep
-// applies one fixed-point iteration to each active lane; st (when
-// non-nil) records each lane's warm-start statistics. The vector and
-// scalar paths produce bit-identical fits, weights and statistics.
-func (b *pairBatch) run(st *RobustStats) {
-	if b.simd && b.active >= simdMinLanes {
-		b.runSIMD(st)
+		b.finalize(l, Fit{}, st)
 		return
 	}
-	for b.active > 0 {
-		l := 0
-		for l < b.active {
-			if b.step(l, st) {
-				l++
-			}
-		}
-	}
+	q, s := &b.qs[l>>2], l&3
+	q.t1[s], q.t2[s] = i1.Med, i2.Med
+	q.v11[s], q.v22[s], q.v12[s] = i1.Scale*i1.Scale, i2.Scale*i2.Scale, 0
 }
 
-// runSIMD is run with each sweep split into phases so the two weight
-// passes execute as lane-major vector kernels: per sweep, (1) the
-// scalar inverse-scatter bookkeeping of step() for every lane, (2) the
-// location pass — one maronnaLocation4 call per full quad, scalar
-// maronnaLocation for the ragged tail — (3) the scalar sw==0 check and
-// center update, (4) the scatter pass likewise, (5) the scalar
-// convergence/Anderson/budget tail of step(). A lane resolved or
-// cold-restarted by a scalar phase sets skip and sits out the rest of
-// the sweep (exactly the scalar schedule, where step() returns after
-// the same decision); vector kernels still process skipped lanes'
-// slots — their packed data is valid, no lane reads another's slot,
-// and phases 3/5 discard the results — so quads never need masking.
-// Finalized lanes compact at sweep end (finalize defers while deferC),
-// preserving "one sweep steps the start-of-sweep active set".
-func (b *pairBatch) runSIMD(st *RobustStats) {
-	prof := st != nil && simdProfiling.Load()
+// run iterates the added lanes until every one has finished; st (when
+// non-nil) records each lane's warm-start statistics. The vector and
+// scalar tiers produce bit-identical fits, weights and statistics.
+func (b *pairBatch) run(st *RobustStats) {
+	prof := b.simd && st != nil && simdProfiling.Load()
 	var t0 time.Time
 	if prof {
 		t0 = time.Now()
 	}
-	b.pack()
-	if prof {
-		now := time.Now()
-		st.SIMDPackNs += now.Sub(t0).Nanoseconds()
-		t0 = now
+	for o := 0; o < b.lanes; o += 4 {
+		b.runQuad(o, st)
 	}
-	b.deferC = true
-	m := b.m
-	for b.active > 0 {
-		n := b.active
-		for l := 0; l < n; l++ {
-			b.skip[l] = false
-			b.phaseInverse(l, st)
-		}
-		full := n / 4
-		for q := 0; q < full; q++ {
-			o := q * 4
-			maronnaLocation4(&b.xt[o*m], &b.yt[o*m], m,
-				&b.t1[o], &b.t2[o], &b.li11[o], &b.li22[o], &b.li12[o],
-				b.k, b.k2, &b.lsw[o], &b.lsx[o], &b.lsy[o])
-		}
-		for l := full * 4; l < n; l++ {
-			if b.skip[l] {
-				continue
-			}
-			b.lsw[l], b.lsx[l], b.lsy[l] = maronnaLocation(b.xw[l], b.yw[l],
-				b.t1[l], b.t2[l], b.li11[l], b.li22[l], b.li12[l], b.k, b.k2)
-		}
-		for l := 0; l < n; l++ {
-			if b.skip[l] {
-				continue
-			}
-			b.phaseCenter(l, st)
-		}
-		for q := 0; q < full; q++ {
-			o := q * 4
-			maronnaScatter4(&b.xt[o*m], &b.yt[o*m], &b.wt[o*m], m,
-				&b.lt1n[o], &b.lt2n[o], &b.li11[o], &b.li22[o], &b.li12[o],
-				b.k2, &b.ln11[o], &b.ln22[o], &b.ln12[o])
-		}
-		for l := full * 4; l < n; l++ {
-			if b.skip[l] {
-				continue
-			}
-			b.ln11[l], b.ln22[l], b.ln12[l] = maronnaScatter(b.xw[l], b.yw[l],
-				b.wrow[l], b.lt1n[l], b.lt2n[l], b.li11[l], b.li22[l], b.li12[l], b.k2)
-			b.wVec[l] = false
-		}
-		for l := 0; l < n; l++ {
-			if b.skip[l] {
-				continue
-			}
-			b.wFresh[l] = true
-			if l < full*4 {
-				b.wVec[l] = true
-			}
-			b.phaseAdvance(l, st)
-		}
-		b.compactDead()
-	}
-	b.deferC = false
-	b.packed = false
 	if prof {
 		st.SIMDRunNs += time.Since(t0).Nanoseconds()
 	}
 }
 
-// pack transposes the active lanes' windows into the quad-blocked
-// tiles. It runs once per batch run — the tiles then serve every
-// sweep, and compaction keeps columns attached to their lanes by
-// swapping them.
-func (b *pairBatch) pack() {
-	m := b.m
-	for l := 0; l < b.active; l++ {
-		base := (l &^ 3) * m
-		s := l & 3
-		x, y := b.xw[l][:m], b.yw[l][:m]
-		for i := 0; i < m; i++ {
-			b.xt[base+i*4+s] = x[i]
-			b.yt[base+i*4+s] = y[i]
-		}
-		b.wVec[l] = false
-		b.dead[l] = false
-		b.skip[l] = false
-	}
-	b.packed = true
-}
-
-// untranspose copies lane l's weight column out of the wt tile into
-// its flat weight row (the form results are published in).
-func (b *pairBatch) untranspose(l int) {
-	base := (l&^3)*b.m + l&3
-	w := b.wrow[l]
-	for i := range w {
-		w[i] = b.wt[base+i*4]
-	}
-}
-
-// phaseInverse is step()'s opening: the determinant guard and the
-// inverse-scatter entries, stashed per lane for the vector kernels.
-func (b *pairBatch) phaseInverse(l int, st *RobustStats) {
-	v11, v22, v12 := b.v11[l], b.v22[l], b.v12[l]
-	det := v11*v22 - v12*v12
-	if det <= 0 || v11 <= 0 || v22 <= 0 {
-		if b.strict[l] {
-			b.startCold(l, st)
-		} else {
-			b.finish(l, false, st)
-		}
-		b.skip[l] = true
-		return
-	}
-	b.iters[l]++
-	b.li11[l] = v22 / det
-	b.li22[l] = v11 / det
-	b.li12[l] = -v12 / det
-}
-
-// phaseCenter is step()'s middle: the sw==0 degeneracy guard and the
-// new location from the batched location sums.
-func (b *pairBatch) phaseCenter(l int, st *RobustStats) {
-	sw := b.lsw[l]
-	if sw == 0 {
-		if b.strict[l] {
-			b.startCold(l, st)
-		} else {
-			b.finish(l, false, st)
-		}
-		b.skip[l] = true
-		return
-	}
-	b.lt1n[l], b.lt2n[l] = b.lsx[l]/sw, b.lsy[l]/sw
-}
-
-// phaseAdvance is step()'s tail from the scatter normalisation on:
-// convergence test, Anderson(1) extrapolation, and iteration budget —
-// the same expressions in the same order.
-func (b *pairBatch) phaseAdvance(l int, st *RobustStats) {
-	v11, v22, v12 := b.v11[l], b.v22[l], b.v12[l]
-	t1, t2 := b.t1[l], b.t2[l]
-	t1n, t2n := b.lt1n[l], b.lt2n[l]
-	n11, n22, n12 := b.ln11[l], b.ln22[l], b.ln12[l]
-	fn := float64(len(b.xw[l]))
-	n11 /= fn
-	n22 /= fn
-	n12 /= fn
-
-	den := math.Abs(v11) + math.Abs(v22) + math.Abs(v12)
-	num := math.Abs(n11-v11) + math.Abs(n22-v22) + math.Abs(n12-v12)
-	g := [5]float64{t1n, t2n, n11, n22, n12}
-	f := [5]float64{t1n - t1, t2n - t2, n11 - v11, n22 - v22, n12 - v12}
-	t1, t2 = t1n, t2n
-	v11, v22, v12 = n11, n22, n12
-	if den > 0 && num/den < b.tol {
-		b.t1[l], b.t2[l] = t1, t2
-		b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-		if b.strict[l] && (v11 <= 0 || v22 <= 0) {
-			b.startCold(l, st)
-			b.skip[l] = true
-			return
-		}
-		b.finish(l, true, st)
-		b.skip[l] = true
-		return
-	}
-
-	if b.havePrev[l] {
-		pf := &b.pf[l]
-		var fd, dd float64
-		for c := 0; c < 5; c++ {
-			d := f[c] - pf[c]
-			fd += f[c] * d
-			dd += d * d
-		}
-		if dd > 0 {
-			if theta := fd / dd; math.Abs(theta) < 16 {
-				pg := &b.pg[l]
-				a1 := t1n - theta*(t1n-pg[0])
-				a2 := t2n - theta*(t2n-pg[1])
-				a11 := n11 - theta*(n11-pg[2])
-				a22 := n22 - theta*(n22-pg[3])
-				a12 := n12 - theta*(n12-pg[4])
-				if a11 > 0 && a22 > 0 && a11*a22-a12*a12 > 0 {
-					t1, t2 = a1, a2
-					v11, v22, v12 = a11, a22, a12
+// runQuad sweeps the quad of lanes o..o+3 until all four are dead.
+// A sweep is one trip of the reference iterate loop per live lane, in
+// phases: the determinant guard and inverse scatter (inverse), the
+// location pass, the sw == 0 guard, the scatter pass, and the tail
+// (convergence, Anderson extrapolation, budget). A lane resolved or
+// cold-restarted by a phase sits out the rest of the sweep, exactly
+// where the reference loop would leave it. The weight passes still
+// compute every slot of the quad — dead, resting and padding lanes
+// included; no lane reads another's slot and the phases discard those
+// results — so the vector kernels never need masking.
+func (b *pairBatch) runQuad(o int, st *RobustStats) {
+	q := &b.qs[o>>2]
+	for !(b.dead[o] && b.dead[o+1] && b.dead[o+2] && b.dead[o+3]) {
+		act, prev := 0, 0
+		for s := range 4 {
+			if l := o + s; !b.dead[l] && b.inverse(l, st) {
+				act |= 1 << s
+				if b.havePrev[l] {
+					prev |= 1 << s
 				}
 			}
 		}
-	}
-	b.pg[l] = g
-	b.pf[l] = f
-	b.havePrev[l] = true
-	b.t1[l], b.t2[l] = t1, t2
-	b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-
-	if b.iters[l] >= b.maxIter {
-		if b.strict[l] {
-			b.startCold(l, st)
-		} else {
-			b.finish(l, false, st)
-		}
-		b.skip[l] = true
-	}
-}
-
-// compactDead swaps lanes finalized during the sweep out of the active
-// set. Running it between sweeps (rather than compacting inline like
-// the scalar path) keeps quad membership stable while vector kernels
-// are in flight; the resulting active sets per sweep are identical
-// either way.
-func (b *pairBatch) compactDead() {
-	l := 0
-	for l < b.active {
-		if !b.dead[l] {
-			l++
+		if act == 0 {
 			continue
 		}
-		last := b.active - 1
-		if l != last {
-			b.swapLanes(l, last)
+		b.location(o, act)
+		for s := range 4 {
+			if act&(1<<s) != 0 && q.sw[s] == 0 {
+				b.abandon(o+s, st)
+				act &^= 1 << s
+			}
 		}
-		b.dead[last] = false
-		b.active = last
+		b.scatter(o, act)
+		var conv int
+		if b.simd {
+			conv = maronnaAdvance4(q, act, prev, float64(b.m), b.tol)
+		} else {
+			conv = advanceQuad(q, act, prev, float64(b.m), b.tol)
+		}
+		for s := range 4 {
+			if act&(1<<s) == 0 {
+				continue
+			}
+			l := o + s
+			b.wFresh[l] = true
+			b.havePrev[l] = true
+			switch {
+			case conv&(1<<s) != 0 && b.strict[l] && (q.v11[s] <= 0 || q.v22[s] <= 0):
+				// The reference reports a converged-but-degenerate warm
+				// fit as a warm failure; rerun cold like FitScratchShared.
+				b.startCold(l, st)
+			case conv&(1<<s) != 0:
+				b.finish(l, true, st)
+			case b.iters[l] >= b.maxIter:
+				// Iteration budget exhausted without convergence.
+				b.abandon(l, st)
+			}
+		}
 	}
 }
 
-// step advances lane l by one fixed-point iteration, transcribing one
-// trip of the reference iterate loop. It reports whether the lane is
-// still active at position l (finished lanes compact another lane into
-// l, so the caller must not advance).
-func (b *pairBatch) step(l int, st *RobustStats) bool {
-	v11, v22, v12 := b.v11[l], b.v22[l], b.v12[l]
+// inverse opens lane l's sweep: the reference's determinant guard,
+// then the inverse-scatter entries the weight passes read. It reports
+// whether the lane iterates this sweep.
+func (b *pairBatch) inverse(l int, st *RobustStats) bool {
+	q, s := &b.qs[l>>2], l&3
+	v11, v22, v12 := q.v11[s], q.v22[s], q.v12[s]
 	det := v11*v22 - v12*v12
 	if det <= 0 || v11 <= 0 || v22 <= 0 {
 		// Scatter collapsed: strict runs rerun cold, cold runs accept
 		// the current state (the reference's break).
-		if b.strict[l] {
-			return b.startCold(l, st)
-		}
-		return b.finish(l, false, st)
+		b.abandon(l, st)
+		return false
 	}
 	b.iters[l]++
-	i11 := v22 / det
-	i22 := v11 / det
-	i12 := -v12 / det
+	q.i11[s] = v22 / det
+	q.i22[s] = v11 / det
+	q.i12[s] = -v12 / det
+	return true
+}
 
-	x, y := b.xw[l], b.yw[l]
-	t1, t2 := b.t1[l], b.t2[l]
-	sw, sx, sy := maronnaLocation(x, y, t1, t2, i11, i22, i12, b.k, b.k2)
-	if sw == 0 {
-		if b.strict[l] {
-			return b.startCold(l, st)
-		}
-		return b.finish(l, false, st)
+// abandon ends lane l's run where the reference iterate loop gives up
+// (scatter collapse, sw == 0, budget exhausted): a strict warm run
+// restarts cold, a cold run is accepted as it stands.
+func (b *pairBatch) abandon(l int, st *RobustStats) {
+	if b.strict[l] {
+		b.startCold(l, st)
+	} else {
+		b.finish(l, false, st)
 	}
-	t1n, t2n := sx/sw, sy/sw
+}
 
-	n11, n22, n12 := maronnaScatter(x, y, b.wrow[l], t1n, t2n, i11, i22, i12, b.k2)
-	b.wFresh[l] = true
-	fn := float64(len(x))
-	n11 /= fn
-	n22 /= fn
-	n12 /= fn
-
-	den := math.Abs(v11) + math.Abs(v22) + math.Abs(v12)
-	num := math.Abs(n11-v11) + math.Abs(n22-v22) + math.Abs(n12-v12)
-	g := [5]float64{t1n, t2n, n11, n22, n12}
-	f := [5]float64{t1n - t1, t2n - t2, n11 - v11, n22 - v22, n12 - v12}
-	t1, t2 = t1n, t2n
-	v11, v22, v12 = n11, n22, n12
-	if den > 0 && num/den < b.tol {
-		b.t1[l], b.t2[l] = t1, t2
-		b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-		if b.strict[l] && (v11 <= 0 || v22 <= 0) {
-			// The reference reports a converged-but-degenerate warm fit
-			// as a warm failure; rerun cold like FitScratchShared does.
-			return b.startCold(l, st)
-		}
-		return b.finish(l, true, st)
+// location runs the Huber w1 location pass for the quad at o, leaving
+// each lane's weight sum and new center in the quad. The vector tier
+// computes all four slots; the scalar tier only the lanes in act.
+func (b *pairBatch) location(o, act int) {
+	q := &b.qs[o>>2]
+	if b.simd {
+		off := o*b.span + b.t*4
+		maronnaLocation4(&b.xt[off], &b.yt[off], b.m, q, b.k, b.k2)
+		return
 	}
-
-	// Anderson(1) extrapolation from the last two plain steps.
-	if b.havePrev[l] {
-		pf := &b.pf[l]
-		var fd, dd float64
-		for c := 0; c < 5; c++ {
-			d := f[c] - pf[c]
-			fd += f[c] * d
-			dd += d * d
+	for s := range 4 {
+		if act&(1<<s) != 0 {
+			sw, sx, sy := maronnaLocation(b.xw[o+s], b.yw[o+s],
+				q.t1[s], q.t2[s], q.i11[s], q.i22[s], q.i12[s], b.k, b.k2)
+			q.sw[s], q.t1n[s], q.t2n[s] = sw, sx/sw, sy/sw
 		}
-		if dd > 0 {
-			if theta := fd / dd; math.Abs(theta) < 16 {
-				pg := &b.pg[l]
-				a1 := t1n - theta*(t1n-pg[0])
-				a2 := t2n - theta*(t2n-pg[1])
-				a11 := n11 - theta*(n11-pg[2])
-				a22 := n22 - theta*(n22-pg[3])
-				a12 := n12 - theta*(n12-pg[4])
-				// Safeguard: extrapolate only onto a usable scatter.
-				if a11 > 0 && a22 > 0 && a11*a22-a12*a12 > 0 {
-					t1, t2 = a1, a2
-					v11, v22, v12 = a11, a22, a12
+	}
+}
+
+// scatter runs the Huber w2 scatter pass about the new centers for the
+// quad at o, leaving the scatter sums in the quad and the weights in
+// the weight tile (vector tier) or the lanes' weight rows (scalar).
+func (b *pairBatch) scatter(o, act int) {
+	q := &b.qs[o>>2]
+	if b.simd {
+		off := o*b.span + b.t*4
+		maronnaScatter4(&b.xt[off], &b.yt[off], &b.wt[o*b.m], b.m, q, b.k2, act)
+		return
+	}
+	for s := range 4 {
+		if act&(1<<s) != 0 {
+			q.n11[s], q.n22[s], q.n12[s] = maronnaScatter(b.xw[o+s], b.yw[o+s], b.wrow[o+s],
+				q.t1n[s], q.t2n[s], q.i11[s], q.i22[s], q.i12[s], b.k2)
+		}
+	}
+}
+
+// advanceQuad is the sweep's tail for the lanes of q in act, the
+// reference iterate loop from the scatter normalisation on, with the
+// same expressions in the same order: the convergence test on the
+// plain map's step, then, for lanes in prev, the safeguarded
+// Anderson(1) extrapolation from the last two plain steps. It stores
+// each lane's next state and (unless it converged) its history, and
+// reports the lanes that converged. maronnaAdvance4 is its AVX2 form.
+func advanceQuad(q *quad, act, prev int, fn, tol float64) (conv int) {
+	for s := range 4 {
+		if act&(1<<s) == 0 {
+			continue
+		}
+		v11, v22, v12 := q.v11[s], q.v22[s], q.v12[s]
+		t1n, t2n := q.t1n[s], q.t2n[s]
+		n11, n22, n12 := q.n11[s]/fn, q.n22[s]/fn, q.n12[s]/fn
+		den := math.Abs(v11) + math.Abs(v22) + math.Abs(v12)
+		num := math.Abs(n11-v11) + math.Abs(n22-v22) + math.Abs(n12-v12)
+		g := [5]float64{t1n, t2n, n11, n22, n12}
+		f := [5]float64{t1n - q.t1[s], t2n - q.t2[s], n11 - v11, n22 - v22, n12 - v12}
+		next := g
+		if den > 0 && num/den < tol {
+			conv |= 1 << s
+		} else {
+			if prev&(1<<s) != 0 {
+				var fd, dd float64
+				for c := range f {
+					d := f[c] - q.pf[c][s]
+					fd += f[c] * d
+					dd += d * d
+				}
+				if dd > 0 {
+					if theta := fd / dd; math.Abs(theta) < 16 {
+						var a [5]float64
+						for c := range a {
+							a[c] = g[c] - theta*(g[c]-q.pg[c][s])
+						}
+						// Safeguard: extrapolate only onto a usable scatter.
+						if a[2] > 0 && a[3] > 0 && a[2]*a[3]-a[4]*a[4] > 0 {
+							next = a
+						}
+					}
 				}
 			}
+			for c := range g {
+				q.pg[c][s], q.pf[c][s] = g[c], f[c]
+			}
 		}
+		q.t1[s], q.t2[s] = next[0], next[1]
+		q.v11[s], q.v22[s], q.v12[s] = next[2], next[3], next[4]
 	}
-	b.pg[l] = g
-	b.pf[l] = f
-	b.havePrev[l] = true
-	b.t1[l], b.t2[l] = t1, t2
-	b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-
-	if b.iters[l] >= b.maxIter {
-		// Iteration budget exhausted without convergence.
-		if b.strict[l] {
-			return b.startCold(l, st)
-		}
-		return b.finish(l, false, st)
-	}
-	return true
+	return conv
 }
 
 // finish builds lane l's Fit exactly as the reference does after its
 // loop exits and finalizes the lane.
-func (b *pairBatch) finish(l int, converged bool, st *RobustStats) bool {
+func (b *pairBatch) finish(l int, converged bool, st *RobustStats) {
+	q, s := &b.qs[l>>2], l&3
 	f := Fit{
-		T1: b.t1[l], T2: b.t2[l],
-		V11: b.v11[l], V22: b.v22[l], V12: b.v12[l],
+		T1: q.t1[s], T2: q.t2[s],
+		V11: q.v11[s], V22: q.v22[s], V12: q.v12[s],
 		Iters: b.iters[l], Converged: converged,
 	}
 	if f.V11 > 0 && f.V22 > 0 {
@@ -625,90 +497,59 @@ func (b *pairBatch) finish(l int, converged bool, st *RobustStats) bool {
 			f.Seeded = true
 		}
 	}
-	return b.finalize(l, f, st)
+	b.finalize(l, f, st)
 }
 
-// finalize publishes lane l's result under its tag, restores the
-// all-ones weight row when no scatter pass of the accepted run wrote
-// it, records the window statistics, and compacts the lane out of the
-// active set (immediately on the scalar path; deferred to sweep end
-// inside a phased SIMD sweep, where the lane is only marked dead). It
-// always returns false (lane no longer steps at position l).
-func (b *pairBatch) finalize(l int, f Fit, st *RobustStats) bool {
-	if b.wVec[l] {
-		// The freshest weights live in the packed tile; publish them in
-		// row form now, before a later vector scatter reuses the column.
-		if b.wFresh[l] {
-			b.untranspose(l)
-		}
-		b.wVec[l] = false
-	}
+// finalize publishes lane l's result, leaves its final weights in its
+// row (scalar tier) or weight-tile column (vector tier) — the all-ones
+// row when no scatter pass of the accepted run wrote them — records the
+// window statistics, and marks the lane dead in its slot.
+func (b *pairBatch) finalize(l int, f Fit, st *RobustStats) {
+	q, s := &b.qs[l>>2], l&3
 	if !b.wFresh[l] {
-		w := b.wrow[l]
-		for i := range w {
-			w[i] = 1
+		if !b.simd {
+			w := b.wrow[l]
+			for i := range w {
+				w[i] = 1
+			}
+		} else if b.weights {
+			base := (l&^3)*b.m + l&3
+			for i := 0; i < b.m; i++ {
+				b.wt[base+i*4] = 1
+			}
 		}
 	}
-	tag := b.tag[l]
-	b.fits[tag] = f
-	b.wOut[tag] = b.wrow[l]
+	// Like padding, a dead lane sees zero inverse scatter until its
+	// next window.
+	q.i11[s], q.i22[s], q.i12[s] = 0, 0, 0
+	b.fits[l] = f
 	if st != nil {
 		st.record(f, b.attempted[l])
 	}
-	if b.deferC {
-		b.dead[l] = true
-		b.skip[l] = true
-		return false
-	}
-	last := b.active - 1
-	if l != last {
-		b.swapLanes(l, last)
-	}
-	b.active = last
-	return false
+	b.dead[l] = true
 }
 
-// swapLanes exchanges every per-lane slot of lanes a and b.
-func (b *pairBatch) swapLanes(i, j int) {
-	b.xw[i], b.xw[j] = b.xw[j], b.xw[i]
-	b.yw[i], b.yw[j] = b.yw[j], b.yw[i]
-	b.wrow[i], b.wrow[j] = b.wrow[j], b.wrow[i]
-	b.t1[i], b.t1[j] = b.t1[j], b.t1[i]
-	b.t2[i], b.t2[j] = b.t2[j], b.t2[i]
-	b.v11[i], b.v11[j] = b.v11[j], b.v11[i]
-	b.v22[i], b.v22[j] = b.v22[j], b.v22[i]
-	b.v12[i], b.v12[j] = b.v12[j], b.v12[i]
-	b.pg[i], b.pg[j] = b.pg[j], b.pg[i]
-	b.pf[i], b.pf[j] = b.pf[j], b.pf[i]
-	b.havePrev[i], b.havePrev[j] = b.havePrev[j], b.havePrev[i]
-	b.strict[i], b.strict[j] = b.strict[j], b.strict[i]
-	b.attempted[i], b.attempted[j] = b.attempted[j], b.attempted[i]
-	b.wFresh[i], b.wFresh[j] = b.wFresh[j], b.wFresh[i]
-	b.iters[i], b.iters[j] = b.iters[j], b.iters[i]
-	b.tag[i], b.tag[j] = b.tag[j], b.tag[i]
-	b.ix[i], b.ix[j] = b.ix[j], b.ix[i]
-	b.iy[i], b.iy[j] = b.iy[j], b.iy[i]
-	b.haveInit[i], b.haveInit[j] = b.haveInit[j], b.haveInit[i]
-	b.wVec[i], b.wVec[j] = b.wVec[j], b.wVec[i]
-	b.dead[i], b.dead[j] = b.dead[j], b.dead[i]
-	b.skip[i], b.skip[j] = b.skip[j], b.skip[i]
-	if b.packed {
-		b.swapCols(i, j)
+// combine sets comb[l] to lane l's Combined coefficient
+// (CombinedFromFit of its window, fit and final weights) for every
+// loaded lane. The vector tier computes the weighted Pearson half of a
+// quad in one kernel call over the day tiles and the weight tile.
+func (b *pairBatch) combine() {
+	if !b.simd {
+		for l := 0; l < b.lanes; l++ {
+			b.comb[l] = CombinedFromFit(b.xw[l], b.yw[l], b.fits[l].Rho, b.wrow[l])
+		}
+		return
 	}
-}
-
-// swapCols exchanges the packed tile columns of lane positions i and j
-// so compaction keeps every lane's window (and pending weight column)
-// attached to its position in the quad layout.
-func (b *pairBatch) swapCols(i, j int) {
-	m := b.m
-	bi := (i&^3)*m + i&3
-	bj := (j&^3)*m + j&3
-	for t := 0; t < m; t++ {
-		oi, oj := bi+t*4, bj+t*4
-		b.xt[oi], b.xt[oj] = b.xt[oj], b.xt[oi]
-		b.yt[oi], b.yt[oj] = b.yt[oj], b.yt[oi]
-		b.wt[oi], b.wt[oj] = b.wt[oj], b.wt[oi]
+	m, off := b.m, b.t*4
+	for o := 0; o < b.lanes; o += 4 {
+		weightedPearson4(&b.xt[o*b.span+off], &b.yt[o*b.span+off], &b.wt[o*m], m, &b.wp)
+		for s := 0; s < 4 && o+s < b.lanes; s++ {
+			var wp float64
+			if !(b.wp[0][s] <= 0) { // WeightedPearson's guard: NaN goes on
+				wp = weightedCorr(b.wp[1][s], b.wp[2][s], b.wp[3][s])
+			}
+			b.comb[o+s] = clampCorr((b.fits[o+s].Rho + wp) / 2)
+		}
 	}
 }
 

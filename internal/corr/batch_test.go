@@ -20,14 +20,43 @@ func fitsBitEqual(a, b Fit) bool {
 		a.Valid == b.Valid && a.Seeded == b.Seeded
 }
 
+// laneWeights returns lane l's final weight row from whichever tier ran
+// the batch: the scalar tier's row, or the lane's column of the vector
+// tier's weight tile.
+func laneWeights(b *pairBatch, l int) []float64 {
+	if !b.simd {
+		return b.wrow[l]
+	}
+	w := make([]float64, b.m)
+	base := (l&^3)*b.m + l&3
+	for i := range w {
+		w[i] = b.wt[base+i*4]
+	}
+	return w
+}
+
+// runBatch loads rows xs, ys into a fresh batch and runs window t of
+// every lane with the given warm seeds.
+func runBatch(simd bool, m int, xs, ys [][]float64, warms []*Fit, st *RobustStats) *pairBatch {
+	b := newPairBatch(DefaultMaronnaConfig(), simd)
+	b.load(m, xs, ys, true, st)
+	b.window(0)
+	for l := range xs {
+		b.add(l, warms[l], nil, nil, st)
+	}
+	b.run(st)
+	return b
+}
+
 // TestBatchDegenerateLanesMatchReference is the degenerate-batch gate:
 // a single batch mixing healthy, zero-variance, constant, perfectly
 // collinear and NaN-poisoned pairs — plus warm lanes whose seeds are
 // good, degenerate and poisoned — must produce, for every lane, a Fit
 // and weight row bit-identical to running that pair alone through the
 // per-pair reference, and the aggregate RobustStats must agree. This
-// pins the swap-to-end compaction: lanes finishing at wildly different
-// times (some before the first sweep) must not perturb each other.
+// pins in-place retirement: lanes finishing at wildly different times
+// (some before the first sweep) idle in their slots, their quad runs
+// on for the others, and no lane may perturb another.
 func TestBatchDegenerateLanesMatchReference(t *testing.T) {
 	const m = 60
 	rng := rand.New(rand.NewSource(99))
@@ -126,36 +155,36 @@ func TestBatchDegenerateLanesMatchReference(t *testing.T) {
 		wantStats.record(f, ln.warm != nil && ln.warm.Valid)
 	}
 
-	// One batch holding every lane at once, in both insertion orders
-	// (compaction reorders differently, results must not care) and
+	// One batch holding every lane at once, in both slot orders (lanes
+	// share quads with different neighbours, results must not care) and
 	// under both dispatch tiers (the vector path must survive the same
 	// degeneracy zoo bit-for-bit; on hosts without AVX2 both passes run
 	// scalar, which is still a valid run of the contract).
 	for _, simd := range []bool{false, true} {
 		for _, reverse := range []bool{false, true} {
-			b := newPairBatch(est.Config(), simd)
-			b.begin(m, len(lanes))
 			st := &RobustStats{IterHist: make([]int, est.Config().MaxIter+1)}
-			for i := range lanes {
-				ln := lanes[i]
+			slot := func(i int) int {
 				if reverse {
-					ln = lanes[len(lanes)-1-i]
+					return len(lanes) - 1 - i
 				}
-				tag := i
-				if reverse {
-					tag = len(lanes) - 1 - i
-				}
-				b.add(ln.x, ln.y, ln.warm, nil, nil, tag, st)
+				return i
 			}
-			b.run(st)
+			xs := make([][]float64, len(lanes))
+			ys := make([][]float64, len(lanes))
+			warms := make([]*Fit, len(lanes))
+			for i, ln := range lanes {
+				xs[slot(i)], ys[slot(i)], warms[slot(i)] = ln.x, ln.y, ln.warm
+			}
+			b := runBatch(simd, m, xs, ys, warms, st)
 
 			for i, ln := range lanes {
-				if !fitsBitEqual(b.fits[i], wantFits[i]) {
-					t.Fatalf("simd=%v reverse=%v lane %q: batch fit %+v, reference %+v", simd, reverse, ln.name, b.fits[i], wantFits[i])
+				if got := b.fits[slot(i)]; !fitsBitEqual(got, wantFits[i]) {
+					t.Fatalf("simd=%v reverse=%v lane %q: batch fit %+v, reference %+v", simd, reverse, ln.name, got, wantFits[i])
 				}
+				w := laneWeights(b, slot(i))
 				for j := range wantW[i] {
-					if math.Float64bits(b.wOut[i][j]) != math.Float64bits(wantW[i][j]) {
-						t.Fatalf("simd=%v reverse=%v lane %q: weight[%d] = %v, reference %v", simd, reverse, ln.name, j, b.wOut[i][j], wantW[i][j])
+					if math.Float64bits(w[j]) != math.Float64bits(wantW[i][j]) {
+						t.Fatalf("simd=%v reverse=%v lane %q: weight[%d] = %v, reference %v", simd, reverse, ln.name, j, w[j], wantW[i][j])
 					}
 				}
 			}

@@ -113,6 +113,12 @@ func WeightedPearson(x, y, w []float64) float64 {
 		vy += w[i] * dy * dy
 		cxy += w[i] * dx * dy
 	}
+	return weightedCorr(vx, vy, cxy)
+}
+
+// weightedCorr is WeightedPearson's last step, from the weighted
+// central moments; the batched kernel's Combined path shares it.
+func weightedCorr(vx, vy, cxy float64) float64 {
 	if vx <= 0 || vy <= 0 {
 		return 0
 	}

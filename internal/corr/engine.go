@@ -488,6 +488,8 @@ type OnlineEngine struct {
 	// (computed only on pushes where some pair actually needs one).
 	scratch  [][]float64
 	tiles    [][]int
+	tileX    [][][]float64 // per tile, its pairs' scratch rows (lane order)
+	tileY    [][][]float64
 	pool     []*pairBatch
 	fits     []Fit
 	est      *MaronnaEstimator
@@ -527,6 +529,16 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		// ids, so matrix() indexes e.pairs, e.fits and Matrix slots with
 		// them directly.
 		e.tiles = buildTiles(e.pairs, cfg.tileSize())
+		e.tileX = make([][][]float64, len(e.tiles))
+		e.tileY = make([][][]float64, len(e.tiles))
+		for ti, tile := range e.tiles {
+			e.tileX[ti] = make([][]float64, len(tile))
+			e.tileY[ti] = make([][]float64, len(tile))
+			for li, k := range tile {
+				e.tileX[ti][li] = e.scratch[e.pairs[k].I]
+				e.tileY[ti][li] = e.scratch[e.pairs[k].J]
+			}
+		}
 		e.pool = make([]*pairBatch, e.workers)
 		// Successive pushes slide each pair's window by one point, so
 		// the previous matrix's converged fits seed the next one.
@@ -657,23 +669,27 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 				e.pool[w] = b
 			}
 			tile := e.tiles[ti]
-			b.begin(e.cfg.M, len(tile))
+			combined := e.cfg.Type == Combined
+			b.load(e.cfg.M, e.tileX[ti], e.tileY[ti], combined, nil)
+			b.window(0)
 			for li, k := range tile {
 				p := pairs[k]
 				var ix, iy *ColdInit
 				if e.haveInit {
 					ix, iy = &e.inits[p.I], &e.inits[p.J]
 				}
-				b.add(e.scratch[p.I], e.scratch[p.J], &e.fits[k], ix, iy, li, nil)
+				b.add(li, &e.fits[k], ix, iy, nil)
 			}
 			b.run(nil)
+			if combined {
+				b.combine()
+			}
 			for li, k := range tile {
-				p := pairs[k]
 				f := b.fits[li]
 				e.fits[k] = f
 				c := f.Rho
-				if e.cfg.Type == Combined {
-					c = CombinedFromFit(e.scratch[p.I], e.scratch[p.J], f.Rho, b.wOut[li])
+				if combined {
+					c = b.comb[li]
 				}
 				m.SetPair(k, c)
 			}

@@ -193,8 +193,8 @@ func (d *Day) moments(m int, used []bool) []stockMoments {
 // inputs, outputs and shared per-stock state. Pearson runs pair-major
 // (each pair slides through the day in a tight inner loop); the robust
 // treatments run window-major through the batched kernel — all of the
-// tile's pairs advance through window t as lanes of one pairBatch, so
-// the fixed-point sweeps stream over the tile's hot stock rows.
+// tile's pairs advance through window t as lanes of one pairBatch, each
+// pair in its own lane slot for the whole day.
 type tileRun struct {
 	m     int
 	steps int
@@ -301,25 +301,29 @@ func rollingPearsonShared(x, y []float64, m int, dst []float64, mx, my *stockMom
 }
 
 // runRobust slides every pair of the tile through the day window-major:
-// at each step t the tile's pairs are enqueued as lanes of the batched
-// kernel, one batch run resolves them all, and each lane's accepted fit
-// both fills the output row and seeds the lane's warm chain for t+1.
-// The t=0 cold start (every pair takes it) reuses the shared per-stock
-// initialisers; later cold fallbacks recompute inline inside the batch,
-// which yields the same values.
+// the tile's rows are loaded into the batched kernel once (lane l is
+// pair l for the whole day), at each step t every lane is started on
+// window t, one batch run resolves them all, and each lane's accepted
+// fit both fills the output row and seeds the lane's warm chain for
+// t+1. The t=0 cold start (every pair takes it) reuses the shared
+// per-stock initialisers; later cold fallbacks recompute inline inside
+// the batch, which yields the same values.
 func (tr *tileRun) runRobust() {
 	b := tr.batch
-	m := tr.m
-	b.begin(m, len(tr.xs))
+	b.load(tr.m, tr.xs, tr.ys, tr.outC != nil, tr.st)
 	for t := 0; t < tr.steps; t++ {
+		b.window(t)
 		for l := range tr.xs {
 			var ix, iy *ColdInit
 			if t == 0 {
 				ix, iy = tr.initX[l], tr.initY[l]
 			}
-			b.add(tr.xs[l][t:t+m], tr.ys[l][t:t+m], &tr.warm[l], ix, iy, l, tr.st)
+			b.add(l, &tr.warm[l], ix, iy, tr.st)
 		}
 		b.run(tr.st)
+		if tr.outC != nil {
+			b.combine()
+		}
 		for l := range tr.xs {
 			f := b.fits[l]
 			tr.warm[l] = f
@@ -327,8 +331,7 @@ func (tr *tileRun) runRobust() {
 				tr.outM[l][t] = f.Rho
 			}
 			if tr.outC != nil {
-				xw, yw := tr.xs[l][t:t+m], tr.ys[l][t:t+m]
-				tr.outC[l][t] = CombinedFromFit(xw, yw, f.Rho, b.wOut[l])
+				tr.outC[l][t] = b.comb[l]
 			}
 		}
 	}

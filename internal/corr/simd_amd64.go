@@ -41,24 +41,40 @@ func simdDetect() bool {
 }
 
 // maronnaLocation4 is the 4-wide f64 location pass: one fixed-point
-// location step of four lanes in lockstep. xt and yt point to the
-// lanes' quad-packed window tiles (obs-major: element (i, s) of the
-// quad at offset i*4+s); t1..i12 point to the four lanes' location
-// and inverse-scatter entries; sw/sx/sy receive the four lanes' Huber
-// w1 sums. Per lane the arithmetic is expression-for-expression
-// maronnaLocation — same values, same order — so results are
-// bit-identical to the scalar pass.
+// location step of a quad's four lanes in lockstep. xt and yt point to
+// the quad's window in its packed day tiles (obs-major: element (i, s)
+// at offset i*4+s); the lanes' location and inverse scatter come from
+// q, and their Huber w1 weight sums and new centers go back to it. Per
+// lane the arithmetic is expression-for-expression maronnaLocation
+// and its caller's sx/sw, sy/sw — same values, same order — so results
+// are bit-identical to the scalar pass.
 //
 //go:noescape
-func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k, k2 float64, sw, sx, sy *float64)
+func maronnaLocation4(xt, yt *float64, m int, q *quad, k, k2 float64)
 
-// maronnaScatter4 is the 4-wide f64 scatter pass, recording the
-// per-observation Huber w2 weights into the quad-packed tile wt and
-// the four lanes' scatter sums into n11/n22/n12. Bit-identical to
-// maronnaScatter per lane.
+// maronnaScatter4 is the 4-wide f64 scatter pass about q's new
+// centers, recording the per-observation Huber w2 weights of the lanes
+// in act (bit s for slot s) into the quad-packed tile wt and the four
+// lanes' scatter sums into q. Bit-identical to maronnaScatter per
+// lane.
 //
 //go:noescape
-func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64)
+func maronnaScatter4(xt, yt, wt *float64, m int, q *quad, k2 float64, act int)
+
+// maronnaAdvance4 is advanceQuad for all four lanes of q in vector
+// registers, bit-identical to it per lane (maronna_amd64.s).
+//
+//go:noescape
+func maronnaAdvance4(q *quad, act, prev int, fn, tol float64) (conv int)
+
+// weightedPearson4 is WeightedPearson's two passes for four lanes of
+// quad-packed tiles: sums receives each lane's weight sum and its
+// weighted central moments vx, vy, cxy about sx/sw, sy/sw. Per lane
+// the arithmetic is WeightedPearson's, expression for expression, so
+// the caller's weightedCorr of the moments is bit-identical to it.
+//
+//go:noescape
+func weightedPearson4(xt, yt, wt *float64, m int, sums *[4][4]float64)
 
 // crossMomentsAVX2 is the vector cross-moment kernel: the table's row
 // pair (i, i+1) over n0 ring rows from seg0 then n1 from seg1, with

@@ -11,12 +11,20 @@ package corr
 
 func simdDetect() bool { return false }
 
-func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k, k2 float64, sw, sx, sy *float64) {
+func maronnaLocation4(xt, yt *float64, m int, q *quad, k, k2 float64) {
 	panic("corr: maronnaLocation4 called without SIMD support")
 }
 
-func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64) {
+func maronnaScatter4(xt, yt, wt *float64, m int, q *quad, k2 float64, act int) {
 	panic("corr: maronnaScatter4 called without SIMD support")
+}
+
+func maronnaAdvance4(q *quad, act, prev int, fn, tol float64) (conv int) {
+	panic("corr: maronnaAdvance4 called without SIMD support")
+}
+
+func weightedPearson4(xt, yt, wt *float64, m int, sums *[4][4]float64) {
+	panic("corr: weightedPearson4 called without SIMD support")
 }
 
 func crossMomentsAVX2(tab, seg0, seg1 *float64, n0, n1, stride, i int) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // simdAdversarialUniverse builds a return set that stresses every
@@ -58,6 +59,27 @@ func seriesBitEqual(t *testing.T, label string, got, want []*Series) {
 						label, want[oi].Type, k, w, g, math.Float64bits(g), r, math.Float64bits(r))
 				}
 			}
+		}
+	}
+}
+
+// TestQuadLayout pins the quad struct's field offsets to the Q_*
+// constants the AVX2 kernels address it by (maronna_amd64.s).
+func TestQuadLayout(t *testing.T) {
+	var q quad
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"t1", unsafe.Offsetof(q.t1), 0}, {"t2", unsafe.Offsetof(q.t2), 32},
+		{"v11", unsafe.Offsetof(q.v11), 64}, {"v22", unsafe.Offsetof(q.v22), 96}, {"v12", unsafe.Offsetof(q.v12), 128},
+		{"i11", unsafe.Offsetof(q.i11), 160}, {"i22", unsafe.Offsetof(q.i22), 192}, {"i12", unsafe.Offsetof(q.i12), 224},
+		{"sw", unsafe.Offsetof(q.sw), 256}, {"t1n", unsafe.Offsetof(q.t1n), 288}, {"t2n", unsafe.Offsetof(q.t2n), 320},
+		{"n11", unsafe.Offsetof(q.n11), 352}, {"n22", unsafe.Offsetof(q.n22), 384}, {"n12", unsafe.Offsetof(q.n12), 416},
+		{"pg", unsafe.Offsetof(q.pg), 448}, {"pf", unsafe.Offsetof(q.pf), 608},
+	} {
+		if f.got != f.want {
+			t.Errorf("quad.%s at offset %d, the kernels read %d", f.name, f.got, f.want)
 		}
 	}
 }
@@ -147,23 +169,30 @@ func TestSIMDWarmChainRestarts(t *testing.T) {
 
 	for _, simd := range []bool{false, true} {
 		b := newPairBatch(est.Config(), simd)
-		b.begin(m, lanes)
+		b.load(m, xs, ys, true, nil)
 		warm := make([]Fit, lanes)
 		for ti := 0; ti < steps; ti++ {
+			b.window(ti)
 			for l := 0; l < lanes; l++ {
-				b.add(xs[l][ti:ti+m], ys[l][ti:ti+m], &warm[l], nil, nil, l, nil)
+				b.add(l, &warm[l], nil, nil, nil)
 			}
 			b.run(nil)
+			b.combine()
 			for l := 0; l < lanes; l++ {
 				f := b.fits[l]
 				if !fitsBitEqual(f, refFits[l][ti]) {
 					t.Fatalf("simd=%v lane %d window %d: fit %+v, reference %+v", simd, l, ti, f, refFits[l][ti])
 				}
+				w := laneWeights(b, l)
 				for j := range refW[l][ti] {
-					if math.Float64bits(b.wOut[l][j]) != math.Float64bits(refW[l][ti][j]) {
+					if math.Float64bits(w[j]) != math.Float64bits(refW[l][ti][j]) {
 						t.Fatalf("simd=%v lane %d window %d: weight[%d] = %v, reference %v",
-							simd, l, ti, j, b.wOut[l][j], refW[l][ti][j])
+							simd, l, ti, j, w[j], refW[l][ti][j])
 					}
+				}
+				xw, yw := xs[l][ti:ti+m], ys[l][ti:ti+m]
+				if c, want := b.comb[l], CombinedFromFit(xw, yw, f.Rho, refW[l][ti]); math.Float64bits(c) != math.Float64bits(want) {
+					t.Fatalf("simd=%v lane %d window %d: combined %v, reference %v", simd, l, ti, c, want)
 				}
 				warm[l] = f
 			}
@@ -223,35 +252,25 @@ func FuzzSIMDMatchesScalar(f *testing.F) {
 				warms[l] = &Fit{T1: math.NaN(), V11: 1, V22: 1, Valid: true}
 			}
 		}
-		cfg := DefaultMaronnaConfig()
-		run := func(simd bool) ([]Fit, [][]float64) {
-			b := newPairBatch(cfg, simd)
-			b.begin(m, lanes)
-			for l := 0; l < lanes; l++ {
-				b.add(xs[l], ys[l], warms[l], nil, nil, l, nil)
-			}
-			b.run(nil)
-			fits := append([]Fit(nil), b.fits[:lanes]...)
-			ws := make([][]float64, lanes)
-			for l := range ws {
-				ws[l] = append([]float64(nil), b.wOut[l]...)
-			}
-			return fits, ws
-		}
-		est := NewMaronnaEstimator(cfg)
+		est := NewMaronnaEstimator(DefaultMaronnaConfig())
 		var sc *Scratch
 		for _, simd := range []bool{false, true} {
-			fits, ws := run(simd)
+			b := runBatch(simd, m, xs, ys, warms, nil)
+			b.combine()
 			for l := 0; l < lanes; l++ {
 				var want Fit
 				want, sc = est.FitScratchShared(xs[l], ys[l], sc, warms[l], nil, nil)
-				if !fitsBitEqual(fits[l], want) {
-					t.Fatalf("simd=%v lane %d: fit %+v, reference %+v", simd, l, fits[l], want)
+				if !fitsBitEqual(b.fits[l], want) {
+					t.Fatalf("simd=%v lane %d: fit %+v, reference %+v", simd, l, b.fits[l], want)
 				}
+				ws := laneWeights(b, l)
 				for j, w := range sc.Weights() {
-					if math.Float64bits(ws[l][j]) != math.Float64bits(w) {
-						t.Fatalf("simd=%v lane %d weight[%d]: %v, reference %v", simd, l, j, ws[l][j], w)
+					if math.Float64bits(ws[j]) != math.Float64bits(w) {
+						t.Fatalf("simd=%v lane %d weight[%d]: %v, reference %v", simd, l, j, ws[j], w)
 					}
+				}
+				if c, want := b.comb[l], CombinedFromFit(xs[l], ys[l], want.Rho, sc.Weights()); math.Float64bits(c) != math.Float64bits(want) {
+					t.Fatalf("simd=%v lane %d: combined %v, reference %v", simd, l, c, want)
 				}
 			}
 		}
