@@ -57,9 +57,9 @@ type pairBatch struct {
 	lanes   int  // lanes loaded by the last load
 	weights bool // callers read the final weights (combine)
 
-	// Per-lane rows as loaded, the current window's views of them, and
-	// the scalar tier's weight rows (carved out of one flat backing
-	// array by slot).
+	// Per-lane rows as loaded (the caller's slices), the current
+	// window's views of them, and the scalar tier's weight rows (carved
+	// out of one flat backing array by slot).
 	xrow, yrow [][]float64
 	t          int // offset of the current window in the rows
 	xw, yw     [][]float64
@@ -132,17 +132,17 @@ func newPairBatch(cfg MaronnaConfig, simd bool) *pairBatch {
 
 // load binds lane l to rows xs[l], ys[l] (all of one length, at least
 // m) for windows of length m, and on the vector tier packs the rows
-// into the day tiles once. weights asks for the final weights
-// (combine). With previously-seen sizes it allocates nothing. st, when
-// non-nil and SIMD profiling is on, is charged the pack time.
+// into the day tiles once. The batch keeps xs and ys until the next
+// load. weights asks for the final weights (combine). With
+// previously-seen sizes it allocates nothing. st, when non-nil and
+// SIMD profiling is on, is charged the pack time.
 func (b *pairBatch) load(m int, xs, ys [][]float64, weights bool, st *RobustStats) {
 	lanes := len(xs)
 	if m != b.m || lanes > len(b.dead) {
 		b.grow(m, lanes)
 	}
 	b.lanes, b.weights = lanes, weights
-	copy(b.xrow, xs)
-	copy(b.yrow, ys)
+	b.xrow, b.yrow = xs, ys
 	for l := range b.dead {
 		b.dead[l] = true
 	}
@@ -193,8 +193,6 @@ func (b *pairBatch) load(m int, xs, ys [][]float64, weights bool, st *RobustStat
 func (b *pairBatch) grow(m, lanes int) {
 	lanes = max((lanes+3)&^3, len(b.dead))
 	b.m = m
-	b.xrow = make([][]float64, lanes)
-	b.yrow = make([][]float64, lanes)
 	b.xw = make([][]float64, lanes)
 	b.yw = make([][]float64, lanes)
 	b.wrow = make([][]float64, lanes)

@@ -35,8 +35,8 @@ func laneWeights(b *pairBatch, l int) []float64 {
 	return w
 }
 
-// runBatch loads rows xs, ys into a fresh batch and runs window t of
-// every lane with the given warm seeds.
+// runBatch loads rows xs, ys of length m into a fresh batch and fits
+// every lane's row as one window, warm-started from warms[l].
 func runBatch(simd bool, m int, xs, ys [][]float64, warms []*Fit, st *RobustStats) *pairBatch {
 	b := newPairBatch(DefaultMaronnaConfig(), simd)
 	b.load(m, xs, ys, true, st)

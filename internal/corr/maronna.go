@@ -132,9 +132,10 @@ func ColdInitOf(buf, x []float64) ColdInit {
 // FitScratch computes the Maronna fit of (x, y). When warm points to a
 // Valid previous fit (typically the converged fit of the overlapping
 // previous window), the iteration starts from that location/scatter
-// instead of the O(m) median/MAD initialisation, which both skips the
-// selection work and cuts the iteration count to the few steps needed
-// to absorb the one-point window change. A warm run that fails to
+// instead of the O(m) median/MAD initialisation, which skips the
+// selection work and starts the iteration near the new fixed point
+// (warm windows still take about ten iterations to reach Tol; see
+// RobustStats). A warm run that fails to
 // converge cleanly (scatter collapse or iteration budget exhausted)
 // falls back to the classic cold start, so warm starting never changes
 // which fixed point is reported — only how fast it is reached.

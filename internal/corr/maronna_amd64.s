@@ -1,8 +1,10 @@
 #include "textflag.h"
 
-// Lane-major AVX2 kernels for the batched Maronna weight passes.
+// Lane-major AVX2 kernels for the batched Maronna kernel's quads: the
+// two weight passes, the sweep's tail (maronnaAdvance4) and Combined's
+// weighted Pearson (weightedPearson4).
 //
-// Each kernel advances 4 f64 lanes in lockstep over a quad-packed
+// The weight passes advance 4 f64 lanes in lockstep over a quad-packed
 // obs-major tile: element i of vector slot s lives at offset i*4+s of
 // the tile. A lane's accumulators are
 // pinned to its vector slot, so per lane the instruction stream is

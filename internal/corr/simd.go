@@ -3,10 +3,12 @@ package corr
 import "sync/atomic"
 
 // SIMD dispatch. Two kernels have a hand-written amd64 AVX2 backend.
-// The batched Maronna kernel (pairBatch) executes the weight passes in
-// lane-major lockstep: the active lanes' window data is transposed
-// into obs-major tiles and four lanes advance per vector instruction,
-// each lane's accumulators pinned to its own vector slot. The online
+// The batched Maronna kernel (pairBatch) runs its quads in lane-major
+// lockstep: each tile's rows are packed once into obs-major day tiles
+// and four lanes advance per vector instruction, each lane's
+// accumulators pinned to its own vector slot, through the two weight
+// passes, the sweep's convergence/Anderson tail and Combined's
+// weighted Pearson. The online
 // engine's Pearson cross-moment kernel (crossmoment.go) runs two ring
 // columns against 16 columns per pass, one accumulator lane per table
 // entry. Because a lane's operation sequence is exactly the pure-Go
@@ -18,14 +20,14 @@ import "sync/atomic"
 // amd64 and CPUID (AVX2 plus OS YMM-state support) reports it at
 // process start. The only way to force the scalar tier is per request,
 // via EngineConfig.DisableSIMD, which is what the tests and the bench
-// harness use to A/B the tiers inside one process. The scalar fallback
-// is the pre-SIMD code, unchanged, so non-amd64 builds and hosts
-// without AVX2 lose nothing but speed.
+// harness use to A/B the tiers inside one process. The scalar tier runs
+// the same quad scheduler with the pure-Go passes, so non-amd64 builds
+// and hosts without AVX2 lose nothing but speed.
 
 // SIMD dispatch tier names, as reported by SIMDTier.
 const (
-	// SIMDTierScalar is the pure-Go fallback: the pre-SIMD batched
-	// kernel and the pure-Go cross-moment kernel, used on non-amd64
+	// SIMDTierScalar is the pure-Go fallback: the batched kernel's
+	// pure-Go passes and the pure-Go cross-moment kernel, used on non-amd64
 	// builds, hosts without AVX2, and requests with
 	// EngineConfig.DisableSIMD set.
 	SIMDTierScalar = "scalar"
@@ -49,9 +51,10 @@ func SIMDTier() string {
 }
 
 // simdProfiling gates the pack/run wall-clock telemetry of the SIMD
-// batch path (RobustStats.SIMDPackNs / SIMDRunNs). It costs four
-// clock reads per batch run, so it is off by default and enabled only
-// by TestRatioSIMDPackOverhead to measure the transpose overhead.
+// batch path (RobustStats.SIMDPackNs / SIMDRunNs). It costs two clock
+// reads per day pack and per batch run, so it is off by default and
+// enabled only by TestRatioSIMDPackOverhead to measure the pack
+// overhead.
 var simdProfiling atomic.Bool
 
 // SetSIMDProfiling enables or disables SIMD pack/run wall-clock

@@ -85,14 +85,15 @@ func TestQuadLayout(t *testing.T) {
 }
 
 // TestSIMDBitIdentityRaggedLanes pins the SIMD f64 path bitwise to the
-// frozen per-pair reference across every batch occupancy from one lane
-// to four-plus quads: tile L makes the matrix engine run batches
-// of exactly L lanes (the last tile ragged), so L = 1..17 walks the
-// quad boundaries (<4 all-scalar, 4 one quad, 5..7 quad+tail, 8, 12,
-// 16 multi-quad, 17 four quads + one). The adversarial universe keeps
-// mid-sweep resolution, compaction, and warm/strict restarts in play
-// at every width. If the host (or build) has no AVX2 the SIMD config
-// degrades to scalar and the test still checks engine-vs-reference.
+// frozen per-pair reference across batch occupancies: tile L cuts the
+// 8-stock triangle into stock blocks of edge ⌊√L⌋, so L = 1..17 runs
+// batches of 1, 3, 4, 6, 9 and 16 lanes — one lane in a padded quad,
+// quads padded by one to three dead lanes, whole quads, and several
+// quads per batch. The adversarial universe keeps mid-sweep
+// resolution, idle lanes in live quads, and warm/strict restarts in
+// play at every width. If the host (or build) has no AVX2 the SIMD
+// config degrades to scalar and the test still checks
+// engine-vs-reference.
 func TestSIMDBitIdentityRaggedLanes(t *testing.T) {
 	const n, T, m = 8, 220, 60
 	rets := simdAdversarialUniverse(n, T, 20080305)
