@@ -304,7 +304,9 @@ func (b *pairBatch) run(st *RobustStats) {
 // where the reference loop would leave it. The weight passes still
 // compute every slot of the quad — dead, resting and padding lanes
 // included; no lane reads another's slot and the phases discard those
-// results — so the vector kernels never need masking.
+// results — so the vector sums need no masking. Only the scatter
+// pass's weight stores are masked to act, which keeps finished lanes'
+// weights in the tile.
 func (b *pairBatch) runQuad(o int, st *RobustStats) {
 	q := &b.qs[o>>2]
 	for !(b.dead[o] && b.dead[o+1] && b.dead[o+2] && b.dead[o+3]) {
