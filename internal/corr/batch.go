@@ -53,9 +53,8 @@ type pairBatch struct {
 	maxIter int
 	simd    bool // vector backend enabled for this batch
 
-	m       int  // window length all lanes share
-	lanes   int  // lanes loaded by the last load
-	weights bool // callers read the final weights (combine)
+	m     int // window length all lanes share
+	lanes int // lanes loaded by the last load
 
 	// Per-lane rows as loaded (the caller's slices), the current
 	// window's views of them, and the scalar tier's weight rows (carved
@@ -133,15 +132,14 @@ func newPairBatch(cfg MaronnaConfig, simd bool) *pairBatch {
 // load binds lane l to rows xs[l], ys[l] (all of one length, at least
 // m) for windows of length m, and on the vector tier packs the rows
 // into the day tiles once. The batch keeps xs and ys until the next
-// load. weights asks for the final weights (combine). With
-// previously-seen sizes it allocates nothing. st, when non-nil and
-// SIMD profiling is on, is charged the pack time.
-func (b *pairBatch) load(m int, xs, ys [][]float64, weights bool, st *RobustStats) {
+// load. With previously-seen sizes it allocates nothing. st, when
+// non-nil and SIMD profiling is on, is charged the pack time.
+func (b *pairBatch) load(m int, xs, ys [][]float64, st *RobustStats) {
 	lanes := len(xs)
 	if m != b.m || lanes > len(b.dead) {
 		b.grow(m, lanes)
 	}
-	b.lanes, b.weights = lanes, weights
+	b.lanes = lanes
 	b.xrow, b.yrow = xs, ys
 	for l := range b.dead {
 		b.dead[l] = true
@@ -512,7 +510,7 @@ func (b *pairBatch) finalize(l int, f Fit, st *RobustStats) {
 			for i := range w {
 				w[i] = 1
 			}
-		} else if b.weights {
+		} else {
 			base := (l&^3)*b.m + l&3
 			for i := 0; i < b.m; i++ {
 				b.wt[base+i*4] = 1

@@ -39,7 +39,7 @@ func laneWeights(b *pairBatch, l int) []float64 {
 // every lane's row as one window, warm-started from warms[l].
 func runBatch(simd bool, m int, xs, ys [][]float64, warms []*Fit, st *RobustStats) *pairBatch {
 	b := newPairBatch(DefaultMaronnaConfig(), simd)
-	b.load(m, xs, ys, true, st)
+	b.load(m, xs, ys, st)
 	b.window(0)
 	for l := range xs {
 		b.add(l, warms[l], nil, nil, st)

@@ -675,7 +675,7 @@ func (e *OnlineEngine) matrix(m *Matrix) {
 			}
 			tile := e.tiles[ti]
 			combined := e.cfg.Type == Combined
-			b.load(e.cfg.M, e.tileX[ti], e.tileY[ti], combined, nil)
+			b.load(e.cfg.M, e.tileX[ti], e.tileY[ti], nil)
 			b.window(0)
 			for li, k := range tile {
 				p := pairs[k]

@@ -310,7 +310,7 @@ func rollingPearsonShared(x, y []float64, m int, dst []float64, mx, my *stockMom
 // the batch, which yields the same values.
 func (tr *tileRun) runRobust() {
 	b := tr.batch
-	b.load(tr.m, tr.xs, tr.ys, tr.outC != nil, tr.st)
+	b.load(tr.m, tr.xs, tr.ys, tr.st)
 	for t := 0; t < tr.steps; t++ {
 		b.window(t)
 		for l := range tr.xs {

@@ -170,7 +170,7 @@ func TestSIMDWarmChainRestarts(t *testing.T) {
 
 	for _, simd := range []bool{false, true} {
 		b := newPairBatch(est.Config(), simd)
-		b.load(m, xs, ys, true, nil)
+		b.load(m, xs, ys, nil)
 		warm := make([]Fit, lanes)
 		for ti := 0; ti < steps; ti++ {
 			b.window(ti)
