@@ -72,11 +72,10 @@ GLOBL lanebits<>(SB), RODATA|NOPTR, $32
 //	CX      remaining observations
 //	DX      the quad (AX takes the compare masks)
 //	Y0..Y4  t1, t2, i11, i22, i12 (per-lane, loaded from the quad)
-//	Y6      k2 broadcast (k is broadcast from the frame on the slow path)
+//	Y5/Y6   k, k2 broadcast
 //	Y7      1.0 broadcast
 //	Y8..Y10 sw, sx, sy accumulators
-//	Y11/Y12 x, y, kept for the sums
-//	Y5, Y13..Y15 temps
+//	Y11..Y15 temps
 TEXT ·maronnaLocation4(SB), NOSPLIT, $0-48
 	MOVQ xt+0(FP), SI
 	MOVQ yt+8(FP), DI
@@ -87,6 +86,7 @@ TEXT ·maronnaLocation4(SB), NOSPLIT, $0-48
 	VMOVUPD Q_I11(DX), Y2
 	VMOVUPD Q_I22(DX), Y3
 	VMOVUPD Q_I12(DX), Y4
+	VBROADCASTSD k+32(FP), Y5
 	VBROADCASTSD k2+40(FP), Y6
 	VBROADCASTSD one64<>(SB), Y7
 	VXORPD Y8, Y8, Y8
@@ -98,36 +98,39 @@ TEXT ·maronnaLocation4(SB), NOSPLIT, $0-48
 locloop:
 	VMOVUPD (SI), Y11          // x
 	VMOVUPD (DI), Y12          // y
-	VSUBPD  Y0, Y11, Y13       // dx = x - t1
-	VSUBPD  Y1, Y12, Y14       // dy = y - t2
-	VMULPD  Y13, Y13, Y15      // dx*dx
-	VMULPD  Y2, Y15, Y15       // (dx*dx)*i11
-	VADDPD  Y13, Y13, Y5       // 2*dx = dx+dx
-	VMULPD  Y14, Y5, Y5        // (2*dx)*dy
-	VMULPD  Y4, Y5, Y5         // ((2*dx)*dy)*i12
-	VADDPD  Y5, Y15, Y15       // a+b
-	VMULPD  Y14, Y14, Y5       // dy*dy
-	VMULPD  Y3, Y5, Y5         // (dy*dy)*i22
-	VADDPD  Y5, Y15, Y15       // d2 = (a+b)+c
-	VCMPPD  $30, Y6, Y15, Y5   // mask = d2 > k2 (GT_OQ, NaN -> false)
-	VMOVMSKPD Y5, AX
+	VSUBPD  Y0, Y11, Y11       // dx = x - t1
+	VSUBPD  Y1, Y12, Y12       // dy = y - t2
+	VMULPD  Y11, Y11, Y13      // dx*dx
+	VMULPD  Y2, Y13, Y13       // (dx*dx)*i11
+	VADDPD  Y11, Y11, Y14      // 2*dx = dx+dx
+	VMULPD  Y12, Y14, Y14      // (2*dx)*dy
+	VMULPD  Y4, Y14, Y14       // ((2*dx)*dy)*i12
+	VADDPD  Y14, Y13, Y13      // a+b
+	VMULPD  Y12, Y12, Y14      // dy*dy
+	VMULPD  Y3, Y14, Y14       // (dy*dy)*i22
+	VADDPD  Y14, Y13, Y13      // d2 = (a+b)+c
+	VCMPPD  $30, Y6, Y13, Y14  // mask = d2 > k2 (GT_OQ, NaN -> false)
+	VMOVMSKPD Y14, AX
 	TESTL   AX, AX
 	JNE     locslow
 	// All four lanes inside the Huber band: w = 1 everywhere.
 	VADDPD  Y7, Y8, Y8         // sw += 1
+	VMOVUPD (SI), Y11
 	VADDPD  Y11, Y9, Y9        // sx += x (== 1.0*x bitwise)
+	VMOVUPD (DI), Y12
 	VADDPD  Y12, Y10, Y10      // sy += y
 	JMP     locnext
 
 locslow:
-	VSQRTPD Y15, Y13           // sqrt(d2) (junk in unmasked lanes, blended away)
-	VBROADCASTSD k+32(FP), Y14
-	VDIVPD  Y13, Y14, Y13      // k / sqrt(d2)
-	VBLENDVPD Y5, Y13, Y7, Y13 // w = mask ? k/sqrt(d2) : 1.0
-	VADDPD  Y13, Y8, Y8        // sw += w
-	VMULPD  Y11, Y13, Y11      // w*x
+	VSQRTPD Y13, Y15           // sqrt(d2) (junk in unmasked lanes, blended away)
+	VDIVPD  Y15, Y5, Y15       // k / sqrt(d2)
+	VBLENDVPD Y14, Y15, Y7, Y15 // w = mask ? k/sqrt(d2) : 1.0
+	VADDPD  Y15, Y8, Y8        // sw += w
+	VMOVUPD (SI), Y11
+	VMULPD  Y11, Y15, Y11      // w*x
 	VADDPD  Y11, Y9, Y9        // sx += w*x
-	VMULPD  Y12, Y13, Y12      // w*y
+	VMOVUPD (DI), Y12
+	VMULPD  Y12, Y15, Y12      // w*y
 	VADDPD  Y12, Y10, Y10      // sy += w*y
 
 locnext:
@@ -151,11 +154,10 @@ locdone:
 // scatter sums n11, n22, n12, and the weights of the lanes in act (bit
 // s for slot s) into the weight tile: a masked store leaves the other
 // lanes' columns, so a finished lane's final weights stay in place.
-// Register plan as in maronnaLocation4 except: Y5 is the act mask,
-// Y11/Y12 hold dx, dy (the sums need no x, y), Y13..Y15 are temps, and
-// BX cursors the weight tile. Accumulation order per lane is the
-// scalar reference's left association: n11 += (w*dx)*dx,
-// n22 += (w*dy)*dy, n12 += (w*dx)*dy.
+// Same register plan as maronnaLocation4, with Y5 the act mask in
+// place of k (scatter needs only k2); BX cursors the weight tile.
+// Accumulation order per lane is the scalar reference's left
+// association: n11 += (w*dx)*dx, n22 += (w*dy)*dy, n12 += (w*dx)*dy.
 TEXT ·maronnaScatter4(SB), NOSPLIT, $0-56
 	MOVQ xt+0(FP), SI
 	MOVQ yt+8(FP), DI
