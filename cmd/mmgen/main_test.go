@@ -1,6 +1,7 @@
 package main
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,5 +82,23 @@ func TestRunSyntheticUniverseDeterministic(t *testing.T) {
 	}
 	if len(da) == 0 {
 		t.Fatal("empty output")
+	}
+}
+
+// TestRunMatchesParentDigest pins the CSV bytes of a small two-day run,
+// recorded while each day was gathered and sorted by sort.Slice.
+func TestRunMatchesParentDigest(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "taq.csv")
+	if err := run(out, 2, 8, 11, 0.05, 0.01, 3, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	if got, want := h.Sum64(), uint64(0x6676420459c20381); len(b) != 701863 || got != want {
+		t.Errorf("%d bytes, digest %#x; want %d, %#x", len(b), got, 701863, want)
 	}
 }
