@@ -60,14 +60,18 @@ func run(out string, days, stocks int, seed int64, rate, contam, breakdn float64
 	}
 
 	if sample {
-		day, err := gen.GenerateDay(0)
-		if err != nil {
+		var rows []taq.Quote
+		if _, err := gen.StreamDay(0, func(q *taq.Quote) error {
+			if len(rows) < sampleSz {
+				rows = append(rows, *q)
+			}
+			return nil
+		}); err != nil {
 			return err
 		}
 		fmt.Println("TABLE II — SAMPLE DATA (synthetic TAQ)")
 		fmt.Printf("%-9s %-6s %10s %10s %8s %8s\n", "Timestamp", "Symbol", "Bid", "Ask", "BidSize", "AskSize")
-		for i := 0; i < sampleSz && i < len(day.Quotes); i++ {
-			q := day.Quotes[i]
+		for _, q := range rows {
 			fmt.Printf("%-9s %-6s %10.2f %10.2f %8d %8d\n", q.Clock(), q.Symbol, q.Bid, q.Ask, q.BidSize, q.AskSize)
 		}
 		return nil
@@ -77,26 +81,34 @@ func run(out string, days, stocks int, seed int64, rate, contam, breakdn float64
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := taq.NewWriter(f)
-	var bad int
-	for d := 0; d < days; d++ {
-		day, err := gen.GenerateDay(d)
-		if err != nil {
-			return err
-		}
-		for _, q := range day.Quotes {
-			if err := w.Write(q); err != nil {
-				return err
-			}
-		}
-		bad += day.NumBad
-		fmt.Printf("day %2d: %d quotes (%d corrupted)\n", d, len(day.Quotes), day.NumBad)
+	wrote, bad, err := writeDays(f, gen, days)
+	// A failed close can leave the file short, so it fails the run.
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d quotes (%d corrupted) for %d stocks x %d days to %s\n",
-		w.Count(), bad, stocks, days, out)
+		wrote, bad, stocks, days, out)
 	return nil
+}
+
+// writeDays writes days 0..days-1 to f as CSV, each quote straight from
+// the generator's merge, and returns the quotes and bad ticks written.
+func writeDays(f *os.File, gen *market.Generator, days int) (wrote, bad int, err error) {
+	w := taq.NewWriter(f)
+	for d := 0; d < days; d++ {
+		n := w.Count()
+		day, err := gen.StreamDay(d, func(q *taq.Quote) error { return w.Write(*q) })
+		if err != nil {
+			return 0, 0, err
+		}
+		bad += day.NumBad
+		fmt.Printf("day %2d: %d quotes (%d corrupted)\n", d, w.Count()-n, day.NumBad)
+	}
+	if err := w.Flush(); err != nil {
+		return 0, 0, err
+	}
+	return w.Count(), bad, nil
 }

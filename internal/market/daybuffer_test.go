@@ -60,8 +60,19 @@ func TestGenerateDayBufferNeverRegrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := g.quoteCapacity(); cap(day.Quotes) != c {
-			t.Errorf("seed %d: buffer regrew: cap %d, sized %d for %d quotes", cfg.Seed, cap(day.Quotes), c, len(day.Quotes))
+		// The gather buffer is the one that must not regrow: every run
+		// is a slice of the one quoteCapacity buffer, back to back.
+		_, runs, err := g.gatherRuns(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, at := g.quoteCapacity(), 0
+		for i, run := range runs {
+			if cap(run) != c-at {
+				t.Errorf("seed %d: buffer regrew by stock %d: run cap %d at offset %d, sized %d for %d quotes", cfg.Seed, i, cap(run), at, c, len(day.Quotes))
+				break
+			}
+			at += len(run)
 		}
 		if got := dayHash(day.Quotes); got != want {
 			t.Errorf("seed %d: day hash %#x, want %#x", cfg.Seed, got, want)

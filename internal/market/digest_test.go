@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"testing"
 
 	"marketminer/internal/taq"
@@ -52,5 +53,33 @@ func TestGenerateDayMatchesParentDigest(t *testing.T) {
 		if got := dayHash(day.Quotes); len(day.Quotes) != c.quotes || got != c.want {
 			t.Errorf("%d stocks seed %d: %d quotes, digest %#x; want %d, %#x", c.stocks, c.seed, len(day.Quotes), got, c.quotes, c.want)
 		}
+	}
+}
+
+// BenchmarkGenerateDay times GenerateDay on the benchmark's day at 61
+// and 400 stocks, in quotes per second.
+func BenchmarkGenerateDay(b *testing.B) {
+	for _, stocks := range []int{61, 400} {
+		b.Run(fmt.Sprint(stocks), func(b *testing.B) {
+			u, err := taq.NewUniverse(taq.SyntheticSymbols(stocks))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Universe, cfg.Days, cfg.LiquiditySpread = u, 1, 1
+			g, err := NewGenerator(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var quotes int
+			for i := 0; i < b.N; i++ {
+				day, err := g.GenerateDay(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				quotes += len(day.Quotes)
+			}
+			b.ReportMetric(float64(quotes)/b.Elapsed().Seconds(), "quotes/s")
+		})
 	}
 }

@@ -23,9 +23,11 @@
 // quotes in ascending time, so every way of consuming a day sees the
 // same bytes. GenerateByStock hands each stock's quotes over as they
 // are drawn (backtest.PrepareDay cleans and samples them stock by
-// stock). GenerateDay and Dataset gather them into one day-wide
-// stream sorted by SeqTime, the form the online pipeline, mmfeed and
-// mmgen consume.
+// stock). GenerateDay and StreamDay gather the runs into one buffer and
+// merge them into one day-wide stream in ascending SeqTime, equal times
+// in stock order, the form the online pipeline, mmfeed and mmgen
+// consume: GenerateDay returns the stream as a slice, and StreamDay
+// hands it over quote by quote without a second copy of the day.
 package market
 
 import (
@@ -33,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"marketminer/internal/taq"
 )
@@ -218,8 +219,8 @@ func SyntheticDay(stocks int, seed int64, day int) ([]taq.Quote, *taq.Universe, 
 	return md.Quotes, uni, nil
 }
 
-// quoteCapacity is the size GenerateDay gives a day's quote buffer so
-// that filling it never regrows. The day's count is Poisson with mean
+// quoteCapacity is the size of the buffer gatherRuns gathers a day's
+// runs into, so that filling it never regrows. The day's count is Poisson with mean
 // λ = Σ rate[i] · TradingDaySec — the per-stock tiers, not the nominal
 // n · QuoteRate, which a seed's tiering moves by several percent — so
 // λ + 6√λ is exceeded about once in 10⁹ days, for well under 1 % slack
@@ -294,8 +295,9 @@ func (b breakdown) apply(row []float32) {
 // Day is one generated trading day.
 type Day struct {
 	Index int
-	// Quotes is the day's stream sorted by SeqTime (GenerateDay; nil
-	// from GenerateByStock).
+	// Quotes is the day's stream from GenerateDay: ascending SeqTime;
+	// equal times in stock order. GenerateByStock and StreamDay leave
+	// it nil.
 	Quotes []taq.Quote
 	// Mid holds the latent (uncontaminated) mid price per stock per
 	// second — the ground truth against which cleaning and sampling
@@ -305,24 +307,51 @@ type Day struct {
 	NumBad int
 }
 
-// GenerateDay produces day d (0-based): GenerateByStock's quotes
-// gathered into one buffer and sorted by SeqTime. Each day is
-// independent given (seed, d) and may be generated concurrently with
-// other days.
+// GenerateDay produces day d (0-based) as one stream, ascending
+// SeqTime; equal times in stock order: GenerateByStock's runs gathered
+// into one buffer and merged into a second, so the day is briefly held
+// twice. Each day is independent given (seed, d) and may be generated
+// concurrently with other days.
 func (g *Generator) GenerateDay(d int) (*Day, error) {
-	var quotes []taq.Quote
-	day, err := g.GenerateByStock(d,
-		func() []taq.Quote { return make([]taq.Quote, 0, g.quoteCapacity()) },
-		func(_ int, q []taq.Quote) []taq.Quote {
-			quotes = q
-			return q
-		})
+	day, runs, err := g.gatherRuns(d)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(quotes, func(a, b int) bool { return quotes[a].SeqTime < quotes[b].SeqTime })
-	day.Quotes = quotes
+	_, _, n := span(runs)
+	day.Quotes = make([]taq.Quote, n)
+	mergeInto(day.Quotes, runs)
 	return day, nil
+}
+
+// StreamDay produces day d (0-based) and calls emit for each of its
+// quotes in GenerateDay's order (ascending SeqTime; equal times in
+// stock order) without
+// holding a second copy of the day: GenerateByStock's runs gathered
+// into one buffer and merged. emit must not retain q; its first error
+// stops the day and is returned. The returned Day has Mid and NumBad
+// set and no Quotes.
+func (g *Generator) StreamDay(d int, emit func(q *taq.Quote) error) (*Day, error) {
+	day, runs, err := g.gatherRuns(d)
+	if err != nil {
+		return nil, err
+	}
+	return day, mergeRuns(runs, emit)
+}
+
+// gatherRuns draws day d through GenerateByStock into one buffer of
+// quoteCapacity, so filling it never regrows, and returns each stock's
+// run, in stock order, as a slice of that buffer.
+func (g *Generator) gatherRuns(d int) (*Day, [][]taq.Quote, error) {
+	runs := make([][]taq.Quote, 0, g.n)
+	start := 0
+	day, err := g.GenerateByStock(d,
+		func() []taq.Quote { return make([]taq.Quote, 0, g.quoteCapacity()) },
+		func(_ int, q []taq.Quote) []taq.Quote {
+			runs = append(runs, q[start:])
+			start = len(q)
+			return q
+		})
+	return day, runs, err
 }
 
 // GenerateByStock draws day d (0-based) stock by stock. All of the
@@ -336,7 +365,7 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 // quotes) is called, for i in index order, with stock i's quotes
 // appended in ascending SeqTime to the current slice. fn returns the
 // slice the next stock's quotes are appended to: quotes itself to
-// gather the whole day (GenerateDay), or an empty buffer to hand each
+// gather the whole day (GenerateDay, StreamDay), or an empty buffer to hand each
 // stock's run off on its own. The returned Day has Mid and NumBad set
 // and no Quotes.
 //

@@ -67,8 +67,8 @@ echo "== stock-major day preparation: pinned PrepareDay digest at 1 and 4 worker
 focus 'TestPrepareDayMatchesParentDigest|TestPrepareDayEmptyStockError|TestPrepareDayAllocatesNoQuoteSlice|TestSamplerMatchesPerStockRows|TestGenerateDayBufferNeverRegrows|TestGenerateByStockMatchesGenerateDay' \
     ./internal/backtest ./internal/series ./internal/market
 
-echo "== generated day: pinned GenerateDay digests with no SeqTime tie (61 stocks at two seeds; the 400-stock day runs in go test without -race) and pinned mmgen CSV bytes"
-focus 'TestGenerateDayMatchesParentDigest|TestRunMatchesParentDigest' ./internal/market ./cmd/mmgen
+echo "== generated day: pinned GenerateDay digests with no SeqTime tie (61 stocks at two seeds; the 400-stock day runs in go test without -race), pinned mmgen CSV bytes (StreamDay), the merge's tie order and its fuzz seeds"
+focus 'TestGenerateDayMatchesParentDigest|TestRunMatchesParentDigest|TestMergeRunsTies|FuzzMergeRuns' ./internal/market ./cmd/mmgen
 
 echo "== online hot loops: pinned online Pearson digest on both kernel tiers, online robust coefficients = batch day series, the cross-moment kernel oracle, a rejected push leaves the engine untouched, PushInto's reused matrix, pair subsets refused, pinned C̄ digest, pinned partition logs clean and killed at every interval, the matrix log trimmed to the slowest partition and held by a killed one, each retained subscriber run written once, -kill outside the day refused, one allocation per decoded batch, the collector's blocked send under cancel, the pinned feed-server log and wire bytes, the server logging the publisher's memory without writing it, Restore's ring-cursor check, the pinned unsupervised pipeline day (strategy nodes' C̄ rings, closes-only bar node), the pinned clean filter decisions, released input-log vectors refilled"
 focus 'TestOnlinePearsonMatchesParentDigest|TestOnlineMatchesDaySeries|TestCrossMomentKernelMatchesReference|FuzzCrossMomentKernel|TestRejectedPushLeavesEngineUntouched|TestOnlineEngineMatchesBatch|TestPushIntoReusesOneMatrix|TestOnlineEnginePairSubset|TestEngineSnapshotResumeBitIdentical|TestEngineRestoreRejectsBadSnapshots|FuzzEngineRestore' ./internal/corr
@@ -140,6 +140,9 @@ go test -run '^$' -fuzz FuzzEngineRestore -fuzztime 10s ./internal/corr
 
 echo "== farm manifest fuzz, 10 s: arbitrary .coord bytes -> readCoordManifest -> one restore step never panics, and a manifest that loads loses or doubles no group"
 go test -run '^$' -fuzz FuzzCoordManifest -fuzztime 10s ./internal/farm
+
+echo "== day merge fuzz, 10 s: random ascending runs on a time grid (ties within and across stocks, an optional far outlier) merge exactly as a stable sort of their stock-major concatenation, streamed and split in two halves"
+go test -run '^$' -fuzz FuzzMergeRuns -fuzztime 10s ./internal/market
 
 echo "== TAQ reader fuzz, 10 s: strict and lenient readers never panic, return only finite quotes with a symbol, and write -> read is a fixed point after one pass"
 go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/taq
