@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"marketminer/internal/market"
@@ -94,10 +95,11 @@ func run(out string, days, stocks int, seed int64, rate, contam, breakdn float64
 	return nil
 }
 
-// writeDays writes days 0..days-1 to f as CSV, each quote straight from
-// the generator's merge, and returns the quotes and bad ticks written.
-func writeDays(f *os.File, gen *market.Generator, days int) (wrote, bad int, err error) {
-	w := taq.NewWriter(f)
+// writeDays writes days 0..days-1 to out as CSV, each quote straight
+// from the generator's merge, and returns the quotes and bad ticks
+// written.
+func writeDays(out io.Writer, gen *market.Generator, days int) (wrote, bad int, err error) {
+	w := taq.NewWriter(out)
 	for d := 0; d < days; d++ {
 		n := w.Count()
 		day, err := gen.StreamDay(d, func(q *taq.Quote) error { return w.Write(*q) })

@@ -220,11 +220,11 @@ func SyntheticDay(stocks int, seed int64, day int) ([]taq.Quote, *taq.Universe, 
 }
 
 // quoteCapacity is the size of the buffer gatherRuns gathers a day's
-// runs into, so that filling it never regrows. The day's count is Poisson with mean
-// λ = Σ rate[i] · TradingDaySec — the per-stock tiers, not the nominal
-// n · QuoteRate, which a seed's tiering moves by several percent — so
-// λ + 6√λ is exceeded about once in 10⁹ days, for well under 1 % slack
-// on a full-size day.
+// runs into, so that filling it never regrows. The day's count is
+// Poisson with mean λ = Σ rate[i] · TradingDaySec — the per-stock
+// tiers, not the nominal n · QuoteRate, which a seed's tiering moves
+// by several percent — so λ + 6√λ is exceeded about once in 10⁹ days,
+// for well under 1 % slack on a full-size day.
 func (g *Generator) quoteCapacity() int {
 	var lambda float64
 	for _, r := range g.rate {
@@ -325,9 +325,8 @@ func (g *Generator) GenerateDay(d int) (*Day, error) {
 
 // StreamDay produces day d (0-based) and calls emit for each of its
 // quotes in GenerateDay's order (ascending SeqTime; equal times in
-// stock order) without
-// holding a second copy of the day: GenerateByStock's runs gathered
-// into one buffer and merged. emit must not retain q; its first error
+// stock order) without holding a second copy of the day:
+// GenerateByStock's runs gathered into one buffer and merged. emit must not retain q; its first error
 // stops the day and is returned. The returned Day has Mid and NumBad
 // set and no Quotes.
 func (g *Generator) StreamDay(d int, emit func(q *taq.Quote) error) (*Day, error) {
@@ -365,9 +364,9 @@ func (g *Generator) gatherRuns(d int) (*Day, [][]taq.Quote, error) {
 // quotes) is called, for i in index order, with stock i's quotes
 // appended in ascending SeqTime to the current slice. fn returns the
 // slice the next stock's quotes are appended to: quotes itself to
-// gather the whole day (GenerateDay, StreamDay), or an empty buffer to hand each
-// stock's run off on its own. The returned Day has Mid and NumBad set
-// and no Quotes.
+// gather the whole day (GenerateDay, StreamDay), or an empty buffer
+// to hand each stock's run off on its own. The returned Day has Mid
+// and NumBad set and no Quotes.
 //
 // The calling goroutine only draws. One helper goroutine, which never
 // touches the rng, exponentiates the drawn log-prices into the mids

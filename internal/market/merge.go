@@ -93,7 +93,8 @@ func mergeInto(dst []taq.Quote, runs [][]taq.Quote) {
 	early, late := splitRuns(runs, lo+(hi-lo)/2)
 	_, _, cut := span(early)
 	fill := func(dst []taq.Quote, runs [][]taq.Quote) {
-		mergeRuns(runs, func(q *taq.Quote) error {
+		// The emit below never fails, so neither does the merge.
+		_ = mergeRuns(runs, func(q *taq.Quote) error {
 			dst[0] = *q
 			dst = dst[1:]
 			return nil
