@@ -40,7 +40,7 @@ func checkMerge(t *testing.T, runs [][]taq.Quote) {
 		}
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("%s: quote %d is %+v, want %+v", name, k, got[k], want[k])
+				t.Fatalf("%s: quote %d is %#v, want %#v", name, k, got[k], want[k])
 			}
 		}
 	}
