@@ -2,7 +2,9 @@ package broker
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"io"
 	"net"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"marketminer/internal/chaos"
+	"marketminer/internal/corr"
 	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 )
@@ -579,5 +582,54 @@ func TestSubscriberMaxAttemptsCountsConsecutiveFailures(t *testing.T) {
 	// More cut sessions than the cap: only a per-failure reset gets here.
 	if st := sub.Stats(); st.Reconnects < 3 || st.Jumps != 0 {
 		t.Fatalf("stats %+v: want ≥ 3 reconnects and no jumps", st)
+	}
+}
+
+// subscribedDayDigest is TestSubscribedDayMatchesParentDigest's
+// digest, taken while partition logs still held the whole day.
+const subscribedDayDigest = 0x4ad12ed4e9b6f7a6
+
+// TestSubscribedDayMatchesParentDigest pins what the benchmark's
+// subscriber receives: 61 stocks in 2 partitions, W = 60, Pearson, one
+// FromStart member with the default AckEvery, joined before the first
+// offer. The digest covers both partitions' delivered streams and the
+// delivered, duplicate and jump counts.
+func TestSubscribedDayMatchesParentDigest(t *testing.T) {
+	cfg := Config{N: 61, Partitions: 2, M: 100, W: 60, D: 0.0001, Type: corr.Pearson}
+	rets := testReturns(cfg.N, 300)
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	addr, err := b.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewSubscriber(SubscriberConfig{Group: "bench", Member: "bench-0", FromStart: true, Dial: feed.Dialer(addr.String())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- sub.Run(ctx) }()
+	waitFor(t, func() bool { return b.MemberCount() == 1 && sub.Stats().Assigns == 1 })
+	feedAll(t, b, rets)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := sub.Stats()
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range []int{st.Delivered, st.Duplicates, st.Jumps} {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	binary.LittleEndian.PutUint64(buf[:], logsDigest([][]feed.Signal{sub.Signals(0), sub.Signals(1)}))
+	h.Write(buf[:])
+	if got := h.Sum64(); got != subscribedDayDigest {
+		t.Errorf("digest %#x, want %#x (stats %+v)", got, uint64(subscribedDayDigest), st)
 	}
 }
