@@ -20,9 +20,15 @@
 // committed offset never loses or double-sees a signal, no matter how
 // many crashes or reconnects happened in between (see DESIGN.md §7).
 //
-// Every lease, fencing, membership, epoch and commit decision is made
-// by one pure state machine (core.go) that the Broker steps under its
-// one lock; the data plane keeps its own locks.
+// Each partition log is a window, not the day: once a consumer group
+// exists, a record is released when every group has committed past it
+// and W newer records stand behind it, and its columns are reused for
+// the processor's next interval. What the broker retains follows W and
+// consumer lag.
+//
+// Every lease, fencing, membership, epoch, commit and release decision
+// is made by one pure state machine (core.go) that the Broker steps
+// under its one lock; the data plane keeps its own locks.
 package broker
 
 import (
@@ -274,8 +280,9 @@ func New(cfg Config) (*Broker, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		st: brokerState{
-			ttl: cfg.LeaseTTL, grace: cfg.MemberGrace,
-			leases: make([]lease, cfg.Partitions), groups: map[string]*group{},
+			ttl: cfg.LeaseTTL, grace: cfg.MemberGrace, w: uint64(cfg.W),
+			leases: make([]lease, cfg.Partitions), logs: make([]logTail, cfg.Partitions),
+			groups: map[string]*group{},
 		},
 	}
 	ch := make(chan struct{})
@@ -335,6 +342,8 @@ func (b *Broker) apply(ev *event, under func(st *brokerState)) fate {
 			metrics.Counter(e.text).Add(e.n)
 		case effLog:
 			b.cfg.Logf("%s", e.text)
+		case effRelease:
+			b.parts[e.part].log.release(int(e.n))
 		}
 	}
 	return f

@@ -70,8 +70,9 @@ func drainLogs(t *testing.T, b *Broker) [][]feed.Signal {
 // logSignals materialises a partition log read max signals at a time.
 func logSignals(p *partition, max int) []feed.Signal {
 	var out []feed.Signal
+	var buf feed.Interval
 	for {
-		iv, _ := p.log.read(uint64(len(out)+1), max)
+		iv, _ := p.log.read(uint64(len(out)+1), max, &buf)
 		if iv.Len() == 0 {
 			return out
 		}
@@ -452,6 +453,89 @@ func TestMatrixLogHeldByKilledPartition(t *testing.T) {
 	}
 }
 
+// TestPartitionLogFollowsLowestCommit: over a 61-stock day with one
+// acking FromStart member, each partition log retains at most
+// max(W, the records above the group's commit) + 1 records — checked
+// after every interval, once the processors have logged it and the
+// member has taken it — and once a record has been released, every
+// interval is logged in a released record's columns: gather allocates
+// no column storage.
+func TestPartitionLogFollowsLowestCommit(t *testing.T) {
+	cfg := testConfig()
+	cfg.N, cfg.M, cfg.Partitions, cfg.W = 61, 10, 2, 5
+	rets := testReturns(cfg.N, 60)
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	addr, err := b.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewSubscriber(SubscriberConfig{Group: "g", Member: "m", FromStart: true, Dial: feed.Dialer(addr.String())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- sub.Run(ctx) }()
+	waitFor(t, func() bool { return sub.Stats().Assigns == 1 })
+
+	g := b.groupOf("g")
+	seen := make([]map[*float64]bool, len(b.parts)) // every C column each log has held
+	released := make([]bool, len(b.parts))
+	for p := range seen {
+		seen[p] = map[*float64]bool{}
+	}
+	for s := range rets {
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+		ready := max(0, s+1-(cfg.M-1))
+		total := 0
+		for _, p := range b.parts {
+			waitFor(t, func() bool { return p.log.records() == ready })
+			total += int(p.log.end())
+		}
+		waitFor(t, func() bool { return sub.Stats().Delivered == total })
+		for i, p := range b.parts {
+			var commit uint64
+			b.apply(nil, func(*brokerState) { commit = g.commits[i] })
+			np := uint64(len(p.pairs))
+			above := int((p.log.end() - commit + np - 1) / np)
+			p.log.mu.Lock()
+			n, base := len(p.log.recs), p.log.base
+			var newest *float64
+			if n > 0 {
+				newest = &p.log.recs[n-1].C[0]
+			}
+			p.log.mu.Unlock()
+			if n > max(cfg.W, above)+1 {
+				t.Fatalf("interval %d partition %d: %d records retained, W %d, %d records above the commit", s, i, n, cfg.W, above)
+			}
+			if newest == nil {
+				continue
+			}
+			if released[i] && !seen[i][newest] {
+				t.Fatalf("interval %d partition %d: logged in new columns after a release", s, i)
+			}
+			seen[i][newest], released[i] = true, base > 0
+		}
+	}
+	b.FinishInput()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := range released {
+		if !released[i] || len(seen[i]) > cfg.W+2 {
+			t.Fatalf("partition %d: released %v, %d column arrays over the day", i, released[i], len(seen[i]))
+		}
+	}
+}
+
 // TestInputLogRefillsReleasedVectors: an offer copies into the vector
 // of an entry released below the floor, so a log whose reader keeps up
 // allocates nothing per entry, and the copy is still the offered one.
@@ -480,6 +564,12 @@ func TestInputLogRefillsReleasedVectors(t *testing.T) {
 func (b *Broker) genOf(p int) (gen int) {
 	b.apply(nil, func(st *brokerState) { gen = st.leases[p].gen })
 	return gen
+}
+
+// groupOf reads the group named name.
+func (b *Broker) groupOf(name string) (g *group) {
+	b.apply(nil, func(st *brokerState) { g = st.groups[name] })
+	return g
 }
 
 // epochOf reads group g's epoch.

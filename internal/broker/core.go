@@ -7,7 +7,8 @@ import (
 )
 
 // The broker's decisions — lease renewal, generation fencing, kill and
-// expiry, group membership, epochs and commits — are made by
+// expiry, group membership, epochs, commits and the partition logs'
+// release floors — are made by
 // brokerState.step, a pure state machine with no I/O, locks or clock
 // reads. The Broker shell steps it under mu (apply) and carries out its
 // effects; the tests' explorer drives it against a model of the
@@ -47,6 +48,7 @@ const (
 	effWake                  // broadcast a state change to every waiter
 	effCount                 // metric text += n
 	effLog                   // log line text
+	effRelease               // release part's log records below record n
 )
 
 type effect struct {
@@ -96,11 +98,20 @@ type member struct {
 	lastSeen time.Time
 }
 
+// logTail is what the core knows of one partition log: its end, the
+// signals per record, and its floor — the offset, on a record
+// boundary, at or below which every record is released.
+type logTail struct {
+	end, np, floor uint64
+}
+
 // brokerState is everything the broker decides with.
 type brokerState struct {
 	ttl, grace time.Duration
-	started    bool // evStart stepped: the leases hold their first renewal
+	w          uint64 // records every log keeps below its end: a relaunch rebuilds C̄ from them
+	started    bool   // evStart stepped: the leases hold their first renewal
 	leases     []lease
+	logs       []logTail
 	groups     map[string]*group
 
 	out []effect // the step in progress
@@ -135,7 +146,11 @@ func (st *brokerState) step(ev event) (f fate, effs []effect) {
 		}
 	case evPublish:
 		if f = st.fate(ev.part, ev.gen); f == holds {
+			l := &st.logs[ev.part]
+			l.end += uint64(ev.n)
+			l.np = uint64(ev.n)
 			st.count("broker.signals_published", ev.n)
+			st.release(ev.part)
 			st.wake()
 		}
 	case evFinish:
@@ -225,6 +240,33 @@ func (st *brokerState) join(ev event) {
 	st.wake()
 }
 
+// release raises partition p's floor to min(end − W records, the
+// lowest commit of p over every group), rounded down to a record, and
+// releases the records at or below it. Before any group exists nothing
+// is released, so a day fed before anyone subscribes keeps its
+// FromStart replay. The floor never moves back: a group created after
+// it moved starts below it, and its members are sent the snapshot
+// (Broker.openCursor) until its commit passes the floor.
+//
+// Only a publish raises the floor. Released columns are reused by the
+// processor's next gather, which follows a publish, so an ack-driven
+// release would free nothing sooner; and a finished day keeps what its
+// last publish left.
+func (st *brokerState) release(p int) {
+	if len(st.groups) == 0 {
+		return
+	}
+	l := &st.logs[p]
+	floor := l.end - min(l.end, st.w*l.np)
+	for _, g := range st.groups {
+		floor = min(floor, g.commits[p])
+	}
+	if floor -= floor % l.np; floor > l.floor {
+		l.floor = floor
+		st.out = append(st.out, effect{kind: effRelease, part: p, n: int64(floor / l.np)})
+	}
+}
+
 // ack records an acked offset. Commits are monotonic per partition: a
 // stale or duplicate ack (a reconnecting member replaying its last
 // ack) is a no-op, so the committed stream only moves forward. The
@@ -248,6 +290,7 @@ type groupView struct {
 	epoch      uint64
 	partitions []int
 	commits    []uint64 // committed offset per assigned partition
+	floors     []uint64 // release floor per assigned partition
 }
 
 // viewFor computes member's current assignment: partitions are dealt
@@ -268,6 +311,7 @@ func (st *brokerState) viewFor(g *group, memberID string) groupView {
 	for p := slot; p < len(st.leases); p += len(ids) {
 		v.partitions = append(v.partitions, p)
 		v.commits = append(v.commits, g.commits[p])
+		v.floors = append(v.floors, st.logs[p].floor)
 	}
 	return v
 }

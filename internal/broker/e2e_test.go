@@ -585,6 +585,100 @@ func TestSubscriberMaxAttemptsCountsConsecutiveFailures(t *testing.T) {
 	}
 }
 
+// TestE2ELateGroupSnapshotsPastTheFloor: a second group that joins
+// FromStart after the first group's commits moved the release floor
+// cannot replay from offset 1. Each of its partitions gets one
+// Snapshot, which its subscriber counts as a jump, then deltas to End,
+// and its stream from the jump on equals the log. The first group's
+// stream is the whole log, without a jump.
+func TestE2ELateGroupSnapshotsPastTheFloor(t *testing.T) {
+	cfg := testConfig()
+	cfg.Partitions = 2
+	rets := testReturns(8, 40)
+	want := referenceLogs(t, cfg, rets)
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Start()
+	addr, err := b.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run := func(group string) (*Subscriber, chan error) {
+		sub, err := NewSubscriber(SubscriberConfig{Group: group, Member: "m", FromStart: true, AckEvery: 5, Dial: feed.Dialer(addr.String())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- sub.Run(ctx) }()
+		return sub, done
+	}
+	first, firstDone := run("first")
+	waitFor(t, func() bool { return first.Stats().Assigns == 1 })
+	offer := func(s int) {
+		if err := b.OfferReturns(s, rets[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := len(rets) / 2
+	for s := 0; s < half; s++ {
+		offer(s)
+	}
+	waitFor(t, func() bool {
+		total := 0
+		for _, p := range b.parts {
+			if p.log.records() != half-(cfg.M-1) {
+				return false
+			}
+			total += int(p.log.end())
+		}
+		return first.Stats().Delivered == total
+	})
+	// A publish raises the floor past the records the first group
+	// committed, W records below the end.
+	offer(half)
+	waitFor(t, func() bool {
+		for _, p := range b.parts {
+			p.log.mu.Lock()
+			base := p.log.base
+			p.log.mu.Unlock()
+			if base == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	late, lateDone := run("late")
+	waitFor(t, func() bool { return late.Stats().Snapshots == b.NumPartitions() })
+	for s := half + 1; s < len(rets); s++ {
+		offer(s)
+	}
+	b.FinishInput()
+	for _, done := range []chan error{firstDone, lateDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := range want {
+		sameSignals(t, "first group", first.Signals(p), want[p])
+		got := late.Signals(p)
+		if len(got) == 0 || got[0].Offset == 1 || (got[0].Offset-1)%uint64(len(b.PartitionPairs(p))) != 0 {
+			t.Fatalf("partition %d: the late group's stream starts %v, want a whole interval past offset 1", p, got[:min(1, len(got))])
+		}
+		sameSignals(t, "late group from its snapshot", got, want[p][got[0].Offset-1:])
+	}
+	if st := first.Stats(); st.Jumps != 0 || st.Snapshots != 0 {
+		t.Fatalf("first group: stats %+v, want no snapshot and no jump", st)
+	}
+	if st := late.Stats(); st.Snapshots != b.NumPartitions() || st.Jumps != b.NumPartitions() || st.Duplicates != 0 {
+		t.Fatalf("late group: stats %+v, want one snapshot and one jump per partition, no duplicates", st)
+	}
+}
+
 // subscribedDayDigest is TestSubscribedDayMatchesParentDigest's
 // digest, taken while partition logs still held the whole day.
 const subscribedDayDigest = 0x4ad12ed4e9b6f7a6

@@ -16,40 +16,55 @@ import (
 // through every interleaving of a small broker: its start, and a
 // lease-loop tick that comes first; processor generations that restore
 // from their log, beat, gather a matrix, publish and finish; kills,
-// lease-expiry ticks and the ticks that relaunch killed processors; matrices offered and sealed; members of one group that
+// lease-expiry ticks and the ticks that relaunch killed processors;
+// matrices offered and sealed; the partition logs' release floors;
+// members of one group, and of a second group that may join late, who
 // join, drop, rejoin, are swept, ack (once past the log end) and are
 // served by a model of the wire handler and the subscriber. It mirrors
 // the shell: a processor's beat and its read of the matrix log are one
 // move, as are its publish fence and its append, as they share one
 // critical section under Broker.mu; the handler reads the assignment
-// and the logs at its own pace. A partition holds one signal per
-// interval, so a record is an offset.
+// and the logs at its own pace, takes the snapshot for a resume point
+// below the floor, and reads a cursor the floor passed from the first
+// retained record (partitionLog.read). A partition holds one signal
+// per interval, so a record is an offset.
 //
 // Asserted:
 //   - two generations never interleave writes into one partition log:
 //     every append extends the log by the interval after its newest,
 //     from a generation no older than the newest's;
 //   - commits are monotonic and never pass the log end;
+//   - the floor never moves back, never passes the commit of a group
+//     that exists when it moves, and keeps W records below the log end,
+//     which a relaunched processor rebuilds C̄ from;
 //   - every member reaches End: in a state with no move left, every
 //     connected member has ended and every log is sealed;
 //   - the delivered stream equals the log, with dense offsets and no
-//     duplicates: a member is handed each offset at most once, and the
-//     record it is handed is the log's; once every member has ended,
-//     the group was handed every offset of every log, save those an
-//     ack past the log end claimed.
+//     duplicates: a member is handed each offset at most once, never a
+//     released one, and the record it is handed is the log's; once
+//     every member of a group has ended, the group was handed every
+//     offset of every log, save those an ack past the log end claimed
+//     and those below a snapshot its group took for a resume point
+//     below the floor.
 
 const (
 	xbParts   = 2
 	xbTTL     = time.Second
 	xbGrace   = xbTTL / 4
-	xbGroup   = "g"
-	xbMembers = 2
+	xbMembers = 3 // two of group g, then the late group's one
+	xbLate    = xbMembers - 1
+	xbW       = 2 // records the floor keeps below the log end
 )
+
+// xbGroups are the consumer groups: g's members join in turn, the late
+// group's at any time.
+var xbGroups = [2]string{"g", "late"}
 
 type xbBound struct {
 	parts      int // partitions, each one pair
 	intervals  int // ready matrices in the day
-	members    int // group members, who join in turn
+	members    int // members of group g, who join in turn
+	late       bool // a member of a second group joins too
 	joins      int // joins, rejoins included
 	kills      int // KillPartition calls
 	expiries   int // ticks that find every live lease overdue
@@ -69,6 +84,7 @@ type xbProc struct {
 // the subscriber, whose watermark survives its sessions.
 type xbMember struct {
 	name    string
+	group   int // index into xbGroups
 	conn    bool
 	ended   bool
 	session uint64
@@ -86,13 +102,16 @@ type xbWorld struct {
 	clock     time.Time
 	logs      [xbParts][]int // record i: the generation that appended it
 	logSealed [xbParts]bool
+	released  [xbParts]uint64 // records below were released
 	avail     int
 	sealedIn  bool
 	procs     []xbProc
 	members   [xbMembers]xbMember
-	handed    [xbParts]uint64 // offsets handed to any member
-	forfeit   [xbParts]uint64 // offsets at or below were claimed by an ack past the log end
-	commits   [xbParts]uint64 // the last commits seen
+	handed    [2][xbParts]uint64 // per group, offsets handed to any member
+	forfeit   [2][xbParts]uint64 // per group, offsets at or below were claimed by an ack past the log end
+	skipped   [2][xbParts]uint64 // per group, offsets below were skipped by a snapshot below the floor
+	commits   [2][xbParts]uint64 // per group, the last commits seen
+	err       error              // a violation seen while stepping
 
 	joins, kills, expiries, sweeps, overshoots int
 }
@@ -101,18 +120,33 @@ func newXBWorld(b *xbBound) *xbWorld {
 	w := &xbWorld{
 		b:     b,
 		clock: time.Unix(1e9, 0),
-		st:    brokerState{ttl: xbTTL, grace: xbGrace, leases: make([]lease, b.parts), groups: map[string]*group{}},
+		st: brokerState{ttl: xbTTL, grace: xbGrace, w: xbW,
+			leases: make([]lease, b.parts), logs: make([]logTail, b.parts), groups: map[string]*group{}},
 	}
 	for i := range w.members {
 		w.members[i].name = fmt.Sprint("m", i)
 	}
+	w.members[xbLate].group = 1
 	return w
+}
+
+// active lists the members the bound lets join.
+func (w *xbWorld) active() []int {
+	ids := make([]int, 0, xbMembers)
+	for i := 0; i < w.b.members; i++ {
+		ids = append(ids, i)
+	}
+	if w.b.late {
+		ids = append(ids, xbLate)
+	}
+	return ids
 }
 
 // clone deep-copies the world, the core included.
 func (w *xbWorld) clone() *xbWorld {
 	n := *w
 	n.st.leases = slices.Clone(w.st.leases)
+	n.st.logs = slices.Clone(w.st.logs)
 	n.st.groups = make(map[string]*group, len(w.st.groups))
 	for name, g := range w.st.groups {
 		gg := *g
@@ -131,19 +165,32 @@ func (w *xbWorld) clone() *xbWorld {
 	return &n
 }
 
-// step feeds ev to the core and launches the generations it names.
+// step feeds ev to the core, launches the generations it names and
+// releases the records it names, checking the floor as it moves.
 func (w *xbWorld) step(ev event) fate {
 	f, effs := w.st.step(ev)
 	for _, e := range effs {
-		if e.kind == effLaunch {
+		switch e.kind {
+		case effLaunch:
 			w.procs = append(w.procs, xbProc{part: e.part, gen: e.gen, cursor: len(w.logs[e.part])})
 			slices.SortFunc(w.procs, func(a, b xbProc) int { return (a.part-b.part)*1024 + a.gen - b.gen })
+		case effRelease:
+			floor := uint64(e.n)
+			if floor <= w.released[e.part] && w.err == nil {
+				w.err = fmt.Errorf("partition %d floor moved from %d back to %d", e.part, w.released[e.part], floor)
+			}
+			for gi, name := range xbGroups {
+				if g := w.st.groups[name]; g != nil && floor > g.commits[e.part] && w.err == nil {
+					w.err = fmt.Errorf("partition %d floor %d passed group %d's commit %d", e.part, floor, gi, g.commits[e.part])
+				}
+			}
+			w.released[e.part] = max(w.released[e.part], floor)
 		}
 	}
 	return f
 }
 
-func (w *xbWorld) group() *group { return w.st.groups[xbGroup] }
+func (w *xbWorld) group(gi int) *group { return w.st.groups[xbGroups[gi]] }
 
 // key digests everything that can influence later moves into b. Every
 // live lease is renewed at the clock (a tick that finds them overdue
@@ -158,7 +205,10 @@ func (w *xbWorld) key(b []byte) []byte {
 	u(btou(w.st.started), uint64(w.avail), uint64(w.joins), uint64(w.kills), uint64(w.expiries), uint64(w.sweeps), uint64(w.overshoots))
 	for p := 0; p < w.b.parts; p++ {
 		l := w.st.leases[p]
-		u(uint64(l.gen), btou(l.killed), btou(l.done), btou(w.logSealed[p]), w.handed[p], w.forfeit[p], uint64(len(w.logs[p])))
+		u(uint64(l.gen), btou(l.killed), btou(l.done), btou(w.logSealed[p]), uint64(len(w.logs[p])), w.st.logs[p].floor, w.released[p])
+		for gi := range xbGroups {
+			u(w.handed[gi][p], w.forfeit[gi][p], w.skipped[gi][p])
+		}
 		for _, g := range w.logs[p] {
 			u(uint64(g))
 		}
@@ -166,17 +216,21 @@ func (w *xbWorld) key(b []byte) []byte {
 	for _, p := range w.procs { // kept in (part, gen) order
 		u(uint64(p.part), uint64(p.gen), uint64(p.cursor), btou(p.gathered), btou(p.drained))
 	}
-	g := w.group()
-	if g != nil {
-		u(g.epoch)
-		u(g.commits...)
+	for gi := range xbGroups {
+		if g := w.group(gi); g != nil {
+			u(g.epoch)
+			u(g.commits...)
+		} else {
+			u(0)
+		}
 	}
-	for _, m := range w.members[:w.b.members] {
+	for _, i := range w.active() {
+		m := w.members[i]
 		u(btou(m.conn), btou(m.ended), m.session, m.epoch)
 		for p := 0; p < w.b.parts; p++ {
 			u(m.cursor[p], m.resume[p], btou(m.sealed[p]), m.next[p], m.handed[p])
 		}
-		if gm := g.memberOf(m.name); gm != nil {
+		if gm := w.group(m.group).memberOf(m.name); gm != nil {
 			u(gm.session, btou(gm.alive), btou(w.clock.Sub(gm.lastSeen) > xbGrace))
 		} else {
 			u(0)
@@ -250,17 +304,12 @@ func (w *xbWorld) moves() []xbMove {
 			return nil
 		}})
 	}
-	if g := w.group(); g != nil && w.sweeps < w.b.sweeps {
-		for _, m := range g.members {
-			if !m.alive {
-				mv = append(mv, xbMove{Name: "the lease loop ticks past the grace: dropped members are swept", Do: func(w *xbWorld) error {
-					w.sweeps++
-					w.step(event{kind: evTick, now: w.clock.Add(xbGrace + time.Nanosecond)})
-					return nil
-				}})
-				break
-			}
-		}
+	if w.sweeps < w.b.sweeps && w.dropped() {
+		mv = append(mv, xbMove{Name: "the lease loop ticks past the grace: dropped members are swept", Do: func(w *xbWorld) error {
+			w.sweeps++
+			w.step(event{kind: evTick, now: w.clock.Add(xbGrace + time.Nanosecond)})
+			return nil
+		}})
 	}
 	for i, pr := range w.procs {
 		switch f := w.st.fate(pr.part, pr.gen); {
@@ -272,9 +321,10 @@ func (w *xbWorld) moves() []xbMove {
 			mv = append(mv, xbMove{Name: "partition %[1]d gen %[2]d beats", Args: [2]int{pr.part, pr.gen}, Do: func(w *xbWorld) error { return w.beat(i) }})
 		}
 	}
-	for i, m := range w.members[:w.b.members] {
-		if m.ended || i > 0 && w.members[i-1].session == 0 {
-			continue // members join in turn
+	for _, i := range w.active() {
+		m := w.members[i]
+		if m.ended || i > 0 && i != xbLate && w.members[i-1].session == 0 {
+			continue // g's members join in turn
 		}
 		if !m.conn {
 			if w.joins < w.b.joins {
@@ -282,11 +332,11 @@ func (w *xbWorld) moves() []xbMove {
 			}
 			continue
 		}
-		g := w.group()
+		g := w.group(m.group)
 		mv = append(mv, xbMove{Name: "member %[1]d's connection drops", Args: [2]int{i}, Do: func(w *xbWorld) error {
 			m := &w.members[i]
 			m.conn = false
-			w.step(event{kind: evLeave, group: xbGroup, member: m.name, session: m.session, now: w.clock})
+			w.step(event{kind: evLeave, group: xbGroups[m.group], member: m.name, session: m.session, now: w.clock})
 			return nil
 		}})
 		if m.epoch != g.epoch {
@@ -295,7 +345,7 @@ func (w *xbWorld) moves() []xbMove {
 			mv = append(mv, xbMove{Name: "member %[1]d gets End", Args: [2]int{i}, Do: func(w *xbWorld) error {
 				m := &w.members[i]
 				m.ended, m.conn = true, false
-				w.step(event{kind: evLeave, group: xbGroup, member: m.name, session: m.session, now: w.clock})
+				w.step(event{kind: evLeave, group: xbGroups[m.group], member: m.name, session: m.session, now: w.clock})
 				return nil
 			}})
 		}
@@ -306,16 +356,17 @@ func (w *xbWorld) moves() []xbMove {
 			if m.next[p] > 1 && m.next[p]-1 > g.commits[p] {
 				mv = append(mv, xbMove{Name: "member %[1]d acks partition %[2]d", Args: [2]int{i, p}, Do: func(w *xbWorld) error {
 					m := &w.members[i]
-					w.step(event{kind: evAck, group: xbGroup, part: p, offset: m.next[p] - 1, end: uint64(len(w.logs[p]))})
+					w.step(event{kind: evAck, group: xbGroups[m.group], part: p, offset: m.next[p] - 1, end: uint64(len(w.logs[p]))})
 					return nil
 				}})
 			}
 			if w.overshoots < w.b.overshoots {
 				mv = append(mv, xbMove{Name: "member %[1]d acks partition %[2]d past its log end", Args: [2]int{i, p}, Do: func(w *xbWorld) error {
 					w.overshoots++
+					m := &w.members[i]
 					end := uint64(len(w.logs[p]))
-					w.forfeit[p] = max(w.forfeit[p], end)
-					w.step(event{kind: evAck, group: xbGroup, part: p, offset: end + 1, end: end})
+					w.forfeit[m.group][p] = max(w.forfeit[m.group][p], end)
+					w.step(event{kind: evAck, group: xbGroups[m.group], part: p, offset: end + 1, end: end})
 					return nil
 				}})
 			}
@@ -374,8 +425,8 @@ func (w *xbWorld) finish(i int) error {
 func (w *xbWorld) join(i int) error {
 	w.joins++
 	m := &w.members[i]
-	w.step(event{kind: evJoin, group: xbGroup, member: m.name, now: w.clock})
-	m.conn, m.session, m.epoch = true, w.group().members[m.name].session, 0
+	w.step(event{kind: evJoin, group: xbGroups[m.group], member: m.name, now: w.clock})
+	m.conn, m.session, m.epoch = true, w.group(m.group).members[m.name].session, 0
 	for p := range m.cursor {
 		m.cursor[p], m.sealed[p], m.resume[p] = 0, false, max(m.next[p], 1)-1
 	}
@@ -383,18 +434,33 @@ func (w *xbWorld) join(i int) error {
 }
 
 // assign is the handler's epoch check: it opens a cursor for every
-// newly assigned partition at max(resume, commit)+1 (the subscriber
-// asks FromStart, so there is no snapshot) and folds the cursors of
-// partitions reassigned away into resume.
+// newly assigned partition at max(resume, commit)+1 — the subscriber
+// asks FromStart, so there is no snapshot unless that resume point is
+// below the floor — and folds the cursors of partitions reassigned
+// away into resume.
 func (w *xbWorld) assign(i int) error {
 	m := &w.members[i]
-	v := w.st.viewFor(w.group(), m.name)
+	v := w.st.viewFor(w.group(m.group), m.name)
 	m.epoch = v.epoch
 	for p := 0; p < w.b.parts; p++ {
 		k := slices.Index(v.partitions, p)
 		switch {
 		case k >= 0 && m.cursor[p] == 0:
-			m.cursor[p] = max(m.resume[p], v.commits[k]) + 1
+			start := max(m.resume[p], v.commits[k])
+			if end := uint64(len(w.logs[p])); start < v.floors[k] {
+				// The snapshot: the newest record, which a subscriber
+				// without progress takes, jumping to it, and one with
+				// progress ignores.
+				if m.next[p] == 0 {
+					m.next[p] = end
+					w.skipped[m.group][p] = max(w.skipped[m.group][p], end-1)
+					if err := w.hand(i, p, end); err != nil {
+						return err
+					}
+				}
+				start = end
+			}
+			m.cursor[p] = start + 1
 		case k < 0 && m.cursor[p] != 0:
 			m.resume[p] = max(m.resume[p], m.cursor[p]-1)
 			m.cursor[p], m.sealed[p] = 0, false
@@ -404,16 +470,26 @@ func (w *xbWorld) assign(i int) error {
 }
 
 // serve sends partition p's next record, or its seal, and the
-// subscriber takes it: it suppresses an offset below its watermark and
-// hands the rest to the application.
+// subscriber takes it. A cursor the floor passed reads from the first
+// retained record.
 func (w *xbWorld) serve(i, p int) error {
 	m := &w.members[i]
-	o := m.cursor[p]
+	o := max(m.cursor[p], w.released[p]+1)
 	if o > uint64(len(w.logs[p])) {
 		m.sealed[p] = true
 		return nil
 	}
-	m.cursor[p]++
+	m.cursor[p] = o + 1
+	return w.hand(i, p, o)
+}
+
+// hand is the subscriber taking offset o of partition p: it suppresses
+// an offset below its watermark and hands the rest to the application.
+func (w *xbWorld) hand(i, p int, o uint64) error {
+	m := &w.members[i]
+	if o <= w.released[p] {
+		return fmt.Errorf("member %d was sent partition %d offset %d, released below %d", i, p, o, w.released[p]+1)
+	}
 	if o < max(m.next[p], 1) {
 		return nil // redelivery, suppressed
 	}
@@ -422,7 +498,7 @@ func (w *xbWorld) serve(i, p int) error {
 		return fmt.Errorf("member %d was handed partition %d offset %d twice", i, p, o)
 	} else {
 		m.handed[p] |= bit
-		w.handed[p] |= bit
+		w.handed[m.group][p] |= bit
 	}
 	return nil
 }
@@ -454,9 +530,9 @@ func (w *xbWorld) allSealed() bool {
 }
 
 // settle lets every processor turned away that has no append or seal
-// pending learn it at its next beat, and checks the commit properties.
-// (One with an append pending still tries it: that is the fence the
-// generation check must hold.)
+// pending learn it at its next beat, and checks the commit and floor
+// properties. (One with an append pending still tries it: that is the
+// fence the generation check must hold.)
 func (w *xbWorld) settle() error {
 	for i := 0; i < len(w.procs); i++ {
 		if pr := w.procs[i]; !pr.gathered && w.st.fate(pr.part, pr.gen) != holds {
@@ -464,41 +540,67 @@ func (w *xbWorld) settle() error {
 			i--
 		}
 	}
-	g := w.group()
-	if g == nil {
-		return nil
+	if w.err != nil {
+		return w.err
 	}
 	for p := 0; p < w.b.parts; p++ {
-		c := g.commits[p]
-		if end := uint64(len(w.logs[p])); c > end {
-			return fmt.Errorf("partition %d committed offset %d past its log end %d", p, c, end)
+		end := uint64(len(w.logs[p]))
+		if r := w.released[p]; r > 0 && r+xbW > end {
+			return fmt.Errorf("partition %d released record %d, within W=%d of its end %d: a relaunch would rebuild C̄ from it", p, r, xbW, end)
 		}
-		if c < w.commits[p] {
-			return fmt.Errorf("partition %d commit moved back from %d to %d", p, w.commits[p], c)
+		for gi := range xbGroups {
+			g := w.group(gi)
+			if g == nil {
+				continue
+			}
+			c := g.commits[p]
+			if c > end {
+				return fmt.Errorf("partition %d committed offset %d past its log end %d", p, c, end)
+			}
+			if c < w.commits[gi][p] {
+				return fmt.Errorf("partition %d commit moved back from %d to %d", p, w.commits[gi][p], c)
+			}
+			w.commits[gi][p] = c
 		}
-		w.commits[p] = c
 	}
 	return nil
 }
 
+// dropped reports whether a member is disconnected and not yet swept.
+func (w *xbWorld) dropped() bool {
+	for gi := range xbGroups {
+		if g := w.group(gi); g != nil {
+			for _, m := range g.members {
+				if !m.alive {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // final asserts a world with no move left: every connected member
-// ended, every log sealed, and, once every member ended, every offset
-// handed to the group.
+// ended, every log sealed, and, once every member of a group ended,
+// every offset handed to the group.
 func (w *xbWorld) final() error {
 	if !w.allSealed() {
 		return fmt.Errorf("no move left with a partition log unsealed: %v", w.logSealed[:w.b.parts])
 	}
-	all := true
-	for i, m := range w.members[:w.b.members] {
+	all := [2]bool{true, true}
+	for _, i := range w.active() {
+		m := w.members[i]
 		if m.conn && !m.ended {
 			return fmt.Errorf("no move left and connected member %d never got End", i)
 		}
-		all = all && m.ended
+		all[m.group] = all[m.group] && m.ended
 	}
-	for p := 0; p < w.b.parts && all; p++ {
-		for o := w.forfeit[p] + 1; o <= uint64(len(w.logs[p])); o++ {
-			if w.handed[p]&(1<<(o-1)) == 0 {
-				return fmt.Errorf("every member ended, but no member was handed partition %d offset %d", p, o)
+	for gi := range xbGroups {
+		for p := 0; p < w.b.parts && all[gi] && w.group(gi) != nil; p++ {
+			for o := max(w.forfeit[gi][p], w.skipped[gi][p]) + 1; o <= uint64(len(w.logs[p])); o++ {
+				if w.handed[gi][p]&(1<<(o-1)) == 0 {
+					return fmt.Errorf("every member of group %d ended, but none was handed partition %d offset %d", gi, p, o)
+				}
 			}
 		}
 	}
@@ -550,6 +652,15 @@ var brokerExplorerBounds = []struct {
 	{"two members over two partitions and a kill",
 		xbBound{parts: 2, intervals: 1, members: 2, joins: 2, kills: 1},
 		xbBound{parts: 1, intervals: 1, members: 2, joins: 2, kills: 1}},
+	{"the floor under a kill",
+		xbBound{parts: 1, intervals: 3, members: 1, joins: 1, kills: 1, expiries: 1},
+		xbBound{parts: 1, intervals: 3, members: 1, joins: 1, kills: 1, expiries: 1}},
+	{"a late group",
+		xbBound{parts: 1, intervals: 3, members: 1, late: true, joins: 2},
+		xbBound{parts: 1, intervals: 3, members: 1, late: true, joins: 2}},
+	{"a handover past the floor",
+		xbBound{parts: 2, intervals: 3, members: 2, joins: 2},
+		xbBound{parts: 2, intervals: 3, members: 2, joins: 2}},
 }
 
 func TestExplorerBrokerCore(t *testing.T) {
@@ -568,7 +679,8 @@ func TestExplorerBrokerCore(t *testing.T) {
 
 // TestExplorerFindsBrokerMutants is the explorer's mutation check: each
 // mutant of the core, built from a mutated copy of core.go, must make
-// TestExplorerBrokerCore fail with its violation.
+// TestExplorerBrokerCore fail with its violation at the committed
+// bound it names.
 func TestExplorerFindsBrokerMutants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a mutated copy of the package")
@@ -589,6 +701,16 @@ func TestExplorerFindsBrokerMutants(t *testing.T) {
 			"",
 			"kill_and_expiry",
 			"two generations interleave writes"},
+		{"floor from the highest commit",
+			"\tfor _, g := range st.groups {\n\t\tfloor = min(floor, g.commits[p])\n\t}\n",
+			"\tvar high uint64\n\tfor _, g := range st.groups {\n\t\thigh = max(high, g.commits[p])\n\t}\n\tfloor = min(floor, high)\n",
+			"a_late_group",
+			"passed group"},
+		{"floor without the end − W cap",
+			"floor := l.end - min(l.end, st.w*l.np)",
+			"floor := l.end",
+			"the_floor_under_a_kill",
+			"a relaunch would rebuild C̄ from it"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			out, passed := explore.Mutant(t, "core.go", m.old, m.new, "^TestExplorerBrokerCore$/^"+m.bound+"$")

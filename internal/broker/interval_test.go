@@ -22,7 +22,7 @@ import (
 // step is one processor interval on its own: gather the partition's C
 // column from the matrix triangle tri, then fold it.
 func (r *pairRings) step(tri []float64, d float64) (c, cbar []float64, kind []uint8) {
-	return r.fold(r.gather(tri), d)
+	return r.fold(r.gather(tri, feed.Interval{}), d)
 }
 
 // oracleRings is the per-pair derivation the slot-major ring replaced,
@@ -223,9 +223,10 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 		t.Fatalf("%d records, want %d", got, intervals)
 	}
 
+	var buf feed.Interval
 	for _, lo := range []int{0, 1, np - 1, np, np + 1, 2*np - 1, 2 * np, n - np, n - 1} {
 		for _, max := range []int{1, 2, 7, np - 1, np, np + 1, 512, 1 << 30} {
-			iv, drained := log.read(uint64(lo+1), max)
+			iv, drained := log.read(uint64(lo+1), max, &buf)
 			want := flat[lo:min(lo+max, (lo/np+1)*np)] // never past the interval
 			if drained || iv.Len() != len(want) || iv.Base != uint64(lo/np*np) || int(iv.First) != lo%np || iv.Pairs != np {
 				t.Fatalf("read(%d, %d): %d signals (drained %v) base %d first %d, want %d",
@@ -241,11 +242,11 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	if got := logSignals(part, 512); !reflect.DeepEqual(got, flat) {
 		t.Fatalf("reading the log 512 at a time: %d signals, want the %d logged", len(got), n)
 	}
-	if iv, drained := log.read(uint64(n+1), 512); iv.Len() != 0 || drained {
+	if iv, drained := log.read(uint64(n+1), 512, &buf); iv.Len() != 0 || drained {
 		t.Errorf("read past the end of an open log: %d signals, drained %v", iv.Len(), drained)
 	}
 	log.seal()
-	if iv, drained := log.read(uint64(n+1), 512); iv.Len() != 0 || !drained {
+	if iv, drained := log.read(uint64(n+1), 512, &buf); iv.Len() != 0 || !drained {
 		t.Errorf("read past the end of a sealed log: %d signals, drained %v", iv.Len(), drained)
 	}
 	for _, tc := range []struct {
@@ -275,9 +276,9 @@ func TestColumnarStoresEqualFlatSlices(t *testing.T) {
 	var vals []float64
 	var kinds []uint8
 	for lo := 0; lo < n; {
-		iv, _ := log.read(uint64(lo+1), 40)
+		iv, _ := log.read(uint64(lo+1), 40, &buf)
 		if frames%5 == 4 && lo >= 10 { // a resend that overlaps what was delivered
-			iv, _ = log.read(uint64(lo-10+1), 40)
+			iv, _ = log.read(uint64(lo-10+1), 40, &buf)
 			dups += min(10, iv.Len())
 		}
 		// Off the wire a frame's columns are the decoder's, which the
@@ -382,10 +383,12 @@ func TestSubscriberWritesEachRunOnce(t *testing.T) {
 	}
 }
 
-// TestStepAndAppendAllocatePerInterval: the steady-state cost of one
-// interval in a partition processor is a constant number of
-// allocations (its two column arrays and, amortised, the record slot),
-// whatever the pair count.
+// TestStepAndAppendAllocatePerInterval: the cost of one interval in a
+// partition processor whose log releases nothing is a constant number
+// of allocations (gather's two column arrays, C and C̄ in one and the
+// kinds in the other, and, amortised, the record slot), whatever the
+// pair count. A log that releases hands gather a released record's
+// columns instead (TestPartitionLogFollowsLowestCommit).
 func TestStepAndAppendAllocatePerInterval(t *testing.T) {
 	const n, w = 61, 60
 	m := randomMatrices(rand.New(rand.NewSource(1)), n, 1)[0]

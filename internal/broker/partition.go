@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"sync"
 
 	"marketminer/internal/feed"
@@ -39,16 +40,22 @@ type partition struct {
 	log   *partitionLog
 }
 
-// partitionLog is the append-only, offset-addressed signal log of one
-// partition, stored as one columnar record per logged interval. Every
-// interval holds np signals (one per owned pair, ascending), so record
-// i covers offsets i·np+1 … (i+1)·np: offsets start at 1, are dense
-// and per signal, and are never stored. Records are never mutated
-// after append, so readers hold zero-copy views of their columns.
+// partitionLog is the offset-addressed signal log of one partition,
+// stored as one columnar record per logged interval. Every interval
+// holds np signals (one per owned pair, ascending), so record i covers
+// offsets i·np+1 … (i+1)·np: offsets start at 1, are dense and per
+// signal, and are never stored. The log is a window: the core's floor
+// (brokerState.release) releases the records below it, whose columns
+// the processor's next gather reuses (spare). Records are never mutated
+// until released. A handler copies what it reads under the lock
+// (read): the floor can pass a handler whose group committed past it
+// elsewhere, mid-frame.
 type partitionLog struct {
 	mu     sync.Mutex
 	np     int
-	recs   []feed.Interval
+	recs   []feed.Interval // recs[i] is record base+i
+	base   int             // records below base are released
+	free   []feed.Interval // released records, whose columns spare hands out
 	sealed bool
 }
 
@@ -70,7 +77,7 @@ func (l *partitionLog) appendInterval(s int, c, cbar []float64, kind []uint8) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.recs = append(l.recs, feed.Interval{
-		S: uint32(s), Base: uint64(len(l.recs) * l.np), Pairs: uint32(l.np),
+		S: uint32(s), Base: uint64((l.base + len(l.recs)) * l.np), Pairs: uint32(l.np),
 		C: c, Cbar: cbar, Kind: kind,
 	})
 }
@@ -79,7 +86,7 @@ func (l *partitionLog) appendInterval(s int, c, cbar []float64, kind []uint8) {
 func (l *partitionLog) end() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return uint64(len(l.recs) * l.np)
+	return uint64((l.base + len(l.recs)) * l.np)
 }
 
 // records returns the number of logged intervals — a processor's
@@ -87,37 +94,78 @@ func (l *partitionLog) end() uint64 {
 func (l *partitionLog) records() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return l.base + len(l.recs)
 }
 
-// read returns the signals at offsets [next, next+max) that lie in
-// next's interval, and whether the log is sealed with nothing at or
-// after next.
-func (l *partitionLog) read(next uint64, max int) (iv feed.Interval, drained bool) {
+// read copies into buf's columns the signals at offsets [next,
+// next+max) that lie in next's interval, and reports whether the log
+// is sealed with nothing at or after next. A next below the first
+// retained record reads from that record: the floor never passes a
+// group's commit, so every released offset was consumed by the
+// reader's group, and the subscriber counts the skip as a jump.
+func (l *partitionLog) read(next uint64, max int, buf *feed.Interval) (iv feed.Interval, drained bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if next < 1 {
 		next = 1
 	}
-	i, first := int(next-1)/l.np, int(next-1)%l.np
+	i, first := int(next-1)/l.np-l.base, int(next-1)%l.np
+	if i < 0 {
+		i, first = 0, 0
+	}
 	if i >= len(l.recs) {
 		return feed.Interval{}, l.sealed
 	}
 	iv = l.recs[i].From(first)
-	if n := min(iv.Len(), max); n < iv.Len() {
-		iv.C, iv.Cbar, iv.Kind = iv.C[:n], iv.Cbar[:n], iv.Kind[:n]
-	}
+	n := min(iv.Len(), max)
+	buf.C = append(buf.C[:0], iv.C[:n]...)
+	buf.Cbar = append(buf.Cbar[:0], iv.Cbar[:n]...)
+	buf.Kind = append(buf.Kind[:0], iv.Kind[:n]...)
+	iv.C, iv.Cbar, iv.Kind = buf.C, buf.Cbar, buf.Kind
 	return iv, false
 }
 
-// tail returns the last ≤ w records at or before offset end: the
-// compaction source for snapshot-on-subscribe (w = 1) and the ring
-// source for a relaunched processor (w = W).
+// tail returns the last ≤ w records at or before offset end, the ring
+// source for a relaunched processor (w = W). The floor stays W records
+// behind the end, which only the relaunched generation moves, so
+// reading a released record here is a broken floor and panics, as the
+// input log does.
 func (l *partitionLog) tail(end uint64, w int) []feed.Interval {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := min(int(end)/l.np, len(l.recs))
-	return l.recs[max(0, n-w):n:n]
+	n := min(int(end)/l.np, l.base+len(l.recs))
+	lo := max(0, n-w)
+	if lo < l.base {
+		panic(fmt.Sprintf("broker: partition record %d read after release below %d", lo, l.base))
+	}
+	return l.recs[lo-l.base : n-l.base : n-l.base]
+}
+
+// release drops every record below record floor, keeping their columns
+// for spare. The retained records move to the front, so the record
+// array is reused too.
+func (l *partitionLog) release(floor int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if k := min(floor-l.base, len(l.recs)); k > 0 {
+		l.free = append(l.free, l.recs[:k]...)
+		n := copy(l.recs, l.recs[k:])
+		clear(l.recs[n:])
+		l.recs = l.recs[:n]
+		l.base += k
+	}
+}
+
+// spare hands out a released record's columns for the processor's next
+// interval, or nothing when none is free.
+func (l *partitionLog) spare() (cols feed.Interval) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if k := len(l.free) - 1; k >= 0 {
+		cols, l.free[k] = l.free[k], feed.Interval{}
+		l.free = l.free[:k]
+	}
+	return cols
 }
 
 func (l *partitionLog) seal() {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"marketminer/internal/corr"
+	"marketminer/internal/feed"
 	"marketminer/internal/metrics"
 )
 
@@ -40,13 +41,18 @@ func (r *pairRings) push(c []float64) {
 	copy(r.vals[slot*len(c):], c)
 }
 
-// gather allocates one interval's signal columns, C then C̄, and
-// fills C from the matrix triangle tri (pair-id order) at this
-// partition's pairs.
-func (r *pairRings) gather(tri []float64) []float64 {
-	cols := make([]float64, 2*len(r.pairs))
+// gather fills the C column of one interval's signal columns from the
+// matrix triangle tri (pair-id order) at this partition's pairs. The
+// columns are a released record's (partitionLog.spare) when cols has
+// them, and are allocated otherwise.
+func (r *pairRings) gather(tri []float64, cols feed.Interval) feed.Interval {
+	np := len(r.pairs)
+	if len(cols.C) != np {
+		vals := make([]float64, 2*np)
+		cols.C, cols.Cbar, cols.Kind = vals[:np:np], vals[np:], make([]uint8, np)
+	}
 	for idx, k := range r.pairs {
-		cols[idx] = tri[k]
+		cols.C[idx] = tri[k]
 	}
 	return cols
 }
@@ -60,9 +66,10 @@ func (r *pairRings) gather(tri []float64) []float64 {
 // bit-identical C̄ — the keystone of the no-loss/no-dup delivery
 // proof. The crossing kind compares this interval's divergence with
 // the one carried from the previous interval.
-func (r *pairRings) fold(cols []float64, d float64) (c, cbar []float64, kind []uint8) {
+func (r *pairRings) fold(cols feed.Interval, d float64) (c, cbar []float64, kind []uint8) {
 	np := len(r.pairs)
-	c, cbar, kind = cols[:np:np], cols[np:], make([]uint8, np)
+	c, cbar, kind = cols.C, cols.Cbar, cols.Kind
+	clear(cbar)
 	r.push(c)
 	row := func(i int) []float64 { // the i-th oldest row
 		return r.vals[(r.head+i)%r.w*np:][:len(cbar)]
@@ -93,6 +100,8 @@ func (r *pairRings) fold(cols []float64, d float64) (c, cbar []float64, kind []u
 			kind[idx] = KindDiverge
 		case !diverged && r.diverged[idx]:
 			kind[idx] = KindRevert
+		default:
+			kind[idx] = KindUpdate
 		}
 		r.diverged[idx] = diverged
 	}
@@ -212,7 +221,7 @@ func (b *Broker) runProcessor(ctx context.Context, p *partition, gen int, progre
 // the lock that fences the beat keeps a superseded generation, whose
 // cursor the floor may have passed and whose triangle an offer may
 // refill, from reading.
-func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (f fate, s int, cols []float64, ok, drained bool) {
+func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (f fate, s int, cols feed.Interval, ok, drained bool) {
 	f = b.apply(&event{kind: evBeat, part: p.id, gen: gen, now: b.cfg.Now()}, func(*brokerState) {
 		if len(p.pairs) == 0 {
 			// A pairless partition logs nothing, so it reads nothing: it
@@ -222,7 +231,7 @@ func (b *Broker) next(p *partition, gen, cursor int, rings *pairRings) (f fate, 
 		}
 		var e inputEntry
 		if e, ok, drained = b.matrices.get(cursor); ok {
-			s, cols = e.s, rings.gather(e.rets)
+			s, cols = e.s, rings.gather(e.rets, p.log.spare())
 		}
 	})
 	return f, s, cols, ok, drained

@@ -41,6 +41,8 @@ type subCursor struct {
 // progress at all gets the compacted snapshot (the newest interval:
 // the latest signal per pair) instead of the full log — unless the
 // GroupSub asked FromStart, which forces a full replay from offset 1.
+// A resume point below the log's floor gets the snapshot too: the
+// records it would replay are released.
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
 	dec := feed.NewDecoder(conn)
@@ -89,6 +91,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 		resume[int(po.Partition)] = po.Offset
 	}
 	enc := feed.NewEncoder(conn, nil)
+	var buf feed.Interval // the columns of the frame being written
 	cursors := make(map[int]*subCursor)
 	var curEpoch uint64
 	var seq uint64
@@ -128,7 +131,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 			wrote = true
 			for i, p := range v.partitions {
 				if cursors[p] == nil {
-					cursors[p] = b.openCursor(enc, g, p, resume[p], v.commits[i], gs.FromStart)
+					cursors[p] = b.openCursor(enc, &buf, p, max(resume[p], v.commits[i]), v.floors[i], gs.FromStart)
 					if cursors[p] == nil {
 						return // snapshot write failed
 					}
@@ -152,7 +155,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 				b.cfg.Logf("broker: evicting member %q (partition %d lag %d)", gs.Member, p, end-(cur.next-1))
 				return
 			}
-			iv, drained := log.read(cur.next, b.cfg.MaxDelta)
+			iv, drained := log.read(cur.next, b.cfg.MaxDelta, &buf)
 			if iv.Len() > 0 {
 				if err := enc.WriteDelta(&feed.DeltaFrame{Partition: uint16(p), Interval: iv}); err != nil {
 					return
@@ -233,19 +236,22 @@ func (b *Broker) commit(g *group, part int, offset uint64) {
 }
 
 // openCursor decides where delivery starts for a newly assigned
-// partition and sends the snapshot when compaction applies (an empty
-// log has nothing to compact: delivery starts at offset 1). Returns
-// nil when the connection died mid-snapshot.
-func (b *Broker) openCursor(enc *feed.Encoder, g *group, p int, resumeOff, commitOff uint64, fromStart bool) *subCursor {
-	start := max(resumeOff, commitOff)
-	if start == 0 && !fromStart {
+// partition resuming after offset start, and sends the snapshot when
+// compaction applies: a member with no progress that did not ask
+// FromStart, or a resume point below the floor, which only a group
+// created after the floor moved has (DESIGN.md §7). An empty log has
+// nothing to compact: delivery starts at offset 1. Returns nil when
+// the connection died mid-snapshot.
+func (b *Broker) openCursor(enc *feed.Encoder, buf *feed.Interval, p int, start, floor uint64, fromStart bool) *subCursor {
+	if start == 0 && !fromStart || start < floor {
 		log := b.parts[p].log
-		if last := log.tail(log.end(), 1); len(last) == 1 {
-			if enc.WriteSnapshot(&feed.SnapshotFrame{Partition: uint16(p), Interval: last[0]}) != nil {
+		if end := log.end(); end > 0 {
+			newest, _ := log.read(end-uint64(len(b.parts[p].pairs))+1, len(b.parts[p].pairs), buf)
+			if enc.WriteSnapshot(&feed.SnapshotFrame{Partition: uint16(p), Interval: newest}) != nil {
 				return nil
 			}
 			metrics.Counter("broker.snapshot_sends").Inc()
-			start = last[0].End()
+			start = newest.End()
 		}
 	}
 	return &subCursor{next: start + 1}

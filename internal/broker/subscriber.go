@@ -54,7 +54,7 @@ type SubscriberStats struct {
 	Duplicates int // redelivered signals suppressed by the offset watermark
 	Acked      int // ack frames sent
 	Assigns    int // assignment announcements observed
-	Jumps      int // forward offset jumps (ranges consumed group-side by another member)
+	Jumps      int // forward offset jumps (ranges consumed group-side by another member, or released before the group existed)
 }
 
 // Subscriber is a resuming consumer-group client. Across reconnects it
@@ -196,7 +196,9 @@ func (s *Subscriber) session(ctx context.Context, progress func()) error {
 // A snapshot is the partition's newest interval, the latest signal per
 // pair. Snapshots only arrive when this member has no progress on the
 // partition, so the watermark jump cannot skip anything it was owed; a
-// stale one after progress is ignored.
+// stale one after progress is ignored. A FromStart member is sent one
+// only when its group was created after the broker released the start
+// of the log, so for it the snapshot is a jump and is counted as one.
 func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapshot, sealed bool) (int, error) {
 	var ackAt uint64
 	s.mu.Lock()
@@ -212,6 +214,9 @@ func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapsho
 		return 0, nil // stale snapshot after progress; ignore
 	case snapshot:
 		s.stats.Snapshots++
+		if s.cfg.FromStart && start > 1 {
+			s.stats.Jumps++
+		}
 		s.next[p] = start
 	case s.next[p] == 0:
 		s.next[p] = 1
