@@ -100,9 +100,10 @@ func (l *partitionLog) records() int {
 // read copies into buf's columns the signals at offsets [next,
 // next+max) that lie in next's interval, and reports whether the log
 // is sealed with nothing at or after next. A next below the first
-// retained record reads from that record: the floor never passes a
-// group's commit, so every released offset was consumed by the
-// reader's group, and the subscriber counts the skip as a jump.
+// retained record reads from that record. Only a handler whose group
+// committed past the floor has such a cursor (one below it opens the
+// partition with the snapshot), so every offset it skips was consumed
+// by its group, and the subscriber counts the skip as a jump.
 func (l *partitionLog) read(next uint64, max int, buf *feed.Interval) (iv feed.Interval, drained bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

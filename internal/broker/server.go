@@ -244,9 +244,9 @@ func (b *Broker) commit(g *group, part int, offset uint64) {
 // the connection died mid-snapshot.
 func (b *Broker) openCursor(enc *feed.Encoder, buf *feed.Interval, p int, start, floor uint64, fromStart bool) *subCursor {
 	if start == 0 && !fromStart || start < floor {
-		log := b.parts[p].log
+		log, np := b.parts[p].log, len(b.parts[p].pairs)
 		if end := log.end(); end > 0 {
-			newest, _ := log.read(end-uint64(len(b.parts[p].pairs))+1, len(b.parts[p].pairs), buf)
+			newest, _ := log.read(end-uint64(np)+1, np, buf)
 			if enc.WriteSnapshot(&feed.SnapshotFrame{Partition: uint16(p), Interval: newest}) != nil {
 				return nil
 			}
