@@ -85,6 +85,7 @@ const header = "day,seqtime,symbol,bid,ask,bidsize,asksize"
 // when done.
 type Writer struct {
 	bw      *bufio.Writer
+	line    []byte // the record being formatted, reused
 	wrote   int
 	started bool
 }
@@ -102,8 +103,17 @@ func (w *Writer) Write(q Quote) error {
 		}
 		w.started = true
 	}
-	_, err := fmt.Fprintf(w.bw, "%d,%.3f,%s,%.4f,%.4f,%d,%d\n",
-		q.Day, q.SeqTime, q.Symbol, q.Bid, q.Ask, q.BidSize, q.AskSize)
+	// The bytes of "%d,%.3f,%s,%.4f,%.4f,%d,%d\n", formatted without
+	// fmt's per-call reflection and boxing.
+	b := strconv.AppendInt(w.line[:0], int64(q.Day), 10)
+	b = strconv.AppendFloat(append(b, ','), q.SeqTime, 'f', 3, 64)
+	b = append(append(append(b, ','), q.Symbol...), ',')
+	b = strconv.AppendFloat(b, q.Bid, 'f', 4, 64)
+	b = strconv.AppendFloat(append(b, ','), q.Ask, 'f', 4, 64)
+	b = strconv.AppendInt(append(b, ','), int64(q.BidSize), 10)
+	b = strconv.AppendInt(append(b, ','), int64(q.AskSize), 10)
+	w.line = append(b, '\n')
+	_, err := w.bw.Write(w.line)
 	if err == nil {
 		w.wrote++
 	}

@@ -3,9 +3,11 @@ package taq
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,6 +108,46 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		}
 		if diff := got[i].Bid - want[i].Bid; diff > 1e-4 || diff < -1e-4 {
 			t.Errorf("record %d bid: got %v want %v", i, got[i].Bid, want[i].Bid)
+		}
+	}
+}
+
+// TestWriterMatchesFprintfFormat: Write formats each record with
+// strconv, and its line must be the one fmt.Fprintf wrote with the
+// format "%d,%.3f,%s,%.4f,%.4f,%d,%d\n" — on signed zeros, infinities,
+// NaN, values past fmt's %e switch, half-way values, extreme integers
+// and a spread of random prices.
+func TestWriterMatchesFprintfFormat(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1e21, -1e21, 1e300, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		0.0005, 0.00005, 0.0015, 0.00025, 2.5e-4, 1.0005, -0.0005, 0.9999999, 123.45675, 23399.9995}
+	rng := rand.New(rand.NewSource(7))
+	for range 200 {
+		floats = append(floats, rng.Float64()*200, rng.NormFloat64()*1e4, math.Round(rng.Float64()*1e6)/1e4+0.00005)
+	}
+	ints := []int{0, 1, -1, math.MaxInt, math.MinInt, 100, 4096}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	var want strings.Builder
+	want.WriteString(header + "\n")
+	for i, f := range floats {
+		q := Quote{Day: ints[i%len(ints)], SeqTime: f, Symbol: "S" + strconv.Itoa(i),
+			Bid: floats[(i+1)%len(floats)], Ask: f, BidSize: ints[(i+3)%len(ints)], AskSize: i}
+		if err := w.Write(q); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "%d,%.3f,%s,%.4f,%.4f,%d,%d\n", q.Day, q.SeqTime, q.Symbol, q.Bid, q.Ask, q.BidSize, q.AskSize)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(want.String(), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d lines, want %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Fatalf("line %d: %q, want %q", i, got[i], wantLines[i])
 		}
 	}
 }
