@@ -44,11 +44,11 @@ type event struct {
 type effKind uint8
 
 const (
-	effLaunch effKind = iota // run generation gen of partition part
-	effWake                  // broadcast a state change to every waiter
-	effCount                 // metric text += n
-	effLog                   // log line text
-	effRelease               // release part's log records below record n
+	effLaunch  effKind = iota // run generation gen of partition part
+	effWake                   // broadcast a state change to every waiter
+	effCount                  // metric text += n
+	effLog                    // log line text
+	effRelease                // release part's log records below record n
 )
 
 type effect struct {

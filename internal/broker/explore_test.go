@@ -53,7 +53,6 @@ const (
 	xbGrace   = xbTTL / 4
 	xbMembers = 3 // two of group g, then the late group's one
 	xbLate    = xbMembers - 1
-	xbW       = 2 // records the floor keeps below the log end
 )
 
 // xbGroups are the consumer groups: g's members join in turn, the late
@@ -61,15 +60,16 @@ const (
 var xbGroups = [2]string{"g", "late"}
 
 type xbBound struct {
-	parts      int // partitions, each one pair
-	intervals  int // ready matrices in the day
-	members    int // members of group g, who join in turn
+	parts      int  // partitions, each one pair
+	intervals  int  // ready matrices in the day
+	members    int  // members of group g, who join in turn
 	late       bool // a member of a second group joins too
-	joins      int // joins, rejoins included
-	kills      int // KillPartition calls
-	expiries   int // ticks that find every live lease overdue
-	sweeps     int // ticks past every dropped member's grace
-	overshoots int // acks past the log end
+	w          int  // records the floor keeps below the log end
+	joins      int  // joins, rejoins included
+	kills      int  // KillPartition calls
+	expiries   int  // ticks that find every live lease overdue
+	sweeps     int  // ticks past every dropped member's grace
+	overshoots int  // acks past the log end
 }
 
 // xbProc is one processor generation, its cursor restored from its
@@ -102,14 +102,14 @@ type xbWorld struct {
 	clock     time.Time
 	logs      [xbParts][]int // record i: the generation that appended it
 	logSealed [xbParts]bool
-	released  [xbParts]uint64 // records below were released
+	released  [xbParts]uint64 // offsets (records) at or below were released
 	avail     int
 	sealedIn  bool
 	procs     []xbProc
 	members   [xbMembers]xbMember
 	handed    [2][xbParts]uint64 // per group, offsets handed to any member
 	forfeit   [2][xbParts]uint64 // per group, offsets at or below were claimed by an ack past the log end
-	skipped   [2][xbParts]uint64 // per group, offsets below were skipped by a snapshot below the floor
+	skipped   [2][xbParts]uint64 // per group, offsets at or below were skipped by a snapshot below the floor
 	commits   [2][xbParts]uint64 // per group, the last commits seen
 	err       error              // a violation seen while stepping
 
@@ -120,7 +120,7 @@ func newXBWorld(b *xbBound) *xbWorld {
 	w := &xbWorld{
 		b:     b,
 		clock: time.Unix(1e9, 0),
-		st: brokerState{ttl: xbTTL, grace: xbGrace, w: xbW,
+		st: brokerState{ttl: xbTTL, grace: xbGrace, w: uint64(b.w),
 			leases: make([]lease, b.parts), logs: make([]logTail, b.parts), groups: map[string]*group{}},
 	}
 	for i := range w.members {
@@ -545,8 +545,8 @@ func (w *xbWorld) settle() error {
 	}
 	for p := 0; p < w.b.parts; p++ {
 		end := uint64(len(w.logs[p]))
-		if r := w.released[p]; r > 0 && r+xbW > end {
-			return fmt.Errorf("partition %d released record %d, within W=%d of its end %d: a relaunch would rebuild C̄ from it", p, r, xbW, end)
+		if r := w.released[p]; r > 0 && r+uint64(w.b.w) > end {
+			return fmt.Errorf("partition %d released record %d, within W=%d of its end %d: a relaunch would rebuild C̄ from it", p, r, w.b.w, end)
 		}
 		for gi := range xbGroups {
 			g := w.group(gi)
@@ -628,39 +628,41 @@ func xbModel() explore.Model[*xbWorld] {
 // one-goroutine search, each runs its reduced form. Together they
 // cover every event: kills, expiries and the ticks that relaunch,
 // joins, drops, rejoins, sweeps, acks and an ack past the log end,
-// over one or two partitions, one or two intervals and one or two
-// members.
+// over one or two partitions, one to three intervals and one or two
+// members; and the floor: its release under a kill, a group that
+// joins after it moved, and a handler it passes. The first six keep
+// at most two intervals at W = 2, so their floors never move.
 var brokerExplorerBounds = []struct {
 	name          string
 	full, reduced xbBound
 }{
 	{"kill and expiry",
-		xbBound{parts: 2, intervals: 1, members: 1, joins: 1, kills: 1, expiries: 1},
-		xbBound{parts: 1, intervals: 1, members: 1, joins: 1, kills: 1, expiries: 1}},
+		xbBound{parts: 2, intervals: 1, w: 2, members: 1, joins: 1, kills: 1, expiries: 1},
+		xbBound{parts: 1, intervals: 1, w: 2, members: 1, joins: 1, kills: 1, expiries: 1}},
 	{"a rejoin and an ack past the log end",
-		xbBound{parts: 2, intervals: 1, members: 1, joins: 2, kills: 1, overshoots: 1},
-		xbBound{parts: 2, intervals: 1, members: 1, joins: 1, kills: 1, overshoots: 1}},
+		xbBound{parts: 2, intervals: 1, w: 2, members: 1, joins: 2, kills: 1, overshoots: 1},
+		xbBound{parts: 2, intervals: 1, w: 2, members: 1, joins: 1, kills: 1, overshoots: 1}},
 	{"two intervals",
-		xbBound{parts: 1, intervals: 2, members: 1, joins: 2, kills: 1, expiries: 1},
-		xbBound{parts: 1, intervals: 2, members: 1, joins: 1, kills: 1, expiries: 1}},
+		xbBound{parts: 1, intervals: 2, w: 2, members: 1, joins: 2, kills: 1, expiries: 1},
+		xbBound{parts: 1, intervals: 2, w: 2, members: 1, joins: 1, kills: 1, expiries: 1}},
 	{"membership churn",
-		xbBound{parts: 2, intervals: 1, members: 2, joins: 3, sweeps: 1},
-		xbBound{parts: 2, intervals: 1, members: 2, joins: 2, sweeps: 1}},
+		xbBound{parts: 2, intervals: 1, w: 2, members: 2, joins: 3, sweeps: 1},
+		xbBound{parts: 2, intervals: 1, w: 2, members: 2, joins: 2, sweeps: 1}},
 	{"a kill under churn",
-		xbBound{parts: 1, intervals: 1, members: 2, joins: 3, kills: 1, sweeps: 1},
-		xbBound{parts: 1, intervals: 1, members: 2, joins: 2, kills: 1, sweeps: 1}},
+		xbBound{parts: 1, intervals: 1, w: 2, members: 2, joins: 3, kills: 1, sweeps: 1},
+		xbBound{parts: 1, intervals: 1, w: 2, members: 2, joins: 2, kills: 1, sweeps: 1}},
 	{"two members over two partitions and a kill",
-		xbBound{parts: 2, intervals: 1, members: 2, joins: 2, kills: 1},
-		xbBound{parts: 1, intervals: 1, members: 2, joins: 2, kills: 1}},
+		xbBound{parts: 2, intervals: 1, w: 2, members: 2, joins: 2, kills: 1},
+		xbBound{parts: 1, intervals: 1, w: 2, members: 2, joins: 2, kills: 1}},
 	{"the floor under a kill",
-		xbBound{parts: 1, intervals: 3, members: 1, joins: 1, kills: 1, expiries: 1},
-		xbBound{parts: 1, intervals: 3, members: 1, joins: 1, kills: 1, expiries: 1}},
+		xbBound{parts: 1, intervals: 3, w: 2, members: 1, joins: 1, kills: 1, expiries: 1},
+		xbBound{parts: 1, intervals: 3, w: 2, members: 1, joins: 1, kills: 1, expiries: 1}},
 	{"a late group",
-		xbBound{parts: 1, intervals: 3, members: 1, late: true, joins: 2},
-		xbBound{parts: 1, intervals: 3, members: 1, late: true, joins: 2}},
+		xbBound{parts: 1, intervals: 3, w: 2, members: 1, late: true, joins: 2},
+		xbBound{parts: 1, intervals: 3, w: 2, members: 1, late: true, joins: 2}},
 	{"a handover past the floor",
-		xbBound{parts: 2, intervals: 3, members: 2, joins: 2},
-		xbBound{parts: 2, intervals: 3, members: 2, joins: 2}},
+		xbBound{parts: 2, intervals: 3, w: 2, members: 2, joins: 2},
+		xbBound{parts: 2, intervals: 2, w: 1, members: 2, joins: 2}},
 }
 
 func TestExplorerBrokerCore(t *testing.T) {
