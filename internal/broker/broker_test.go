@@ -536,6 +536,31 @@ func TestPartitionLogFollowsLowestCommit(t *testing.T) {
 	}
 }
 
+// TestTailSurvivesAStaleRelease: a generation the lease moved away
+// from can carry out its release while the new generation rebuilds
+// from tail. That release's floor is at most tail's first record, and
+// it moves the kept records within the log; the records tail returned
+// must still be the ones it read.
+func TestTailSurvivesAStaleRelease(t *testing.T) {
+	const np, n, w = 2, 8, 3
+	l := newPartitionLog(np)
+	for s := range n {
+		v := float64(s)
+		l.appendInterval(s, []float64{v, v + 0.5}, []float64{-v, -v}, []uint8{KindUpdate, KindUpdate})
+	}
+	recs := l.tail(l.end(), w)
+	l.release(n - w)
+	if len(recs) != w {
+		t.Fatalf("tail returned %d records, want %d", len(recs), w)
+	}
+	for i, r := range recs {
+		s := n - w + i
+		if int(r.S) != s || r.Base != uint64(s*np) || r.C[0] != float64(s) || r.Cbar[1] != -float64(s) {
+			t.Fatalf("record %d after the release: %+v, want interval %d", i, r, s)
+		}
+	}
+}
+
 // TestInputLogRefillsReleasedVectors: an offer copies into the vector
 // of an entry released below the floor, so a log whose reader keeps up
 // allocates nothing per entry, and the copy is still the offered one.

@@ -245,8 +245,9 @@ func (st *brokerState) join(ev event) {
 // releases the records at or below it. Before any group exists nothing
 // is released, so a day fed before anyone subscribes keeps its
 // FromStart replay. The floor never moves back: a group created after
-// it moved starts below it, and its members are sent the snapshot
-// (Broker.openCursor) until its commit passes the floor.
+// it moved starts below it, and its members replay from the oldest
+// record kept (partitionLog.read); the floor waits until that group's
+// commit passes it.
 //
 // Only a publish raises the floor. Released columns are reused by the
 // processor's next gather, which follows a publish, so an ack-driven
@@ -290,7 +291,6 @@ type groupView struct {
 	epoch      uint64
 	partitions []int
 	commits    []uint64 // committed offset per assigned partition
-	floors     []uint64 // release floor per assigned partition
 }
 
 // viewFor computes member's current assignment: partitions are dealt
@@ -311,7 +311,6 @@ func (st *brokerState) viewFor(g *group, memberID string) groupView {
 	for p := slot; p < len(st.leases); p += len(ids) {
 		v.partitions = append(v.partitions, p)
 		v.commits = append(v.commits, g.commits[p])
-		v.floors = append(v.floors, st.logs[p].floor)
 	}
 	return v
 }

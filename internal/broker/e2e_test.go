@@ -585,13 +585,14 @@ func TestSubscriberMaxAttemptsCountsConsecutiveFailures(t *testing.T) {
 	}
 }
 
-// TestE2ELateGroupSnapshotsPastTheFloor: a second group that joins
+// TestE2ELateGroupReplaysFromTheFloor: a second group that joins
 // FromStart after the first group's commits moved the release floor
-// cannot replay from offset 1. Each of its partitions gets one
-// Snapshot, which its subscriber counts as a jump, then deltas to End,
-// and its stream from the jump on equals the log. The first group's
-// stream is the whole log, without a jump.
-func TestE2ELateGroupSnapshotsPastTheFloor(t *testing.T) {
+// cannot replay from offset 1. Each of its partitions replays from the
+// oldest record the log kept, which its subscriber counts as one jump,
+// then takes deltas to End, and its stream from the jump on equals the
+// log. The first group's stream is the whole log, without a jump.
+func TestE2ELateGroupReplaysFromTheFloor(t *testing.T) {
+	const ackEvery = 5
 	cfg := testConfig()
 	cfg.Partitions = 2
 	rets := testReturns(8, 40)
@@ -609,7 +610,7 @@ func TestE2ELateGroupSnapshotsPastTheFloor(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	run := func(group string) (*Subscriber, chan error) {
-		sub, err := NewSubscriber(SubscriberConfig{Group: group, Member: "m", FromStart: true, AckEvery: 5, Dial: feed.Dialer(addr.String())})
+		sub, err := NewSubscriber(SubscriberConfig{Group: group, Member: "m", FromStart: true, AckEvery: ackEvery, Dial: feed.Dialer(addr.String())})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -638,22 +639,40 @@ func TestE2ELateGroupSnapshotsPastTheFloor(t *testing.T) {
 		}
 		return first.Stats().Delivered == total
 	})
-	// A publish raises the floor past the records the first group
-	// committed, W records below the end.
-	offer(half)
+	// Each publish raises the floor towards the first group's commit, W
+	// records below the end. The first half may all be published before
+	// the first ack, so wait until the first group has acked what it
+	// took (its last ack trails the end by less than AckEvery). Nothing
+	// publishes after offer(half) before the late group joins, whose
+	// commit then holds the floor: wait for that publish's release.
+	g := b.groupOf("first")
 	waitFor(t, func() bool {
-		for _, p := range b.parts {
+		for i, p := range b.parts {
+			var commit uint64
+			b.apply(nil, func(*brokerState) { commit = g.commits[i] })
+			if commit+ackEvery <= p.log.end() {
+				return false
+			}
+		}
+		return true
+	})
+	offer(half)
+	kept := make([]uint64, len(b.parts)) // first offset each log keeps
+	waitFor(t, func() bool {
+		for i, p := range b.parts {
+			var floor uint64
+			b.apply(nil, func(st *brokerState) { floor = st.logs[i].floor })
 			p.log.mu.Lock()
-			base := p.log.base
+			kept[i] = uint64(p.log.base*p.log.np) + 1
 			p.log.mu.Unlock()
-			if base == 0 {
+			if p.log.records() != half-(cfg.M-1)+1 || floor == 0 || kept[i] != floor+1 {
 				return false
 			}
 		}
 		return true
 	})
 	late, lateDone := run("late")
-	waitFor(t, func() bool { return late.Stats().Snapshots == b.NumPartitions() })
+	waitFor(t, func() bool { return late.Stats().Assigns == 1 })
 	for s := half + 1; s < len(rets); s++ {
 		offer(s)
 	}
@@ -666,16 +685,16 @@ func TestE2ELateGroupSnapshotsPastTheFloor(t *testing.T) {
 	for p := range want {
 		sameSignals(t, "first group", first.Signals(p), want[p])
 		got := late.Signals(p)
-		if len(got) == 0 || got[0].Offset == 1 || (got[0].Offset-1)%uint64(len(b.PartitionPairs(p))) != 0 {
-			t.Fatalf("partition %d: the late group's stream starts %v, want a whole interval past offset 1", p, got[:min(1, len(got))])
+		if len(got) == 0 || got[0].Offset != kept[p] {
+			t.Fatalf("partition %d: the late group's stream starts %v, want offset %d, the oldest kept", p, got[:min(1, len(got))], kept[p])
 		}
-		sameSignals(t, "late group from its snapshot", got, want[p][got[0].Offset-1:])
+		sameSignals(t, "late group from the floor", got, want[p][got[0].Offset-1:])
 	}
 	if st := first.Stats(); st.Jumps != 0 || st.Snapshots != 0 {
 		t.Fatalf("first group: stats %+v, want no snapshot and no jump", st)
 	}
-	if st := late.Stats(); st.Snapshots != b.NumPartitions() || st.Jumps != b.NumPartitions() || st.Duplicates != 0 {
-		t.Fatalf("late group: stats %+v, want one snapshot and one jump per partition, no duplicates", st)
+	if st := late.Stats(); st.Snapshots != 0 || st.Jumps != b.NumPartitions() || st.Duplicates != 0 {
+		t.Fatalf("late group: stats %+v, want no snapshot, one jump per partition and no duplicates", st)
 	}
 }
 

@@ -24,10 +24,9 @@ import (
 // the shell: a processor's beat and its read of the matrix log are one
 // move, as are its publish fence and its append, as they share one
 // critical section under Broker.mu; the handler reads the assignment
-// and the logs at its own pace, takes the snapshot for a resume point
-// below the floor, and reads a cursor the floor passed from the first
-// retained record (partitionLog.read). A partition holds one signal
-// per interval, so a record is an offset.
+// and the logs at its own pace, and reads a cursor below the floor from
+// the first retained record (partitionLog.read). A partition holds one
+// signal per interval, so a record is an offset.
 //
 // Asserted:
 //   - two generations never interleave writes into one partition log:
@@ -44,8 +43,8 @@ import (
 //     released one, and the record it is handed is the log's; once
 //     every member of a group has ended, the group was handed every
 //     offset of every log, save those an ack past the log end claimed
-//     and those below a snapshot its group took for a resume point
-//     below the floor.
+//     and, for a group created after the floor moved, those below the
+//     first record its handler read.
 
 const (
 	xbParts   = 2
@@ -109,7 +108,7 @@ type xbWorld struct {
 	members   [xbMembers]xbMember
 	handed    [2][xbParts]uint64 // per group, offsets handed to any member
 	forfeit   [2][xbParts]uint64 // per group, offsets at or below were claimed by an ack past the log end
-	skipped   [2][xbParts]uint64 // per group, offsets at or below were skipped by a snapshot below the floor
+	skipped   [2][xbParts]uint64 // per group, offsets at or below were released before its commit reached them
 	commits   [2][xbParts]uint64 // per group, the last commits seen
 	err       error              // a violation seen while stepping
 
@@ -435,9 +434,8 @@ func (w *xbWorld) join(i int) error {
 
 // assign is the handler's epoch check: it opens a cursor for every
 // newly assigned partition at max(resume, commit)+1 — the subscriber
-// asks FromStart, so there is no snapshot unless that resume point is
-// below the floor — and folds the cursors of partitions reassigned
-// away into resume.
+// asks FromStart, so there is no snapshot — and folds the cursors of
+// partitions reassigned away into resume.
 func (w *xbWorld) assign(i int) error {
 	m := &w.members[i]
 	v := w.st.viewFor(w.group(m.group), m.name)
@@ -446,21 +444,7 @@ func (w *xbWorld) assign(i int) error {
 		k := slices.Index(v.partitions, p)
 		switch {
 		case k >= 0 && m.cursor[p] == 0:
-			start := max(m.resume[p], v.commits[k])
-			if end := uint64(len(w.logs[p])); start < v.floors[k] {
-				// The snapshot: the newest record, which a subscriber
-				// without progress takes, jumping to it, and one with
-				// progress ignores.
-				if m.next[p] == 0 {
-					m.next[p] = end
-					w.skipped[m.group][p] = max(w.skipped[m.group][p], end-1)
-					if err := w.hand(i, p, end); err != nil {
-						return err
-					}
-				}
-				start = end
-			}
-			m.cursor[p] = start + 1
+			m.cursor[p] = max(m.resume[p], v.commits[k]) + 1
 		case k < 0 && m.cursor[p] != 0:
 			m.resume[p] = max(m.resume[p], m.cursor[p]-1)
 			m.cursor[p], m.sealed[p] = 0, false
@@ -470,10 +454,15 @@ func (w *xbWorld) assign(i int) error {
 }
 
 // serve sends partition p's next record, or its seal, and the
-// subscriber takes it. A cursor the floor passed reads from the first
-// retained record.
+// subscriber takes it. A cursor below the floor reads from the first
+// retained record. Its group consumed what that skips unless its commit
+// is below the floor too, which the floor allows only for a group
+// created after it moved: that group skips the released records.
 func (w *xbWorld) serve(i, p int) error {
 	m := &w.members[i]
+	if c := w.group(m.group).commits[p]; c < w.released[p] {
+		w.skipped[m.group][p] = w.released[p]
+	}
 	o := max(m.cursor[p], w.released[p]+1)
 	if o > uint64(len(w.logs[p])) {
 		m.sealed[p] = true

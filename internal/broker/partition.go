@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"marketminer/internal/feed"
@@ -100,10 +101,11 @@ func (l *partitionLog) records() int {
 // read copies into buf's columns the signals at offsets [next,
 // next+max) that lie in next's interval, and reports whether the log
 // is sealed with nothing at or after next. A next below the first
-// retained record reads from that record. Only a handler whose group
-// committed past the floor has such a cursor (one below it opens the
-// partition with the snapshot), so every offset it skips was consumed
-// by its group, and the subscriber counts the skip as a jump.
+// retained record reads from that record, and the subscriber counts the
+// skip as a jump. Two cursors can lie there: a handler's whose group
+// committed past the floor, so its group consumed what it skips; and
+// the first cursor of a group created after the floor moved, which
+// replays from the oldest record kept (DESIGN.md §7).
 func (l *partitionLog) read(next uint64, max int, buf *feed.Interval) (iv feed.Interval, drained bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -126,9 +128,27 @@ func (l *partitionLog) read(next uint64, max int, buf *feed.Interval) (iv feed.I
 	return iv, false
 }
 
-// tail returns the last ≤ w records at or before offset end, the ring
-// source for a relaunched processor (w = W). The floor stays W records
-// behind the end, which only the relaunched generation moves, so
+// lag returns how many signals a handler whose cursor is next has yet
+// to send: those at or after next, less the released ones, which read
+// skips.
+func (l *partitionLog) lag(next uint64) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	end := uint64((l.base + len(l.recs)) * l.np)
+	from := max(next, uint64(l.base*l.np)+1)
+	if from > end {
+		return 0
+	}
+	return end - from + 1
+}
+
+// tail copies the headers of the last ≤ w records at or before offset
+// end, the ring source for a relaunched processor (w = W). The headers
+// are copied because a release can still run for the generation the
+// lease moved away from (Broker.apply carries effects out after the
+// lock), and it shifts the records it keeps within recs. The columns
+// the copies point to stay put: that release's floor is W records
+// below the same end, and only the new generation moves it further. So
 // reading a released record here is a broken floor and panics, as the
 // input log does.
 func (l *partitionLog) tail(end uint64, w int) []feed.Interval {
@@ -139,12 +159,13 @@ func (l *partitionLog) tail(end uint64, w int) []feed.Interval {
 	if lo < l.base {
 		panic(fmt.Sprintf("broker: partition record %d read after release below %d", lo, l.base))
 	}
-	return l.recs[lo-l.base : n-l.base : n-l.base]
+	return slices.Clone(l.recs[lo-l.base : n-l.base])
 }
 
 // release drops every record below record floor, keeping their columns
 // for spare. The retained records move to the front, so the record
-// array is reused too.
+// array is reused too. It can run after the lease moved on, while the
+// new generation rebuilds from tail's copies.
 func (l *partitionLog) release(floor int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

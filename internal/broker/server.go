@@ -40,9 +40,8 @@ type subCursor struct {
 // in-session delivery watermark, group commit). A member with no
 // progress at all gets the compacted snapshot (the newest interval:
 // the latest signal per pair) instead of the full log — unless the
-// GroupSub asked FromStart, which forces a full replay from offset 1.
-// A resume point below the log's floor gets the snapshot too: the
-// records it would replay are released.
+// GroupSub asked FromStart, which forces a full replay from offset 1,
+// or from the oldest record the log keeps (partitionLog.read).
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
 	dec := feed.NewDecoder(conn)
@@ -131,7 +130,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 			wrote = true
 			for i, p := range v.partitions {
 				if cursors[p] == nil {
-					cursors[p] = b.openCursor(enc, &buf, p, max(resume[p], v.commits[i]), v.floors[i], gs.FromStart)
+					cursors[p] = b.openCursor(enc, &buf, p, max(resume[p], v.commits[i]), gs.FromStart)
 					if cursors[p] == nil {
 						return // snapshot write failed
 					}
@@ -150,9 +149,9 @@ func (b *Broker) handleConn(conn net.Conn) {
 		allSealed := true
 		for p, cur := range cursors {
 			log := b.parts[p].log
-			if end := log.end(); cur.next > 0 && end >= cur.next && end-(cur.next-1) > b.cfg.EvictLag {
+			if lag := log.lag(cur.next); lag > b.cfg.EvictLag {
 				metrics.Counter("broker.evictions").Inc()
-				b.cfg.Logf("broker: evicting member %q (partition %d lag %d)", gs.Member, p, end-(cur.next-1))
+				b.cfg.Logf("broker: evicting member %q (partition %d lag %d)", gs.Member, p, lag)
 				return
 			}
 			iv, drained := log.read(cur.next, b.cfg.MaxDelta, &buf)
@@ -237,13 +236,11 @@ func (b *Broker) commit(g *group, part int, offset uint64) {
 
 // openCursor decides where delivery starts for a newly assigned
 // partition resuming after offset start, and sends the snapshot when
-// compaction applies: a member with no progress that did not ask
-// FromStart, or a resume point below the floor, which only a group
-// created after the floor moved has (DESIGN.md §7). An empty log has
-// nothing to compact: delivery starts at offset 1. Returns nil when
-// the connection died mid-snapshot.
-func (b *Broker) openCursor(enc *feed.Encoder, buf *feed.Interval, p int, start, floor uint64, fromStart bool) *subCursor {
-	if start == 0 && !fromStart || start < floor {
+// compaction applies (a member with no progress that did not ask
+// FromStart; an empty log has nothing to compact: delivery starts at
+// offset 1). Returns nil when the connection died mid-snapshot.
+func (b *Broker) openCursor(enc *feed.Encoder, buf *feed.Interval, p int, start uint64, fromStart bool) *subCursor {
+	if start == 0 && !fromStart {
 		log, np := b.parts[p].log, len(b.parts[p].pairs)
 		if end := log.end(); end > 0 {
 			newest, _ := log.read(end-uint64(np)+1, np, buf)

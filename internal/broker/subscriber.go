@@ -196,9 +196,7 @@ func (s *Subscriber) session(ctx context.Context, progress func()) error {
 // A snapshot is the partition's newest interval, the latest signal per
 // pair. Snapshots only arrive when this member has no progress on the
 // partition, so the watermark jump cannot skip anything it was owed; a
-// stale one after progress is ignored. A FromStart member is sent one
-// only when its group was created after the broker released the start
-// of the log, so for it the snapshot is a jump and is counted as one.
+// stale one after progress is ignored.
 func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapshot, sealed bool) (int, error) {
 	var ackAt uint64
 	s.mu.Lock()
@@ -214,9 +212,6 @@ func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapsho
 		return 0, nil // stale snapshot after progress; ignore
 	case snapshot:
 		s.stats.Snapshots++
-		if s.cfg.FromStart && start > 1 {
-			s.stats.Jumps++
-		}
 		s.next[p] = start
 	case s.next[p] == 0:
 		s.next[p] = 1
@@ -232,8 +227,10 @@ func (s *Subscriber) deliver(enc *feed.Encoder, p int, iv feed.Interval, snapsho
 		// the group commit can advance while the partition was assigned
 		// elsewhere: another member delivered and acked the range in
 		// between, so resuming past it is group-level consumption, not
-		// loss. Count the jump (fixed-membership tests assert zero) and
-		// move the watermark forward.
+		// loss. A group created after the broker released the start of
+		// the log jumps too, to the oldest record kept. Count the jump
+		// (fixed-membership tests assert zero) and move the watermark
+		// forward.
 		if start > s.next[p] {
 			s.stats.Jumps++
 		}

@@ -157,8 +157,8 @@ go test -race ./internal/engine ./internal/core
 echo "== go test -race ./internal/broker (signal broker focus)"
 go test -race ./internal/broker
 
-echo "== broker core: pinned clock-injected broker script digest, exhaustive explorer of the pure core (reduced bound under -race) and its five source mutants (no generation check before publish, no commit clamp, a tick that expires leases before start, a release floor from the highest commit, a floor without the end − W cap), the pinned partition logs, kill tests and subscribed day, the partition log window that follows the lowest commit and reuses released columns, and a late group's snapshot past the floor; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
-focus 'TestBrokerScriptMatchesParentDigest|TestExplorerBrokerCore|TestExplorerFindsBrokerMutants|TestBrokerLogsMatchParentDigest|TestKillAtEveryInterval|TestMatrixLogHeldByKilledPartition|TestMemberGraceSweep|TestReassignAwayAndBackNoLoss|TestE2EResumeInsideInterval|TestSubscribedDayMatchesParentDigest|TestPartitionLogFollowsLowestCommit|TestE2ELateGroupSnapshotsPastTheFloor' ./internal/broker
+echo "== broker core: pinned clock-injected broker script digest, exhaustive explorer of the pure core (reduced bound under -race) and its five source mutants (no generation check before publish, no commit clamp, a tick that expires leases before start, a release floor from the highest commit, a floor without the end − W cap), the pinned partition logs, kill tests and subscribed day, the partition log window that follows the lowest commit and reuses released columns, a rebuild's records that a stale release leaves intact, and a late group's replay from the floor; then the explorer at full bound without -race (one goroutine: the detector only slows it)"
+focus 'TestBrokerScriptMatchesParentDigest|TestExplorerBrokerCore|TestExplorerFindsBrokerMutants|TestBrokerLogsMatchParentDigest|TestKillAtEveryInterval|TestMatrixLogHeldByKilledPartition|TestMemberGraceSweep|TestReassignAwayAndBackNoLoss|TestE2EResumeInsideInterval|TestSubscribedDayMatchesParentDigest|TestPartitionLogFollowsLowestCommit|TestTailSurvivesAStaleRelease|TestE2ELateGroupReplaysFromTheFloor' ./internal/broker
 go test -count=1 -run 'TestExplorerBrokerCore' ./internal/broker
 
 echo "== explore is a test-only harness: no non-test file imports it"
